@@ -3,7 +3,7 @@
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 BENCHREV := $(shell git rev-parse --short HEAD 2>/dev/null || date +%s)
 
-.PHONY: check fmt vet staticcheck test race build bench trace-e2e doccheck campaign-smoke
+.PHONY: check fmt vet staticcheck test race race-stm build bench trace-e2e doccheck campaign-smoke
 
 check: fmt vet staticcheck doccheck race
 
@@ -33,6 +33,13 @@ test:
 
 race:
 	go test -race ./...
+
+# race-stm is CI's fast lane for the STM and the packages layered directly
+# on it: twenty race-detected runs each with one, two and eight Ps.
+race-stm:
+	for p in 1 2 8; do \
+		GOMAXPROCS=$$p go test -race -count=20 ./internal/stm ./internal/state ./internal/sketch || exit 1; \
+	done
 
 # trace-e2e runs a traced two-worker cluster as real processes and pipes
 # the merged per-process trace through tracetool -validate

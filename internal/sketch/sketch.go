@@ -14,6 +14,7 @@ package sketch
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"streammine/internal/state"
@@ -91,7 +92,8 @@ func (cs *CountSketch) Update(key uint64, count int64) {
 
 // Estimate returns the estimated frequency of key (median over rows).
 func (cs *CountSketch) Estimate(key uint64) int64 {
-	ests := make([]int64, cs.depth)
+	var buf [medianInline]int64
+	ests := rowEstimates(&buf, cs.depth)
 	for r := 0; r < cs.depth; r++ {
 		col, sign := cs.pos(r, key)
 		ests[r] = sign * cs.rows[r][col]
@@ -99,8 +101,21 @@ func (cs *CountSketch) Estimate(key uint64) int64 {
 	return median(ests)
 }
 
+// medianInline is the deepest sketch whose per-row estimates fit the stack
+// buffer an Estimate sorts them in.
+const medianInline = 16
+
+// rowEstimates returns room for one estimate per row: buf, which the caller
+// keeps on its stack, unless the sketch is deeper than that.
+func rowEstimates(buf *[medianInline]int64, depth int) []int64 {
+	if depth <= len(buf) {
+		return buf[:depth]
+	}
+	return make([]int64, depth)
+}
+
 func median(v []int64) int64 {
-	sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
+	slices.Sort(v)
 	n := len(v)
 	if n%2 == 1 {
 		return v[n/2]
@@ -264,7 +279,8 @@ func (cs *TxCountSketch) Update(tx *stm.Tx, key uint64, count int64) error {
 
 // Estimate returns the estimated frequency of key within tx.
 func (cs *TxCountSketch) Estimate(tx *stm.Tx, key uint64) (int64, error) {
-	ests := make([]int64, cs.depth)
+	var buf [medianInline]int64
+	ests := rowEstimates(&buf, cs.depth)
 	for r := 0; r < cs.depth; r++ {
 		col, sign := cs.pos(r, key)
 		v, err := cs.counters.Get(tx, r*cs.width+col)

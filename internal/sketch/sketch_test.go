@@ -228,3 +228,39 @@ func BenchmarkTxCountSketchUpdate(b *testing.B) {
 		}
 	}
 }
+
+// TestEstimateAllocs: up to medianInline rows are estimated and sorted on
+// the stack; a deeper sketch still gets the right answer from the heap.
+func TestEstimateAllocs(t *testing.T) {
+	cs := NewCountSketch(8, 256, 42)
+	cs.Update(7, 100)
+	m := stm.NewMemory(8 * 256)
+	txcs, err := NewTxCountSketch(m, 8, 256, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := m.Begin(1)
+	defer tx.Abort()
+	if err := txcs.Update(tx, 7, 100); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if got := cs.Estimate(7); got != 100 {
+			t.Fatalf("Estimate(7) = %d, want 100", got)
+		}
+	}); allocs != 0 {
+		t.Errorf("CountSketch.Estimate at depth 8: %.1f allocs, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if got, err := txcs.Estimate(tx, 7); got != 100 || err != nil {
+			t.Fatalf("tx Estimate(7) = %d, %v, want 100", got, err)
+		}
+	}); allocs != 0 {
+		t.Errorf("TxCountSketch.Estimate at depth 8: %.1f allocs, want 0", allocs)
+	}
+	deep := NewCountSketch(medianInline+1, 256, 42)
+	deep.Update(7, 100)
+	if got := deep.Estimate(7); got != 100 {
+		t.Fatalf("Estimate(7) at depth %d = %d, want 100", medianInline+1, got)
+	}
+}

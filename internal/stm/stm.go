@@ -140,7 +140,13 @@ type ConflictSink interface {
 
 // lockState is one immutable snapshot of a lock-array entry. Entries are
 // replaced wholesale via CAS, so readers always observe a consistent
-// (version, owners) pair.
+// (version, owners) pair. A lockState is written only before the CAS that
+// first publishes it; a reader may keep the pointer past the entry's next
+// swap, and no pointer is ever published to the same entry twice (so
+// pointer equality means "unchanged"). Its memory belongs to the
+// transaction that acquired an unowned slot (Tx.entries), to one commit
+// (the ownerless state shared by every slot that commit empties), or to
+// the heap (copied chains).
 type lockState struct {
 	// version is the commit clock value of the last committed write to any
 	// address covered by this entry.
@@ -358,11 +364,12 @@ func (m *Memory) Begin(ts int64) *Tx {
 		id:       m.txSeq.Add(1),
 		ts:       ts,
 		snapshot: m.clock.Load(),
-		reads:    make(map[Addr]readEntry),
-		writes:   make(map[Addr]uint64),
-		entries:  make(map[uint32]bool),
-		deps:     make(map[*Tx]Addr),
 	}
+	tx.self[0] = tx
+	tx.reads.items = tx.reads.buf[:0]
+	tx.writes.items = tx.writes.buf[:0]
+	tx.entries.items = tx.entries.buf[:0]
+	tx.deps.items = tx.deps.buf[:0]
 	tx.status.Store(int32(StatusActive))
 	return tx
 }

@@ -52,6 +52,16 @@ func TestBasicCommit(t *testing.T) {
 	if v, err := tx.Read(0); err != nil || v != 42 {
 		t.Fatalf("read own write = %d, %v", v, err)
 	}
+	// A read of one's own write is not a read-set entry; a second write to
+	// the same address is not a second write-set entry.
+	mustDo(t, tx.Write(0, 42))
+	mustDo(t, tx.Write(1, 7))
+	if _, err := tx.Read(2); err != nil {
+		t.Fatal(err)
+	}
+	if r, w := tx.ReadSetSize(), tx.WriteSetSize(); r != 1 || w != 2 {
+		t.Fatalf("ReadSetSize, WriteSetSize = %d, %d, want 1, 2", r, w)
+	}
 	if err := tx.Complete(); err != nil {
 		t.Fatal(err)
 	}
@@ -491,21 +501,6 @@ func TestSnapshotRestore(t *testing.T) {
 	if err := m2.Restore(make([]uint64, 100)); !errors.Is(err, ErrOutOfMemory) {
 		t.Fatalf("oversized Restore = %v", err)
 	}
-}
-
-func TestWritesSnapshot(t *testing.T) {
-	m := NewMemory(4)
-	tx := m.Begin(1)
-	mustDo(t, tx.Write(0, 1))
-	mustDo(t, tx.Write(1, 2))
-	ws := tx.WritesSnapshot()
-	if len(ws) != 2 || ws[0] != 1 || ws[1] != 2 {
-		t.Fatalf("WritesSnapshot = %v", ws)
-	}
-	if tx.WriteSetSize() != 2 {
-		t.Fatalf("WriteSetSize = %d", tx.WriteSetSize())
-	}
-	tx.Abort()
 }
 
 func TestStatusString(t *testing.T) {

@@ -16,6 +16,85 @@ type readEntry struct {
 	from    *Tx
 }
 
+// setInline is how many entries of each set live inside the Tx itself:
+// enough for the Classifier's one read and one write and for the eight rows
+// a SketchOp{Depth: 8} reads and writes.
+const setInline = 8
+
+type setEntry[K comparable, V any] struct {
+	key K
+	val V
+}
+
+// set is an insertion-ordered map that allocates nothing while it holds at
+// most setInline entries: items starts out backed by buf, inside the owning
+// Tx, and append moves it to the heap once it outgrows that. A small set is
+// scanned; a spilled one is indexed, so a 1000-access transaction stays
+// linear in its accesses.
+type set[K comparable, V any] struct {
+	items []setEntry[K, V]
+	index map[K]int32 // nil until items outgrows buf
+	buf   [setInline]setEntry[K, V]
+}
+
+// find returns the value stored under k, or nil.
+func (s *set[K, V]) find(k K) *V {
+	if s.index != nil {
+		if i, ok := s.index[k]; ok {
+			return &s.items[i].val
+		}
+		return nil
+	}
+	for i := range s.items {
+		if s.items[i].key == k {
+			return &s.items[i].val
+		}
+	}
+	return nil
+}
+
+// add appends an entry for k, which the caller knows to be absent, and
+// returns where its value is stored.
+func (s *set[K, V]) add(k K, v V) *V {
+	s.items = append(s.items, setEntry[K, V]{k, v})
+	last := len(s.items) - 1
+	if s.index != nil {
+		s.index[k] = int32(last)
+	} else if last == setInline {
+		s.index = make(map[K]int32, 4*setInline)
+		for i := range s.items {
+			s.index[s.items[i].key] = int32(i)
+		}
+	}
+	return &s.items[last].val
+}
+
+// put stores v under k, replacing an earlier value.
+func (s *set[K, V]) put(k K, v V) {
+	if p := s.find(k); p != nil {
+		*p = v
+		return
+	}
+	s.add(k, v)
+}
+
+// pop undoes the latest add, unless a drop got in between.
+func (s *set[K, V]) pop() {
+	last := len(s.items) - 1
+	if last < 0 {
+		return
+	}
+	if s.index != nil {
+		delete(s.index, s.items[last].key)
+	}
+	s.items = s.items[:last]
+}
+
+// drop forgets every entry, and with that any spilled storage. The inline
+// array keeps its contents: an owned-slot entry may still be read through a
+// stale lock snapshot.
+func (s *set[K, V]) drop() { s.items, s.index = nil, nil }
+
 // Tx is a transaction. A Tx is created by Memory.Begin, executed by one
 // goroutine (Read/Write/Complete), and may then be revalidated, committed
 // or aborted by a different goroutine (the engine's commit scheduler) —
@@ -24,6 +103,14 @@ type readEntry struct {
 //
 // Contract: any method returning ErrConflict dooms the transaction; the
 // caller must call Abort and re-execute the work in a fresh transaction.
+//
+// A Tx is one heap object: its sets start out in arrays inside it, and the
+// lockState it publishes when it acquires an unowned slot is the value of
+// its own entries set. Other transactions' read entries and dependents
+// lists and stale lock snapshots keep a *Tx past its end and read status
+// and commitVersion through it, so headers are never recycled; what a
+// finished transaction drops instead is every reference to another one
+// (see drop; an abort keeps its read set, see finishAbort).
 type Tx struct {
 	mem      *Memory
 	id       uint64
@@ -32,21 +119,29 @@ type Tx struct {
 	status   atomic.Int32
 
 	// mu guards writes, entries, deps, dependents and onAbort. reads is
-	// only touched by the executing goroutine while Active (validation
-	// happens after the Completed transition, which synchronizes).
+	// only mutated by the executing goroutine while Active (validation
+	// happens after the Completed transition, which synchronizes), and
+	// dropped by the commit.
+	// entries maps each owned lock-array slot to the memory of the
+	// lockState this transaction published there if the slot was unowned;
+	// that memory is written before the CAS that publishes it and never
+	// afterwards.
 	// deps maps each dependency to the address that created it (first
 	// speculative read-from or WAW overwrite), so a cascading abort can be
 	// attributed to a concrete state word.
 	mu         sync.Mutex
-	reads      map[Addr]readEntry
-	writes     map[Addr]uint64
-	entries    map[uint32]bool
-	deps       map[*Tx]Addr
+	reads      set[Addr, readEntry]
+	writes     set[Addr, uint64]
+	entries    set[uint32, lockState]
+	deps       set[*Tx, Addr]
 	dependents []*Tx
 	onAbort    func(*Tx)
 
 	commitVersion uint64
 	abortOnce     sync.Once
+
+	// self is the owners list of every lockState in entries.
+	self [1]*Tx
 }
 
 // statusCommitting is internal: between Completed and Committed while
@@ -105,18 +200,24 @@ func (tx *Tx) checkRunnable() error {
 // and its value.
 func (tx *Tx) buffered(addr Addr) (uint64, bool) {
 	tx.mu.Lock()
-	v, ok := tx.writes[addr]
-	tx.mu.Unlock()
-	return v, ok
+	defer tx.mu.Unlock()
+	if p := tx.writes.find(addr); p != nil {
+		return *p, true
+	}
+	return 0, false
 }
 
 // addDependent registers d as depending on tx. It returns false if tx has
-// already aborted (the dependency is void and d must not rely on it).
+// already aborted (the dependency is void and d must not rely on it). A
+// finished tx has dropped its list and cascades to nobody.
 func (tx *Tx) addDependent(d *Tx) bool {
 	tx.mu.Lock()
-	tx.dependents = append(tx.dependents, d)
+	st := Status(tx.status.Load())
+	if st != StatusCommitted && st != StatusAborted {
+		tx.dependents = append(tx.dependents, d)
+	}
 	tx.mu.Unlock()
-	return Status(tx.status.Load()) != StatusAborted
+	return st != StatusAborted
 }
 
 // dependOn records that tx must commit after o and abort if o aborts.
@@ -127,11 +228,11 @@ func (tx *Tx) dependOn(o *Tx, addr Addr) error {
 		return nil
 	}
 	tx.mu.Lock()
-	if _, dup := tx.deps[o]; dup {
+	if tx.deps.find(o) != nil {
 		tx.mu.Unlock()
 		return nil
 	}
-	tx.deps[o] = addr
+	tx.deps.add(o, addr)
 	tx.mu.Unlock()
 	if !o.addDependent(tx) {
 		return ErrConflict
@@ -216,8 +317,8 @@ func (tx *Tx) Read(addr Addr) (uint64, error) {
 			return 0, ErrConflict
 		}
 		tx.mu.Lock()
-		if _, seen := tx.reads[addr]; !seen {
-			tx.reads[addr] = readEntry{version: ls.version}
+		if tx.reads.find(addr) == nil {
+			tx.reads.add(addr, readEntry{version: ls.version})
 		}
 		tx.mu.Unlock()
 		return val, nil
@@ -261,7 +362,7 @@ func (tx *Tx) readFromChain(ls *lockState, addr Addr) (v uint64, done, retry boo
 				return 0, false, true, nil
 			}
 			tx.mu.Lock()
-			tx.reads[addr] = readEntry{from: o}
+			tx.reads.put(addr, readEntry{from: o})
 			tx.mu.Unlock()
 			return bv, true, false, nil
 		case StatusCommitted:
@@ -283,7 +384,7 @@ func (tx *Tx) Write(addr Addr, v uint64) error {
 	}
 	slot := uint32(addr) & tx.mem.mask
 	tx.mu.Lock()
-	owned := tx.entries[slot]
+	owned := tx.entries.find(slot) != nil
 	tx.mu.Unlock()
 	if owned {
 		tx.bufferWrite(addr, v)
@@ -296,7 +397,6 @@ func (tx *Tx) Write(addr Addr, v uint64) error {
 		}
 		ls := entry.Load()
 		retry := false
-		var newDeps []*Tx
 		for _, o := range ls.owners {
 			if o == tx {
 				// Raced with ourselves? entries said not owned; impossible
@@ -312,13 +412,6 @@ func (tx *Tx) Write(addr Addr, v uint64) error {
 				retry = true
 			case StatusAborted, StatusCommitted:
 				retry = true // chain about to be cleaned
-			case StatusCompleted:
-				// Overwriting the buffer of an older open transaction
-				// orders our commit after it (WAW dependency). A *newer*
-				// open owner commits after us regardless; no dependency.
-				if !o.newerThan(tx) {
-					newDeps = append(newDeps, o)
-				}
 			}
 			if retry {
 				break
@@ -328,16 +421,37 @@ func (tx *Tx) Write(addr Addr, v uint64) error {
 			runtime.Gosched()
 			continue
 		}
-		owners := make([]*Tx, len(ls.owners)+1)
-		copy(owners, ls.owners)
-		owners[len(ls.owners)] = tx
-		if !entry.CompareAndSwap(ls, &lockState{version: ls.version, owners: owners}) {
+		// An unowned slot takes the state stored in our own entries set;
+		// only a chain that already has owners is copied to the heap.
+		tx.mu.Lock()
+		next := tx.entries.add(slot, lockState{version: ls.version, owners: tx.self[:]})
+		tx.mu.Unlock()
+		if len(ls.owners) > 0 {
+			owners := make([]*Tx, len(ls.owners)+1)
+			copy(owners, ls.owners)
+			owners[len(ls.owners)] = tx
+			next = &lockState{version: ls.version, owners: owners}
+		}
+		if !entry.CompareAndSwap(ls, next) {
+			tx.mu.Lock()
+			tx.entries.pop() // never published: the next attempt may rewrite it
+			tx.mu.Unlock()
 			continue
 		}
-		tx.mu.Lock()
-		tx.entries[slot] = true
-		tx.mu.Unlock()
-		for _, o := range newDeps {
+		if Status(tx.status.Load()) == StatusAborted {
+			// Aborted from outside since the check above (the engine does
+			// that to an executing task it replaces); finishAbort may have
+			// missed this slot, so leave it ourselves.
+			tx.unchain(slot, 0, nil)
+			return ErrConflict
+		}
+		// Overwriting the buffer of an older open transaction orders our
+		// commit after it (WAW dependency). A *newer* open owner commits
+		// after us regardless; no dependency.
+		for _, o := range ls.owners {
+			if o.newerThan(tx) {
+				continue
+			}
 			if err := tx.dependOn(o, addr); err != nil {
 				return err // a predecessor aborted under us; cascade applies
 			}
@@ -349,7 +463,7 @@ func (tx *Tx) Write(addr Addr, v uint64) error {
 
 func (tx *Tx) bufferWrite(addr Addr, v uint64) {
 	tx.mu.Lock()
-	tx.writes[addr] = v
+	tx.writes.put(addr, v)
 	tx.mu.Unlock()
 }
 
@@ -371,7 +485,11 @@ func (tx *Tx) extendSnapshot() bool {
 //     no open transaction that must commit before us (smaller timestamp)
 //     has buffered a write to the address;
 //   - speculative reads: the source transaction has not aborted, and if it
-//     has committed, no later commit has overwritten the entry.
+//     has committed, no later commit has overwritten the entry;
+//   - either kind, once there is a version to compare: no other writer of
+//     the address is applying its commit right now. Its version bump is
+//     certain, and two transactions whose commits overlap would otherwise
+//     each validate against the entry as the other is about to leave it.
 func (tx *Tx) validateReads() bool {
 	// reads is only mutated by the executing goroutine while Active;
 	// validation happens on that goroutine or, after the Completed
@@ -380,49 +498,65 @@ func (tx *Tx) validateReads() bool {
 	// validates reads against us.
 	// Witnesses are only recorded at the failure returns, so the all-valid
 	// path is branch-for-branch identical with profiling off and on.
-	for addr, re := range tx.reads {
+	for i := range tx.reads.items {
+		addr, re := tx.reads.items[i].key, tx.reads.items[i].val
 		entry := tx.mem.entryFor(addr)
+	reload:
 		ls := entry.Load()
 		if re.from != nil {
 			switch Status(re.from.status.Load()) {
 			case StatusAborted:
-				if tx.mem.sink != nil {
-					tx.mem.witness(ConflictValidation, addr, tx, re.from)
-				}
-				return false
+				return tx.invalid(addr, re.from)
 			case StatusCommitted:
 				if ls.version != re.from.commitVersion {
-					if tx.mem.sink != nil {
-						tx.mem.witness(ConflictValidation, addr, tx, re.from)
-					}
-					return false
+					return tx.invalid(addr, re.from)
 				}
+			default:
+				continue // the source is still open: nothing to compare yet
 			}
-			continue
-		}
-		if ls.version != re.version {
-			if tx.mem.sink != nil {
-				tx.mem.witness(ConflictValidation, addr, tx, nil)
-			}
-			return false
+		} else if ls.version != re.version {
+			return tx.invalid(addr, nil)
 		}
 		for _, o := range ls.owners {
 			if o == tx {
 				continue
 			}
-			if _, has := o.buffered(addr); !has {
+			if re.from != nil {
+				// Only a writer in or past its commit outdates what a
+				// committed source left; pass over the rest of a long
+				// chain without taking their locks.
+				if s := o.status.Load(); s != statusCommitting && s != int32(StatusCommitted) {
+					continue
+				}
+			}
+			_, has := o.buffered(addr)
+			st := o.status.Load() // after buffered: a committed o drops its buffer
+			if st == int32(StatusCommitted) {
+				// o has released the entry since ls was loaded; judge the
+				// read against the entry as it is now.
+				goto reload
+			}
+			if !has {
 				continue
 			}
-			// A writer that must commit before us makes our read stale.
-			if !o.newerThan(tx) && Status(o.status.Load()) != StatusAborted {
-				if tx.mem.sink != nil {
-					tx.mem.witness(ConflictValidation, addr, tx, o)
-				}
-				return false
+			// A writer that must commit before us makes a read of committed
+			// memory stale.
+			stale := re.from == nil && !o.newerThan(tx) && st != int32(StatusAborted)
+			if stale || st == statusCommitting {
+				return tx.invalid(addr, o)
 			}
 		}
 	}
 	return true
+}
+
+// invalid records the validation witness, if anyone listens, and returns
+// false for validateReads to pass on.
+func (tx *Tx) invalid(addr Addr, owner *Tx) bool {
+	if tx.mem.sink != nil {
+		tx.mem.witness(ConflictValidation, addr, tx, owner)
+	}
+	return false
 }
 
 // Complete finishes the execution phase: it validates the read set and
@@ -449,14 +583,10 @@ func (tx *Tx) Complete() error {
 // finality conditions) to decide when a transaction may commit.
 func (tx *Tx) DepsOpen() int {
 	tx.mu.Lock()
-	deps := make([]*Tx, 0, len(tx.deps))
-	for d := range tx.deps {
-		deps = append(deps, d)
-	}
-	tx.mu.Unlock()
+	defer tx.mu.Unlock()
 	open := 0
-	for _, d := range deps {
-		if Status(d.status.Load()) != StatusCommitted {
+	for i := range tx.deps.items {
+		if Status(tx.deps.items[i].key.status.Load()) != StatusCommitted {
 			open++
 		}
 	}
@@ -477,8 +607,7 @@ func (tx *Tx) Commit() error {
 		return err
 	}
 	tx.mem.commitGate.RLock()
-	version := tx.mem.clock.Add(1)
-	tx.commitApplyLocked(version)
+	tx.commitApplyLocked(tx.mem.clock.Add(1), nil)
 	tx.mem.commitGate.RUnlock()
 	return nil
 }
@@ -489,21 +618,19 @@ func (tx *Tx) Commit() error {
 func (tx *Tx) commitPrepare() error {
 	// Check dependencies before claiming the committing state.
 	tx.mu.Lock()
-	deps := make([]*Tx, 0, len(tx.deps))
-	for d := range tx.deps {
-		deps = append(deps, d)
-	}
-	tx.mu.Unlock()
-	for _, d := range deps {
-		switch Status(d.status.Load()) {
+	for i := range tx.deps.items {
+		switch Status(tx.deps.items[i].key.status.Load()) {
 		case StatusCommitted:
 		case StatusAborted:
+			tx.mu.Unlock()
 			tx.doAbort()
 			return ErrConflict
 		default:
+			tx.mu.Unlock()
 			return ErrDepsOpen
 		}
 	}
+	tx.mu.Unlock()
 	if !tx.status.CompareAndSwap(int32(StatusCompleted), statusCommitting) {
 		switch Status(tx.status.Load()) {
 		case StatusAborted, StatusKilled:
@@ -523,29 +650,58 @@ func (tx *Tx) commitPrepare() error {
 }
 
 // commitApplyLocked applies the buffered writes at the given commit
-// version and releases the lock entries. The caller holds the commit gate
-// (read side) and has successfully run commitPrepare.
-func (tx *Tx) commitApplyLocked(version uint64) {
+// version, releases the lock entries and drops what the transaction held.
+// The caller holds the commit gate (read side) and has successfully run
+// commitPrepare. released is the ownerless lockState the commit shares
+// between every slot it empties; it is allocated on first use and handed
+// back, so that a CommitGroup allocates one for the whole group.
+func (tx *Tx) commitApplyLocked(version uint64, released *lockState) *lockState {
 	tx.commitVersion = version
 	tx.mu.Lock()
-	for addr, v := range tx.writes {
-		tx.mem.data[addr].Store(v)
+	for i := range tx.writes.items {
+		tx.mem.data[tx.writes.items[i].key].Store(tx.writes.items[i].val)
 	}
-	slots := make([]uint32, 0, len(tx.entries))
-	for slot := range tx.entries {
-		slots = append(slots, slot)
-	}
+	owned := tx.entries.items // complete since the Completed transition
 	tx.mu.Unlock()
-	for _, slot := range slots {
-		tx.unchain(slot, version)
+	for i := range owned {
+		released = tx.unchain(owned[i].key, version, released)
 	}
 	tx.status.Store(int32(StatusCommitted))
 	tx.mem.commits.Add(1)
+	tx.drop()
+	return released
 }
 
-// unchain removes tx from a lock-array slot, setting the slot's version if
-// the removal is a commit (version != 0).
-func (tx *Tx) unchain(slot uint32, version uint64) {
+// drop runs once the transaction is Committed and out of the lock array:
+// it forgets the sets, the dependency edges in both directions and the
+// abort callback, so that a committed transaction keeps no other one
+// reachable (id, ts, status and commitVersion stay readable).
+func (tx *Tx) drop() {
+	tx.mu.Lock()
+	clear(tx.reads.buf[:]) // the sources of speculative reads
+	tx.reads.drop()
+	tx.dropGuarded()
+	tx.mu.Unlock()
+}
+
+// dropGuarded is the part of drop that mu makes safe at any time, which is
+// all an abort may do: the executing goroutine can still be running. The
+// caller holds mu.
+func (tx *Tx) dropGuarded() {
+	tx.writes.drop()
+	tx.entries.drop()
+	clear(tx.deps.buf[:])
+	tx.deps.drop()
+	tx.dependents = nil
+	tx.onAbort = nil
+}
+
+// unchain removes tx from a lock-array slot. On commit (version != 0) the
+// slot takes the commit version, and a chain that becomes empty is swapped
+// to released (see commitApplyLocked) — never to memory inside the Tx,
+// which the slot would pin until its next writer. An abort passes 0 and
+// keeps the slot's version.
+func (tx *Tx) unchain(slot uint32, version uint64, released *lockState) *lockState {
 	entry := &tx.mem.locks[slot]
 	for {
 		ls := entry.Load()
@@ -557,17 +713,25 @@ func (tx *Tx) unchain(slot uint32, version uint64) {
 			}
 		}
 		if idx < 0 {
-			return
+			return released
 		}
-		owners := make([]*Tx, 0, len(ls.owners)-1)
-		owners = append(owners, ls.owners[:idx]...)
-		owners = append(owners, ls.owners[idx+1:]...)
-		newVersion := ls.version
-		if version != 0 {
-			newVersion = version
+		var next *lockState
+		if version != 0 && len(ls.owners) == 1 {
+			if released == nil {
+				released = &lockState{version: version}
+			}
+			next = released
+		} else {
+			owners := make([]*Tx, 0, len(ls.owners)-1)
+			owners = append(owners, ls.owners[:idx]...)
+			owners = append(owners, ls.owners[idx+1:]...)
+			next = &lockState{version: ls.version, owners: owners}
+			if version != 0 {
+				next.version = version
+			}
 		}
-		if entry.CompareAndSwap(ls, &lockState{version: newVersion, owners: owners}) {
-			return
+		if entry.CompareAndSwap(ls, next) {
+			return released
 		}
 	}
 }
@@ -601,22 +765,26 @@ func (tx *Tx) doAbort() {
 	}
 }
 
-// finishAbort runs the post-status abort work exactly once.
+// finishAbort runs the post-status abort work exactly once. The read set is
+// left alone: it is not guarded by mu, and the executing goroutine may still
+// be validating it when a cascade or the engine's Abort lands here. It pins
+// at most the transactions this one read from, each of which drops its own
+// edges when it ends, for as long as someone still holds the aborted Tx.
 func (tx *Tx) finishAbort() {
 	tx.abortOnce.Do(func() {
 		tx.mem.aborts.Add(1)
 		tx.mu.Lock()
-		slots := make([]uint32, 0, len(tx.entries))
-		for slot := range tx.entries {
-			slots = append(slots, slot)
-		}
-		dependents := tx.dependents
-		tx.dependents = nil
-		onAbort := tx.onAbort
+		owned := tx.entries.items
 		tx.mu.Unlock()
-		for _, slot := range slots {
-			tx.unchain(slot, 0)
+		for i := range owned {
+			tx.unchain(owned[i].key, 0, nil)
 		}
+		// Only now, with the slots released, may the write buffer go: a
+		// reader that misses it re-checks the entry and finds it changed.
+		tx.mu.Lock()
+		dependents, onAbort := tx.dependents, tx.onAbort
+		tx.dropGuarded()
+		tx.mu.Unlock()
 		for _, d := range dependents {
 			d.cascadeAbort(tx)
 		}
@@ -660,36 +828,25 @@ func (tx *Tx) cascadeAbort(culprit *Tx) {
 // witnessCascade records a cascade witness attributed to the address that
 // created the dependency on culprit.
 func (tx *Tx) witnessCascade(culprit *Tx) {
+	var addr Addr
 	tx.mu.Lock()
-	addr := tx.deps[culprit]
+	if p := tx.deps.find(culprit); p != nil {
+		addr = *p
+	}
 	tx.mu.Unlock()
 	tx.mem.witness(ConflictCascade, addr, tx, culprit)
-}
-
-// WritesSnapshot returns a copy of the buffered write set. The engine uses
-// it after a rollback + re-execution to decide whether downstream effects
-// actually changed (paper §3.1: dependents are only re-executed when the
-// re-execution produced different values).
-func (tx *Tx) WritesSnapshot() map[Addr]uint64 {
-	tx.mu.Lock()
-	defer tx.mu.Unlock()
-	out := make(map[Addr]uint64, len(tx.writes))
-	for a, v := range tx.writes {
-		out[a] = v
-	}
-	return out
 }
 
 // ReadSetSize and WriteSetSize expose set sizes for metrics and tests.
 func (tx *Tx) ReadSetSize() int {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
-	return len(tx.reads)
+	return len(tx.reads.items)
 }
 
 // WriteSetSize returns the number of distinct addresses buffered.
 func (tx *Tx) WriteSetSize() int {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
-	return len(tx.writes)
+	return len(tx.writes.items)
 }
