@@ -7,35 +7,6 @@ import (
 	"streammine/internal/transport"
 )
 
-// BridgeOut connects a node's output port to a remote engine over TCP:
-// data events and control messages flow out on the connection, and ACKs /
-// replay requests from the remote side flow back into the node. The
-// remote engine must be listening with BridgeIn. The caller owns the
-// returned connection and should Close it after Stop.
-//
-// This is the paper's deployment model (§2.3: operators as processes
-// connected by TCP) bridged at engine granularity.
-func (e *Engine) BridgeOut(id graph.NodeID, port int, addr string) (transport.Conn, error) {
-	n, err := e.node(id)
-	if err != nil {
-		return nil, err
-	}
-	if port < 0 || port >= n.spec.OutputPorts {
-		return nil, fmt.Errorf("core: node %q has no output port %d", n.spec.Name, port)
-	}
-	// Data-plane link: dial chaos-targeted so the campaign runner's fault
-	// shim (slow/lossy bridge) applies here and never to control links.
-	conn, err := transport.DialWith(addr, transport.DialOptions{Chaos: true}, func(m transport.Message) {
-		// Control traffic from downstream (ACK, REPLAY).
-		n.mailbox.Push(m)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("bridge out %q port %d: %w", n.spec.Name, port, err)
-	}
-	n.addLink(port, &remoteLink{conn: conn})
-	return conn, nil
-}
-
 // BridgeIn returns a connection handler that feeds a node input from a
 // remote engine. Wire it to a transport listener:
 //
@@ -44,9 +15,9 @@ func (e *Engine) BridgeOut(id graph.NodeID, port int, addr string) (transport.Co
 //
 // Each message on a connection (re)binds it as the input's upstream, so
 // the node's ACKs and recovery replay requests travel back over the most
-// recent live link — after an upstream redial (ReliableBridge) or a
-// failover to a different worker, control traffic must not keep flowing
-// into the dead connection.
+// recent live link — after an upstream redial (the sending side is a
+// ReliableBridge) or a failover to a different worker, control traffic
+// must not keep flowing into the dead connection.
 func (e *Engine) BridgeIn(id graph.NodeID, input int) (transport.ConnHandler, error) {
 	n, err := e.node(id)
 	if err != nil {

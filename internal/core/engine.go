@@ -457,31 +457,15 @@ func (s *SourceHandle) Emit(key uint64, payload []byte) (event.Event, error) {
 // ErrShed immediately. A shed event still consumes a sequence number so
 // event IDs stay deterministic under worker failover re-emission.
 func (s *SourceHandle) EmitAt(ts int64, key uint64, payload []byte) (event.Event, error) {
-	s.mu.Lock()
-	s.seq++
-	seq := s.seq
-	s.mu.Unlock()
-	ev := event.Event{
-		ID:        event.ID{Source: event.SourceID(s.n.opID), Seq: seq},
-		Timestamp: ts,
-		Key:       key,
-		Payload:   payload,
-	}
-	// The trace id is derived from the ID, so a failover re-emission of
-	// the same sequence joins the original event's lineage.
-	ev.Trace = event.TraceOf(ev.ID)
-	if a := s.n.admission.Load(); a != nil {
-		switch a.Admit() {
-		case flow.Shed:
-			return ev, ErrShed
-		case flow.Stopped:
-			return event.Event{}, ErrStopped
-		}
-	}
-	if err := s.n.publishSourceEvent(ev); err != nil {
+	// The run of one lives inside the command: one allocation per Emit.
+	c := &cmdInject{}
+	c.one[0] = event.Event{Timestamp: ts, Key: key, Payload: payload}
+	c.evs = c.one[:]
+	err := s.emit(c, false)
+	if err != nil && !errors.Is(err, ErrShed) {
 		return event.Event{}, err
 	}
-	return ev, nil
+	return c.one[0], err
 }
 
 // BatchItem is one event-to-be in an EmitBatch call.
@@ -493,40 +477,58 @@ type BatchItem struct {
 // EmitBatch publishes a run of final events with consecutive sequence
 // numbers and fresh timestamps, charging source admission once for the
 // whole run (one token-bucket transaction instead of len(items)) and
-// injecting them as one batch (one mailbox push, one output-port
-// delivery). With shedding enabled the whole batch is shed together —
-// admitting a prefix would tear the batch's all-or-nothing admission
-// accounting. Each event is still logged and recovered individually;
-// batching changes transfer granularity only, never decision granularity.
+// injecting them as one run (one mailbox push, one output-port delivery).
+// With shedding enabled the whole run is shed together — admitting a
+// prefix would tear its all-or-nothing admission accounting. Each event is
+// still logged and recovered individually; a run changes transfer
+// granularity only, never decision granularity.
 func (s *SourceHandle) EmitBatch(items []BatchItem) ([]event.Event, error) {
 	if len(items) == 0 {
 		return nil, nil
 	}
-	evs := make([]event.Event, len(items))
-	s.mu.Lock()
+	c := &cmdInject{evs: make([]event.Event, len(items))}
 	for i, it := range items {
+		c.evs[i] = event.Event{Key: it.Key, Payload: it.Payload}
+	}
+	err := s.emit(c, true)
+	if err != nil && !errors.Is(err, ErrShed) {
+		return nil, err
+	}
+	return c.evs, err
+}
+
+// emit is the one injection path: it gives the run's events consecutive
+// sequence numbers (and, with tick set, fresh timestamps in the same
+// order), charges source admission once for the run, and hands the run to
+// the node's dispatcher. On ErrShed the events are stamped but not
+// injected.
+func (s *SourceHandle) emit(c *cmdInject, tick bool) error {
+	s.mu.Lock()
+	for i := range c.evs {
+		ev := &c.evs[i]
 		s.seq++
-		evs[i] = event.Event{
-			ID:        event.ID{Source: event.SourceID(s.n.opID), Seq: s.seq},
-			Timestamp: s.tick.Next(),
-			Key:       it.Key,
-			Payload:   it.Payload,
+		ev.ID = event.ID{Source: event.SourceID(s.n.opID), Seq: s.seq}
+		if tick {
+			ev.Timestamp = s.tick.Next()
 		}
-		evs[i].Trace = event.TraceOf(evs[i].ID)
+		// The trace id is derived from the ID, so a failover re-emission of
+		// the same sequence joins the original event's lineage.
+		ev.Trace = event.TraceOf(ev.ID)
 	}
 	s.mu.Unlock()
 	if a := s.n.admission.Load(); a != nil {
-		switch a.AdmitN(len(evs)) {
+		switch a.AdmitN(len(c.evs)) {
 		case flow.Shed:
-			return evs, ErrShed
+			return ErrShed
 		case flow.Stopped:
-			return nil, ErrStopped
+			return ErrStopped
 		}
 	}
-	if err := s.n.publishSourceBatch(evs); err != nil {
-		return nil, err
+	if s.n.stopFlag.Load() {
+		return ErrStopped
 	}
-	return evs, nil
+	s.n.mailbox.Push(c)
+	return nil
 }
 
 // NodeStats aggregates one node's runtime counters.

@@ -19,6 +19,62 @@ type link interface {
 	buffered() bool
 }
 
+// The three run-carrying frame families each come in two wire shapes: one
+// item inline (EVENT, FINALIZE, ACK) or a run of them (EVENT_BATCH,
+// FINALIZE_BATCH, ACK_BATCH). eventsOf and refsOf are the receiving edge —
+// the only readers of that distinction; past them the engine handles runs,
+// and a run of one is just a short run. eventFrame and refFrame are the
+// emitting edge: a run of one goes out in the plain shape, so a graph
+// without a batch size puts the same frames on the wire as it always did.
+
+// eventsOf returns the run of data events a frame carries, nil for a
+// control frame. one backs a run of one.
+func eventsOf(m *transport.Message, one *[1]event.Event) []event.Event {
+	switch m.Type {
+	case transport.MsgEvent:
+		one[0] = m.Event
+		return one[:]
+	case transport.MsgEventBatch:
+		return m.Events
+	}
+	return nil
+}
+
+// refsOf returns the run of FINALIZE notices (ack=false) or upstream ACKs
+// (ack=true) a frame carries, nil for any other frame. one backs a run of
+// one.
+func refsOf(m *transport.Message, one *[1]transport.FinalizeRef) (refs []transport.FinalizeRef, ack bool) {
+	switch m.Type {
+	case transport.MsgFinalize, transport.MsgAck:
+		one[0] = transport.FinalizeRef{ID: m.ID, Version: m.Version}
+		return one[:], m.Type == transport.MsgAck
+	case transport.MsgFinalizeBatch, transport.MsgAckBatch:
+		return m.Finals, m.Type == transport.MsgAckBatch
+	}
+	return nil, false
+}
+
+// eventFrame frames a non-empty run of data events.
+func eventFrame(run []event.Event) transport.Message {
+	if len(run) == 1 {
+		return transport.Message{Type: transport.MsgEvent, Event: run[0]}
+	}
+	return transport.Message{Type: transport.MsgEventBatch, Events: run}
+}
+
+// refFrame frames a non-empty run of FINALIZE notices or, with ack set, of
+// upstream ACKs (whose references carry no version).
+func refFrame(refs []transport.FinalizeRef, ack bool) transport.Message {
+	one, run := transport.MsgFinalize, transport.MsgFinalizeBatch
+	if ack {
+		one, run = transport.MsgAck, transport.MsgAckBatch
+	}
+	if len(refs) == 1 {
+		return transport.Message{Type: one, ID: refs[0].ID, Version: refs[0].Version}
+	}
+	return transport.Message{Type: run, Finals: refs}
+}
+
 // localLink delivers into another node's mailbox within the same engine.
 type localLink struct {
 	target *node
@@ -47,20 +103,17 @@ type callbackLink struct {
 var _ link = (*callbackLink)(nil)
 
 func (l *callbackLink) deliver(m transport.Message) {
-	switch m.Type {
-	case transport.MsgEvent:
-		l.deliverEvent(m.Event)
-	case transport.MsgEventBatch:
-		for _, ev := range m.Events {
-			l.deliverEvent(ev)
-		}
-	case transport.MsgFinalize:
-		l.finalize(m.ID, m.Version)
-	case transport.MsgFinalizeBatch:
-		for _, f := range m.Finals {
+	var oneEv [1]event.Event
+	for _, ev := range eventsOf(&m, &oneEv) {
+		l.deliverEvent(ev)
+	}
+	var oneRef [1]transport.FinalizeRef
+	if refs, ack := refsOf(&m, &oneRef); !ack {
+		for _, f := range refs {
 			l.finalize(f.ID, f.Version)
 		}
-	case transport.MsgRevoke:
+	}
+	if m.Type == transport.MsgRevoke {
 		l.mu.Lock()
 		delete(l.pending, m.ID)
 		l.mu.Unlock()
@@ -98,22 +151,6 @@ func (l *callbackLink) finalize(id event.ID, version event.Version) {
 }
 
 func (l *callbackLink) buffered() bool { return false }
-
-// remoteLink forwards over a transport connection (TCP bridging between
-// engine processes). The remote side routes by registering a bridge input.
-type remoteLink struct {
-	conn transport.Conn
-}
-
-var _ link = (*remoteLink)(nil)
-
-func (l *remoteLink) deliver(m transport.Message) {
-	// Send errors mean the peer is gone; the replay protocol recovers
-	// anything lost once it reconnects, so drop on the floor here.
-	_ = l.conn.Send(m)
-}
-
-func (l *remoteLink) buffered() bool { return true }
 
 // linkQueue is a plain unbounded FIFO (no lane split: per-link order is
 // preserved exactly) feeding a creditedLink's sender goroutine. Popped
@@ -209,9 +246,9 @@ func (q *linkQueue) close() {
 
 // creditedLink wraps another link with credit-based flow control. Callers
 // never block: deliver enqueues onto an unbounded per-link FIFO and a
-// dedicated sender goroutine alone pays the credit wait. Only EVENT
-// messages consume a credit; control messages ride the same queue (so
-// per-link ordering is preserved) but pass the gate for free, keeping
+// dedicated sender goroutine alone pays the credit wait. Only data events
+// consume credits; control messages ride the same queue (so per-link
+// ordering is preserved) but pass the gate for free, keeping
 // FINALIZE/REVOKE progress independent of data congestion.
 //
 // The caller must never block here because the dispatcher that delivers
@@ -221,22 +258,22 @@ type creditedLink struct {
 	inner  link
 	gate   *flow.CreditGate
 	q      *linkQueue
-	batch  int           // max events coalesced into one EVENT_BATCH frame (<=1 disables)
-	linger time.Duration // optional one-shot wait for a fuller batch (0 = never wait)
+	batch  int           // cap on the run coalesced into one frame (at least 1)
+	linger time.Duration // optional one-shot wait for a fuller run (0 = never wait)
 	done   chan struct{}
 	once   sync.Once
 }
 
 var _ link = (*creditedLink)(nil)
 
-// newCreditedLink wraps inner behind gate and starts the sender. batch > 1
-// makes the sender coalesce consecutive queued EVENT messages into one
-// EVENT_BATCH frame of up to batch events, charging the credit gate once
-// for the whole run. linger bounds a single extra wait for a fuller batch
-// after at least one event is in hand; it never delays a batch that is
-// already full and never applies to control traffic.
+// newCreditedLink wraps inner behind gate and starts the sender. The sender
+// coalesces consecutive queued events into one frame of up to batch events
+// (below 1 means 1), charging the credit gate once for the whole run.
+// linger bounds a single extra wait for a fuller run after at least one
+// event is in hand; it never delays a run that is already full and never
+// applies to control traffic.
 func newCreditedLink(inner link, gate *flow.CreditGate, batch int, linger time.Duration) *creditedLink {
-	l := &creditedLink{inner: inner, gate: gate, q: newLinkQueue(), batch: batch, linger: linger, done: make(chan struct{})}
+	l := &creditedLink{inner: inner, gate: gate, q: newLinkQueue(), batch: max(batch, 1), linger: linger, done: make(chan struct{})}
 	go l.sender()
 	return l
 }
@@ -250,58 +287,43 @@ func (l *creditedLink) buffered() bool { return l.inner.buffered() }
 // them yet).
 func (l *creditedLink) queued() int { return l.q.len() }
 
-// sender forwards queued messages, acquiring one credit per data event
-// (one AcquireN charge per coalesced batch).
+// sender forwards queued messages: control frames as they are, data events
+// as credit-charged runs.
 func (l *creditedLink) sender() {
 	defer close(l.done)
+	var one [1]event.Event
 	for {
 		m, ok := l.q.pop()
 		if !ok {
 			return
 		}
-		switch m.Type {
-		case transport.MsgEvent:
-			if l.batch > 1 {
-				l.sendRun(m.Event)
-				continue
-			}
-			if !l.gate.Acquire() {
-				// Gate closed: shutdown. Remaining data events are dropped;
-				// they are either retained in the output buffer for replay
-				// or moot because the engine is stopping.
-				continue
-			}
-		case transport.MsgEventBatch:
-			// Pre-batched upstream (source injection, late finals): charge
-			// for its full weight as one acquisition.
-			if !l.gate.AcquireN(len(m.Events)) {
-				continue
-			}
+		if run := eventsOf(&m, &one); len(run) > 0 {
+			l.sendRun(run)
+		} else {
+			l.inner.deliver(m)
 		}
-		l.inner.deliver(m)
 	}
 }
 
-// sendRun coalesces first plus up to batch-1 consecutive queued events
-// into one EVENT_BATCH frame. When the run comes up short and a linger is
-// configured, it waits once for stragglers; a run of one is sent as a
-// plain EVENT frame, byte-identical to the unbatched wire format.
-func (l *creditedLink) sendRun(first event.Event) {
-	run := make([]event.Event, 1, l.batch)
-	run[0] = first
-	run = l.q.takeEvents(run, l.batch-1)
-	if len(run) < l.batch && l.linger > 0 {
-		time.Sleep(l.linger)
+// sendRun sends one run of data events under a single credit charge. A run
+// shorter than the cap first takes the single events queued right behind
+// it and, when still short with a linger configured, waits once for
+// stragglers. If the gate closed meanwhile (shutdown) the run is dropped:
+// its events are either retained in the output buffer for replay or moot
+// because the engine is stopping.
+func (l *creditedLink) sendRun(run []event.Event) {
+	if len(run) < l.batch {
+		// The incoming run may be shared with other links on the port.
+		run = append(make([]event.Event, 0, l.batch), run...)
 		run = l.q.takeEvents(run, l.batch-len(run))
+		if len(run) < l.batch && l.linger > 0 {
+			time.Sleep(l.linger)
+			run = l.q.takeEvents(run, l.batch-len(run))
+		}
 	}
-	if !l.gate.AcquireN(len(run)) {
-		return
+	if l.gate.AcquireN(len(run)) {
+		l.inner.deliver(eventFrame(run))
 	}
-	if len(run) == 1 {
-		l.inner.deliver(transport.Message{Type: transport.MsgEvent, Event: run[0]})
-		return
-	}
-	l.inner.deliver(transport.Message{Type: transport.MsgEventBatch, Events: run})
 }
 
 // close stops the sender and releases any credit wait. Idempotent.
@@ -349,13 +371,7 @@ func (g *remoteGranter) grant(n int) {
 	send := g.pending
 	g.pending = 0
 	g.mu.Unlock()
-	g.n.mu.Lock()
-	up := g.n.upstream[g.input]
-	g.n.mu.Unlock()
-	if up == nil {
-		return
-	}
-	up.send(transport.Message{
+	g.n.sendUpstream(g.input, transport.Message{
 		Type: transport.MsgCredit,
 		ID:   event.ID{Seq: event.Seq(send)},
 	})

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"streammine/internal/event"
 	"streammine/internal/metrics"
 	"streammine/internal/transport"
 )
@@ -35,7 +36,7 @@ type mailbox struct {
 	closed bool
 
 	dataCap   int // 0 = unbounded (no accounting against a bound)
-	dataDepth int // queued data EVENTS (batch items weigh their event count)
+	dataDepth int // queued data EVENTS (an item weighs the length of its run)
 	dataHigh  int
 	overflow  uint64
 
@@ -69,20 +70,14 @@ func (m *mailbox) SetQueueDelay(h *metrics.HDR) {
 }
 
 // dataWeight classifies an item onto the data lane and reports how many
-// events it carries: input events and source injections weigh 1, batched
-// forms weigh their event count. Control items weigh 0.
+// events it carries: the length of an input run or a source injection.
+// Control items weigh 0.
 func dataWeight(item any) int {
 	switch v := item.(type) {
 	case transport.Message:
-		switch v.Type {
-		case transport.MsgEvent:
-			return 1
-		case transport.MsgEventBatch:
-			return len(v.Events)
-		}
-	case cmdInject:
-		return 1
-	case cmdInjectBatch:
+		var one [1]event.Event
+		return len(eventsOf(&v, &one))
+	case *cmdInject:
 		return len(v.evs)
 	}
 	return 0

@@ -58,12 +58,14 @@ type engineMetrics struct {
 	// otherwise).
 	abortSpecDepth *metrics.HDR
 
-	// Hot-path batching accounting (flow Limits.BatchSize; see
-	// docs/PERFORMANCE.md). batchCommitGroups counts committer turns that
-	// group-committed a ready run; batchCommitEvents counts the events in
-	// those runs; batchOccupancy observes the run length per group (how
-	// full batches actually get). batchSourceBatches/batchSourceEvents
-	// account EmitBatch injections.
+	// Run accounting (see docs/PERFORMANCE.md). Every node commits in
+	// groups and every source injects in runs — of one unless flow
+	// Limits.BatchSize and EmitBatch make them longer — so these describe
+	// every node and batchCommitEvents equals the engine's committed count.
+	// batchCommitGroups counts committer turns that committed a ready run;
+	// batchCommitEvents counts the events in those runs; batchOccupancy
+	// observes the run length per group (how full groups actually get).
+	// batchSourceBatches/batchSourceEvents account source injections.
 	batchCommitGroups  *metrics.Counter
 	batchCommitEvents  *metrics.Counter
 	batchOccupancy     *metrics.HDR
@@ -105,15 +107,15 @@ func registerEngineMetrics(e *Engine, reg *metrics.Registry) *engineMetrics {
 		cascadeSize: reg.HDRCounts("core_revoke_cascade_size",
 			"Live downstream outputs revoked per aborted task (cascade fan-out)."),
 		batchCommitGroups: reg.Counter("batch_commit_groups_total",
-			"Committer turns that group-committed a run of ready tasks (one version-clock bump each)."),
+			"Committer turns that committed a run of ready tasks (one version-clock bump each; runs of one included)."),
 		batchCommitEvents: reg.Counter("batch_commit_events_total",
-			"Events committed inside batched commit groups."),
+			"Events committed in those groups: every commit of every node."),
 		batchOccupancy: reg.HDRCounts("batch_occupancy",
-			"Events per committed batch group (how full batches actually get)."),
+			"Events per commit group (how full groups actually get)."),
 		batchSourceBatches: reg.Counter("batch_source_batches_total",
-			"EmitBatch injections (one mailbox push and one downstream frame each)."),
+			"Source injections, Emit and EmitBatch alike (one mailbox push and one downstream frame each)."),
 		batchSourceEvents: reg.Counter("batch_source_events_total",
-			"Source events published through batched injections."),
+			"Source events published through those injections."),
 		walLog: &wal.LogMetrics{
 			AppendLatency: reg.HDR("wal_append_latency",
 				"Decision-log batch latency from submission to stable notification."),

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -28,22 +30,29 @@ type cmdReexec struct {
 	tx *stm.Tx
 }
 
-// cmdInject carries a source-node event from a SourceHandle.
+// cmdInject carries a run of source-node events from a SourceHandle, in
+// emission (sequence) order: one mailbox push, one dispatcher turn, one
+// downstream delivery. one backs the run of a single Emit, so that call
+// costs one allocation rather than a slice and a command.
 type cmdInject struct {
-	ev event.Event
-}
-
-// cmdInjectBatch carries a batch of source-node events admitted together
-// by SourceHandle.EmitBatch: one mailbox push, one dispatcher turn, one
-// batched downstream delivery. Events are in emission (sequence) order.
-type cmdInjectBatch struct {
 	evs []event.Event
+	one [1]event.Event
 }
 
 // node is the runtime for one graph node: a dispatcher goroutine that owns
 // ordering decisions, a worker pool that executes tasks under speculative
 // transactions, and a committer that commits tasks in arrival order once
 // they are authorized (log stable + inputs final + dependencies committed).
+//
+// Lock order: a task's mu comes before its node's mu. publishOutputs and
+// retireGroup buffer output records, and finalizeRun stashes an early
+// FINALIZE, under n.mu while holding t.mu; nothing takes the two the other
+// way round while the node runs (crash walks the task table under n.mu and
+// locks each task, but only after the node's goroutines are joined). Every
+// other mutex here — commitMu, recMu, errMu, rngMu, and the ones inside the
+// mailbox, the executor queue, the links and the throttle — is a leaf: no
+// other lock is acquired while it is held. The committer holds no lock
+// across a commit group.
 type node struct {
 	eng  *Engine
 	spec graph.Node
@@ -74,21 +83,23 @@ type node struct {
 	commitCond *sync.Cond
 	commitGen  uint64
 	nextCommit atomic.Int64
+	retiring   atomic.Int32 // tasks of the commit group being retired (see openCount)
 
-	// commitRun/commitTxs are the batched committer's gather scratch,
-	// touched only by the committer goroutine and reused across groups
-	// (the committer wakes once per notification, far more often than it
-	// commits — fresh slices per wakeup would churn the allocator).
-	commitRun []*task
-	commitTxs []*stm.Tx
-
-	// retirePosts is retireGroup's phase scratch, committer-only like the
-	// gather scratch above.
+	// commitRun/commitTxs are the committer's gather scratch, touched only
+	// by the committer goroutine and reused across groups (the committer
+	// wakes once per notification, far more often than it commits — fresh
+	// slices per wakeup would churn the allocator). retirePosts and fin are
+	// retireGroup's phase and emission scratch, committer-only likewise.
+	commitRun   []*task
+	commitTxs   []*stm.Tx
 	retirePosts []retirePost
+	fin         finFlush
 
-	// finHits is handleFinalizeBatch's scratch, dispatcher-only. Reusing
-	// it keeps the batched finalize path allocation-free (guarded by an
-	// AllocsPerRun test).
+	// admit and finHits are the scratch of admitRun and finalizeRun,
+	// dispatcher-only. Reusing them keeps the finalize path allocation-free
+	// and admission down to what it must retain (both guarded by
+	// AllocsPerRun tests).
+	admit   admitScratch
 	finHits []finHit
 
 	// replay, when non-nil, holds the recovery-mode admission plan;
@@ -101,8 +112,8 @@ type node struct {
 	// rec* instrument the restore/replay path for the recovery anatomy
 	// profiler (Engine.RecoveryStats). All guarded by mu: restoreDurable
 	// writes the restore window before the node's goroutines start,
-	// replayAdmit stamps replay progress, and the recoverDrop sites
-	// count dedup drops.
+	// planRun stamps replay progress, and the recoverDrop sites count
+	// dedup drops.
 	recStats nodeRecoveryStats
 
 	// pendFin and pendRevoke (guarded by mu) absorb control-lane
@@ -318,15 +329,19 @@ func (n *node) start() error {
 			return fmt.Errorf("restore %q: %w", n.spec.Name, err)
 		}
 	}
-	n.wg.Add(1)
+	n.launch()
+	return nil
+}
+
+// launch starts the node's goroutines: the dispatcher, the workers and the
+// committer. stop and crash join them through wg.
+func (n *node) launch() {
+	n.wg.Add(2 + n.spec.Workers)
 	go n.dispatcher()
 	for i := 0; i < n.spec.Workers; i++ {
-		n.wg.Add(1)
 		go n.worker()
 	}
-	n.wg.Add(1)
 	go n.committer()
-	return nil
 }
 
 // stop shuts the node down and waits for its goroutines.
@@ -381,11 +396,13 @@ func (n *node) stats() NodeStats {
 	}
 }
 
-// openCount reports tasks not yet committed or cleaned up.
+// openCount reports tasks not yet committed or cleaned up, counting a
+// committed group until its FINALIZE, late-final and ACK frames have left
+// (n.retiring), so a drained node has nothing left to deliver.
 func (n *node) openCount() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return len(n.bySeq)
+	return len(n.bySeq) + int(n.retiring.Load())
 }
 
 // drain blocks until the node has no queued work, no open tasks, and no
@@ -415,158 +432,153 @@ func (n *node) dispatcher() {
 		}
 		switch v := item.(type) {
 		case transport.Message:
-			// The event(s) left the data lane: return their credits so the
-			// upstream sender may transmit the next ones.
-			switch v.Type {
-			case transport.MsgEvent:
-				if g := n.granters[v.Input]; g != nil {
-					g.grant(1)
-				}
-			case transport.MsgEventBatch:
-				if g := n.granters[v.Input]; g != nil {
-					g.grant(len(v.Events))
-				}
-			}
 			n.handleMessage(v)
 		case cmdReexec:
 			n.handleReexec(v)
-		case cmdInject:
+		case *cmdInject:
 			n.handleInject(v)
-		case cmdInjectBatch:
-			n.handleInjectBatch(v)
 		}
 	}
 }
 
+// handleMessage normalises a frame to its run at the edge (eventsOf,
+// refsOf) and hands it to the one handler of its family.
 func (n *node) handleMessage(m transport.Message) {
+	var oneEv [1]event.Event
+	if evs := eventsOf(&m, &oneEv); evs != nil {
+		// The events left the data lane: return their credits so the
+		// upstream sender may transmit the next ones.
+		if g := n.granters[m.Input]; g != nil {
+			g.grant(len(evs))
+		}
+		n.admitRun(m.Input, evs)
+		return
+	}
+	var oneRef [1]transport.FinalizeRef
+	if refs, ack := refsOf(&m, &oneRef); refs != nil {
+		if ack {
+			n.ackRun(refs)
+		} else {
+			n.finalizeRun(refs)
+		}
+		return
+	}
 	switch m.Type {
-	case transport.MsgEvent:
-		n.handleEvent(m)
-	case transport.MsgEventBatch:
-		n.handleEventBatch(m)
-	case transport.MsgFinalize:
-		n.handleFinalize(m)
-	case transport.MsgFinalizeBatch:
-		n.handleFinalizeBatch(m)
 	case transport.MsgRevoke:
 		n.handleRevoke(m)
-	case transport.MsgAck:
-		n.handleAck(m)
-	case transport.MsgAckBatch:
-		n.handleAckBatch(m)
 	case transport.MsgReplay:
 		n.handleReplay()
 	}
 }
 
-// handleEvent admits a new input event or applies a replacement to an
-// existing task (paper §3.1: reception of E1”). In recovery mode the
-// event first passes through the replay plan, which enforces the logged
-// admission order and attaches logged decisions.
-func (n *node) handleEvent(m transport.Message) {
-	n.mu.Lock()
-	replaying := n.replay != nil
-	n.mu.Unlock()
-	if replaying {
-		for _, pe := range n.replayAdmit(m) {
-			n.admitEvent(pe)
-		}
-		return
-	}
-	n.admitEvent(plannedEvent{msg: m})
+// admitScratch is admitRun's reusable working set (see node.admit).
+type admitScratch struct {
+	planned  []plannedEvent
+	fresh    []*task
+	deferred []deferredAdmit
 }
 
-// handleEventBatch expands a batch frame to per-event admission in order,
-// so the logged decision sequence (and therefore recovery) is identical
-// to the events arriving one frame at a time. Outside replay, the batch's
-// input records are submitted to the decision log as ONE append — one
-// group-commit pool round trip instead of len(Events) — which is where
-// batching earns its keep on the admission hot path.
-func (n *node) handleEventBatch(m transport.Message) {
-	n.mu.Lock()
-	if n.replay != nil {
-		n.mu.Unlock()
-		for _, ev := range m.Events {
-			n.handleEvent(transport.Message{Type: transport.MsgEvent, Event: ev, Input: m.Input})
-		}
-		return
-	}
-	// Admit the whole run under ONE n.mu hold — the batched counterpart of
-	// admitEvent, with identical per-event logic. Rare outcomes that need
-	// the lock released (re-ACKing committed duplicates, replacing a live
-	// task) are deferred past the unlock in arrival order.
-	var (
-		ab       admitBatch
-		fresh    []*task
-		deferred []func()
-	)
+// deferredAdmit is an admission outcome that needs n.mu released: a
+// replacement for the live task t, or (t nil) a duplicate to re-ACK.
+type deferredAdmit struct {
+	t     *task
+	input int
+	ev    event.Event
+}
+
+// admitRun admits a run of input events, in order. Each becomes a new task
+// — assigned the per-node sequence, which is the STM timestamp and the
+// logged input-order decision — unless its ID is already known: then it is
+// a duplicate to re-ACK, or a replacement for a live task (paper §3.1:
+// reception of E1”). The whole run is admitted under ONE n.mu hold and its
+// input-order records reach the decision log as ONE append — one
+// group-commit pool round trip however long the run — so the logged
+// decision sequence, and therefore recovery, is the same as if the events
+// had arrived one frame at a time. In recovery mode the run first passes
+// through the replay plan (planRun), which enforces the logged admission
+// order and attaches logged decisions; the loop below is the same either
+// way. Outcomes that need the lock released are deferred past the unlock
+// in arrival order.
+func (n *node) admitRun(input int, evs []event.Event) {
+	a := &n.admit
 	stateful := n.spec.Traits.Stateful
-	// Batch payloads often alias one wire frame; detach them with a single
-	// arena copy for the whole run instead of one allocation per event.
+	stamp := n.eng.met != nil || n.healthLat != nil
+	fresh, deferred := a.fresh[:0], a.deferred[:0]
+	n.mu.Lock()
+	planned := n.planRun(a.planned[:0], input, evs)
+	// Payloads often alias one wire frame; detach them with a single arena
+	// copy for the whole run instead of one allocation per event. The
+	// run's tasks likewise share one allocation.
 	arena := 0
-	for _, ev := range m.Events {
-		arena += len(ev.Payload)
+	for i := range planned {
+		arena += len(planned[i].ev.Payload)
 	}
 	buf := make([]byte, 0, arena)
-	for _, ev := range m.Events {
-		ev := ev
+	var block []task
+	var recs []wal.Record
+	for i := range planned {
+		pe := &planned[i]
+		ev := pe.ev
 		id := ev.ID
 		if n.committed[id] || n.recoverDrop[id] {
+			// Precise recovery: a replayed duplicate of a committed event
+			// is byte-identical and silently dropped, and so is a
+			// redelivery of an event the restored snapshot already covers
+			// (its covering mark never became stable). Re-ACK so upstream
+			// prunes.
 			if !n.committed[id] {
 				n.recStats.replayDrops++
 			}
-			input := m.Input
-			deferred = append(deferred, func() { n.ackUpstream(input, id) })
+			deferred = append(deferred, deferredAdmit{input: pe.input, ev: ev})
 			continue
 		}
 		if t, ok := n.tasks[id]; ok {
-			t := t
-			deferred = append(deferred, func() { n.applyReplacement(t, ev) })
+			deferred = append(deferred, deferredAdmit{t: t, ev: ev})
 			continue
 		}
-		if c := n.pendRevoke[id]; c > 0 {
-			if c == 1 {
-				delete(n.pendRevoke, id)
-			} else {
-				n.pendRevoke[id] = c - 1
-			}
+		// Absorb control-lane overtaking: a REVOKE processed before this
+		// event cleared the data lane kills exactly this incarnation; an
+		// early FINALIZE for this version marks it final on arrival.
+		// (Stashes are written and consumed only on the dispatcher.)
+		if n.takePendRevoke(id) {
 			continue
 		}
-		if v, ok := n.pendFin[id]; ok && v <= ev.Version {
-			delete(n.pendFin, id)
-			if v == ev.Version {
-				ev.Speculative = false
-			}
-		}
-		detached := ev
+		n.takePendFin(&ev)
 		if len(ev.Payload) > 0 {
 			start := len(buf)
 			buf = append(buf, ev.Payload...)
-			detached.Payload = buf[start:len(buf):len(buf)]
+			ev.Payload = buf[start:len(buf):len(buf)]
 		}
-		t := &task{
-			n:       n,
-			seq:     n.nextSeq,
-			input:   m.Input,
-			state:   taskQueued,
-			ev:      detached,
-			evFinal: !ev.Speculative,
+		if block == nil {
+			block = make([]task, 0, len(planned)-i)
 		}
-		if n.eng.met != nil || n.healthLat != nil {
+		block = block[:len(block)+1]
+		t := &block[len(block)-1]
+		t.n, t.seq, t.input, t.state = n, n.nextSeq, pe.input, taskQueued
+		t.ev, t.evFinal = ev, !ev.Speculative
+		t.decisions, t.maxLSN = pe.decisions, pe.maxLSN
+		if stamp {
 			t.admitted = time.Now()
 		}
 		n.nextSeq++
 		n.tasks[id] = t
 		n.bySeq[t.seq] = t
-		if stateful {
-			// The task is unpublished until n.mu is released, so the fresh
-			// pendingLogs count needs no t.mu.
+		if stateful && !pe.logged {
+			// The interleaving order across inputs is a non-deterministic
+			// decision for stateful operators: log it before execution can
+			// externalize anything that depends on it (replayed events are
+			// already logged). The task is unpublished until n.mu is
+			// released, so its pendingLogs needs no t.mu.
+			if recs == nil {
+				recs = make([]wal.Record, 0, len(planned)-i)
+			}
+			t.logsInput = true
 			t.pendingLogs++
-			ab.add(t, wal.Record{
+			recs = append(recs, wal.Record{
 				Kind:     wal.KindInput,
 				Operator: n.opID,
 				Event:    id,
-				Value:    uint64(m.Input),
+				Value:    uint64(pe.input),
 			})
 		}
 		fresh = append(fresh, t)
@@ -583,149 +595,86 @@ func (n *node) handleEventBatch(m transport.Message) {
 			}
 		}
 		n.execQ.PushAll(fresh)
-		// One wake covers the whole run: Wake broadcasts to every parked
-		// worker, so per-task wakes would be redundant.
+		// Deferred workers must re-pop: a new task may be the commit head.
+		// One wake covers the whole run (Wake broadcasts to every parked
+		// worker).
 		n.throttle.Wake()
 	}
-	for _, f := range deferred {
-		f()
+	for i := range deferred {
+		if d := &deferred[i]; d.t != nil {
+			n.applyReplacement(d.t, d.ev)
+		} else {
+			n.ackUpstream(d.input, d.ev.ID)
+		}
 	}
-	ab.flush(n)
-}
-
-// admitBatch accumulates the KindInput records of one admitted batch so
-// they stabilize through a single log append. Record i belongs to task i;
-// a single Append preserves the admission-order LSN sequence exactly as
-// per-event appends would have produced it.
-type admitBatch struct {
-	tasks []*task
-	recs  []wal.Record
-}
-
-func (ab *admitBatch) add(t *task, rec wal.Record) {
-	ab.tasks = append(ab.tasks, t)
-	ab.recs = append(ab.recs, rec)
-}
-
-// flush submits the accumulated records as one append and fans the
-// stability callback out to every task in the batch.
-func (ab *admitBatch) flush(n *node) {
-	if len(ab.recs) == 0 {
-		return
+	if len(recs) > 0 {
+		n.logInputs(block, recs)
 	}
-	tasks, recs := ab.tasks, ab.recs
+	// Drop what the scratch references (payloads, decisions, tasks).
+	clear(planned)
+	clear(fresh)
+	clear(deferred)
+	a.planned, a.fresh, a.deferred = planned[:0], fresh[:0], deferred[:0]
+}
+
+// takePendRevoke consumes one early REVOKE stashed for id, reporting
+// whether there was one. Caller holds n.mu.
+func (n *node) takePendRevoke(id event.ID) bool {
+	c := n.pendRevoke[id]
+	if c > 1 {
+		n.pendRevoke[id] = c - 1
+	} else {
+		delete(n.pendRevoke, id)
+	}
+	return c > 0
+}
+
+// takePendFin consumes an early FINALIZE stashed for ev's ID unless it is
+// for a later version, marking ev final when it is for exactly this one.
+// Caller holds n.mu.
+func (n *node) takePendFin(ev *event.Event) {
+	if v, ok := n.pendFin[ev.ID]; ok && v <= ev.Version {
+		delete(n.pendFin, ev.ID)
+		if v == ev.Version {
+			ev.Speculative = false
+		}
+	}
+}
+
+// logInputs submits a run's input-order records as one append; a single
+// Append preserves the admission-order LSN sequence exactly as per-event
+// appends would have produced it.
+func (n *node) logInputs(block []task, recs []wal.Record) {
 	_, err := n.log.Append(recs, func(err error) {
 		if err != nil {
 			n.fail(fmt.Errorf("decision log: %w", err))
 			return
 		}
 		n.mirrorStable(recs)
-		for i, t := range tasks {
-			t.mu.Lock()
-			t.pendingLogs--
-			if recs[i].LSN > t.maxLSN {
-				t.maxLSN = recs[i].LSN
-			}
-			t.mu.Unlock()
-		}
+		creditInputs(block, recs)
 		n.notifyCommitter()
 	})
 	if err != nil {
 		n.fail(fmt.Errorf("submit decision log: %w", err))
-		for _, t := range tasks {
-			t.mu.Lock()
-			t.pendingLogs--
-			t.mu.Unlock()
-		}
+		creditInputs(block, nil)
 	}
 }
 
-// admitEvent performs normal (non-replay) admission of one event. Batch
-// frames go through handleEventBatch instead, which admits a whole run
-// under one lock hold and one log append.
-func (n *node) admitEvent(pe plannedEvent) {
-	m := pe.msg
-	id := m.Event.ID
-	n.mu.Lock()
-	if n.committed[id] {
-		n.mu.Unlock()
-		// Precise recovery: a replayed duplicate of a committed event is
-		// byte-identical and silently dropped; re-ACK so upstream prunes.
-		n.ackUpstream(m.Input, id)
-		return
-	}
-	if n.recoverDrop[id] {
-		// Redelivery of an event the restored snapshot already covers
-		// (its covering mark never became stable): drop and re-ACK.
-		n.recStats.replayDrops++
-		n.mu.Unlock()
-		n.ackUpstream(m.Input, id)
-		return
-	}
-	if t, ok := n.tasks[id]; ok {
-		n.mu.Unlock()
-		n.applyReplacement(t, m.Event)
-		return
-	}
-	// Absorb control-lane overtaking: a REVOKE processed before this event
-	// cleared the data lane kills exactly this incarnation; an early
-	// FINALIZE for this version marks it final on arrival. (Stashes are
-	// written and consumed only on the dispatcher goroutine.)
-	if c := n.pendRevoke[id]; c > 0 {
-		if c == 1 {
-			delete(n.pendRevoke, id)
-		} else {
-			n.pendRevoke[id] = c - 1
-		}
-		n.mu.Unlock()
-		return
-	}
-	if v, ok := n.pendFin[id]; ok && v <= m.Event.Version {
-		delete(n.pendFin, id)
-		if v == m.Event.Version {
-			m.Event.Speculative = false
+// creditInputs settles the pending input-record append of a run's tasks:
+// record j belongs to the j-th task of block that logs its input. recs is
+// nil when the append could not be submitted.
+func creditInputs(block []task, recs []wal.Record) {
+	j := 0
+	for i := range block {
+		if t := &block[i]; t.logsInput {
+			var lsn wal.LSN
+			if recs != nil {
+				lsn = recs[j].LSN
+			}
+			t.logDone(lsn)
+			j++
 		}
 	}
-	t := &task{
-		n:         n,
-		seq:       n.nextSeq,
-		input:     m.Input,
-		state:     taskQueued,
-		ev:        m.Event.Clone(),
-		evFinal:   !m.Event.Speculative,
-		decisions: pe.decisions,
-		maxLSN:    pe.maxLSN,
-	}
-	if n.eng.met != nil || n.healthLat != nil {
-		t.admitted = time.Now()
-	}
-	n.nextSeq++
-	n.tasks[id] = t
-	n.bySeq[t.seq] = t
-	n.mu.Unlock()
-	n.cDispatched.Add(1)
-	if tr := n.eng.tracer; tr != nil && tr.Keeps(m.Event.Trace) {
-		tr.RecordTrace(n.spec.Name, id.String(), m.Event.Trace, metrics.PhaseIngress,
-			fmt.Sprintf("input=%d spec=%t", m.Input, m.Event.Speculative))
-	}
-
-	// The interleaving order across inputs is a non-deterministic decision
-	// for stateful operators: log it before execution can externalize
-	// anything that depends on it. Replayed events are already logged.
-	if n.spec.Traits.Stateful && !pe.logged {
-		t.mu.Lock()
-		t.pendingLogs++
-		t.mu.Unlock()
-		n.appendRecords(t, []wal.Record{wal.Record{
-			Kind:     wal.KindInput,
-			Operator: n.opID,
-			Event:    id,
-			Value:    uint64(m.Input),
-		}})
-	}
-	n.execQ.Push(t)
-	// Deferred workers must re-pop: the new task may be the commit head.
-	n.throttle.Wake()
 }
 
 // applyReplacement updates a task's input event in place. Identical
@@ -735,26 +684,18 @@ func (n *node) applyReplacement(t *task, ev event.Event) {
 	// normal replacement logic, so an early FINALIZE/REVOKE lands exactly
 	// as if it had arrived in order.
 	n.mu.Lock()
-	if c := n.pendRevoke[ev.ID]; c > 0 {
-		if c == 1 {
-			delete(n.pendRevoke, ev.ID)
-		} else {
-			n.pendRevoke[ev.ID] = c - 1
-		}
-		n.mu.Unlock()
+	revoked := n.takePendRevoke(ev.ID)
+	if !revoked {
+		n.takePendFin(&ev)
+	}
+	n.mu.Unlock()
+	if revoked {
 		if n.prof != nil {
 			n.eng.causedBy(ev.ID.Source)
 		}
 		n.cancelTask(t, "revoke")
 		return
 	}
-	if v, ok := n.pendFin[ev.ID]; ok && v <= ev.Version {
-		delete(n.pendFin, ev.ID)
-		if v == ev.Version {
-			ev.Speculative = false
-		}
-	}
-	n.mu.Unlock()
 	t.mu.Lock()
 	if t.state == taskCommitted || t.state == taskCancelled {
 		t.mu.Unlock()
@@ -805,62 +746,28 @@ func (n *node) applyReplacement(t *task, ev event.Event) {
 	}
 }
 
-func (n *node) handleFinalize(m transport.Message) {
-	n.mu.Lock()
-	t := n.tasks[m.ID]
-	if t == nil {
-		// Control-lane priority: the FINALIZE overtook its event, which is
-		// still in the data lane (or in flight behind a credit gate).
-		// Stash it; admission applies it on arrival.
-		if !n.committed[m.ID] {
-			n.pendFin[m.ID] = m.Version
-		}
-		n.mu.Unlock()
-		return
-	}
-	n.mu.Unlock()
-	t.mu.Lock()
-	if t.ev.Version == m.Version && !t.evFinal {
-		t.evFinal = true
-		t.ev.Speculative = false
-		t.mu.Unlock()
-		n.notifyCommitter()
-		return
-	}
-	if m.Version > t.ev.Version {
-		// FINALIZE for a newer incarnation that is still queued behind it
-		// on the data lane; hold it for the replacement.
-		t.mu.Unlock()
-		n.mu.Lock()
-		if !n.committed[m.ID] {
-			n.pendFin[m.ID] = m.Version
-		}
-		n.mu.Unlock()
-		return
-	}
-	t.mu.Unlock()
-}
-
-// handleFinalizeBatch applies a run of FINALIZE notices with one n.mu
-// acquisition for all the task lookups and one committer wakeup for the
-// whole run, instead of one of each per notice. Semantically identical to
-// looping handleFinalize: stash-for-later cases (task not yet admitted, or
-// notice for a newer incarnation) land in pendFin exactly as before.
-// finHit pairs a live task with the version a FINALIZE_BATCH run wants
-// finalized (scratch element; see node.finHits).
+// finHit pairs a live task with the version a FINALIZE run wants finalized
+// (scratch element; see node.finHits).
 type finHit struct {
 	t   *task
 	ver event.Version
 }
 
-func (n *node) handleFinalizeBatch(m transport.Message) {
+// finalizeRun applies a run of FINALIZE notices with one n.mu acquisition
+// for all the task lookups and one committer wakeup for the whole run. A
+// notice whose task is not admitted yet overtook its event on the control
+// lane (the event is still in the data lane, or in flight behind a credit
+// gate); one for a newer incarnation is ahead of the replacement queued
+// behind it. Both are stashed in pendFin, and admission applies them on
+// arrival.
+func (n *node) finalizeRun(refs []transport.FinalizeRef) {
 	hits := n.finHits[:0]
 	defer func() {
 		clear(hits[:cap(hits)])
 		n.finHits = hits[:0]
 	}()
 	n.mu.Lock()
-	for _, f := range m.Finals {
+	for _, f := range refs {
 		if t := n.tasks[f.ID]; t != nil {
 			hits = append(hits, finHit{t, f.Version})
 		} else if !n.committed[f.ID] {
@@ -869,7 +776,6 @@ func (n *node) handleFinalizeBatch(m transport.Message) {
 	}
 	n.mu.Unlock()
 	finalized := false
-	var stash []transport.FinalizeRef
 	for _, h := range hits {
 		t := h.t
 		t.mu.Lock()
@@ -879,18 +785,13 @@ func (n *node) handleFinalizeBatch(m transport.Message) {
 			t.ev.Speculative = false
 			finalized = true
 		case h.ver > t.ev.Version:
-			stash = append(stash, transport.FinalizeRef{ID: t.ev.ID, Version: h.ver})
+			n.mu.Lock()
+			if !n.committed[t.ev.ID] {
+				n.pendFin[t.ev.ID] = h.ver
+			}
+			n.mu.Unlock()
 		}
 		t.mu.Unlock()
-	}
-	if len(stash) > 0 {
-		n.mu.Lock()
-		for _, f := range stash {
-			if !n.committed[f.ID] {
-				n.pendFin[f.ID] = f.Version
-			}
-		}
-		n.mu.Unlock()
 	}
 	if finalized {
 		n.notifyCommitter()
@@ -995,29 +896,19 @@ func (n *node) revokeRecord(rec *outRecord) {
 	})
 }
 
-func (n *node) handleAck(m transport.Message) {
+// ackRun prunes the output-buffer entries a run of upstream ACKs releases,
+// under a single lock acquisition.
+func (n *node) ackRun(refs []transport.FinalizeRef) {
 	n.mu.Lock()
-	n.ackLocked(m.ID)
-	n.mu.Unlock()
-}
-
-// handleAckBatch prunes a whole commit group's worth of output-buffer
-// entries under a single lock acquisition.
-func (n *node) handleAckBatch(m transport.Message) {
-	n.mu.Lock()
-	for _, f := range m.Finals {
-		n.ackLocked(f.ID)
-	}
-	n.mu.Unlock()
-}
-
-func (n *node) ackLocked(id event.ID) {
-	if rec, ok := n.outBuf[id]; ok {
-		rec.pendingAcks--
-		if rec.pendingAcks <= 0 {
-			delete(n.outBuf, id)
+	for _, f := range refs {
+		if rec, ok := n.outBuf[f.ID]; ok {
+			rec.pendingAcks--
+			if rec.pendingAcks <= 0 {
+				delete(n.outBuf, f.ID)
+			}
 		}
 	}
+	n.mu.Unlock()
 }
 
 // handleReplay re-sends every unacknowledged buffered output, oldest
@@ -1035,11 +926,7 @@ func (n *node) handleReplay() {
 		m.replayed.Add(uint64(len(recs)))
 	}
 	// Oldest first so downstream admission order approximates the original.
-	for i := 1; i < len(recs); i++ {
-		for j := i; j > 0 && recs[j].seq < recs[j-1].seq; j-- {
-			recs[j], recs[j-1] = recs[j-1], recs[j]
-		}
-	}
+	slices.SortFunc(recs, func(a, b *outRecord) int { return cmp.Compare(a.seq, b.seq) })
 	for _, rec := range recs {
 		spec := !rec.finalSent.Load()
 		if tr := n.eng.tracer; tr != nil {
@@ -1084,59 +971,13 @@ func (n *node) handleReexec(c cmdReexec) {
 	n.throttle.Wake()
 }
 
-// handleInject publishes a source event: buffered for replay and sent
-// final downstream.
-func (n *node) handleInject(c cmdInject) {
-	n.mu.Lock()
-	n.outEmitSeq++
-	rec := &outRecord{
-		id:          c.ev.ID,
-		port:        0,
-		ts:          c.ev.Timestamp,
-		key:         c.ev.Key,
-		payload:     c.ev.Payload,
-		trace:       c.ev.Trace,
-		pendingAcks: n.bufferedLinks(0),
-		seq:         n.outEmitSeq,
-	}
-	rec.finalSent.Store(true)
-	if rec.pendingAcks > 0 {
-		n.outBuf[rec.id] = rec
-	}
-	n.mu.Unlock()
-	n.cFinalSent.Add(1)
-	if tr := n.eng.tracer; tr != nil {
-		tr.RecordTrace(n.spec.Name, c.ev.ID.String(), c.ev.Trace, metrics.PhaseIngress, "source")
-	}
-	n.deliverToPort(0, transport.Message{Type: transport.MsgEvent, Event: c.ev})
-}
-
-// handleInjectBatch publishes a batch of source events under one lock
-// acquisition and one downstream delivery: the output-buffer records are
-// created together and the whole run travels as a single EVENT_BATCH
-// message. Per-event replay semantics are unchanged — each event gets its
-// own buffered record and is ACKed and pruned individually.
-func (n *node) handleInjectBatch(c cmdInjectBatch) {
-	if len(c.evs) == 0 {
-		return
-	}
+// handleInject publishes a run of source events under one lock acquisition
+// and one downstream delivery. Each event gets its own buffered record, sent
+// final, and is ACKed and pruned individually.
+func (n *node) handleInject(c *cmdInject) {
 	n.mu.Lock()
 	for _, ev := range c.evs {
-		n.outEmitSeq++
-		rec := &outRecord{
-			id:          ev.ID,
-			port:        0,
-			ts:          ev.Timestamp,
-			key:         ev.Key,
-			payload:     ev.Payload,
-			trace:       ev.Trace,
-			pendingAcks: n.bufferedLinks(0),
-			seq:         n.outEmitSeq,
-		}
-		rec.finalSent.Store(true)
-		if rec.pendingAcks > 0 {
-			n.outBuf[rec.id] = rec
-		}
+		n.bufferOutput(ev.ID, pendingOut{ts: ev.Timestamp, key: ev.Key, payload: ev.Payload}, ev.Trace, true)
 	}
 	n.mu.Unlock()
 	n.cFinalSent.Add(uint64(len(c.evs)))
@@ -1149,26 +990,29 @@ func (n *node) handleInjectBatch(c cmdInjectBatch) {
 			tr.RecordTrace(n.spec.Name, ev.ID.String(), ev.Trace, metrics.PhaseIngress, "source")
 		}
 	}
-	n.deliverToPort(0, transport.Message{Type: transport.MsgEventBatch, Events: c.evs})
+	n.deliverToPort(0, eventFrame(c.evs))
 }
 
-// publishSourceEvent is called by SourceHandle.Emit.
-func (n *node) publishSourceEvent(ev event.Event) error {
-	if n.stopFlag.Load() {
-		return ErrStopped
+// bufferOutput creates the output-buffer record of one output event, sent
+// final or speculative, and retains it for replay while any buffered link
+// still has to ACK it. Caller holds n.mu.
+func (n *node) bufferOutput(id event.ID, out pendingOut, trace uint64, final bool) *outRecord {
+	n.outEmitSeq++
+	rec := &outRecord{
+		id:          id,
+		port:        out.port,
+		ts:          out.ts,
+		key:         out.key,
+		payload:     out.payload,
+		trace:       trace,
+		pendingAcks: n.bufferedLinks(out.port),
+		seq:         n.outEmitSeq,
 	}
-	n.mailbox.Push(cmdInject{ev: ev})
-	return nil
-}
-
-// publishSourceBatch is called by SourceHandle.EmitBatch: one mailbox
-// push for the whole admitted run.
-func (n *node) publishSourceBatch(evs []event.Event) error {
-	if n.stopFlag.Load() {
-		return ErrStopped
+	rec.finalSent.Store(final)
+	if rec.pendingAcks > 0 {
+		n.outBuf[id] = rec
 	}
-	n.mailbox.Push(cmdInjectBatch{evs: evs})
-	return nil
+	return rec
 }
 
 // deliverToPort fans a message out to every link on a port.
@@ -1178,20 +1022,25 @@ func (n *node) deliverToPort(port int, m transport.Message) {
 	}
 }
 
-// ackUpstream notifies the upstream feeding the given input that an event
-// will never be requested again.
-func (n *node) ackUpstream(input int, id event.ID) {
+// sendUpstream sends a control message (ACK, CREDIT) against the data
+// direction, to whatever currently feeds the given input.
+func (n *node) sendUpstream(input int, m transport.Message) {
 	n.mu.Lock()
 	up := n.upstream[input]
 	n.mu.Unlock()
-	if up == nil {
-		return
+	if up != nil {
+		up.send(m)
 	}
-	up.send(transport.Message{Type: transport.MsgAck, ID: id})
 }
 
-// appendRecords submits decision records to the log and wires the
-// stability callback into the task.
+// ackUpstream notifies the upstream feeding the given input that an event
+// will never be requested again.
+func (n *node) ackUpstream(input int, id event.ID) {
+	n.sendUpstream(input, transport.Message{Type: transport.MsgAck, ID: id})
+}
+
+// appendRecords submits the decision records of one execution of t to the
+// log and wires the stability callback into the task.
 func (n *node) appendRecords(t *task, recs []wal.Record) {
 	_, err := n.log.Append(recs, func(err error) {
 		if err != nil {
@@ -1199,25 +1048,12 @@ func (n *node) appendRecords(t *task, recs []wal.Record) {
 			return
 		}
 		n.mirrorStable(recs)
-		var maxLSN wal.LSN
-		for _, r := range recs {
-			if r.LSN > maxLSN {
-				maxLSN = r.LSN
-			}
-		}
-		t.mu.Lock()
-		t.pendingLogs--
-		if maxLSN > t.maxLSN {
-			t.maxLSN = maxLSN
-		}
-		t.mu.Unlock()
+		t.logDone(recs[len(recs)-1].LSN) // LSNs ascend within an append
 		n.notifyCommitter()
 	})
 	if err != nil {
 		n.fail(fmt.Errorf("submit decision log: %w", err))
-		t.mu.Lock()
-		t.pendingLogs--
-		t.mu.Unlock()
+		t.logDone(0)
 	}
 }
 
@@ -1330,19 +1166,12 @@ func (n *node) runTask(t *task) {
 				t.state = taskQueued
 			}
 			t.mu.Unlock()
-			if m := n.eng.met; m != nil {
-				m.abortsConflict.Inc()
-			}
-			n.chargeAbort(profiler.CauseConflict, attemptDur)
-			if tr := n.eng.tracer; tr != nil {
-				tr.RecordTrace(n.spec.Name, ev.ID.String(), ev.Trace, metrics.PhaseAbort, "cause=conflict")
-			}
 			// The task keeps its throttle slot across the retry, but the
 			// wasted attempt feeds the abort window so the cap tightens
 			// under heavy conflict churn.
 			n.throttle.Observe(true)
 			tx.Abort()
-			n.mailbox.Push(cmdReexec{t: t, tx: tx})
+			n.conflictRetry(t, tx)
 			return
 		}
 		n.fail(fmt.Errorf("node %q event %s: %w", n.spec.Name, ev.ID, err))
@@ -1458,23 +1287,7 @@ func (n *node) publishOutputs(t *task) {
 			continue
 		}
 		n.mu.Lock()
-		n.outEmitSeq++
-		rec := &outRecord{
-			id:          outputID(n.opID, t.ev.ID, k),
-			port:        out.port,
-			ts:          out.ts,
-			key:         out.key,
-			payload:     out.payload,
-			trace:       inTrace,
-			pendingAcks: n.bufferedLinks(out.port),
-			seq:         n.outEmitSeq,
-		}
-		if !spec {
-			rec.finalSent.Store(true)
-		}
-		if rec.pendingAcks > 0 {
-			n.outBuf[rec.id] = rec
-		}
+		rec := n.bufferOutput(outputID(n.opID, inputID, k), out, inTrace, !spec)
 		n.mu.Unlock()
 		t.sent = append(t.sent, rec)
 		sends = append(sends, sendOp{rec: rec, spec: spec})
@@ -1483,6 +1296,15 @@ func (n *node) publishOutputs(t *task) {
 		revokes = append(revokes, t.sent[len(t.outs):]...)
 		t.sent = t.sent[:len(t.outs)]
 	}
+	if n.eng.met != nil {
+		// Stamped under t.mu: the committer reads specAt (retireGroup) the
+		// moment the task commits, which can be before the sends below.
+		for _, s := range sends {
+			if s.spec && s.rec.specAt.IsZero() {
+				s.rec.specAt = time.Now()
+			}
+		}
+	}
 	t.published = true
 	t.mu.Unlock()
 
@@ -1490,9 +1312,6 @@ func (n *node) publishOutputs(t *task) {
 		if s.spec {
 			n.cSpecSent.Add(1)
 			if m := n.eng.met; m != nil {
-				if s.rec.specAt.IsZero() {
-					s.rec.specAt = time.Now()
-				}
 				m.specDepth.Observe(n.openTainted.Load())
 			}
 		} else {
@@ -1543,61 +1362,22 @@ func (n *node) waitCommitSignal(seen uint64) {
 
 // committer commits tasks strictly in arrival order once authorized:
 // executed, input final, decisions stable, STM dependencies committed
-// (paper §3: "gets the authorization to commit"). With flow batching
-// configured it gathers the run of consecutive already-ready head tasks
-// and commits them as one STM group — one version-clock bump, one
-// FINALIZE frame per port — without ever waiting for a batch to fill.
+// (paper §3: "gets the authorization to commit"). Each turn gathers the
+// run of consecutive already-ready head tasks — up to the node's batch
+// size, which is 1 unless flow batching is configured — and commits it as
+// one group, without ever waiting for a run to fill.
 func (n *node) committer() {
 	defer n.wg.Done()
-	batch := n.spec.Flow.Batch()
+	max := n.spec.Flow.Batch()
 	for !n.stopFlag.Load() {
-		gen := n.commitSignalGen()
-		if batch > 1 {
-			n.commitBatch(gen, batch)
-			continue
-		}
-		n.mu.Lock()
-		t := n.bySeq[n.nextCommit.Load()]
-		n.mu.Unlock()
-		if t == nil {
-			n.waitCommitSignal(gen)
-			continue
-		}
-		t.mu.Lock()
-		state := t.state
-		ready := state == taskOpen && t.published && t.evFinal && t.pendingLogs == 0
-		tx := t.tx
-		t.mu.Unlock()
-		switch {
-		case state == taskCancelled:
-			n.cleanupHead(t)
-			continue
-		case !ready:
-			n.waitCommitSignal(gen)
-			continue
-		}
-		err := tx.Commit()
-		switch {
-		case err == nil:
-			n.finishCommit(t, nil)
-		case errors.Is(err, stm.ErrDepsOpen):
-			// Dependencies are earlier tasks, which commit first in seq
-			// order; transient — yield and retry.
-			time.Sleep(10 * time.Microsecond)
-		case errors.Is(err, stm.ErrConflict):
-			n.commitConflict(t, tx)
-			n.waitCommitSignal(gen)
-		default:
-			n.fail(fmt.Errorf("commit seq %d: %w", t.seq, err))
-			n.cleanupHead(t)
-		}
+		n.commitBatch(max)
 	}
 }
 
-// commitConflict records the abort accounting for a head task whose
-// commit-time validation failed (or whose transaction was cascade-aborted)
-// and makes sure a re-execution is queued.
-func (n *node) commitConflict(t *task, tx *stm.Tx) {
+// conflictRetry records the abort accounting for a task that lost a
+// conflict — while executing, at commit-time validation, or by a cascade
+// abort — and makes sure a re-execution is queued.
+func (n *node) conflictRetry(t *task, tx *stm.Tx) {
 	t.mu.Lock()
 	evID := t.ev.ID
 	evTrace := t.ev.Trace
@@ -1613,14 +1393,14 @@ func (n *node) commitConflict(t *task, tx *stm.Tx) {
 	n.mailbox.Push(cmdReexec{t: t, tx: tx})
 }
 
-// commitBatch is one turn of the batched committer: gather the run of
-// consecutive ready head tasks (up to max), group-commit their
-// transactions under one version-clock bump, and run the post-commit
-// protocol with FINALIZE and late-final deliveries coalesced into one
-// frame per port. Readiness is evaluated exactly as on the single-commit
-// path; a lone ready task commits immediately (batching adds no latency,
-// it only amortizes runs that are already ready).
-func (n *node) commitBatch(gen uint64, max int) {
+// commitBatch is one turn of the committer: gather the run of consecutive
+// ready head tasks (up to max), group-commit their transactions under one
+// version-clock bump, and run the post-commit protocol with the FINALIZE,
+// late-final and ACK deliveries coalesced into one frame per port or
+// input. A lone ready task commits immediately (a longer run adds no
+// latency, it only amortizes tasks that are already ready).
+func (n *node) commitBatch(max int) {
+	gen := n.commitSignalGen()
 	head := n.nextCommit.Load()
 	run := n.commitRun[:0]
 	txs := n.commitTxs[:0]
@@ -1667,16 +1447,16 @@ func (n *node) commitBatch(gen uint64, max int) {
 			m.batchCommitEvents.Add(uint64(committed))
 			m.batchOccupancy.Observe(int64(committed))
 		}
-		var fb finFlush
-		n.retireGroup(run[:committed], &fb)
-		fb.flush(n)
+		n.retireGroup(run[:committed])
 	}
 	switch {
 	case err == nil:
 	case errors.Is(err, stm.ErrDepsOpen):
+		// Dependencies are earlier tasks, which commit first in seq order;
+		// transient — yield and retry.
 		time.Sleep(10 * time.Microsecond)
 	case errors.Is(err, stm.ErrConflict):
-		n.commitConflict(run[committed], txs[committed])
+		n.conflictRetry(run[committed], txs[committed])
 		if committed == 0 {
 			n.waitCommitSignal(gen)
 		}
@@ -1706,62 +1486,60 @@ func (n *node) cleanupHead(t *task) {
 	n.throttle.Wake()
 }
 
-// finFlush accumulates the control traffic of a commit group: FINALIZE
-// notices and late-final events per output port, and upstream ACKs per
-// input, delivered as one batched frame each when the group completes.
-// Order within a port is commit order, exactly as with per-task delivery.
+// finFlush accumulates the control traffic of one commit group: FINALIZE
+// notices and late-final events per output port, upstream ACKs per input,
+// each delivered as one frame once the group has retired — the plain frame
+// for a run of one. Order within a port is commit order. Ports and inputs
+// are small dense ints, so the accumulators are slices indexed by them;
+// they are committer-owned scratch reused across groups (node.fin), and a
+// frame carrying more than one item gets its own copy, because receivers
+// keep it.
 type finFlush struct {
-	finals map[int][]transport.FinalizeRef
-	lates  map[int][]event.Event
-	acks   map[int][]transport.FinalizeRef
+	finals [][]transport.FinalizeRef // by output port
+	lates  [][]event.Event           // by output port
+	acks   [][]transport.FinalizeRef // by input
 }
 
-func (fb *finFlush) addFinal(port int, rec *outRecord) {
-	if fb.finals == nil {
-		fb.finals = make(map[int][]transport.FinalizeRef)
+// addAt appends v to the accumulator at index i, growing the table to it.
+func addAt[T any](runs [][]T, i int, v T) [][]T {
+	for len(runs) <= i {
+		runs = append(runs, nil)
 	}
-	fb.finals[port] = append(fb.finals[port], transport.FinalizeRef{ID: rec.id, Version: rec.version})
+	runs[i] = append(runs[i], v)
+	return runs
 }
 
-func (fb *finFlush) addLate(port int, ev event.Event) {
-	if fb.lates == nil {
-		fb.lates = make(map[int][]event.Event)
+// framed returns a scratch run in the form a frame may carry: itself when
+// it holds one item (the frame takes that by value), else a copy.
+func framed[T any](run []T) []T {
+	if len(run) > 1 {
+		return slices.Clone(run)
 	}
-	fb.lates[port] = append(fb.lates[port], ev)
+	return run
 }
 
-func (fb *finFlush) addAck(input int, id event.ID) {
-	if fb.acks == nil {
-		fb.acks = make(map[int][]transport.FinalizeRef)
-	}
-	fb.acks[input] = append(fb.acks[input], transport.FinalizeRef{ID: id})
-}
-
-// flush delivers the accumulated batches: one FINALIZE_BATCH and/or one
-// EVENT_BATCH message per port, and one ACK_BATCH per input upstream.
+// flush delivers and empties the accumulators: late finals, then FINALIZE
+// notices, per port; then ACKs per input upstream.
 func (fb *finFlush) flush(n *node) {
-	for port, evs := range fb.lates {
-		n.deliverToPort(port, transport.Message{Type: transport.MsgEventBatch, Events: evs})
-	}
-	for port, refs := range fb.finals {
-		n.deliverToPort(port, transport.Message{Type: transport.MsgFinalizeBatch, Finals: refs})
-	}
-	for input, refs := range fb.acks {
-		n.mu.Lock()
-		up := n.upstream[input]
-		n.mu.Unlock()
-		if up == nil {
-			continue
+	for port, run := range fb.lates {
+		if len(run) > 0 {
+			n.deliverToPort(port, eventFrame(framed(run)))
+			clear(run) // drop the payload references
+			fb.lates[port] = run[:0]
 		}
-		up.send(transport.Message{Type: transport.MsgAckBatch, Finals: refs})
 	}
-}
-
-// finishCommit runs the post-commit protocol for one task; the group
-// committer calls retireGroup directly to amortize the bookkeeping.
-func (n *node) finishCommit(t *task, fb *finFlush) {
-	one := [1]*task{t}
-	n.retireGroup(one[:], fb)
+	for port, run := range fb.finals {
+		if len(run) > 0 {
+			n.deliverToPort(port, refFrame(framed(run), false))
+			fb.finals[port] = run[:0]
+		}
+	}
+	for input, run := range fb.acks {
+		if len(run) > 0 {
+			n.sendUpstream(input, refFrame(framed(run), true))
+			fb.acks[input] = run[:0]
+		}
+	}
 }
 
 // retirePost carries one task's retirement state between the phases of
@@ -1776,20 +1554,22 @@ type retirePost struct {
 	ckptDue   bool
 }
 
-// retireGroup runs the post-commit protocol for a run of committed
-// tasks: finalize speculative outputs (or publish held outputs for
-// non-speculative nodes), ACK the consumed events upstream, advance the
-// commit cursor, and checkpoint if due. Called with commitMu held. With
-// fb non-nil (batched committer) the FINALIZE, late-final and ACK
-// deliveries are deferred into fb so the whole group ships one frame per
-// port or input. The map bookkeeping for the whole run happens under ONE
-// n.mu hold, and the commit cursor advances once by the run length —
-// per-task effects are otherwise identical to one-at-a-time retirement.
-func (n *node) retireGroup(run []*task, fb *finFlush) {
+// retireGroup runs the post-commit protocol for a run of committed tasks:
+// finalize speculative outputs (or publish held outputs for non-speculative
+// nodes), ACK the consumed events upstream, advance the commit cursor, and
+// checkpoint if due. Runs on the committer goroutine, holding no lock on
+// entry. The FINALIZE, late-final and ACK deliveries collect in n.fin and
+// ship last, one frame per port or input for the whole group. The map
+// bookkeeping for the run happens under ONE n.mu hold, and the commit
+// cursor advances once by the run length.
+func (n *node) retireGroup(run []*task) {
+	fb := &n.fin
 	posts := n.retirePosts[:0]
+	n.retiring.Store(int32(len(run)))
 	defer func() {
 		clear(posts[:cap(posts)]) // drop task pointers held in dead slots
 		n.retirePosts = posts[:0]
+		n.retiring.Store(0)
 	}()
 	for _, t := range run {
 		t.mu.Lock()
@@ -1807,72 +1587,36 @@ func (n *node) retireGroup(run []*task, fb *finFlush) {
 			throttled: t.throttleHeld,
 		}
 		t.throttleHeld = false
-
-		var finalizes []*outRecord
-		var lateFinals []*outRecord
 		if n.spec.Speculative {
 			for _, rec := range t.sent {
-				if rec.finalSent.CompareAndSwap(false, true) {
-					finalizes = append(finalizes, rec)
+				if !rec.finalSent.CompareAndSwap(false, true) {
+					continue
 				}
+				if m := n.eng.met; m != nil && !rec.specAt.IsZero() {
+					m.specWindow.Record(time.Since(rec.specAt))
+				}
+				if tr := n.eng.tracer; tr != nil {
+					tr.RecordTrace(n.spec.Name, rec.id.String(), rec.trace, metrics.PhaseFinalize, "")
+				}
+				fb.finals = addAt(fb.finals, rec.port, transport.FinalizeRef{ID: rec.id, Version: rec.version})
 			}
 		} else {
 			// Baseline path: outputs were held; publish them final now.
 			for k, out := range t.outs {
 				n.mu.Lock()
-				n.outEmitSeq++
-				rec := &outRecord{
-					id:          outputID(n.opID, p.inputID, k),
-					port:        out.port,
-					ts:          out.ts,
-					key:         out.key,
-					payload:     out.payload,
-					trace:       p.inTrace,
-					pendingAcks: n.bufferedLinks(out.port),
-					seq:         n.outEmitSeq,
-				}
-				rec.finalSent.Store(true)
-				if rec.pendingAcks > 0 {
-					n.outBuf[rec.id] = rec
-				}
+				rec := n.bufferOutput(outputID(n.opID, p.inputID, k), out, p.inTrace, true)
 				n.mu.Unlock()
 				t.sent = append(t.sent, rec)
-				lateFinals = append(lateFinals, rec)
+				n.cFinalSent.Add(1)
+				if tr := n.eng.tracer; tr != nil {
+					tr.RecordTrace(n.spec.Name, rec.id.String(), rec.trace, metrics.PhaseFinalOut, "from="+p.inputID.String())
+				}
+				fb.lates = addAt(fb.lates, rec.port, rec.toEvent(false))
 			}
 		}
 		t.mu.Unlock()
-
-		for _, rec := range finalizes {
-			if m := n.eng.met; m != nil && !rec.specAt.IsZero() {
-				m.specWindow.Record(time.Since(rec.specAt))
-			}
-			if tr := n.eng.tracer; tr != nil {
-				tr.RecordTrace(n.spec.Name, rec.id.String(), rec.trace, metrics.PhaseFinalize, "")
-			}
-			if fb != nil {
-				fb.addFinal(rec.port, rec)
-				continue
-			}
-			n.deliverToPort(rec.port, transport.Message{
-				Type: transport.MsgFinalize, ID: rec.id, Version: rec.version,
-			})
-		}
-		for _, rec := range lateFinals {
-			n.cFinalSent.Add(1)
-			if tr := n.eng.tracer; tr != nil {
-				tr.RecordTrace(n.spec.Name, rec.id.String(), rec.trace, metrics.PhaseFinalOut, "from="+p.inputID.String())
-			}
-			if fb != nil {
-				fb.addLate(rec.port, rec.toEvent(false))
-				continue
-			}
-			n.deliverToPort(rec.port, transport.Message{
-				Type: transport.MsgEvent, Event: rec.toEvent(false),
-			})
-		}
 		posts = append(posts, p)
 	}
-
 	ckpt := n.spec.Traits.Stateful && n.spec.CheckpointEvery > 0
 	n.mu.Lock()
 	for i := range posts {
@@ -1901,11 +1645,7 @@ func (n *node) retireGroup(run []*task, fb *finFlush) {
 		// the covering checkpoint is stable (paper §2.2: upstream keeps
 		// events processed after the last checkpoint).
 		if !ckpt {
-			if fb != nil {
-				fb.addAck(p.input, p.inputID)
-			} else {
-				n.ackUpstream(p.input, p.inputID)
-			}
+			fb.acks = addAt(fb.acks, p.input, transport.FinalizeRef{ID: p.inputID})
 		}
 		if p.ckptDue {
 			n.takeCheckpoint()
@@ -1933,6 +1673,7 @@ func (n *node) retireGroup(run []*task, fb *finFlush) {
 			tr.RecordTrace(n.spec.Name, posts[i].inputID.String(), posts[i].inTrace, metrics.PhaseCommit, "")
 		}
 	}
+	fb.flush(n)
 }
 
 // takeCheckpoint snapshots the operator state, persists it, marks the log

@@ -104,8 +104,8 @@ type replayPlan struct {
 	pos      int
 	decs     map[event.ID][]decision
 	lsns     map[event.ID]wal.LSN
-	buffered map[event.ID]transport.Message
-	tail     []transport.Message
+	buffered map[event.ID]plannedEvent
+	tail     []plannedEvent
 }
 
 // buildReplayPlan digests the node's stable decision records, read from
@@ -183,7 +183,7 @@ func (n *node) buildReplayPlan(lastByInput map[int]event.ID) (*replayPlan, map[e
 		order:    order[last+1:],
 		decs:     make(map[event.ID][]decision),
 		lsns:     make(map[event.ID]wal.LSN),
-		buffered: make(map[event.ID]transport.Message),
+		buffered: make(map[event.ID]plannedEvent),
 	}
 	for _, r := range recs {
 		if covered[r.Event] {
@@ -233,19 +233,8 @@ func (n *node) restoreDurable() error {
 		// replay request can re-send outputs whose inputs the snapshot
 		// covers; downstream identity dedup absorbs any it already has.
 		for _, o := range snap.Outputs {
-			n.outEmitSeq++
-			rec := &outRecord{
-				id: o.ID, port: o.Port, ts: o.Timestamp, key: o.Key,
-				payload:     o.Payload,
-				trace:       o.Trace,
-				version:     event.Version(o.Version),
-				pendingAcks: n.bufferedLinks(o.Port),
-				seq:         n.outEmitSeq,
-			}
-			rec.finalSent.Store(true)
-			if rec.pendingAcks > 0 {
-				n.outBuf[rec.id] = rec
-			}
+			out := pendingOut{port: o.Port, ts: o.Timestamp, key: o.Key, payload: o.Payload}
+			n.bufferOutput(o.ID, out, o.Trace, true).version = event.Version(o.Version)
 		}
 		n.mu.Unlock()
 	case isNotFound(err):
@@ -321,14 +310,7 @@ func (n *node) recover() error {
 	}
 
 	n.stopFlag.Store(false)
-	n.wg.Add(1)
-	go n.dispatcher()
-	for i := 0; i < n.spec.Workers; i++ {
-		n.wg.Add(1)
-		go n.worker()
-	}
-	n.wg.Add(1)
-	go n.committer()
+	n.launch()
 
 	// Re-grant inbound credits before asking for replay: the crash wiped
 	// the mailbox, so credits outstanding at the moment of failure refer
@@ -346,54 +328,54 @@ func isNotFound(err error) bool {
 	return errors.Is(err, checkpoint.ErrNotFound)
 }
 
-// replayAdmit routes an incoming event through the replay plan. It returns
-// the messages (with their pre-seeded decisions) that are now ready for
-// normal admission, in order. Caller holds no locks.
-func (n *node) replayAdmit(m transport.Message) []plannedEvent {
-	n.mu.Lock()
-	plan := n.replay
-	if plan == nil {
-		n.mu.Unlock()
-		return []plannedEvent{{msg: m}}
-	}
-	var ready []plannedEvent
-	id := m.Event.ID
-	if _, logged := planContains(plan, id); logged {
-		plan.buffered[id] = m
-	} else {
-		plan.tail = append(plan.tail, m)
-	}
-	for plan.pos < len(plan.order) {
-		next := plan.order[plan.pos]
-		bm, ok := plan.buffered[next]
-		if !ok {
-			break
+// planRun turns an arriving run into the events that are now ready for
+// admission, in admission order, appended to ready. Outside recovery that
+// is the run itself. In recovery mode each event first passes through the
+// replay plan: logged events are held until the plan reaches them and come
+// back with their logged decisions attached, unlogged ones wait in the
+// tail until the plan completes — possibly in the middle of the run, after
+// which the rest of it passes straight through. Caller holds n.mu.
+func (n *node) planRun(ready []plannedEvent, input int, evs []event.Event) []plannedEvent {
+	for _, ev := range evs {
+		pe := plannedEvent{input: input, ev: ev}
+		plan := n.replay
+		if plan == nil {
+			ready = append(ready, pe)
+			continue
 		}
-		delete(plan.buffered, next)
-		ready = append(ready, plannedEvent{
-			msg:       bm,
-			decisions: plan.decs[next],
-			logged:    true,
-			maxLSN:    plan.lsns[next],
-		})
-		plan.pos++
-	}
-	if plan.pos >= len(plan.order) {
-		// Plan complete: flush the unlogged tail and leave recovery mode.
-		for _, tm := range plan.tail {
-			ready = append(ready, plannedEvent{msg: tm})
+		before := len(ready)
+		if planContains(plan, ev.ID) {
+			plan.buffered[ev.ID] = pe
+		} else {
+			plan.tail = append(plan.tail, pe)
 		}
-		n.replay = nil
-		n.recStats.replayEndNs = time.Now().UnixNano()
+		for plan.pos < len(plan.order) {
+			next := plan.order[plan.pos]
+			held, ok := plan.buffered[next]
+			if !ok {
+				break
+			}
+			delete(plan.buffered, next)
+			held.decisions, held.logged, held.maxLSN = plan.decs[next], true, plan.lsns[next]
+			ready = append(ready, held)
+			plan.pos++
+		}
+		if plan.pos >= len(plan.order) {
+			// Plan complete: flush the unlogged tail and leave recovery mode.
+			ready = append(ready, plan.tail...)
+			n.replay = nil
+			n.recStats.replayEndNs = time.Now().UnixNano()
+		}
+		n.recStats.replayEvents += int64(len(ready) - before)
 	}
-	n.recStats.replayEvents += int64(len(ready))
-	n.mu.Unlock()
 	return ready
 }
 
-// plannedEvent is an admitted event plus its recovered decisions.
+// plannedEvent is an event ready for admission plus, after a recovery, the
+// decisions the log holds for it.
 type plannedEvent struct {
-	msg       transport.Message
+	input     int
+	ev        event.Event
 	decisions []decision
 	logged    bool
 	// maxLSN is the highest original decision-log LSN of this event;
@@ -402,12 +384,12 @@ type plannedEvent struct {
 	maxLSN wal.LSN
 }
 
-// planContains reports whether the plan's order includes id.
-func planContains(plan *replayPlan, id event.ID) (int, bool) {
+// planContains reports whether the plan's remaining order includes id.
+func planContains(plan *replayPlan, id event.ID) bool {
 	for i := plan.pos; i < len(plan.order); i++ {
 		if plan.order[i] == id {
-			return i, true
+			return true
 		}
 	}
-	return 0, false
+	return false
 }

@@ -10,6 +10,7 @@ import (
 	"streammine/internal/event"
 	"streammine/internal/graph"
 	"streammine/internal/operator"
+	"streammine/internal/storage"
 	"streammine/internal/transport"
 )
 
@@ -289,6 +290,44 @@ func TestReplayRequestResendsUnacked(t *testing.T) {
 	procNode.mu.Unlock()
 	if open != 0 {
 		t.Fatalf("%d tasks created from duplicates", open)
+	}
+}
+
+// TestReplayResendsOldestFirst: a replay request re-sends the unacknowledged
+// buffer in emission order however many outputs it holds — a windowed
+// workload buffers thousands at a crash, and downstream admission order
+// follows the order they are re-sent in. The engine is never started, so
+// the test reads the re-sent frames straight off the downstream mailbox.
+func TestReplayResendsOldestFirst(t *testing.T) {
+	g := graph.New()
+	src := g.AddNode(graph.Node{Name: "src"})
+	proc := g.AddNode(graph.Node{Name: "proc", Op: &operator.Passthrough{}})
+	g.Connect(src, 0, proc, 0)
+	pool := storage.NewPool([]storage.Disk{storage.NewMemDisk()})
+	defer pool.Close()
+	eng, err := New(g, Options{Pool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const total = 2500
+	srcNode, procNode := eng.nodes[src], eng.nodes[proc]
+	evs := make([]event.Event, total)
+	for i := range evs {
+		evs[i] = event.Event{ID: event.ID{Source: 0, Seq: event.Seq(i + 1)}}
+	}
+	srcNode.handleInject(&cmdInject{evs: evs})
+	if _, ok := procNode.mailbox.Pop(); !ok {
+		t.Fatal("no injected run downstream")
+	}
+	srcNode.handleReplay()
+	if got := procNode.mailbox.Len(); got != total {
+		t.Fatalf("replay re-sent %d frames, want %d", got, total)
+	}
+	for i := 1; i <= total; i++ {
+		item, _ := procNode.mailbox.Pop()
+		if m := item.(transport.Message); m.Event.ID.Seq != event.Seq(i) {
+			t.Fatalf("re-sent frame %d carries seq %d: not oldest first", i, m.Event.ID.Seq)
+		}
 	}
 }
 

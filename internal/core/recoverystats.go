@@ -3,7 +3,7 @@ package core
 // nodeRecoveryStats is one node's restore/replay instrumentation for the
 // recovery anatomy profiler, guarded by the node mutex. restoreDurable
 // stamps the restore window (checkpoint load + decision-log scan) and
-// opens the replay window; replayAdmit closes the replay window when the
+// opens the replay window; planRun closes the replay window when the
 // plan drains; the covered-set drop sites count dedup drops.
 type nodeRecoveryStats struct {
 	restoreStartNs int64

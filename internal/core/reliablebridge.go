@@ -11,9 +11,13 @@ import (
 	"streammine/internal/transport"
 )
 
-// ReliableBridge is a self-healing BridgeOut: it dials the downstream
-// engine, forwards the node's outputs, and on connection failure keeps
-// redialing in the background with jittered exponential backoff. After
+// ReliableBridge connects a node's output port to a remote engine over TCP
+// (the paper's deployment model, §2.3: operators as processes connected by
+// TCP, bridged at engine granularity). The remote engine must be listening
+// with BridgeIn. The bridge dials the downstream engine, forwards the
+// node's outputs, feeds the ACKs and replay requests coming back into the
+// node, and on connection failure keeps redialing in the background with
+// jittered exponential backoff. After
 // every reconnect it replays the node's unacknowledged output buffer —
 // exactly the paper's upstream-replay protocol (§2.2) applied to link
 // failures: the downstream engine drops byte-identical duplicates and
@@ -116,7 +120,7 @@ func (e *Engine) BridgeOutReliableOpts(id graph.NodeID, port int, addr string, o
 	if err := b.connect(); err != nil {
 		return nil, fmt.Errorf("bridge to %s: %w", addr, err)
 	}
-	var l link = &reliableLink{b: b}
+	var l link = b
 	if o.CreditWindow > 0 {
 		b.gate = flow.NewCreditGate(o.CreditWindow)
 		b.cl = newCreditedLink(l, b.gate, o.Batch, o.BatchLinger)
@@ -300,15 +304,9 @@ func (b *ReliableBridge) Close() error {
 	return nil
 }
 
-// reliableLink adapts the bridge to the link interface. Sends during an
-// outage are dropped; the post-reconnect replay re-delivers everything
-// unacknowledged.
-type reliableLink struct {
-	b *ReliableBridge
-}
+// deliver and buffered make the bridge the link on its node's output port.
+// Sends during an outage are dropped; the post-reconnect replay re-delivers
+// everything unacknowledged.
+func (b *ReliableBridge) deliver(m transport.Message) { b.send(m) }
 
-var _ link = (*reliableLink)(nil)
-
-func (l *reliableLink) deliver(m transport.Message) { l.b.send(m) }
-
-func (l *reliableLink) buffered() bool { return true }
+func (b *ReliableBridge) buffered() bool { return true }

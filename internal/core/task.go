@@ -33,15 +33,18 @@ const (
 )
 
 // task is the processing of one input event by one node: the unit of
-// speculation. Fields below mu are protected by it; seq, input and n are
+// speculation. Fields below mu are protected by it; the ones above are
 // immutable after creation.
 type task struct {
 	n     *node
 	seq   int64 // per-node arrival order; also the STM timestamp
 	input int
 	// admitted stamps admission when metrics are enabled (zero
-	// otherwise); finishCommit derives the finalize latency from it.
+	// otherwise); retireGroup derives the finalize latency from it.
 	admitted time.Time
+	// logsInput marks a task whose admission appended an input-order
+	// record (creditInputs pairs the run's records with such tasks).
+	logsInput bool
 
 	mu       sync.Mutex
 	state    taskState
@@ -62,6 +65,17 @@ type task struct {
 	sent         []*outRecord // outputs already sent downstream, by position
 	tainted      bool         // last published speculative state
 	throttleHeld bool         // holds a speculation-throttle slot
+}
+
+// logDone settles one pending log append: lsn is the highest LSN it made
+// stable, or zero when it could not be submitted.
+func (t *task) logDone(lsn wal.LSN) {
+	t.mu.Lock()
+	t.pendingLogs--
+	if lsn > t.maxLSN {
+		t.maxLSN = lsn
+	}
+	t.mu.Unlock()
 }
 
 // pendingOut is one Emit call captured during execution.
