@@ -3,7 +3,7 @@
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 BENCHREV := $(shell git rev-parse --short HEAD 2>/dev/null || date +%s)
 
-.PHONY: check fmt vet staticcheck test race race-stm build bench trace-e2e doccheck campaign-smoke
+.PHONY: check fmt vet staticcheck test race race-stm race-core-equiv build bench trace-e2e doccheck campaign-smoke
 
 check: fmt vet staticcheck doccheck race
 
@@ -39,6 +39,18 @@ race:
 race-stm:
 	for p in 1 2 8; do \
 		GOMAXPROCS=$$p go test -race -count=20 ./internal/stm ./internal/state ./internal/sketch || exit 1; \
+	done
+
+# race-core-equiv is the internal/core slice of the same gate: the
+# batch-size equivalence test (one admit / commit / retire path judged
+# across run lengths, batch sizes and a crash) and the commit-group
+# accounting test, twenty race-detected runs each with one, two and eight
+# Ps. It is not a CI job yet: the engine's known finality and recovery bugs
+# (ROADMAP open item 1, which lists the failing seeds) keep it from being
+# 60/60 green at any commit, this one and its parent alike.
+race-core-equiv:
+	for p in 1 2 8; do \
+		GOMAXPROCS=$$p go test -race -count=20 -run 'TestBatchSizeEquivalence|TestBatchCommitGrouping' ./internal/core || exit 1; \
 	done
 
 # trace-e2e runs a traced two-worker cluster as real processes and pipes

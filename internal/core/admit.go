@@ -126,6 +126,11 @@ func (n *node) admitRun(input int, evs []event.Event) {
 		fresh = append(fresh, t)
 	}
 	n.mu.Unlock()
+	// The append goes first: its stability is on every task's path to
+	// commit, so the log works on it while the workers execute.
+	if len(recs) > 0 {
+		n.logInputs(block, recs)
+	}
 	if len(fresh) > 0 {
 		n.cDispatched.Add(uint64(len(fresh)))
 		if tr := n.eng.tracer; tr != nil {
@@ -148,9 +153,6 @@ func (n *node) admitRun(input int, evs []event.Event) {
 		} else {
 			n.ackUpstream(d.input, d.ev.ID)
 		}
-	}
-	if len(recs) > 0 {
-		n.logInputs(block, recs)
 	}
 	// Drop what the scratch references (payloads, decisions, tasks).
 	clear(planned)
@@ -232,9 +234,7 @@ func (n *node) applyReplacement(t *task, ev event.Event) {
 	}
 	n.mu.Unlock()
 	if revoked {
-		if n.prof != nil {
-			n.eng.causedBy(ev.ID.Source)
-		}
+		n.eng.causedBy(ev.ID.Source)
 		n.cancelTask(t, "revoke")
 		return
 	}
@@ -357,9 +357,7 @@ func (n *node) handleRevoke(m transport.Message) {
 	n.mu.Unlock()
 	// The revoker (the event's source operator) caused whatever work this
 	// cancellation wastes; charge it on the caused-by side of the ledger.
-	if n.prof != nil {
-		n.eng.causedBy(m.ID.Source)
-	}
+	n.eng.causedBy(m.ID.Source)
 	n.cancelTask(t, "revoke")
 }
 

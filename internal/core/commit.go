@@ -188,37 +188,27 @@ func addAt[T any](runs [][]T, i int, v T) [][]T {
 	return runs
 }
 
-// framed returns a scratch run in the form a frame may carry: itself when
-// it holds one item (the frame takes that by value), else a copy.
-func framed[T any](run []T) []T {
-	if len(run) > 1 {
-		return slices.Clone(run)
+// drainRuns hands every non-empty accumulator to send and empties it. A run
+// of one is handed over as it is (the frame takes the item by value), a
+// longer one as a copy.
+func drainRuns[T any](acc [][]T, send func(i int, run []T)) {
+	for i, run := range acc {
+		if len(run) > 1 {
+			send(i, slices.Clone(run))
+		} else if len(run) == 1 {
+			send(i, run)
+		}
+		clear(run) // drop the payload references
+		acc[i] = run[:0]
 	}
-	return run
 }
 
 // flush delivers and empties the accumulators: late finals, then FINALIZE
 // notices, per port; then ACKs per input upstream.
 func (fb *finFlush) flush(n *node) {
-	for port, run := range fb.lates {
-		if len(run) > 0 {
-			n.deliverToPort(port, eventFrame(framed(run)))
-			clear(run) // drop the payload references
-			fb.lates[port] = run[:0]
-		}
-	}
-	for port, run := range fb.finals {
-		if len(run) > 0 {
-			n.deliverToPort(port, refFrame(framed(run), false))
-			fb.finals[port] = run[:0]
-		}
-	}
-	for input, run := range fb.acks {
-		if len(run) > 0 {
-			n.sendUpstream(input, refFrame(framed(run), true))
-			fb.acks[input] = run[:0]
-		}
-	}
+	drainRuns(fb.lates, func(port int, run []event.Event) { n.deliverToPort(port, eventFrame(run)) })
+	drainRuns(fb.finals, func(port int, run []transport.FinalizeRef) { n.deliverToPort(port, refFrame(run, false)) })
+	drainRuns(fb.acks, func(input int, run []transport.FinalizeRef) { n.sendUpstream(input, refFrame(run, true)) })
 }
 
 // retirePost carries one task's retirement state between the phases of

@@ -366,8 +366,7 @@ func (e *Engine) Drain() {
 // to the coordinator's completion detector.
 func (e *Engine) Quiesced() bool {
 	for _, n := range e.nodes {
-		if n.mailbox.Len() != 0 || n.execQ.Len() != 0 || n.openCount() != 0 ||
-			n.creditQueued() != 0 {
+		if !n.quiet() {
 			return false
 		}
 	}
@@ -461,11 +460,11 @@ func (s *SourceHandle) EmitAt(ts int64, key uint64, payload []byte) (event.Event
 	c := &cmdInject{}
 	c.one[0] = event.Event{Timestamp: ts, Key: key, Payload: payload}
 	c.evs = c.one[:]
-	err := s.emit(c, false)
-	if err != nil && !errors.Is(err, ErrShed) {
+	evs, err := s.emit(c, false)
+	if evs == nil {
 		return event.Event{}, err
 	}
-	return c.one[0], err
+	return evs[0], err
 }
 
 // BatchItem is one event-to-be in an EmitBatch call.
@@ -490,19 +489,16 @@ func (s *SourceHandle) EmitBatch(items []BatchItem) ([]event.Event, error) {
 	for i, it := range items {
 		c.evs[i] = event.Event{Key: it.Key, Payload: it.Payload}
 	}
-	err := s.emit(c, true)
-	if err != nil && !errors.Is(err, ErrShed) {
-		return nil, err
-	}
-	return c.evs, err
+	return s.emit(c, true)
 }
 
 // emit is the one injection path: it gives the run's events consecutive
 // sequence numbers (and, with tick set, fresh timestamps in the same
 // order), charges source admission once for the run, and hands the run to
-// the node's dispatcher. On ErrShed the events are stamped but not
-// injected.
-func (s *SourceHandle) emit(c *cmdInject, tick bool) error {
+// the node's dispatcher. It returns the stamped events — with ErrShed when
+// admission control dropped them before injection — or nil and the reason
+// the source can no longer emit.
+func (s *SourceHandle) emit(c *cmdInject, tick bool) ([]event.Event, error) {
 	s.mu.Lock()
 	for i := range c.evs {
 		ev := &c.evs[i]
@@ -519,16 +515,16 @@ func (s *SourceHandle) emit(c *cmdInject, tick bool) error {
 	if a := s.n.admission.Load(); a != nil {
 		switch a.AdmitN(len(c.evs)) {
 		case flow.Shed:
-			return ErrShed
+			return c.evs, ErrShed
 		case flow.Stopped:
-			return ErrStopped
+			return nil, ErrStopped
 		}
 	}
 	if s.n.stopFlag.Load() {
-		return ErrStopped
+		return nil, ErrStopped
 	}
 	s.n.mailbox.Push(c)
-	return nil
+	return c.evs, nil
 }
 
 // NodeStats aggregates one node's runtime counters.

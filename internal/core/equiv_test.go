@@ -41,13 +41,6 @@ func equivOperator(rng *detrand.Source, stateful bool) (operator.Operator, opera
 	}
 }
 
-// forward is the sink node's operator: it passes every input on unchanged.
-type forward struct{ operator.NopOperator }
-
-func (forward) Process(ctx operator.Context, e event.Event) error {
-	return ctx.Emit(e.Key, e.Payload)
-}
-
 // equivFinal is what the sink's subscriber sees of one final output.
 type equivFinal struct {
 	key     uint64
@@ -150,7 +143,7 @@ func runEquivVariant(t *testing.T, seed uint64, v equivVariant, want int) map[ev
 	// each output until its input is final, so the subscriber sees exactly
 	// one final delivery per result and ROADMAP's finality bugs (1)-(3),
 	// which need a speculative last hop, stay out of the picture.
-	sinkNode := g.AddNode(graph.Node{Name: "sink", Op: forward{}, Workers: 1, Flow: v.flow})
+	sinkNode := g.AddNode(graph.Node{Name: "sink", Op: &operator.Passthrough{}, Workers: 1, Flow: v.flow})
 	g.Connect(prev, 0, sinkNode, 0)
 
 	eng := newTestEngine(t, g, Options{Seed: seed, Clock: seqClock{}, StrictFinality: true})

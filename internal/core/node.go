@@ -190,26 +190,18 @@ func newNode(eng *Engine, spec graph.Node, rng *detrand.Source, log *wal.Log) (*
 		opID = spec.StableID // cluster partitions keep global identities
 	}
 	n := &node{
-		eng:           eng,
-		spec:          spec,
-		opID:          opID,
-		mem:           stm.NewMemory(capWords),
-		log:           log,
-		rng:           rng,
-		mailbox:       newMailbox(),
-		execQ:         newTaskQueue(),
-		tasks:         make(map[event.ID]*task),
-		bySeq:         make(map[int64]*task),
-		committed:     make(map[event.ID]bool),
-		outBuf:        make(map[event.ID]*outRecord),
-		lastCommitted: make(map[int]event.ID),
-		links:         make([][]link, spec.OutputPorts),
-		upstream:      make(map[int]upstreamSender),
-		pendFin:       make(map[event.ID]event.Version),
-		pendRevoke:    make(map[event.ID]int),
-		granters:      make(map[int]creditGranter),
-		nextSeq:       1,
-		healthLat:     newHealthHDR(eng.opts.Health),
+		eng:       eng,
+		spec:      spec,
+		opID:      opID,
+		mem:       stm.NewMemory(capWords),
+		log:       log,
+		rng:       rng,
+		mailbox:   newMailbox(),
+		execQ:     newTaskQueue(),
+		links:     make([][]link, spec.OutputPorts),
+		upstream:  make(map[int]upstreamSender),
+		granters:  make(map[int]creditGranter),
+		healthLat: newHealthHDR(eng.opts.Health),
 	}
 	if f := spec.Flow; f != nil {
 		if f.MailboxCap > 0 {
@@ -217,9 +209,26 @@ func newNode(eng *Engine, spec graph.Node, rng *detrand.Source, log *wal.Log) (*
 		}
 		n.throttle = flow.NewSpecThrottle(f)
 	}
-	n.nextCommit.Store(1)
+	n.resetVolatile()
 	n.commitCond = sync.NewCond(&n.commitMu)
 	return n, nil
+}
+
+// resetVolatile (re)creates everything a crash loses except the operator
+// memory: in-flight tasks, duplicate-suppression tables, output buffer,
+// stashes, replay plan and the sequence and commit cursors. Caller holds
+// n.mu, or owns the node outright.
+func (n *node) resetVolatile() {
+	n.tasks = make(map[event.ID]*task)
+	n.bySeq = make(map[int64]*task)
+	n.committed = make(map[event.ID]bool)
+	n.outBuf = make(map[event.ID]*outRecord)
+	n.lastCommitted = make(map[int]event.ID)
+	n.pendFin = make(map[event.ID]event.Version)
+	n.pendRevoke = make(map[event.ID]int)
+	n.recoverDrop, n.replay, n.sinceCkpt = nil, nil, nil
+	n.nextSeq, n.outEmitSeq, n.commitCount = 1, 0, 0
+	n.nextCommit.Store(1)
 }
 
 func (n *node) addLink(port int, l link) {
@@ -403,13 +412,15 @@ func (n *node) openCount() int {
 // drain blocks until the node has no queued work, no open tasks, and no
 // outputs parked behind credit gates.
 func (n *node) drain() {
-	for !n.stopFlag.Load() {
-		if n.mailbox.Len() == 0 && n.execQ.Len() == 0 && n.openCount() == 0 &&
-			n.creditQueued() == 0 {
-			return
-		}
+	for !n.stopFlag.Load() && !n.quiet() {
 		time.Sleep(200 * time.Microsecond)
 	}
+}
+
+// quiet reports whether the node is momentarily idle: nothing queued, no
+// open tasks, no outputs parked behind credit gates.
+func (n *node) quiet() bool {
+	return n.mailbox.Len() == 0 && n.execQ.Len() == 0 && n.openCount() == 0 && n.creditQueued() == 0
 }
 
 // dispatcher serializes ordering decisions: event admission (assigning the

@@ -72,26 +72,13 @@ func (n *node) crash() {
 			tx.Abort()
 		}
 	}
-	n.tasks = make(map[event.ID]*task)
-	n.bySeq = make(map[int64]*task)
-	n.committed = make(map[event.ID]bool)
-	n.outBuf = make(map[event.ID]*outRecord)
-	n.lastCommitted = make(map[int]event.ID)
-	n.pendFin = make(map[event.ID]event.Version)
-	n.pendRevoke = make(map[event.ID]int)
-	n.recoverDrop = nil
-	n.replay = nil
-	n.sinceCkpt = nil
-	n.nextSeq = 1
-	n.outEmitSeq = 0
-	n.commitCount = 0
+	n.resetVolatile()
 	n.mem = stm.NewMemory(n.mem.Capacity())
 	n.mu.Unlock()
 	// Rebind profiling hooks to the fresh memory (workers are joined, so
 	// this is single-threaded); recover() re-runs Op.Init, repopulating
 	// the address map the resolver reads.
 	n.installProfiler()
-	n.nextCommit.Store(1)
 	// All open tasks died with the node; free their speculation slots.
 	n.throttle.Reset()
 }

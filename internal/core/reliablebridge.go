@@ -174,13 +174,17 @@ func (b *ReliableBridge) connect() error {
 	return nil
 }
 
-// send forwards one message, reporting failure so the supervisor redials.
-func (b *ReliableBridge) send(m transport.Message) bool {
+// deliver makes the bridge the link on its node's output port: it forwards
+// one message over the current connection. A failed send drops the
+// connection so the supervisor redials; sends during the outage are
+// dropped, and the post-reconnect replay re-delivers everything
+// unacknowledged.
+func (b *ReliableBridge) deliver(m transport.Message) {
 	b.mu.Lock()
 	conn := b.conn
 	b.mu.Unlock()
 	if conn == nil {
-		return false
+		return
 	}
 	if err := conn.Send(m); err != nil {
 		b.mu.Lock()
@@ -189,10 +193,11 @@ func (b *ReliableBridge) send(m transport.Message) bool {
 		}
 		b.mu.Unlock()
 		_ = conn.Close()
-		return false
 	}
-	return true
 }
+
+// buffered: outputs sent over a bridge take part in the ACK protocol.
+func (b *ReliableBridge) buffered() bool { return true }
 
 // supervise redials dropped connections — backing off exponentially with
 // jitter while the peer stays down — and triggers the replay of the
@@ -303,10 +308,3 @@ func (b *ReliableBridge) Close() error {
 	}
 	return nil
 }
-
-// deliver and buffered make the bridge the link on its node's output port.
-// Sends during an outage are dropped; the post-reconnect replay re-delivers
-// everything unacknowledged.
-func (b *ReliableBridge) deliver(m transport.Message) { b.send(m) }
-
-func (b *ReliableBridge) buffered() bool { return true }
