@@ -3,9 +3,9 @@
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 BENCHREV := $(shell git rev-parse --short HEAD 2>/dev/null || date +%s)
 
-.PHONY: check fmt vet staticcheck test race race-stm race-core-equiv build bench trace-e2e doccheck campaign-smoke
+.PHONY: check fmt vet staticcheck test race race-stm race-core-equiv alloc-guards build bench trace-e2e doccheck campaign-smoke
 
-check: fmt vet staticcheck doccheck race
+check: fmt vet staticcheck doccheck alloc-guards race
 
 build:
 	go build ./...
@@ -41,16 +41,27 @@ race-stm:
 		GOMAXPROCS=$$p go test -race -count=20 ./internal/stm ./internal/state ./internal/sketch || exit 1; \
 	done
 
+# alloc-guards runs the AllocsPerRun tests of the hot-path packages — the
+# per-hop allocation budget of docs/PERFORMANCE.md ("Layer budget") — three
+# times each at one and two Ps, without the race detector (which allocates
+# on its own). An allocation creeping back into a hop fails here by name,
+# in seconds, instead of as a drift in a benchmark.
+alloc-guards:
+	for p in 1 2; do \
+		GOMAXPROCS=$$p go test -count=3 -run 'Alloc' ./internal/core ./internal/stm ./internal/wal ./internal/storage ./internal/operator ./internal/event || exit 1; \
+	done
+
 # race-core-equiv is the internal/core slice of the same gate: the
 # batch-size equivalence test (one admit / commit / retire path judged
-# across run lengths, batch sizes and a crash) and the commit-group
-# accounting test, twenty race-detected runs each with one, two and eight
-# Ps. It is not a CI job yet: the engine's known finality and recovery bugs
+# across run lengths, batch sizes and a crash), the commit-group
+# accounting test and the attempt-scratch reuse-safety test, twenty
+# race-detected runs each with one, two and eight Ps. It is not a CI job
+# yet: the engine's known finality and recovery bugs
 # (ROADMAP open item 1, which lists the failing seeds) keep it from being
 # 60/60 green at any commit, this one and its parent alike.
 race-core-equiv:
 	for p in 1 2 8; do \
-		GOMAXPROCS=$$p go test -race -count=20 -run 'TestBatchSizeEquivalence|TestBatchCommitGrouping' ./internal/core || exit 1; \
+		GOMAXPROCS=$$p go test -race -count=20 -run 'TestBatchSizeEquivalence|TestBatchCommitGrouping|TestAttemptScratchReuseSafety' ./internal/core || exit 1; \
 	done
 
 # trace-e2e runs a traced two-worker cluster as real processes and pipes

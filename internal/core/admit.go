@@ -104,7 +104,7 @@ func (n *node) admitRun(input int, evs []event.Event) {
 		}
 		n.nextSeq++
 		n.tasks[id] = t
-		n.bySeq[t.seq] = t
+		n.open.push(t)
 		if stateful && !pe.logged {
 			// The interleaving order across inputs is a non-deterministic
 			// decision for stateful operators: log it before execution can
@@ -265,6 +265,13 @@ func (n *node) applyReplacement(t *task, ev event.Event) {
 	t.evFinal = !ev.Speculative
 	tx := t.tx
 	st := t.state
+	if st == taskOpen {
+		// What the task executed and published is of the old content. It
+		// leaves the open state here, under the lock hold that may make its
+		// input final, so that the committer cannot commit it, nor a late
+		// publishOutputs publish it, before the abort below re-queues it.
+		t.state = taskQueued
+	}
 	hadSent := len(t.sent) > 0
 	attemptNs := t.attemptNs
 	t.mu.Unlock()
@@ -513,11 +520,13 @@ func (n *node) handleReexec(c cmdReexec) {
 
 // handleInject publishes a run of source events under one lock acquisition
 // and one downstream delivery. Each event gets its own buffered record, sent
-// final, and is ACKed and pruned individually.
+// final, and is ACKed and pruned individually; the run's records share one
+// allocation.
 func (n *node) handleInject(c *cmdInject) {
+	recs := make([]outRecord, len(c.evs))
 	n.mu.Lock()
-	for _, ev := range c.evs {
-		n.bufferOutput(ev.ID, pendingOut{ts: ev.Timestamp, key: ev.Key, payload: ev.Payload}, ev.Trace, true)
+	for i, ev := range c.evs {
+		n.bufferOutput(&recs[i], ev.ID, pendingOut{ts: ev.Timestamp, key: ev.Key, payload: ev.Payload}, ev.Trace, true)
 	}
 	n.mu.Unlock()
 	n.cFinalSent.Add(uint64(len(c.evs)))
@@ -533,12 +542,12 @@ func (n *node) handleInject(c *cmdInject) {
 	n.deliverToPort(0, eventFrame(c.evs))
 }
 
-// bufferOutput creates the output-buffer record of one output event, sent
-// final or speculative, and retains it for replay while any buffered link
-// still has to ACK it. Caller holds n.mu.
-func (n *node) bufferOutput(id event.ID, out pendingOut, trace uint64, final bool) *outRecord {
+// bufferOutput fills rec, the output-buffer record of one output event
+// sent final or speculative, and retains it for replay while any buffered
+// link still has to ACK it. Caller holds n.mu.
+func (n *node) bufferOutput(rec *outRecord, id event.ID, out pendingOut, trace uint64, final bool) {
 	n.outEmitSeq++
-	rec := &outRecord{
+	*rec = outRecord{
 		id:          id,
 		port:        out.port,
 		ts:          out.ts,
@@ -552,5 +561,4 @@ func (n *node) bufferOutput(id event.ID, out pendingOut, trace uint64, final boo
 	if rec.pendingAcks > 0 {
 		n.outBuf[id] = rec
 	}
-	return rec
 }

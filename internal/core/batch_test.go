@@ -115,12 +115,11 @@ func TestFinalizeBatchZeroAlloc(t *testing.T) {
 
 // TestAdmitRunOfOneAllocs pins what admitting a run of one costs on a
 // stateful node, decision-log append included: the task, its detached
-// payload, the input record and the stability callback, plus what the log
-// and the storage pool allocate per append. The bound is what the
-// single-event admission path that this one replaced measured with the
-// same harness at its last commit.
+// payload, the input record and the stability callback, then the log's
+// encoded buffer and its own callback — and the harness's payload. The
+// frame itself is queued and dispatched by value.
 func TestAdmitRunOfOneAllocs(t *testing.T) {
-	const parentAllocs = 10 // admitEvent at 7b417f7, the harness's own payload included
+	const want = 7 // 10 while frames were boxed and the log header escaped
 	eng, _, pool, _ := buildBatchPipeline(t, nil, nil)
 	defer pool.Close()
 	n := eng.nodes[1] // stage0: a stateful Classifier
@@ -134,18 +133,98 @@ func TestAdmitRunOfOneAllocs(t *testing.T) {
 	if int(n.cDispatched.Load()) != 501 {
 		t.Fatalf("admitted %d events, want 501", n.cDispatched.Load())
 	}
-	if allocs > parentAllocs {
-		t.Errorf("admitting a run of one allocated %.1f per event, want at most %d", allocs, parentAllocs)
+	if allocs > want {
+		t.Errorf("admitting a run of one allocated %.1f per event, want at most %d", allocs, want)
+	}
+}
+
+// TestExecutePublishAllocs pins what executing one Classifier task and
+// publishing its output costs on an uncontended state word: the
+// transaction and the output payload, with one to spare. The attempt
+// context is the worker's, the abort hook is the task, and the pending
+// output, its sent slot and its record are fields of the task.
+func TestExecutePublishAllocs(t *testing.T) {
+	const want, runs = 3, 300
+	g := graph.New()
+	src := g.AddNode(graph.Node{Name: "src"})
+	cls := g.AddNode(graph.Node{
+		Name: "cls", Op: &operator.Classifier{Classes: 2 * runs},
+		Traits: operator.ClassifierTraits(2 * runs), Speculative: true,
+	})
+	sink := g.AddNode(graph.Node{Name: "sink", Op: &operator.Passthrough{}})
+	g.Connect(src, 0, cls, 0)
+	g.Connect(cls, 0, sink, 0)
+	pool := storage.NewPool([]storage.Disk{storage.NewMemDisk()})
+	defer pool.Close()
+	eng, err := New(g, Options{Seed: 7, Pool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, down := eng.nodes[cls], eng.nodes[sink]
+	if err := n.spec.Op.Init(initContext{n: n}); err != nil {
+		t.Fatal(err)
+	}
+	// Every task gets its own class, so no transaction meets another's
+	// open write. Tasks are admitted outside the measurement.
+	block := make([]task, runs+1)
+	for i := range block {
+		id := event.ID{Source: 0, Seq: event.Seq(i + 1)}
+		block[i] = task{n: n, seq: int64(i + 1), state: taskQueued, evFinal: true,
+			ev: event.Event{ID: id, Key: uint64(i), Payload: operator.EncodeValue(uint64(i))}}
+	}
+	ctx := new(procCtx)
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		n.runTask(&block[next], ctx)
+		next++
+		if it, ok := down.mailbox.Pop(); !ok || it.msg.Type != transport.MsgEvent {
+			t.Fatalf("task %d published %v, want one EVENT", next, it.msg.Type)
+		}
+	})
+	for i := range block {
+		if tk := &block[i]; tk.state != taskOpen || len(tk.sent) != 1 || tk.sent[0] != &tk.rec0 {
+			t.Fatalf("task %d: state %v, %d sent; want open with its inline record", i, tk.state, len(tk.sent))
+		}
+	}
+	if allocs > want {
+		t.Errorf("execute and publish allocated %.1f per task, want at most %d", allocs, want)
+	}
+}
+
+// TestInjectRunAllocs pins what a source pays to publish a run of eight:
+// the injection command, its events and the run's records — one allocation
+// each, however long the run.
+func TestInjectRunAllocs(t *testing.T) {
+	const want = 3
+	eng, _, pool, _ := buildBatchPipeline(t, nil, nil)
+	defer pool.Close()
+	s, err := eng.Source(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcNode, down := eng.nodes[0], eng.nodes[1]
+	items := make([]BatchItem, 8)
+	allocs := testing.AllocsPerRun(300, func() {
+		if _, err := s.EmitBatch(items); err != nil {
+			t.Fatal(err)
+		}
+		it, _ := srcNode.mailbox.Pop()
+		srcNode.handleInject(it.inject)
+		if run, _ := down.mailbox.Pop(); len(run.msg.Events) != 8 {
+			t.Fatalf("downstream got a run of %d, want 8", len(run.msg.Events))
+		}
+	})
+	if allocs > want {
+		t.Errorf("injecting a run of 8 allocated %.1f, want at most %d", allocs, want)
 	}
 }
 
 // TestCommitTurnOfOneAllocs pins what a committer turn over one ready task
 // costs: committing its transaction and retiring it, with one speculative
-// output to FINALIZE downstream and one input to ACK upstream. The bound is
-// what the unbatched committer loop that this path replaced measured with
-// the same harness at its last commit.
+// output to FINALIZE downstream and one input to ACK upstream. Nothing: the
+// gather and retire scratch is the committer's, and the two frames are
+// queued by value.
 func TestCommitTurnOfOneAllocs(t *testing.T) {
-	const parentAllocs = 3 // inline commit + finishCommit at 7b417f7
 	eng, _, pool, _ := buildBatchPipeline(t, nil, nil)
 	defer pool.Close()
 	n := eng.nodes[1] // stage0: upstream src, downstream stage1
@@ -162,7 +241,7 @@ func TestCommitTurnOfOneAllocs(t *testing.T) {
 			ev: event.Event{ID: id}, tx: tx, sent: []*outRecord{rec},
 		}
 		n.tasks[id] = tk
-		n.bySeq[tk.seq] = tk
+		n.open.push(tk)
 	}
 	allocs := testing.AllocsPerRun(turns, func() {
 		n.commitBatch(1)
@@ -170,8 +249,8 @@ func TestCommitTurnOfOneAllocs(t *testing.T) {
 	if got := n.cCommitted.Load(); got != turns+1 {
 		t.Fatalf("committed %d tasks, want %d", got, turns+1)
 	}
-	if allocs > parentAllocs {
-		t.Errorf("a committer turn over one task allocated %.1f, want at most %d", allocs, parentAllocs)
+	if allocs != 0 {
+		t.Errorf("a committer turn over one task allocated %.1f, want 0", allocs)
 	}
 }
 

@@ -67,7 +67,7 @@ func TestChaosSeedSweep(t *testing.T) {
 				}
 				planInfo = "pos=" + fmtInt(plan.pos) + "/" + fmtInt(len(plan.order)) + " head:" + planInfo + " buffered=" + fmtInt(len(plan.buffered)) + " tail=" + fmtInt(len(plan.tail))
 			}
-			open := len(n.bySeq)
+			open := n.open.n
 			committed := len(n.committed)
 			tasks := len(n.tasks)
 			n.mu.Unlock()

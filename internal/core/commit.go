@@ -69,7 +69,7 @@ func (n *node) conflictRetry(t *task, tx *stm.Tx) {
 	if tr := n.eng.tracer; tr != nil {
 		tr.RecordTrace(n.spec.Name, evID.String(), evTrace, metrics.PhaseAbort, "cause=conflict")
 	}
-	n.mailbox.Push(cmdReexec{t: t, tx: tx})
+	n.mailbox.PushReexec(cmdReexec{t: t, tx: tx})
 }
 
 // commitBatch is one turn of the committer: gather the run of consecutive
@@ -80,7 +80,6 @@ func (n *node) conflictRetry(t *task, tx *stm.Tx) {
 // latency, it only amortizes tasks that are already ready).
 func (n *node) commitBatch(max int) {
 	gen := n.commitSignalGen()
-	head := n.nextCommit.Load()
 	run := n.commitRun[:0]
 	txs := n.commitTxs[:0]
 	defer func() {
@@ -90,31 +89,29 @@ func (n *node) commitBatch(max int) {
 		clear(txs[:cap(txs)])
 		n.commitRun, n.commitTxs = run[:0], txs[:0]
 	}()
-	for len(run) < max {
-		n.mu.Lock()
-		t := n.bySeq[head+int64(len(run))]
-		n.mu.Unlock()
-		if t == nil {
-			break
-		}
+	// One n.mu hold gathers the candidates; each is then judged under its
+	// own lock (t.mu comes before n.mu).
+	n.mu.Lock()
+	for i := 0; i < min(max, n.open.n); i++ {
+		run = append(run, n.open.at(i))
+	}
+	n.mu.Unlock()
+	for _, t := range run {
 		t.mu.Lock()
 		state := t.state
 		ready := state == taskOpen && t.published && t.evFinal && t.pendingLogs == 0
 		tx := t.tx
 		t.mu.Unlock()
-		if state == taskCancelled {
-			if len(run) > 0 {
-				break // commit the gathered prefix first
-			}
+		if state == taskCancelled && len(txs) == 0 {
 			n.cleanupHead(t)
 			return
 		}
 		if !ready {
-			break
+			break // a cancelled task waits until the ready prefix has committed
 		}
-		run = append(run, t)
 		txs = append(txs, tx)
 	}
+	run = run[:len(txs)]
 	if len(run) == 0 {
 		n.waitCommitSignal(gen)
 		return
@@ -149,7 +146,7 @@ func (n *node) commitBatch(max int) {
 // cursor.
 func (n *node) cleanupHead(t *task) {
 	n.mu.Lock()
-	delete(n.bySeq, t.seq)
+	n.open.pop()
 	delete(n.tasks, t.ev.ID)
 	n.mu.Unlock()
 	t.mu.Lock()
@@ -272,10 +269,7 @@ func (n *node) retireGroup(run []*task) {
 		} else {
 			// Baseline path: outputs were held; publish them final now.
 			for k, out := range t.outs {
-				n.mu.Lock()
-				rec := n.bufferOutput(outputID(n.opID, p.inputID, k), out, p.inTrace, true)
-				n.mu.Unlock()
-				t.sent = append(t.sent, rec)
+				rec := t.addSent(outputID(n.opID, p.inputID, k), out, p.inTrace, true)
 				n.cFinalSent.Add(1)
 				if tr := n.eng.tracer; tr != nil {
 					tr.RecordTrace(n.spec.Name, rec.id.String(), rec.trace, metrics.PhaseFinalOut, "from="+p.inputID.String())
@@ -292,7 +286,7 @@ func (n *node) retireGroup(run []*task) {
 		p := &posts[i]
 		n.committed[p.inputID] = true
 		delete(n.tasks, p.inputID)
-		delete(n.bySeq, p.t.seq)
+		n.open.pop()
 		delete(n.pendFin, p.inputID)
 		delete(n.pendRevoke, p.inputID)
 		n.lastCommitted[p.input] = p.inputID

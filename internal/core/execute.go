@@ -29,19 +29,23 @@ func (n *node) appendRecords(t *task, recs []wal.Record) {
 	}
 }
 
-// worker executes queued tasks under speculative transactions.
+// worker executes queued tasks under speculative transactions. The attempt
+// scratch is the worker's: a task has at most one attempt in flight
+// (handleReexec never re-queues an executing task), so an attempt can never
+// observe another one's context.
 func (n *node) worker() {
 	defer n.wg.Done()
+	ctx := new(procCtx)
 	for {
 		t, ok := n.execQ.Pop()
 		if !ok {
 			return
 		}
-		n.runTask(t)
+		n.runTask(t, ctx)
 	}
 }
 
-func (n *node) runTask(t *task) {
+func (n *node) runTask(t *task, ctx *procCtx) {
 	t.mu.Lock()
 	if t.state != taskQueued || t.tx != nil {
 		t.mu.Unlock()
@@ -95,16 +99,15 @@ func (n *node) runTask(t *task) {
 		return
 	}
 	tx := n.mem.Begin(t.seq)
+	tx.OnAbort(t)
 	t.tx = tx
 	t.state = taskExecuting
 	t.attempts++
-	ev := t.ev.Clone()
-	decisions := t.decisions // immutable during execution
+	// The operator gets the event as it is: the payload lives in the run's
+	// arena, and nothing writes it (a replacement swaps t.ev whole).
+	ev := t.ev
+	ctx.begin(t, tx)
 	t.mu.Unlock()
-
-	tx.OnAbort(func(*stm.Tx) {
-		n.mailbox.Push(cmdReexec{t: t, tx: tx})
-	})
 
 	// Attempt CPU is only measured when profiling is on; the clock reads
 	// bracket the operator call plus STM completion, the work a later
@@ -113,7 +116,6 @@ func (n *node) runTask(t *task) {
 	if n.prof != nil {
 		attemptStart = time.Now()
 	}
-	ctx := &procCtx{t: t, tx: tx, decisions: decisions, truncateAt: -1}
 	var err error
 	if n.spec.Op != nil {
 		err = n.spec.Op.Process(ctx, ev)
@@ -162,7 +164,7 @@ func (n *node) runTask(t *task) {
 		t.decisions = t.decisions[:ctx.truncateAt]
 	}
 	t.decisions = append(t.decisions, ctx.taken...)
-	t.outs = ctx.outs
+	t.setOuts(ctx.outs)
 	newDecs := ctx.taken
 	if len(newDecs) > 0 {
 		t.pendingLogs++
@@ -223,8 +225,9 @@ func (n *node) publishOutputs(t *task) {
 		rec  *outRecord
 		spec bool
 	}
-	var sends []sendOp
-	var revokes []*outRecord
+	var sendBuf [2]sendOp // both lists stay on the stack up to two entries
+	var revokeBuf [2]*outRecord
+	sends, revokes := sendBuf[:0], revokeBuf[:0]
 
 	t.mu.Lock()
 	if t.state != taskOpen {
@@ -232,6 +235,7 @@ func (n *node) publishOutputs(t *task) {
 		return
 	}
 	spec := n.computeTainted(t)
+	tx := t.tx
 	inputID := t.ev.ID
 	inTrace := t.ev.Trace
 	if spec && !t.tainted {
@@ -256,26 +260,23 @@ func (n *node) publishOutputs(t *task) {
 			sends = append(sends, sendOp{rec: rec, spec: true})
 			continue
 		}
-		n.mu.Lock()
-		rec := n.bufferOutput(outputID(n.opID, inputID, k), out, inTrace, !spec)
-		n.mu.Unlock()
-		t.sent = append(t.sent, rec)
+		rec := t.addSent(outputID(n.opID, inputID, k), out, inTrace, !spec)
 		sends = append(sends, sendOp{rec: rec, spec: spec})
 	}
 	if len(t.outs) < len(t.sent) {
 		revokes = append(revokes, t.sent[len(t.outs):]...)
+		clear(t.sent[len(t.outs):])
 		t.sent = t.sent[:len(t.outs)]
 	}
 	if n.eng.met != nil {
-		// Stamped under t.mu: the committer reads specAt (retireGroup) the
-		// moment the task commits, which can be before the sends below.
+		// Stamped under t.mu, which the committer reads specAt under
+		// (retireGroup).
 		for _, s := range sends {
 			if s.spec && s.rec.specAt.IsZero() {
 				s.rec.specAt = time.Now()
 			}
 		}
 	}
-	t.published = true
 	t.mu.Unlock()
 
 	for _, s := range sends {
@@ -294,11 +295,23 @@ func (n *node) publishOutputs(t *task) {
 			}
 			tr.RecordTrace(n.spec.Name, s.rec.id.String(), inTrace, phase, "from="+inputID.String())
 		}
-		n.deliverToPort(s.rec.port, transport.Message{
-			Type: transport.MsgEvent, Event: s.rec.toEvent(s.spec),
-		})
+		// The record is read as late as possible, under the lock a later
+		// attempt changes it under: a send that lost the race to that
+		// attempt's then repeats its version instead of following it with a
+		// stale one.
+		t.mu.Lock()
+		port, ev := s.rec.port, s.rec.toEvent(s.spec)
+		t.mu.Unlock()
+		n.deliverToPort(port, transport.Message{Type: transport.MsgEvent, Event: ev})
 	}
 	for _, rec := range revokes {
 		n.revokeRecord(rec)
 	}
+	// Published only once delivered: the committer must not finalize an
+	// output ahead of the event that carries it.
+	t.mu.Lock()
+	if t.tx == tx && t.state == taskOpen {
+		t.published = true
+	}
+	t.mu.Unlock()
 }

@@ -153,14 +153,11 @@ func (l *callbackLink) finalize(id event.ID, version event.Version) {
 func (l *callbackLink) buffered() bool { return false }
 
 // linkQueue is a plain unbounded FIFO (no lane split: per-link order is
-// preserved exactly) feeding a creditedLink's sender goroutine. Popped
-// slots are cleared and the backing array is reused once the queue
-// drains, so steady-state traffic does not reallocate per message.
+// preserved exactly) feeding a creditedLink's sender goroutine.
 type linkQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	items  []transport.Message
-	head   int
+	items  ring[transport.Message]
 	closed bool
 }
 
@@ -173,41 +170,22 @@ func newLinkQueue() *linkQueue {
 func (q *linkQueue) push(m transport.Message) {
 	q.mu.Lock()
 	if !q.closed {
-		q.items = append(q.items, m)
+		q.items.push(m)
 		q.cond.Signal()
 	}
 	q.mu.Unlock()
 }
 
-// resetLocked reclaims the backing array once the queue is empty, or
-// compacts it when the dead head region dominates a large queue.
-func (q *linkQueue) resetLocked() {
-	switch {
-	case q.head == len(q.items):
-		q.items = q.items[:0]
-		q.head = 0
-	case q.head >= 1024 && q.head*2 >= len(q.items):
-		n := copy(q.items, q.items[q.head:])
-		clear(q.items[n:])
-		q.items = q.items[:n]
-		q.head = 0
-	}
-}
-
 func (q *linkQueue) pop() (transport.Message, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for q.head == len(q.items) && !q.closed {
+	for q.items.n == 0 && !q.closed {
 		q.cond.Wait()
 	}
-	if q.head == len(q.items) {
+	if q.items.n == 0 {
 		return transport.Message{}, false
 	}
-	m := q.items[q.head]
-	q.items[q.head] = transport.Message{} // release payload references
-	q.head++
-	q.resetLocked()
-	return m, true
+	return q.items.pop(), true
 }
 
 // takeEvents pops up to max immediately-following single-EVENT messages
@@ -215,18 +193,10 @@ func (q *linkQueue) pop() (transport.Message, bool) {
 // dst. It stops at the first non-EVENT item (control and batch frames keep
 // their queue position), so per-link ordering is preserved exactly.
 func (q *linkQueue) takeEvents(dst []event.Event, max int) []event.Event {
-	if max <= 0 {
-		return dst
-	}
 	q.mu.Lock()
-	n := 0
-	for n < max && q.head+n < len(q.items) && q.items[q.head+n].Type == transport.MsgEvent {
-		dst = append(dst, q.items[q.head+n].Event)
-		q.items[q.head+n] = transport.Message{}
-		n++
+	for ; max > 0 && q.items.n > 0 && q.items.at(0).Type == transport.MsgEvent; max-- {
+		dst = append(dst, q.items.pop().Event)
 	}
-	q.head += n
-	q.resetLocked()
 	q.mu.Unlock()
 	return dst
 }
@@ -234,7 +204,7 @@ func (q *linkQueue) takeEvents(dst []event.Event, max int) []event.Event {
 func (q *linkQueue) len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.items) - q.head
+	return q.items.n
 }
 
 func (q *linkQueue) close() {

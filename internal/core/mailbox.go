@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"streammine/internal/event"
 	"streammine/internal/metrics"
 	"streammine/internal/transport"
 )
@@ -31,8 +30,8 @@ import (
 type mailbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	ctl    []any
-	data   []any
+	ctl    ring[mailItem]
+	data   ring[mailItem]
 	closed bool
 
 	dataCap   int // 0 = unbounded (no accounting against a bound)
@@ -40,11 +39,52 @@ type mailbox struct {
 	dataHigh  int
 	overflow  uint64
 
-	// qdelay, when set, observes data-lane queueing delay (push→pop);
-	// dataTS mirrors data with per-item push stamps. nil qdelay keeps the
-	// unmetered path free of clock reads and slice traffic.
+	// qdelay, when set, observes data-lane queueing delay (push→pop) from
+	// the items' push stamps. nil qdelay keeps the unmetered path free of
+	// clock reads.
 	qdelay *metrics.HDR
-	dataTS []int64
+}
+
+// mailItem is the one element type of both lanes: a frame, a re-execution
+// command (reexec.t set) or a source injection (inject set). A concrete
+// type rather than any, so that queueing a frame does not box it.
+type mailItem struct {
+	msg      transport.Message
+	reexec   cmdReexec
+	inject   *cmdInject
+	pushedNs int64 // data-lane push stamp; zero unless qdelay is set
+}
+
+// ring is a growable FIFO ring buffer. Nothing is allocated before the
+// first push, a full ring doubles, and a popped slot is zeroed so that it
+// pins nothing.
+type ring[T any] struct {
+	buf  []T // len is zero or a power of two
+	head int // index of the oldest element
+	n    int
+}
+
+func (r *ring[T]) push(v T) {
+	if r.n == len(r.buf) {
+		grown := make([]T, max(2*len(r.buf), 8))
+		k := copy(grown, r.buf[r.head:])
+		copy(grown[k:], r.buf[:r.head])
+		r.buf, r.head = grown, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
+	r.n++
+}
+
+// at returns the i-th oldest element, 0 <= i < r.n.
+func (r *ring[T]) at(i int) T { return r.buf[(r.head+i)&(len(r.buf)-1)] }
+
+func (r *ring[T]) pop() T {
+	var zero T
+	v := r.buf[r.head]
+	r.buf[r.head] = zero
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return v
 }
 
 func newMailbox() *mailbox {
@@ -72,28 +112,37 @@ func (m *mailbox) SetQueueDelay(h *metrics.HDR) {
 // dataWeight classifies an item onto the data lane and reports how many
 // events it carries: the length of an input run or a source injection.
 // Control items weigh 0.
-func dataWeight(item any) int {
-	switch v := item.(type) {
-	case transport.Message:
-		var one [1]event.Event
-		return len(eventsOf(&v, &one))
-	case *cmdInject:
-		return len(v.evs)
+func (it *mailItem) dataWeight() int {
+	switch {
+	case it.inject != nil:
+		return len(it.inject.evs)
+	case it.msg.Type == transport.MsgEvent:
+		return 1
+	case it.msg.Type == transport.MsgEventBatch:
+		return len(it.msg.Events)
 	}
 	return 0
 }
 
-// Push enqueues an item on its lane; it never blocks. Pushing to a closed
+// Push enqueues a frame on its lane; it never blocks. Pushing to a closed
 // mailbox is a silent no-op (shutdown races are benign).
-func (m *mailbox) Push(item any) {
+func (m *mailbox) Push(msg transport.Message) { m.push(mailItem{msg: msg}) }
+
+// PushReexec enqueues a re-execution command on the control lane.
+func (m *mailbox) PushReexec(c cmdReexec) { m.push(mailItem{reexec: c}) }
+
+// PushInject enqueues a source injection on the data lane.
+func (m *mailbox) PushInject(c *cmdInject) { m.push(mailItem{inject: c}) }
+
+func (m *mailbox) push(it mailItem) {
 	m.mu.Lock()
 	if !m.closed {
-		if w := dataWeight(item); w > 0 {
-			m.data = append(m.data, item)
-			m.dataDepth += w
+		if w := it.dataWeight(); w > 0 {
 			if m.qdelay != nil {
-				m.dataTS = append(m.dataTS, time.Now().UnixNano())
+				it.pushedNs = time.Now().UnixNano()
 			}
+			m.data.push(it)
+			m.dataDepth += w
 			if m.dataDepth > m.dataHigh {
 				m.dataHigh = m.dataDepth
 			}
@@ -101,7 +150,7 @@ func (m *mailbox) Push(item any) {
 				m.overflow++
 			}
 		} else {
-			m.ctl = append(m.ctl, item)
+			m.ctl.push(it)
 		}
 		m.cond.Signal()
 	}
@@ -111,35 +160,31 @@ func (m *mailbox) Push(item any) {
 // Pop dequeues the oldest control item, or the oldest data item when the
 // control lane is empty, blocking while both lanes are empty. It returns
 // ok=false once the mailbox is closed and drained.
-func (m *mailbox) Pop() (any, bool) {
+func (m *mailbox) Pop() (mailItem, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for len(m.ctl) == 0 && len(m.data) == 0 && !m.closed {
+	for m.ctl.n == 0 && m.data.n == 0 && !m.closed {
 		m.cond.Wait()
 	}
-	if len(m.ctl) > 0 {
-		item := m.ctl[0]
-		m.ctl = m.ctl[1:]
-		return item, true
+	if m.ctl.n > 0 {
+		return m.ctl.pop(), true
 	}
-	if len(m.data) > 0 {
-		item := m.data[0]
-		m.data = m.data[1:]
-		m.dataDepth -= dataWeight(item)
-		if m.qdelay != nil && len(m.dataTS) > 0 {
-			m.qdelay.Observe(time.Now().UnixNano() - m.dataTS[0])
-			m.dataTS = m.dataTS[1:]
+	if m.data.n > 0 {
+		it := m.data.pop()
+		m.dataDepth -= it.dataWeight()
+		if it.pushedNs != 0 {
+			m.qdelay.Observe(time.Now().UnixNano() - it.pushedNs)
 		}
-		return item, true
+		return it, true
 	}
-	return nil, false
+	return mailItem{}, false
 }
 
 // Len reports the queued item count across both lanes.
 func (m *mailbox) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.ctl) + len(m.data)
+	return m.ctl.n + m.data.n
 }
 
 // DataDepth reports the data-lane occupancy in events (a queued batch
@@ -185,9 +230,8 @@ func (m *mailbox) Close() {
 // dropped here are exactly the unacknowledged ones upstream will replay.
 func (m *mailbox) Reopen() {
 	m.mu.Lock()
-	m.ctl = nil
-	m.data = nil
-	m.dataTS = nil
+	m.ctl = ring[mailItem]{}
+	m.data = ring[mailItem]{}
 	m.dataDepth = 0
 	m.dataHigh = 0
 	m.closed = false

@@ -61,9 +61,11 @@ type node struct {
 	mailbox *mailbox
 	execQ   *taskQueue
 
-	mu            sync.Mutex
-	tasks         map[event.ID]*task
-	bySeq         map[int64]*task
+	mu    sync.Mutex
+	tasks map[event.ID]*task
+	// open holds the tasks admitted and not yet retired, oldest first.
+	// Sequences are dense, so slot i is the task with seq nextSeq-open.n+i.
+	open          ring[*task]
 	nextSeq       int64
 	committed     map[event.ID]bool
 	outBuf        map[event.ID]*outRecord
@@ -220,7 +222,7 @@ func newNode(eng *Engine, spec graph.Node, rng *detrand.Source, log *wal.Log) (*
 // n.mu, or owns the node outright.
 func (n *node) resetVolatile() {
 	n.tasks = make(map[event.ID]*task)
-	n.bySeq = make(map[int64]*task)
+	n.open = ring[*task]{}
 	n.committed = make(map[event.ID]bool)
 	n.outBuf = make(map[event.ID]*outRecord)
 	n.lastCommitted = make(map[int]event.ID)
@@ -406,7 +408,7 @@ func (n *node) stats() NodeStats {
 func (n *node) openCount() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return len(n.bySeq) + int(n.retiring.Load())
+	return n.open.n + int(n.retiring.Load())
 }
 
 // drain blocks until the node has no queued work, no open tasks, and no
@@ -430,17 +432,17 @@ func (n *node) quiet() bool {
 func (n *node) dispatcher() {
 	defer n.wg.Done()
 	for {
-		item, ok := n.mailbox.Pop()
+		it, ok := n.mailbox.Pop()
 		if !ok {
 			return
 		}
-		switch v := item.(type) {
-		case transport.Message:
-			n.handleMessage(v)
-		case cmdReexec:
-			n.handleReexec(v)
-		case *cmdInject:
-			n.handleInject(v)
+		switch {
+		case it.inject != nil:
+			n.handleInject(it.inject)
+		case it.reexec.t != nil:
+			n.handleReexec(it.reexec)
+		default:
+			n.handleMessage(it.msg)
 		}
 	}
 }

@@ -64,7 +64,8 @@ func (n *node) crash() {
 	// Abort open transactions so no downstream STM chains dangle. (All
 	// state dies with the memory anyway; this is bookkeeping hygiene.)
 	n.mu.Lock()
-	for _, t := range n.bySeq {
+	for i := 0; i < n.open.n; i++ {
+		t := n.open.at(i)
 		t.mu.Lock()
 		tx := t.tx
 		t.mu.Unlock()
@@ -219,9 +220,11 @@ func (n *node) restoreDurable() error {
 		// Rebuild the output buffer from the snapshot so a downstream
 		// replay request can re-send outputs whose inputs the snapshot
 		// covers; downstream identity dedup absorbs any it already has.
-		for _, o := range snap.Outputs {
+		recs := make([]outRecord, len(snap.Outputs))
+		for i, o := range snap.Outputs {
 			out := pendingOut{port: o.Port, ts: o.Timestamp, key: o.Key, payload: o.Payload}
-			n.bufferOutput(o.ID, out, o.Trace, true).version = event.Version(o.Version)
+			n.bufferOutput(&recs[i], o.ID, out, o.Trace, true)
+			recs[i].version = event.Version(o.Version)
 		}
 		n.mu.Unlock()
 	case isNotFound(err):

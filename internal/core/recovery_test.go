@@ -286,7 +286,7 @@ func TestReplayRequestResendsUnacked(t *testing.T) {
 		t.Fatalf("proc committed %d, want %d (duplicates must not re-commit)", st.Committed, total)
 	}
 	procNode.mu.Lock()
-	open := len(procNode.bySeq)
+	open := procNode.open.n
 	procNode.mu.Unlock()
 	if open != 0 {
 		t.Fatalf("%d tasks created from duplicates", open)
@@ -325,7 +325,7 @@ func TestReplayResendsOldestFirst(t *testing.T) {
 	}
 	for i := 1; i <= total; i++ {
 		item, _ := procNode.mailbox.Pop()
-		if m := item.(transport.Message); m.Event.ID.Seq != event.Seq(i) {
+		if m := item.msg; m.Event.ID.Seq != event.Seq(i) {
 			t.Fatalf("re-sent frame %d carries seq %d: not oldest first", i, m.Event.ID.Seq)
 		}
 	}

@@ -1,0 +1,423 @@
+package core
+
+import (
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"streammine/internal/event"
+	"streammine/internal/graph"
+	"streammine/internal/operator"
+	"streammine/internal/stm"
+	"streammine/internal/storage"
+	"streammine/internal/transport"
+)
+
+// gatePoint names a place an attempt can be held at: before the operator
+// touches state, or (mid) between its first and its later outputs.
+type gatePoint struct {
+	seq event.Seq
+	mid bool
+}
+
+// gateVisit is what an attempt reports when it reaches an armed gate.
+type gateVisit struct {
+	serial uint64
+	tx     *stm.Tx
+}
+
+type gate struct {
+	entered chan gateVisit
+	release chan struct{}
+}
+
+// reuseOp adds each event's value to one state word and emits outputs that
+// depend on what the attempt saw: the running sum, and the attempt's serial
+// number. It emits one output on port 0; a second, on port 1, for an odd
+// value; a third, on port 0 again, for a value of 3 mod 4.
+type reuseOp struct {
+	t      *testing.T
+	word   stm.Addr
+	serial atomic.Uint64
+
+	mu    sync.Mutex
+	gates map[gatePoint]*gate // armed by the test, consumed by one attempt
+	busy  map[event.Seq]bool  // an attempt of this input is inside Process
+}
+
+func (o *reuseOp) Init(ctx operator.InitContext) (err error) {
+	o.word, err = ctx.Memory().Alloc(1)
+	return err
+}
+
+func (o *reuseOp) Terminate() error { return nil }
+
+func (o *reuseOp) arm(p gatePoint) *gate {
+	g := &gate{entered: make(chan gateVisit, 1), release: make(chan struct{})}
+	o.mu.Lock()
+	o.gates[p] = g
+	o.mu.Unlock()
+	return g
+}
+
+func (o *reuseOp) pass(p gatePoint, v gateVisit) {
+	o.mu.Lock()
+	g := o.gates[p]
+	delete(o.gates, p)
+	o.mu.Unlock()
+	if g != nil {
+		g.entered <- v
+		<-g.release
+	}
+}
+
+func (o *reuseOp) Process(ctx operator.Context, e event.Event) error {
+	seq := e.ID.Seq
+	o.mu.Lock()
+	if o.busy[seq] {
+		o.t.Errorf("two attempts of input %d are in flight", seq)
+	}
+	o.busy[seq] = true
+	o.mu.Unlock()
+	defer func() {
+		o.mu.Lock()
+		delete(o.busy, seq)
+		o.mu.Unlock()
+	}()
+
+	tx := ctx.Tx()
+	visit := gateVisit{serial: o.serial.Add(1), tx: tx}
+	v := operator.DecodeValue(e.Payload)
+	o.pass(gatePoint{seq: seq}, visit)
+	cur, err := tx.Read(o.word)
+	if err != nil {
+		return err
+	}
+	sum := cur + v
+	if err := tx.Write(o.word, sum); err != nil {
+		return err
+	}
+	if err := ctx.EmitTo(0, e.Key, operator.EncodePair(sum, visit.serial)); err != nil {
+		return err
+	}
+	o.pass(gatePoint{seq: seq, mid: true}, visit)
+	if v%2 == 1 {
+		if err := ctx.EmitTo(1, e.Key, operator.EncodePair(sum+1, visit.serial)); err != nil {
+			return err
+		}
+	}
+	if v%4 == 3 {
+		return ctx.EmitTo(0, e.Key, operator.EncodePair(sum+2, visit.serial))
+	}
+	return nil
+}
+
+// reuseRig is src -> op (two ports, speculative) -> one non-speculative sink
+// node per port. The sinks' subscribers collect finals; two more
+// subscribers, directly on op's ports, see every version op ever publishes.
+type reuseRig struct {
+	t     *testing.T
+	eng   *Engine
+	op    *reuseOp
+	n     *node // op's
+	sinks [2]*node
+
+	mu        sync.Mutex
+	finals    map[event.ID]uint64   // output ID -> the final's value
+	published map[event.ID][]uint64 // output ID -> serial of each version published
+}
+
+func newReuseRig(t *testing.T, workers int) *reuseRig {
+	r := &reuseRig{
+		t:         t,
+		op:        &reuseOp{t: t, gates: make(map[gatePoint]*gate), busy: make(map[event.Seq]bool)},
+		finals:    make(map[event.ID]uint64),
+		published: make(map[event.ID][]uint64),
+	}
+	g := graph.New()
+	src := g.AddNode(graph.Node{Name: "src"})
+	op := g.AddNode(graph.Node{
+		Name: "op", Op: r.op, Traits: operator.Traits{Stateful: true, Deterministic: true, StateWords: 1},
+		Speculative: true, Workers: workers, OutputPorts: 2,
+	})
+	g.Connect(src, 0, op, 0)
+	pool := storage.NewPool([]storage.Disk{storage.NewMemDisk()})
+	t.Cleanup(func() { pool.Close() })
+	sinks := make([]graph.NodeID, 2)
+	for port := range sinks {
+		sinks[port] = g.AddNode(graph.Node{Name: "sink" + string(rune('0'+port)), Op: &operator.Passthrough{}})
+		g.Connect(op, port, sinks[port], 0)
+	}
+	// StrictFinality: the script makes an older task write what a younger
+	// one has read, the interleaving in which the default rule may let a
+	// final go out and change afterwards (DESIGN.md §9.1).
+	eng, err := New(g, Options{Seed: 3, Pool: pool, StrictFinality: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for port, sink := range sinks {
+		if err := eng.Subscribe(op, port, r.onPublish); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Subscribe(sink, 0, r.onFinal); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Stop)
+	r.eng, r.n = eng, eng.nodes[op]
+	r.sinks = [2]*node{eng.nodes[sinks[0]], eng.nodes[sinks[1]]}
+	return r
+}
+
+func (r *reuseRig) onPublish(ev event.Event, final bool) {
+	_, serial := operator.DecodePair(ev.Payload)
+	r.mu.Lock()
+	r.published[ev.ID] = append(r.published[ev.ID], serial)
+	r.mu.Unlock()
+}
+
+// onFinal records a sink's output, whose ID derives from op's output ID;
+// the sinks are pass-through, so key and payload are op's.
+func (r *reuseRig) onFinal(ev event.Event, final bool) {
+	sum, _ := operator.DecodePair(ev.Payload)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, dup := r.finals[ev.ID]; dup || !final {
+		r.t.Errorf("sink output %s: final=%t duplicate=%t", ev.ID, final, dup)
+	}
+	r.finals[ev.ID] = sum
+}
+
+// send delivers version ver of input seq to op, carrying value v.
+func (r *reuseRig) send(seq event.Seq, ver event.Version, v uint64, spec bool) {
+	r.n.mailbox.Push(transport.Message{Type: transport.MsgEvent, Event: event.Event{
+		ID: event.ID{Source: 0, Seq: seq}, Timestamp: int64(seq), Version: ver, Speculative: spec,
+		Key: uint64(seq), Payload: operator.EncodeValue(v),
+	}})
+}
+
+// await polls cond, which reads engine state under the engine's own locks.
+func (r *reuseRig) await(what string, cond func() bool) {
+	r.t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			for _, n := range []*node{r.n, r.sinks[0], r.sinks[1]} {
+				r.t.Logf("%s: %d open, %d queued, %d in the mailbox, %d committed",
+					n.spec.Name, n.openCount(), n.execQ.Len(), n.mailbox.Len(), n.cCommitted.Load())
+			}
+			r.t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
+func (r *reuseRig) awaitFinals(want int) {
+	r.t.Helper()
+	r.await("finals", func() bool {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return len(r.finals) >= want
+	})
+}
+
+// sentState is what op's task for one input has sent, read under its lock.
+type sentState struct {
+	sent     int           // len(t.sent)
+	buffered int           // how many of the task's output IDs the output buffer holds
+	inline   bool          // the first sent record is the task's own
+	version  event.Version // of the first sent record
+}
+
+func (r *reuseRig) sentState(seq event.Seq) (st sentState) {
+	r.n.mu.Lock()
+	tk := r.n.tasks[event.ID{Source: 0, Seq: seq}]
+	r.n.mu.Unlock()
+	if tk == nil {
+		return st
+	}
+	tk.mu.Lock()
+	defer tk.mu.Unlock()
+	if !tk.published {
+		return st
+	}
+	st.sent = len(tk.sent)
+	if st.sent > 0 {
+		st.inline, st.version = tk.sent[0] == &tk.rec0, tk.sent[0].version
+	}
+	r.n.mu.Lock()
+	for k := 0; k < 3; k++ {
+		if _, ok := r.n.outBuf[outputID(r.n.opID, tk.ev.ID, k)]; ok {
+			st.buffered++
+		}
+	}
+	r.n.mu.Unlock()
+	return st
+}
+
+// TestAttemptScratchReuseSafety drives a two-worker node through attempts
+// that are aborted while they execute — by a content-changing replacement,
+// and by an older event's conflicting write — and through a task whose
+// outputs spill past the inline slot, shrink under a replacement and grow
+// again. The workers reuse their attempt context and the task holds its
+// first output inline, so the test checks what that could break: every
+// final equals the single-threaded reference, no output of an attempt
+// aborted mid-execution is ever published, and sent list and output buffer
+// agree at every step.
+func TestAttemptScratchReuseSafety(t *testing.T) {
+	// The final version of each input, in arrival order: the reference.
+	values := []uint64{2, 6, 5, 1, 2}
+	ref := newReuseRig(t, 1)
+	for i, v := range values {
+		ref.send(event.Seq(i+1), 0, v, false)
+	}
+	ref.awaitFinals(7) // one per input, two more on port 1 for the odd values
+	ref.eng.Drain()
+
+	r := newReuseRig(t, 2)
+	doomed := make(map[uint64]bool)
+	r.send(1, 0, 2, false)
+	r.awaitFinals(1)
+
+	// Replaced while executing: the attempt has emitted one of its three
+	// outputs when its input changes under it.
+	g := r.op.arm(gatePoint{seq: 2, mid: true})
+	r.send(2, 0, 3, true)
+	held := <-g.entered
+	r.send(2, 1, 6, false)
+	r.await("the replaced attempt's abort", func() bool { return held.tx.Status() == stm.StatusAborted })
+	doomed[held.serial] = true
+	close(g.release)
+	r.awaitFinals(2)
+
+	// Spilled, revoked, grown again: three outputs on two ports, then one,
+	// then two.
+	r.send(3, 0, 7, true)
+	r.await("three outputs sent", func() bool {
+		return r.sentState(3) == sentState{sent: 3, buffered: 3, inline: true}
+	})
+	// The sinks must have all three before the replacement exists: the
+	// worker delivers after it has released the task, and a REVOKE from the
+	// next attempt must not meet an EVENT still on its way.
+	r.await("three outputs delivered", func() bool {
+		return r.sinks[0].cDispatched.Load() == 4 && r.sinks[1].cDispatched.Load() == 1
+	})
+	r.send(3, 1, 4, true)
+	r.await("two outputs revoked", func() bool {
+		return r.sentState(3) == sentState{sent: 1, buffered: 1, inline: true, version: 1}
+	})
+	// Likewise the port-1 sink must be done with the revoked output before
+	// the same output ID comes back.
+	r.await("the revoke downstream", func() bool { return r.sinks[1].openCount() == 0 })
+	r.send(3, 2, 5, false)
+	r.awaitFinals(4)
+
+	// Killed while executing: input 4 is held before it touches state,
+	// input 5 after it wrote it; 4's write then finds the younger owner.
+	g4 := r.op.arm(gatePoint{seq: 4})
+	g5 := r.op.arm(gatePoint{seq: 5, mid: true})
+	r.send(4, 0, 1, false)
+	<-g4.entered
+	r.send(5, 0, 2, false)
+	held = <-g5.entered
+	// 5's re-execution is held until 4 has committed: started earlier, it
+	// could read around 4's write and go out final (ROADMAP open item 1,
+	// bug 7), which is not what this test is about.
+	again := r.op.arm(gatePoint{seq: 5})
+	close(g4.release)
+	r.await("the younger attempt's kill", func() bool { return held.tx.Status() != stm.StatusActive })
+	doomed[held.serial] = true
+	close(g5.release)
+	<-again.entered
+	r.awaitFinals(6)
+	close(again.release)
+	r.awaitFinals(7)
+	r.eng.Drain()
+
+	if err := r.eng.Err(); err != nil {
+		t.Fatal(err)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.finals) != len(ref.finals) {
+		t.Errorf("%d finals, reference has %d", len(r.finals), len(ref.finals))
+	}
+	for id, want := range ref.finals {
+		if got, ok := r.finals[id]; !ok || got != want {
+			t.Errorf("final %s = %d (present %t), reference %d", id, got, ok, want)
+		}
+	}
+	for id, serials := range r.published {
+		for _, s := range serials {
+			if doomed[s] {
+				t.Errorf("output %s of aborted attempt %d was published", id, s)
+			}
+		}
+	}
+	r.mu.Unlock()
+	r.await("every output record's ACK", func() bool { return r.n.outBufLen() == 0 })
+	r.mu.Lock()
+}
+
+// TestReexecLeavesExecutingTaskAlone pins what makes worker-owned scratch
+// safe: a task has at most one attempt in flight. A re-execution request
+// for a task that is still executing is dropped — the executing worker
+// sees the abort itself and re-queues the task when it is done with it.
+func TestReexecLeavesExecutingTaskAlone(t *testing.T) {
+	eng, _, pool, _ := buildBatchPipeline(t, nil, nil)
+	defer pool.Close()
+	n := eng.nodes[1]
+	tx := n.mem.Begin(1)
+	tk := &task{n: n, seq: 1, state: taskExecuting, tx: tx, attempts: 1}
+	tx.OnAbort(tk)
+	tx.Abort()
+	it, ok := n.mailbox.Pop()
+	if !ok || it.reexec.t != tk || it.reexec.tx != tx {
+		t.Fatalf("abort hook queued %+v, want the task's re-execution", it.reexec)
+	}
+	n.handleReexec(it.reexec)
+	if tk.state != taskExecuting || tk.tx != tx || n.execQ.Len() != 0 {
+		t.Fatalf("executing task was re-queued: state %v, %d queued", tk.state, n.execQ.Len())
+	}
+	// Once the worker has let go of it, the same request re-queues it.
+	tk.state = taskQueued
+	n.handleReexec(it.reexec)
+	if tk.tx != nil || n.execQ.Len() != 1 {
+		t.Fatalf("released task not re-queued: tx %v, %d queued", tk.tx, n.execQ.Len())
+	}
+}
+
+// TestReplacementClosesOpenTask: a replacement that changes an open task's
+// input and makes it final must not leave the task committable with what it
+// executed for the old content, not even until the abort it triggers has
+// re-queued the task.
+func TestReplacementClosesOpenTask(t *testing.T) {
+	eng, _, pool, _ := buildBatchPipeline(t, nil, nil)
+	defer pool.Close()
+	n := eng.nodes[1]
+	id := event.ID{Source: 0, Seq: 1}
+	tx := n.mem.Begin(1)
+	if err := tx.Complete(); err != nil {
+		t.Fatal(err)
+	}
+	tk := &task{n: n, seq: 1, state: taskOpen, published: true, tx: tx,
+		ev: event.Event{ID: id, Speculative: true, Payload: operator.EncodeValue(1)}}
+	tx.OnAbort(tk)
+	n.applyReplacement(tk, event.Event{ID: id, Version: 1, Payload: operator.EncodeValue(2)})
+	if !tk.evFinal || tk.state == taskOpen {
+		t.Fatalf("after the replacement: evFinal %t, state %v; want final and no longer open", tk.evFinal, tk.state)
+	}
+	// The abort's re-execution request then re-queues it as usual.
+	it, ok := n.mailbox.Pop()
+	if !ok || it.reexec.t != tk {
+		t.Fatalf("the replacement queued %+v, want the task's re-execution", it.reexec)
+	}
+	n.handleReexec(it.reexec)
+	if tk.tx != nil || tk.published || n.execQ.Len() != 1 {
+		t.Fatalf("task not re-queued: tx %v, published %t, %d queued", tk.tx, tk.published, n.execQ.Len())
+	}
+}

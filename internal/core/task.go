@@ -65,6 +65,45 @@ type task struct {
 	sent         []*outRecord // outputs already sent downstream, by position
 	tainted      bool         // last published speculative state
 	throttleHeld bool         // holds a speculation-throttle slot
+
+	// The task owns what it published: the first output, its record and
+	// its sent slot live here, and outs and sent spill to the heap only
+	// past one output. The record keeps the task (and so its run's block)
+	// reachable until it is ACKed.
+	out0  [1]pendingOut
+	sent0 [1]*outRecord
+	rec0  outRecord
+}
+
+// TxAborted implements stm.AbortHook: the dispatcher re-executes the task.
+func (t *task) TxAborted(tx *stm.Tx) {
+	t.n.mailbox.PushReexec(cmdReexec{t: t, tx: tx})
+}
+
+// setOuts copies an attempt's outputs out of the worker's scratch. Caller
+// holds t.mu.
+func (t *task) setOuts(outs []pendingOut) {
+	if t.outs == nil {
+		t.outs = t.out0[:0]
+	}
+	t.outs = append(t.outs[:0], outs...)
+}
+
+// addSent creates, buffers (n.bufferOutput) and appends the record of the
+// task's next unsent output. Caller holds t.mu.
+func (t *task) addSent(id event.ID, out pendingOut, trace uint64, final bool) *outRecord {
+	rec := &t.rec0
+	if rec.seq != 0 { // emission sequences start at 1: rec0 has been used
+		rec = new(outRecord) // and is never reused, a reader may still hold it
+	}
+	if t.sent == nil {
+		t.sent = t.sent0[:0]
+	}
+	t.n.mu.Lock()
+	t.n.bufferOutput(rec, id, out, trace, final)
+	t.n.mu.Unlock()
+	t.sent = append(t.sent, rec)
+	return rec
 }
 
 // logDone settles one pending log append: lsn is the highest LSN it made
@@ -86,11 +125,13 @@ type pendingOut struct {
 	payload []byte
 }
 
-// procCtx implements operator.Context for one execution attempt. It is
-// confined to the executing worker goroutine.
+// procCtx implements operator.Context for one execution attempt. Each
+// worker goroutine owns one and resets it per attempt (begin), so taken and
+// outs keep their capacity; nothing in it outlives the attempt.
 type procCtx struct {
 	t  *task
 	tx *stm.Tx
+	ts int64 // the input event's application timestamp
 
 	// decisions is the sticky decision list snapshot for this attempt;
 	// replayCursor walks it. Decisions taken past its end (or after a
@@ -100,6 +141,16 @@ type procCtx struct {
 	truncateAt   int
 	taken        []decision
 	outs         []pendingOut
+}
+
+// begin resets the scratch for an attempt of t under tx. Caller holds t.mu.
+func (c *procCtx) begin(t *task, tx *stm.Tx) {
+	clear(c.outs) // drop the previous attempt's payloads
+	*c = procCtx{
+		t: t, tx: tx, ts: t.ev.Timestamp,
+		decisions:  t.decisions, // immutable during execution
+		truncateAt: -1, taken: c.taken[:0], outs: c.outs[:0],
+	}
 }
 
 // OperatorID implements operator.Context.
@@ -158,26 +209,14 @@ func (c *procCtx) EmitTo(port int, key uint64, payload []byte) error {
 	if port < 0 || port >= c.t.n.spec.OutputPorts {
 		return fmt.Errorf("core: node %q has no output port %d", c.t.n.spec.Name, port)
 	}
-	c.outs = append(c.outs, pendingOut{
-		port: port, ts: c.t.currentEventTS(), key: key,
-		payload: append([]byte(nil), payload...),
-	})
+	c.outs = append(c.outs, pendingOut{port: port, ts: c.ts, key: key, payload: payload})
 	return nil
 }
 
 // EmitAt implements operator.Context.
 func (c *procCtx) EmitAt(ts int64, key uint64, payload []byte) error {
-	c.outs = append(c.outs, pendingOut{
-		port: 0, ts: ts, key: key, payload: append([]byte(nil), payload...),
-	})
+	c.outs = append(c.outs, pendingOut{ts: ts, key: key, payload: payload})
 	return nil
-}
-
-// currentEventTS returns the input event's application timestamp.
-func (t *task) currentEventTS() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.ev.Timestamp
 }
 
 // outputID derives a deterministic output event ID from the node, the

@@ -337,3 +337,30 @@ func BenchmarkDecode(b *testing.B) {
 		}
 	}
 }
+
+// TestCodecAllocs pins the codec's allocations: encoding into a buffer with
+// room and decoding one event allocate nothing (the payload aliases the
+// source), and decoding a batch allocates its slice of events only.
+func TestCodecAllocs(t *testing.T) {
+	evs := make([]Event, 8)
+	for i := range evs {
+		evs[i] = New(ID{1, Seq(i)}, 3, bytes.Repeat([]byte{0x55}, 16))
+	}
+	one := evs[0].Encode(nil)
+	batch := EncodeBatch(nil, evs)
+	buf := make([]byte, 0, len(batch))
+	for _, tc := range []struct {
+		name string
+		want float64
+		fn   func()
+	}{
+		{"Encode", 0, func() { buf = evs[0].Encode(buf[:0]) }},
+		{"Decode", 0, func() { _, _, _ = Decode(one) }},
+		{"EncodeBatch", 0, func() { buf = EncodeBatch(buf[:0], evs) }},
+		{"DecodeBatch", 1, func() { _, _, _ = DecodeBatch(batch) }},
+	} {
+		if got := testing.AllocsPerRun(200, tc.fn); got > tc.want {
+			t.Errorf("%s allocated %.1f, want at most %.0f", tc.name, got, tc.want)
+		}
+	}
+}

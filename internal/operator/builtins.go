@@ -31,8 +31,9 @@ func (f *Filter) Process(ctx Context, e event.Event) error {
 // Map transforms each event's payload with Fn. Stateless, deterministic.
 type Map struct {
 	NopOperator
-	// Fn computes the output payload; returning an error drops the graph
-	// into failure handling.
+	// Fn computes the output payload, which it hands over (Context's
+	// ownership rule); returning an error drops the graph into failure
+	// handling.
 	Fn func(e event.Event) ([]byte, error)
 }
 

@@ -29,6 +29,15 @@ type InitContext interface {
 }
 
 // Context is passed to Operator.Process for each input event.
+//
+// Lifetime and ownership. ctx and e.Payload are valid only for the
+// duration of Process: the engine reuses the context for the next attempt,
+// and the payload is the engine's, shared and read-only — an operator must
+// not write to it or keep it. The Emit family takes ownership of the
+// payload it is handed instead of copying it: the slice must not be
+// modified after the call, so an operator emits either a buffer it built
+// for this output (EncodeValue, EncodePair) or e.Payload itself, never a
+// buffer it will reuse.
 type Context interface {
 	// OperatorID identifies this operator instance.
 	OperatorID() uint32

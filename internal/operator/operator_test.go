@@ -1,6 +1,7 @@
 package operator
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -29,6 +30,10 @@ type testHarness struct {
 	ts  int64
 
 	outs []emitted
+	// handed holds each emitted payload as the operator handed it over —
+	// outs holds a copy taken at that moment — so a test can tell whether
+	// an operator wrote to a buffer after emitting it.
+	handed [][]byte
 }
 
 type testInitCtx struct{ mem *stm.Memory }
@@ -55,10 +60,12 @@ func (c *testProcCtx) Emit(key uint64, payload []byte) error {
 }
 func (c *testProcCtx) EmitTo(port int, key uint64, payload []byte) error {
 	c.h.outs = append(c.h.outs, emitted{port: port, ts: c.ts, key: key, payload: append([]byte(nil), payload...)})
+	c.h.handed = append(c.h.handed, payload)
 	return nil
 }
 func (c *testProcCtx) EmitAt(ts int64, key uint64, payload []byte) error {
 	c.h.outs = append(c.h.outs, emitted{port: 0, ts: ts, key: key, payload: append([]byte(nil), payload...)})
+	c.h.handed = append(c.h.handed, payload)
 	return nil
 }
 
@@ -98,6 +105,105 @@ func (h *testHarness) mustFeed(input int, e event.Event) {
 
 func ev(seq uint64, ts int64, key uint64, val uint64) event.Event {
 	return event.Event{ID: event.ID{Source: 1, Seq: event.Seq(seq)}, Timestamp: ts, Key: key, Payload: EncodeValue(val)}
+}
+
+// TestEmitHandsOverPayload audits every built-in against Context's
+// ownership rule: a payload handed to Emit is never written again (the
+// engine keeps the slice, it does not copy it), and the input payload is
+// read-only. Each operator processes a stream that exercises its emitting
+// paths; afterwards every handed-over slice must still hold what it held
+// when it was emitted, and every input what it was fed.
+func TestEmitHandsOverPayload(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		op     Operator
+		words  int
+		inputs int
+	}{
+		{"Filter", &Filter{}, 0, 1},
+		{"Map", &Map{Fn: func(e event.Event) ([]byte, error) { return EncodeValue(DecodeValue(e.Payload) + 1), nil }}, 0, 1},
+		{"Enrich", &Enrich{Annotate: func(e event.Event) []byte { return []byte{0xEE} }}, 0, 1},
+		{"Union", &Union{}, 0, 2},
+		{"Split", &Split{Outputs: 3}, 0, 1},
+		{"Passthrough", &Passthrough{LogDecision: true}, 0, 1},
+		{"CountWindowAvg", &CountWindowAvg{Window: 3}, CountWindowTraits.StateWords, 1},
+		{"TimeWindowSum", &TimeWindowSum{Width: 4}, TimeWindowTraits.StateWords, 1},
+		{"Classifier", &Classifier{Classes: 4}, 4, 1},
+		{"Join", &Join{Buckets: 16}, JoinTraits(16).StateWords, 2},
+		{"SketchOp", &SketchOp{Depth: 4, Width: 64, Seed: 1}, SketchTraits(4, 64).StateWords, 1},
+		{"DistinctCount", &DistinctCount{Precision: 10, Seed: 1}, DistinctCountTraits(10).StateWords, 1},
+		{"Dedup", &Dedup{Capacity: 64}, DedupTraits(64).StateWords, 1},
+		{"Shedder", &Shedder{DropPerMille: 100}, 0, 1},
+		{"Pattern", &Pattern{Stages: []uint64{1, 2}, Buckets: 16}, PatternTraits(16).StateWords, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t, tc.op, tc.words)
+			var fed []event.Event
+			for i := uint64(0); i < 40; i++ {
+				e := ev(i, int64(i), i/2%8, 1+i%2) // both inputs see every key, with both values
+				fed = append(fed, e)
+				h.mustFeed(int(i)%tc.inputs, e)
+			}
+			if len(h.outs) == 0 {
+				t.Fatal("the stream made the operator emit nothing")
+			}
+			for i, out := range h.outs {
+				if !bytes.Equal(h.handed[i], out.payload) {
+					t.Errorf("output %d was rewritten after Emit: %x, emitted as %x", i, h.handed[i], out.payload)
+				}
+			}
+			for i, e := range fed {
+				if want := EncodeValue(1 + uint64(i)%2); !bytes.Equal(e.Payload, want) {
+					t.Errorf("input %d was written to: %x, fed as %x", i, e.Payload, want)
+				}
+			}
+		})
+	}
+}
+
+// TestClassifierProcessAllocs pins the one-payload-per-output rule from the
+// operator's side: on top of what its transaction costs, a Classifier event
+// allocates the (class, count) payload it hands over and nothing else.
+func TestClassifierProcessAllocs(t *testing.T) {
+	c := &Classifier{Classes: 4}
+	h := newHarness(t, c, 4)
+	ctx := &ownCtx{}
+	e := ev(1, 1, 1, 1)
+	ts := int64(0)
+	measure := func(work func() error) float64 {
+		return testing.AllocsPerRun(200, func() {
+			ts++
+			ctx.tx = h.mem.Begin(ts)
+			if err := work(); err != nil {
+				t.Fatal(err)
+			}
+			if err := ctx.tx.Complete(); err != nil {
+				t.Fatal(err)
+			}
+			if err := ctx.tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	txOnly := measure(func() error { _, err := c.counts.Add(ctx.tx, 1, 1); return err })
+	event := measure(func() error { return c.Process(ctx, e) })
+	if event > txOnly+1 {
+		t.Errorf("a Classifier event allocated %.1f, its transaction alone %.1f: want one more, the payload", event, txOnly)
+	}
+	if class, _ := DecodePair(ctx.last); class != 1 {
+		t.Errorf("emitted class %d, want 1", class)
+	}
+}
+
+// ownCtx is a Context that keeps the emitted slice, as the engine does.
+type ownCtx struct {
+	testProcCtx
+	last []byte
+}
+
+func (c *ownCtx) Emit(key uint64, payload []byte) error {
+	c.last = payload
+	return nil
 }
 
 func TestFilter(t *testing.T) {

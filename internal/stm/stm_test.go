@@ -198,6 +198,11 @@ func TestSpeculativeReadFrom(t *testing.T) {
 	}
 }
 
+// abortCount is an AbortHook that counts its calls.
+type abortCount struct{ atomic.Int32 }
+
+func (c *abortCount) TxAborted(*Tx) { c.Add(1) }
+
 // TestCascadingAbort: if the transaction whose buffer was read aborts, the
 // dependent aborts too, and its OnAbort callback fires.
 func TestCascadingAbort(t *testing.T) {
@@ -217,8 +222,8 @@ func TestCascadingAbort(t *testing.T) {
 	if err := b.Complete(); err != nil {
 		t.Fatal(err)
 	}
-	var aborted atomic.Int32
-	b.OnAbort(func(*Tx) { aborted.Add(1) })
+	var aborted abortCount
+	b.OnAbort(&aborted)
 
 	a.Abort()
 	if b.Status() != StatusAborted {

@@ -135,7 +135,7 @@ type Tx struct {
 	entries    set[uint32, lockState]
 	deps       set[*Tx, Addr]
 	dependents []*Tx
-	onAbort    func(*Tx)
+	onAbort    AbortHook
 
 	commitVersion uint64
 	abortOnce     sync.Once
@@ -165,12 +165,19 @@ func (tx *Tx) Status() Status {
 	return Status(s)
 }
 
-// OnAbort registers a callback invoked exactly once if the transaction
-// aborts (directly or by cascade). The callback runs on whichever goroutine
-// triggers the abort and must not block.
-func (tx *Tx) OnAbort(fn func(*Tx)) {
+// AbortHook is told when a transaction aborts. It is an interface rather
+// than a func so that the owner of a transaction can register itself
+// without allocating a closure per transaction.
+type AbortHook interface {
+	TxAborted(tx *Tx)
+}
+
+// OnAbort registers the hook invoked exactly once if the transaction
+// aborts (directly or by cascade). It runs on whichever goroutine triggers
+// the abort and must not block.
+func (tx *Tx) OnAbort(h AbortHook) {
 	tx.mu.Lock()
-	tx.onAbort = fn
+	tx.onAbort = h
 	tx.mu.Unlock()
 }
 
@@ -789,7 +796,7 @@ func (tx *Tx) finishAbort() {
 			d.cascadeAbort(tx)
 		}
 		if onAbort != nil {
-			onAbort(tx)
+			onAbort.TxAborted(tx)
 		}
 	})
 }

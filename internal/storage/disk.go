@@ -22,7 +22,8 @@ import (
 // Implementations must be safe for concurrent use (the writer pool never
 // issues concurrent writes to one disk, but tests may).
 type Disk interface {
-	// Write persists p and returns once it is stable.
+	// Write persists p and returns once it is stable. It must not keep p:
+	// the pool reuses the buffer for its next write.
 	Write(p []byte) error
 	// Close releases the storage point. Writes after Close fail.
 	Close() error

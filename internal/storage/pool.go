@@ -95,6 +95,10 @@ func (p *Pool) Submit(req Request) error {
 // worker cycles between the collector role and the writer role.
 func (p *Pool) worker() {
 	defer p.done.Done()
+	// batch and buf are the worker's own scratch, reused across cycles: a
+	// Disk does not keep the slice it is handed.
+	var batch []Request
+	var buf []byte
 	for {
 		// Become the collector.
 		select {
@@ -106,7 +110,6 @@ func (p *Pool) worker() {
 		// Collect: block for the first request, then keep accumulating
 		// until a storage point frees up (and, with a group-commit window
 		// configured, until the window has elapsed).
-		var batch []Request
 		var disk Disk
 		select {
 		case <-p.stop:
@@ -151,22 +154,28 @@ func (p *Pool) worker() {
 		// accumulated batch as one stable write.
 		p.collector <- struct{}{}
 
-		var buf []byte
-		for _, req := range batch {
-			buf = append(buf, req.Payload...)
+		write := batch[0].Payload // a lone request is written as it is
+		if len(batch) > 1 {
+			buf = buf[:0]
+			for _, req := range batch {
+				buf = append(buf, req.Payload...)
+			}
+			write = buf
 		}
 		// Slow-disk fault injection (SetChaosWriteDelay): stall the batch
 		// like a degraded device would, one charge per stable write.
 		if d := ChaosWriteDelay(); d > 0 {
 			time.Sleep(d)
 		}
-		err := disk.Write(buf)
+		err := disk.Write(write)
 		p.disks <- disk
 		for _, req := range batch {
 			if req.Done != nil {
 				req.Done(err)
 			}
 		}
+		clear(batch) // drop the payloads and callbacks
+		batch = batch[:0]
 	}
 }
 

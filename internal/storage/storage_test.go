@@ -328,3 +328,27 @@ func BenchmarkPoolSyncWrite(b *testing.B) {
 		}
 	}
 }
+
+// discardDisk accepts writes and keeps nothing.
+type discardDisk struct{}
+
+func (discardDisk) Write(p []byte) error { return nil }
+func (discardDisk) Close() error         { return nil }
+
+// TestSyncWriteAllocs pins the pool's own cost per stable write: the
+// caller's channel (and its slot) and callback, nothing in the worker,
+// whose batch and join buffer are reused and which writes a lone request's
+// payload as it is.
+func TestSyncWriteAllocs(t *testing.T) {
+	const want = 3
+	pool := NewPool([]Disk{discardDisk{}})
+	defer pool.Close()
+	chunk := make([]byte, 64)
+	if allocs := testing.AllocsPerRun(300, func() {
+		if err := pool.SyncWrite(chunk); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > want {
+		t.Errorf("SyncWrite allocated %.1f, want at most %d", allocs, want)
+	}
+}

@@ -105,12 +105,14 @@ var (
 	ErrClosed = errors.New("wal: closed")
 )
 
-// encode appends the binary form of r (with the given LSN) to dst.
+// encode appends the binary form of r (with the given LSN) to dst. The
+// record is built and checksummed in place: a header on the stack would
+// escape to the heap through crc32's indirect call.
 func encode(dst []byte, r Record) []byte {
-	body := recordFixed - 8 + len(r.Aux) // everything after length+crc
-	var hdr [recordFixed]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(4+body)) // crc + body
-	// crc filled below
+	start := len(dst)
+	dst = append(dst, make([]byte, recordFixed)...)
+	hdr := dst[start:]
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(recordFixed-4+len(r.Aux))) // crc + body
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(r.LSN))
 	hdr[16] = byte(r.Kind)
 	binary.LittleEndian.PutUint32(hdr[17:], r.Operator)
@@ -118,12 +120,9 @@ func encode(dst []byte, r Record) []byte {
 	binary.LittleEndian.PutUint64(hdr[25:], uint64(r.Event.Seq))
 	binary.LittleEndian.PutUint64(hdr[33:], r.Value)
 	binary.LittleEndian.PutUint32(hdr[41:], uint32(len(r.Aux)))
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[8:])
-	crc.Write(r.Aux)
-	binary.LittleEndian.PutUint32(hdr[4:], crc.Sum32())
-	dst = append(dst, hdr[:]...)
-	return append(dst, r.Aux...)
+	dst = append(dst, r.Aux...)
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(dst[start+8:]))
+	return dst
 }
 
 // decodeOne parses one record from the front of src, returning the record
@@ -233,7 +232,11 @@ func (l *Log) Append(recs []Record, done func(error)) (LSN, error) {
 		l.mu.Unlock()
 		return 0, ErrClosed
 	}
-	var buf []byte
+	size := len(recs) * recordFixed
+	for i := range recs {
+		size += len(recs[i].Aux)
+	}
+	buf := make([]byte, 0, size)
 	var last LSN
 	for i := range recs {
 		recs[i].LSN = LSN(l.nextLSN.Add(1))

@@ -258,3 +258,35 @@ func BenchmarkAppendSync(b *testing.B) {
 		}
 	}
 }
+
+// nullDisk accepts writes and keeps nothing, so an allocation count over it
+// is the log's and the pool's alone.
+type nullDisk struct{}
+
+func (nullDisk) Write(p []byte) error { return nil }
+func (nullDisk) Close() error         { return nil }
+
+// TestAppendAllocs pins what a synchronous append costs, pool round trip
+// included: the encoded buffer is sized once for the whole run and the
+// record header is checksummed on the stack, so a run of eight allocates
+// exactly what a run of one does.
+func TestAppendAllocs(t *testing.T) {
+	const want = 5 // buffer, two callbacks, the channel and its slot
+	pool := storage.NewPool([]storage.Disk{nullDisk{}})
+	defer pool.Close()
+	l := New(pool)
+	for _, n := range []int{1, 8} {
+		recs := make([]Record, n)
+		for i := range recs {
+			recs[i] = Record{Kind: KindInput, Operator: 1, Event: event.ID{Source: 1, Seq: event.Seq(i)}}
+		}
+		allocs := testing.AllocsPerRun(300, func() {
+			if _, err := l.AppendSync(recs); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > want {
+			t.Errorf("AppendSync of %d records allocated %.1f, want at most %d", n, allocs, want)
+		}
+	}
+}
