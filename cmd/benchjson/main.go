@@ -1,14 +1,7 @@
-// Command benchjson converts `go test -bench` text output on stdin into a
-// machine-readable JSON record, so benchmark runs can be archived and
-// diffed across commits (make bench writes BENCH_<rev>.json at the repo
-// root). It understands the standard benchmark line
-//
-//	BenchmarkName-8    1000    1234 ns/op    56 B/op    7 allocs/op
-//
-// plus the goos/goarch/cpu/pkg header lines the test binary prints per
-// package. With -injson, stdin is instead an already-encoded report (the
-// campaign runner's CAMPAIGN_<name>.json), so campaign results flow
-// through the same -require and -prev gates as benchmark archives.
+// Command benchjson gates a report JSON read from stdin — the campaign
+// runner's campaign-out/bench.json — and writes it out again
+// (CAMPAIGN_<name>.json): -require fails the run when a column is absent
+// from every row, -prev when a row regressed against an earlier report.
 //
 // The schema, column probes and regression rules live in
 // internal/benchfmt, shared with internal/campaign.
@@ -26,22 +19,14 @@ import (
 
 func main() {
 	out := flag.String("out", "", "output JSON path (default stdout)")
-	require := flag.String("require", "", "comma-separated column names that must appear in at least one parsed benchmark (e.g. events_per_sec,recovery_ms); exit non-zero when a requested column is absent instead of silently emitting blanks")
+	require := flag.String("require", "", "comma-separated column names that must appear in at least one row of the report (e.g. recovery_ms,completeness_pct); exit non-zero when a requested column is absent instead of silently emitting blanks")
 	prev := flag.String("prev", "", "previous report JSON to compare against: exit non-zero when a benchmark's events_per_sec drops more than 20%, its waste_cpu_pct or recovery_ms more than doubles, or its completeness_pct falls by over half a point")
-	injson := flag.Bool("injson", false, "treat stdin as an existing report JSON instead of `go test -bench` text (gate a campaign result file without re-parsing)")
 	flag.Parse()
 
-	var (
-		rep benchfmt.Report
-		err error
-	)
-	if *injson {
-		var data []byte
-		if data, err = io.ReadAll(os.Stdin); err == nil {
-			err = json.Unmarshal(data, &rep)
-		}
-	} else {
-		rep, err = benchfmt.ParseText(os.Stdin)
+	var rep benchfmt.Report
+	data, err := io.ReadAll(os.Stdin)
+	if err == nil {
+		err = json.Unmarshal(data, &rep)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson: read:", err)
@@ -63,6 +48,6 @@ func main() {
 		os.Exit(1)
 	}
 	if *out != "" {
-		fmt.Printf("benchjson: %d benchmarks -> %s\n", len(rep.Benchmarks), *out)
+		fmt.Printf("benchjson: %d rows -> %s\n", len(rep.Benchmarks), *out)
 	}
 }

@@ -95,7 +95,7 @@ func checkLinks(root string) []string {
 			if target == "" {
 				continue
 			}
-			// Templated or generated names (BENCH_<rev>.json) cannot be
+			// Templated or generated names (CAMPAIGN_<name>.json) cannot be
 			// checked against the working tree.
 			if strings.ContainsAny(target, "<>*$") {
 				continue

@@ -1,18 +1,14 @@
-// Package benchfmt defines the machine-readable benchmark/report schema
-// shared by cmd/benchjson (which converts `go test -bench` text into it)
-// and internal/campaign (which emits one row per campaign cell). Keeping
-// the schema in one place means the -require column probes and the -prev
-// regression gate apply identically to benchmark archives
-// (BENCH_<rev>.json) and campaign result files (CAMPAIGN_<name>.json).
+// Package benchfmt defines the machine-readable report schema that
+// internal/campaign emits (one row per campaign cell) and cmd/benchjson
+// gates: the -require column probes and the -prev regression rules over a
+// campaign result file (CAMPAIGN_<name>.json).
 package benchfmt
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 )
 
@@ -60,8 +56,8 @@ type Result struct {
 }
 
 // Columns maps a -require column name to a probe reporting whether a
-// result carries that column. Keep in sync with ParseLine and the JSON
-// field tags above.
+// result carries that column. Keep in sync with the JSON field tags
+// above.
 var Columns = map[string]func(*Result) bool{
 	"nsPerOp":                    func(r *Result) bool { return r.NsPerOp != 0 },
 	"bytesPerOp":                 func(r *Result) bool { return r.BytesPerOp != 0 },
@@ -90,95 +86,6 @@ type Report struct {
 	GoArch     string   `json:"goarch,omitempty"`
 	CPU        string   `json:"cpu,omitempty"`
 	Benchmarks []Result `json:"benchmarks"`
-}
-
-// ParseText decodes `go test -bench` text output into a Report: the
-// standard benchmark lines plus the goos/goarch/cpu/pkg header lines the
-// test binary prints per package.
-func ParseText(r io.Reader) (Report, error) {
-	var rep Report
-	pkg := ""
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "pkg: "):
-			pkg = strings.TrimPrefix(line, "pkg: ")
-		case strings.HasPrefix(line, "goos: "):
-			rep.GoOS = strings.TrimPrefix(line, "goos: ")
-		case strings.HasPrefix(line, "goarch: "):
-			rep.GoArch = strings.TrimPrefix(line, "goarch: ")
-		case strings.HasPrefix(line, "cpu: "):
-			rep.CPU = strings.TrimPrefix(line, "cpu: ")
-		case strings.HasPrefix(line, "Benchmark"):
-			if res, ok := ParseLine(pkg, line); ok {
-				rep.Benchmarks = append(rep.Benchmarks, res)
-			}
-		}
-	}
-	return rep, sc.Err()
-}
-
-// ParseLine decodes one benchmark result line: name, iteration count,
-// then (value, unit) pairs.
-func ParseLine(pkg, line string) (Result, bool) {
-	fields := strings.Fields(line)
-	if len(fields) < 2 {
-		return Result{}, false
-	}
-	iters, err := strconv.ParseInt(fields[1], 10, 64)
-	if err != nil {
-		return Result{}, false
-	}
-	r := Result{Pkg: pkg, Name: fields[0], Iterations: iters}
-	for i := 2; i+1 < len(fields); i += 2 {
-		v, err := strconv.ParseFloat(fields[i], 64)
-		if err != nil {
-			continue
-		}
-		switch fields[i+1] {
-		case "ns/op":
-			r.NsPerOp = v
-		case "B/op":
-			r.BytesPerOp = v
-		case "allocs/op":
-			r.AllocsPerOp = v
-		case "MB/s":
-			r.MBPerSec = v
-		case "p50-us":
-			r.LatencyP50Us = v
-		case "p99-us":
-			r.LatencyP99Us = v
-		case "waste-cpu-pct":
-			r.WasteCPUPct = v
-		case "aborted-attempts/event":
-			r.AbortedAttemptsPerEvent = v
-		case "events/sec":
-			r.EventsPerSec = v
-		case "ingest-admit-p99-ms":
-			r.IngestAdmitP99Ms = v
-		case "ingest-shed-pct":
-			r.IngestShedPct = v
-		case "recovery-ms":
-			r.RecoveryMs = v
-		case "completeness-pct":
-			r.CompletenessPct = v
-		case "detect-ms":
-			r.DetectMs = v
-		case "restore-ms":
-			r.RestoreMs = v
-		case "replay-ms":
-			r.ReplayMs = v
-		case "catchup-ms":
-			r.CatchupMs = v
-		case "replay-events/sec":
-			r.ReplayEventsPerSec = v
-		case "recovery-detected-ms":
-			r.RecoveryDetectedMs = v
-		}
-	}
-	return r, true
 }
 
 // ReadReport loads a Report previously written as JSON.
@@ -233,7 +140,7 @@ func CheckRequired(rep Report, require string) error {
 			}
 		}
 		if !found {
-			return fmt.Errorf("-require: column %q absent from all %d parsed benchmarks (metric unit missing from bench output?)", col, len(rep.Benchmarks))
+			return fmt.Errorf("-require: column %q absent from all %d rows of the report", col, len(rep.Benchmarks))
 		}
 	}
 	return nil

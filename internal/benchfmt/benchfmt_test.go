@@ -6,44 +6,14 @@ import (
 	"testing"
 )
 
-const benchText = `goos: linux
-goarch: amd64
-pkg: streammine
-cpu: model X
-BenchmarkLatencyDepth/depth=4-8   1   123456 ns/op   420.5 p50-us   990.1 p99-us   81234 events/sec
-BenchmarkSpeculationWaste-8       1   99887 ns/op    3.25 waste-cpu-pct   0.12 aborted-attempts/event
-BenchmarkRecovery-8               1   1.0 ns/op      840 recovery-ms   99.7 completeness-pct
-`
-
-func parse(t *testing.T) Report {
-	t.Helper()
-	rep, err := ParseText(strings.NewReader(benchText))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep
-}
-
-func TestParseText(t *testing.T) {
-	rep := parse(t)
-	if rep.GoOS != "linux" || rep.GoArch != "amd64" || rep.CPU != "model X" {
-		t.Fatalf("header = %q/%q/%q", rep.GoOS, rep.GoArch, rep.CPU)
-	}
-	if len(rep.Benchmarks) != 3 {
-		t.Fatalf("parsed %d benchmarks, want 3", len(rep.Benchmarks))
-	}
-	lat := rep.Benchmarks[0]
-	if lat.LatencyP50Us != 420.5 || lat.LatencyP99Us != 990.1 || lat.EventsPerSec != 81234 {
-		t.Fatalf("latency row = %+v", lat)
-	}
-	rec := rep.Benchmarks[2]
-	if rec.RecoveryMs != 840 || rec.CompletenessPct != 99.7 {
-		t.Fatalf("recovery row = %+v", rec)
-	}
-}
+// sample is a report with one benchmark-shaped and one campaign-shaped row.
+var sample = Report{Benchmarks: []Result{
+	{Pkg: "streammine", Name: "BenchmarkLatencyDepth/depth=4-8", Iterations: 1, LatencyP50Us: 420.5, LatencyP99Us: 990.1, EventsPerSec: 81234},
+	{Pkg: "campaign/smoke", Name: "paper/sigkill/spec", Iterations: 1, RecoveryMs: 840, CompletenessPct: 99.7},
+}}
 
 func TestCheckRequired(t *testing.T) {
-	rep := parse(t)
+	rep := sample
 	if err := CheckRequired(rep, "recovery_ms,completeness_pct,events_per_sec"); err != nil {
 		t.Fatalf("required columns present but check failed: %v", err)
 	}

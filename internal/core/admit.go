@@ -67,9 +67,13 @@ func (n *node) admitRun(input int, evs []event.Event) {
 			// is byte-identical and silently dropped, and so is a
 			// redelivery of an event the restored snapshot already covers
 			// (its covering mark never became stable). Re-ACK so upstream
-			// prunes.
+			// prunes — except a commit no checkpoint covers yet: upstream
+			// holds the only copy a recovery could replay, and its ACK
+			// leaves with the checkpoint (sinceCkpt).
 			if !n.committed[id] {
 				n.recStats.replayDrops++
+			} else if slices.ContainsFunc(n.sinceCkpt, func(a ackTarget) bool { return a.id == id }) {
+				continue
 			}
 			deferred = append(deferred, deferredAdmit{input: pe.input, ev: ev})
 			continue
@@ -194,7 +198,6 @@ func (n *node) logInputs(block []task, recs []wal.Record) {
 			n.fail(fmt.Errorf("decision log: %w", err))
 			return
 		}
-		n.mirrorStable(recs)
 		creditInputs(block, recs)
 		n.notifyCommitter()
 	})

@@ -182,9 +182,10 @@ func TestBridgeRecoveryReplayOverTCP(t *testing.T) {
 		Speculative:     true,
 		CheckpointEvery: 5,
 	})
-	poolB := storage.NewPool([]storage.Disk{storage.NewMemDisk()})
+	diskB := storage.NewMemDisk()
+	poolB := storage.NewPool([]storage.Disk{diskB})
 	defer poolB.Close()
-	engB, err := New(gB, Options{Pool: poolB, Seed: 4})
+	engB, err := New(gB, Options{Pool: poolB, Seed: 4, LogScanner: memScanner(diskB)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,63 +57,21 @@ func (n *node) takeCheckpoint() {
 		n.fail(fmt.Errorf("save checkpoint: %w", err))
 		return
 	}
-	// Write the covering mark and mirror it (recovery reads the mirror to
-	// know which prefix of the log the snapshot supersedes). The batched
-	// upstream ACKs are released only once the mark is stable: releasing
-	// them earlier opens a crash window in which upstream buffers are
-	// pruned while the replay plan still demands the covered events.
+	// The batched upstream ACKs are released only once the covering mark
+	// is stable: releasing them earlier opens a crash window in which
+	// upstream buffers are pruned while the replay plan still demands the
+	// covered events.
 	mark := []wal.Record{{Kind: wal.KindCheckpointMark, Operator: n.opID, Value: uint64(covered)}}
 	_, err := n.log.Append(mark, func(err error) {
 		if err != nil {
 			n.fail(fmt.Errorf("mark checkpoint: %w", err))
 			return
 		}
-		n.mirrorStable(mark)
-		// ACKs before Truncate: a covered event is redeliverable until its
-		// ACK lands, and recovery identifies covered redeliveries by their
-		// input records — those must outlive the redelivery window.
 		for _, a := range acks {
 			n.ackUpstream(a.input, a.id)
 		}
-		n.log.Truncate(covered)
 	})
 	if err != nil {
 		n.fail(fmt.Errorf("mark checkpoint: %w", err))
 	}
-}
-
-// mirrorChunk is the fixed capacity of one stableRecs chunk.
-const mirrorChunk = 1024
-
-// mirrorStable retains stable decision records for recovery replay.
-func (n *node) mirrorStable(recs []wal.Record) {
-	n.recMu.Lock()
-	for len(recs) > 0 {
-		last := len(n.stableRecs) - 1
-		if last < 0 || len(n.stableRecs[last]) == mirrorChunk {
-			n.stableRecs = append(n.stableRecs, make([]wal.Record, 0, mirrorChunk))
-			last++
-		}
-		room := mirrorChunk - len(n.stableRecs[last])
-		take := min(room, len(recs))
-		n.stableRecs[last] = append(n.stableRecs[last], recs[:take]...)
-		recs = recs[take:]
-	}
-	n.recMu.Unlock()
-}
-
-// stableRecords returns this node's stable decision records in LSN order.
-func (n *node) stableRecords() []wal.Record {
-	n.recMu.Lock()
-	total := 0
-	for _, c := range n.stableRecs {
-		total += len(c)
-	}
-	out := make([]wal.Record, 0, total)
-	for _, c := range n.stableRecs {
-		out = append(out, c...)
-	}
-	n.recMu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].LSN < out[j].LSN })
-	return out
 }

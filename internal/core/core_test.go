@@ -11,6 +11,7 @@ import (
 	"streammine/internal/operator"
 	"streammine/internal/storage"
 	"streammine/internal/transport"
+	"streammine/internal/wal"
 )
 
 // sinkCollector gathers subscribed outputs.
@@ -60,13 +61,31 @@ func (s *sinkCollector) waitFinals(t *testing.T, n int) []event.Event {
 	return nil
 }
 
-// newTestEngine builds an engine over an instant in-memory disk.
+// memScanner is a LogScanner over what the given disks hold, read in the
+// order given.
+func memScanner(disks ...*storage.MemDisk) func() ([]wal.Record, error) {
+	return func() ([]wal.Record, error) {
+		var all []wal.Record
+		for _, d := range disks {
+			recs, err := wal.Scan(d.Contents())
+			if err != nil {
+				return nil, err
+			}
+			all = append(all, recs...)
+		}
+		return all, nil
+	}
+}
+
+// newTestEngine builds an engine over an instant in-memory disk, which is
+// also what its recoveries read the decision log back from.
 func newTestEngine(t *testing.T, g *graph.Graph, opts Options) *Engine {
 	t.Helper()
 	if opts.Pool == nil {
-		pool := storage.NewPool([]storage.Disk{storage.NewMemDisk()})
+		disk := storage.NewMemDisk()
+		pool := storage.NewPool([]storage.Disk{disk})
 		t.Cleanup(func() { pool.Close() })
-		opts.Pool = pool
+		opts.Pool, opts.LogScanner = pool, memScanner(disk)
 	}
 	eng, err := New(g, opts)
 	if err != nil {

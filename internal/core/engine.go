@@ -66,10 +66,12 @@ type Options struct {
 	// CheckpointStore receives operator snapshots; defaults to an
 	// in-memory store.
 	CheckpointStore checkpoint.Store
-	// LogScanner, when set, is the recovery read path: it returns all
-	// stable decision records (e.g. wal.SegmentStore.Scan over real
-	// files). When nil, recovery reads each node's in-memory mirror of
-	// stable records.
+	// LogScanner is the recovery read path, required for recovery: it
+	// returns every stable decision record on the disks behind Pool and
+	// NodePools, in any order (e.g. wal.SegmentStore.Scan over real
+	// files, or wal.Scan over a MemDisk's contents). The engine keeps no
+	// copy of what it logged; without a scanner Recover returns
+	// ErrNoLogScanner.
 	LogScanner func() ([]wal.Record, error)
 	// RestoreFromStorage primes every node from durable state at Start:
 	// the latest checkpoint is restored and a replay plan is built from
@@ -77,8 +79,9 @@ type Options struct {
 	// store this is a plain start, so a cluster worker can always start
 	// partitions this way — a reassigned partition resumes exactly where
 	// the failed worker's durable state left off (paper §2.2), a fresh
-	// one starts from scratch. Requires LogScanner/CheckpointStore to
-	// point at storage that survives the previous process.
+	// one starts from scratch. LogScanner is required for it (New fails
+	// without one), and it and CheckpointStore must point at storage that
+	// survives the previous process.
 	RestoreFromStorage bool
 	// ConflictBackoff trades promptness for wasted work under contention
 	// (paper §4): a task that has already aborted waits attempts×backoff
@@ -146,6 +149,10 @@ var (
 	// it entered the engine. The event was never logged, so recovery
 	// semantics are untouched; the caller may retry, slow down, or ignore.
 	ErrShed = errors.New("core: event shed by admission control")
+	// ErrNoLogScanner reports a recovery attempted without
+	// Options.LogScanner: the decision log is on the caller's disks, and
+	// only the caller can read it back.
+	ErrNoLogScanner = errors.New("core: recovery needs Options.LogScanner")
 )
 
 // New validates the graph and builds an engine for it.
@@ -155,6 +162,9 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 	}
 	if opts.Pool == nil {
 		return nil, errors.New("core: Options.Pool is required")
+	}
+	if opts.RestoreFromStorage && opts.LogScanner == nil {
+		return nil, fmt.Errorf("core: Options.RestoreFromStorage: %w", ErrNoLogScanner)
 	}
 	if opts.Clock == nil {
 		opts.Clock = vclock.NewWall()

@@ -19,7 +19,6 @@ func (n *node) appendRecords(t *task, recs []wal.Record) {
 			n.fail(fmt.Errorf("decision log: %w", err))
 			return
 		}
-		n.mirrorStable(recs)
 		t.logDone(recs[len(recs)-1].LSN) // LSNs ascend within an append
 		n.notifyCommitter()
 	})

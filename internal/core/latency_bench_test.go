@@ -25,7 +25,7 @@ import (
 //
 // The closed loop (one event in flight, next emitted after finality)
 // measures pure pipeline latency with no queueing. Reported as p50-us /
-// p99-us so make bench archives the curve in BENCH_<rev>.json.
+// p99-us.
 func BenchmarkLatencyDepth(b *testing.B) {
 	for _, spec := range []bool{true, false} {
 		mode := "spec"
@@ -41,8 +41,8 @@ func BenchmarkLatencyDepth(b *testing.B) {
 	// Open-loop throughput with hot-path batching (docs/PERFORMANCE.md):
 	// batch=1 is the unbatched baseline; larger sizes amortize admission,
 	// credit, injection and commit costs over runs of events. Reported as
-	// events/sec plus the finalized end-to-end p99, so BENCH_*.json captures
-	// the batching speedup and its latency cost side by side.
+	// events/sec plus the finalized end-to-end p99, the batching speedup
+	// and its latency cost side by side.
 	for _, batch := range []int{1, 8, 32} {
 		b.Run(fmt.Sprintf("throughput/batch=%d", batch), func(b *testing.B) {
 			benchThroughputBatch(b, batch)

@@ -44,7 +44,7 @@ type cmdInject struct {
 // FINALIZE, under n.mu while holding t.mu; nothing takes the two the other
 // way round while the node runs (crash walks the task table under n.mu and
 // locks each task, but only after the node's goroutines are joined). Every
-// other mutex here — commitMu, recMu, errMu, rngMu, and the ones inside the
+// other mutex here — commitMu, errMu, rngMu, and the ones inside the
 // mailbox, the executor queue, the links and the throttle — is a leaf: no
 // other lock is acquired while it is held. The committer holds no lock
 // across a commit group.
@@ -151,15 +151,6 @@ type node struct {
 
 	errMu    sync.Mutex
 	firstErr error
-
-	// stableRecs mirrors this node's decision records once stable — the
-	// recovery read path (equivalent to scanning the log disk). Sorted by
-	// LSN on demand. Stored in fixed-size chunks so the steady-state
-	// append never reallocates the whole mirror (a contiguous slice costs
-	// an O(history) copy on every growth and keeps the full history hot
-	// for the garbage collector).
-	recMu      sync.Mutex
-	stableRecs [][]wal.Record
 
 	// healthLat is the per-node admission→commit latency HDR feeding
 	// Engine.Health (nil unless Options.Health; a nil HDR is inert).
@@ -331,7 +322,11 @@ func (n *node) start() error {
 		}
 	}
 	if n.eng.opts.RestoreFromStorage {
-		if err := n.restoreDurable(); err != nil {
+		d, err := n.readDurable()
+		if err == nil {
+			err = n.restoreDurable(d)
+		}
+		if err != nil {
 			return fmt.Errorf("restore %q: %w", n.spec.Name, err)
 		}
 	}

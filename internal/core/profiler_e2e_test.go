@@ -134,8 +134,8 @@ func TestProfilerAttributesConflicts(t *testing.T) {
 }
 
 // BenchmarkSpeculationWaste measures the classifier contention sweep with
-// the profiler enabled and reports the waste metrics benchjson archives
-// (waste-cpu-pct, aborted-attempts/event): one class maximizes conflicts,
+// the profiler enabled and reports its waste metrics (waste-cpu-pct,
+// aborted-attempts/event): one class maximizes conflicts,
 // eight classes nearly eliminates them (the Figure 5 parallelism knob).
 func BenchmarkSpeculationWaste(b *testing.B) {
 	for _, classes := range []int{1, 8} {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"streammine/internal/checkpoint"
@@ -16,8 +18,9 @@ import (
 // Crash simulates a fail-stop crash of one node: its goroutines stop and
 // every piece of volatile state — operator memory, in-flight tasks, input
 // queues, output buffers, duplicate-suppression tables — is discarded.
-// Only what the paper assumes survives a crash remains: the stable
-// decision log and the checkpoint store.
+// Only what the paper assumes survives a crash remains, and none of it is
+// in the node: the stable decision log on the pool's disks and the
+// checkpoint store.
 //
 // Source nodes cannot crash (they are driven by the harness, which owns
 // their durability).
@@ -35,8 +38,11 @@ func (e *Engine) Crash(id graph.NodeID) error {
 
 // Recover restarts a crashed node: deterministic state re-allocation, the
 // latest checkpoint image (if any), a replay plan built from the stable
-// decision log (input order + logged decisions), and replay requests to
-// every upstream node (paper §2.2's recovery protocol).
+// decision log as Options.LogScanner reads it back (input order + logged
+// decisions), and replay requests to every upstream node (paper §2.2's
+// recovery protocol). Without a scanner it returns ErrNoLogScanner. A
+// Recover that fails reading the log or the checkpoint leaves the node
+// crashed and can be called again.
 //
 // Stateful nodes must run with CheckpointEvery > 0 to be recoverable:
 // without checkpoints they acknowledge events at commit, so upstream
@@ -96,55 +102,45 @@ type replayPlan struct {
 	tail     []plannedEvent
 }
 
-// buildReplayPlan digests the node's stable decision records, read from
-// the configured log scanner (real storage) or the in-memory mirror.
+// buildReplayPlan digests this node's stable decision records as
+// Options.LogScanner reads them back; it writes nothing to the node.
 //
 // lastByInput holds the restored snapshot's per-input last-committed
 // event IDs. Because commits are issued strictly in admission order, the
 // snapshot reflects exactly the admission-order *prefix* of logged
-// inputs ending at the latest of those IDs: that prefix is returned as
-// the covered set (redeliveries of its events must be dropped — their
+// inputs ending at the latest of those IDs: that prefix becomes the
+// covered set (redeliveries of its events must be dropped — their
 // effects are already in the restored state, and output IDs are hashes,
 // so no sequence-number watermark can identify them). Everything after
 // the prefix forms the replay order. Decision records are attached by
 // event identity, not by LSN position: an event uncommitted at
 // checkpoint time can have decision LSNs below the snapshot's covered
 // LSN, and replaying it with fresh decisions would break determinism.
-func (n *node) buildReplayPlan(lastByInput map[int]event.ID) (*replayPlan, map[event.ID]bool, wal.LSN, error) {
-	var stable []wal.Record
-	if scan := n.eng.opts.LogScanner; scan != nil {
-		recs, err := scan()
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("scan decision log: %w", err)
-		}
-		stable = recs
-	} else {
-		stable = n.stableRecords()
+func (n *node) buildReplayPlan(d *durableState, lastByInput map[int]event.ID) error {
+	stable, err := n.eng.opts.LogScanner()
+	if err != nil {
+		return fmt.Errorf("scan decision log: %w", err)
 	}
-	// Highest LSN across the whole scan (all operators, marks included):
-	// a fresh Log over reopened storage must continue the LSN sequence.
-	var maxSeen wal.LSN
-	for _, r := range stable {
-		if r.LSN > maxSeen {
-			maxSeen = r.LSN
-		}
-	}
-	// Filter to this operator's decision records WITHOUT wal.Replay's
-	// checkpoint-mark cut: the cut hides the snapshot-covered prefix, and
-	// that prefix is exactly what identifies covered redeliveries (a crash
-	// can race the post-mark ACKs, leaving upstream free to re-send
-	// covered events).
+	// This operator's decision records, sorted by LSN below: a scan is in
+	// write order per disk, not in log order. Checkpoint marks are left
+	// out but nothing is cut at them: the snapshot-covered prefix is what
+	// identifies covered redeliveries (a crash can race the post-mark
+	// ACKs, leaving upstream free to re-send covered events).
 	var recs []wal.Record
 	for _, r := range stable {
+		// Highest LSN of the whole scan, all operators and marks included:
+		// a fresh Log over reopened storage must continue the sequence.
+		if r.LSN > d.maxSeen {
+			d.maxSeen = r.LSN
+		}
 		if r.Operator == n.opID && r.Kind != wal.KindCheckpointMark {
 			recs = append(recs, r)
 		}
 	}
-	n.mu.Lock()
-	n.recStats.logRecords = int64(len(recs))
-	n.mu.Unlock()
+	slices.SortFunc(recs, func(a, b wal.Record) int { return cmp.Compare(a.LSN, b.LSN) })
+	d.stats.logRecords = int64(len(recs))
 
-	// Admission order of every logged input (records are in LSN order).
+	// Admission order of every logged input.
 	pos := make(map[event.ID]int)
 	var order []event.ID
 	for _, r := range recs {
@@ -162,9 +158,9 @@ func (n *node) buildReplayPlan(lastByInput map[int]event.ID) (*replayPlan, map[e
 			last = p
 		}
 	}
-	covered := make(map[event.ID]bool, last+1)
+	d.covered = make(map[event.ID]bool, last+1)
 	for i := 0; i <= last; i++ {
-		covered[order[i]] = true
+		d.covered[order[i]] = true
 	}
 
 	plan := &replayPlan{
@@ -174,7 +170,7 @@ func (n *node) buildReplayPlan(lastByInput map[int]event.ID) (*replayPlan, map[e
 		buffered: make(map[event.ID]plannedEvent),
 	}
 	for _, r := range recs {
-		if covered[r.Event] {
+		if d.covered[r.Event] {
 			continue
 		}
 		if r.Kind == wal.KindRandom || r.Kind == wal.KindTime {
@@ -184,38 +180,68 @@ func (n *node) buildReplayPlan(lastByInput map[int]event.ID) (*replayPlan, map[e
 			plan.lsns[r.Event] = r.LSN
 		}
 	}
-	if len(plan.order) == 0 && len(plan.decs) == 0 {
-		plan = nil // nothing to replay: plain restart
+	if len(plan.order) > 0 || len(plan.decs) > 0 {
+		d.plan = plan // else nothing to replay: plain restart
 	}
-	return plan, covered, maxSeen, nil
+	return nil
 }
 
-// restoreDurable loads the node's durable state — the latest checkpoint
-// (if any) plus a replay plan built from the stable decision log — and
-// advances the log's LSN cursor past every scanned record so freshly
-// logged decisions continue the sequence. It is the common core of crash
-// recovery and restore-on-start (cluster partition reassignment); on an
-// empty store it is a no-op and the node starts from scratch.
-func (n *node) restoreDurable() error {
-	restoreStart := time.Now().UnixNano()
-	var ckptBytes int64
-	lastByInput := make(map[int]event.ID)
-	snap, err := n.eng.store.Latest(n.opID)
-	switch {
+// durableState is what a node read back from stable storage, held apart
+// from the node until all of it is there.
+type durableState struct {
+	snap    *checkpoint.Snapshot // nil: no checkpoint yet
+	plan    *replayPlan          // nil: nothing to replay
+	covered map[event.ID]bool
+	maxSeen wal.LSN
+	stats   nodeRecoveryStats // restore start, records scanned
+}
+
+// readDurable reads the latest checkpoint (if any) and the stable decision
+// log and builds the replay plan. Every read that can fail on I/O happens
+// here, before anything is written to the node, so a failed recovery
+// leaves the node as crash left it and can be retried. With restoreDurable
+// it is the common core of crash recovery and restore-on-start (cluster
+// partition reassignment); over an empty store the node starts from
+// scratch.
+func (n *node) readDurable() (*durableState, error) {
+	if n.eng.opts.LogScanner == nil {
+		return nil, ErrNoLogScanner
+	}
+	d := &durableState{stats: nodeRecoveryStats{restoreStartNs: time.Now().UnixNano()}}
+	var lastByInput map[int]event.ID
+	switch snap, err := n.eng.store.Latest(n.opID); {
 	case err == nil:
-		ckptBytes = int64(len(checkpoint.Encode(snap)))
+		d.snap, lastByInput = snap, snap.InputPositions
+	case errors.Is(err, checkpoint.ErrNotFound):
+		// No checkpoint yet: rebuild from scratch via full replay.
+	default:
+		return nil, fmt.Errorf("load checkpoint: %w", err)
+	}
+	return d, n.buildReplayPlan(d, lastByInput)
+}
+
+// restoreDurable applies what readDurable read: the checkpoint image
+// overwrites the freshly initialised state, the replay plan is installed,
+// and the log's LSN cursor moves past every scanned record so freshly
+// logged decisions continue the sequence. The node's goroutines are not
+// running.
+func (n *node) restoreDurable(d *durableState) error {
+	n.log.AdvanceLSN(d.maxSeen)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	stats := d.stats
+	if snap := d.snap; snap != nil {
+		stats.ckptBytes = int64(len(checkpoint.Encode(snap)))
 		if err := n.mem.Restore(snap.Memory); err != nil {
 			return fmt.Errorf("restore checkpoint: %w", err)
 		}
 		n.rngMu.Lock()
 		n.rng.Restore(snap.RandState)
 		n.rngMu.Unlock()
-		n.mu.Lock()
 		n.ckptEpoch = snap.Epoch
 		n.coveredLSN = wal.LSN(snap.CoveredLSN)
 		for i, id := range snap.InputPositions {
 			n.lastCommitted[i] = id
-			lastByInput[i] = id
 		}
 		// Rebuild the output buffer from the snapshot so a downstream
 		// replay request can re-send outputs whose inputs the snapshot
@@ -226,42 +252,22 @@ func (n *node) restoreDurable() error {
 			n.bufferOutput(&recs[i], o.ID, out, o.Trace, true)
 			recs[i].version = event.Version(o.Version)
 		}
-		n.mu.Unlock()
-	case isNotFound(err):
-		// No checkpoint yet: rebuild from scratch via full replay.
-	default:
-		return fmt.Errorf("load checkpoint: %w", err)
 	}
-
+	n.replay = d.plan
 	// Redeliveries of events the snapshot already covers must be dropped
 	// (and re-ACKed): the covering mark may never have become stable, in
 	// which case upstream was never told to prune them (paper §2.2: replay
 	// "starting at the last logged messages from each source").
-	plan, covered, maxSeen, err := n.buildReplayPlan(lastByInput)
-	if err != nil {
-		return err
-	}
+	n.recoverDrop = d.covered
+	// Close the restore window and open the replay window of the anatomy
+	// profiler; with nothing to replay the replay phase is a zero-length
+	// span closed on the spot.
 	now := time.Now().UnixNano()
-	n.mu.Lock()
-	n.replay = plan
-	n.recoverDrop = covered
-	// Stamp the restore window and open the replay window for the
-	// anatomy profiler; with nothing to replay the replay phase is a
-	// zero-length span closed on the spot.
-	n.recStats.restoreStartNs = restoreStart
-	n.recStats.restoreEndNs = now
-	n.recStats.ckptBytes = ckptBytes
-	n.recStats.coveredSet = int64(len(covered))
-	n.recStats.replayStartNs = now
-	n.recStats.replayEvents = 0
-	n.recStats.replayDrops = 0
-	if plan == nil {
-		n.recStats.replayEndNs = now
-	} else {
-		n.recStats.replayEndNs = 0
+	stats.restoreEndNs, stats.replayStartNs, stats.coveredSet = now, now, int64(len(d.covered))
+	if d.plan == nil {
+		stats.replayEndNs = now
 	}
-	n.mu.Unlock()
-	n.log.AdvanceLSN(maxSeen)
+	n.recStats = stats
 	return nil
 }
 
@@ -286,19 +292,22 @@ func (n *node) recover() error {
 	if !n.stopFlag.Load() {
 		return fmt.Errorf("core: node %q is not crashed", n.spec.Name)
 	}
-	n.mailbox.Reopen()
-	n.execQ.Reopen()
-
+	d, err := n.readDurable()
+	if err != nil {
+		return err
+	}
 	// Deterministic state layout, then overwrite with the checkpoint.
 	if n.spec.Op != nil {
 		if err := n.spec.Op.Init(initContext{n: n}); err != nil {
 			return fmt.Errorf("re-init: %w", err)
 		}
 	}
-	if err := n.restoreDurable(); err != nil {
+	if err := n.restoreDurable(d); err != nil {
 		return err
 	}
 
+	n.mailbox.Reopen()
+	n.execQ.Reopen()
 	n.stopFlag.Store(false)
 	n.launch()
 
@@ -311,11 +320,6 @@ func (n *node) recover() error {
 	}
 	n.requestUpstreamReplay()
 	return nil
-}
-
-// isNotFound matches the checkpoint store's miss error.
-func isNotFound(err error) bool {
-	return errors.Is(err, checkpoint.ErrNotFound)
 }
 
 // planRun turns an arriving run into the events that are now ready for

@@ -2,8 +2,13 @@ package core
 
 import (
 	"bytes"
+	"cmp"
+	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,6 +17,7 @@ import (
 	"streammine/internal/operator"
 	"streammine/internal/storage"
 	"streammine/internal/transport"
+	"streammine/internal/wal"
 )
 
 // dedupSink collects final outputs by ID, asserting the precise-recovery
@@ -129,7 +135,13 @@ func TestCrashRecoverPreciseOutputs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Failure-free semantics: per class, counts form exactly 1..N.
+	checkClassCounts(t, sink, total)
+}
+
+// checkClassCounts asserts the failure-free output set of a Classifier:
+// total finals, and per class the counts form exactly 1..N.
+func checkClassCounts(t *testing.T, sink *dedupSink, total int) {
+	t.Helper()
 	perClass := make(map[uint64]map[uint64]bool)
 	for _, payload := range sink.snapshot() {
 		class, count := operator.DecodePair(payload)
@@ -405,5 +417,336 @@ func TestRecoveryFromCheckpointSkipsAckedEvents(t *testing.T) {
 	}
 	if fmt.Sprint(eng.Err()) != "<nil>" {
 		t.Fatal(eng.Err())
+	}
+}
+
+// outBufLen reads how many unacknowledged outputs a node buffers.
+func outBufLen(n *node) int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return len(n.outBuf)
+}
+
+// emitRange emits events with keys from..to-1 and no payload.
+func emitRange(t *testing.T, s *SourceHandle, from, to int) {
+	t.Helper()
+	for i := from; i < to; i++ {
+		if _, err := s.Emit(uint64(i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestDupOfUncheckpointedCommitNotAcked: a checkpointing stateful node
+// withholds the ACK of a committed event until a checkpoint covers it, and
+// a duplicate of that event (upstream replayed: a link flap, a second
+// recovery) must not release it early — upstream holds the only copy a
+// recovery could rebuild the uncheckpointed state from.
+func TestDupOfUncheckpointedCommitNotAcked(t *testing.T) {
+	const half = 10
+	g, src, proc := classifierGraph(1000) // never: nothing is ACKed
+	eng := newTestEngine(t, g, Options{Seed: 27})
+	sink := newDedupSink(t)
+	if err := eng.Subscribe(proc, 0, sink.fn); err != nil {
+		t.Fatal(err)
+	}
+	s, _ := eng.Source(src)
+	emitRange(t, s, 0, half)
+	if !sink.waitCount(half) {
+		t.Fatalf("initial run stalled at %d", sink.count())
+	}
+	eng.Drain()
+	srcNode, _ := eng.node(src)
+	srcNode.mailbox.Push(transport.Message{Type: transport.MsgReplay})
+	eng.Drain()
+	// An early, best-effort look (Drain can return between a duplicate's
+	// admission and its ACK); the recovery below is what decides.
+	if got := outBufLen(srcNode); got != half {
+		t.Fatalf("source buffers %d after a replay of committed events, want %d: duplicates were ACKed before any checkpoint", got, half)
+	}
+	if err := eng.Crash(proc); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Recover(proc); err != nil {
+		t.Fatal(err)
+	}
+	emitRange(t, s, half, 2*half)
+	if !sink.waitCount(2 * half) {
+		t.Fatalf("post-recovery stalled at %d of %d", sink.count(), 2*half)
+	}
+	eng.Drain()
+	if err := eng.Err(); err != nil {
+		t.Fatal(err)
+	}
+	checkClassCounts(t, sink, 2*half)
+}
+
+// TestRecoverNeedsLogScanner: recovery cannot run without a scanner, and a
+// Recover that fails before or while reading durable state leaves the node
+// as Crash left it, so it can be called again.
+func TestRecoverNeedsLogScanner(t *testing.T) {
+	crashed := func(n *node) {
+		t.Helper()
+		n.mailbox.Push(transport.Message{Type: transport.MsgReplay})
+		if !n.stopFlag.Load() || n.mailbox.Len() != 0 {
+			t.Fatalf("failed Recover left the node half open: stopped=%t, mailbox holds %d", n.stopFlag.Load(), n.mailbox.Len())
+		}
+	}
+	g, _, proc := classifierGraph(10)
+	disk := storage.NewMemDisk()
+	pool := storage.NewPool([]storage.Disk{disk})
+	t.Cleanup(func() { pool.Close() })
+	if _, err := New(g, Options{Pool: pool, RestoreFromStorage: true}); !errors.Is(err, ErrNoLogScanner) {
+		t.Fatalf("New with RestoreFromStorage and no scanner = %v, want ErrNoLogScanner", err)
+	}
+	eng := newTestEngine(t, g, Options{Pool: pool, Seed: 28})
+	if err := eng.Crash(proc); err != nil {
+		t.Fatal(err)
+	}
+	running := runtime.NumGoroutine()
+	if err := eng.Recover(proc); !errors.Is(err, ErrNoLogScanner) {
+		t.Fatalf("Recover without a scanner = %v, want ErrNoLogScanner", err)
+	}
+	if now := runtime.NumGoroutine(); now > running {
+		t.Fatalf("failed Recover started goroutines: %d, then %d", running, now)
+	}
+	n, _ := eng.node(proc)
+	crashed(n)
+
+	// A scan that fails once: the first Recover reports it and changes
+	// nothing, the second one recovers.
+	const total = 40
+	var failScan atomic.Bool
+	errScan := errors.New("disk unreadable")
+	g, src, proc := classifierGraph(10)
+	eng = newTestEngine(t, g, Options{Pool: pool, Seed: 28, LogScanner: func() ([]wal.Record, error) {
+		if failScan.Load() {
+			return nil, errScan
+		}
+		return memScanner(disk)()
+	}})
+	sink := newDedupSink(t)
+	if err := eng.Subscribe(proc, 0, sink.fn); err != nil {
+		t.Fatal(err)
+	}
+	s, _ := eng.Source(src)
+	emitRange(t, s, 0, total/2)
+	if !sink.waitCount(total / 4) {
+		t.Fatalf("pre-crash progress stalled at %d", sink.count())
+	}
+	if err := eng.Crash(proc); err != nil {
+		t.Fatal(err)
+	}
+	failScan.Store(true)
+	if err := eng.Recover(proc); !errors.Is(err, errScan) {
+		t.Fatalf("Recover over a failing scan = %v, want %v", err, errScan)
+	}
+	n, _ = eng.node(proc)
+	crashed(n)
+	failScan.Store(false)
+	if err := eng.Recover(proc); err != nil {
+		t.Fatal(err)
+	}
+	emitRange(t, s, total/2, total)
+	if !sink.waitCount(total) {
+		t.Fatalf("post-recovery stalled at %d of %d", sink.count(), total)
+	}
+	eng.Drain()
+	if err := eng.Err(); err != nil {
+		t.Fatal(err)
+	}
+	checkClassCounts(t, sink, total)
+}
+
+// TestRecoveryScanOrderTwoDisks: a pool over two disks spreads one node's
+// records over both, so no scan returns them in the order they were logged
+// in; recovery orders them by LSN itself. One event is in flight at a time,
+// so the appends alternate between the disks, and one class makes every
+// change of admission order change an output.
+func TestRecoveryScanOrderTwoDisks(t *testing.T) {
+	const total = 24
+	g := graph.New()
+	src := g.AddNode(graph.Node{Name: "src"})
+	proc := g.AddNode(graph.Node{
+		Name:            "proc",
+		Op:              &operator.Classifier{Classes: 1},
+		Traits:          operator.ClassifierTraits(1),
+		Speculative:     true,
+		CheckpointEvery: 1000, // never: the whole log is replayed
+	})
+	g.Connect(src, 0, proc, 0)
+	diskA, diskB := storage.NewMemDisk(), storage.NewMemDisk()
+	pool := storage.NewPool([]storage.Disk{diskA, diskB})
+	t.Cleanup(func() { pool.Close() })
+	scan := memScanner(diskB, diskA)
+	eng := newTestEngine(t, g, Options{Pool: pool, Seed: 29, LogScanner: scan})
+	sink := newDedupSink(t)
+	if err := eng.Subscribe(proc, 0, sink.fn); err != nil {
+		t.Fatal(err)
+	}
+	s, _ := eng.Source(src)
+	for i := 0; i < total/2; i++ {
+		emitRange(t, s, i, i+1)
+		if !sink.waitCount(i + 1) {
+			t.Fatalf("initial run stalled at %d", sink.count())
+		}
+	}
+	recs, err := scan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.IsSortedFunc(recs, func(a, b wal.Record) int { return cmp.Compare(a.LSN, b.LSN) }) {
+		t.Fatalf("the scan of %d records is in LSN order: the test no longer exercises recovery's sort", len(recs))
+	}
+	if err := eng.Crash(proc); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Recover(proc); err != nil {
+		t.Fatal(err)
+	}
+	emitRange(t, s, total/2, total)
+	if !sink.waitCount(total) {
+		t.Fatalf("post-recovery stalled at %d of %d", sink.count(), total)
+	}
+	eng.Drain()
+	if err := eng.Err(); err != nil {
+		t.Fatal(err)
+	}
+	// The dedup sink has compared every regenerated final with its
+	// pre-crash content.
+	checkClassCounts(t, sink, total)
+}
+
+// holdDisk completes every write on its MemDisk; while held it then keeps
+// the writer from returning, so the record is on disk and the pool has not
+// reported it stable.
+type holdDisk struct {
+	*storage.MemDisk
+	held    *atomic.Bool
+	release chan struct{}
+}
+
+func (d holdDisk) Write(p []byte) error {
+	err := d.MemDisk.Write(p)
+	if d.held.Load() {
+		<-d.release
+	}
+	return err
+}
+
+// nowStamper emits the logged clock read it took, so a replay that took a
+// fresh one instead cannot reproduce the output.
+type nowStamper struct{ operator.NopOperator }
+
+func (nowStamper) Process(ctx operator.Context, e event.Event) error {
+	now, err := ctx.Now()
+	if err != nil {
+		return err
+	}
+	return ctx.Emit(e.Key, operator.EncodeValue(uint64(now)))
+}
+
+// TestRecoveryReadsWhatTheDiskHolds: the replay plan is what the scanner
+// reads back and nothing else. An event whose records reached the disk but
+// whose stable notification never reached the node is replayed with its
+// logged decision; and when the scanner returns an empty log the same node
+// restarts from its checkpoint alone.
+func TestRecoveryReadsWhatTheDiskHolds(t *testing.T) {
+	const ckpt = 4
+	g := graph.New()
+	src := g.AddNode(graph.Node{Name: "src"})
+	proc := g.AddNode(graph.Node{
+		Name:            "stamp",
+		Op:              nowStamper{},
+		Traits:          operator.Traits{Stateful: true, StateWords: 1},
+		Speculative:     true,
+		CheckpointEvery: ckpt,
+	})
+	g.Connect(src, 0, proc, 0)
+	var held, lost atomic.Bool
+	release := make(chan struct{})
+	diskA, diskB := storage.NewMemDisk(), storage.NewMemDisk()
+	pool := storage.NewPool([]storage.Disk{holdDisk{diskA, &held, release}, holdDisk{diskB, &held, release}})
+	t.Cleanup(func() { pool.Close() })
+	scan := func() ([]wal.Record, error) {
+		if lost.Load() {
+			return nil, nil
+		}
+		return memScanner(diskA, diskB)()
+	}
+	eng := newTestEngine(t, g, Options{Pool: pool, Seed: 30, LogScanner: scan})
+	letGo := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(letGo)
+	sink := &sinkCollector{}
+	if err := eng.Subscribe(proc, 0, sink.fn); err != nil {
+		t.Fatal(err)
+	}
+	s, _ := eng.Source(src)
+	emitRange(t, s, 0, ckpt)
+	sink.waitFinals(t, ckpt)
+	// The checkpoint's ACKs leave once its mark is stable: from here on
+	// nothing but the next event is written.
+	srcNode, _ := eng.node(src)
+	for deadline := time.Now().Add(5 * time.Second); outBufLen(srcNode) != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("source still buffers %d outputs after the covering checkpoint", outBufLen(srcNode))
+		}
+	}
+
+	held.Store(true)
+	in, err := s.Emit(ckpt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var specOut event.Event
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		recs, err := scan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		logged := slices.ContainsFunc(recs, func(r wal.Record) bool { return r.Kind == wal.KindTime && r.Event == in.ID })
+		sink.mu.Lock()
+		if len(sink.spec) > 0 {
+			specOut = sink.spec[len(sink.spec)-1]
+		}
+		finals := len(sink.final)
+		sink.mu.Unlock()
+		if finals != ckpt {
+			t.Fatalf("%d finals while the disks hold every stable notification, want %d", finals, ckpt)
+		}
+		if logged && specOut.Key == ckpt {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("clock read of the in-flight event on disk: %t; its speculative output: %+v", logged, specOut)
+		}
+	}
+	if err := eng.Crash(proc); err != nil {
+		t.Fatal(err)
+	}
+	letGo() // the notifications arrive at a node that is gone
+	if err := eng.Recover(proc); err != nil {
+		t.Fatal(err)
+	}
+	finals := sink.waitFinals(t, ckpt+1)
+	if got := finals[len(finals)-1]; got.ID != specOut.ID || !bytes.Equal(got.Payload, specOut.Payload) {
+		t.Fatalf("replayed output %s %v, want %s %v: the logged clock read was not used", got.ID, got.Payload, specOut.ID, specOut.Payload)
+	}
+	eng.Drain()
+
+	if err := eng.Crash(proc); err != nil {
+		t.Fatal(err)
+	}
+	lost.Store(true)
+	if err := eng.Recover(proc); err != nil {
+		t.Fatal(err)
+	}
+	st := eng.RecoveryStats()
+	if st.CheckpointBytes == 0 || st.LogRecords != 0 || st.CoveredSet != 0 || !st.ReplayDone {
+		t.Fatalf("recovery over an empty log: %+v, want the checkpoint and no plan", st)
+	}
+	eng.Drain()
+	if err := eng.Err(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,10 +1,10 @@
 package core
 
 // nodeRecoveryStats is one node's restore/replay instrumentation for the
-// recovery anatomy profiler, guarded by the node mutex. restoreDurable
-// stamps the restore window (checkpoint load + decision-log scan) and
-// opens the replay window; planRun closes the replay window when the
-// plan drains; the covered-set drop sites count dedup drops.
+// recovery anatomy profiler, guarded by the node mutex. readDurable opens
+// the restore window (checkpoint load + decision-log scan), restoreDurable
+// closes it and opens the replay window; planRun closes that when the plan
+// drains; the covered-set drop sites count dedup drops.
 type nodeRecoveryStats struct {
 	restoreStartNs int64
 	restoreEndNs   int64

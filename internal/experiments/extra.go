@@ -12,6 +12,7 @@ import (
 	"streammine/internal/graph"
 	"streammine/internal/operator"
 	"streammine/internal/storage"
+	"streammine/internal/wal"
 )
 
 // ExternalizationResult summarizes the §4 closing scenario.
@@ -140,9 +141,13 @@ func RunRecovery(cfg Config) (*Table, RecoveryResult, error) {
 	})
 	g.Connect(src, 0, proc, 0)
 
-	pool := storage.NewPool([]storage.Disk{storage.NewMemDisk()})
+	disk := storage.NewMemDisk()
+	pool := storage.NewPool([]storage.Disk{disk})
 	defer pool.Close()
-	eng, err := core.New(g, withMetrics(core.Options{Pool: pool, Seed: 77}))
+	eng, err := core.New(g, withMetrics(core.Options{
+		Pool: pool, Seed: 77,
+		LogScanner: func() ([]wal.Record, error) { return wal.Scan(disk.Contents()) },
+	}))
 	if err != nil {
 		return nil, RecoveryResult{}, err
 	}

@@ -26,8 +26,7 @@ func (c *countEmitter) EmitBatch(items []core.BatchItem) ([]event.Event, error) 
 // iteration exercises both the admit path and the shed path. One
 // iteration is a fixed workload (3 clients × 2000 records), which keeps
 // the shed and p99 columns meaningful under `-benchtime 1x` smoke runs.
-// Reported columns feed BENCH_<rev>.json via cmd/benchjson:
-// events/sec, ingest-admit-p99-ms and ingest-shed-pct.
+// Reported columns: events/sec, ingest-admit-p99-ms and ingest-shed-pct.
 func BenchmarkIngestThroughput(b *testing.B) {
 	const clients, perClient, batch = 3, 2000, 64
 	var lastP99 time.Duration

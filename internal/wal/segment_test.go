@@ -161,7 +161,7 @@ func TestSegmentWriteAfterClose(t *testing.T) {
 }
 
 // TestSegmentRecoveryPath exercises the full loop: log through the pool
-// into segments, scan from disk, and build a per-operator replay.
+// into segments and scan everything back from disk, marks included.
 func TestSegmentRecoveryPath(t *testing.T) {
 	store, _ := openStore(t, 8192)
 	pool := storage.NewPool([]storage.Disk{store})
@@ -180,13 +180,15 @@ func TestSegmentRecoveryPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay := Replay(recs, 7)
-	if len(replay) != 4 {
-		t.Fatalf("replay = %d records, want 4 (LSN 7..10)", len(replay))
+	if len(recs) != 11 {
+		t.Fatalf("scan = %d records, want 11", len(recs))
 	}
-	for i, r := range replay {
-		if r.LSN != LSN(7+i) {
-			t.Fatalf("replay[%d].LSN = %d", i, r.LSN)
+	if mark := recs[10]; mark.Kind != KindCheckpointMark || mark.Value != 6 {
+		t.Fatalf("last record = %+v, want the mark covering 6", mark)
+	}
+	for i, r := range recs {
+		if r.LSN != LSN(1+i) {
+			t.Fatalf("recs[%d].LSN = %d", i, r.LSN)
 		}
 	}
 }

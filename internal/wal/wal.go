@@ -199,7 +199,6 @@ type Log struct {
 
 	nextLSN   atomic.Uint64
 	stableLSN atomic.Uint64
-	truncated atomic.Uint64
 
 	met atomic.Pointer[LogMetrics]
 
@@ -336,58 +335,10 @@ func (l *Log) AdvanceLSN(last LSN) {
 	advance(&l.stableLSN, uint64(last))
 }
 
-// Truncate marks all records with LSN <= upTo as prunable (a checkpoint
-// covers them). Truncation is monotonic.
-func (l *Log) Truncate(upTo LSN) {
-	advance(&l.truncated, uint64(upTo))
-}
-
-// TruncatedLSN returns the highest pruned LSN.
-func (l *Log) TruncatedLSN() LSN { return LSN(l.truncated.Load()) }
-
-// MarkCheckpoint appends a KindCheckpointMark record covering coveredLSN
-// and, once it is stable, truncates the log up to coveredLSN.
-func (l *Log) MarkCheckpoint(op uint32, coveredLSN LSN, done func(error)) error {
-	_, err := l.Append([]Record{{
-		Kind:     KindCheckpointMark,
-		Operator: op,
-		Value:    uint64(coveredLSN),
-	}}, func(err error) {
-		if err == nil {
-			l.Truncate(coveredLSN)
-		}
-		if done != nil {
-			done(err)
-		}
-	})
-	return err
-}
-
 // Close marks the log closed. It does not close the underlying pool.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.closed = true
 	return nil
-}
-
-// Replay filters scanned records down to those relevant for recovering
-// operator op: records after the last stable checkpoint mark for that
-// operator, in order. It is the read-side counterpart of MarkCheckpoint.
-func Replay(records []Record, op uint32) []Record {
-	cut := LSN(0)
-	for _, r := range records {
-		if r.Kind == KindCheckpointMark && r.Operator == op {
-			if c := LSN(r.Value); c > cut {
-				cut = c
-			}
-		}
-	}
-	var out []Record
-	for _, r := range records {
-		if r.Operator == op && r.Kind != KindCheckpointMark && r.LSN > cut {
-			out = append(out, r)
-		}
-	}
-	return out
 }

@@ -153,45 +153,6 @@ func TestConcurrentAppendsKeepLSNOrder(t *testing.T) {
 	}
 }
 
-func TestTruncateAndReplay(t *testing.T) {
-	l, mem, _ := newMemLog(t)
-	if _, err := l.AppendSync([]Record{
-		{Kind: KindRandom, Operator: 1, Value: 10},
-		{Kind: KindRandom, Operator: 1, Value: 11},
-		{Kind: KindRandom, Operator: 2, Value: 20},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Checkpoint operator 1 covering LSN 2.
-	ch := make(chan error, 1)
-	if err := l.MarkCheckpoint(1, 2, func(err error) { ch <- err }); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-ch; err != nil {
-		t.Fatal(err)
-	}
-	if l.TruncatedLSN() != 2 {
-		t.Fatalf("TruncatedLSN = %d, want 2", l.TruncatedLSN())
-	}
-	if _, err := l.AppendSync([]Record{{Kind: KindRandom, Operator: 1, Value: 12}}); err != nil {
-		t.Fatal(err)
-	}
-	records, err := Scan(mem.Contents())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Operator 1 replays only records after its checkpoint.
-	rep := Replay(records, 1)
-	if len(rep) != 1 || rep[0].Value != 12 {
-		t.Fatalf("Replay(op 1) = %+v, want single record value 12", rep)
-	}
-	// Operator 2 has no checkpoint: replays everything of its own.
-	rep2 := Replay(records, 2)
-	if len(rep2) != 1 || rep2[0].Value != 20 {
-		t.Fatalf("Replay(op 2) = %+v", rep2)
-	}
-}
-
 func TestAppendAfterClose(t *testing.T) {
 	l, _, _ := newMemLog(t)
 	if err := l.Close(); err != nil {
