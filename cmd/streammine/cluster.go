@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"streammine/internal/cluster"
+	"streammine/internal/debugserver"
 	"streammine/internal/event"
 	"streammine/internal/ingest"
 	"streammine/internal/metrics"
@@ -78,19 +79,7 @@ func runCoordinator(topoPath, addr string, workers int, hbTimeout, slo time.Dura
 		// /healthz carries the per-partition queue-depth / credit snapshot
 		// folded from worker STATUS reports.
 		obs.server.SetPressure(pressureJSON(func() any { return c.Pressure() }))
-		// /debug/cluster merges membership, partition phases and (when
-		// workers run -profile-speculation) the cluster-wide waste rollup.
-		obs.server.SetCluster(func() any { return c.View() })
-		// /debug/health is the live diagnosis surface: SLO budget
-		// attribution, backpressure root-cause chains, straggler flags.
-		obs.server.SetHealth(func() any { return c.Health() })
-		obs.server.SetRecovery(func() any { return c.RecoveryReport() })
-		obs.server.SetSpeculation(func() any {
-			if s := c.Waste(); s != nil {
-				return s
-			}
-			return nil
-		})
+		obs.server.Register(coordinatorSections(c)...)
 	}
 	fmt.Printf("coordinator on %s, waiting for workers\n", c.Addr())
 	select {
@@ -99,6 +88,20 @@ func runCoordinator(topoPath, addr string, workers int, hbTimeout, slo time.Dura
 		fmt.Println("interrupted; stopping workers")
 	}
 	return c.Err()
+}
+
+// coordinatorSections are the telemetry planes only a coordinator has:
+// the membership / partition / pressure / waste rollup, the live health
+// model (SLO budget attribution, backpressure chains, stragglers), the
+// stitched recovery anatomy, and the cluster-wide speculation waste
+// merged from worker STATUS reports.
+func coordinatorSections(c *cluster.Coordinator) []debugserver.Section {
+	return []debugserver.Section{
+		{Name: "cluster", Get: func() any { return c.View() }},
+		{Name: "health", Get: func() any { return c.Health() }},
+		{Name: "recovery", Get: func() any { return c.RecoveryReport() }},
+		{Name: "speculation", Get: func() any { return c.Waste() }},
+	}
 }
 
 // runWorker joins a coordinator and hosts whatever partitions it assigns.
@@ -153,14 +156,7 @@ func runWorker(name, join, dataAddr, stateDir string, hbTimeout time.Duration, p
 		// flow-control pressure snapshot of the hosted partitions.
 		obs.server.SetDegraded(w.Degraded)
 		obs.server.SetPressure(pressureJSON(func() any { return w.Pressure() }))
-		if profileSpec {
-			obs.server.SetSpeculation(func() any {
-				if s := w.Waste(); s != nil {
-					return s
-				}
-				return nil
-			})
-		}
+		obs.server.Register(speculationSections(profileSpec, w.Waste)...)
 	}
 	fmt.Printf("worker %q joined %s (data %s)\n", name, join, w.DataAddr())
 	select {

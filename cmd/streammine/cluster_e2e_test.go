@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"streammine/internal/debugserver"
 	"streammine/internal/metrics"
 	"streammine/internal/procharness"
 	"streammine/internal/recovery"
@@ -289,7 +290,7 @@ func TestClusterRecoveryAnatomy(t *testing.T) {
 			case <-stop:
 				return
 			case <-tick.C:
-				if rep, err := tracetool.FetchRecovery(addr); err == nil && len(rep.Incidents) > 0 {
+				if rep, err := debugserver.Fetch[recovery.Report](addr, "recovery"); err == nil && len(rep.Incidents) > 0 {
 					mu.Lock()
 					last = rep
 					mu.Unlock()

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net/url"
 	"os"
 	"path/filepath"
 	"sync"
@@ -57,14 +58,12 @@ type observability struct {
 	registry  *metrics.Registry
 	tracer    *metrics.Tracer
 	addr      string
-	chaos     bool
 	server    *debugserver.Server
 	traceFile *os.File
-
-	flightrec *flightrec.Recorder
-	frProc    string
-	frDir     string
 	frSnap    *flightrec.Snapshotter
+	// sections are the planes a flag switched on before the server
+	// exists (-chaos, -flightrec); serve mounts them.
+	sections []debugserver.Section
 }
 
 // newObservability configures instrumentation. proc labels every span
@@ -102,22 +101,41 @@ func (o *observability) serve(health func() error) error {
 		return nil
 	}
 	o.server = debugserver.New(o.registry, health)
-	if o.chaos {
-		o.server.SetChaos(chaos.Handle)
-	}
-	if rec := o.flightrec; rec != nil {
-		proc, dir := o.frProc, o.frDir
-		o.server.SetFlightRec(
-			func() any { return rec.Dump(proc) },
-			func() (string, error) { return rec.SaveTo(dir, proc) },
-		)
-	}
+	o.server.Register(o.sections...)
 	bound, err := o.server.Start(o.addr)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("debug server on http://%s (/metrics /healthz /debug/pprof)\n", bound)
 	return nil
+}
+
+// enableChaos accepts runtime fault injection at /debug/chaos: GET
+// reports the armed faults, POST replaces them. Without -chaos the
+// section is never registered, so a production process cannot be handed
+// a fault.
+func (o *observability) enableChaos() {
+	o.sections = append(o.sections, debugserver.Section{
+		Name: "chaos",
+		Get:  func() any { return chaos.State() },
+		Post: func(q url.Values) (any, error) {
+			state, err := chaos.Handle(q)
+			if err != nil {
+				return nil, debugserver.BadInput{Err: err}
+			}
+			return state, nil
+		},
+	})
+}
+
+// speculationSections serves a process's speculation waste — one
+// engine's ledger, or a worker's merged over its partitions — when it
+// profiles speculation; otherwise the route stays "not enabled".
+func speculationSections(profiling bool, waste func() *profiler.Summary) []debugserver.Section {
+	if !profiling {
+		return nil
+	}
+	return []debugserver.Section{{Name: "speculation", Get: func() any { return waste() }}}
 }
 
 // enableFlightRec arms the process-wide flight recorder: lifecycle /
@@ -131,17 +149,29 @@ func (o *observability) enableFlightRec(dir, proc string) {
 	if proc == "" {
 		proc = "engine"
 	}
-	o.flightrec = flightrec.Enable(4096)
-	o.frProc = proc
-	o.frDir = dir
+	rec := flightrec.Enable(4096)
 	flightrec.Recordf(flightrec.KindLifecycle, "flight recorder armed proc=%s pid=%d", proc, os.Getpid())
 	if o.tracer != nil {
 		o.tracer.SetMirror(flightrec.SpanMirror)
 	}
 	if o.registry != nil {
-		flightrec.RegisterMetrics(o.flightrec, o.registry)
+		flightrec.RegisterMetrics(rec, o.registry)
 	}
-	o.frSnap = o.flightrec.StartSnapshots(dir, proc, 250*time.Millisecond)
+	o.frSnap = rec.StartSnapshots(dir, proc, 250*time.Millisecond)
+	// GET dumps the in-memory ring; POST forces a snapshot to disk and
+	// reports its path, so evidence can be captured from a live process
+	// before killing it.
+	o.sections = append(o.sections, debugserver.Section{
+		Name: "flightrec",
+		Get:  func() any { return rec.Dump(proc) },
+		Post: func(url.Values) (any, error) {
+			path, err := rec.SaveTo(dir, proc)
+			if err != nil {
+				return nil, fmt.Errorf("flightrec snapshot: %w", err)
+			}
+			return map[string]string{"path": path}, nil
+		},
+	})
 	fmt.Printf("flight recorder on, snapshots in %s\n", dir)
 }
 
@@ -228,7 +258,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	obs.chaos = *chaosFlag
+	if *chaosFlag {
+		obs.enableChaos()
+	}
 	defer obs.close()
 	if *flightRecFlag {
 		dir := *flightRecDir
@@ -302,9 +334,7 @@ func run() error {
 	}
 	if obs.server != nil {
 		obs.server.SetPressure(pressureJSON(func() any { return eng.Pressure() }))
-		if prof != nil {
-			obs.server.SetSpeculation(func() any { return eng.Waste() })
-		}
+		obs.server.Register(speculationSections(prof != nil, eng.Waste)...)
 	}
 	if err := eng.Start(); err != nil {
 		return err

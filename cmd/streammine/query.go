@@ -53,8 +53,8 @@ func runQuery(text string, rate, count int, profileSpec bool, obs *observability
 	if err := obs.serve(eng.Err); err != nil {
 		return err
 	}
-	if obs.server != nil && prof != nil {
-		obs.server.SetSpeculation(func() any { return eng.Waste() })
+	if obs.server != nil {
+		obs.server.Register(speculationSections(prof != nil, eng.Waste)...)
 	}
 	if err := eng.Start(); err != nil {
 		return err

@@ -1,14 +1,14 @@
 package campaign
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
-	"net/http"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
+	"streammine/internal/debugserver"
+	"streammine/internal/health"
 	"streammine/internal/metrics"
 	"streammine/internal/procharness"
 	"streammine/internal/profiler"
@@ -185,229 +185,102 @@ func completeness(set *tracetool.Set) (externalized, complete int) {
 	return externalized, complete
 }
 
-// wastePoller keeps the last speculation-waste rollup scraped from the
-// coordinator's /debug/cluster endpoint. The coordinator exits the
-// moment a closed-ended run completes, so the poller samples during the
-// run and the final pre-exit snapshot is the cell's waste ledger.
-type wastePoller struct {
-	stop chan struct{}
-	done chan struct{}
-	once sync.Once
-	last *profiler.Summary
+// coordSection fetches one section from the cell's coordinator, once it
+// has announced its debug address.
+func coordSection[T any](cl *procharness.Cluster, name string) (*T, error) {
+	addr, ok := cl.DebugAddr("coordinator")
+	if !ok {
+		return nil, errors.New("campaign: coordinator debug address not known yet")
+	}
+	return debugserver.Fetch[T](addr, name)
 }
 
-// pollWaste starts sampling /debug/cluster on the given cluster's
-// coordinator every 250ms.
-func pollWaste(cl *procharness.Cluster) *wastePoller {
-	p := &wastePoller{stop: make(chan struct{}), done: make(chan struct{})}
-	go func() {
-		defer close(p.done)
-		var addr string
-		for {
-			select {
-			case <-p.stop:
-				return
-			case <-time.After(250 * time.Millisecond):
-			}
-			if addr == "" {
-				a, ok := cl.DebugAddr("coordinator")
-				if !ok {
-					continue
-				}
-				addr = a
-			}
-			if sum := scrapeWaste("http://" + addr + "/debug/cluster"); sum != nil {
-				p.last = sum
-			}
+// pollWaste samples the cluster-wide speculation-waste rollup every
+// 250ms. The coordinator exits the moment a closed-ended run completes,
+// so the last pre-exit sample is the cell's waste ledger (nil when the
+// profiler was off or never reported).
+func pollWaste(cl *procharness.Cluster) *debugserver.Poller[profiler.Summary] {
+	return debugserver.Poll(250*time.Millisecond, func() (*profiler.Summary, error) {
+		return coordSection[profiler.Summary](cl, "speculation")
+	})
+}
+
+// pollRecovery samples the coordinator's recovery anatomy the same way;
+// the last sample holding an incident is the cell's final report.
+func pollRecovery(cl *procharness.Cluster) *debugserver.Poller[recovery.Report] {
+	return debugserver.Poll(250*time.Millisecond, func() (*recovery.Report, error) {
+		rep, err := coordSection[recovery.Report](cl, "recovery")
+		if err != nil || len(rep.Incidents) == 0 {
+			return nil, err
 		}
-	}()
-	return p
+		return rep, nil
+	})
 }
 
-// Stop halts polling and returns the last waste rollup seen (nil when
-// the profiler was off or never reported). Idempotent.
-func (p *wastePoller) Stop() *profiler.Summary {
-	p.once.Do(func() { close(p.stop) })
-	<-p.done
-	return p.last
-}
-
-// healthWatch polls the coordinator's /debug/health during a cell and
-// records detection latencies relative to the fault injection: when the
-// victim worker was first flagged as a straggler, and when a
-// backpressure root-cause chain (rooted on the victim, when one is
-// named) first appeared. It answers the campaign's live-diagnosis
-// assertion — the health plane must name the injected victim before the
-// fault window closes.
+// healthWatch records, from the coordinator's live health view, how long
+// after the fault injection the victim worker was first flagged as a
+// straggler and a backpressure root-cause chain (rooted on the victim,
+// when one is named) first appeared. It answers the campaign's
+// live-diagnosis assertion — the health plane must name the injected
+// victim before the fault window closes.
 type healthWatch struct {
-	stop chan struct{}
-	done chan struct{}
-	once sync.Once
+	poll     *debugserver.Poller[health.View]
+	injectAt time.Time
+	victim   string // "" accepts any root worker
 
-	mu          sync.Mutex
-	injectAt    time.Time
-	victim      string
+	// Written by the poller's goroutine only; Stop reads them once that
+	// goroutine has exited.
 	stragglerMs float64
 	chainMs     float64
 	chain       string
 }
 
-// watchHealth starts polling /debug/health every 100ms (the STATUS
-// cadence, so the watcher sees every model refresh).
-func watchHealth(cl *procharness.Cluster) *healthWatch {
-	hw := &healthWatch{stop: make(chan struct{}), done: make(chan struct{})}
-	go func() {
-		defer close(hw.done)
-		var addr string
-		for {
-			select {
-			case <-hw.stop:
-				return
-			case <-time.After(100 * time.Millisecond):
-			}
-			hw.mu.Lock()
-			armed := !hw.injectAt.IsZero()
-			hw.mu.Unlock()
-			if !armed {
-				continue
-			}
-			if addr == "" {
-				a, ok := cl.DebugAddr("coordinator")
-				if !ok {
-					continue
-				}
-				addr = a
-			}
-			v, err := tracetool.FetchHealth(addr)
-			if err != nil {
-				continue
-			}
-			now := time.Now()
-			hw.mu.Lock()
-			since := float64(now.Sub(hw.injectAt)) / float64(time.Millisecond)
-			if hw.stragglerMs == 0 {
-				for _, s := range v.Stragglers {
-					if s.Worker == hw.victim {
-						hw.stragglerMs = since
-						break
-					}
-				}
-			}
-			if hw.chainMs == 0 {
-				for _, c := range v.Backpressure {
-					if hw.victim != "" && c.RootWorker != hw.victim {
-						continue
-					}
-					hw.chainMs = since
-					hw.chain = fmt.Sprintf("%s (root %s on %s): %s",
-						strings.Join(c.Path, " ← "), c.Root, c.RootWorker, c.Reason)
-					break
-				}
-			}
-			hw.mu.Unlock()
+// watchHealth starts sampling the health view every 100ms (the STATUS
+// cadence, so the watcher sees every model refresh), timing detections
+// from the injection instant.
+func watchHealth(cl *procharness.Cluster, victim string, injectAt time.Time) *healthWatch {
+	hw := &healthWatch{injectAt: injectAt, victim: victim}
+	hw.poll = debugserver.Poll(100*time.Millisecond, func() (*health.View, error) {
+		v, err := coordSection[health.View](cl, "health")
+		if err == nil {
+			hw.observe(v)
 		}
-	}()
+		return v, err
+	})
 	return hw
 }
 
-// Arm anchors detection latencies to the injection instant and names the
-// victim the watcher looks for ("" accepts any root worker).
-func (hw *healthWatch) Arm(victim string, at time.Time) {
-	hw.mu.Lock()
-	hw.victim = victim
-	hw.injectAt = at
-	hw.mu.Unlock()
+// observe notes the first sample that flags the victim.
+func (hw *healthWatch) observe(v *health.View) {
+	since := float64(time.Since(hw.injectAt)) / float64(time.Millisecond)
+	if hw.stragglerMs == 0 {
+		for _, s := range v.Stragglers {
+			if s.Worker == hw.victim {
+				hw.stragglerMs = since
+				break
+			}
+		}
+	}
+	if hw.chainMs == 0 {
+		for _, c := range v.Backpressure {
+			if hw.victim != "" && c.RootWorker != hw.victim {
+				continue
+			}
+			hw.chainMs = since
+			hw.chain = fmt.Sprintf("%s (root %s on %s): %s",
+				strings.Join(c.Path, " ← "), c.Root, c.RootWorker, c.Reason)
+			break
+		}
+	}
 }
 
 // Stop halts polling and returns what was detected (zeros when the
-// health plane never flagged the victim). Idempotent.
+// health plane never flagged the victim, or when no fault was injected
+// and the watch never started). Idempotent.
 func (hw *healthWatch) Stop() (stragglerMs, chainMs float64, chain string) {
-	hw.once.Do(func() { close(hw.stop) })
-	<-hw.done
-	hw.mu.Lock()
-	defer hw.mu.Unlock()
+	if hw == nil {
+		return 0, 0, ""
+	}
+	hw.poll.Stop()
 	return hw.stragglerMs, hw.chainMs, hw.chain
-}
-
-// recoveryPoller samples the coordinator's /debug/recovery during a
-// cell. The coordinator exits at completion, so the last successful
-// scrape is the cell's final anatomy report.
-type recoveryPoller struct {
-	stop chan struct{}
-	done chan struct{}
-	once sync.Once
-	last *recovery.Report
-}
-
-// pollRecovery starts sampling /debug/recovery on the given cluster's
-// coordinator every 250ms.
-func pollRecovery(cl *procharness.Cluster) *recoveryPoller {
-	p := &recoveryPoller{stop: make(chan struct{}), done: make(chan struct{})}
-	go func() {
-		defer close(p.done)
-		var addr string
-		for {
-			select {
-			case <-p.stop:
-				return
-			case <-time.After(250 * time.Millisecond):
-			}
-			if addr == "" {
-				a, ok := cl.DebugAddr("coordinator")
-				if !ok {
-					continue
-				}
-				addr = a
-			}
-			if rep := scrapeRecovery("http://" + addr + "/debug/recovery"); rep != nil {
-				p.last = rep
-			}
-		}
-	}()
-	return p
-}
-
-// Stop halts polling and returns the last anatomy report seen (nil when
-// no incident was ever reported). Idempotent.
-func (p *recoveryPoller) Stop() *recovery.Report {
-	p.once.Do(func() { close(p.stop) })
-	<-p.done
-	return p.last
-}
-
-func scrapeRecovery(url string) *recovery.Report {
-	resp, err := http.Get(url)
-	if err != nil || resp.StatusCode != http.StatusOK {
-		if resp != nil {
-			resp.Body.Close()
-		}
-		return nil
-	}
-	defer resp.Body.Close()
-	var rep recovery.Report
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-		return nil
-	}
-	if len(rep.Incidents) == 0 {
-		return nil
-	}
-	return &rep
-}
-
-func scrapeWaste(clusterURL string) *profiler.Summary {
-	resp, err := http.Get(clusterURL)
-	if err != nil || resp.StatusCode != http.StatusOK {
-		if resp != nil {
-			resp.Body.Close()
-		}
-		return nil
-	}
-	defer resp.Body.Close()
-	var view struct {
-		Waste *profiler.Summary `json:"waste"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
-		return nil
-	}
-	return view.Waste
 }

@@ -251,8 +251,8 @@ func (r *Runner) runCell(s *Spec, cell Cell, baselines map[string]map[string]boo
 
 	waste := pollWaste(cl)
 	defer waste.Stop()
-	healthW := watchHealth(cl)
-	defer healthW.Stop()
+	var healthW *healthWatch
+	defer func() { healthW.Stop() }()
 	recW := pollRecovery(cl)
 	defer recW.Stop()
 
@@ -291,7 +291,7 @@ func (r *Runner) runCell(s *Spec, cell Cell, baselines map[string]map[string]boo
 			return res
 		}
 		res.Victim = in.Victim
-		healthW.Arm(in.Victim, in.At)
+		healthW = watchHealth(cl, in.Victim, in.At)
 		if in.Transient() {
 			clearAfter := cell.Fault.Duration.D()
 			time.AfterFunc(clearAfter, func() { _ = in.Clear() })

@@ -1,5 +1,5 @@
 // Package chaos is the runtime fault-injection control plane behind the
-// /debug/chaos endpoint (debugserver.SetChaos). It translates the
+// /debug/chaos endpoint (the "chaos" debugserver section). It translates the
 // endpoint's query parameters into the process-wide fault shims in
 // internal/transport (slow/lossy/partitioned data-plane bridges) and
 // internal/storage (slow disk), so the campaign runner can arm, adjust
@@ -30,7 +30,7 @@ import (
 	"streammine/internal/transport"
 )
 
-// Handle implements the debugserver chaos contract: nil (or empty) query
+// Handle is the chaos section's POST action: nil (or empty) query
 // values report the current state; non-empty values apply a new
 // configuration and report the resulting state.
 func Handle(q url.Values) (string, error) {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -92,11 +93,10 @@ type coordPart struct {
 	started   bool
 	committed uint64
 	quiesced  bool
-	pressure  []core.NodePressure
-	// waste is the partition's latest cumulative waste summary; each
-	// STATUS report replaces it (summaries are running totals, so adding
-	// them would double-count).
-	waste *profiler.Summary
+	// latest is the newest body of every telemetry section the partition
+	// has reported, by name; a STATUS report replaces the names it carries
+	// (StatusMsg.Sections) and leaves the others as they were.
+	latest map[string]json.RawMessage
 
 	// Recovery catch-up tracking. rate is an EWMA of the partition's
 	// commit rate (events/sec) across STATUS reports; r0 snapshots it
@@ -201,8 +201,8 @@ func (c *Coordinator) Pressure() []PartitionPressure {
 	c.mu.Lock()
 	var out []PartitionPressure
 	for id, cp := range c.parts {
-		if cp.pressure != nil {
-			out = append(out, PartitionPressure{Partition: id, Worker: cp.worker, Nodes: cp.pressure})
+		if nodes, ok := section[[]core.NodePressure](cp.latest, sectionPressure); ok {
+			out = append(out, PartitionPressure{Partition: id, Worker: cp.worker, Nodes: nodes})
 		}
 	}
 	c.mu.Unlock()
@@ -217,8 +217,8 @@ func (c *Coordinator) Waste() *profiler.Summary {
 	c.mu.Lock()
 	var parts []*profiler.Summary
 	for _, cp := range c.parts {
-		if cp.waste != nil {
-			parts = append(parts, cp.waste)
+		if sum, ok := section[*profiler.Summary](cp.latest, sectionSpeculation); ok {
+			parts = append(parts, sum)
 		}
 	}
 	c.mu.Unlock()
@@ -398,7 +398,10 @@ func (c *Coordinator) deploy() error {
 	c.mu.Lock()
 	c.epoch = 1
 	for i, p := range parts {
-		c.parts[p.ID] = &coordPart{plan: p, worker: c.order[i%len(c.order)], epoch: c.epoch}
+		c.parts[p.ID] = &coordPart{
+			plan: p, worker: c.order[i%len(c.order)], epoch: c.epoch,
+			latest: make(map[string]json.RawMessage),
+		}
 		for _, n := range p.Nodes {
 			c.partOf[n] = p.ID
 		}
@@ -482,11 +485,8 @@ func (c *Coordinator) status(st StatusMsg) {
 	cp.phase = st.Phase
 	cp.committed = st.Committed
 	cp.quiesced = st.Quiesced
-	if st.Pressure != nil {
-		cp.pressure = st.Pressure
-	}
-	if st.Waste != nil {
-		cp.waste = st.Waste
+	for name, body := range st.Sections {
+		cp.latest[name] = body
 	}
 	var catchSpans []recovery.Span
 	if cp.catchPending && st.Phase == PhaseRunning {
@@ -549,9 +549,11 @@ func (c *Coordinator) status(st StatusMsg) {
 	// The report passed stale-epoch rejection above, so it reflects the
 	// partition's current incarnation: fold it into the health model
 	// and its recovery spans into the anatomy aggregator.
-	c.healthM.Fold(st.Name, st.Partition, st.Health, st.Pressure, time.Now())
-	if len(st.Recovery) > 0 {
-		c.recAgg.Fold(st.Recovery)
+	hs, _ := section[[]core.NodeHealth](st.Sections, sectionHealth)
+	ps, _ := section[[]core.NodePressure](st.Sections, sectionPressure)
+	c.healthM.Fold(st.Name, st.Partition, hs, ps, time.Now())
+	if spans, ok := section[[]recovery.Span](st.Sections, sectionRecovery); ok {
+		c.recAgg.Fold(spans)
 	}
 	if len(catchSpans) > 0 {
 		c.recAgg.Fold(catchSpans)

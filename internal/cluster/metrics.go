@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"streammine/internal/metrics"
+	"streammine/internal/profiler"
 	"streammine/internal/transport"
 )
 
@@ -13,6 +14,7 @@ type clusterMetrics struct {
 	reassignments    *metrics.Counter
 	bridgeReconnects *metrics.Counter
 	bridgeRTT        *metrics.HDR
+	statusBytes      *metrics.HDR
 	ctlReceived      map[transport.MsgType]*metrics.Counter
 }
 
@@ -33,6 +35,8 @@ func registerClusterMetrics(r *metrics.Registry) *clusterMetrics {
 			"Cross-worker bridge reconnections (redials after link loss or retarget)."),
 		bridgeRTT: r.HDR("cluster_bridge_rtt",
 			"Bridge dial round-trip (connect + hello) per successful attempt — the network cost a cut edge adds."),
+		statusBytes: r.HDRCounts("cluster_status_bytes",
+			"Encoded size in bytes of each STATUS report a worker sends — what the telemetry sections cost per heartbeat."),
 		ctlReceived: make(map[transport.MsgType]*metrics.Counter),
 	}
 	for _, t := range []transport.MsgType{
@@ -79,6 +83,12 @@ func (m *clusterMetrics) bridgeReconnected() {
 	}
 }
 
+func (m *clusterMetrics) statusEncoded(bytes int) {
+	if m != nil {
+		m.statusBytes.Observe(int64(bytes))
+	}
+}
+
 // bridgeRTTHist returns the bridge RTT histogram (nil when unmetered;
 // HDR methods are nil-safe).
 func (m *clusterMetrics) bridgeRTTHist() *metrics.HDR {
@@ -93,55 +103,35 @@ func (m *clusterMetrics) bridgeRTTHist() *metrics.HDR {
 // partition summaries (replaced per STATUS report, so totals never
 // double-count). Registered only when the coordinator has a registry.
 func registerCoordWasteMetrics(c *Coordinator, reg *metrics.Registry) {
-	const abortedHelp = "Aborted attempts across the cluster, by cause (merged worker waste summaries)."
-	const wastedHelp = "CPU nanoseconds wasted in aborted attempts across the cluster, by cause."
+	// total sums one ledger column over the merged summary's operators.
+	total := func(col func(profiler.NodeWaste) uint64) func() uint64 {
+		return func() uint64 {
+			var n uint64
+			if s := c.Waste(); s != nil {
+				for _, nw := range s.Nodes {
+					n += col(nw)
+				}
+			}
+			return n
+		}
+	}
 	for _, cause := range []string{"conflict", "revoke", "replace", "error"} {
 		cause := cause
-		reg.CounterFunc("cluster_waste_aborted_attempts_total", abortedHelp,
+		reg.CounterFunc("cluster_waste_aborted_attempts_total",
+			"Aborted attempts across the cluster, by cause (merged worker waste summaries).",
 			metrics.Labels{"cause": cause},
-			func() uint64 {
-				var n uint64
-				if s := c.Waste(); s != nil {
-					for _, nw := range s.Nodes {
-						n += nw.AbortedAttempts[cause]
-					}
-				}
-				return n
-			})
-		reg.CounterFunc("cluster_waste_cpu_ns_total", wastedHelp,
+			total(func(nw profiler.NodeWaste) uint64 { return nw.AbortedAttempts[cause] }))
+		reg.CounterFunc("cluster_waste_cpu_ns_total",
+			"CPU nanoseconds wasted in aborted attempts across the cluster, by cause.",
 			metrics.Labels{"cause": cause},
-			func() uint64 {
-				var ns int64
-				if s := c.Waste(); s != nil {
-					for _, nw := range s.Nodes {
-						ns += nw.WastedCPUNs[cause]
-					}
-				}
-				return uint64(ns)
-			})
+			total(func(nw profiler.NodeWaste) uint64 { return uint64(nw.WastedCPUNs[cause]) }))
 	}
 	reg.CounterFunc("cluster_waste_reexecutions_total",
 		"Re-executions dispatched after aborts across the cluster.", nil,
-		func() uint64 {
-			var n uint64
-			if s := c.Waste(); s != nil {
-				for _, nw := range s.Nodes {
-					n += nw.Reexecutions
-				}
-			}
-			return n
-		})
+		total(func(nw profiler.NodeWaste) uint64 { return nw.Reexecutions }))
 	reg.CounterFunc("cluster_waste_revoked_outputs_total",
 		"Outputs revoked because their producing task aborted, across the cluster.", nil,
-		func() uint64 {
-			var n uint64
-			if s := c.Waste(); s != nil {
-				for _, nw := range s.Nodes {
-					n += nw.RevokedOutputs
-				}
-			}
-			return n
-		})
+		total(func(nw profiler.NodeWaste) uint64 { return nw.RevokedOutputs }))
 	reg.GaugeFunc("cluster_waste_cpu_pct",
 		"Wasted CPU as a percentage of all attempt CPU across the cluster.", nil,
 		func() float64 {

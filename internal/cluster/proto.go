@@ -23,9 +23,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"streammine/internal/core"
-	"streammine/internal/profiler"
-	"streammine/internal/recovery"
 	"streammine/internal/transport"
 )
 
@@ -97,26 +94,32 @@ type StatusMsg struct {
 	// publishing and the engine is idle.
 	Quiesced bool   `json:"quiesced"`
 	Err      string `json:"err,omitempty"`
-	// Pressure snapshots per-node flow-control state (queue depth,
-	// credit accounting, speculation throttle, admission counters) for
-	// every node of the partition, in node order. Empty when the
-	// partition is not running.
-	Pressure []core.NodePressure `json:"pressure,omitempty"`
-	// Waste is the partition's cumulative speculation-waste summary
-	// (per-operator ledgers plus conflict heatmap), attached when the
-	// worker profiles speculation. The coordinator replaces its cached
-	// copy per report and merges across partitions.
-	Waste *profiler.Summary `json:"waste,omitempty"`
-	// Health carries per-node commit counts and finalize-latency quantiles
-	// for the coordinator's live health model (SLO budget attribution,
-	// straggler detection). Cumulative; the coordinator replaces its cached
-	// copy per report. Empty when the partition is not running.
-	Health []core.NodeHealth `json:"health,omitempty"`
-	// Recovery carries the partition's recovery phase spans (rebuild,
-	// durable restore, credit refill, replay) for the coordinator's
-	// anatomy profiler. Cumulative — the full span set rides every
-	// report and the aggregator replaces by span identity.
-	Recovery []recovery.Span `json:"recovery,omitempty"`
+	// Sections carries the partition's telemetry planes, one JSON body per
+	// section name (the section* constants). Every body is cumulative — a
+	// running total or a full snapshot — so the coordinator replaces its
+	// cached copy per name on each report and never adds. A section with
+	// nothing to say (profiler off, partition not running) is absent.
+	Sections map[string]json.RawMessage `json:"sections,omitempty"`
+	// snaps are the section snapshots a worker took under its lock;
+	// sendStatus encodes them into Sections. Never on the wire.
+	snaps map[string]any
+}
+
+// Names of the sections a worker ships on STATUS, with the Go type of
+// each body. A plane that is also served over HTTP carries the name of
+// its /debug route.
+const (
+	sectionPressure    = "pressure"    // []core.NodePressure, in node order
+	sectionSpeculation = "speculation" // *profiler.Summary, when the worker profiles speculation
+	sectionHealth      = "health"      // []core.NodeHealth
+	sectionRecovery    = "recovery"    // []recovery.Span, the full span set
+)
+
+// section decodes one section body; ok is false when sections carries no
+// usable body under name (an absent body does not parse either).
+func section[T any](sections map[string]json.RawMessage, name string) (v T, ok bool) {
+	ok = json.Unmarshal(sections[name], &v) == nil
+	return v, ok
 }
 
 // StopMsg tears a worker down.

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -27,12 +28,9 @@ func TestControlCodecRoundTrip(t *testing.T) {
 		{transport.MsgStatus, &StatusMsg{
 			Name: "w1", Partition: 2, Epoch: 3, Phase: PhaseRunning,
 			Committed: 41, Quiesced: true, Err: "boom",
-			Pressure: []core.NodePressure{{
-				Node: "classify", DataDepth: 7, DataCap: 32, DataHighWater: 30,
-				Overflows: 2, CreditQueued: 5, CreditsOutstanding: 16,
-				ThrottleOpen: 3, ThrottleCap: 4, Throttled: 11,
-				Admitted: 100, Shed: 9, AdmitRate: 512.5,
-			}},
+			Sections: map[string]json.RawMessage{
+				sectionPressure: json.RawMessage(`[{"node":"classify","dataDepth":7,"dataCap":32}]`),
+			},
 		}, &StatusMsg{}},
 		{transport.MsgStop, &StopMsg{Reason: "done"}, &StopMsg{}},
 		{transport.MsgHello, &HelloMsg{Edge: edge}, &HelloMsg{}},
@@ -57,6 +55,26 @@ func TestControlCodecRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(c.in, c.out) {
 			t.Errorf("%s: round trip:\n in  %+v\n out %+v", c.typ, c.in, c.out)
 		}
+	}
+}
+
+// TestSectionDecode is the coordinator's read side of StatusMsg.Sections:
+// a body decodes into the type its reader asks for; a missing or
+// malformed body reports !ok instead of a zero value that looks like data.
+func TestSectionDecode(t *testing.T) {
+	secs := map[string]json.RawMessage{
+		sectionPressure: json.RawMessage(`[{"node":"classify","dataDepth":7,"dataCap":32}]`),
+		sectionHealth:   json.RawMessage(`{"not":"a list"}`),
+	}
+	ps, ok := section[[]core.NodePressure](secs, sectionPressure)
+	if !ok || len(ps) != 1 || ps[0].Node != "classify" || ps[0].DataDepth != 7 {
+		t.Errorf("pressure = %+v ok=%v, want classify depth 7", ps, ok)
+	}
+	if _, ok := section[[]core.NodeHealth](secs, sectionHealth); ok {
+		t.Error("malformed health body decoded ok")
+	}
+	if _, ok := section[[]core.NodeHealth](secs, sectionRecovery); ok {
+		t.Error("absent recovery section decoded ok")
 	}
 }
 

@@ -2,33 +2,29 @@ package cluster
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
 	"streammine/internal/metrics"
+	"streammine/internal/metricstest"
 )
 
-// TestClusterWasteRollup runs the two-worker topology with
-// ProfileSpeculation on and asserts the rollup chain: every partition
-// engine profiles, workers attach cumulative waste summaries to STATUS
-// heartbeats, and the coordinator merges them into Waste()/View() plus
-// the aggregated cluster_waste_* series.
-func TestClusterWasteRollup(t *testing.T) {
-	reg := metrics.NewRegistry()
+// runProfiledCluster runs clusterTopo to completion on two workers with
+// ProfileSpeculation on; coordReg and workerReg (either may be nil)
+// receive the coordinator's and the workers' cluster series.
+func runProfiledCluster(t *testing.T, coordReg, workerReg *metrics.Registry) *Coordinator {
+	t.Helper()
 	coord, err := NewCoordinator([]byte(clusterTopo), CoordinatorOptions{
 		Addr:              "127.0.0.1:0",
 		HeartbeatInterval: 50 * time.Millisecond,
 		HeartbeatTimeout:  400 * time.Millisecond,
-		Metrics:           reg,
+		Metrics:           coordReg,
 		Logf:              t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer coord.Close()
+	t.Cleanup(func() { coord.Close() })
 
 	stateDir := t.TempDir()
 	sinks := newSinkSet()
@@ -41,6 +37,7 @@ func TestClusterWasteRollup(t *testing.T) {
 			HeartbeatInterval:  50 * time.Millisecond,
 			HeartbeatTimeout:   400 * time.Millisecond,
 			ProfileSpeculation: true,
+			Metrics:            workerReg,
 			OnSinkEvent:        sinks.observer(name),
 			Logf: func(format string, args ...any) {
 				t.Logf("["+name+"] "+format, args...)
@@ -49,7 +46,7 @@ func TestClusterWasteRollup(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer w.Close()
+		t.Cleanup(func() { w.Close() })
 	}
 
 	select {
@@ -60,6 +57,17 @@ func TestClusterWasteRollup(t *testing.T) {
 	if err := coord.Err(); err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
+	return coord
+}
+
+// TestClusterWasteRollup runs the two-worker topology with
+// ProfileSpeculation on and asserts the rollup chain: every partition
+// engine profiles, workers attach cumulative waste summaries to STATUS
+// heartbeats, and the coordinator merges them into Waste()/View() plus
+// the aggregated cluster_waste_* series.
+func TestClusterWasteRollup(t *testing.T) {
+	reg := metrics.NewRegistry()
+	coord := runProfiledCluster(t, reg, nil)
 
 	// The coordinator keeps the last waste summary each partition shipped,
 	// so the merged view survives partition shutdown.
@@ -97,20 +105,37 @@ func TestClusterWasteRollup(t *testing.T) {
 		t.Error("cluster_waste_cpu_pct not registered")
 	}
 
-	// Every cluster_waste_* series must be documented in the
-	// docs/OBSERVABILITY.md inventory table.
-	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "OBSERVABILITY.md"))
-	if err != nil {
-		t.Fatalf("read metric inventory doc: %v", err)
+	metricstest.Documented(t, reg, "cluster_waste_", "OBSERVABILITY.md", 5)
+}
+
+// statusBytesBudget bounds one steady-state STATUS report of the
+// two-partition paper topology (clusterTopo) with every section on. The
+// sections are running totals and bounded snapshots, so a report does not
+// grow with the length of the run; one that does — a plane shipping its
+// history on every heartbeat — overruns this and is named below.
+const statusBytesBudget = 4096
+
+// TestStatusBytesBudget runs the profiled two-worker topology and holds
+// the largest STATUS any worker encoded (cluster_status_bytes) under the
+// budget, reporting the coordinator's cached body size per section when
+// it is not.
+func TestStatusBytesBudget(t *testing.T) {
+	reg := metrics.NewRegistry()
+	coord := runProfiledCluster(t, metrics.NewRegistry(), reg)
+	sizes := reg.HDRCounts("cluster_status_bytes", "")
+	if sizes.Count() == 0 {
+		t.Fatal("cluster_status_bytes observed no STATUS report")
 	}
-	seen := make(map[string]bool)
-	for _, p := range reg.Snapshot() {
-		if !strings.HasPrefix(p.Name, "cluster_waste_") || seen[p.Name] {
-			continue
+	t.Logf("STATUS bytes over %d reports: p50 %d, max %d", sizes.Count(), sizes.Quantile(0.5), sizes.Max())
+	if sizes.Max() > statusBytesBudget {
+		coord.mu.Lock()
+		for id, cp := range coord.parts {
+			for name, body := range cp.latest {
+				t.Logf("partition %d section %s: %d bytes", id, name, len(body))
+			}
 		}
-		seen[p.Name] = true
-		if !strings.Contains(string(doc), p.Name) {
-			t.Errorf("series %s not documented in docs/OBSERVABILITY.md", p.Name)
-		}
+		coord.mu.Unlock()
+		t.Errorf("largest STATUS report was %d bytes, budget %d", sizes.Max(), statusBytesBudget)
 	}
+	metricstest.Documented(t, reg, "cluster_status_", "OBSERVABILITY.md", 1)
 }

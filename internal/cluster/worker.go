@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -320,11 +321,25 @@ func (w *Worker) fail(partition, epoch int, err error) {
 	})
 }
 
+// sendStatus encodes the report's section snapshots — outside the
+// worker's lock, they are private copies — and sends it. A snapshot that
+// is nil (profiler off, nothing rebuilt yet) encodes as JSON null and is
+// left out.
 func (w *Worker) sendStatus(st StatusMsg) {
+	st.Sections = make(map[string]json.RawMessage, len(st.snaps))
+	for name, snap := range st.snaps {
+		body, err := json.Marshal(snap)
+		if err != nil {
+			w.logf("partition %d: encode section %s: %v", st.Partition, name, err)
+		} else if string(body) != "null" {
+			st.Sections[name] = body
+		}
+	}
 	msg, err := encodeCtl(transport.MsgStatus, st)
 	if err != nil {
 		return
 	}
+	w.met.statusEncoded(len(msg.Payload))
 	_ = w.coord.Send(msg)
 }
 
@@ -701,12 +716,14 @@ func (w *Worker) runSource(p *workerPart, src topology.SourceSpec) {
 func (w *Worker) partStatusLocked(p *workerPart, phase string) StatusMsg {
 	st := StatusMsg{
 		Name: w.opts.Name, Partition: p.id, Epoch: p.epoch, Phase: phase,
+		// The one list of (name, snapshot) pairs a partition ships.
+		snaps: map[string]any{sectionRecovery: w.recoverySpansLocked(p)},
 	}
 	if p.running {
+		st.snaps[sectionPressure] = p.eng.Pressure()
+		st.snaps[sectionSpeculation] = p.eng.Waste()
+		st.snaps[sectionHealth] = p.eng.Health()
 		st.Committed = p.eng.TotalStats().Committed
-		st.Pressure = p.eng.Pressure()
-		st.Waste = p.eng.Waste()
-		st.Health = p.eng.Health()
 		// Ingest-fed partitions are open-ended: producers may reconnect
 		// at any time, so they never report quiesced and the run ends by
 		// operator interrupt instead of completion detection.
@@ -721,7 +738,6 @@ func (w *Worker) partStatusLocked(p *workerPart, phase string) StatusMsg {
 		}
 		st.Quiesced = quiesced
 	}
-	st.Recovery = w.recoverySpansLocked(p)
 	return st
 }
 

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"os"
-	"path/filepath"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -11,6 +8,7 @@ import (
 	"streammine/internal/flow"
 	"streammine/internal/graph"
 	"streammine/internal/metrics"
+	"streammine/internal/metricstest"
 	"streammine/internal/operator"
 	"streammine/internal/storage"
 	"streammine/internal/transport"
@@ -45,26 +43,10 @@ func buildBatchPipeline(t testing.TB, fl *flow.Limits, reg *metrics.Registry) (*
 // docs/OBSERVABILITY.md: every batch_* series the engine registers must
 // appear by name in the handbook's metric table.
 func TestBatchMetricInventoryDocumented(t *testing.T) {
-	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "PERFORMANCE.md"))
-	if err != nil {
-		t.Fatalf("read docs/PERFORMANCE.md: %v", err)
-	}
 	reg := metrics.NewRegistry()
 	_, _, pool, _ := buildBatchPipeline(t, &flow.Limits{BatchSize: 8}, reg)
 	defer pool.Close()
-	seen := 0
-	for _, s := range reg.Snapshot() {
-		if !strings.HasPrefix(s.Name, "batch_") {
-			continue
-		}
-		seen++
-		if !strings.Contains(string(doc), s.Name) {
-			t.Errorf("metric %q is registered but not documented in docs/PERFORMANCE.md", s.Name)
-		}
-	}
-	if seen == 0 {
-		t.Fatal("no batch_* series registered; inventory check is vacuous")
-	}
+	metricstest.Documented(t, reg, "batch_", "PERFORMANCE.md", 1)
 }
 
 // TestFinalizeBatchZeroAlloc proves the finalize and ack paths allocate

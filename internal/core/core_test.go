@@ -329,7 +329,7 @@ func TestStatefulParallelismCorrectness(t *testing.T) {
 		}
 	}
 	finals := sink.waitFinals(t, events)
-	eng.Drain()
+	drainOrDump(t, eng, 30*time.Second)
 	if err := eng.Err(); err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func TestRandomPipelines(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			eng.Drain()
+			drainOrDump(t, eng, 30*time.Second)
 			time.Sleep(2 * time.Millisecond)
 			if err := eng.Err(); err != nil {
 				t.Fatalf("pipeline error: %v", err)

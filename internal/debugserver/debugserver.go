@@ -1,6 +1,8 @@
 // Package debugserver exposes the engine's observability surface over
-// HTTP: Prometheus text metrics (/metrics), a liveness probe (/healthz)
-// and the standard net/http/pprof profiling handlers (/debug/pprof/).
+// HTTP: Prometheus text metrics (/metrics), a liveness probe (/healthz),
+// the standard net/http/pprof profiling handlers (/debug/pprof/) and one
+// /debug/<name> route per registered telemetry Section — plus the client
+// side of that route (Fetch, Poll) for the tools that read it.
 // It is opt-in — binaries start it only when -debug-addr is given — and
 // runs entirely off the hot path: scraping reads atomics, it never locks
 // engine structures for longer than a counter read.
@@ -10,6 +12,7 @@ package debugserver
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -22,39 +25,29 @@ import (
 	"streammine/internal/metrics"
 )
 
-// Server serves /metrics, /healthz and /debug/pprof/* on one listener.
+// Server serves /metrics, /healthz, /debug/pprof/* and the registered
+// sections on one listener.
 type Server struct {
-	reg         *metrics.Registry
-	health      func() error
-	srv         *http.Server
-	ln          net.Listener
-	mu          sync.Mutex
-	degraded    func() []string
-	pressure    func() string
-	speculation func() any
-	cluster     func() any
-	healthView  func() any
-	recoveryFn  func() any
-	frDump      func() any
-	frSnap      func() (string, error)
-	draining    func() bool
-	chaos       func(url.Values) (string, error)
+	reg      *metrics.Registry
+	health   func() error
+	srv      *http.Server
+	ln       net.Listener
+	mu       sync.Mutex
+	degraded func() []string
+	pressure func() string
+	draining func() bool
+	sections map[string]Section
 }
 
 // New builds a server over reg. health may be nil; when set it is polled
 // by /healthz and a non-nil error turns the probe into a 503 with the
 // error text in the body.
 func New(reg *metrics.Registry, health func() error) *Server {
-	s := &Server{reg: reg, health: health}
+	s := &Server{reg: reg, health: health, sections: make(map[string]Section)}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/debug/speculation", s.handleSpeculation)
-	mux.HandleFunc("/debug/cluster", s.handleCluster)
-	mux.HandleFunc("/debug/health", s.handleHealth)
-	mux.HandleFunc("/debug/recovery", s.handleRecovery)
-	mux.HandleFunc("/debug/flightrec", s.handleFlightRec)
-	mux.HandleFunc("/debug/chaos", s.handleChaos)
+	mux.HandleFunc("/debug/", s.handleSection)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -123,170 +116,91 @@ func (s *Server) SetDraining(fn func() bool) {
 	s.mu.Unlock()
 }
 
-// SetSpeculation installs the speculation-waste snapshot provider served
-// as JSON at /debug/speculation (typically profiler.Summary — the
-// per-operator waste ledgers plus the conflict heatmap). Unset, the route
-// answers 404 so scrapers can tell "profiling off" from "empty profile".
-func (s *Server) SetSpeculation(fn func() any) {
-	s.mu.Lock()
-	s.speculation = fn
-	s.mu.Unlock()
+// Section is one telemetry plane, served at /debug/<Name>: a snapshot
+// for GET and, where the plane has one, an action for POST. A process
+// registers each plane it runs exactly once; docs/OBSERVABILITY.md
+// ("Sections") lists who registers what.
+type Section struct {
+	Name string
+	// Get snapshots the plane. A result that encodes as JSON null — nil,
+	// typed or not — answers 404 "no data yet", so scrapers can tell an
+	// empty plane from one that is switched off; a string is served as
+	// text/plain, anything else as indented JSON.
+	Get func() any
+	// Post, when set, applies the request's form parameters and returns
+	// the outcome, rendered like Get's. An error wrapped in BadInput
+	// answers 400, any other error 500.
+	Post func(url.Values) (any, error)
 }
 
-// SetCluster installs the cluster-wide rollup provider served as JSON at
-// /debug/cluster (the coordinator's merged per-worker waste summaries and
-// membership view). Unset, the route answers 404.
-func (s *Server) SetCluster(fn func() any) {
-	s.mu.Lock()
-	s.cluster = fn
-	s.mu.Unlock()
-}
+// BadInput marks a Section.Post error as the caller's fault.
+type BadInput struct{ Err error }
 
-// SetChaos installs the runtime fault-injection control handler served
-// at /debug/chaos (typically chaos.Handle). A GET reports the current
-// fault state; a POST applies the query/form parameters as the new
-// configuration. Unset, the route answers 404 — binaries opt in with the
-// -chaos flag, so a production process never accepts injected faults.
-func (s *Server) SetChaos(fn func(url.Values) (string, error)) {
-	s.mu.Lock()
-	s.chaos = fn
-	s.mu.Unlock()
-}
+func (e BadInput) Error() string { return e.Err.Error() }
 
-// SetHealth installs the live cluster-health snapshot provider served as
-// JSON at /debug/health (the coordinator's SLO budget attribution,
-// backpressure root-cause chains and straggler flags). Unset, the route
-// answers 404 — only coordinators have a health model.
-func (s *Server) SetHealth(fn func() any) {
+// Register mounts each section at /debug/<Name>, replacing any section
+// of the same name. A name nothing registered answers 404 "not enabled".
+func (s *Server) Register(secs ...Section) {
 	s.mu.Lock()
-	s.healthView = fn
-	s.mu.Unlock()
-}
-
-// SetFlightRec installs the flight-recorder surface at /debug/flightrec:
-// GET serves the in-memory ring as a JSON dump; POST forces a snapshot to
-// disk and reports the written path, so an operator (or the campaign
-// runner) can capture evidence from a live process before killing it.
-// Unset, the route answers 404 — binaries opt in with -flightrec.
-func (s *Server) SetFlightRec(get func() any, snap func() (string, error)) {
-	s.mu.Lock()
-	s.frDump = get
-	s.frSnap = snap
-	s.mu.Unlock()
-}
-
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	fn := s.healthView
-	s.mu.Unlock()
-	serveJSON(w, r, fn)
-}
-
-// SetRecovery installs the recovery anatomy report served as JSON at
-// /debug/recovery (per-incident phase timelines with attribution).
-// Unset, the route answers 404 — only coordinators stitch incidents.
-func (s *Server) SetRecovery(fn func() any) {
-	s.mu.Lock()
-	s.recoveryFn = fn
-	s.mu.Unlock()
-}
-
-func (s *Server) handleRecovery(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	fn := s.recoveryFn
-	s.mu.Unlock()
-	serveJSON(w, r, fn)
-}
-
-func (s *Server) handleFlightRec(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	get, snap := s.frDump, s.frSnap
-	s.mu.Unlock()
-	switch r.Method {
-	case http.MethodGet, "":
-		serveJSON(w, r, get)
-	case http.MethodPost:
-		if snap == nil {
-			jsonError(w, http.StatusNotFound, "flight recorder not enabled")
-			return
-		}
-		path, err := snap()
-		if err != nil {
-			jsonError(w, http.StatusInternalServerError, "flightrec snapshot: %v", err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, "{\n  \"path\": %q\n}\n", path)
-	default:
-		jsonError(w, http.StatusMethodNotAllowed, "method %s not allowed; use GET or POST", r.Method)
+	for _, sec := range secs {
+		s.sections[sec.Name] = sec
 	}
+	s.mu.Unlock()
 }
 
-func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
+// handleSection is the one /debug/<name> handler: every section shares
+// its method check, its two 404s and the {"error": ...} body.
+func (s *Server) handleSection(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	fn := s.chaos
+	sec, ok := s.sections[strings.TrimPrefix(r.URL.Path, "/debug/")]
 	s.mu.Unlock()
-	if fn == nil {
-		jsonError(w, http.StatusNotFound, "chaos injection not enabled (start with -chaos)")
+	if !ok {
+		jsonError(w, http.StatusNotFound, "not enabled on this process")
 		return
 	}
-	switch r.Method {
-	case http.MethodGet, http.MethodPost, "":
-	default:
-		jsonError(w, http.StatusMethodNotAllowed, "method %s not allowed; use GET or POST", r.Method)
-		return
-	}
-	var params url.Values
-	if r.Method == http.MethodPost {
+	var v any
+	switch {
+	case r.Method == http.MethodGet || r.Method == "":
+		v = sec.Get()
+	case r.Method == http.MethodPost && sec.Post != nil:
 		if err := r.ParseForm(); err != nil {
 			jsonError(w, http.StatusBadRequest, "bad form: %v", err)
 			return
 		}
-		params = r.Form
-	}
-	state, err := fn(params)
-	if err != nil {
-		jsonError(w, http.StatusBadRequest, "%v", err)
+		var err error
+		if v, err = sec.Post(r.Form); err != nil {
+			status := http.StatusInternalServerError
+			if errors.As(err, &BadInput{}) {
+				status = http.StatusBadRequest
+			}
+			jsonError(w, status, "%v", err)
+			return
+		}
+	case sec.Post != nil:
+		jsonError(w, http.StatusMethodNotAllowed, "method %s not allowed; use GET or POST", r.Method)
 		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, state)
-}
-
-func (s *Server) handleSpeculation(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	fn := s.speculation
-	s.mu.Unlock()
-	serveJSON(w, r, fn)
-}
-
-func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	fn := s.cluster
-	s.mu.Unlock()
-	serveJSON(w, r, fn)
-}
-
-func serveJSON(w http.ResponseWriter, r *http.Request, fn func() any) {
-	switch r.Method {
-	case http.MethodGet, "":
 	default:
 		jsonError(w, http.StatusMethodNotAllowed, "method %s not allowed; use GET", r.Method)
 		return
 	}
-	if fn == nil {
-		jsonError(w, http.StatusNotFound, "not enabled on this process")
+	if text, ok := v.(string); ok {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		fmt.Fprintln(w, text)
 		return
 	}
-	v := fn()
-	if v == nil {
+	// Encoding first makes "nothing to show" one test: nil and a typed nil
+	// pointer, map or slice all encode as null, and none of them may be
+	// served as a 200.
+	body, err := json.MarshalIndent(v, "", "  ")
+	switch {
+	case err != nil:
+		jsonError(w, http.StatusInternalServerError, "encode: %v", err)
+	case string(body) == "null":
 		jsonError(w, http.StatusNotFound, "no data yet")
-		return
+	default:
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write(append(body, '\n'))
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }
 
 // jsonError writes the uniform debug-endpoint error body: every
@@ -296,12 +210,11 @@ func serveJSON(w http.ResponseWriter, r *http.Request, fn func() any) {
 func jsonError(w http.ResponseWriter, status int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	body := struct {
-		Error string `json:"error"`
-	}{Error: fmt.Sprintf(format, args...)}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(body)
+	_ = enc.Encode(struct {
+		Error string `json:"error"`
+	}{fmt.Sprintf(format, args...)})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -174,61 +174,86 @@ func wantJSONError(t *testing.T, code int, body string, hdr http.Header, wantCod
 	}
 }
 
-// TestDebugEndpointJSONErrors locks in the error contract shared by every
-// /debug/* route: route unset → 404, wrong method → 405, bad input → 400,
-// all with the same {"error": "..."} JSON body so pollers parse one shape.
-func TestDebugEndpointJSONErrors(t *testing.T) {
+// TestSectionRoutes is the route table of the one /debug/<name> handler,
+// over one section of each shape a process registers: a JSON snapshot
+// (cluster, health, recovery, speculation), a text state with a POST
+// that applies parameters (chaos), and a snapshot with a POST action
+// (flightrec). Every failure — name not registered → 404, nothing to
+// show yet → 404, wrong method → 405, rejected input → 400, failed
+// action → 500 — answers the same {"error": "..."} JSON body, so pollers
+// parse one shape.
+func TestSectionRoutes(t *testing.T) {
 	s := New(metrics.NewRegistry(), nil)
 	addr, err := s.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	base := "http://" + addr
 
-	// Unset routes answer 404 with a JSON error.
-	code, body, hdr := do(t, http.MethodGet, base+"/debug/chaos", "")
-	wantJSONError(t, code, body, hdr, http.StatusNotFound, "chaos injection not enabled")
-	code, body, hdr = do(t, http.MethodGet, base+"/debug/health", "")
-	wantJSONError(t, code, body, hdr, http.StatusNotFound, "not enabled")
-	code, body, hdr = do(t, http.MethodGet, base+"/debug/flightrec", "")
-	wantJSONError(t, code, body, hdr, http.StatusNotFound, "not enabled")
-	code, body, hdr = do(t, http.MethodPost, base+"/debug/flightrec", "")
-	wantJSONError(t, code, body, hdr, http.StatusNotFound, "not enabled")
+	var applied url.Values
+	s.Register(
+		Section{Name: "view", Get: func() any { return map[string]int{"workers": 2} }},
+		Section{Name: "empty", Get: func() any { return nil }},
+		// A provider handing back its typed "nothing yet" must not be
+		// served as a 200 "null".
+		Section{Name: "typednil", Get: func() any { return (*struct{ N int })(nil) }},
+		Section{
+			Name: "state",
+			Get:  func() any { return "off" },
+			Post: func(q url.Values) (any, error) {
+				if q.Get("fault") == "bogus" {
+					return nil, BadInput{errors.New("unknown fault \"bogus\"")}
+				}
+				applied = q
+				return "net_delay=" + q.Get("net_delay"), nil
+			},
+		},
+		Section{
+			Name: "ring",
+			Get:  func() any { return nil },
+			Post: func(q url.Values) (any, error) {
+				if q.Get("fail") != "" {
+					return nil, errors.New("snapshot: disk full")
+				}
+				return struct {
+					Path string `json:"path"`
+				}{"/tmp/fr.json"}, nil
+			},
+		},
+	)
 
-	// Wire providers; wrong methods answer 405, still JSON.
-	s.SetChaos(func(v url.Values) (string, error) {
-		if v.Get("fault") == "bogus" {
-			return "", errors.New("unknown fault \"bogus\"")
+	const jsonType, textType = "application/json", "text/plain; charset=utf-8"
+	for _, tc := range []struct {
+		method, path, form string
+		code               int
+		ctype, want        string
+	}{
+		{http.MethodGet, "/debug/unset", "", http.StatusNotFound, jsonType, "not enabled"},
+		{http.MethodPost, "/debug/unset", "", http.StatusNotFound, jsonType, "not enabled"},
+		{http.MethodGet, "/debug/empty", "", http.StatusNotFound, jsonType, "no data yet"},
+		{http.MethodGet, "/debug/typednil", "", http.StatusNotFound, jsonType, "no data yet"},
+		{http.MethodGet, "/debug/ring", "", http.StatusNotFound, jsonType, "no data yet"},
+		{http.MethodPost, "/debug/view", "", http.StatusMethodNotAllowed, jsonType, "POST not allowed; use GET"},
+		{http.MethodDelete, "/debug/state", "", http.StatusMethodNotAllowed, jsonType, "DELETE not allowed; use GET or POST"},
+		{http.MethodDelete, "/debug/ring", "", http.StatusMethodNotAllowed, jsonType, "DELETE not allowed; use GET or POST"},
+		{http.MethodPost, "/debug/state", "fault=bogus", http.StatusBadRequest, jsonType, "unknown fault"},
+		{http.MethodPost, "/debug/ring", "fail=1", http.StatusInternalServerError, jsonType, "disk full"},
+		{http.MethodGet, "/debug/view", "", http.StatusOK, jsonType, `"workers": 2`},
+		{http.MethodGet, "/debug/state", "", http.StatusOK, textType, "off\n"},
+		{http.MethodPost, "/debug/state?net_delay=5ms", "", http.StatusOK, textType, "net_delay=5ms\n"},
+		{http.MethodPost, "/debug/ring", "", http.StatusOK, jsonType, `"path": "/tmp/fr.json"`},
+	} {
+		code, body, hdr := do(t, tc.method, "http://"+addr+tc.path, tc.form)
+		if code != http.StatusOK {
+			wantJSONError(t, code, body, hdr, tc.code, tc.want)
+			continue
 		}
-		return "none", nil
-	})
-	s.SetHealth(func() any { return map[string]int{"workers": 2} })
-	s.SetFlightRec(func() any { return nil }, func() (string, error) { return "/tmp/fr.json", nil })
-
-	code, body, hdr = do(t, http.MethodDelete, base+"/debug/chaos", "")
-	wantJSONError(t, code, body, hdr, http.StatusMethodNotAllowed, "DELETE")
-	code, body, hdr = do(t, http.MethodPost, base+"/debug/health", "")
-	wantJSONError(t, code, body, hdr, http.StatusMethodNotAllowed, "POST")
-	code, body, hdr = do(t, http.MethodDelete, base+"/debug/flightrec", "")
-	wantJSONError(t, code, body, hdr, http.StatusMethodNotAllowed, "DELETE")
-
-	// Bad chaos input answers 400 with the handler's message.
-	code, body, hdr = do(t, http.MethodPost, base+"/debug/chaos", "fault=bogus")
-	wantJSONError(t, code, body, hdr, http.StatusBadRequest, "unknown fault")
-
-	// A wired provider with no data yet is distinguishable from an unset
-	// route only by message, never by shape.
-	code, body, hdr = do(t, http.MethodGet, base+"/debug/flightrec", "")
-	wantJSONError(t, code, body, hdr, http.StatusNotFound, "no data yet")
-
-	// The happy paths stay JSON too.
-	code, body, hdr = do(t, http.MethodGet, base+"/debug/health", "")
-	if code != http.StatusOK || !strings.Contains(hdr.Get("Content-Type"), "application/json") || !strings.Contains(body, `"workers": 2`) {
-		t.Errorf("/debug/health = %d %q (%s)", code, body, hdr.Get("Content-Type"))
+		if code != tc.code || hdr.Get("Content-Type") != tc.ctype || !strings.Contains(body, tc.want) {
+			t.Errorf("%s %s = %d %q (%s), want %d with %q (%s)",
+				tc.method, tc.path, code, body, hdr.Get("Content-Type"), tc.code, tc.want, tc.ctype)
+		}
 	}
-	code, body, _ = do(t, http.MethodPost, base+"/debug/flightrec", "")
-	if code != http.StatusOK || !strings.Contains(body, `"path": "/tmp/fr.json"`) {
-		t.Errorf("flightrec snapshot = %d %q", code, body)
+	if applied.Get("net_delay") != "5ms" {
+		t.Errorf("POST handler saw params %v, want net_delay=5ms", applied)
 	}
 }

@@ -12,10 +12,9 @@ import (
 	"streammine/internal/profiler"
 )
 
-// TestSpeculationEndpoint covers the /debug/speculation contract: 404
-// while no provider is installed (profiling off) or while the provider
-// returns nil, then an application/json profiler summary that
-// round-trips through the JSON schema tracetool consumes.
+// TestSpeculationEndpoint covers the /debug/speculation body: an
+// application/json profiler summary that round-trips through the JSON
+// schema tracetool consumes (TestSectionRoutes covers the 404s).
 func TestSpeculationEndpoint(t *testing.T) {
 	s := New(metrics.NewRegistry(), nil)
 	addr, err := s.Start("127.0.0.1:0")
@@ -25,20 +24,11 @@ func TestSpeculationEndpoint(t *testing.T) {
 	defer s.Close()
 	base := "http://" + addr
 
-	if code, _, _ := get(t, base+"/debug/speculation"); code != http.StatusNotFound {
-		t.Errorf("unset /debug/speculation = %d, want 404", code)
-	}
-
-	s.SetSpeculation(func() any { return nil })
-	if code, _, _ := get(t, base+"/debug/speculation"); code != http.StatusNotFound {
-		t.Errorf("nil-valued /debug/speculation = %d, want 404", code)
-	}
-
 	prof := profiler.New(profiler.Config{})
 	np := prof.Node("agg")
 	np.AbortedAttempt(profiler.CauseConflict, 3*time.Millisecond, 2)
 	np.AttemptCPU(10 * time.Millisecond)
-	s.SetSpeculation(func() any { return prof.Summary() })
+	s.Register(Section{Name: "speculation", Get: func() any { return prof.Summary() }})
 
 	code, body, hdr := get(t, base+"/debug/speculation")
 	if code != http.StatusOK {
@@ -57,38 +47,6 @@ func TestSpeculationEndpoint(t *testing.T) {
 	}
 	if nw.AbortedAttempts["conflict"] != 1 || nw.WastedCPUNs["conflict"] != 3_000_000 {
 		t.Errorf("agg ledger = %+v, want 1 conflict abort, 3ms wasted", nw)
-	}
-}
-
-// TestClusterEndpoint covers /debug/cluster: 404 until the coordinator
-// installs its view provider, then JSON.
-func TestClusterEndpoint(t *testing.T) {
-	s := New(metrics.NewRegistry(), nil)
-	addr, err := s.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	base := "http://" + addr
-
-	if code, _, _ := get(t, base+"/debug/cluster"); code != http.StatusNotFound {
-		t.Errorf("unset /debug/cluster = %d, want 404", code)
-	}
-	s.SetCluster(func() any {
-		return map[string]any{"workers": []string{"w1", "w2"}}
-	})
-	code, body, hdr := get(t, base+"/debug/cluster")
-	if code != http.StatusOK || hdr.Get("Content-Type") != "application/json" {
-		t.Fatalf("/debug/cluster = %d %q", code, hdr.Get("Content-Type"))
-	}
-	var view struct {
-		Workers []string `json:"workers"`
-	}
-	if err := json.Unmarshal([]byte(body), &view); err != nil {
-		t.Fatalf("body is not JSON: %v\n%s", err, body)
-	}
-	if len(view.Workers) != 2 {
-		t.Errorf("workers = %v, want 2", view.Workers)
 	}
 }
 

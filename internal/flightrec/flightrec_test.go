@@ -2,7 +2,6 @@ package flightrec
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -10,6 +9,7 @@ import (
 	"time"
 
 	"streammine/internal/metrics"
+	"streammine/internal/metricstest"
 )
 
 func TestRecordAndSnapshot(t *testing.T) {
@@ -168,23 +168,5 @@ func TestMetricsRegisteredAndDocumented(t *testing.T) {
 		t.Errorf("flightrec_records_total = %v ok=%v, want 1", v, ok)
 	}
 
-	// Every flightrec_* series must appear in the docs/OBSERVABILITY.md
-	// inventory table.
-	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "OBSERVABILITY.md"))
-	if err != nil {
-		t.Fatalf("read metric inventory doc: %v", err)
-	}
-	seen := make(map[string]bool)
-	for _, p := range reg.Snapshot() {
-		if !strings.HasPrefix(p.Name, "flightrec_") || seen[p.Name] {
-			continue
-		}
-		seen[p.Name] = true
-		if !strings.Contains(string(doc), p.Name) {
-			t.Errorf("series %s not documented in docs/OBSERVABILITY.md", p.Name)
-		}
-	}
-	if len(seen) < 3 {
-		t.Errorf("only %d flightrec_* series registered, want at least 3", len(seen))
-	}
+	metricstest.Documented(t, reg, "flightrec_", "OBSERVABILITY.md", 3)
 }

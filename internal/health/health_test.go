@@ -1,14 +1,12 @@
 package health
 
 import (
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
 	"streammine/internal/core"
 	"streammine/internal/metrics"
+	"streammine/internal/metricstest"
 	"streammine/internal/topology"
 )
 
@@ -218,23 +216,5 @@ func TestHealthMetricsRegisteredAndDocumented(t *testing.T) {
 		t.Error("health_stragglers not registered")
 	}
 
-	// Every health_* series must appear in the docs/OBSERVABILITY.md
-	// inventory table.
-	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "OBSERVABILITY.md"))
-	if err != nil {
-		t.Fatalf("read metric inventory doc: %v", err)
-	}
-	seen := make(map[string]bool)
-	for _, p := range reg.Snapshot() {
-		if !strings.HasPrefix(p.Name, "health_") || seen[p.Name] {
-			continue
-		}
-		seen[p.Name] = true
-		if !strings.Contains(string(doc), p.Name) {
-			t.Errorf("series %s not documented in docs/OBSERVABILITY.md", p.Name)
-		}
-	}
-	if len(seen) < 8 {
-		t.Errorf("only %d health_* series registered, want at least 8", len(seen))
-	}
+	metricstest.Documented(t, reg, "health_", "OBSERVABILITY.md", 8)
 }

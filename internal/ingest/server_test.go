@@ -6,8 +6,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +14,7 @@ import (
 	"streammine/internal/core"
 	"streammine/internal/event"
 	"streammine/internal/metrics"
+	"streammine/internal/metricstest"
 )
 
 // recordingEmitter is the engine stand-in for gateway unit tests: it
@@ -509,29 +508,13 @@ func TestServerPoisonsStreamOnEmitFailure(t *testing.T) {
 // inventory checks: every ingest_* series the gateway registers must be
 // documented in docs/INGEST.md.
 func TestIngestMetricInventoryDocumented(t *testing.T) {
-	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "INGEST.md"))
-	if err != nil {
-		t.Fatalf("read docs/INGEST.md: %v", err)
-	}
 	reg := metrics.NewRegistry()
 	tenants := []TenantConfig{{Name: "acme", Token: "tok", Rate: 100}}
 	s, _ := startTestServer(t, Config{Tenants: tenants, Registry: reg})
 	c := NewClient(s.Addr(), "src", ClientOptions{Token: "tok"})
 	defer c.Close()
 	sendN(t, c, 0, 3)
-	seen := 0
-	for _, p := range reg.Snapshot() {
-		if !strings.HasPrefix(p.Name, "ingest_") {
-			continue
-		}
-		seen++
-		if !strings.Contains(string(doc), p.Name) {
-			t.Errorf("metric %q is registered but not documented in docs/INGEST.md", p.Name)
-		}
-	}
-	if seen == 0 {
-		t.Fatal("no ingest_* series registered; inventory check is vacuous")
-	}
+	metricstest.Documented(t, reg, "ingest_", "INGEST.md", 1)
 }
 
 // rawConn speaks the binary protocol directly, for observing single

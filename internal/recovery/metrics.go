@@ -7,44 +7,32 @@ import "streammine/internal/metrics"
 // raw-unit HDRs (milliseconds) at incident completion; everything else
 // is read lazily at exposition time.
 func RegisterMetrics(a *Aggregator, reg *metrics.Registry) {
+	// locked reads one of the aggregator's cumulative counters.
+	locked := func(field *uint64) func() uint64 {
+		return func() uint64 {
+			a.mu.Lock()
+			defer a.mu.Unlock()
+			return *field
+		}
+	}
 	reg.CounterFunc("recovery_incidents_total",
 		"Recovery incidents opened (coordinator-declared worker failures).",
 		nil, a.IncidentsTotal)
 	reg.CounterFunc("recovery_incidents_complete_total",
 		"Recovery incidents that reached catch-up on every moved partition.",
-		nil, func() uint64 {
-			a.mu.Lock()
-			defer a.mu.Unlock()
-			return a.complete
-		})
+		nil, locked(&a.complete))
 	reg.CounterFunc("recovery_restore_bytes_total",
 		"Checkpoint bytes loaded across completed recoveries.",
-		nil, func() uint64 {
-			a.mu.Lock()
-			defer a.mu.Unlock()
-			return a.cumRestoreBytes
-		})
+		nil, locked(&a.cumRestoreBytes))
 	reg.CounterFunc("recovery_log_records_total",
 		"Decision-log records scanned across completed recoveries.",
-		nil, func() uint64 {
-			a.mu.Lock()
-			defer a.mu.Unlock()
-			return a.cumLogRecords
-		})
+		nil, locked(&a.cumLogRecords))
 	reg.CounterFunc("recovery_replay_events_total",
 		"Events re-admitted through replay plans across completed recoveries.",
-		nil, func() uint64 {
-			a.mu.Lock()
-			defer a.mu.Unlock()
-			return a.cumReplayEvents
-		})
+		nil, locked(&a.cumReplayEvents))
 	reg.CounterFunc("recovery_replay_dedup_drops_total",
 		"Covered-set duplicate drops during replay across completed recoveries.",
-		nil, func() uint64 {
-			a.mu.Lock()
-			defer a.mu.Unlock()
-			return a.cumReplayDrops
-		})
+		nil, locked(&a.cumReplayDrops))
 	reg.GaugeFunc("recovery_last_total_ms",
 		"End-to-end duration of the most recent recovery incident.",
 		nil, func() float64 {

@@ -1,12 +1,10 @@
 package recovery
 
 import (
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"streammine/internal/metrics"
+	"streammine/internal/metricstest"
 )
 
 // ms converts a test-scale millisecond offset into nanoseconds. All
@@ -210,23 +208,5 @@ func TestMetricsRegisteredAndDocumented(t *testing.T) {
 		}
 	}
 
-	// Every recovery_* series must appear in the docs/OBSERVABILITY.md
-	// inventory table.
-	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "OBSERVABILITY.md"))
-	if err != nil {
-		t.Fatalf("read metric inventory doc: %v", err)
-	}
-	seen := make(map[string]bool)
-	for _, p := range reg.Snapshot() {
-		if !strings.HasPrefix(p.Name, "recovery_") || seen[p.Name] {
-			continue
-		}
-		seen[p.Name] = true
-		if !strings.Contains(string(doc), p.Name) {
-			t.Errorf("series %s not documented in docs/OBSERVABILITY.md", p.Name)
-		}
-	}
-	if len(seen) < 9 {
-		t.Errorf("only %d recovery_* series registered, want at least 9", len(seen))
-	}
+	metricstest.Documented(t, reg, "recovery_", "OBSERVABILITY.md", 9)
 }

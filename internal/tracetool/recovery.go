@@ -4,38 +4,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"sort"
 	"strings"
 	"text/tabwriter"
 
+	"streammine/internal/debugserver"
 	"streammine/internal/recovery"
 )
-
-// FetchRecovery pulls the /debug/recovery anatomy report from a
-// coordinator's debug address ("host:port" or a full URL).
-func FetchRecovery(addr string) (*recovery.Report, error) {
-	url := addr
-	if !strings.Contains(url, "://") {
-		url = "http://" + url
-	}
-	url = strings.TrimSuffix(url, "/") + "/debug/recovery"
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("%s: %s: %s", url, resp.Status, strings.TrimSpace(string(body)))
-	}
-	var rep recovery.Report
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("%s: decode: %w", url, err)
-	}
-	return &rep, nil
-}
 
 // LoadRecovery reads a saved /debug/recovery report (the campaign
 // runner's per-cell recovery.json artifact).
@@ -230,7 +206,7 @@ func RunRecovery(w io.Writer, addr, path string) error {
 	case path != "":
 		rep, err = LoadRecovery(path)
 	case addr != "":
-		rep, err = FetchRecovery(addr)
+		rep, err = debugserver.Fetch[recovery.Report](addr, "recovery")
 	default:
 		return fmt.Errorf("tracetool recovery: need -addr or a recovery.json path")
 	}

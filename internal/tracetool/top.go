@@ -1,42 +1,17 @@
 package tracetool
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"sort"
 	"strings"
 	"text/tabwriter"
 	"time"
 
+	"streammine/internal/debugserver"
 	"streammine/internal/health"
 	"streammine/internal/recovery"
 )
-
-// FetchHealth pulls one /debug/health snapshot from a coordinator's
-// debug address ("host:port" or a full URL).
-func FetchHealth(addr string) (*health.View, error) {
-	url := addr
-	if !strings.Contains(url, "://") {
-		url = "http://" + url
-	}
-	url = strings.TrimSuffix(url, "/") + "/debug/health"
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("%s: %s: %s", url, resp.Status, strings.TrimSpace(string(body)))
-	}
-	var v health.View
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		return nil, fmt.Errorf("%s: decode: %w", url, err)
-	}
-	return &v, nil
-}
 
 // WriteHealth renders one health snapshot as the `tracetool top` frame:
 // the SLO verdict line, the per-operator table with budget attribution,
@@ -121,7 +96,7 @@ func RunTop(w io.Writer, addr string, interval time.Duration, once bool) error {
 		interval = time.Second
 	}
 	for {
-		v, err := FetchHealth(addr)
+		v, err := debugserver.Fetch[health.View](addr, "health")
 		if err != nil {
 			return err
 		}
