@@ -2,7 +2,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: check fmt vet staticcheck test race race-stm race-core-equiv alloc-guards build trace-e2e doccheck campaign-smoke
+.PHONY: check fmt vet staticcheck test race race-stm race-core-equiv alloc-guards bench-pairs build trace-e2e doccheck campaign-smoke
 
 check: fmt vet staticcheck doccheck alloc-guards race
 
@@ -49,6 +49,16 @@ alloc-guards:
 	for p in 1 2; do \
 		GOMAXPROCS=$$p go test -count=3 -run 'Alloc' ./internal/core ./internal/stm ./internal/wal ./internal/storage ./internal/operator ./internal/event || exit 1; \
 	done
+
+# bench-pairs is how every before/after row of docs/PERFORMANCE.md is
+# produced: ./bench of PARENT and of the working tree built once each, one
+# WORKLOAD of BENCHMARK.json run once per seed on either side, sides
+# alternating, then median, quartiles and pairs won for each gated metric
+# (about four minutes for the default ten seeds, 11..20).
+PARENT ?= HEAD~1
+WORKLOAD ?= pipe2-sat
+bench-pairs:
+	scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(SEEDS)
 
 # race-core-equiv is the internal/core slice of the same gate: the
 # batch-size equivalence test (one admit / commit / retire path judged

@@ -32,13 +32,12 @@ func (m *Memory) CommitGroup(txs []*Tx) (int, error) {
 	}
 	m.commitGate.RLock()
 	version := m.clock.Add(1)
-	var released *lockState // shared by every slot the group empties
 	for i, tx := range txs {
 		if err := tx.commitPrepare(); err != nil {
 			m.commitGate.RUnlock()
 			return i, err
 		}
-		released = tx.commitApplyLocked(version, released)
+		tx.commitApplyLocked(version)
 	}
 	m.commitGate.RUnlock()
 	return len(txs), nil

@@ -2,6 +2,8 @@ package stm
 
 import (
 	"errors"
+	"runtime"
+	"sort"
 	"testing"
 
 	"streammine/internal/detrand"
@@ -17,10 +19,24 @@ type recordedOp struct {
 
 // TestSerializabilityRandomOpenChains builds random batches of
 // transactions that all stay open (pre-commit) while later ones execute —
-// maximal speculative read-from/overwrite chaining — commits them in
-// timestamp order, and then checks the history against a sequential
-// model: replaying the committed transactions in timestamp order, every
-// recorded read must match the model state at that point.
+// maximal speculative read-from/overwrite chaining, with some timestamps
+// swapped so that an older transaction joins chains behind newer owners —
+// while a second goroutine aborts transactions at random, executing, open
+// or mid-chain. It commits what is left in timestamp order and checks the
+// history three ways:
+//
+//   - against a sequential model: replaying the committed transactions in
+//     timestamp order, every recorded read matches the model state;
+//   - cascades are complete: a transaction that read from or overwrote one
+//     that ended aborted ended aborted itself;
+//   - commit order holds: Commit never succeeds while a transaction read
+//     from or overwritten is uncommitted (probed out of order before each
+//     in-order commit), and none committed before one it overwrote.
+//
+// The last two are what the dependency edges are for. Only the edges that
+// are not implied transitively are registered (see join); what a
+// transaction read from or overwrote is taken here from the read set and
+// from the chain as it was after the join, not from those edges.
 func TestSerializabilityRandomOpenChains(t *testing.T) {
 	const (
 		rounds    = 60
@@ -28,19 +44,58 @@ func TestSerializabilityRandomOpenChains(t *testing.T) {
 		txPerRun  = 12
 		opsPerTx  = 6
 	)
+	type txRec struct {
+		tx        *Tx
+		ops       []recordedOp
+		after     []*txRec // read from or overwrote these
+		failed    bool
+		commitSeq int
+	}
 	rng := detrand.New(12345)
 	for round := 0; round < rounds; round++ {
 		mem := NewMemory(addrSpace)
-		type txRec struct {
-			tx     *Tx
-			ops    []recordedOp
-			failed bool
+		stamps := make([]int64, txPerRun)
+		for i := range stamps {
+			stamps[i] = int64(i + 1)
 		}
-		var txs []*txRec
+		for n := 0; n < txPerRun/3; n++ {
+			i := rng.Intn(txPerRun - 3)
+			j := i + 1 + rng.Intn(3)
+			stamps[i], stamps[j] = stamps[j], stamps[i]
+		}
+		txs := make([]*txRec, txPerRun)
+		byTx := make(map[*Tx]*txRec, txPerRun)
+		for i := range txs {
+			txs[i] = &txRec{tx: mem.Begin(stamps[i])}
+			byTx[txs[i].tx] = txs[i]
+		}
+		// The aborter works through its own random picks for as long as the
+		// round runs; some land on executing transactions, some on open ones
+		// in the middle of a chain, some during the commits.
+		victims := make([]*Tx, txPerRun/4)
+		for i := range victims {
+			victims[i] = txs[rng.Intn(txPerRun)].tx
+		}
+		stop := make(chan struct{})
+		aborterDone := make(chan struct{})
+		go func() {
+			defer close(aborterDone)
+			for _, v := range victims {
+				for spin := 0; spin < 40; spin++ {
+					runtime.Gosched()
+				}
+				select {
+				case <-stop:
+					return
+				default:
+					v.Abort()
+				}
+			}
+		}()
 		// Execute all transactions, leaving each open.
-		for i := 0; i < txPerRun; i++ {
-			rec := &txRec{tx: mem.Begin(int64(i + 1))}
-			for o := 0; o < opsPerTx; o++ {
+		for _, rec := range txs {
+			joined := make(map[Addr]bool)
+			for o := 0; o < opsPerTx && !rec.failed; o++ {
 				addr := Addr(rng.Intn(addrSpace))
 				if rng.Intn(2) == 0 {
 					v, err := rec.tx.Read(addr)
@@ -49,50 +104,95 @@ func TestSerializabilityRandomOpenChains(t *testing.T) {
 						break
 					}
 					rec.ops = append(rec.ops, recordedOp{addr: addr, value: v})
-				} else {
-					v := rng.Uint64() % 1000
-					if err := rec.tx.Write(addr, v); err != nil {
-						rec.failed = true
-						break
+					if re := rec.tx.reads.find(addr); re != nil && re.from != nil {
+						rec.after = append(rec.after, byTx[re.from])
 					}
-					rec.ops = append(rec.ops, recordedOp{isWrite: true, addr: addr, value: v})
+					continue
 				}
-			}
-			if !rec.failed {
-				if err := rec.tx.Complete(); err != nil {
+				v := rng.Uint64() % 1000
+				if err := rec.tx.Write(addr, v); err != nil {
 					rec.failed = true
+					break
 				}
+				rec.ops = append(rec.ops, recordedOp{isWrite: true, addr: addr, value: v})
+				if !joined[addr] { // addrSpace slots: one address each
+					joined[addr] = true
+					c := mem.chainOf(addr)
+					c.mu.Lock()
+					for _, o := range c.owners {
+						if o == rec.tx {
+							break
+						}
+						if !o.newerThan(rec.tx) {
+							rec.after = append(rec.after, byTx[o])
+						}
+					}
+					c.mu.Unlock()
+				}
+				runtime.Gosched()
+			}
+			if !rec.failed && rec.tx.Complete() != nil {
+				rec.failed = true
 			}
 			if rec.failed {
 				rec.tx.Abort()
 			}
-			txs = append(txs, rec)
 		}
-		// Randomly abort a few open transactions (cascades apply).
-		for _, rec := range txs {
-			if !rec.failed && rng.Intn(6) == 0 {
-				rec.tx.Abort()
+		// Commit in timestamp order; every dependency then has an earlier
+		// timestamp and is finished, so ErrDepsOpen cannot occur — except in
+		// the probe, which tries a random transaction out of turn first.
+		order := append([]*txRec(nil), txs...)
+		sort.Slice(order, func(i, j int) bool { return order[j].tx.newerThan(order[i].tx) })
+		commits := 0
+		commit := func(rec *txRec) error {
+			err := rec.tx.Commit()
+			if err == nil {
+				commits++
+				rec.commitSeq = commits
 			}
+			return err
 		}
-		// Commit the rest in timestamp order; deps must already be
-		// committed (earlier ts), so ErrDepsOpen cannot occur here.
-		for _, rec := range txs {
-			if rec.failed || rec.tx.Status() == StatusAborted {
+		for i, rec := range order {
+			probe := order[i+rng.Intn(txPerRun-i)]
+			blocked := false
+			for _, u := range probe.after {
+				blocked = blocked || u.tx.Status() != StatusCommitted
+			}
+			if blocked && commit(probe) == nil {
+				t.Fatalf("round %d: tx ts=%d committed before one it read from or overwrote", round, probe.tx.ts)
+			}
+			if st := rec.tx.Status(); st == StatusAborted || st == StatusCommitted {
 				continue
 			}
-			if err := rec.tx.Commit(); err != nil {
-				if errors.Is(err, ErrConflict) {
-					continue // cascade got it between our check and commit
+			if err := commit(rec); err != nil && !errors.Is(err, ErrConflict) {
+				// ErrConflict: a cascade or a stale read got it; anything else
+				// (ErrDepsOpen in timestamp order included) is a bug.
+				t.Fatalf("round %d: commit of ts=%d: %v", round, rec.tx.ts, err)
+			}
+			runtime.Gosched()
+		}
+		close(stop)
+		<-aborterDone
+		for _, rec := range order {
+			st := rec.tx.Status()
+			if st != StatusCommitted && st != StatusAborted {
+				t.Fatalf("round %d: tx ts=%d ended %v", round, rec.tx.ts, st)
+			}
+			for _, u := range rec.after {
+				switch {
+				case st == StatusAborted:
+				case u.tx.Status() != StatusCommitted:
+					t.Fatalf("round %d: tx ts=%d committed, but read from or overwrote ts=%d, which ended %v",
+						round, rec.tx.ts, u.tx.ts, u.tx.Status())
+				case u.commitSeq >= rec.commitSeq:
+					t.Fatalf("round %d: tx ts=%d is commit %d, ts=%d, which it overwrote, commit %d",
+						round, rec.tx.ts, rec.commitSeq, u.tx.ts, u.commitSeq)
 				}
-				if errors.Is(err, ErrDepsOpen) {
-					t.Fatalf("round %d: ErrDepsOpen in ts-order commit", round)
-				}
-				t.Fatalf("round %d: commit: %v", round, err)
 			}
 		}
 		// Model replay: committed transactions in ts order.
 		model := make([]uint64, addrSpace)
-		for i, rec := range txs {
+		for _, rec := range order {
 			if rec.tx.Status() != StatusCommitted {
 				continue
 			}
@@ -102,8 +202,8 @@ func TestSerializabilityRandomOpenChains(t *testing.T) {
 					continue
 				}
 				if model[op.addr] != op.value {
-					t.Fatalf("round %d tx %d: read of %d observed %d, serial model has %d",
-						round, i, op.addr, op.value, model[op.addr])
+					t.Fatalf("round %d tx ts=%d: read of %d observed %d, serial model has %d",
+						round, rec.tx.ts, op.addr, op.value, model[op.addr])
 				}
 			}
 		}

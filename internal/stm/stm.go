@@ -138,27 +138,34 @@ type ConflictSink interface {
 	RecordConflict(w ConflictWitness)
 }
 
-// lockState is one immutable snapshot of a lock-array entry. Entries are
-// replaced wholesale via CAS, so readers always observe a consistent
-// (version, owners) pair. A lockState is written only before the CAS that
-// first publishes it; a reader may keep the pointer past the entry's next
-// swap, and no pointer is ever published to the same entry twice (so
-// pointer equality means "unchanged"). Its memory belongs to the
-// transaction that acquired an unowned slot (Tx.entries), to one commit
-// (the ownerless state shared by every slot that commit empties), or to
-// the heap (copied chains).
-type lockState struct {
+// chain is the state of one lock-array slot: the commit version and the
+// transactions registered as writers. There is one per slot, made with its
+// block when a slot of the block is first acquired and changed in place
+// under mu from then on — a writer joins by appending itself, a commit or
+// abort leaves by removing itself, a reader looks at it under the same
+// lock — so nobody ever sees a version without the owners that go with it
+// or an owner list half updated. Lock order is chain.mu before Tx.mu, one
+// chain at a time, and mu is never held across a cascade, an abort hook or
+// a witness.
+type chain struct {
+	mu sync.Mutex
 	// version is the commit clock value of the last committed write to any
-	// address covered by this entry.
+	// address covered by this slot.
 	version uint64
 	// owners are the transactions currently registered as writers, in
 	// acquisition order. Invariant: at most the last owner is Active; all
-	// earlier owners are Completed (open). A transaction commits only when
-	// it is the head of every chain it is in.
+	// earlier owners are Completed (open). An owner sets Committed only once
+	// it has left every chain it was in, and a vacated element is cleared,
+	// so a chain keeps no finished transaction reachable.
 	owners []*Tx
+	buf    [3]*Tx // owners' first backing array: a chain is 64 bytes, one cache line
 }
 
-var emptyLock = &lockState{}
+// blockSlots is how many consecutive slots' chains are made together: a
+// Memory that is replaced while it runs (a recovered node's) is back at no
+// allocation per access after a few dozen first acquisitions, not after one
+// for every slot it uses.
+const blockSlots = 64
 
 // Stats are cumulative Memory counters.
 type Stats struct {
@@ -173,7 +180,7 @@ type Stats struct {
 // the state of one operator.
 type Memory struct {
 	data  []atomic.Uint64
-	locks []atomic.Pointer[lockState]
+	locks []atomic.Pointer[[blockSlots]chain] // a block is nil until one of its slots is first acquired
 	mask  uint32
 
 	clock     atomic.Uint64
@@ -251,12 +258,9 @@ func NewMemory(capacity int, opts ...Option) *Memory {
 	}
 	m := &Memory{
 		data:   make([]atomic.Uint64, capacity),
-		locks:  make([]atomic.Pointer[lockState], nLocks),
+		locks:  make([]atomic.Pointer[[blockSlots]chain], (nLocks+blockSlots-1)/blockSlots),
 		mask:   uint32(nLocks - 1),
 		policy: AbortNewest,
-	}
-	for i := range m.locks {
-		m.locks[i].Store(emptyLock)
 	}
 	for _, opt := range opts {
 		opt(m)
@@ -300,11 +304,35 @@ func (m *Memory) Stats() Stats {
 // Clock returns the current commit clock.
 func (m *Memory) Clock() uint64 { return m.clock.Load() }
 
-// entryFor maps an address to its lock-array slot. Nearby addresses map to
-// distinct entries; far apart addresses may collide (false conflicts, as in
+// slotOf maps an address to its lock-array slot. Nearby addresses map to
+// distinct slots; far apart addresses may collide (false conflicts, as in
 // any lock-array STM).
-func (m *Memory) entryFor(addr Addr) *atomic.Pointer[lockState] {
-	return &m.locks[uint32(addr)&m.mask]
+func (m *Memory) slotOf(addr Addr) uint32 { return uint32(addr) & m.mask }
+
+// chainAt returns the slot's chain, or nil if no transaction has acquired a
+// slot of its block yet: version 0, no owners, which is also what a chain
+// nobody has joined says.
+func (m *Memory) chainAt(slot uint32) *chain {
+	if b := m.locks[slot/blockSlots].Load(); b != nil {
+		return &b[slot%blockSlots]
+	}
+	return nil
+}
+
+// chainOf returns the chain of addr's slot (see chainAt).
+func (m *Memory) chainOf(addr Addr) *chain { return m.chainAt(m.slotOf(addr)) }
+
+// acquire returns the slot's chain, making its block on first use.
+func (m *Memory) acquire(slot uint32) *chain {
+	if c := m.chainAt(slot); c != nil {
+		return c
+	}
+	b := new([blockSlots]chain)
+	for i := range b {
+		b[i].owners = b[i].buf[:0]
+	}
+	m.locks[slot/blockSlots].CompareAndSwap(nil, b)
+	return m.chainAt(slot)
 }
 
 // ReadCommitted returns the committed value of addr, outside any
@@ -365,11 +393,11 @@ func (m *Memory) Begin(ts int64) *Tx {
 		ts:       ts,
 		snapshot: m.clock.Load(),
 	}
-	tx.self[0] = tx
 	tx.reads.items = tx.reads.buf[:0]
 	tx.writes.items = tx.writes.buf[:0]
-	tx.entries.items = tx.entries.buf[:0]
+	tx.owned.items = tx.owned.buf[:0]
 	tx.deps.items = tx.deps.buf[:0]
+	tx.dependents = tx.depBuf[:0]
 	tx.status.Store(int32(StatusActive))
 	return tx
 }

@@ -21,9 +21,11 @@ type readEntry struct {
 // a SketchOp{Depth: 8} reads and writes.
 const setInline = 8
 
+// setEntry puts the value first: an empty one at the end of the struct
+// would be padded out (a set of slots would take eight bytes an entry).
 type setEntry[K comparable, V any] struct {
-	key K
 	val V
+	key K
 }
 
 // set is an insertion-ordered map that allocates nothing while it holds at
@@ -56,7 +58,7 @@ func (s *set[K, V]) find(k K) *V {
 // add appends an entry for k, which the caller knows to be absent, and
 // returns where its value is stored.
 func (s *set[K, V]) add(k K, v V) *V {
-	s.items = append(s.items, setEntry[K, V]{k, v})
+	s.items = append(s.items, setEntry[K, V]{v, k})
 	last := len(s.items) - 1
 	if s.index != nil {
 		s.index[k] = int32(last)
@@ -78,21 +80,8 @@ func (s *set[K, V]) put(k K, v V) {
 	s.add(k, v)
 }
 
-// pop undoes the latest add, unless a drop got in between.
-func (s *set[K, V]) pop() {
-	last := len(s.items) - 1
-	if last < 0 {
-		return
-	}
-	if s.index != nil {
-		delete(s.index, s.items[last].key)
-	}
-	s.items = s.items[:last]
-}
-
-// drop forgets every entry, and with that any spilled storage. The inline
-// array keeps its contents: an owned-slot entry may still be read through a
-// stale lock snapshot.
+// drop forgets every entry, and with that any spilled storage. A set whose
+// inline array holds pointers has it cleared by the caller.
 func (s *set[K, V]) drop() { s.items, s.index = nil, nil }
 
 // Tx is a transaction. A Tx is created by Memory.Begin, executed by one
@@ -104,13 +93,12 @@ func (s *set[K, V]) drop() { s.items, s.index = nil, nil }
 // Contract: any method returning ErrConflict dooms the transaction; the
 // caller must call Abort and re-execute the work in a fresh transaction.
 //
-// A Tx is one heap object: its sets start out in arrays inside it, and the
-// lockState it publishes when it acquires an unowned slot is the value of
-// its own entries set. Other transactions' read entries and dependents
-// lists and stale lock snapshots keep a *Tx past its end and read status
-// and commitVersion through it, so headers are never recycled; what a
-// finished transaction drops instead is every reference to another one
-// (see drop; an abort keeps its read set, see finishAbort).
+// A Tx is one heap object: its sets and its dependents list start out in
+// arrays inside it. Other transactions' read entries and dependents lists
+// keep a *Tx past its end and read status and commitVersion through it, so
+// headers are never recycled; what a finished transaction drops instead is
+// every reference to another one (see drop; an abort keeps its read set,
+// see finishAbort).
 type Tx struct {
 	mem      *Memory
 	id       uint64
@@ -118,30 +106,31 @@ type Tx struct {
 	snapshot uint64
 	status   atomic.Int32
 
-	// mu guards writes, entries, deps, dependents and onAbort. reads is
-	// only mutated by the executing goroutine while Active (validation
-	// happens after the Completed transition, which synchronizes), and
-	// dropped by the commit.
-	// entries maps each owned lock-array slot to the memory of the
-	// lockState this transaction published there if the slot was unowned;
-	// that memory is written before the CAS that publishes it and never
-	// afterwards.
+	// mu guards writes, owned, deps, dependents and onAbort. reads is only
+	// mutated by the executing goroutine while Active (validation happens
+	// after the Completed transition, which synchronizes), and dropped by
+	// the commit.
+	// owned is the set of lock-array slots whose chain the transaction is
+	// in; a slot enters it under that chain's lock.
 	// deps maps each dependency to the address that created it (first
 	// speculative read-from or WAW overwrite), so a cascading abort can be
-	// attributed to a concrete state word.
+	// attributed to a concrete state word. Edges that commit order and
+	// cascading abort imply transitively are not registered (see join).
+	// dependents starts out in depBuf and stops changing once the status
+	// is Committed or Aborted. depBuf has seven entries, not eight: that
+	// makes the Tx 760 bytes, which with the allocator's 8-byte header for
+	// pointerful objects over 512 bytes fills the 768-byte size class; one
+	// more would put it in the 896-byte class.
 	mu         sync.Mutex
 	reads      set[Addr, readEntry]
 	writes     set[Addr, uint64]
-	entries    set[uint32, lockState]
+	owned      set[uint32, struct{}]
 	deps       set[*Tx, Addr]
 	dependents []*Tx
+	depBuf     [setInline - 1]*Tx
 	onAbort    AbortHook
 
 	commitVersion uint64
-	abortOnce     sync.Once
-
-	// self is the owners list of every lockState in entries.
-	self [1]*Tx
 }
 
 // statusCommitting is internal: between Completed and Committed while
@@ -281,6 +270,21 @@ func (tx *Tx) kill() {
 	}
 }
 
+// yield steps back from o, an owner a chain scan could not get past. One
+// that is still executing is resolved against, so that it or tx loses; any
+// other is about to leave the chain. Statuses never return to Active or
+// Killed, so o was executing when the scan saw it. The caller holds no
+// chain lock and scans again.
+func (tx *Tx) yield(o *Tx, addr Addr) error {
+	if st := Status(o.status.Load()); st == StatusActive || st == StatusKilled {
+		if err := tx.resolve(o, addr); err != nil {
+			return err
+		}
+	}
+	runtime.Gosched()
+	return nil
+}
+
 // Read returns the value of addr as seen by the transaction: its own
 // buffered write if any, else the buffered value of the most recent open
 // transaction registered as a writer of addr (a *speculative read*, which
@@ -295,88 +299,69 @@ func (tx *Tx) Read(addr Addr) (uint64, error) {
 	if v, ok := tx.buffered(addr); ok {
 		return v, nil
 	}
-	entry := tx.mem.entryFor(addr)
 	for {
 		if err := tx.checkRunnable(); err != nil {
 			return 0, err
 		}
-		ls := entry.Load()
-		v, done, retry, err := tx.readFromChain(ls, addr)
-		if err != nil {
-			return 0, err
-		}
-		if done {
-			return v, nil
-		}
-		if retry {
-			runtime.Gosched()
+		val, re, wait := tx.readChain(tx.mem.chainOf(addr), addr)
+		if wait != nil {
+			if err := tx.yield(wait, addr); err != nil {
+				return 0, err
+			}
 			continue
 		}
-		// No owner buffers addr: read committed memory under the entry's
-		// version, re-checking the entry so the (value, version) pair is
-		// consistent.
-		val := tx.mem.data[addr].Load()
-		if entry.Load() != ls {
-			continue
-		}
-		if ls.version > tx.snapshot && !tx.extendSnapshot() {
+		// Extending the snapshot validates the read set, which locks chains:
+		// it has to happen out here.
+		if re.version > tx.snapshot && !tx.extendSnapshot() {
 			tx.mem.conflicts.Add(1)
 			return 0, ErrConflict
 		}
 		tx.mu.Lock()
-		if tx.reads.find(addr) == nil {
-			tx.reads.add(addr, readEntry{version: ls.version})
+		if re.from != nil {
+			tx.reads.put(addr, re)
+		} else if tx.reads.find(addr) == nil {
+			tx.reads.add(addr, re)
 		}
 		tx.mu.Unlock()
 		return val, nil
 	}
 }
 
-// readFromChain scans the owner chain (newest first) for a buffered value
-// of addr. Returns done=true with the value on a successful speculative
-// read, retry=true if the chain is stale and must be re-read, err on
-// conflict loss.
-func (tx *Tx) readFromChain(ls *lockState, addr Addr) (v uint64, done, retry bool, err error) {
-	for i := len(ls.owners) - 1; i >= 0; i-- {
-		o := ls.owners[i]
-		if o == tx {
-			continue // we own the entry but do not buffer addr
-		}
-		if o.newerThan(tx) {
-			// o writes "in our future" (it must commit after us, e.g. we
-			// are a re-execution of an earlier event). Its buffer is
-			// invisible to us; read beneath it.
+// readChain reads addr under its chain's lock: the buffer of the newest
+// open owner that is not in tx's future, else committed memory together
+// with the version that goes with it (a committing owner leaves the chain
+// only after it has stored its writes, and sets the version as it leaves).
+// A non-nil wait is an owner that has to move first (see yield).
+func (tx *Tx) readChain(c *chain, addr Addr) (val uint64, re readEntry, wait *Tx) {
+	if c == nil {
+		return tx.mem.data[addr].Load(), readEntry{}, nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i := len(c.owners) - 1; i >= 0; i-- {
+		o := c.owners[i]
+		// An owner that writes "in our future" must commit after us (we are
+		// a re-execution of an earlier event, say): its buffer is invisible
+		// to us, and so is our own slot when we do not buffer addr.
+		if o == tx || o.newerThan(tx) {
 			continue
 		}
 		st := Status(o.status.Load())
-		if st == StatusAborted || o.status.Load() == statusCommitting {
-			return 0, false, true, nil // chain about to change
+		if st == StatusAborted || st == Status(statusCommitting) {
+			return 0, re, o // leaving: never read beneath a commit being applied
 		}
 		bv, has := o.buffered(addr)
 		if !has {
 			continue
 		}
-		switch st {
-		case StatusActive, StatusKilled:
-			if rerr := tx.resolve(o, addr); rerr != nil {
-				return 0, false, false, rerr
-			}
-			return 0, false, true, nil
-		case StatusCompleted:
-			// Speculative read-from: register the dependency before using
-			// the value so a concurrent abort of o cascades to us.
-			if derr := tx.dependOn(o, addr); derr != nil {
-				return 0, false, true, nil
-			}
-			tx.mu.Lock()
-			tx.reads.put(addr, readEntry{from: o})
-			tx.mu.Unlock()
-			return bv, true, false, nil
-		case StatusCommitted:
-			return 0, false, true, nil // committed but not yet unchained
+		// Speculative read-from: register the dependency before using the
+		// value so a concurrent abort of o cascades to us.
+		if st != StatusCompleted || tx.dependOn(o, addr) != nil {
+			return 0, re, o
 		}
+		return bv, readEntry{from: o}, nil
 	}
-	return 0, false, false, nil
+	return tx.mem.data[addr].Load(), readEntry{version: c.version}, nil
 }
 
 // Write buffers a new value for addr, registering the transaction as a
@@ -389,82 +374,75 @@ func (tx *Tx) Write(addr Addr, v uint64) error {
 	if int(addr) >= len(tx.mem.data) {
 		return fmt.Errorf("%w: %d", ErrBadAddr, addr)
 	}
-	slot := uint32(addr) & tx.mem.mask
+	slot := tx.mem.slotOf(addr)
 	tx.mu.Lock()
-	owned := tx.entries.find(slot) != nil
+	owned := tx.owned.find(slot) != nil
 	tx.mu.Unlock()
-	if owned {
-		tx.bufferWrite(addr, v)
-		return nil
+	if !owned {
+		if err := tx.join(slot, addr); err != nil {
+			return err
+		}
 	}
-	entry := &tx.mem.locks[slot]
+	tx.bufferWrite(addr, v)
+	return nil
+}
+
+// join appends tx to the slot's chain once every owner in it is open.
+//
+// Overwriting the buffer of an older open transaction orders our commit
+// after it and aborts us if it aborts (WAW dependency); a *newer* open
+// owner commits after us regardless. Both relations are transitive, so the
+// only edges registered are the ones nothing implies: to the older owner
+// nearest to tx in timestamp order — every older owner that joined before
+// that one is older than it too, and it already depends on them — and to
+// the older owners that joined after it (re-executions that chained behind
+// newer owners, which therefore hold no edge to them). In a chain built in
+// timestamp order that is one edge, to the last owner.
+func (tx *Tx) join(slot uint32, addr Addr) error {
+	c := tx.mem.acquire(slot)
 	for {
 		if err := tx.checkRunnable(); err != nil {
 			return err
 		}
-		ls := entry.Load()
-		retry := false
-		for _, o := range ls.owners {
-			if o == tx {
-				// Raced with ourselves? entries said not owned; impossible
-				// since only this goroutine registers. Defensive:
-				retry = true
+		c.mu.Lock()
+		var wait *Tx
+		n := len(c.owners)
+		near := n // index of the nearest older owner
+		for i, o := range c.owners {
+			if st := o.status.Load(); st != int32(StatusCompleted) && st != statusCommitting {
+				wait = o
 				break
 			}
-			switch Status(o.status.Load()) {
-			case StatusActive, StatusKilled:
-				if err := tx.resolve(o, addr); err != nil {
-					return err
-				}
-				retry = true
-			case StatusAborted, StatusCommitted:
-				retry = true // chain about to be cleaned
-			}
-			if retry {
-				break
+			if !o.newerThan(tx) && (near == n || o.newerThan(c.owners[near])) {
+				near = i
 			}
 		}
-		if retry {
-			runtime.Gosched()
+		if wait != nil {
+			c.mu.Unlock()
+			if err := tx.yield(wait, addr); err != nil {
+				return err
+			}
 			continue
 		}
-		// An unowned slot takes the state stored in our own entries set;
-		// only a chain that already has owners is copied to the heap.
+		c.owners = append(c.owners, tx)
 		tx.mu.Lock()
-		next := tx.entries.add(slot, lockState{version: ls.version, owners: tx.self[:]})
+		tx.owned.add(slot, struct{}{})
 		tx.mu.Unlock()
-		if len(ls.owners) > 0 {
-			owners := make([]*Tx, len(ls.owners)+1)
-			copy(owners, ls.owners)
-			owners[len(ls.owners)] = tx
-			next = &lockState{version: ls.version, owners: owners}
-		}
-		if !entry.CompareAndSwap(ls, next) {
-			tx.mu.Lock()
-			tx.entries.pop() // never published: the next attempt may rewrite it
-			tx.mu.Unlock()
-			continue
-		}
+		var err error
 		if Status(tx.status.Load()) == StatusAborted {
 			// Aborted from outside since the check above (the engine does
 			// that to an executing task it replaces); finishAbort may have
 			// missed this slot, so leave it ourselves.
-			tx.unchain(slot, 0, nil)
-			return ErrConflict
+			c.remove(tx, 0)
+			err = ErrConflict
 		}
-		// Overwriting the buffer of an older open transaction orders our
-		// commit after it (WAW dependency). A *newer* open owner commits
-		// after us regardless; no dependency.
-		for _, o := range ls.owners {
-			if o.newerThan(tx) {
-				continue
-			}
-			if err := tx.dependOn(o, addr); err != nil {
-				return err // a predecessor aborted under us; cascade applies
+		for i := near; i < n && err == nil; i++ {
+			if o := c.owners[i]; !o.newerThan(tx) {
+				err = tx.dependOn(o, addr) // fails if o aborted under us; the cascade applies
 			}
 		}
-		tx.bufferWrite(addr, v)
-		return nil
+		c.mu.Unlock()
+		return err
 	}
 }
 
@@ -507,54 +485,53 @@ func (tx *Tx) validateReads() bool {
 	// path is branch-for-branch identical with profiling off and on.
 	for i := range tx.reads.items {
 		addr, re := tx.reads.items[i].key, tx.reads.items[i].val
-		entry := tx.mem.entryFor(addr)
-	reload:
-		ls := entry.Load()
-		if re.from != nil {
-			switch Status(re.from.status.Load()) {
-			case StatusAborted:
-				return tx.invalid(addr, re.from)
-			case StatusCommitted:
-				if ls.version != re.from.commitVersion {
-					return tx.invalid(addr, re.from)
-				}
-			default:
-				continue // the source is still open: nothing to compare yet
-			}
-		} else if ls.version != re.version {
-			return tx.invalid(addr, nil)
-		}
-		for _, o := range ls.owners {
-			if o == tx {
-				continue
-			}
-			if re.from != nil {
-				// Only a writer in or past its commit outdates what a
-				// committed source left; pass over the rest of a long
-				// chain without taking their locks.
-				if s := o.status.Load(); s != statusCommitting && s != int32(StatusCommitted) {
-					continue
-				}
-			}
-			_, has := o.buffered(addr)
-			st := o.status.Load() // after buffered: a committed o drops its buffer
-			if st == int32(StatusCommitted) {
-				// o has released the entry since ls was loaded; judge the
-				// read against the entry as it is now.
-				goto reload
-			}
-			if !has {
-				continue
-			}
-			// A writer that must commit before us makes a read of committed
-			// memory stale.
-			stale := re.from == nil && !o.newerThan(tx) && st != int32(StatusAborted)
-			if stale || st == statusCommitting {
-				return tx.invalid(addr, o)
+		// A slot nobody ever acquired is still at version 0, where we read it.
+		if c := tx.mem.chainOf(addr); c != nil {
+			if by, stale := tx.staleRead(c, addr, re); stale {
+				return tx.invalid(addr, by)
 			}
 		}
 	}
 	return true
+}
+
+// staleRead judges one read entry under its chain's lock and names the
+// transaction that outdated it, if one is known.
+func (tx *Tx) staleRead(c *chain, addr Addr, re readEntry) (by *Tx, stale bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if re.from != nil {
+		switch Status(re.from.status.Load()) {
+		case StatusAborted:
+			return re.from, true
+		case StatusCommitted:
+			if c.version != re.from.commitVersion {
+				return re.from, true
+			}
+		default:
+			return nil, false // the source is still open: nothing to compare yet
+		}
+	} else if c.version != re.version {
+		return nil, true
+	}
+	for _, o := range c.owners {
+		// Only a writer in its commit outdates what a committed source
+		// left; pass over the rest of a long chain without taking their
+		// locks.
+		if o == tx || re.from != nil && o.status.Load() != statusCommitting {
+			continue
+		}
+		if _, has := o.buffered(addr); !has {
+			continue
+		}
+		// A writer that must commit before us makes a read of committed
+		// memory stale.
+		st := o.status.Load() // after buffered: as late as can be
+		if st == statusCommitting || re.from == nil && !o.newerThan(tx) && st != int32(StatusAborted) {
+			return o, true
+		}
+	}
+	return nil, false
 }
 
 // invalid records the validation witness, if anyone listens, and returns
@@ -614,7 +591,7 @@ func (tx *Tx) Commit() error {
 		return err
 	}
 	tx.mem.commitGate.RLock()
-	tx.commitApplyLocked(tx.mem.clock.Add(1), nil)
+	tx.commitApplyLocked(tx.mem.clock.Add(1))
 	tx.mem.commitGate.RUnlock()
 	return nil
 }
@@ -657,26 +634,23 @@ func (tx *Tx) commitPrepare() error {
 }
 
 // commitApplyLocked applies the buffered writes at the given commit
-// version, releases the lock entries and drops what the transaction held.
-// The caller holds the commit gate (read side) and has successfully run
-// commitPrepare. released is the ownerless lockState the commit shares
-// between every slot it empties; it is allocated on first use and handed
-// back, so that a CommitGroup allocates one for the whole group.
-func (tx *Tx) commitApplyLocked(version uint64, released *lockState) *lockState {
+// version, leaves the chains, which take that version, and drops what the
+// transaction held. The caller holds the commit gate (read side) and has
+// successfully run commitPrepare.
+func (tx *Tx) commitApplyLocked(version uint64) {
 	tx.commitVersion = version
 	tx.mu.Lock()
 	for i := range tx.writes.items {
 		tx.mem.data[tx.writes.items[i].key].Store(tx.writes.items[i].val)
 	}
-	owned := tx.entries.items // complete since the Completed transition
+	owned := tx.owned.items // complete since the Completed transition
 	tx.mu.Unlock()
 	for i := range owned {
-		released = tx.unchain(owned[i].key, version, released)
+		tx.leave(owned[i].key, version)
 	}
 	tx.status.Store(int32(StatusCommitted))
 	tx.mem.commits.Add(1)
 	tx.drop()
-	return released
 }
 
 // drop runs once the transaction is Committed and out of the lock array:
@@ -696,49 +670,36 @@ func (tx *Tx) drop() {
 // caller holds mu.
 func (tx *Tx) dropGuarded() {
 	tx.writes.drop()
-	tx.entries.drop()
+	tx.owned.drop()
 	clear(tx.deps.buf[:])
 	tx.deps.drop()
+	clear(tx.depBuf[:])
 	tx.dependents = nil
 	tx.onAbort = nil
 }
 
-// unchain removes tx from a lock-array slot. On commit (version != 0) the
-// slot takes the commit version, and a chain that becomes empty is swapped
-// to released (see commitApplyLocked) — never to memory inside the Tx,
-// which the slot would pin until its next writer. An abort passes 0 and
-// keeps the slot's version.
-func (tx *Tx) unchain(slot uint32, version uint64, released *lockState) *lockState {
-	entry := &tx.mem.locks[slot]
-	for {
-		ls := entry.Load()
-		idx := -1
-		for i, o := range ls.owners {
-			if o == tx {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			return released
-		}
-		var next *lockState
-		if version != 0 && len(ls.owners) == 1 {
-			if released == nil {
-				released = &lockState{version: version}
-			}
-			next = released
-		} else {
-			owners := make([]*Tx, 0, len(ls.owners)-1)
-			owners = append(owners, ls.owners[:idx]...)
-			owners = append(owners, ls.owners[idx+1:]...)
-			next = &lockState{version: ls.version, owners: owners}
+// leave removes tx from a slot's chain. A commit passes its version for
+// the slot to take; an abort passes 0 and the slot keeps its version.
+func (tx *Tx) leave(slot uint32, version uint64) {
+	c := tx.mem.chainAt(slot)
+	c.mu.Lock()
+	c.remove(tx, version)
+	c.mu.Unlock()
+}
+
+// remove takes tx out of the owners in place, if it is there. The caller
+// holds c.mu.
+func (c *chain) remove(tx *Tx, version uint64) {
+	for i, o := range c.owners {
+		if o == tx {
+			last := len(c.owners) - 1
+			copy(c.owners[i:], c.owners[i+1:])
+			c.owners[last] = nil
+			c.owners = c.owners[:last]
 			if version != 0 {
-				next.version = version
+				c.version = version
 			}
-		}
-		if entry.CompareAndSwap(ls, next) {
-			return released
+			return
 		}
 	}
 }
@@ -772,33 +733,35 @@ func (tx *Tx) doAbort() {
 	}
 }
 
-// finishAbort runs the post-status abort work exactly once. The read set is
-// left alone: it is not guarded by mu, and the executing goroutine may still
-// be validating it when a cascade or the engine's Abort lands here. It pins
-// at most the transactions this one read from, each of which drops its own
-// edges when it ends, for as long as someone still holds the aborted Tx.
+// finishAbort runs the post-status abort work; only the goroutine that won
+// the transition to Aborted gets here. The read set is left alone: it is
+// not guarded by mu, and the executing goroutine may still be validating it
+// when a cascade or the engine's Abort lands here. It pins at most the
+// transactions this one read from, each of which drops its own edges when
+// it ends, for as long as someone still holds the aborted Tx.
 func (tx *Tx) finishAbort() {
-	tx.abortOnce.Do(func() {
-		tx.mem.aborts.Add(1)
-		tx.mu.Lock()
-		owned := tx.entries.items
-		tx.mu.Unlock()
-		for i := range owned {
-			tx.unchain(owned[i].key, 0, nil)
-		}
-		// Only now, with the slots released, may the write buffer go: a
-		// reader that misses it re-checks the entry and finds it changed.
-		tx.mu.Lock()
-		dependents, onAbort := tx.dependents, tx.onAbort
-		tx.dropGuarded()
-		tx.mu.Unlock()
-		for _, d := range dependents {
-			d.cascadeAbort(tx)
-		}
-		if onAbort != nil {
-			onAbort.TxAborted(tx)
-		}
-	})
+	tx.mem.aborts.Add(1)
+	tx.mu.Lock()
+	owned := tx.owned.items
+	tx.mu.Unlock()
+	for i := range owned {
+		tx.leave(owned[i].key, 0)
+	}
+	// addDependent stopped appending when the status became Aborted, and
+	// the section above ordered us after the last append: the list is
+	// walked without mu, which a cascade must not run under.
+	for _, d := range tx.dependents {
+		d.cascadeAbort(tx)
+	}
+	// Only now, with the slots released, may the write buffer go: a reader
+	// scans a chain under its lock and no longer finds us there.
+	tx.mu.Lock()
+	onAbort := tx.onAbort
+	tx.dropGuarded()
+	tx.mu.Unlock()
+	if onAbort != nil {
+		onAbort.TxAborted(tx)
+	}
 }
 
 // cascadeAbort is invoked on a dependent when one of its dependencies
