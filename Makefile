@@ -2,7 +2,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: check fmt vet staticcheck test race race-stm race-core-equiv alloc-guards bench-pairs build trace-e2e doccheck campaign-smoke
+.PHONY: check fmt vet staticcheck test race race-stm race-core-finality race-core-equiv alloc-guards bench-pairs build trace-e2e doccheck campaign-smoke
 
 check: fmt vet staticcheck doccheck alloc-guards race
 
@@ -38,6 +38,16 @@ race:
 race-stm:
 	for p in 1 2 8; do \
 		GOMAXPROCS=$$p go test -race -count=20 ./internal/stm ./internal/state ./internal/sketch || exit 1; \
+	done
+
+# race-core-finality is the same gate for the engine's finality rule
+# (DESIGN.md §6.1): the two scripted tests of the rule, the stateless
+# pipeline that must see no speculative output, and the 4-worker Classifier
+# behind a direct subscriber (a rule that lets a non-head state reader send
+# final fails it with duplicate counts).
+race-core-finality:
+	for p in 1 2 8; do \
+		GOMAXPROCS=$$p go test -race -count=20 -run 'TestStatelessFinalBehindOpenLogger|TestStateReaderBehindHeadIsSpeculative|TestPipelineBasic|TestStatefulParallelismCorrectness' ./internal/core || exit 1; \
 	done
 
 # alloc-guards runs the AllocsPerRun tests of the hot-path packages — the

@@ -1,13 +1,13 @@
 // Command experiments regenerates the paper's evaluation: every figure
 // (2–8), the §4 externalization scenario, the §2.2 recovery experiment,
-// the §5 related-work model table, and the DESIGN.md ablation.
+// and the §5 related-work model table.
 //
 // Usage:
 //
 //	experiments               # run everything at full scale
 //	experiments -quick        # scaled-down run (seconds, for CI)
 //	experiments -fig 3        # a single experiment (2,3,4,5,6,8,
-//	                          # external, recovery, related, ablation)
+//	                          # external, recovery, related)
 //	experiments -list         # list available experiments
 //
 // It also hosts the ingest load generator (docs/INGEST.md):

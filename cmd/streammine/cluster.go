@@ -39,10 +39,10 @@ func ingestFlagsConfig(addr, stateDir, tenantsPath, tlsCert, tlsKey string) (ing
 
 // runCoordinator serves the cluster control plane: it waits for workers,
 // deploys the topology across them per its placement section, supervises
-// heartbeats, and reassigns partitions when a worker dies. -batch /
-// -batch-linger are folded into the topology before deployment so every
-// worker builds its partitions with the same batching configuration.
-func runCoordinator(topoPath, addr string, workers int, hbTimeout, slo time.Duration, batch int, batchLinger time.Duration, obs *observability) error {
+// heartbeats, and reassigns partitions when a worker dies. -batch is folded
+// into the topology before deployment so every worker builds its
+// partitions with the same batching configuration.
+func runCoordinator(topoPath, addr string, workers int, hbTimeout, slo time.Duration, batch int, obs *observability) error {
 	if topoPath == "" {
 		return fmt.Errorf("usage: streammine -coordinator ADDR -topology pipeline.json")
 	}
@@ -50,12 +50,12 @@ func runCoordinator(topoPath, addr string, workers int, hbTimeout, slo time.Dura
 	if err != nil {
 		return fmt.Errorf("read topology: %w", err)
 	}
-	if batch > 0 || batchLinger > 0 {
+	if batch > 0 {
 		cfg, err := topology.Parse(data)
 		if err != nil {
 			return err
 		}
-		cfg.ApplyBatch(batch, batchLinger)
+		cfg.ApplyBatch(batch)
 		if data, err = json.Marshal(cfg); err != nil {
 			return fmt.Errorf("re-encode topology: %w", err)
 		}

@@ -226,7 +226,6 @@ func run() error {
 	stateDir := flag.String("state-dir", "streammine-state", "with -worker: root of durable partition state (shared across workers)")
 	hbTimeout := flag.Duration("hb-timeout", time.Second, "cluster heartbeat timeout before a peer is declared dead")
 	batch := flag.Int("batch", 0, "hot-path batch size: coalesce up to N events per admission charge, commit group and wire frame (0 = use the topology's flow settings; see docs/PERFORMANCE.md)")
-	batchLinger := flag.Duration("batch-linger", 0, "max time an edge sender holds an under-full batch open waiting for more events (e.g. 200us; 0 = send partial batches immediately)")
 	ingestAddr := flag.String("ingest-addr", "", "serve the multi-tenant network ingest gateway on this address; topology sources marked \"ingest\" accept records here (docs/INGEST.md)")
 	ingestStateDir := flag.String("ingest-state-dir", "", "root of the per-stream ingest admission logs (default: streammine-ingest, or <state-dir>/ingest with -worker)")
 	ingestTenants := flag.String("ingest-tenants", "", "JSON file declaring ingest tenants (name, token, rate, burst, maxBatch); empty runs the gateway open")
@@ -279,7 +278,7 @@ func run() error {
 	}
 	icfg.Addr = *ingestAddr
 	if *coordAddr != "" {
-		return runCoordinator(*topoPath, *coordAddr, *workers, *hbTimeout, *sloFlag, *batch, *batchLinger, obs)
+		return runCoordinator(*topoPath, *coordAddr, *workers, *hbTimeout, *sloFlag, *batch, obs)
 	}
 	if *worker {
 		return runWorker(*name, *join, *dataAddr, *stateDir, *hbTimeout, *profileSpec, icfg, obs)
@@ -294,7 +293,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	cfg.ApplyBatch(*batch, *batchLinger)
+	cfg.ApplyBatch(*batch)
 	built, err := cfg.Build()
 	if err != nil {
 		return err

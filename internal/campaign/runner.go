@@ -217,9 +217,6 @@ func (r *Runner) runCell(s *Spec, cell Cell, baselines map[string]map[string]boo
 	coordArgs := []string{"-debug-addr", "127.0.0.1:0", "-flightrec", "-flightrec-dir", frDir}
 	if cell.Config.Batch > 0 {
 		coordArgs = append(coordArgs, "-batch", strconv.Itoa(cell.Config.Batch))
-		if cell.Config.BatchLinger > 0 {
-			coordArgs = append(coordArgs, "-batch-linger", cell.Config.BatchLinger.D().String())
-		}
 	}
 	workerArgs := []string{"-chaos", "-debug-addr", "127.0.0.1:0", "-profile-speculation",
 		"-flightrec", "-flightrec-dir", frDir}

@@ -90,8 +90,6 @@ type Config struct {
 	// Batch, when > 0, forces hot-path batching engine-wide (the
 	// coordinator's -batch flag).
 	Batch int `json:"batch"`
-	// BatchLinger is the partial-batch hold time with Batch > 0.
-	BatchLinger Duration `json:"batchLinger"`
 	// MailboxCap, when > 0, bounds every mailbox and credit-gates cut
 	// edges with the same window (the topology flow section).
 	MailboxCap int `json:"mailboxCap"`

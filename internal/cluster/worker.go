@@ -653,8 +653,7 @@ func (w *Worker) dialBridge(p *workerPart, e Edge, hello transport.Message) (*co
 		CreditWindow: p.cfg.CreditWindowFor(e.To),
 		// Batch the cut edge like an in-process edge: the receiving node's
 		// limits size the EVENT_BATCH wire frames.
-		Batch:       p.cfg.FlowFor(e.To).Batch(),
-		BatchLinger: p.cfg.FlowFor(e.To).Linger(),
+		Batch: p.cfg.FlowFor(e.To).Batch(),
 	}
 	var (
 		b   *core.ReliableBridge

@@ -380,6 +380,7 @@ func (n *node) cancelTask(t *task, cause string) {
 		return
 	}
 	t.state = taskCancelled
+	n.cCancelled.Add(1)
 	tx := t.tx
 	sent := t.sent
 	t.sent = nil

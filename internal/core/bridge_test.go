@@ -70,7 +70,7 @@ func TestBridgedEnginesOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	conn, err := engA.BridgeOutReliable(logA, 0, srv.Addr(), 0)
+	conn, err := engA.BridgeOutReliableOpts(logA, 0, srv.Addr(), BridgeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,10 +140,10 @@ func TestBridgeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.BridgeOutReliable(n, 5, "127.0.0.1:1", 0); err == nil {
+	if _, err := eng.BridgeOutReliableOpts(n, 5, "127.0.0.1:1", BridgeOptions{}); err == nil {
 		t.Fatal("bad port accepted")
 	}
-	if _, err := eng.BridgeOutReliable(n, 0, "127.0.0.1:1", 0); err == nil {
+	if _, err := eng.BridgeOutReliableOpts(n, 0, "127.0.0.1:1", BridgeOptions{}); err == nil {
 		t.Fatal("dial to dead address succeeded")
 	}
 	if _, err := eng.BridgeIn(n, -1); err == nil {
@@ -207,7 +207,7 @@ func TestBridgeRecoveryReplayOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	conn, err := engA.BridgeOutReliable(passA, 0, srv.Addr(), 0)
+	conn, err := engA.BridgeOutReliableOpts(passA, 0, srv.Addr(), BridgeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

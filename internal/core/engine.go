@@ -8,8 +8,8 @@
 //     log commits (paper §2.4, §3) — this overlaps the per-hop logging
 //     latencies that a conventional engine pays serially;
 //   - downstream operators process speculative events immediately inside
-//     open transactions; fine-grained STM dependency tracking decides
-//     whether their own outputs are speculative (paper §3.1);
+//     open transactions; their own outputs leave final only when nothing
+//     can still change them (paper §3.1; the rule is DESIGN.md §6.1);
 //   - when a speculative event is replaced after an upstream rollback,
 //     only the transactions that actually read affected state are rolled
 //     back and re-executed, and re-executions whose outputs are unchanged
@@ -53,15 +53,11 @@ type Options struct {
 	Clock vclock.Clock
 	// Seed derives every operator's deterministic PRNG.
 	Seed uint64
-	// TaintAll enables the coarse speculation ablation: any output of an
-	// operator with open speculation is marked speculative, regardless of
-	// data dependencies (DESIGN.md §6.1).
-	TaintAll bool
-	// StrictFinality closes the fine-grained finality hole (DESIGN.md
-	// §9.1): the paper's rule (default) may in rare interleavings replace
-	// an already-final output. With strictness on, an output is marked
-	// speculative while any open task of the node is tainted or any older
-	// task is still uncommitted, which makes final outputs immutable.
+	// StrictFinality is not read: the engine has one finality rule
+	// (DESIGN.md §6.1). The field is still declared only because
+	// bench/sink.go sets it and a change to the engine may not edit the
+	// benchmark; the benchmark-only change that drops that line drops
+	// the field.
 	StrictFinality bool
 	// CheckpointStore receives operator snapshots; defaults to an
 	// in-memory store.
@@ -206,7 +202,7 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 			// receiving node's Limits: the sender coalesces consecutive
 			// queued events into one EVENT_BATCH delivery (one credit
 			// charge, one mailbox push).
-			up.addLink(e.FromPort, newCreditedLink(inner, gate, down.spec.Flow.Batch(), down.spec.Flow.Linger()))
+			up.addLink(e.FromPort, newCreditedLink(inner, gate, down.spec.Flow.Batch()))
 			down.granters[e.ToInput] = localGranter{gate: gate}
 			down.inGates = append(down.inGates, gate)
 		} else {
@@ -304,9 +300,6 @@ func (e *Engine) pressureProbe(n *node) func() bool {
 		return false
 	}
 }
-
-// Graph returns the topology the engine runs.
-func (e *Engine) Graph() *graph.Graph { return e.g }
 
 // node returns the runtime for a node ID.
 func (e *Engine) node(id graph.NodeID) (*node, error) {
@@ -451,12 +444,13 @@ type NodeStats struct {
 	Dispatched      uint64
 	Executed        uint64
 	Committed       uint64
+	Cancelled       uint64 // incarnations revoked or failed before commit
 	Reexecuted      uint64 // re-executions after rollback
 	SpecSent        uint64 // outputs first sent speculative
 	FinalSent       uint64 // outputs first sent final
 	Aborts          uint64 // STM aborts
 	Conflicts       uint64 // STM conflicts observed
-	FinalViolations uint64 // replacements of already-final outputs (DESIGN §9.1)
+	FinalViolations uint64 // replacements of already-final outputs (DESIGN §6.1; must stay 0)
 }
 
 // TotalStats sums NodeStats across the whole engine.
@@ -467,6 +461,7 @@ func (e *Engine) TotalStats() NodeStats {
 		total.Dispatched += s.Dispatched
 		total.Executed += s.Executed
 		total.Committed += s.Committed
+		total.Cancelled += s.Cancelled
 		total.Reexecuted += s.Reexecuted
 		total.SpecSent += s.SpecSent
 		total.FinalSent += s.FinalSent

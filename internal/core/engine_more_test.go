@@ -223,49 +223,6 @@ func TestTimeWindowThroughEngine(t *testing.T) {
 	}
 }
 
-// TestStrictFinalityOption: with StrictFinality, clean tasks behind open
-// tainted ones are not sent final early.
-func TestStrictFinalityOption(t *testing.T) {
-	run := func(strict bool) (spec, final uint64) {
-		g := graph.New()
-		src := g.AddNode(graph.Node{Name: "src"})
-		op := g.AddNode(graph.Node{Name: "op", Op: &operator.Passthrough{}, Speculative: true})
-		g.Connect(src, 0, op, 0)
-		eng := newTestEngine(t, g, Options{Seed: 35, StrictFinality: strict})
-		n, _ := eng.node(op)
-		// One speculative (never finalized during the burst) event taints
-		// the node, then a batch of final events flows through.
-		n.mailbox.Push(transport.Message{Type: transport.MsgEvent, Input: 0, Event: event.Event{
-			ID: event.ID{Source: 60, Seq: 1}, Timestamp: 1, Speculative: true, Payload: nil,
-		}})
-		time.Sleep(2 * time.Millisecond)
-		for i := uint64(2); i < 30; i++ {
-			n.mailbox.Push(transport.Message{Type: transport.MsgEvent, Input: 0, Event: event.Event{
-				ID: event.ID{Source: 60, Seq: event.Seq(i)}, Timestamp: int64(i), Payload: nil,
-			}})
-		}
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			st, _ := eng.Stats(op)
-			if st.Executed >= 29 {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatal("executions stalled")
-			}
-			time.Sleep(time.Millisecond)
-		}
-		st, _ := eng.Stats(op)
-		return st.SpecSent, st.FinalSent
-	}
-	_, finalLoose := run(false)
-	_, finalStrict := run(true)
-	if finalStrict >= finalLoose {
-		t.Fatalf("strict finality sent %d direct finals, loose sent %d — option has no effect",
-			finalStrict, finalLoose)
-	}
-}
-
 // TestSourceEmitAfterStop surfaces ErrStopped.
 func TestSourceEmitAfterStop(t *testing.T) {
 	g := graph.New()

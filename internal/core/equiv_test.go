@@ -146,7 +146,7 @@ func runEquivVariant(t *testing.T, seed uint64, v equivVariant, want int) map[ev
 	sinkNode := g.AddNode(graph.Node{Name: "sink", Op: &operator.Passthrough{}, Workers: 1, Flow: v.flow})
 	g.Connect(prev, 0, sinkNode, 0)
 
-	eng := newTestEngine(t, g, Options{Seed: seed, Clock: seqClock{}, StrictFinality: true})
+	eng := newTestEngine(t, g, Options{Seed: seed, Clock: seqClock{}})
 	defer eng.Stop()
 	sink := &equivSink{finals: make(map[event.ID]equivFinal)}
 	if err := eng.Subscribe(sinkNode, 0, sink.fn); err != nil {

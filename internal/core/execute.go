@@ -188,31 +188,19 @@ func (n *node) runTask(t *task, ctx *procCtx) {
 	n.notifyCommitter()
 }
 
-// computeTainted decides whether the task's outputs must be marked
-// speculative right now (paper §3.1's fine-grained rule, plus the TaintAll
-// and StrictFinality ablations).
+// computeTainted is the finality rule (DESIGN.md §6.1): the task's outputs
+// leave the worker final iff its input is final, its decisions are stable,
+// and nothing can still change what the attempt computed — it is the oldest
+// uncommitted task, or it read no operator state. An older task that has
+// not even executed yet can still write state a younger one already read,
+// failing that one's validation at commit time, so a state-reading task
+// behind the commit head is speculative whatever its dependencies look
+// like right now. Caller holds t.mu.
 func (n *node) computeTainted(t *task) bool {
 	if !t.evFinal || t.pendingLogs > 0 {
 		return true
 	}
-	if n.eng.opts.TaintAll {
-		return n.committedBelow(t.seq)
-	}
-	if n.eng.opts.StrictFinality &&
-		(n.openTainted.Load() > 0 || n.committedBelow(t.seq)) {
-		// Any open tainted task, or ANY older uncommitted task: an older
-		// task that has not even executed yet can still write state this
-		// task already read, failing its validation at commit time after
-		// its output went out final (the §6.1 hole, widest form).
-		return true
-	}
-	return t.tx.DepsOpen() > 0
-}
-
-// committedBelow reports whether any task with a smaller sequence is still
-// uncommitted.
-func (n *node) committedBelow(seq int64) bool {
-	return n.nextCommit.Load() < seq
+	return n.nextCommit.Load() < t.seq && t.tx.ReadSetSize() > 0
 }
 
 // publishOutputs sends the current execution's outputs downstream,
@@ -248,8 +236,8 @@ func (n *node) publishOutputs(t *task) {
 				continue
 			}
 			if rec.finalSent.Load() {
-				// A previously-final output changed: the theoretical hole
-				// in fine-grained finality (DESIGN.md §6.1). Count it and
+				// A previously-final output changed: the finality rule
+				// (computeTainted) was wrong about this task. Count it and
 				// prefer correct content over the finality promise.
 				n.finalViolations.Add(1)
 				rec.finalSent.Store(false)

@@ -225,25 +225,22 @@ func (q *linkQueue) close() {
 // events is the same goroutine that processes inbound CREDIT grants on
 // the reverse path — blocking it on a credit would deadlock the cycle.
 type creditedLink struct {
-	inner  link
-	gate   *flow.CreditGate
-	q      *linkQueue
-	batch  int           // cap on the run coalesced into one frame (at least 1)
-	linger time.Duration // optional one-shot wait for a fuller run (0 = never wait)
-	done   chan struct{}
-	once   sync.Once
+	inner link
+	gate  *flow.CreditGate
+	q     *linkQueue
+	batch int // cap on the run coalesced into one frame (at least 1)
+	done  chan struct{}
+	once  sync.Once
 }
 
 var _ link = (*creditedLink)(nil)
 
 // newCreditedLink wraps inner behind gate and starts the sender. The sender
 // coalesces consecutive queued events into one frame of up to batch events
-// (below 1 means 1), charging the credit gate once for the whole run.
-// linger bounds a single extra wait for a fuller run after at least one
-// event is in hand; it never delays a run that is already full and never
-// applies to control traffic.
-func newCreditedLink(inner link, gate *flow.CreditGate, batch int, linger time.Duration) *creditedLink {
-	l := &creditedLink{inner: inner, gate: gate, q: newLinkQueue(), batch: max(batch, 1), linger: linger, done: make(chan struct{})}
+// (below 1 means 1), charging the credit gate once for the whole run. It
+// never waits for a run to fill.
+func newCreditedLink(inner link, gate *flow.CreditGate, batch int) *creditedLink {
+	l := &creditedLink{inner: inner, gate: gate, q: newLinkQueue(), batch: max(batch, 1), done: make(chan struct{})}
 	go l.sender()
 	return l
 }
@@ -277,8 +274,7 @@ func (l *creditedLink) sender() {
 
 // sendRun sends one run of data events under a single credit charge. A run
 // shorter than the cap first takes the single events queued right behind
-// it and, when still short with a linger configured, waits once for
-// stragglers. If the gate closed meanwhile (shutdown) the run is dropped:
+// it. If the gate closed meanwhile (shutdown) the run is dropped:
 // its events are either retained in the output buffer for replay or moot
 // because the engine is stopping.
 func (l *creditedLink) sendRun(run []event.Event) {
@@ -286,10 +282,6 @@ func (l *creditedLink) sendRun(run []event.Event) {
 		// The incoming run may be shared with other links on the port.
 		run = append(make([]event.Event, 0, l.batch), run...)
 		run = l.q.takeEvents(run, l.batch-len(run))
-		if len(run) < l.batch && l.linger > 0 {
-			time.Sleep(l.linger)
-			run = l.q.takeEvents(run, l.batch-len(run))
-		}
 	}
 	if l.gate.AcquireN(len(run)) {
 		l.inner.deliver(eventFrame(run))

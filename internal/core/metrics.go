@@ -137,6 +137,9 @@ func registerEngineMetrics(e *Engine, reg *metrics.Registry) *engineMetrics {
 	reg.CounterFunc("core_commits_total",
 		"Tasks committed in arrival order.", nil,
 		stat(func(s NodeStats) uint64 { return s.Committed }))
+	reg.CounterFunc("core_cancelled_total",
+		"Admitted incarnations cancelled before commit (input revoked, or operator error).", nil,
+		stat(func(s NodeStats) uint64 { return s.Cancelled }))
 	reg.CounterFunc("core_reexecutions_total",
 		"Task re-executions after rollback or conflict.", nil,
 		stat(func(s NodeStats) uint64 { return s.Reexecuted }))
@@ -148,7 +151,7 @@ func registerEngineMetrics(e *Engine, reg *metrics.Registry) *engineMetrics {
 		metrics.Labels{"kind": "final"},
 		stat(func(s NodeStats) uint64 { return s.FinalSent }))
 	reg.CounterFunc("core_final_violations_total",
-		"Replacements of already-final outputs (DESIGN.md §9.1 hole; must stay 0).", nil,
+		"Replacements of already-final outputs (DESIGN.md §6.1; must stay 0).", nil,
 		stat(func(s NodeStats) uint64 { return s.FinalViolations }))
 
 	// STM counters, summed across node memories. A crashed node's memory

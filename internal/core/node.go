@@ -159,6 +159,7 @@ type node struct {
 	cDispatched     atomic.Uint64
 	cExecuted       atomic.Uint64
 	cCommitted      atomic.Uint64
+	cCancelled      atomic.Uint64
 	cReexec         atomic.Uint64
 	cSpecSent       atomic.Uint64
 	cFinalSent      atomic.Uint64
@@ -388,6 +389,7 @@ func (n *node) stats() NodeStats {
 		Dispatched:      n.cDispatched.Load(),
 		Executed:        n.cExecuted.Load(),
 		Committed:       n.cCommitted.Load(),
+		Cancelled:       n.cCancelled.Load(),
 		Reexecuted:      n.cReexec.Load(),
 		SpecSent:        n.cSpecSent.Load(),
 		FinalSent:       n.cFinalSent.Load(),

@@ -74,22 +74,14 @@ type BridgeOptions struct {
 	// one EVENT_BATCH wire frame (one length prefix, one credit charge,
 	// one syscall). Requires CreditWindow > 0; ignored otherwise.
 	Batch int
-	// BatchLinger bounds a single extra wait for a fuller batch after the
-	// sender already holds at least one event. Zero never waits.
-	BatchLinger time.Duration
 	// RTT, when set, observes the dial round-trip (connect + hello) of
 	// every connection attempt that succeeds — a proxy for the network
 	// latency a cut edge adds per hop.
 	RTT *metrics.HDR
 }
 
-// BridgeOutReliable attaches a reconnecting bridge to a node output port.
-// retry is the initial redial delay (default 100 ms).
-func (e *Engine) BridgeOutReliable(id graph.NodeID, port int, addr string, retry time.Duration) (*ReliableBridge, error) {
-	return e.BridgeOutReliableOpts(id, port, addr, BridgeOptions{Retry: retry})
-}
-
-// BridgeOutReliableOpts is BridgeOutReliable with full options.
+// BridgeOutReliableOpts attaches a reconnecting bridge to a node output
+// port.
 func (e *Engine) BridgeOutReliableOpts(id graph.NodeID, port int, addr string, o BridgeOptions) (*ReliableBridge, error) {
 	n, err := e.node(id)
 	if err != nil {
@@ -123,7 +115,7 @@ func (e *Engine) BridgeOutReliableOpts(id graph.NodeID, port int, addr string, o
 	var l link = b
 	if o.CreditWindow > 0 {
 		b.gate = flow.NewCreditGate(o.CreditWindow)
-		b.cl = newCreditedLink(l, b.gate, o.Batch, o.BatchLinger)
+		b.cl = newCreditedLink(l, b.gate, o.Batch)
 		l = b.cl
 	}
 	n.addLink(port, l)

@@ -61,7 +61,7 @@ func bridgedPair(t *testing.T) (engA, engB *Engine, srcA graph.NodeID, clsB grap
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	bridge, err = engA.BridgeOutReliable(passA, 0, srv.Addr(), 10*time.Millisecond)
+	bridge, err = engA.BridgeOutReliableOpts(passA, 0, srv.Addr(), BridgeOptions{Retry: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,10 +166,10 @@ func TestReliableBridgeBadAddress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.BridgeOutReliable(n, 0, "127.0.0.1:1", time.Millisecond); err == nil {
+	if _, err := eng.BridgeOutReliableOpts(n, 0, "127.0.0.1:1", BridgeOptions{Retry: time.Millisecond}); err == nil {
 		t.Fatal("dead address accepted")
 	}
-	if _, err := eng.BridgeOutReliable(n, 7, "127.0.0.1:1", time.Millisecond); err == nil {
+	if _, err := eng.BridgeOutReliableOpts(n, 7, "127.0.0.1:1", BridgeOptions{Retry: time.Millisecond}); err == nil {
 		t.Fatal("bad port accepted")
 	}
 }

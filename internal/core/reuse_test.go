@@ -149,10 +149,7 @@ func newReuseRig(t *testing.T, workers int) *reuseRig {
 		sinks[port] = g.AddNode(graph.Node{Name: "sink" + string(rune('0'+port)), Op: &operator.Passthrough{}})
 		g.Connect(op, port, sinks[port], 0)
 	}
-	// StrictFinality: the script makes an older task write what a younger
-	// one has read, the interleaving in which the default rule may let a
-	// final go out and change afterwards (DESIGN.md §9.1).
-	eng, err := New(g, Options{Seed: 3, Pool: pool, StrictFinality: true})
+	eng, err := New(g, Options{Seed: 3, Pool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}

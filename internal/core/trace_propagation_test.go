@@ -70,7 +70,7 @@ func TestTracePropagationAcrossBridge(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	conn, err := engA.BridgeOutReliable(mapA, 0, srv.Addr(), 0)
+	conn, err := engA.BridgeOutReliableOpts(mapA, 0, srv.Addr(), BridgeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -234,20 +234,6 @@ func TestRecoveryShape(t *testing.T) {
 	}
 }
 
-// TestTaintAblationShape: TaintAll must mark strictly more outputs
-// speculative than fine-grained tracking.
-func TestTaintAblationShape(t *testing.T) {
-	_, results, err := RunTaintAblation(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fine, all := results[0], results[1]
-	if fine.FinalSent <= all.FinalSent {
-		t.Errorf("fine-grained sent %d finals directly vs taint-all %d — ablation shows no difference",
-			fine.FinalSent, all.FinalSent)
-	}
-}
-
 // TestRelatedWorkTable: the model table renders all approaches.
 func TestRelatedWorkTable(t *testing.T) {
 	table, err := RunRelatedWork(quick)

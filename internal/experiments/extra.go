@@ -276,110 +276,3 @@ func RunRelatedWork(cfg Config) (*Table, error) {
 	}
 	return table, nil
 }
-
-// AblationResult compares taint policies (DESIGN.md §6.1).
-type AblationResult struct {
-	Policy        string
-	SpecSent      uint64
-	FinalSent     uint64
-	MeanFinalLat  time.Duration
-	EventsMeasued int
-}
-
-// RunTaintAblation measures the fine-grained dependency tracking against
-// the TaintAll ablation: an operator that logs a decision for every fifth
-// key keeps a rolling population of open tasks; under fine-grained
-// tracking the clean tasks in between still send final outputs
-// immediately, under TaintAll everything becomes speculative.
-func RunTaintAblation(cfg Config) (*Table, []AblationResult, error) {
-	diskLat := 10 * time.Millisecond
-	events := 100
-	if cfg.Quick {
-		diskLat = 2 * time.Millisecond
-		events = 40
-	}
-	table := &Table{
-		ID:     "ablation-taint",
-		Title:  "Fine-grained taint vs TaintAll (operator logging every 5th key)",
-		Header: []string{"policy", "sent speculative", "sent final directly", "mean final latency"},
-	}
-	var results []AblationResult
-	for _, taintAll := range []bool{false, true} {
-		name := "fine-grained (paper §3.1)"
-		if taintAll {
-			name = "taint-all (ablation)"
-		}
-		g := graph.New()
-		src := g.AddNode(graph.Node{Name: "src"})
-		op := g.AddNode(graph.Node{
-			Name:        "partial",
-			Op:          &partialLogger{every: 5},
-			Speculative: true,
-		})
-		g.Connect(src, 0, op, 0)
-		pool := storage.NewPool([]storage.Disk{storage.NewSimDisk(diskLat, 0)})
-		eng, err := core.New(g, withMetrics(core.Options{Pool: pool, Seed: 3, TaintAll: taintAll}))
-		if err != nil {
-			pool.Close()
-			return nil, nil, err
-		}
-		if err := eng.Start(); err != nil {
-			pool.Close()
-			return nil, nil, err
-		}
-		sink := newLatencySink()
-		if err := eng.Subscribe(op, 0, sink.fn); err != nil {
-			eng.Stop()
-			pool.Close()
-			return nil, nil, err
-		}
-		handle, err := eng.Source(src)
-		if err != nil {
-			eng.Stop()
-			pool.Close()
-			return nil, nil, err
-		}
-		// Burst-emit everything: the logging tasks stay open for a full
-		// disk write while the clean tasks behind them execute, which is
-		// exactly the population the two taint policies treat differently
-		// (pacing would make the overlap depend on timer granularity).
-		for i := 0; i < events; i++ {
-			if _, err := handle.Emit(uint64(i), sink.stamp()); err != nil {
-				eng.Stop()
-				pool.Close()
-				return nil, nil, err
-			}
-		}
-		var totalLat time.Duration
-		for i := 0; i < events; i++ {
-			lat, err := sink.waitFinal(20 * time.Second)
-			if err != nil {
-				eng.Stop()
-				pool.Close()
-				return nil, nil, err
-			}
-			totalLat += lat
-		}
-		stats, err := eng.Stats(op)
-		eng.Stop()
-		pool.Close()
-		if err != nil {
-			return nil, nil, err
-		}
-		r := AblationResult{
-			Policy:        name,
-			SpecSent:      stats.SpecSent,
-			FinalSent:     stats.FinalSent,
-			MeanFinalLat:  totalLat / time.Duration(events),
-			EventsMeasued: events,
-		}
-		results = append(results, r)
-		table.Rows = append(table.Rows, []string{
-			name,
-			fmt.Sprintf("%d", r.SpecSent),
-			fmt.Sprintf("%d", r.FinalSent),
-			r.MeanFinalLat.String(),
-		})
-	}
-	return table, results, nil
-}

@@ -81,22 +81,3 @@ func (s *stampedSketch) Process(ctx operator.Context, e event.Event) error {
 }
 
 func (s *stampedSketch) Terminate() error { return nil }
-
-// partialLogger forwards events, taking a logged random decision only for
-// every k-th key. It creates the mixed open/clean task population that
-// separates the fine-grained taint rule from the TaintAll ablation.
-type partialLogger struct {
-	operator.NopOperator
-	every uint64
-}
-
-var _ operator.Operator = (*partialLogger)(nil)
-
-func (p *partialLogger) Process(ctx operator.Context, e event.Event) error {
-	if p.every > 0 && e.Key%p.every == 0 {
-		if _, err := ctx.Random(); err != nil {
-			return err
-		}
-	}
-	return ctx.Emit(e.Key, e.Payload)
-}

@@ -51,10 +51,6 @@ func Runners() []Runner {
 			t, err := RunRelatedWork(cfg)
 			return []*Table{t}, err
 		}},
-		{ID: "ablation", Desc: "DESIGN §6.1 taint-policy ablation", Run: func(cfg Config) ([]*Table, error) {
-			t, _, err := RunTaintAblation(cfg)
-			return []*Table{t}, err
-		}},
 	}
 }
 

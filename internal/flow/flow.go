@@ -22,8 +22,6 @@
 //     paper's promptness-vs-waste knob turned automatically.
 package flow
 
-import "time"
-
 // Limits configures flow control for one node. The zero value disables
 // every mechanism, preserving the unbounded pre-flow behavior.
 type Limits struct {
@@ -73,12 +71,6 @@ type Limits struct {
 	// disables batching. Batching never delays a lone event on the commit
 	// path — the committer only groups tasks that are already ready.
 	BatchSize int `json:"batchSize,omitempty"`
-
-	// BatchLingerMicros bounds how long a sender may hold an under-full
-	// batch open waiting for more events (microseconds). It applies to
-	// edge senders and source-side emit coalescing only, never to commit
-	// finalization. Zero sends partial batches immediately.
-	BatchLingerMicros int `json:"batchLingerMicros,omitempty"`
 }
 
 // Enabled reports whether any flow mechanism is configured.
@@ -97,13 +89,4 @@ func (l *Limits) Batch() int {
 		return 1
 	}
 	return l.BatchSize
-}
-
-// Linger returns the configured batch linger as a duration (zero = send
-// partial batches immediately).
-func (l *Limits) Linger() time.Duration {
-	if l == nil || l.BatchLingerMicros <= 0 {
-		return 0
-	}
-	return time.Duration(l.BatchLingerMicros) * time.Microsecond
 }

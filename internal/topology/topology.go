@@ -275,32 +275,23 @@ func (cfg *Config) FlowFor(name string) *flow.Limits {
 	return cfg.Flow
 }
 
-// ApplyBatch overrides the hot-path batch size and linger across the
-// whole topology: on the flow default and on every per-node flow section
-// (a node's section replaces the default entirely, so it must carry the
-// batch setting too, or the override would silently disable batching on
-// that node). size <= 0 leaves sizes untouched; linger <= 0 leaves
-// lingers untouched. The streammine -batch/-batch-linger flags call this
+// ApplyBatch overrides the hot-path batch size across the whole topology:
+// on the flow default and on every per-node flow section (a node's section
+// replaces the default entirely, so it must carry the batch setting too, or
+// the override would silently disable batching on that node). size <= 0
+// leaves the topology untouched. The streammine -batch flag calls this
 // before the graph (or the cluster deployment payload) is built.
-func (cfg *Config) ApplyBatch(size int, linger time.Duration) {
-	if size <= 0 && linger <= 0 {
+func (cfg *Config) ApplyBatch(size int) {
+	if size <= 0 {
 		return
-	}
-	apply := func(l *flow.Limits) {
-		if size > 0 {
-			l.BatchSize = size
-		}
-		if linger > 0 {
-			l.BatchLingerMicros = int(linger / time.Microsecond)
-		}
 	}
 	if cfg.Flow == nil {
 		cfg.Flow = &flow.Limits{}
 	}
-	apply(cfg.Flow)
+	cfg.Flow.BatchSize = size
 	for i := range cfg.Nodes {
 		if cfg.Nodes[i].Flow != nil {
-			apply(cfg.Nodes[i].Flow)
+			cfg.Nodes[i].Flow.BatchSize = size
 		}
 	}
 }
