@@ -64,7 +64,10 @@ alloc-guards:
 # produced: ./bench of PARENT and of the working tree built once each, one
 # WORKLOAD of BENCHMARK.json run once per seed on either side, sides
 # alternating, then median, quartiles and pairs won for each gated metric
-# (about four minutes for the default ten seeds, 11..20).
+# and for cpu_us_per_event and final_p99_us (about four minutes for the
+# default ten seeds, 11..20). WORKLOAD=all does that for every workload in
+# turn, one table each — the "no other metric moved" evidence in one
+# command, about twenty minutes.
 PARENT ?= HEAD~1
 WORKLOAD ?= pipe2-sat
 bench-pairs:

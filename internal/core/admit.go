@@ -56,13 +56,19 @@ func (n *node) admitRun(input int, evs []event.Event) {
 		arena += len(planned[i].ev.Payload)
 	}
 	buf := make([]byte, 0, arena)
+	// The committed set is far larger than any cache, so every lookup is a
+	// memory access: do the run's lookups back to back, where they overlap,
+	// rather than each behind the admission of the event before.
+	for i := range planned {
+		planned[i].dup = n.committed.has(planned[i].ev.ID)
+	}
 	var block []task
 	var recs []wal.Record
 	for i := range planned {
 		pe := &planned[i]
 		ev := pe.ev
 		id := ev.ID
-		if n.committed[id] || n.recoverDrop[id] {
+		if pe.dup || n.recoverDrop.has(id) {
 			// Precise recovery: a replayed duplicate of a committed event
 			// is byte-identical and silently dropped, and so is a
 			// redelivery of an event the restored snapshot already covers
@@ -70,7 +76,7 @@ func (n *node) admitRun(input int, evs []event.Event) {
 			// prunes — except a commit no checkpoint covers yet: upstream
 			// holds the only copy a recovery could replay, and its ACK
 			// leaves with the checkpoint (sinceCkpt).
-			if !n.committed[id] {
+			if !pe.dup {
 				n.recStats.replayDrops++
 			} else if slices.ContainsFunc(n.sinceCkpt, func(a ackTarget) bool { return a.id == id }) {
 				continue
@@ -78,7 +84,7 @@ func (n *node) admitRun(input int, evs []event.Event) {
 			deferred = append(deferred, deferredAdmit{input: pe.input, ev: ev})
 			continue
 		}
-		if t, ok := n.tasks[id]; ok {
+		if t, ok := n.tasks.get(id); ok {
 			deferred = append(deferred, deferredAdmit{t: t, ev: ev})
 			continue
 		}
@@ -107,7 +113,7 @@ func (n *node) admitRun(input int, evs []event.Event) {
 			t.admitted = time.Now()
 		}
 		n.nextSeq++
-		n.tasks[id] = t
+		n.tasks.put(id, t)
 		n.open.push(t)
 		if stateful && !pe.logged {
 			// The interleaving order across inputs is a non-deterministic
@@ -168,11 +174,11 @@ func (n *node) admitRun(input int, evs []event.Event) {
 // takePendRevoke consumes one early REVOKE stashed for id, reporting
 // whether there was one. Caller holds n.mu.
 func (n *node) takePendRevoke(id event.ID) bool {
-	c := n.pendRevoke[id]
+	c, _ := n.pendRevoke.get(id)
 	if c > 1 {
-		n.pendRevoke[id] = c - 1
+		n.pendRevoke.put(id, c-1)
 	} else {
-		delete(n.pendRevoke, id)
+		n.pendRevoke.delete(id)
 	}
 	return c > 0
 }
@@ -181,8 +187,8 @@ func (n *node) takePendRevoke(id event.ID) bool {
 // for a later version, marking ev final when it is for exactly this one.
 // Caller holds n.mu.
 func (n *node) takePendFin(ev *event.Event) {
-	if v, ok := n.pendFin[ev.ID]; ok && v <= ev.Version {
-		delete(n.pendFin, ev.ID)
+	if v, ok := n.pendFin.get(ev.ID); ok && v <= ev.Version {
+		n.pendFin.delete(ev.ID)
 		if v == ev.Version {
 			ev.Speculative = false
 		}
@@ -320,10 +326,10 @@ func (n *node) finalizeRun(refs []transport.FinalizeRef) {
 	}()
 	n.mu.Lock()
 	for _, f := range refs {
-		if t := n.tasks[f.ID]; t != nil {
+		if t, ok := n.tasks.get(f.ID); ok {
 			hits = append(hits, finHit{t, f.Version})
-		} else if !n.committed[f.ID] {
-			n.pendFin[f.ID] = f.Version
+		} else if !n.committed.has(f.ID) {
+			n.pendFin.put(f.ID, f.Version)
 		}
 	}
 	n.mu.Unlock()
@@ -338,8 +344,8 @@ func (n *node) finalizeRun(refs []transport.FinalizeRef) {
 			finalized = true
 		case h.ver > t.ev.Version:
 			n.mu.Lock()
-			if !n.committed[t.ev.ID] {
-				n.pendFin[t.ev.ID] = h.ver
+			if !n.committed.has(t.ev.ID) {
+				n.pendFin.put(t.ev.ID, h.ver)
 			}
 			n.mu.Unlock()
 		}
@@ -354,12 +360,13 @@ func (n *node) finalizeRun(refs []transport.FinalizeRef) {
 // own outputs (cascading the revocation downstream).
 func (n *node) handleRevoke(m transport.Message) {
 	n.mu.Lock()
-	t := n.tasks[m.ID]
-	if t == nil {
+	t, ok := n.tasks.get(m.ID)
+	if !ok {
 		// The REVOKE overtook its event on the control lane. Count it so
 		// admission drops exactly one queued incarnation on arrival.
-		if !n.committed[m.ID] {
-			n.pendRevoke[m.ID]++
+		if !n.committed.has(m.ID) {
+			c, _ := n.pendRevoke.get(m.ID)
+			n.pendRevoke.put(m.ID, c+1)
 		}
 		n.mu.Unlock()
 		return
@@ -434,7 +441,7 @@ func (n *node) cancelTask(t *task, cause string) {
 
 func (n *node) revokeRecord(rec *outRecord) {
 	n.mu.Lock()
-	delete(n.outBuf, rec.id)
+	n.outBuf.delete(rec.id)
 	n.mu.Unlock()
 	if m := n.eng.met; m != nil {
 		m.revokes.Inc()
@@ -452,10 +459,10 @@ func (n *node) revokeRecord(rec *outRecord) {
 func (n *node) ackRun(refs []transport.FinalizeRef) {
 	n.mu.Lock()
 	for _, f := range refs {
-		if rec, ok := n.outBuf[f.ID]; ok {
+		if rec, ok := n.outBuf.get(f.ID); ok {
 			rec.pendingAcks--
 			if rec.pendingAcks <= 0 {
-				delete(n.outBuf, f.ID)
+				n.outBuf.delete(f.ID)
 			}
 		}
 	}
@@ -467,10 +474,8 @@ func (n *node) ackRun(refs []transport.FinalizeRef) {
 // event drop it as a duplicate (and re-ACK).
 func (n *node) handleReplay() {
 	n.mu.Lock()
-	recs := make([]*outRecord, 0, len(n.outBuf))
-	for _, r := range n.outBuf {
-		recs = append(recs, r)
-	}
+	recs := make([]*outRecord, 0, n.outBuf.len())
+	n.outBuf.each(func(_ event.ID, r *outRecord) { recs = append(recs, r) })
 	n.mu.Unlock()
 	if m := n.eng.met; m != nil {
 		m.replays.Inc()
@@ -563,6 +568,6 @@ func (n *node) bufferOutput(rec *outRecord, id event.ID, out pendingOut, trace u
 	}
 	rec.finalSent.Store(final)
 	if rec.pendingAcks > 0 {
-		n.outBuf[id] = rec
+		n.outBuf.put(id, rec)
 	}
 }

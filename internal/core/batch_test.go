@@ -67,7 +67,7 @@ func TestFinalizeBatchZeroAlloc(t *testing.T) {
 	for i := range finals {
 		id := event.ID{Source: 1, Seq: event.Seq(i)}
 		tk := &task{n: n, ev: event.Event{ID: id, Version: 3, Speculative: true}}
-		n.tasks[id] = tk
+		n.tasks.put(id, tk)
 		tasks[i] = tk
 		finals[i] = transport.FinalizeRef{ID: id, Version: 3}
 	}
@@ -222,7 +222,7 @@ func TestCommitTurnOfOneAllocs(t *testing.T) {
 			n: n, seq: int64(i), state: taskOpen, published: true, evFinal: true,
 			ev: event.Event{ID: id}, tx: tx, sent: []*outRecord{rec},
 		}
-		n.tasks[id] = tk
+		n.tasks.put(id, tk)
 		n.open.push(tk)
 	}
 	allocs := testing.AllocsPerRun(turns, func() {

@@ -28,8 +28,9 @@ func (e *Engine) BridgeIn(id graph.NodeID, input int) (transport.ConnHandler, er
 	}
 	return func(c transport.Conn, m transport.Message) {
 		n.mu.Lock()
-		if cur, ok := n.upstream[input].(remoteUpstream); !ok || cur.c != c {
-			n.upstream[input] = remoteUpstream{c: c}
+		up := slot(&n.upstream, input)
+		if cur, ok := (*up).(remoteUpstream); !ok || cur.c != c {
+			*up = remoteUpstream{c: c}
 		}
 		n.mu.Unlock()
 		m.Input = input

@@ -118,7 +118,7 @@ func TestBridgedEnginesOverTCP(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		nodeA.mu.Lock()
-		left := len(nodeA.outBuf)
+		left := nodeA.outBuf.len()
 		nodeA.mu.Unlock()
 		if left == 0 {
 			break

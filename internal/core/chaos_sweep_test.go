@@ -68,12 +68,12 @@ func TestChaosSeedSweep(t *testing.T) {
 				planInfo = "pos=" + fmtInt(plan.pos) + "/" + fmtInt(len(plan.order)) + " head:" + planInfo + " buffered=" + fmtInt(len(plan.buffered)) + " tail=" + fmtInt(len(plan.tail))
 			}
 			open := n.open.n
-			committed := len(n.committed)
-			tasks := len(n.tasks)
+			committed := n.committed.len()
+			tasks := n.tasks.len()
 			n.mu.Unlock()
 			srcN, _ := eng.node(src)
 			srcN.mu.Lock()
-			buffered := len(srcN.outBuf)
+			buffered := srcN.outBuf.len()
 			srcN.mu.Unlock()
 			t.Fatalf("seed %d stalled at %d/200: plan=%s open=%d committed=%d tasks=%d mailbox=%d execQ=%d srcBuf=%d",
 				seed, sink.count(), planInfo, open, committed, tasks, n.mailbox.Len(), n.execQ.Len(), buffered)

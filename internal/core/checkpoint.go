@@ -26,19 +26,21 @@ func (n *node) takeCheckpoint() {
 		Memory:         nil, // filled below, outside n.mu
 		InputPositions: make(map[int]event.ID, len(n.lastCommitted)),
 	}
-	for i, id := range n.lastCommitted {
-		snap.InputPositions[i] = id
+	for i, p := range n.lastCommitted {
+		if p.set {
+			snap.InputPositions[i] = p.id
+		}
 	}
 	// Committed-but-unacknowledged outputs ride in the snapshot: their
 	// inputs are covered (pruned upstream, below the replay start), so
 	// after a crash nothing else could regenerate them. Non-final records
 	// belong to uncommitted tasks, which log replay re-executes.
-	pending := make([]*outRecord, 0, len(n.outBuf))
-	for _, rec := range n.outBuf {
+	pending := make([]*outRecord, 0, n.outBuf.len())
+	n.outBuf.each(func(_ event.ID, rec *outRecord) {
 		if rec.finalSent.Load() {
 			pending = append(pending, rec)
 		}
-	}
+	})
 	sort.Slice(pending, func(i, j int) bool { return pending[i].seq < pending[j].seq })
 	for _, rec := range pending {
 		snap.Outputs = append(snap.Outputs, checkpoint.Output{

@@ -147,7 +147,7 @@ func (n *node) commitBatch(max int) {
 func (n *node) cleanupHead(t *task) {
 	n.mu.Lock()
 	n.open.pop()
-	delete(n.tasks, t.ev.ID)
+	n.tasks.delete(t.ev.ID)
 	n.mu.Unlock()
 	t.mu.Lock()
 	throttled := t.throttleHeld
@@ -178,10 +178,8 @@ type finFlush struct {
 
 // addAt appends v to the accumulator at index i, growing the table to it.
 func addAt[T any](runs [][]T, i int, v T) [][]T {
-	for len(runs) <= i {
-		runs = append(runs, nil)
-	}
-	runs[i] = append(runs[i], v)
+	run := slot(&runs, i)
+	*run = append(*run, v)
 	return runs
 }
 
@@ -225,7 +223,7 @@ type retirePost struct {
 // nodes), ACK the consumed events upstream, advance the commit cursor, and
 // checkpoint if due. Runs on the committer goroutine, holding no lock on
 // entry. The FINALIZE, late-final and ACK deliveries collect in n.fin and
-// ship last, one frame per port or input for the whole group. The map
+// ship last, one frame per port or input for the whole group. The table
 // bookkeeping for the run happens under ONE n.mu hold, and the commit
 // cursor advances once by the run length.
 func (n *node) retireGroup(run []*task) {
@@ -284,12 +282,12 @@ func (n *node) retireGroup(run []*task) {
 	n.mu.Lock()
 	for i := range posts {
 		p := &posts[i]
-		n.committed[p.inputID] = true
-		delete(n.tasks, p.inputID)
+		n.committed.add(p.inputID)
+		n.tasks.delete(p.inputID)
 		n.open.pop()
-		delete(n.pendFin, p.inputID)
-		delete(n.pendRevoke, p.inputID)
-		n.lastCommitted[p.input] = p.inputID
+		n.pendFin.delete(p.inputID)
+		n.pendRevoke.delete(p.inputID)
+		*slot(&n.lastCommitted, p.input) = inputPos{id: p.inputID, set: true}
 		if p.maxLSN > n.coveredLSN {
 			n.coveredLSN = p.maxLSN
 		}

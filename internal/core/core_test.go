@@ -565,7 +565,7 @@ func TestAckPruning(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		srcNode.mu.Lock()
-		left := len(srcNode.outBuf)
+		left := srcNode.outBuf.len()
 		srcNode.mu.Unlock()
 		if left == 0 {
 			break
@@ -613,7 +613,7 @@ func TestCheckpointBatchesAcks(t *testing.T) {
 	srcNode, _ := eng.node(src)
 	for {
 		srcNode.mu.Lock()
-		left := len(srcNode.outBuf)
+		left := srcNode.outBuf.len()
 		srcNode.mu.Unlock()
 		if left == 5 {
 			break

@@ -181,7 +181,7 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 		if p, ok := opts.NodePools[spec.ID]; ok && p != nil {
 			pool = p
 		}
-		n, err := newNode(eng, spec, master.Fork(), wal.New(pool))
+		n, err := newNode(eng, spec, inputCount(g, spec), master.Fork(), wal.New(pool))
 		if err != nil {
 			return nil, fmt.Errorf("node %q: %w", spec.Name, err)
 		}
@@ -203,7 +203,7 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 			// queued events into one EVENT_BATCH delivery (one credit
 			// charge, one mailbox push).
 			up.addLink(e.FromPort, newCreditedLink(inner, gate, down.spec.Flow.Batch()))
-			down.granters[e.ToInput] = localGranter{gate: gate}
+			*slot(&down.granters, e.ToInput) = localGranter{gate: gate}
 			down.inGates = append(down.inGates, gate)
 		} else {
 			up.addLink(e.FromPort, inner)
@@ -216,7 +216,7 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 	for _, n := range eng.nodes {
 		if w := creditWindow(g, n.spec); w > 0 {
 			for _, idx := range n.spec.RemoteInputs {
-				n.granters[idx] = &remoteGranter{n: n, input: idx, batch: creditBatch(w)}
+				*slot(&n.granters, idx) = &remoteGranter{n: n, input: idx, batch: creditBatch(w)}
 			}
 		}
 		n.admission.Store(flow.NewAdmission(n.spec.Flow, eng.pressureProbe(n)))
@@ -257,7 +257,7 @@ func creditWindow(g *graph.Graph, spec graph.Node) int {
 	if f.MailboxCap <= 0 {
 		return 0
 	}
-	inputs := len(g.InputsOf(spec.ID)) + len(spec.RemoteInputs)
+	inputs := inputCount(g, spec)
 	if inputs < 1 {
 		return 0
 	}
@@ -266,6 +266,12 @@ func creditWindow(g *graph.Graph, spec graph.Node) int {
 		w = 1
 	}
 	return w
+}
+
+// inputCount is the number of a node's inputs, local and remote; Validate
+// has checked that they are numbered from 0 without gaps.
+func inputCount(g *graph.Graph, spec graph.Node) int {
+	return len(g.InputsOf(spec.ID)) + len(spec.RemoteInputs)
 }
 
 // creditBatch sizes remote CREDIT batching: a quarter window amortizes the

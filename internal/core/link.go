@@ -97,7 +97,7 @@ type callbackLink struct {
 	fn func(ev event.Event, final bool)
 
 	mu      sync.Mutex
-	pending map[event.ID]event.Event
+	pending idTable[event.Event]
 }
 
 var _ link = (*callbackLink)(nil)
@@ -115,7 +115,7 @@ func (l *callbackLink) deliver(m transport.Message) {
 	}
 	if m.Type == transport.MsgRevoke {
 		l.mu.Lock()
-		delete(l.pending, m.ID)
+		l.pending.delete(m.ID)
 		l.mu.Unlock()
 	}
 }
@@ -123,26 +123,23 @@ func (l *callbackLink) deliver(m transport.Message) {
 func (l *callbackLink) deliverEvent(ev event.Event) {
 	if ev.Speculative {
 		l.mu.Lock()
-		if l.pending == nil {
-			l.pending = make(map[event.ID]event.Event)
-		}
-		l.pending[ev.ID] = ev
+		l.pending.put(ev.ID, ev)
 		l.mu.Unlock()
 		l.fn(ev, false)
 		return
 	}
 	// A final event supersedes any speculative copy.
 	l.mu.Lock()
-	delete(l.pending, ev.ID)
+	l.pending.delete(ev.ID)
 	l.mu.Unlock()
 	l.fn(ev, true)
 }
 
 func (l *callbackLink) finalize(id event.ID, version event.Version) {
 	l.mu.Lock()
-	ev, ok := l.pending[id]
+	ev, ok := l.pending.get(id)
 	if ok && ev.Version == version {
-		delete(l.pending, id)
+		l.pending.delete(id)
 	}
 	l.mu.Unlock()
 	if ok && ev.Version == version {

@@ -325,5 +325,5 @@ func (n *node) memStats() stm.Stats {
 func (n *node) outBufLen() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return len(n.outBuf)
+	return n.outBuf.len()
 }

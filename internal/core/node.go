@@ -62,15 +62,15 @@ type node struct {
 	execQ   *taskQueue
 
 	mu    sync.Mutex
-	tasks map[event.ID]*task
+	tasks idTable[*task]
 	// open holds the tasks admitted and not yet retired, oldest first.
 	// Sequences are dense, so slot i is the task with seq nextSeq-open.n+i.
 	open          ring[*task]
 	nextSeq       int64
-	committed     map[event.ID]bool
-	outBuf        map[event.ID]*outRecord
+	committed     idSet // never pruned: DESIGN.md §9.4
+	outBuf        idTable[*outRecord]
 	outEmitSeq    uint64
-	lastCommitted map[int]event.ID
+	lastCommitted []inputPos // by input
 	sinceCkpt     []ackTarget
 	ckptEpoch     uint64
 	coveredLSN    wal.LSN
@@ -104,7 +104,7 @@ type node struct {
 	// already covers, whose redeliveries must be dropped (both guarded
 	// by mu).
 	replay      *replayPlan
-	recoverDrop map[event.ID]bool
+	recoverDrop idSet
 
 	// rec* instrument the restore/replay path for the recovery anatomy
 	// profiler (Engine.RecoveryStats). All guarded by mu: restoreDurable
@@ -119,11 +119,11 @@ type node struct {
 	// finalizations are stashed by version; early revocations are
 	// counted (one REVOKE consumes exactly one queued incarnation of the
 	// event, and incarnations arrive in FIFO order on the data lane).
-	pendFin    map[event.ID]event.Version
-	pendRevoke map[event.ID]int
+	pendFin    idTable[event.Version]
+	pendRevoke idTable[int]
 
 	links    [][]link
-	upstream map[int]upstreamSender
+	upstream []upstreamSender // by input; nil where nothing feeds it yet
 
 	// Flow control (all nil/empty when unconfigured — see internal/flow).
 	// granters return credits per input as events leave the mailbox;
@@ -132,7 +132,7 @@ type node struct {
 	// throttle caps open speculative tasks; admission rate-limits a
 	// source node. granters and inGates are wired before start and
 	// immutable afterwards; credLinks appends are wiring-time only.
-	granters  map[int]creditGranter
+	granters  []creditGranter // by input; nil where the edge has no window
 	inGates   []*flow.CreditGate
 	credLinks []*creditedLink
 	throttle  *flow.SpecThrottle
@@ -167,6 +167,24 @@ type node struct {
 	finalViolations atomic.Uint64
 }
 
+// inputPos is one input's entry in node.lastCommitted: the last event
+// committed from it, if any was.
+type inputPos struct {
+	id  event.ID
+	set bool
+}
+
+// slot returns the address of s[i], growing s with zero values to hold it.
+// The per-input tables are sized from the graph, but BridgeIn binds
+// whichever input its caller names.
+func slot[T any](s *[]T, i int) *T {
+	for len(*s) <= i {
+		var zero T
+		*s = append(*s, zero)
+	}
+	return &(*s)[i]
+}
+
 // ackTarget identifies one consumed input event pending upstream ACK.
 type ackTarget struct {
 	input int
@@ -174,7 +192,7 @@ type ackTarget struct {
 }
 
 // newNode builds the runtime for a graph node.
-func newNode(eng *Engine, spec graph.Node, rng *detrand.Source, log *wal.Log) (*node, error) {
+func newNode(eng *Engine, spec graph.Node, inputs int, rng *detrand.Source, log *wal.Log) (*node, error) {
 	capWords := spec.Traits.StateWords + 64
 	if capWords < 256 {
 		capWords = 256
@@ -193,10 +211,11 @@ func newNode(eng *Engine, spec graph.Node, rng *detrand.Source, log *wal.Log) (*
 		mailbox:   newMailbox(),
 		execQ:     newTaskQueue(),
 		links:     make([][]link, spec.OutputPorts),
-		upstream:  make(map[int]upstreamSender),
-		granters:  make(map[int]creditGranter),
+		upstream:  make([]upstreamSender, inputs),
+		granters:  make([]creditGranter, inputs),
 		healthLat: newHealthHDR(eng.opts.Health),
 	}
+	n.lastCommitted = make([]inputPos, inputs)
 	if f := spec.Flow; f != nil {
 		if f.MailboxCap > 0 {
 			n.mailbox.SetDataCap(f.MailboxCap)
@@ -213,14 +232,14 @@ func newNode(eng *Engine, spec graph.Node, rng *detrand.Source, log *wal.Log) (*
 // stashes, replay plan and the sequence and commit cursors. Caller holds
 // n.mu, or owns the node outright.
 func (n *node) resetVolatile() {
-	n.tasks = make(map[event.ID]*task)
+	n.tasks = idTable[*task]{}
 	n.open = ring[*task]{}
-	n.committed = make(map[event.ID]bool)
-	n.outBuf = make(map[event.ID]*outRecord)
-	n.lastCommitted = make(map[int]event.ID)
-	n.pendFin = make(map[event.ID]event.Version)
-	n.pendRevoke = make(map[event.ID]int)
-	n.recoverDrop, n.replay, n.sinceCkpt = nil, nil, nil
+	n.committed, n.recoverDrop = idSet{}, idSet{}
+	n.outBuf = idTable[*outRecord]{}
+	clear(n.lastCommitted)
+	n.pendFin = idTable[event.Version]{}
+	n.pendRevoke = idTable[int]{}
+	n.replay, n.sinceCkpt = nil, nil
 	n.nextSeq, n.outEmitSeq, n.commitCount = 1, 0, 0
 	n.nextCommit.Store(1)
 }
@@ -261,7 +280,7 @@ func (u remoteUpstream) send(m transport.Message) { _ = u.c.Send(m) }
 
 func (n *node) setUpstream(input int, up upstreamSender) {
 	n.mu.Lock()
-	n.upstream[input] = up
+	*slot(&n.upstream, input) = up
 	n.mu.Unlock()
 }
 
@@ -451,8 +470,8 @@ func (n *node) handleMessage(m transport.Message) {
 	if evs := eventsOf(&m, &oneEv); evs != nil {
 		// The events left the data lane: return their credits so the
 		// upstream sender may transmit the next ones.
-		if g := n.granters[m.Input]; g != nil {
-			g.grant(len(evs))
+		if m.Input < len(n.granters) && n.granters[m.Input] != nil {
+			n.granters[m.Input].grant(len(evs))
 		}
 		n.admitRun(m.Input, evs)
 		return
@@ -484,8 +503,11 @@ func (n *node) deliverToPort(port int, m transport.Message) {
 // sendUpstream sends a control message (ACK, CREDIT) against the data
 // direction, to whatever currently feeds the given input.
 func (n *node) sendUpstream(input int, m transport.Message) {
+	var up upstreamSender
 	n.mu.Lock()
-	up := n.upstream[input]
+	if input < len(n.upstream) {
+		up = n.upstream[input]
+	}
 	n.mu.Unlock()
 	if up != nil {
 		up.send(m)

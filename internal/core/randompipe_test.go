@@ -100,9 +100,9 @@ func TestRandomPipelines(t *testing.T) {
 			for _, l := range eng.nodes[last].links[0] {
 				cl := l.(*callbackLink)
 				cl.mu.Lock()
-				for id := range cl.pending {
+				cl.pending.each(func(id event.ID, _ event.Event) {
 					t.Errorf("speculative output %s neither finalized nor revoked", id)
-				}
+				})
 				cl.mu.Unlock()
 			}
 		})

@@ -94,7 +94,11 @@ func (n *node) crash() {
 // logged order with their logged decisions; unlogged events (the tail that
 // was in flight at the crash) follow afterwards in arrival order.
 type replayPlan struct {
+	// order is the admission order of every logged input, at the position
+	// of each in it; pos is the next to admit (what lies before it, the
+	// restored snapshot covers or replay has admitted).
 	order    []event.ID
+	at       map[event.ID]int
 	pos      int
 	decs     map[event.ID][]decision
 	lsns     map[event.ID]wal.LSN
@@ -111,8 +115,8 @@ type replayPlan struct {
 // inputs ending at the latest of those IDs: that prefix becomes the
 // covered set (redeliveries of its events must be dropped — their
 // effects are already in the restored state, and output IDs are hashes,
-// so no sequence-number watermark can identify them). Everything after
-// the prefix forms the replay order. Decision records are attached by
+// so no sequence-number watermark can identify them). Replay starts
+// right after the prefix. Decision records are attached by
 // event identity, not by LSN position: an event uncommitted at
 // checkpoint time can have decision LSNs below the snapshot's covered
 // LSN, and replaying it with fresh decisions would break determinism.
@@ -141,36 +145,31 @@ func (n *node) buildReplayPlan(d *durableState, lastByInput map[int]event.ID) er
 	d.stats.logRecords = int64(len(recs))
 
 	// Admission order of every logged input.
-	pos := make(map[event.ID]int)
-	var order []event.ID
-	for _, r := range recs {
-		if r.Kind != wal.KindInput {
-			continue
-		}
-		if _, ok := pos[r.Event]; !ok {
-			pos[r.Event] = len(order)
-			order = append(order, r.Event)
-		}
-	}
-	last := -1
-	for _, id := range lastByInput {
-		if p, ok := pos[id]; ok && p > last {
-			last = p
-		}
-	}
-	d.covered = make(map[event.ID]bool, last+1)
-	for i := 0; i <= last; i++ {
-		d.covered[order[i]] = true
-	}
-
 	plan := &replayPlan{
-		order:    order[last+1:],
+		at:       make(map[event.ID]int),
 		decs:     make(map[event.ID][]decision),
 		lsns:     make(map[event.ID]wal.LSN),
 		buffered: make(map[event.ID]plannedEvent),
 	}
 	for _, r := range recs {
-		if d.covered[r.Event] {
+		if r.Kind != wal.KindInput {
+			continue
+		}
+		if _, ok := plan.at[r.Event]; !ok {
+			plan.at[r.Event] = len(plan.order)
+			plan.order = append(plan.order, r.Event)
+		}
+	}
+	for _, id := range lastByInput {
+		if p, ok := plan.at[id]; ok && p >= plan.pos {
+			plan.pos = p + 1
+		}
+	}
+	for _, id := range plan.order[:plan.pos] {
+		d.covered.add(id)
+	}
+	for _, r := range recs {
+		if d.covered.has(r.Event) {
 			continue
 		}
 		if r.Kind == wal.KindRandom || r.Kind == wal.KindTime {
@@ -180,7 +179,7 @@ func (n *node) buildReplayPlan(d *durableState, lastByInput map[int]event.ID) er
 			plan.lsns[r.Event] = r.LSN
 		}
 	}
-	if len(plan.order) > 0 || len(plan.decs) > 0 {
+	if plan.pos < len(plan.order) || len(plan.decs) > 0 {
 		d.plan = plan // else nothing to replay: plain restart
 	}
 	return nil
@@ -191,7 +190,7 @@ func (n *node) buildReplayPlan(d *durableState, lastByInput map[int]event.ID) er
 type durableState struct {
 	snap    *checkpoint.Snapshot // nil: no checkpoint yet
 	plan    *replayPlan          // nil: nothing to replay
-	covered map[event.ID]bool
+	covered idSet
 	maxSeen wal.LSN
 	stats   nodeRecoveryStats // restore start, records scanned
 }
@@ -241,7 +240,7 @@ func (n *node) restoreDurable(d *durableState) error {
 		n.ckptEpoch = snap.Epoch
 		n.coveredLSN = wal.LSN(snap.CoveredLSN)
 		for i, id := range snap.InputPositions {
-			n.lastCommitted[i] = id
+			*slot(&n.lastCommitted, i) = inputPos{id: id, set: true}
 		}
 		// Rebuild the output buffer from the snapshot so a downstream
 		// replay request can re-send outputs whose inputs the snapshot
@@ -263,7 +262,7 @@ func (n *node) restoreDurable(d *durableState) error {
 	// profiler; with nothing to replay the replay phase is a zero-length
 	// span closed on the spot.
 	now := time.Now().UnixNano()
-	stats.restoreEndNs, stats.replayStartNs, stats.coveredSet = now, now, int64(len(d.covered))
+	stats.restoreEndNs, stats.replayStartNs, stats.coveredSet = now, now, int64(d.covered.len())
 	if d.plan == nil {
 		stats.replayEndNs = now
 	}
@@ -338,7 +337,7 @@ func (n *node) planRun(ready []plannedEvent, input int, evs []event.Event) []pla
 			continue
 		}
 		before := len(ready)
-		if planContains(plan, ev.ID) {
+		if at, ok := plan.at[ev.ID]; ok && at >= plan.pos {
 			plan.buffered[ev.ID] = pe
 		} else {
 			plan.tail = append(plan.tail, pe)
@@ -372,18 +371,9 @@ type plannedEvent struct {
 	ev        event.Event
 	decisions []decision
 	logged    bool
+	dup       bool // the node has committed it (set by admitRun)
 	// maxLSN is the highest original decision-log LSN of this event;
 	// replayed tasks must carry it so post-recovery checkpoints report
 	// the correct coverage (nothing is re-logged during replay).
 	maxLSN wal.LSN
-}
-
-// planContains reports whether the plan's remaining order includes id.
-func planContains(plan *replayPlan, id event.ID) bool {
-	for i := plan.pos; i < len(plan.order); i++ {
-		if plan.order[i] == id {
-			return true
-		}
-	}
-	return false
 }

@@ -118,6 +118,7 @@ func TestCrashRecoverPreciseOutputs(t *testing.T) {
 	if err := eng.Crash(proc); err != nil {
 		t.Fatal(err)
 	}
+	checkWiped(t, eng.nodes[proc])
 	if err := eng.Recover(proc); err != nil {
 		t.Fatal(err)
 	}
@@ -136,6 +137,25 @@ func TestCrashRecoverPreciseOutputs(t *testing.T) {
 	}
 
 	checkClassCounts(t, sink, total)
+}
+
+// checkWiped asserts that a crashed node keeps nothing of the dead
+// incarnation reachable: every ID-addressed table is back to owning no
+// slots, and the per-input positions are blank.
+func checkWiped(t *testing.T, n *node) {
+	t.Helper()
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	slots := len(n.tasks.slots) + len(n.outBuf.slots) + len(n.pendFin.slots) + len(n.pendRevoke.slots) +
+		len(n.committed.dir) + len(n.recoverDrop.dir) + len(n.open.buf)
+	if slots != 0 || n.replay != nil || n.sinceCkpt != nil {
+		t.Fatalf("crash left %d table slots, replay plan %v, %d unacked commits", slots, n.replay, len(n.sinceCkpt))
+	}
+	for i, p := range n.lastCommitted {
+		if p != (inputPos{}) {
+			t.Fatalf("crash left input %d at %v", i, p)
+		}
+	}
 }
 
 // checkClassCounts asserts the failure-free output set of a Classifier:
@@ -233,7 +253,7 @@ func TestRecoveryReplaysLoggedDecisions(t *testing.T) {
 	for {
 		ndNode, _ := eng.node(nd)
 		ndNode.mu.Lock()
-		committed := len(ndNode.committed)
+		committed := ndNode.committed.len()
 		ndNode.mu.Unlock()
 		if committed >= total {
 			break
@@ -282,7 +302,7 @@ func TestReplayRequestResendsUnacked(t *testing.T) {
 	eng.Drain()
 	srcNode, _ := eng.node(src)
 	srcNode.mu.Lock()
-	buffered := len(srcNode.outBuf)
+	buffered := srcNode.outBuf.len()
 	srcNode.mu.Unlock()
 	if buffered != total {
 		t.Fatalf("source buffer = %d, want %d (no checkpoint → no acks)", buffered, total)
@@ -372,7 +392,7 @@ func TestRecoveryFromCheckpointSkipsAckedEvents(t *testing.T) {
 	bufferedBefore := -1
 	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
 		srcNode.mu.Lock()
-		bufferedBefore = len(srcNode.outBuf)
+		bufferedBefore = srcNode.outBuf.len()
 		srcNode.mu.Unlock()
 		if bufferedBefore == 0 {
 			break
@@ -424,7 +444,7 @@ func TestRecoveryFromCheckpointSkipsAckedEvents(t *testing.T) {
 func outBufLen(n *node) int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return len(n.outBuf)
+	return n.outBuf.len()
 }
 
 // emitRange emits events with keys from..to-1 and no payload.

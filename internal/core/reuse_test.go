@@ -232,7 +232,7 @@ type sentState struct {
 
 func (r *reuseRig) sentState(seq event.Seq) (st sentState) {
 	r.n.mu.Lock()
-	tk := r.n.tasks[event.ID{Source: 0, Seq: seq}]
+	tk, _ := r.n.tasks.get(event.ID{Source: 0, Seq: seq})
 	r.n.mu.Unlock()
 	if tk == nil {
 		return st
@@ -248,7 +248,7 @@ func (r *reuseRig) sentState(seq event.Seq) (st sentState) {
 	}
 	r.n.mu.Lock()
 	for k := 0; k < 3; k++ {
-		if _, ok := r.n.outBuf[outputID(r.n.opID, tk.ev.ID, k)]; ok {
+		if _, ok := r.n.outBuf.get(outputID(r.n.opID, tk.ev.ID, k)); ok {
 			st.buffered++
 		}
 	}
