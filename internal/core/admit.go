@@ -46,11 +46,13 @@ func (n *node) admitRun(input int, evs []event.Event) {
 	stateful := n.spec.Traits.Stateful
 	stamp := n.eng.met != nil || n.healthLat != nil
 	fresh, deferred := a.fresh[:0], a.deferred[:0]
+	// The run's tasks share one allocation, the largest a run makes: it is
+	// made before taking the lock that the workers and the committer wait for.
+	block := make([]task, 0, min(len(evs), maxBlockTasks))
 	n.mu.Lock()
 	planned := n.planRun(a.planned[:0], input, evs)
 	// Payloads often alias one wire frame; detach them with a single arena
-	// copy for the whole run instead of one allocation per event. The
-	// run's tasks likewise share one allocation.
+	// copy for the whole run instead of one allocation per event.
 	arena := 0
 	for i := range planned {
 		arena += len(planned[i].ev.Payload)
@@ -62,8 +64,9 @@ func (n *node) admitRun(input int, evs []event.Event) {
 	for i := range planned {
 		planned[i].dup = n.committed.has(planned[i].ev.ID)
 	}
-	var block []task
 	var recs []wal.Record
+	var logged *task // the chain creditInputs walks, and where it grows
+	link := &logged
 	for i := range planned {
 		pe := &planned[i]
 		ev := pe.ev
@@ -101,8 +104,8 @@ func (n *node) admitRun(input int, evs []event.Event) {
 			buf = append(buf, ev.Payload...)
 			ev.Payload = buf[start:len(buf):len(buf)]
 		}
-		if block == nil {
-			block = make([]task, 0, len(planned)-i)
+		if len(block) == cap(block) {
+			block = make([]task, 0, min(len(planned)-i, maxBlockTasks))
 		}
 		block = block[:len(block)+1]
 		t := &block[len(block)-1]
@@ -124,7 +127,7 @@ func (n *node) admitRun(input int, evs []event.Event) {
 			if recs == nil {
 				recs = make([]wal.Record, 0, len(planned)-i)
 			}
-			t.logsInput = true
+			*link, link = t, &t.nextLogged
 			t.pendingLogs++
 			recs = append(recs, wal.Record{
 				Kind:     wal.KindInput,
@@ -139,7 +142,7 @@ func (n *node) admitRun(input int, evs []event.Event) {
 	// The append goes first: its stability is on every task's path to
 	// commit, so the log works on it while the workers execute.
 	if len(recs) > 0 {
-		n.logInputs(block, recs)
+		n.logInputs(logged, recs)
 	}
 	if len(fresh) > 0 {
 		n.cDispatched.Add(uint64(len(fresh)))
@@ -197,36 +200,38 @@ func (n *node) takePendFin(ev *event.Event) {
 
 // logInputs submits a run's input-order records as one append; a single
 // Append preserves the admission-order LSN sequence exactly as per-event
-// appends would have produced it.
-func (n *node) logInputs(block []task, recs []wal.Record) {
+// appends would have produced it. logged is the first of the tasks the
+// records are for.
+func (n *node) logInputs(logged *task, recs []wal.Record) {
 	_, err := n.log.Append(recs, func(err error) {
 		if err != nil {
 			n.fail(fmt.Errorf("decision log: %w", err))
 			return
 		}
-		creditInputs(block, recs)
+		creditInputs(logged, recs)
 		n.notifyCommitter()
 	})
 	if err != nil {
 		n.fail(fmt.Errorf("submit decision log: %w", err))
-		creditInputs(block, nil)
+		creditInputs(logged, nil)
 	}
 }
 
 // creditInputs settles the pending input-record append of a run's tasks:
-// record j belongs to the j-th task of block that logs its input. recs is
-// nil when the append could not be submitted.
-func creditInputs(block []task, recs []wal.Record) {
-	j := 0
-	for i := range block {
-		if t := &block[i]; t.logsInput {
-			var lsn wal.LSN
-			if recs != nil {
-				lsn = recs[j].LSN
-			}
-			t.logDone(lsn)
-			j++
+// record j belongs to the j-th task of the chain that starts at t, whichever
+// blocks the run's tasks are in. recs is nil when the append could not be
+// submitted. A credited task is unlinked, so that it keeps no other block
+// reachable.
+func creditInputs(t *task, recs []wal.Record) {
+	for j := 0; t != nil; j++ {
+		var lsn wal.LSN
+		if recs != nil {
+			lsn = recs[j].LSN
 		}
+		next := t.nextLogged
+		t.nextLogged = nil
+		t.logDone(lsn)
+		t = next
 	}
 }
 

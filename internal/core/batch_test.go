@@ -1,8 +1,11 @@
 package core
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
+	"unsafe"
 
 	"streammine/internal/event"
 	"streammine/internal/flow"
@@ -12,6 +15,7 @@ import (
 	"streammine/internal/operator"
 	"streammine/internal/storage"
 	"streammine/internal/transport"
+	"streammine/internal/wal"
 )
 
 // buildBatchPipeline builds src -> stage0 -> stage1 with the given flow
@@ -120,34 +124,42 @@ func TestAdmitRunOfOneAllocs(t *testing.T) {
 	}
 }
 
-// TestExecutePublishAllocs pins what executing one Classifier task and
-// publishing its output costs on an uncontended state word: the
-// transaction and the output payload, with one to spare. The attempt
-// context is the worker's, the abort hook is the task, and the pending
-// output, its sent slot and its record are fields of the task.
-func TestExecutePublishAllocs(t *testing.T) {
-	const want, runs = 3, 300
+// classifierHop builds src -> cls -> sink around a Classifier with one class
+// per event the caller will send, so that no transaction meets another's
+// open write, and returns the Classifier's node and the sink's. The engine is
+// never started: the caller is dispatcher and worker.
+func classifierHop(t *testing.T, classes int) (n, down *node) {
 	g := graph.New()
 	src := g.AddNode(graph.Node{Name: "src"})
 	cls := g.AddNode(graph.Node{
-		Name: "cls", Op: &operator.Classifier{Classes: 2 * runs},
-		Traits: operator.ClassifierTraits(2 * runs), Speculative: true,
+		Name: "cls", Op: &operator.Classifier{Classes: classes},
+		Traits: operator.ClassifierTraits(classes), Speculative: true,
 	})
 	sink := g.AddNode(graph.Node{Name: "sink", Op: &operator.Passthrough{}})
 	g.Connect(src, 0, cls, 0)
 	g.Connect(cls, 0, sink, 0)
 	pool := storage.NewPool([]storage.Disk{storage.NewMemDisk()})
-	defer pool.Close()
+	t.Cleanup(func() { pool.Close() })
 	eng, err := New(g, Options{Seed: 7, Pool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, down := eng.nodes[cls], eng.nodes[sink]
+	n, down = eng.nodes[cls], eng.nodes[sink]
 	if err := n.spec.Op.Init(initContext{n: n}); err != nil {
 		t.Fatal(err)
 	}
-	// Every task gets its own class, so no transaction meets another's
-	// open write. Tasks are admitted outside the measurement.
+	return n, down
+}
+
+// TestExecutePublishAllocs pins what executing one Classifier task and
+// publishing its output costs on an uncontended state word: the output
+// payload, with one to spare. The attempt context is the worker's, the
+// abort hook is the task, and the first attempt's transaction, the pending
+// output, its sent slot and its record are fields of the task.
+func TestExecutePublishAllocs(t *testing.T) {
+	const want, runs = 2, 300
+	n, down := classifierHop(t, 2*runs)
+	// Tasks are admitted outside the measurement.
 	block := make([]task, runs+1)
 	for i := range block {
 		id := event.ID{Source: 0, Seq: event.Seq(i + 1)}
@@ -164,12 +176,164 @@ func TestExecutePublishAllocs(t *testing.T) {
 		}
 	})
 	for i := range block {
-		if tk := &block[i]; tk.state != taskOpen || len(tk.sent) != 1 || tk.sent[0] != &tk.rec0 {
-			t.Fatalf("task %d: state %v, %d sent; want open with its inline record", i, tk.state, len(tk.sent))
+		if tk := &block[i]; tk.state != taskOpen || tk.tx != &tk.tx0 || len(tk.sent) != 1 || tk.sent[0] != &tk.rec0 {
+			t.Fatalf("task %d: state %v, %d sent; want open with its inline transaction and record", i, tk.state, len(tk.sent))
 		}
 	}
 	if allocs > want {
 		t.Errorf("execute and publish allocated %.1f per task, want at most %d", allocs, want)
+	}
+}
+
+// TestRunOfEightFirstAttemptsAllocs counts a whole hop for a run of eight
+// Classifier events, admission to publication: the run's block (tasks,
+// first transactions, first output records), its payload arena, its input
+// records and their stability callback, the log's encoded buffer and its
+// own callback, and eight output payloads — fourteen, none of them a
+// transaction — with two to spare for the tables that grow because nothing
+// here commits.
+func TestRunOfEightFirstAttemptsAllocs(t *testing.T) {
+	const want, runs, run = 16, 100, 8
+	n, down := classifierHop(t, (runs+1)*run)
+	frames := make([][]event.Event, runs+1) // AllocsPerRun adds a warm-up run
+	payload := operator.EncodeValue(1)
+	for r := range frames {
+		frames[r] = make([]event.Event, run)
+		for i := range frames[r] {
+			seq := r*run + i
+			frames[r][i] = event.Event{ID: event.ID{Source: 0, Seq: event.Seq(seq + 1)}, Key: uint64(seq), Payload: payload}
+		}
+	}
+	ctx := new(procCtx)
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		n.handleMessage(eventFrame(frames[next]))
+		next++
+		for i := 0; i < run; i++ {
+			tk, _ := n.execQ.Pop()
+			n.runTask(tk, ctx)
+			if tk.tx != &tk.tx0 || tk.sent[0] != &tk.rec0 {
+				t.Fatalf("task %d is not open with its inline transaction and record", tk.seq)
+			}
+			if it, ok := down.mailbox.Pop(); !ok || it.msg.Type != transport.MsgEvent {
+				t.Fatalf("task %d published %v, want one EVENT", tk.seq, it.msg.Type)
+			}
+		}
+	})
+	if got := n.cExecuted.Load(); got != (runs+1)*run {
+		t.Fatalf("executed %d tasks, want %d", got, (runs+1)*run)
+	}
+	if allocs > want {
+		t.Errorf("a hop over a run of %d allocated %.1f, want at most %d", run, allocs, want)
+	}
+}
+
+// TestAllocsTaskBlockSizeClass is stm.TestAllocsTxSizeClass for the block a
+// run's tasks share: with the allocator's 8-byte header a run of eight fits
+// the 9,728-byte size class (the next is 10,240), and the longest block is
+// still a small object.
+func TestAllocsTaskBlockSizeClass(t *testing.T) {
+	size := int(unsafe.Sizeof(task{}))
+	if 8*size+8 > 9728 {
+		t.Errorf("sizeof(task) = %d: a block of 8 is %d bytes with its header, want <= 9728", size, 8*size+8)
+	}
+	if maxBlockTasks < 8 || maxBlockTasks*size+8 > 32<<10 {
+		t.Errorf("a block of maxBlockTasks = %d tasks is %d bytes with its header, want at least 8 tasks in at most 32 KiB",
+			maxBlockTasks, maxBlockTasks*size+8)
+	}
+}
+
+// TestLongRunSplitsTaskBlocks admits a run of 64 — with two redeliveries
+// inside it, so that a task's place in its block is not its place in the
+// run — and checks that its tasks are spread over blocks of at most
+// maxBlockTasks and that nothing else can tell: the open ring holds them in
+// admission order, every task is credited the LSN of its own input record,
+// and they commit, and are ACKed upstream, in that order.
+func TestLongRunSplitsTaskBlocks(t *testing.T) {
+	const run = 64
+	n, _ := classifierHop(t, run)
+	up := &ackRecorder{}
+	n.setUpstream(0, up)
+	var frame []event.Event
+	var ids []event.ID
+	for i := 0; i < run; i++ {
+		ev := event.Event{ID: event.ID{Source: 0, Seq: event.Seq(i + 1)}, Key: uint64(i), Payload: operator.EncodeValue(uint64(i))}
+		frame, ids = append(frame, ev), append(ids, ev.ID)
+		if i == 5 || i == 40 {
+			frame = append(frame, frame[i/2]) // names a live task: no new one
+		}
+	}
+	n.handleMessage(eventFrame(frame))
+
+	n.mu.Lock()
+	tasks := make([]*task, n.open.n)
+	for i := range tasks {
+		tasks[i] = n.open.at(i)
+	}
+	n.mu.Unlock()
+	if len(tasks) != run {
+		t.Fatalf("%d tasks open after a run of %d", len(tasks), run)
+	}
+	size := unsafe.Sizeof(task{})
+	blocks, inBlock := 1, 1
+	for i, tk := range tasks {
+		if tk.seq != int64(i+1) || tk.ev.ID != ids[i] {
+			t.Fatalf("open ring position %d holds seq %d for %s, want seq %d for %s", i, tk.seq, tk.ev.ID, i+1, ids[i])
+		}
+		// Two blocks are never adjacent the way two tasks of one block are:
+		// a block does not fill its size class.
+		switch {
+		case i == 0:
+		case uintptr(unsafe.Pointer(tk))-uintptr(unsafe.Pointer(tasks[i-1])) == size:
+			inBlock++
+		default:
+			blocks, inBlock = blocks+1, 1
+		}
+		if inBlock > maxBlockTasks {
+			t.Fatalf("task %d is the %dth of its block, want at most %d", i, inBlock, maxBlockTasks)
+		}
+	}
+	if want := (run + maxBlockTasks - 1) / maxBlockTasks; blocks != want || want < 2 {
+		t.Fatalf("a run of %d is in %d blocks, want %d (and more than one)", run, blocks, want)
+	}
+
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		tk := tasks[run-1] // credited last
+		tk.mu.Lock()
+		pending := tk.pendingLogs
+		tk.mu.Unlock()
+		if pending == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the run's input records never became stable")
+		}
+	}
+	for i, tk := range tasks {
+		tk.mu.Lock()
+		if tk.pendingLogs != 0 || tk.nextLogged != nil || tk.maxLSN != tasks[0].maxLSN+wal.LSN(i) {
+			t.Errorf("task %d: %d appends pending, chained %t, LSN %d; want settled with LSN %d",
+				i, tk.pendingLogs, tk.nextLogged != nil, tk.maxLSN, tasks[0].maxLSN+wal.LSN(i))
+		}
+		tk.mu.Unlock()
+	}
+
+	ctx := new(procCtx)
+	for range tasks {
+		tk, _ := n.execQ.Pop()
+		n.runTask(tk, ctx)
+	}
+	for turns := 0; n.cCommitted.Load() < run; turns++ {
+		if turns == run {
+			t.Fatalf("%d of %d tasks committed in %d committer turns", n.cCommitted.Load(), run, turns)
+		}
+		n.commitBatch(run)
+	}
+	if !slices.Equal(up.acks, ids) {
+		t.Errorf("commit order (upstream ACKs) %v, want admission order %v", up.acks, ids)
+	}
+	if n.open.n != 0 || n.nextCommit.Load() != run+1 {
+		t.Errorf("after the commits: %d tasks open, commit cursor %d; want 0 and %d", n.open.n, n.nextCommit.Load(), run+1)
 	}
 }
 

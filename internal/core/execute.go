@@ -97,7 +97,12 @@ func (n *node) runTask(t *task, ctx *procCtx) {
 		t.mu.Unlock()
 		return
 	}
-	tx := n.mem.Begin(t.seq)
+	tx := &t.tx0 // the first attempt's, and no other's
+	if t.attempts == 0 {
+		n.mem.BeginAt(tx, t.seq)
+	} else {
+		tx = n.mem.Begin(t.seq)
+	}
 	tx.OnAbort(t)
 	t.tx = tx
 	t.state = taskExecuting

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -230,10 +231,16 @@ type sentState struct {
 	version  event.Version // of the first sent record
 }
 
-func (r *reuseRig) sentState(seq event.Seq) (st sentState) {
+// taskOf returns op's live task for one input.
+func (r *reuseRig) taskOf(seq event.Seq) *task {
 	r.n.mu.Lock()
+	defer r.n.mu.Unlock()
 	tk, _ := r.n.tasks.get(event.ID{Source: 0, Seq: seq})
-	r.n.mu.Unlock()
+	return tk
+}
+
+func (r *reuseRig) sentState(seq event.Seq) (st sentState) {
+	tk := r.taskOf(seq)
 	if tk == nil {
 		return st
 	}
@@ -358,6 +365,87 @@ func TestAttemptScratchReuseSafety(t *testing.T) {
 	r.mu.Unlock()
 	r.await("every output record's ACK", func() bool { return r.n.outBufLen() == 0 })
 	r.mu.Lock()
+}
+
+// TestReexecutionBuysItsOwnTx: a task's first attempt runs in the
+// transaction its run's block holds for it, and no later attempt does. Input
+// 1 is executed three times — its first attempt is open, and read from by
+// input 2, when a replacement aborts it; its second is aborted while it
+// executes — and everyone who kept a pointer to a finished attempt (the
+// gates here, as a reader's read entry would) still finds that attempt
+// behind it, aborted, while the next one is open.
+func TestReexecutionBuysItsOwnTx(t *testing.T) {
+	r := newReuseRig(t, 2)
+	visit := func(g *gate) *stm.Tx { return (<-g.entered).tx }
+
+	g := r.op.arm(gatePoint{seq: 1})
+	r.send(1, 0, 2, true)
+	first := visit(g)
+	tk1 := r.taskOf(1)
+	firstID := first.ID()
+	close(g.release)
+	r.await("attempt 1 published", func() bool { return r.sentState(1).sent == 1 })
+
+	// Input 2 reads attempt 1's buffered sum and is held with that read in
+	// its read set.
+	gr := r.op.arm(gatePoint{seq: 2, mid: true})
+	r.send(2, 0, 4, false)
+	reader := visit(gr)
+	tk2 := r.taskOf(2)
+	if first != &tk1.tx0 || reader != &tk2.tx0 {
+		t.Fatalf("first attempts ran in %p and %p, want the tasks' own %p and %p", first, reader, &tk1.tx0, &tk2.tx0)
+	}
+
+	g = r.op.arm(gatePoint{seq: 1})
+	r.send(1, 1, 6, true) // aborts attempt 1, and input 2's by cascade
+	second := visit(g)
+	if second == first || first.Status() != stm.StatusAborted || first.ID() != firstID || second.ID() <= reader.ID() {
+		t.Fatalf("attempt 2 open in %p (id %d): attempt 1 is %p, %s, id %d (was %d)",
+			second, second.ID(), first, first.Status(), first.ID(), firstID)
+	}
+	if st := reader.Status(); st != stm.StatusKilled {
+		t.Fatalf("input 2's attempt is %s after its source aborted, want killed", st)
+	}
+	gr2 := r.op.arm(gatePoint{seq: 2}) // holds input 2's next attempt until input 1 has committed
+	close(gr.release)
+	reader2 := visit(gr2)
+
+	g3 := r.op.arm(gatePoint{seq: 1})
+	r.send(1, 2, 8, false) // aborts attempt 2 under the worker executing it
+	r.await("attempt 2's abort", func() bool { return second.Status() == stm.StatusAborted })
+	close(g.release)
+	third := visit(g3)
+	tk1.mu.Lock()
+	attempts, current := tk1.attempts, tk1.tx
+	tk1.mu.Unlock()
+	if third == first || third == second || current != third || attempts != 3 {
+		t.Fatalf("attempt %d runs in %p (the task says %p) after %p and %p", attempts, third, current, first, second)
+	}
+	if reader2 == reader || reader.Status() != stm.StatusAborted || first.Status() != stm.StatusAborted {
+		t.Fatalf("input 2 re-executes in %p after %p (%s); input 1's attempt 1 is %s",
+			reader2, reader, reader.Status(), first.Status())
+	}
+	close(g3.release)
+	r.awaitFinals(1)
+	close(gr2.release)
+	r.awaitFinals(2)
+	r.eng.Drain()
+	if err := r.eng.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if third.Status() != stm.StatusCommitted || reader2.Status() != stm.StatusCommitted {
+		t.Errorf("the last attempts ended %s and %s, want committed", third.Status(), reader2.Status())
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var sums []uint64
+	for _, sum := range r.finals {
+		sums = append(sums, sum)
+	}
+	slices.Sort(sums)
+	if !slices.Equal(sums, []uint64{8, 12}) {
+		t.Errorf("finals %v, want the sums 8 and 12", sums)
+	}
 }
 
 // TestReexecLeavesExecutingTaskAlone pins what makes worker-owned scratch

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"time"
+	"unsafe"
 
 	"streammine/internal/event"
 	"streammine/internal/stm"
@@ -42,14 +43,14 @@ type task struct {
 	// admitted stamps admission when metrics are enabled (zero
 	// otherwise); retireGroup derives the finalize latency from it.
 	admitted time.Time
-	// logsInput marks a task whose admission appended an input-order
-	// record (creditInputs pairs the run's records with such tasks).
-	logsInput bool
+	// nextLogged chains, in admission order, the tasks of a run whose
+	// admission appended an input-order record: admitRun's until the append is
+	// submitted, then creditInputs', which pairs records with it and undoes it.
+	nextLogged *task
 
 	mu       sync.Mutex
 	state    taskState
 	ev       event.Event // current version of the input event
-	evFinal  bool
 	tx       *stm.Tx
 	attempts int
 
@@ -57,14 +58,17 @@ type task struct {
 	decisions []decision
 	cursor    int
 
-	attemptNs    int64 // profiler: CPU-ns of the last completed attempt
-	pendingLogs  int   // async log appends not yet stable
-	published    bool  // outputs of the current execution handed downstream
-	maxLSN       wal.LSN
-	outs         []pendingOut // outputs of the current execution
-	sent         []*outRecord // outputs already sent downstream, by position
-	tainted      bool         // last published speculative state
-	throttleHeld bool         // holds a speculation-throttle slot
+	attemptNs   int64 // profiler: CPU-ns of the last completed attempt
+	pendingLogs int   // async log appends not yet stable
+	maxLSN      wal.LSN
+	outs        []pendingOut // outputs of the current execution
+	sent        []*outRecord // outputs already sent downstream, by position
+
+	// The flags share a word: eight tasks just fit a size class (maxBlockTasks).
+	evFinal      bool
+	published    bool // outputs of the current execution handed downstream
+	tainted      bool // last published speculative state
+	throttleHeld bool // holds a speculation-throttle slot
 
 	// The task owns what it published: the first output, its record and
 	// its sent slot live here, and outs and sent spill to the heap only
@@ -73,7 +77,19 @@ type task struct {
 	out0  [1]pendingOut
 	sent0 [1]*outRecord
 	rec0  outRecord
+
+	// tx0 is the first attempt's transaction, begun in place by runTask
+	// (attempts == 0 says it has not been) and never again: another task's
+	// reader keeps the pointer, and with it the block, past the attempt's
+	// end, so a re-execution buys its own from the heap.
+	tx0 stm.Tx
 }
+
+// maxBlockTasks is how many tasks admitRun puts in one block: as many as
+// keep the block, with the allocator's 8-byte header, a small object
+// (32 KiB) — a larger one is allocated and swept span by span. A run of
+// eight is 9,664 bytes, in the 9,728-byte size class.
+const maxBlockTasks = (32<<10 - 8) / int(unsafe.Sizeof(task{}))
 
 // TxAborted implements stm.AbortHook: the dispatcher re-executes the task.
 func (t *task) TxAborted(tx *stm.Tx) {

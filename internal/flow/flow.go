@@ -73,15 +73,6 @@ type Limits struct {
 	BatchSize int `json:"batchSize,omitempty"`
 }
 
-// Enabled reports whether any flow mechanism is configured.
-func (l *Limits) Enabled() bool {
-	if l == nil {
-		return false
-	}
-	return l.MailboxCap > 0 || l.CreditWindow > 0 || l.AdmitRate > 0 || l.MaxOpenSpec > 0 ||
-		l.BatchSize > 1
-}
-
 // Batch returns the effective batch size: at least 1, so callers can use
 // it directly as a loop bound.
 func (l *Limits) Batch() int {

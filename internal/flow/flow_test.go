@@ -288,16 +288,3 @@ func TestSpecThrottleConcurrent(t *testing.T) {
 		t.Fatalf("open = %d after all releases, want 0", open)
 	}
 }
-
-func TestLimitsEnabled(t *testing.T) {
-	var nilLimits *Limits
-	if nilLimits.Enabled() {
-		t.Fatal("nil Limits reported enabled")
-	}
-	if (&Limits{}).Enabled() {
-		t.Fatal("zero Limits reported enabled")
-	}
-	if !(&Limits{MailboxCap: 4}).Enabled() {
-		t.Fatal("MailboxCap did not enable flow")
-	}
-}

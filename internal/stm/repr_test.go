@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -84,6 +85,83 @@ func TestAllocsOneWordTx(t *testing.T) {
 	if allocs > 1 {
 		t.Fatalf("Begin, Read, Write, Complete, Commit on one word: %.1f allocs, want <= 1", allocs)
 	}
+}
+
+// TestAllocsBeginAt: a transaction begun in storage its caller owns costs
+// the caller's allocation and nothing else, from Begin to Commit.
+func TestAllocsBeginAt(t *testing.T) {
+	const runs = 200
+	m := NewMemory(64)
+	warmSlots(t, m)
+	owned := make([]Tx, runs+1) // AllocsPerRun adds a warm-up run
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		tx := m.BeginAt(&owned[next], int64(next))
+		next++
+		rw(t, tx, Addr(next&3))
+		mustFinish(t, tx)
+	})
+	if allocs != 0 {
+		t.Fatalf("BeginAt, Read, Write, Complete, Commit on one word: %.1f allocs, want 0", allocs)
+	}
+	if st := owned[runs].Status(); st != StatusCommitted {
+		t.Fatalf("the last transaction is %s, want committed", st)
+	}
+}
+
+// TestBeginAtRejectsUsedTx: a header is begun once. Its storage cannot be
+// handed to BeginAt again while the transaction runs, nor after it ended —
+// a reader may still hold the pointer and ask how it ended.
+func TestBeginAtRejectsUsedTx(t *testing.T) {
+	m := NewMemory(4)
+	var open, committed, aborted Tx
+	m.BeginAt(&open, 1)
+	mustFinish(t, m.BeginAt(&committed, 2))
+	m.BeginAt(&aborted, 3).Abort()
+	for _, tx := range []*Tx{&open, &committed, &aborted, m.Begin(4)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("BeginAt on a %s transaction did not panic", tx.Status())
+				}
+			}()
+			m.BeginAt(tx, 5)
+		}()
+	}
+	if open.Timestamp() != 1 || committed.Status() != StatusCommitted || aborted.Status() != StatusAborted {
+		t.Fatalf("a refused BeginAt changed its argument: ts %d, %s, %s",
+			open.Timestamp(), committed.Status(), aborted.Status())
+	}
+}
+
+// TestReadEntryOutlivesOwnedTx is why owned storage is not a pool: a
+// transaction that read speculatively from one begun with BeginAt keeps the
+// pointer in its read entry, and once the source has aborted and its
+// re-execution is open, in a header of its own, that entry still leads to
+// the aborted one.
+func TestReadEntryOutlivesOwnedTx(t *testing.T) {
+	m := NewMemory(4)
+	var owned Tx
+	first := m.BeginAt(&owned, 1)
+	mustDo(t, first.Write(0, 7))
+	mustDo(t, first.Complete())
+	reader := m.Begin(2)
+	if v, err := reader.Read(0); err != nil || v != 7 {
+		t.Fatalf("speculative read = %d, %v; want 7", v, err)
+	}
+	first.Abort()
+	again := m.Begin(1)
+	mustDo(t, again.Write(0, 9))
+	mustDo(t, again.Complete())
+	re := reader.reads.find(0)
+	if re == nil || re.from != &owned || re.from.Status() != StatusAborted || again == &owned {
+		t.Fatalf("read entry %+v, re-execution in %p; want a read from %p, aborted, and another header", re, again, &owned)
+	}
+	if err := reader.Complete(); !errors.Is(err, ErrConflict) {
+		t.Fatalf("reader.Complete() = %v after its source aborted, want ErrConflict", err)
+	}
+	reader.Abort()
+	mustDo(t, again.Commit())
 }
 
 func TestAllocsSketchShapedTx(t *testing.T) {

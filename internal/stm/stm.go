@@ -81,17 +81,6 @@ func (s Status) String() string {
 	}
 }
 
-// ConflictPolicy selects which of two actively conflicting transactions is
-// aborted.
-type ConflictPolicy int
-
-// Conflict policies. The paper aborts the transaction of the event that
-// arrived last (AbortNewest, the default); AbortOldest is the ablation.
-const (
-	AbortNewest ConflictPolicy = iota + 1
-	AbortOldest
-)
-
 // ConflictKind classifies how a conflict witness was produced.
 type ConflictKind uint8
 
@@ -187,8 +176,6 @@ type Memory struct {
 	allocNext atomic.Uint64
 	txSeq     atomic.Uint64
 
-	policy ConflictPolicy
-
 	// sink, when non-nil, receives conflict witnesses. It is consulted only
 	// on conflict/abort paths, guarded by a single nil check, so profiling
 	// off costs nothing on the conflict-free hot path. It must be installed
@@ -212,11 +199,6 @@ type Memory struct {
 
 // Option configures a Memory.
 type Option func(*Memory)
-
-// WithConflictPolicy overrides the default AbortNewest policy.
-func WithConflictPolicy(p ConflictPolicy) Option {
-	return func(m *Memory) { m.policy = p }
-}
 
 // WithConflictSink installs a conflict witness sink at construction.
 func WithConflictSink(s ConflictSink) Option {
@@ -257,10 +239,9 @@ func NewMemory(capacity int, opts ...Option) *Memory {
 		nLocks <<= 1
 	}
 	m := &Memory{
-		data:   make([]atomic.Uint64, capacity),
-		locks:  make([]atomic.Pointer[[blockSlots]chain], (nLocks+blockSlots-1)/blockSlots),
-		mask:   uint32(nLocks - 1),
-		policy: AbortNewest,
+		data:  make([]atomic.Uint64, capacity),
+		locks: make([]atomic.Pointer[[blockSlots]chain], (nLocks+blockSlots-1)/blockSlots),
+		mask:  uint32(nLocks - 1),
 	}
 	for _, opt := range opts {
 		opt(m)
@@ -384,15 +365,20 @@ func (m *Memory) Restore(image []uint64) error {
 }
 
 // Begin starts a transaction for an event with the given application
-// timestamp. Timestamps drive conflict resolution (AbortNewest) and define
-// the commit order the engine must follow.
-func (m *Memory) Begin(ts int64) *Tx {
-	tx := &Tx{
-		mem:      m,
-		id:       m.txSeq.Add(1),
-		ts:       ts,
-		snapshot: m.clock.Load(),
+// timestamp. Timestamps drive conflict resolution (the transaction of the
+// event that arrived last loses) and define the commit order the engine must
+// follow.
+func (m *Memory) Begin(ts int64) *Tx { return m.BeginAt(new(Tx), ts) }
+
+// BeginAt is Begin into storage the caller owns — a field of whatever the
+// transaction is an attempt of — and returns tx. The storage is that
+// transaction's for good: others keep the pointer past its end (see Tx), so
+// BeginAt panics if tx has been begun before (construction-time misuse).
+func (m *Memory) BeginAt(tx *Tx, ts int64) *Tx {
+	if tx.status.Load() != 0 {
+		panic("stm: BeginAt requires a zero Tx")
 	}
+	tx.mem, tx.id, tx.ts, tx.snapshot = m, m.txSeq.Add(1), ts, m.clock.Load()
 	tx.reads.items = tx.reads.buf[:0]
 	tx.writes.items = tx.writes.buf[:0]
 	tx.owned.items = tx.owned.buf[:0]

@@ -370,22 +370,6 @@ func TestActiveConflictKillsNewerOwner(t *testing.T) {
 	}
 }
 
-// TestAbortOldestPolicy: with the ablation policy the older transaction is
-// the victim.
-func TestAbortOldestPolicy(t *testing.T) {
-	m := NewMemory(4, WithConflictPolicy(AbortOldest))
-	older := m.Begin(1)
-	newer := m.Begin(2)
-	mustDo(t, newer.Write(0, 2))
-	// older writing the same address now loses.
-	if err := older.Write(0, 1); !errors.Is(err, ErrConflict) {
-		t.Fatalf("older Write = %v, want ErrConflict under AbortOldest", err)
-	}
-	older.Abort()
-	mustDo(t, newer.Complete())
-	mustDo(t, newer.Commit())
-}
-
 // TestReadBeneathNewerOpenOwner: a transaction must not see the buffered
 // writes of an open transaction with a larger timestamp (its future).
 func TestReadBeneathNewerOpenOwner(t *testing.T) {

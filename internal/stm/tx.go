@@ -84,7 +84,8 @@ func (s *set[K, V]) put(k K, v V) {
 // inline array holds pointers has it cleared by the caller.
 func (s *set[K, V]) drop() { s.items, s.index = nil, nil }
 
-// Tx is a transaction. A Tx is created by Memory.Begin, executed by one
+// Tx is a transaction. A Tx is begun by Memory.Begin, on the heap, or by
+// Memory.BeginAt, in storage its caller owns; it is executed by one
 // goroutine (Read/Write/Complete), and may then be revalidated, committed
 // or aborted by a different goroutine (the engine's commit scheduler) —
 // the paper's "paused ... and later revalidated and committed by another
@@ -93,12 +94,13 @@ func (s *set[K, V]) drop() { s.items, s.index = nil, nil }
 // Contract: any method returning ErrConflict dooms the transaction; the
 // caller must call Abort and re-execute the work in a fresh transaction.
 //
-// A Tx is one heap object: its sets and its dependents list start out in
-// arrays inside it. Other transactions' read entries and dependents lists
-// keep a *Tx past its end and read status and commitVersion through it, so
-// headers are never recycled; what a finished transaction drops instead is
-// every reference to another one (see drop; an abort keeps its read set,
-// see finishAbort).
+// A Tx is one object wherever it lives: its sets and its dependents list
+// start out in arrays inside it. Other transactions' read entries and
+// dependents lists keep a *Tx past its end and read status and
+// commitVersion through it, so a header is begun once and never recycled —
+// storage handed to BeginAt stays that transaction's until nobody can reach
+// it; what a finished transaction drops instead is every reference to
+// another one (see drop; an abort keeps its read set, see finishAbort).
 type Tx struct {
 	mem      *Memory
 	id       uint64
@@ -237,18 +239,13 @@ func (tx *Tx) dependOn(o *Tx, addr Addr) error {
 }
 
 // resolve handles a conflict with another transaction that is actively
-// writing to addr's lock entry. Under AbortNewest the transaction of the
-// later event is killed (the paper's policy: abort the transaction of the
-// event that arrived last). It returns ErrConflict if tx itself is the
-// victim; nil if the other transaction was targeted (the caller retries
-// its operation).
+// writing to addr's lock entry: the transaction of the later event is
+// killed (the paper's policy: abort the transaction of the event that
+// arrived last). It returns ErrConflict if tx itself is the victim; nil if
+// the other transaction was targeted (the caller retries its operation).
 func (tx *Tx) resolve(other *Tx, addr Addr) error {
 	tx.mem.conflicts.Add(1)
-	victimIsSelf := tx.newerThan(other)
-	if tx.mem.policy == AbortOldest {
-		victimIsSelf = !victimIsSelf
-	}
-	if victimIsSelf {
+	if tx.newerThan(other) {
 		if tx.mem.sink != nil {
 			tx.mem.witness(ConflictWriteWrite, addr, tx, other)
 		}

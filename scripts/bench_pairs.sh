@@ -11,9 +11,12 @@
 # count for neither side) — the evidence docs/PERFORMANCE.md rests every row
 # on — and the same, without a bound, for the two per-layer figures of an
 # untraced run that say where a change of throughput came from and whether
-# it cost a stall: cpu_us_per_event and final_p99_us. Runs that are not
-# `correct` or have failed operations are listed again at the end, and the
-# script then exits 1.
+# it cost a stall: cpu_us_per_event and final_p99_us. Every table is printed
+# whatever it shows; then runs that are not `correct` or have failed
+# operations are listed again and the script exits 1, or else every gated
+# metric whose change-side median is worse than the parent's by more than
+# its bound is listed and the script exits 3 — the regression the pipeline
+# would refuse the change for.
 #
 # Usage: scripts/bench_pairs.sh <parent-ref> <workload>|all [seeds]
 #        all runs every workload of BENCHMARK.json, one table each.
@@ -89,7 +92,7 @@ for workload in $workloads; do
 	echo "workload $workload, parent $(git rev-parse --short "$ref"), $pair alternating pairs, seeds $(echo $seeds)"
 	printf '%-18s %-7s %14s %14s %14s  %s\n' metric side median q1 q3 'change/parent, pairs won'
 	while read -r name better bound; do
-		awk -v m="$name" -v better="$better" -v bound="$bound" '
+		awk -v m="$name" -v better="$better" -v bound="$bound" -v w="$workload" -v worse="$work/worse" '
 			function sort(v, n,    i, j, t) { for (i = 2; i <= n; i++) for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t } }
 			# quantile of the sorted v[1..n], interpolating between ranks
 			function q(v, n, p,    h, lo) { h = (n - 1) * p + 1; lo = int(h); return lo >= n ? v[n] : v[lo] + (h - lo) * (v[lo + 1] - v[lo]) }
@@ -104,10 +107,16 @@ for workload in $workloads; do
 				row("parent", p, n, "")
 				ratio = q(p, n, .5) ? q(c, n, .5) / q(p, n, .5) : 1
 				row("change", c, n, sprintf("%.3f (%s is better, %s), %d/%d", ratio, better, bound == "-" ? "reported" : "bound " bound, won, n))
+				if (bound != "-" && (better == "higher" ? ratio < 1 - bound : ratio > 1 + bound))
+					printf "bench_pairs: %s, %s: median %.6g at the parent, %.6g with the change, ratio %.3f, bound %s\n", w, m, q(p, n, .5), q(c, n, .5), ratio, bound >>worse
 			}' "$work/values"
 	done <<<"$metrics"
 done
 if [ -s "$work/bad" ]; then
 	cat "$work/bad"
 	exit 1
+fi
+if [ -s "$work/worse" ]; then
+	cat "$work/worse"
+	exit 3
 fi
