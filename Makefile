@@ -2,7 +2,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: check fmt vet staticcheck test race race-stm race-core-finality race-core-equiv alloc-guards bench-pairs build trace-e2e doccheck campaign-smoke
+.PHONY: check fmt vet staticcheck test race race-stm race-core-finality race-core-equiv alloc-guards bench-pairs bench-profile build trace-e2e doccheck campaign-smoke
 
 check: fmt vet staticcheck doccheck alloc-guards race
 
@@ -57,7 +57,7 @@ race-core-finality:
 # in seconds, instead of as a drift in a benchmark.
 alloc-guards:
 	for p in 1 2; do \
-		GOMAXPROCS=$$p go test -count=3 -run 'Alloc' ./internal/core ./internal/stm ./internal/wal ./internal/storage ./internal/operator ./internal/event || exit 1; \
+		GOMAXPROCS=$$p go test -count=3 -run 'Alloc' ./internal/core ./internal/stm ./internal/wal ./internal/storage ./internal/operator ./internal/event ./internal/transport || exit 1; \
 	done
 
 # bench-pairs is how every before/after row of docs/PERFORMANCE.md is
@@ -75,13 +75,26 @@ WORKLOAD ?= pipe2-sat
 bench-pairs:
 	scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(SEEDS)
 
+# bench-profile is where the "what one hop allocates" and "where the CPU
+# goes" tables of docs/PERFORMANCE.md come from: one run of WORKLOAD under
+# the allocation (KIND=alloc) or CPU (KIND=cpu) profiler, added to a
+# temporary copy of the tree so that nothing under bench/ changes, and
+# `go tool pprof -top` with its shares already multiplied by the run's
+# allocs_per_event or cpu_us_per_event. About half a minute.
+SEED ?= 12
+KIND ?= alloc
+bench-profile:
+	scripts/bench_profile.sh $(WORKLOAD) $(SEED) $(KIND)
+
 # race-core-equiv is the internal/core slice of the same gate: the
 # batch-size equivalence test (one admit / commit / retire path judged
 # across run lengths, batch sizes and a crash), the commit-group
 # accounting test, the attempt-scratch reuse-safety test, the two tests of
 # what a run's block holds (a re-execution never runs in the first attempt's
 # transaction; a long run's tasks are spread over blocks and nothing can
-# tell) and the tests of recovery's one read path (scanner required, scan
+# tell), the three tests of what is cut from a slab (a payload, a sent
+# version and a queued FINALIZE run keep their bytes whatever their maker
+# does next) and the tests of recovery's one read path (scanner required, scan
 # order, what the disk holds, no early ACK for a duplicate of an
 # uncheckpointed commit), twenty race-detected runs each with one, two and
 # eight Ps. It is not a CI job yet: the engine's known finality and recovery
@@ -89,7 +102,7 @@ bench-pairs:
 # being 60/60 green at any commit, this one and its parent alike.
 race-core-equiv:
 	for p in 1 2 8; do \
-		GOMAXPROCS=$$p go test -race -count=20 -run 'TestBatchSizeEquivalence|TestBatchCommitGrouping|TestAttemptScratchReuseSafety|TestReexecutionBuysItsOwnTx|TestLongRunSplitsTaskBlocks|TestRecoverNeedsLogScanner|TestRecoveryScanOrderTwoDisks|TestRecoveryReadsWhatTheDiskHolds|TestDupOfUncheckpointedCommitNotAcked' ./internal/core || exit 1; \
+		GOMAXPROCS=$$p go test -race -count=20 -run 'TestBatchSizeEquivalence|TestBatchCommitGrouping|TestAttemptScratchReuseSafety|TestReexecutionBuysItsOwnTx|TestLongRunSplitsTaskBlocks|TestPayloadBytesAreHandedOutOnce|TestReexecutionLeavesSentVersionAlone|TestQueuedFinalizeRunIsOwned|TestRecoverNeedsLogScanner|TestRecoveryScanOrderTwoDisks|TestRecoveryReadsWhatTheDiskHolds|TestDupOfUncheckpointedCommitNotAcked' ./internal/core || exit 1; \
 	done
 
 # trace-e2e runs a traced two-worker cluster as real processes and pipes

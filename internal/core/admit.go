@@ -13,11 +13,16 @@ import (
 	"streammine/internal/wal"
 )
 
-// admitScratch is admitRun's reusable working set (see node.admit).
+// admitScratch is admitRun's reusable working set (see node.admit), and the
+// slabs it cuts what a run's tasks keep from: each detached payload, and the
+// run's input-order records.
 type admitScratch struct {
 	planned  []plannedEvent
 	fresh    []*task
 	deferred []deferredAdmit
+
+	payloads slab[byte]
+	recs     slab[wal.Record]
 }
 
 // deferredAdmit is an admission outcome that needs n.mu released: a
@@ -51,13 +56,6 @@ func (n *node) admitRun(input int, evs []event.Event) {
 	block := make([]task, 0, min(len(evs), maxBlockTasks))
 	n.mu.Lock()
 	planned := n.planRun(a.planned[:0], input, evs)
-	// Payloads often alias one wire frame; detach them with a single arena
-	// copy for the whole run instead of one allocation per event.
-	arena := 0
-	for i := range planned {
-		arena += len(planned[i].ev.Payload)
-	}
-	buf := make([]byte, 0, arena)
 	// The committed set is far larger than any cache, so every lookup is a
 	// memory access: do the run's lookups back to back, where they overlap,
 	// rather than each behind the admission of the event before.
@@ -100,9 +98,10 @@ func (n *node) admitRun(input int, evs []event.Event) {
 		}
 		n.takePendFin(&ev)
 		if len(ev.Payload) > 0 {
-			start := len(buf)
-			buf = append(buf, ev.Payload...)
-			ev.Payload = buf[start:len(buf):len(buf)]
+			// Payloads often alias one wire frame: the task keeps a copy.
+			payload := a.payloads.take(len(ev.Payload))
+			copy(payload, ev.Payload)
+			ev.Payload = payload
 		}
 		if len(block) == cap(block) {
 			block = make([]task, 0, min(len(planned)-i, maxBlockTasks))
@@ -125,7 +124,7 @@ func (n *node) admitRun(input int, evs []event.Event) {
 			// already logged). The task is unpublished until n.mu is
 			// released, so its pendingLogs needs no t.mu.
 			if recs == nil {
-				recs = make([]wal.Record, 0, len(planned)-i)
+				recs = a.recs.take(len(planned) - i)[:0]
 			}
 			*link, link = t, &t.nextLogged
 			t.pendingLogs++
@@ -534,26 +533,26 @@ func (n *node) handleReexec(c cmdReexec) {
 
 // handleInject publishes a run of source events under one lock acquisition
 // and one downstream delivery. Each event gets its own buffered record, sent
-// final, and is ACKed and pruned individually; the run's records share one
-// allocation.
-func (n *node) handleInject(c *cmdInject) {
-	recs := make([]outRecord, len(c.evs))
+// final, and is ACKed and pruned individually; the run's records are cut
+// from the dispatcher's slab.
+func (n *node) handleInject(evs []event.Event) {
+	recs := n.injected.take(len(evs))
 	n.mu.Lock()
-	for i, ev := range c.evs {
+	for i, ev := range evs {
 		n.bufferOutput(&recs[i], ev.ID, pendingOut{ts: ev.Timestamp, key: ev.Key, payload: ev.Payload}, ev.Trace, true)
 	}
 	n.mu.Unlock()
-	n.cFinalSent.Add(uint64(len(c.evs)))
+	n.cFinalSent.Add(uint64(len(evs)))
 	if m := n.eng.met; m != nil {
 		m.batchSourceBatches.Inc()
-		m.batchSourceEvents.Add(uint64(len(c.evs)))
+		m.batchSourceEvents.Add(uint64(len(evs)))
 	}
 	if tr := n.eng.tracer; tr != nil {
-		for _, ev := range c.evs {
+		for _, ev := range evs {
 			tr.RecordTrace(n.spec.Name, ev.ID.String(), ev.Trace, metrics.PhaseIngress, "source")
 		}
 	}
-	n.deliverToPort(0, eventFrame(c.evs))
+	n.deliverToPort(0, eventFrame(evs))
 }
 
 // bufferOutput fills rec, the output-buffer record of one output event

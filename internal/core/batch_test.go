@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -100,12 +101,12 @@ func TestFinalizeBatchZeroAlloc(t *testing.T) {
 }
 
 // TestAdmitRunOfOneAllocs pins what admitting a run of one costs on a
-// stateful node, decision-log append included: the task, its detached
-// payload, the input record and the stability callback, then the log's
-// encoded buffer and its own callback — and the harness's payload. The
-// frame itself is queued and dispatched by value.
+// stateful node, decision-log append included: the task and the stability
+// callback, then the log's encoded buffer and its own callback — and the
+// harness's payload. The detached payload and the input record are cut from
+// the dispatcher's slabs; the frame itself is queued and dispatched by value.
 func TestAdmitRunOfOneAllocs(t *testing.T) {
-	const want = 7 // 10 while frames were boxed and the log header escaped
+	const want = 5 // 7 while the payload and the record were allocations of their own
 	eng, _, pool, _ := buildBatchPipeline(t, nil, nil)
 	defer pool.Close()
 	n := eng.nodes[1] // stage0: a stateful Classifier
@@ -152,12 +153,13 @@ func classifierHop(t *testing.T, classes int) (n, down *node) {
 }
 
 // TestExecutePublishAllocs pins what executing one Classifier task and
-// publishing its output costs on an uncontended state word: the output
-// payload, with one to spare. The attempt context is the worker's, the
-// abort hook is the task, and the first attempt's transaction, the pending
-// output, its sent slot and its record are fields of the task.
+// publishing its output costs on an uncontended state word: nothing, with
+// one to spare. The attempt context is the worker's, and the output payload
+// is cut from its slab; the abort hook is the task, and the first attempt's
+// transaction, the pending output, its sent slot and its record are fields
+// of the task.
 func TestExecutePublishAllocs(t *testing.T) {
-	const want, runs = 2, 300
+	const want, runs = 1, 300
 	n, down := classifierHop(t, 2*runs)
 	// Tasks are admitted outside the measurement.
 	block := make([]task, runs+1)
@@ -187,13 +189,13 @@ func TestExecutePublishAllocs(t *testing.T) {
 
 // TestRunOfEightFirstAttemptsAllocs counts a whole hop for a run of eight
 // Classifier events, admission to publication: the run's block (tasks,
-// first transactions, first output records), its payload arena, its input
-// records and their stability callback, the log's encoded buffer and its
-// own callback, and eight output payloads — fourteen, none of them a
-// transaction — with two to spare for the tables that grow because nothing
-// here commits.
+// first transactions, first output records), the stability callback of its
+// input records, the log's encoded buffer and its own callback — four,
+// none of them a payload, a record or a transaction — with one for the
+// chunks those are cut from and two to spare for the tables that grow
+// because nothing here commits.
 func TestRunOfEightFirstAttemptsAllocs(t *testing.T) {
-	const want, runs, run = 16, 100, 8
+	const want, runs, run = 7, 100, 8
 	n, down := classifierHop(t, (runs+1)*run)
 	frames := make([][]event.Event, runs+1) // AllocsPerRun adds a warm-up run
 	payload := operator.EncodeValue(1)
@@ -337,11 +339,12 @@ func TestLongRunSplitsTaskBlocks(t *testing.T) {
 	}
 }
 
-// TestInjectRunAllocs pins what a source pays to publish a run of eight:
-// the injection command, its events and the run's records — one allocation
-// each, however long the run.
+// TestInjectRunAllocs pins what a source pays to publish a run of eight: its
+// share of the chunks the run's events (the handle's slab) and records (the
+// dispatcher's) are cut from — one allocation in five runs; the run rides
+// the mailbox by value.
 func TestInjectRunAllocs(t *testing.T) {
-	const want = 3
+	const want = 1
 	eng, _, pool, _ := buildBatchPipeline(t, nil, nil)
 	defer pool.Close()
 	s, err := eng.Source(0)
@@ -375,7 +378,38 @@ func TestCommitTurnOfOneAllocs(t *testing.T) {
 	defer pool.Close()
 	n := eng.nodes[1] // stage0: upstream src, downstream stage1
 	const turns = 300
-	for i := 1; i <= turns+1; i++ {
+	openReadyTasks(t, n, 1, turns+1)
+	allocs := testing.AllocsPerRun(turns, func() {
+		n.commitBatch(1)
+	})
+	if got := n.cCommitted.Load(); got != turns+1 {
+		t.Fatalf("committed %d tasks, want %d", got, turns+1)
+	}
+	if allocs != 0 {
+		t.Errorf("a committer turn over one task allocated %.1f, want 0", allocs)
+	}
+}
+
+// mallocsPerRun is testing.AllocsPerRun without its rounding down to a whole
+// number, for costs that are a share of a chunk bought every so many runs.
+func mallocsPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f() // warm up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
+}
+
+// openReadyTasks puts count tasks on n that the committer will find ready:
+// executed, published, final, each with one speculative output to FINALIZE
+// and one input to ACK. Their sequences, and the Seq of their input IDs,
+// start at first.
+func openReadyTasks(t *testing.T, n *node, first, count int) {
+	for i := first; i < first+count; i++ {
 		id := event.ID{Source: 0, Seq: event.Seq(i)}
 		tx := n.mem.Begin(int64(i))
 		if err := tx.Complete(); err != nil {
@@ -389,14 +423,83 @@ func TestCommitTurnOfOneAllocs(t *testing.T) {
 		n.tasks.put(id, tk)
 		n.open.push(tk)
 	}
-	allocs := testing.AllocsPerRun(turns, func() {
-		n.commitBatch(1)
+}
+
+// TestCommitGroupOfEightAllocs pins what retiring a commit group of eight
+// costs on a speculative node: its share of the chunk the FINALIZE run and
+// the ACK run are cut from, twenty-one groups to a chunk, and nothing else.
+func TestCommitGroupOfEightAllocs(t *testing.T) {
+	eng, _, pool, _ := buildBatchPipeline(t, nil, nil)
+	defer pool.Close()
+	n, down := eng.nodes[1], eng.nodes[2] // stage0: upstream src, downstream stage1
+	const groups, group = 200, 8
+	openReadyTasks(t, n, 1, (groups+1)*group)
+	allocs := mallocsPerRun(groups, func() {
+		n.commitBatch(group)
+		if it, _ := down.mailbox.Pop(); len(it.msg.Finals) != group {
+			t.Fatalf("downstream got %v with %d references, want a FINALIZE run of %d", it.msg.Type, len(it.msg.Finals), group)
+		}
 	})
-	if got := n.cCommitted.Load(); got != turns+1 {
-		t.Fatalf("committed %d tasks, want %d", got, turns+1)
+	if got := n.cCommitted.Load(); got != (groups+1)*group {
+		t.Fatalf("committed %d tasks, want %d", got, (groups+1)*group)
 	}
-	if allocs != 0 {
-		t.Errorf("a committer turn over one task allocated %.1f, want 0", allocs)
+	if allocs > 0.2 {
+		t.Errorf("retiring a group of %d allocated %.2f, want at most 0.2", group, allocs)
+	}
+}
+
+// sentFrames is a link that keeps what it is handed.
+type sentFrames struct{ frames []transport.Message }
+
+func (l *sentFrames) deliver(m transport.Message) { l.frames = append(l.frames, m) }
+func (l *sentFrames) buffered() bool              { return false }
+
+// TestSendRunCoalesceAllocs pins what a credit-gated link's sender pays per
+// frame: for a run it coalesced from queued single events, its share of the
+// chunk the run is cut from; for a run with nothing to take behind it — a
+// full one, or a short one at the end of the queue — nothing, it goes out
+// as it came. The test is the sender: no goroutine is started.
+func TestSendRunCoalesceAllocs(t *testing.T) {
+	const runs, batch = 200, 8
+	out := &sentFrames{frames: make([]transport.Message, 0, 3*(runs+1))}
+	l := &creditedLink{inner: out, gate: flow.NewCreditGate(1 << 30), q: newLinkQueue(), batch: batch}
+	var one [1]event.Event
+	send := func() {
+		m, _ := l.q.pop()
+		l.sendRun(eventsOf(&m, &one))
+	}
+	seq := event.Seq(0)
+	coalesced := mallocsPerRun(runs, func() {
+		for i := 0; i < batch; i++ {
+			seq++
+			l.deliver(transport.Message{Type: transport.MsgEvent, Event: event.Event{ID: event.ID{Seq: seq}}})
+		}
+		send()
+	})
+	for i, m := range out.frames {
+		if len(m.Events) != batch || m.Events[0].ID.Seq != event.Seq(i*batch+1) || m.Events[batch-1].ID.Seq != event.Seq((i+1)*batch) {
+			t.Fatalf("frame %d carries %d events from %d, want %d from %d", i, len(m.Events), m.Events[0].ID.Seq, batch, i*batch+1)
+		}
+	}
+	if coalesced > 0.2 {
+		t.Errorf("a coalesced run of %d allocated %.2f, want at most 0.2", batch, coalesced)
+	}
+
+	full, short := make([]event.Event, batch), make([]event.Event, batch/2)
+	out.frames = out.frames[:0]
+	asItCame := mallocsPerRun(runs, func() {
+		l.deliver(eventFrame(full))
+		send()
+		l.deliver(eventFrame(short))
+		send()
+	})
+	for i, m := range out.frames {
+		if want := [][]event.Event{full, short}[i%2]; len(m.Events) != len(want) || &m.Events[0] != &want[0] {
+			t.Fatalf("frame %d is not the run the link was handed", i)
+		}
+	}
+	if asItCame != 0 {
+		t.Errorf("forwarding a run as it came allocated %.2f, want 0", asItCame)
 	}
 }
 

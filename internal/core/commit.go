@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"streammine/internal/event"
@@ -168,12 +167,15 @@ func (n *node) cleanupHead(t *task) {
 // for a run of one. Order within a port is commit order. Ports and inputs
 // are small dense ints, so the accumulators are slices indexed by them;
 // they are committer-owned scratch reused across groups (node.fin), and a
-// frame carrying more than one item gets its own copy, because receivers
-// keep it.
+// frame carrying more than one item is cut from the committer's slabs,
+// because receivers keep it.
 type finFlush struct {
 	finals [][]transport.FinalizeRef // by output port
 	lates  [][]event.Event           // by output port
 	acks   [][]transport.FinalizeRef // by input
+
+	refs slab[transport.FinalizeRef]
+	evs  slab[event.Event]
 }
 
 // addAt appends v to the accumulator at index i, growing the table to it.
@@ -185,11 +187,13 @@ func addAt[T any](runs [][]T, i int, v T) [][]T {
 
 // drainRuns hands every non-empty accumulator to send and empties it. A run
 // of one is handed over as it is (the frame takes the item by value), a
-// longer one as a copy.
-func drainRuns[T any](acc [][]T, send func(i int, run []T)) {
+// longer one as a copy cut from owned.
+func drainRuns[T any](acc [][]T, owned *slab[T], send func(i int, run []T)) {
 	for i, run := range acc {
 		if len(run) > 1 {
-			send(i, slices.Clone(run))
+			frame := owned.take(len(run))
+			copy(frame, run)
+			send(i, frame)
 		} else if len(run) == 1 {
 			send(i, run)
 		}
@@ -201,9 +205,9 @@ func drainRuns[T any](acc [][]T, send func(i int, run []T)) {
 // flush delivers and empties the accumulators: late finals, then FINALIZE
 // notices, per port; then ACKs per input upstream.
 func (fb *finFlush) flush(n *node) {
-	drainRuns(fb.lates, func(port int, run []event.Event) { n.deliverToPort(port, eventFrame(run)) })
-	drainRuns(fb.finals, func(port int, run []transport.FinalizeRef) { n.deliverToPort(port, refFrame(run, false)) })
-	drainRuns(fb.acks, func(input int, run []transport.FinalizeRef) { n.sendUpstream(input, refFrame(run, true)) })
+	drainRuns(fb.lates, &fb.evs, func(port int, run []event.Event) { n.deliverToPort(port, eventFrame(run)) })
+	drainRuns(fb.finals, &fb.refs, func(port int, run []transport.FinalizeRef) { n.deliverToPort(port, refFrame(run, false)) })
+	drainRuns(fb.acks, &fb.refs, func(input int, run []transport.FinalizeRef) { n.sendUpstream(input, refFrame(run, true)) })
 }
 
 // retirePost carries one task's retirement state between the phases of

@@ -107,8 +107,8 @@ func (n *node) runTask(t *task, ctx *procCtx) {
 	t.tx = tx
 	t.state = taskExecuting
 	t.attempts++
-	// The operator gets the event as it is: the payload lives in the run's
-	// arena, and nothing writes it (a replacement swaps t.ev whole).
+	// The operator gets the event as it is: the payload is the dispatcher's
+	// copy, and nothing writes it (a replacement swaps t.ev whole).
 	ev := t.ev
 	ctx.begin(t, tx)
 	t.mu.Unlock()

@@ -185,17 +185,27 @@ func (q *linkQueue) pop() (transport.Message, bool) {
 	return q.items.pop(), true
 }
 
-// takeEvents pops up to max immediately-following single-EVENT messages
-// from the head of the queue without blocking, appending their events to
-// dst. It stops at the first non-EVENT item (control and batch frames keep
-// their queue position), so per-link ordering is preserved exactly.
-func (q *linkQueue) takeEvents(dst []event.Event, max int) []event.Event {
+// takeEvents appends to run the single-EVENT messages queued right behind
+// it, at most max of them, without blocking. It stops at the first non-EVENT
+// item (control and batch frames keep their queue position), so per-link
+// ordering is preserved exactly. With nothing to take, run comes back as it
+// is; otherwise the longer run is cut from owned, for run may be shared with
+// the other links of its port.
+func (q *linkQueue) takeEvents(run []event.Event, max int, owned *slab[event.Event]) []event.Event {
 	q.mu.Lock()
-	for ; max > 0 && q.items.n > 0 && q.items.at(0).Type == transport.MsgEvent; max-- {
-		dst = append(dst, q.items.pop().Event)
+	defer q.mu.Unlock()
+	k := 0
+	for k < min(max, q.items.n) && q.items.at(k).Type == transport.MsgEvent {
+		k++
 	}
-	q.mu.Unlock()
-	return dst
+	if k == 0 {
+		return run
+	}
+	merged := owned.take(len(run) + k)
+	for i := copy(merged, run); i < len(merged); i++ {
+		merged[i] = q.items.pop().Event
+	}
+	return merged
 }
 
 func (q *linkQueue) len() int {
@@ -225,7 +235,8 @@ type creditedLink struct {
 	inner link
 	gate  *flow.CreditGate
 	q     *linkQueue
-	batch int // cap on the run coalesced into one frame (at least 1)
+	batch int               // cap on the run coalesced into one frame (at least 1)
+	runs  slab[event.Event] // the sender's: what coalesced runs are cut from
 	done  chan struct{}
 	once  sync.Once
 }
@@ -276,9 +287,7 @@ func (l *creditedLink) sender() {
 // because the engine is stopping.
 func (l *creditedLink) sendRun(run []event.Event) {
 	if len(run) < l.batch {
-		// The incoming run may be shared with other links on the port.
-		run = append(make([]event.Event, 0, l.batch), run...)
-		run = l.q.takeEvents(run, l.batch-len(run))
+		run = l.q.takeEvents(run, l.batch-len(run), &l.runs)
 	}
 	if l.gate.AcquireN(len(run)) {
 		l.inner.deliver(eventFrame(run))

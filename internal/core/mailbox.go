@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"streammine/internal/event"
 	"streammine/internal/metrics"
 	"streammine/internal/transport"
 )
@@ -46,12 +47,13 @@ type mailbox struct {
 }
 
 // mailItem is the one element type of both lanes: a frame, a re-execution
-// command (reexec.t set) or a source injection (inject set). A concrete
-// type rather than any, so that queueing a frame does not box it.
+// command (reexec.t set) or a source injection (inject non-empty: a run of
+// a SourceHandle's events in emission order — one push, one dispatcher turn,
+// one delivery). A concrete type, so that queueing a frame does not box it.
 type mailItem struct {
 	msg      transport.Message
 	reexec   cmdReexec
-	inject   *cmdInject
+	inject   []event.Event
 	pushedNs int64 // data-lane push stamp; zero unless qdelay is set
 }
 
@@ -114,8 +116,8 @@ func (m *mailbox) SetQueueDelay(h *metrics.HDR) {
 // Control items weigh 0.
 func (it *mailItem) dataWeight() int {
 	switch {
-	case it.inject != nil:
-		return len(it.inject.evs)
+	case len(it.inject) > 0:
+		return len(it.inject)
 	case it.msg.Type == transport.MsgEvent:
 		return 1
 	case it.msg.Type == transport.MsgEventBatch:
@@ -132,7 +134,7 @@ func (m *mailbox) Push(msg transport.Message) { m.push(mailItem{msg: msg}) }
 func (m *mailbox) PushReexec(c cmdReexec) { m.push(mailItem{reexec: c}) }
 
 // PushInject enqueues a source injection on the data lane.
-func (m *mailbox) PushInject(c *cmdInject) { m.push(mailItem{inject: c}) }
+func (m *mailbox) PushInject(run []event.Event) { m.push(mailItem{inject: run}) }
 
 func (m *mailbox) push(it mailItem) {
 	m.mu.Lock()

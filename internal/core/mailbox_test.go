@@ -205,7 +205,7 @@ func TestMailboxControlLanePriority(t *testing.T) {
 func TestMailboxDataAccounting(t *testing.T) {
 	m := newMailbox()
 	m.SetDataCap(2)
-	m.PushInject(&cmdInject{evs: make([]event.Event, 1)}) // source injections ride the data lane
+	m.PushInject(make([]event.Event, 1)) // source injections ride the data lane
 	for i := uint64(0); i < 3; i++ {
 		m.Push(dataMsg(i))
 	}

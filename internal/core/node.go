@@ -25,15 +25,6 @@ type cmdReexec struct {
 	tx *stm.Tx
 }
 
-// cmdInject carries a run of source-node events from a SourceHandle, in
-// emission (sequence) order: one mailbox push, one dispatcher turn, one
-// downstream delivery. one backs the run of a single Emit, so that call
-// costs one allocation rather than a slice and a command.
-type cmdInject struct {
-	evs []event.Event
-	one [1]event.Event
-}
-
 // node is the runtime for one graph node: a dispatcher goroutine that owns
 // ordering decisions, a worker pool that executes tasks under speculative
 // transactions, and a committer that commits tasks in arrival order once
@@ -96,8 +87,9 @@ type node struct {
 	// dispatcher-only. Reusing them keeps the finalize path allocation-free
 	// and admission down to what it must retain (both guarded by
 	// AllocsPerRun tests).
-	admit   admitScratch
-	finHits []finHit
+	admit    admitScratch
+	finHits  []finHit
+	injected slab[outRecord] // handleInject's: a source run's output records
 
 	// replay, when non-nil, holds the recovery-mode admission plan;
 	// recoverDrop holds the IDs of logged events the restored snapshot
@@ -229,9 +221,11 @@ func newNode(eng *Engine, spec graph.Node, inputs int, rng *detrand.Source, log 
 
 // resetVolatile (re)creates everything a crash loses except the operator
 // memory: in-flight tasks, duplicate-suppression tables, output buffer,
-// stashes, replay plan and the sequence and commit cursors. Caller holds
-// n.mu, or owns the node outright.
+// stashes, replay plan, the dispatcher's and the committer's slabs and
+// scratch (a worker's go with its goroutine) and the sequence and commit
+// cursors. Caller holds n.mu with the goroutines joined, or owns the node.
 func (n *node) resetVolatile() {
+	n.admit, n.fin, n.injected = admitScratch{}, finFlush{}, slab[outRecord]{}
 	n.tasks = idTable[*task]{}
 	n.open = ring[*task]{}
 	n.committed, n.recoverDrop = idSet{}, idSet{}
@@ -453,7 +447,7 @@ func (n *node) dispatcher() {
 			return
 		}
 		switch {
-		case it.inject != nil:
+		case len(it.inject) > 0:
 			n.handleInject(it.inject)
 		case it.reexec.t != nil:
 			n.handleReexec(it.reexec)

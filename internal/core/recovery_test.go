@@ -347,7 +347,7 @@ func TestReplayResendsOldestFirst(t *testing.T) {
 	for i := range evs {
 		evs[i] = event.Event{ID: event.ID{Source: 0, Seq: event.Seq(i + 1)}}
 	}
-	srcNode.handleInject(&cmdInject{evs: evs})
+	srcNode.handleInject(evs)
 	if _, ok := procNode.mailbox.Pop(); !ok {
 		t.Fatal("no injected run downstream")
 	}

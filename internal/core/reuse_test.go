@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"streammine/internal/event"
 	"streammine/internal/graph"
@@ -504,5 +506,123 @@ func TestReplacementClosesOpenTask(t *testing.T) {
 	n.handleReexec(it.reexec)
 	if tk.tx != nil || tk.published || n.execQ.Len() != 1 {
 		t.Fatalf("task not re-queued: tx %v, published %t, %d queued", tk.tx, tk.published, n.execQ.Len())
+	}
+}
+
+// TestPayloadBytesAreHandedOutOnce: a payload belongs to the output it was
+// emitted as. Task A's, published and in a downstream mailbox, is
+// byte-identical — and overlaps none of theirs — after the same worker has
+// run and aborted a thousand attempts of task B, each of which took, wrote
+// and emitted a payload of its own.
+func TestPayloadBytesAreHandedOutOnce(t *testing.T) {
+	n, down := classifierHop(t, 2)
+	ctx := new(procCtx)
+	span := func(p []byte) (lo, hi uintptr) {
+		lo = uintptr(unsafe.Pointer(&p[0]))
+		return lo, lo + uintptr(len(p))
+	}
+	a := &task{n: n, seq: 1, state: taskQueued, evFinal: true, ev: event.Event{ID: event.ID{Seq: 1}, Key: 0}}
+	n.runTask(a, ctx)
+	it, _ := down.mailbox.Pop()
+	published := it.msg.Event.Payload
+	want := operator.EncodePair(0, 1)
+	if !bytes.Equal(published, want) {
+		t.Fatalf("task A published %x, want %x", published, want)
+	}
+	lo, hi := span(published)
+
+	b := &task{n: n, seq: 2, state: taskQueued, ev: event.Event{ID: event.ID{Seq: 2}, Key: 1, Speculative: true}}
+	seen := make(map[uintptr]bool)
+	for attempt := 1; attempt <= 1000; attempt++ {
+		n.runTask(b, ctx)
+		if b.state != taskOpen || b.attempts != attempt || len(b.outs) != 1 {
+			t.Fatalf("attempt %d of task B: state %v after %d attempts, %d outputs", attempt, b.state, b.attempts, len(b.outs))
+		}
+		blo, bhi := span(b.outs[0].payload)
+		if seen[blo] || blo < hi && lo < bhi {
+			t.Fatalf("attempt %d of task B was handed bytes that were handed out before", attempt)
+		}
+		seen[blo] = true
+		b.tx.Abort() // queues the re-execution
+		re, _ := n.mailbox.Pop()
+		n.handleReexec(re.reexec)
+		if tk, _ := n.execQ.Pop(); tk != b {
+			t.Fatalf("attempt %d's abort did not re-queue task B", attempt)
+		}
+	}
+	if !bytes.Equal(published, want) {
+		t.Errorf("task A's payload reads %x after task B's attempts, published as %x", published, want)
+	}
+}
+
+// TestReexecutionLeavesSentVersionAlone: an attempt whose output changed
+// builds the new version in bytes of its own. The version already in the
+// downstream mailbox keeps the bytes it was sent with, and the two frames
+// share none.
+func TestReexecutionLeavesSentVersionAlone(t *testing.T) {
+	n, down := classifierHop(t, 4)
+	ctx := new(procCtx)
+	id := event.ID{Source: 0, Seq: 1}
+	run := func() {
+		tk, _ := n.execQ.Pop()
+		n.runTask(tk, ctx)
+	}
+	n.handleMessage(transport.Message{Type: transport.MsgEvent, Event: event.Event{ID: id, Key: 1, Speculative: true}})
+	run()
+	// A replacement with another key: another class, another output.
+	n.handleMessage(transport.Message{Type: transport.MsgEvent, Event: event.Event{ID: id, Version: 1, Key: 2, Speculative: true}})
+	re, _ := n.mailbox.Pop()
+	n.handleReexec(re.reexec)
+	run()
+
+	if got := down.mailbox.Len(); got != 2 {
+		t.Fatalf("%d frames downstream, want both versions", got)
+	}
+	first, _ := down.mailbox.Pop()
+	second, _ := down.mailbox.Pop()
+	v0, v1 := first.msg.Event, second.msg.Event
+	if v0.ID != v1.ID || v0.Version != 0 || v1.Version != 1 {
+		t.Fatalf("downstream holds %s v%d and %s v%d, want versions 0 and 1 of one output", v0.ID, v0.Version, v1.ID, v1.Version)
+	}
+	if want := operator.EncodePair(1, 1); !bytes.Equal(v0.Payload, want) {
+		t.Errorf("version 0 reads %x after the re-execution, sent as %x", v0.Payload, want)
+	}
+	if want := operator.EncodePair(2, 1); !bytes.Equal(v1.Payload, want) {
+		t.Errorf("version 1 reads %x, want %x", v1.Payload, want)
+	}
+	if &v0.Payload[0] == &v1.Payload[0] {
+		t.Error("both versions are in the same bytes")
+	}
+}
+
+// TestQueuedFinalizeRunIsOwned: the FINALIZE run of a commit group belongs
+// to its frame once the committer has handed it over. Still queued on a
+// credit-gated link (whose sender this test never starts) while the
+// committer retires a hundred more groups through the same scratch and the
+// same slab, it names the outputs of its own group and no other.
+func TestQueuedFinalizeRunIsOwned(t *testing.T) {
+	eng, _, pool, _ := buildBatchPipeline(t, nil, nil)
+	defer pool.Close()
+	n := eng.nodes[1]
+	held := &creditedLink{inner: &localLink{target: eng.nodes[2]}, q: newLinkQueue(), batch: 8}
+	n.links[0] = []link{held}
+	const groups, group = 101, 8
+	openReadyTasks(t, n, 1, groups*group)
+	n.commitBatch(group)
+	first := held.q.items.at(0)
+	sent := slices.Clone(first.Finals)
+	for g := 1; g < groups; g++ {
+		n.commitBatch(group)
+	}
+	if got := held.q.len(); got != groups {
+		t.Fatalf("%d frames queued on the link, want %d", got, groups)
+	}
+	if first.Type != transport.MsgFinalizeBatch || len(first.Finals) != group || cap(first.Finals) != group {
+		t.Fatalf("the first group's frame is %v with %d references (cap %d), want a FINALIZE run of %d", first.Type, len(first.Finals), cap(first.Finals), group)
+	}
+	for i, f := range first.Finals {
+		if want := outputID(n.opID, event.ID{Source: 0, Seq: event.Seq(i + 1)}, 0); f != sent[i] || f.ID != want {
+			t.Errorf("reference %d of the queued run reads %v, sent as %v for output %s", i, f, sent[i], want)
+		}
 	}
 }

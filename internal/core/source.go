@@ -13,8 +13,9 @@ type SourceHandle struct {
 	n    *node
 	tick *vclock.Ticker
 
-	mu  sync.Mutex
-	seq event.Seq
+	mu   sync.Mutex
+	seq  event.Seq
+	runs slab[event.Event] // what injected runs are cut from, under mu
 }
 
 // Emit publishes one final event with a fresh timestamp, returning it.
@@ -28,11 +29,7 @@ func (s *SourceHandle) Emit(key uint64, payload []byte) (event.Event, error) {
 // ErrShed immediately. A shed event still consumes a sequence number so
 // event IDs stay deterministic under worker failover re-emission.
 func (s *SourceHandle) EmitAt(ts int64, key uint64, payload []byte) (event.Event, error) {
-	// The run of one lives inside the command: one allocation per Emit.
-	c := &cmdInject{}
-	c.one[0] = event.Event{Timestamp: ts, Key: key, Payload: payload}
-	c.evs = c.one[:]
-	evs, err := s.emit(c, false)
+	evs, err := s.emit([]BatchItem{{Key: key, Payload: payload}}, ts, false)
 	if evs == nil {
 		return event.Event{}, err
 	}
@@ -57,37 +54,33 @@ func (s *SourceHandle) EmitBatch(items []BatchItem) ([]event.Event, error) {
 	if len(items) == 0 {
 		return nil, nil
 	}
-	c := &cmdInject{evs: make([]event.Event, len(items))}
-	for i, it := range items {
-		c.evs[i] = event.Event{Key: it.Key, Payload: it.Payload}
-	}
-	return s.emit(c, true)
+	return s.emit(items, 0, true)
 }
 
-// emit is the one injection path: it gives the run's events consecutive
-// sequence numbers (and, with tick set, fresh timestamps in the same
-// order), charges source admission once for the run, and hands the run to
-// the node's dispatcher. It returns the stamped events — with ErrShed when
-// admission control dropped them before injection — or nil and the reason
-// the source can no longer emit.
-func (s *SourceHandle) emit(c *cmdInject, tick bool) ([]event.Event, error) {
+// emit is the one injection path: it cuts the run from the handle's slab,
+// gives its events consecutive sequence numbers (and, with tick set, fresh
+// timestamps in the same order; ts otherwise), charges source admission once
+// for the run, and hands the run to the node's dispatcher. It returns the
+// stamped events — with ErrShed when admission control dropped them before
+// injection — or nil and the reason the source can no longer emit.
+func (s *SourceHandle) emit(items []BatchItem, ts int64, tick bool) ([]event.Event, error) {
 	s.mu.Lock()
-	for i := range c.evs {
-		ev := &c.evs[i]
+	evs := s.runs.take(len(items))
+	for i, it := range items {
 		s.seq++
-		ev.ID = event.ID{Source: event.SourceID(s.n.opID), Seq: s.seq}
 		if tick {
-			ev.Timestamp = s.tick.Next()
+			ts = s.tick.Next()
 		}
+		id := event.ID{Source: event.SourceID(s.n.opID), Seq: s.seq}
 		// The trace id is derived from the ID, so a failover re-emission of
 		// the same sequence joins the original event's lineage.
-		ev.Trace = event.TraceOf(ev.ID)
+		evs[i] = event.Event{ID: id, Timestamp: ts, Key: it.Key, Trace: event.TraceOf(id), Payload: it.Payload}
 	}
 	s.mu.Unlock()
 	if a := s.n.admission.Load(); a != nil {
-		switch a.AdmitN(len(c.evs)) {
+		switch a.AdmitN(len(evs)) {
 		case flow.Shed:
-			return c.evs, ErrShed
+			return evs, ErrShed
 		case flow.Stopped:
 			return nil, ErrStopped
 		}
@@ -95,6 +88,6 @@ func (s *SourceHandle) emit(c *cmdInject, tick bool) ([]event.Event, error) {
 	if s.n.stopFlag.Load() {
 		return nil, ErrStopped
 	}
-	s.n.mailbox.PushInject(c)
-	return c.evs, nil
+	s.n.mailbox.PushInject(evs)
+	return evs, nil
 }

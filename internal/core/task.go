@@ -143,7 +143,8 @@ type pendingOut struct {
 
 // procCtx implements operator.Context for one execution attempt. Each
 // worker goroutine owns one and resets it per attempt (begin), so taken and
-// outs keep their capacity; nothing in it outlives the attempt.
+// outs keep their capacity; nothing in it outlives the attempt but the
+// payloads cut from its slab, which belong to the outputs they were emitted as.
 type procCtx struct {
 	t  *task
 	tx *stm.Tx
@@ -157,6 +158,7 @@ type procCtx struct {
 	truncateAt   int
 	taken        []decision
 	outs         []pendingOut
+	payloads     slab[byte]
 }
 
 // begin resets the scratch for an attempt of t under tx. Caller holds t.mu.
@@ -165,7 +167,7 @@ func (c *procCtx) begin(t *task, tx *stm.Tx) {
 	*c = procCtx{
 		t: t, tx: tx, ts: t.ev.Timestamp,
 		decisions:  t.decisions, // immutable during execution
-		truncateAt: -1, taken: c.taken[:0], outs: c.outs[:0],
+		truncateAt: -1, taken: c.taken[:0], outs: c.outs[:0], payloads: c.payloads,
 	}
 }
 
@@ -234,6 +236,9 @@ func (c *procCtx) EmitAt(ts int64, key uint64, payload []byte) error {
 	c.outs = append(c.outs, pendingOut{ts: ts, key: key, payload: payload})
 	return nil
 }
+
+// Payload implements operator.Context.
+func (c *procCtx) Payload(n int) []byte { return c.payloads.take(n) }
 
 // outputID derives a deterministic output event ID from the node, the
 // consumed input event and the output position — stable across rollbacks,

@@ -48,7 +48,7 @@ func (d *DistinctCount) Process(ctx Context, e event.Event) error {
 	if err != nil {
 		return err
 	}
-	return ctx.Emit(e.Key, EncodeValue(est))
+	return ctx.Emit(e.Key, valuePayload(ctx, est))
 }
 
 // Terminate implements Operator.

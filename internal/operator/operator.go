@@ -36,8 +36,11 @@ type InitContext interface {
 // not write to it or keep it. The Emit family takes ownership of the
 // payload it is handed instead of copying it: the slice must not be
 // modified after the call, so an operator emits either a buffer it built
-// for this output (EncodeValue, EncodePair) or e.Payload itself, never a
-// buffer it will reuse.
+// for this output (Payload, or a slice of its own making) or e.Payload
+// itself, never a buffer it will reuse. What Payload returns outlives
+// Process: emitted, it belongs to that version of the output for as long as
+// anything downstream holds it — the engine hands no byte out twice, not to
+// a re-execution either — and bytes taken but not emitted are dropped.
 type Context interface {
 	// OperatorID identifies this operator instance.
 	OperatorID() uint32
@@ -62,6 +65,10 @@ type Context interface {
 	// EmitAt queues an output with an explicit application timestamp
 	// (window aggregates emit at window boundaries).
 	EmitAt(ts int64, key uint64, payload []byte) error
+	// Payload returns n zeroed bytes to build one output's payload in,
+	// cut from memory the executing worker owns: a short payload costs no
+	// allocation of its own.
+	Payload(n int) []byte
 }
 
 // Operator is a stream processing operator. Process is called once per

@@ -10,6 +10,17 @@ func EncodeValue(v uint64) []byte {
 	return b[:]
 }
 
+// valuePayload and pairPayload are EncodeValue and EncodePair into the
+// context's payload memory: what the built-in operators emit.
+func valuePayload(ctx Context, v uint64) []byte {
+	return binary.LittleEndian.AppendUint64(ctx.Payload(8)[:0], v)
+}
+
+func pairPayload(ctx Context, a, b uint64) []byte {
+	p := binary.LittleEndian.AppendUint64(ctx.Payload(16)[:0], a)
+	return binary.LittleEndian.AppendUint64(p, b)
+}
+
 // DecodeValue unpacks a payload produced by EncodeValue. Short payloads
 // decode as zero-extended.
 func DecodeValue(p []byte) uint64 {

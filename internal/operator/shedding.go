@@ -108,7 +108,7 @@ func (p *Pattern) Process(ctx Context, e event.Event) error {
 	if err := p.progress.Put(tx, e.Key, 0); err != nil {
 		return err
 	}
-	return ctx.Emit(e.Key, EncodeValue(n))
+	return ctx.Emit(e.Key, valuePayload(ctx, n))
 }
 
 // Terminate implements Operator.

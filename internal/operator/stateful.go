@@ -61,7 +61,7 @@ func (a *CountWindowAvg) Process(ctx Context, e event.Event) error {
 	if err := a.count.Set(tx, 0); err != nil {
 		return err
 	}
-	return ctx.Emit(e.Key, EncodeValue(sum/n))
+	return ctx.Emit(e.Key, valuePayload(ctx, sum/n))
 }
 
 // Terminate implements Operator.
@@ -142,7 +142,7 @@ func (w *TimeWindowSum) Process(ctx Context, e event.Event) error {
 		if err != nil {
 			return err
 		}
-		if err := ctx.EmitAt(cur+w.Width, uint64(cur), EncodeValue(s)); err != nil {
+		if err := ctx.EmitAt(cur+w.Width, uint64(cur), valuePayload(ctx, s)); err != nil {
 			return err
 		}
 		if err := w.winStart.Set(tx, uint64(start)); err != nil {
@@ -202,7 +202,7 @@ func (c *Classifier) Process(ctx Context, e event.Event) error {
 	if err != nil {
 		return err
 	}
-	return ctx.Emit(uint64(class), EncodePair(uint64(class), n))
+	return ctx.Emit(uint64(class), pairPayload(ctx, uint64(class), n))
 }
 
 // Terminate implements Operator.
@@ -263,7 +263,7 @@ func (j *Join) Process(ctx Context, e event.Event) error {
 	if side == 1 {
 		mine, other = other, mine
 	}
-	return ctx.Emit(e.Key, EncodePair(mine, other))
+	return ctx.Emit(e.Key, pairPayload(ctx, mine, other))
 }
 
 // Terminate implements Operator.
@@ -312,7 +312,7 @@ func (s *SketchOp) Process(ctx Context, e event.Event) error {
 	if err != nil {
 		return err
 	}
-	return ctx.Emit(e.Key, EncodeValue(uint64(est)))
+	return ctx.Emit(e.Key, valuePayload(ctx, uint64(est)))
 }
 
 // Terminate implements Operator.

@@ -61,11 +61,15 @@ func EncodeMessage(dst []byte, m Message) []byte {
 // DecodeMessage parses one frame from src, returning the message and bytes
 // consumed. Single-event payloads are copied (frames outlive read
 // buffers). Batched event payloads are NOT copied: they alias src — the
-// zero-copy path. ReadMessage allocates a fresh buffer per frame and
-// never reuses it, so batch events decoded through it own their backing
-// array collectively; callers decoding from a reused buffer must clone
-// batch events before the next frame overwrites it.
+// zero-copy path; callers decoding from a reused buffer must clone batch
+// events before the next frame overwrites it.
 func DecodeMessage(src []byte) (Message, int, error) {
+	return decode(src, true)
+}
+
+// decode is DecodeMessage; without detach a single event's payload aliases
+// src as a batch's do, for a caller that hands src over with the message.
+func decode(src []byte, detach bool) (Message, int, error) {
 	if len(src) < 5 {
 		return Message{}, 0, event.ErrShortBuffer
 	}
@@ -87,7 +91,10 @@ func DecodeMessage(src []byte) (Message, int, error) {
 		if err != nil {
 			return Message{}, 0, fmt.Errorf("decode event frame: %w", err)
 		}
-		m.Event = e.Clone() // detach from the read buffer
+		if detach {
+			e = e.Clone()
+		}
+		m.Event = e
 	case MsgEventBatch:
 		evs, n, err := event.DecodeBatch(body)
 		if err != nil {
@@ -149,7 +156,9 @@ func WriteMessage(w io.Writer, m Message) error {
 	return nil
 }
 
-// ReadMessage reads one complete frame from r.
+// ReadMessage reads one complete frame from r, into a fresh buffer it never
+// reuses: the events decoded from it, one or a batch, alias that buffer and
+// own it collectively.
 func ReadMessage(r io.Reader) (Message, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -164,6 +173,6 @@ func ReadMessage(r io.Reader) (Message, error) {
 	if _, err := io.ReadFull(r, body[4:]); err != nil {
 		return Message{}, err
 	}
-	m, _, err := DecodeMessage(body)
+	m, _, err := decode(body, false)
 	return m, err
 }

@@ -78,6 +78,35 @@ func TestDecodedEventDetached(t *testing.T) {
 	}
 }
 
+// TestReadMessageEventAllocs: reading a single EVENT costs the frame buffer
+// and the length prefix (which escapes through the io.Reader) and no third
+// allocation — the payload aliases the buffer, as a batch's payloads do, and
+// since the buffer is the frame's alone it is as detached from the stream as
+// the copy DecodeMessage makes (and keeps making).
+func TestReadMessageEventAllocs(t *testing.T) {
+	frame := EncodeMessage(nil, Message{Type: MsgEvent, Event: sampleEvent()})
+	const runs = 200
+	stream := bytes.Repeat(frame, runs+1) // AllocsPerRun adds a warm-up run
+	r := bytes.NewReader(stream)
+	var got Message
+	allocs := testing.AllocsPerRun(runs, func() {
+		var err error
+		if got, err = ReadMessage(r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("ReadMessage allocated %.0f for a single EVENT, want 2: the length prefix and the frame buffer", allocs)
+	}
+	clear(stream)
+	if string(got.Event.Payload) != "hello" {
+		t.Error("the event read last aliases the stream")
+	}
+	if allocs := testing.AllocsPerRun(runs, func() { got, _, _ = DecodeMessage(frame) }); allocs != 1 {
+		t.Errorf("DecodeMessage allocated %.0f for a single EVENT, want 1: the detached payload", allocs)
+	}
+}
+
 func TestStreamReadWrite(t *testing.T) {
 	var buf bytes.Buffer
 	msgs := []Message{
