@@ -75,12 +75,14 @@ WORKLOAD ?= pipe2-sat
 bench-pairs:
 	scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(SEEDS)
 
-# bench-profile is where the "what one hop allocates" and "where the CPU
-# goes" tables of docs/PERFORMANCE.md come from: one run of WORKLOAD under
-# the allocation (KIND=alloc) or CPU (KIND=cpu) profiler, added to a
-# temporary copy of the tree so that nothing under bench/ changes, and
-# `go tool pprof -top` with its shares already multiplied by the run's
-# allocs_per_event or cpu_us_per_event. About half a minute.
+# bench-profile is where the "what one hop allocates", "where the CPU goes"
+# and "where the locks wait" tables of docs/PERFORMANCE.md come from: one run
+# of WORKLOAD under the allocation (KIND=alloc), CPU (KIND=cpu), mutex
+# (KIND=mutex) or block (KIND=block) profiler, added to a temporary copy of
+# the tree so that nothing under bench/ changes, and `go tool pprof -top`
+# with its shares already multiplied by the run's allocs_per_event or
+# cpu_us_per_event, or its delays divided by the finalized events. About
+# half a minute.
 SEED ?= 12
 KIND ?= alloc
 bench-profile:
@@ -94,15 +96,20 @@ bench-profile:
 # transaction; a long run's tasks are spread over blocks and nothing can
 # tell), the three tests of what is cut from a slab (a payload, a sent
 # version and a queued FINALIZE run keep their bytes whatever their maker
-# does next) and the tests of recovery's one read path (scanner required, scan
+# does next), the tests of recovery's one read path (scanner required, scan
 # order, what the disk holds, no early ACK for a duplicate of an
-# uncheckpointed commit), twenty race-detected runs each with one, two and
-# eight Ps. It is not a CI job yet: the engine's known finality and recovery
-# bugs (ROADMAP open item 1, which lists the failing seeds) keep it from
-# being 60/60 green at any commit, this one and its parent alike.
+# uncheckpointed commit), the two tests of what a queued run and a
+# restore hand on (one run and one log append a stretch of one input's
+# frames; restored outputs re-sent until ACKed) and the two of control
+# frames that overtake the events they name (a REVOKE drops its whole
+# incarnation; a FINALIZE for a cancelled task waits for the re-emission),
+# twenty race-detected runs each with one, two and eight Ps. It is not a CI
+# job yet: the engine's known finality and recovery bugs (ROADMAP open item
+# 1, which lists the failing seeds) keep it from being 60/60 green at any
+# commit, this one and its parent alike.
 race-core-equiv:
 	for p in 1 2 8; do \
-		GOMAXPROCS=$$p go test -race -count=20 -run 'TestBatchSizeEquivalence|TestBatchCommitGrouping|TestAttemptScratchReuseSafety|TestReexecutionBuysItsOwnTx|TestLongRunSplitsTaskBlocks|TestPayloadBytesAreHandedOutOnce|TestReexecutionLeavesSentVersionAlone|TestQueuedFinalizeRunIsOwned|TestRecoverNeedsLogScanner|TestRecoveryScanOrderTwoDisks|TestRecoveryReadsWhatTheDiskHolds|TestDupOfUncheckpointedCommitNotAcked' ./internal/core || exit 1; \
+		GOMAXPROCS=$$p go test -race -count=20 -run 'TestBatchSizeEquivalence|TestBatchCommitGrouping|TestAttemptScratchReuseSafety|TestReexecutionBuysItsOwnTx|TestLongRunSplitsTaskBlocks|TestPayloadBytesAreHandedOutOnce|TestReexecutionLeavesSentVersionAlone|TestQueuedFinalizeRunIsOwned|TestRecoverNeedsLogScanner|TestRecoveryScanOrderTwoDisks|TestRecoveryReadsWhatTheDiskHolds|TestDupOfUncheckpointedCommitNotAcked|TestQueuedFramesAdmitAsOneRun|TestRestoredOutputsAreReleased|TestEarlyRevokeDropsItsIncarnation|TestFinalizeOfReemissionAfterCancel' ./internal/core || exit 1; \
 	done
 
 # trace-e2e runs a traced two-worker cluster as real processes and pipes

@@ -93,7 +93,7 @@ func (n *node) admitRun(input int, evs []event.Event) {
 		// event cleared the data lane kills exactly this incarnation; an
 		// early FINALIZE for this version marks it final on arrival.
 		// (Stashes are written and consumed only on the dispatcher.)
-		if n.takePendRevoke(id) {
+		if n.takePendRevoke(&ev) {
 			continue
 		}
 		n.takePendFin(&ev)
@@ -173,16 +173,17 @@ func (n *node) admitRun(input int, evs []event.Event) {
 	a.planned, a.fresh, a.deferred = planned[:0], fresh[:0], deferred[:0]
 }
 
-// takePendRevoke consumes one early REVOKE stashed for id, reporting
-// whether there was one. Caller holds n.mu.
-func (n *node) takePendRevoke(id event.ID) bool {
-	c, _ := n.pendRevoke.get(id)
-	if c > 1 {
-		n.pendRevoke.put(id, c-1)
-	} else {
-		n.pendRevoke.delete(id)
+// takePendRevoke reports whether an early REVOKE stashed for ev's ID drops
+// it, consuming the stash at the version it names. Caller holds n.mu.
+func (n *node) takePendRevoke(ev *event.Event) bool {
+	vs, ok := n.pendRevoke.get(ev.ID)
+	if ok && ev.Version >= vs[0] {
+		n.pendRevoke.delete(ev.ID)
+		if len(vs) > 1 {
+			n.pendRevoke.put(ev.ID, vs[1:])
+		}
 	}
-	return c > 0
+	return ok
 }
 
 // takePendFin consumes an early FINALIZE stashed for ev's ID unless it is
@@ -241,7 +242,7 @@ func (n *node) applyReplacement(t *task, ev event.Event) {
 	// normal replacement logic, so an early FINALIZE/REVOKE lands exactly
 	// as if it had arrived in order.
 	n.mu.Lock()
-	revoked := n.takePendRevoke(ev.ID)
+	revoked := n.takePendRevoke(&ev)
 	if !revoked {
 		n.takePendFin(&ev)
 	}
@@ -319,9 +320,9 @@ type finHit struct {
 // for all the task lookups and one committer wakeup for the whole run. A
 // notice whose task is not admitted yet overtook its event on the control
 // lane (the event is still in the data lane, or in flight behind a credit
-// gate); one for a newer incarnation is ahead of the replacement queued
-// behind it. Both are stashed in pendFin, and admission applies them on
-// arrival.
+// gate); one for a newer version, or for a cancelled task, is ahead of the
+// replacement or re-emission queued behind it. All are stashed in pendFin,
+// and admission applies them on arrival.
 func (n *node) finalizeRun(refs []transport.FinalizeRef) {
 	hits := n.finHits[:0]
 	defer func() {
@@ -342,11 +343,11 @@ func (n *node) finalizeRun(refs []transport.FinalizeRef) {
 		t := h.t
 		t.mu.Lock()
 		switch {
-		case t.ev.Version == h.ver && !t.evFinal:
+		case t.state != taskCancelled && t.ev.Version == h.ver && !t.evFinal:
 			t.evFinal = true
 			t.ev.Speculative = false
 			finalized = true
-		case h.ver > t.ev.Version:
+		case t.state == taskCancelled || h.ver > t.ev.Version:
 			n.mu.Lock()
 			if !n.committed.has(t.ev.ID) {
 				n.pendFin.put(t.ev.ID, h.ver)
@@ -365,21 +366,27 @@ func (n *node) finalizeRun(refs []transport.FinalizeRef) {
 func (n *node) handleRevoke(m transport.Message) {
 	n.mu.Lock()
 	t, ok := n.tasks.get(m.ID)
-	if !ok {
-		// The REVOKE overtook its event on the control lane. Count it so
-		// admission drops exactly one queued incarnation on arrival.
+	n.mu.Unlock()
+	early := !ok
+	if ok {
+		t.mu.Lock()
+		early = t.state == taskCancelled || t.ev.Version < m.Version
+		t.mu.Unlock()
+	}
+	if early { // it overtook events of the incarnation it names: stash it
+		n.mu.Lock()
 		if !n.committed.has(m.ID) {
-			c, _ := n.pendRevoke.get(m.ID)
-			n.pendRevoke.put(m.ID, c+1)
+			vs, _ := n.pendRevoke.get(m.ID)
+			n.pendRevoke.put(m.ID, append(vs, m.Version))
 		}
 		n.mu.Unlock()
-		return
 	}
-	n.mu.Unlock()
-	// The revoker (the event's source operator) caused whatever work this
-	// cancellation wastes; charge it on the caused-by side of the ledger.
-	n.eng.causedBy(m.ID.Source)
-	n.cancelTask(t, "revoke")
+	if ok {
+		// The revoker (the event's source operator) caused whatever work this
+		// cancellation wastes; charge it on the caused-by side of the ledger.
+		n.eng.causedBy(m.ID.Source)
+		n.cancelTask(t, "revoke")
+	}
 }
 
 // cancelTask aborts and retires a task; cause ("revoke" or "error") feeds
@@ -477,16 +484,11 @@ func (n *node) ackRun(refs []transport.FinalizeRef) {
 // first, with its current speculation state. Nodes that already saw an
 // event drop it as a duplicate (and re-ACK).
 func (n *node) handleReplay() {
-	n.mu.Lock()
-	recs := make([]*outRecord, 0, n.outBuf.len())
-	n.outBuf.each(func(_ event.ID, r *outRecord) { recs = append(recs, r) })
-	n.mu.Unlock()
+	recs := n.bufferedOutputs()
 	if m := n.eng.met; m != nil {
 		m.replays.Inc()
 		m.replayed.Add(uint64(len(recs)))
 	}
-	// Oldest first so downstream admission order approximates the original.
-	slices.SortFunc(recs, func(a, b *outRecord) int { return cmp.Compare(a.seq, b.seq) })
 	for _, rec := range recs {
 		spec := !rec.finalSent.Load()
 		if tr := n.eng.tracer; tr != nil {
@@ -501,6 +503,17 @@ func (n *node) handleReplay() {
 			Event: rec.toEvent(spec),
 		})
 	}
+}
+
+// bufferedOutputs lists the output buffer oldest first, so that downstream
+// admission order approximates the original when it is re-sent.
+func (n *node) bufferedOutputs() []*outRecord {
+	n.mu.Lock()
+	recs := make([]*outRecord, 0, n.outBuf.len())
+	n.outBuf.each(func(_ event.ID, r *outRecord) { recs = append(recs, r) })
+	n.mu.Unlock()
+	slices.SortFunc(recs, func(a, b *outRecord) int { return cmp.Compare(a.seq, b.seq) })
+	return recs
 }
 
 // handleReexec re-dispatches a task whose transaction was aborted.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -100,28 +101,77 @@ func TestFinalizeBatchZeroAlloc(t *testing.T) {
 	}
 }
 
+// popDispatch is one dispatcher turn: it pops the next item into run, the
+// caller's scratch, and dispatches it. It reports how many input events the
+// turn admitted, and returns the scratch for the next turn.
+func popDispatch(t testing.TB, n *node, run []event.Event) ([]event.Event, int) {
+	it, evs, ok := n.mailbox.Pop(run)
+	if !ok {
+		t.Fatal("mailbox closed")
+	}
+	n.dispatch(it, evs)
+	return evs, len(evs)
+}
+
 // TestAdmitRunOfOneAllocs pins what admitting a run of one costs on a
 // stateful node, decision-log append included: the task and the stability
 // callback, then the log's encoded buffer and its own callback — and the
 // harness's payload. The detached payload and the input record are cut from
-// the dispatcher's slabs; the frame itself is queued and dispatched by value.
+// the dispatcher's slabs; the frame itself is queued by value and popped
+// into the dispatcher's scratch run.
 func TestAdmitRunOfOneAllocs(t *testing.T) {
 	const want = 5 // 7 while the payload and the record were allocations of their own
 	eng, _, pool, _ := buildBatchPipeline(t, nil, nil)
 	defer pool.Close()
 	n := eng.nodes[1] // stage0: a stateful Classifier
 	seq := event.Seq(0)
+	run := make([]event.Event, 0, 1)
 	allocs := testing.AllocsPerRun(500, func() {
 		seq++
-		n.handleMessage(transport.Message{Type: transport.MsgEvent, Event: event.Event{
+		n.mailbox.Push(transport.Message{Type: transport.MsgEvent, Event: event.Event{
 			ID: event.ID{Source: 0, Seq: seq}, Key: uint64(seq), Payload: operator.EncodeValue(uint64(seq)),
 		}})
+		run, _ = popDispatch(t, n, run)
 	})
 	if int(n.cDispatched.Load()) != 501 {
 		t.Fatalf("admitted %d events, want 501", n.cDispatched.Load())
 	}
 	if allocs > want {
 		t.Errorf("admitting a run of one allocated %.1f per event, want at most %d", allocs, want)
+	}
+}
+
+// TestAdmitQueuedRunAllocs is the same hop when the frames queue: 32 single
+// EVENT frames waiting on one input leave the mailbox in one Pop and are
+// admitted as one run — one n.mu hold, one decision-log append, one wake —
+// so what TestAdmitRunOfOneAllocs pays per event is paid per run (two task
+// blocks for 32 tasks, the stability callback, the log's buffer and its
+// callback), and the harness's payloads are the rest.
+func TestAdmitQueuedRunAllocs(t *testing.T) {
+	const runs, frames = 100, 32
+	eng, _, pool, _ := buildBatchPipeline(t, nil, nil)
+	defer pool.Close()
+	n := eng.nodes[1]
+	payload := operator.EncodeValue(1)
+	seq := event.Seq(0)
+	run := make([]event.Event, 0, maxAdmitRun)
+	allocs := mallocsPerRun(runs, func() {
+		for i := 0; i < frames; i++ {
+			seq++
+			n.mailbox.Push(transport.Message{Type: transport.MsgEvent, Event: event.Event{
+				ID: event.ID{Source: 0, Seq: seq}, Key: uint64(seq), Payload: payload,
+			}})
+		}
+		var admitted int
+		if run, admitted = popDispatch(t, n, run); admitted != frames {
+			t.Fatalf("one pop took %d of %d queued frames", admitted, frames)
+		}
+	})
+	if got := n.cDispatched.Load(); got != (runs+1)*frames {
+		t.Fatalf("admitted %d events, want %d", got, (runs+1)*frames)
+	}
+	if perEvent := allocs / frames; perEvent > 0.3 {
+		t.Errorf("a queued run of %d allocated %.2f per event, want at most 0.3", frames, perEvent)
 	}
 }
 
@@ -170,12 +220,15 @@ func TestExecutePublishAllocs(t *testing.T) {
 	}
 	ctx := new(procCtx)
 	next := 0
+	var run []event.Event
 	allocs := testing.AllocsPerRun(runs, func() {
 		n.runTask(&block[next], ctx)
 		next++
-		if it, ok := down.mailbox.Pop(); !ok || it.msg.Type != transport.MsgEvent {
+		it, evs, ok := down.mailbox.Pop(run)
+		if !ok || it.msg.Type != transport.MsgEvent || len(evs) != 1 {
 			t.Fatalf("task %d published %v, want one EVENT", next, it.msg.Type)
 		}
+		run = evs
 	})
 	for i := range block {
 		if tk := &block[i]; tk.state != taskOpen || tk.tx != &tk.tx0 || len(tk.sent) != 1 || tk.sent[0] != &tk.rec0 {
@@ -208,8 +261,10 @@ func TestRunOfEightFirstAttemptsAllocs(t *testing.T) {
 	}
 	ctx := new(procCtx)
 	next := 0
+	scratch, published := make([]event.Event, 0, maxAdmitRun), make([]event.Event, 0, run)
 	allocs := testing.AllocsPerRun(runs, func() {
-		n.handleMessage(eventFrame(frames[next]))
+		n.mailbox.Push(eventFrame(frames[next]))
+		scratch, _ = popDispatch(t, n, scratch)
 		next++
 		for i := 0; i < run; i++ {
 			tk, _ := n.execQ.Pop()
@@ -217,9 +272,11 @@ func TestRunOfEightFirstAttemptsAllocs(t *testing.T) {
 			if tk.tx != &tk.tx0 || tk.sent[0] != &tk.rec0 {
 				t.Fatalf("task %d is not open with its inline transaction and record", tk.seq)
 			}
-			if it, ok := down.mailbox.Pop(); !ok || it.msg.Type != transport.MsgEvent {
-				t.Fatalf("task %d published %v, want one EVENT", tk.seq, it.msg.Type)
-			}
+		}
+		// The run's outputs are queued downstream as single EVENT frames, and
+		// leave its mailbox as one run.
+		if it, evs, ok := down.mailbox.Pop(published); !ok || it.msg.Type != transport.MsgEvent || len(evs) != run {
+			t.Fatalf("the run published %v with %d events, want %d single EVENT frames", it.msg.Type, len(evs), run)
 		}
 	})
 	if got := n.cExecuted.Load(); got != (runs+1)*run {
@@ -265,7 +322,7 @@ func TestLongRunSplitsTaskBlocks(t *testing.T) {
 			frame = append(frame, frame[i/2]) // names a live task: no new one
 		}
 	}
-	n.handleMessage(eventFrame(frame))
+	n.admitRun(0, frame)
 
 	n.mu.Lock()
 	tasks := make([]*task, n.open.n)
@@ -339,6 +396,241 @@ func TestLongRunSplitsTaskBlocks(t *testing.T) {
 	}
 }
 
+// committedOut is one output a node committed, as its output buffer holds it.
+type committedOut struct {
+	id      event.ID
+	version event.Version
+	payload string
+	final   bool
+}
+
+// admitted is what admitFrames observed of one way of admitting frames.
+type admitted struct {
+	appends int
+	outputs []committedOut
+}
+
+// admitFrames feeds frames to a four-class Classifier on two inputs that
+// the test drives itself — dispatcher, worker and committer. queued pushes
+// them all before the first pop, as frames pile up behind a busy dispatcher;
+// otherwise each is popped and dispatched as soon as it is pushed. Either
+// way the tasks must hold the frames' sequence in arrival order and the
+// input records must be logged in it; it reports the decision-log appends
+// and the committed outputs.
+func admitFrames(t *testing.T, frames []transport.Message, queued bool) admitted {
+	g := graph.New()
+	src0, src1 := g.AddNode(graph.Node{Name: "src0"}), g.AddNode(graph.Node{Name: "src1"})
+	cls := g.AddNode(graph.Node{
+		Name: "cls", Op: &operator.Classifier{Classes: 4},
+		Traits: operator.ClassifierTraits(4), Speculative: true,
+	})
+	sink := g.AddNode(graph.Node{Name: "sink", Op: &operator.Passthrough{}})
+	g.Connect(src0, 0, cls, 0)
+	g.Connect(src1, 0, cls, 1)
+	g.Connect(cls, 0, sink, 0)
+	disk := storage.NewMemDisk()
+	pool := storage.NewPool([]storage.Disk{disk})
+	t.Cleanup(func() { pool.Close() })
+	eng, err := New(g, Options{Seed: 7, Pool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := eng.nodes[cls]
+	if err := n.spec.Op.Init(initContext{n: n}); err != nil {
+		t.Fatal(err)
+	}
+	appends := &metrics.Counter{}
+	n.log.SetMetrics(&wal.LogMetrics{Appends: appends})
+
+	var run []event.Event
+	for _, f := range frames {
+		n.mailbox.Push(f)
+		if !queued {
+			run, _ = popDispatch(t, n, run)
+		}
+	}
+	for n.mailbox.Len() > 0 {
+		run, _ = popDispatch(t, n, run)
+	}
+
+	if n.open.n != len(frames) {
+		t.Fatalf("%d tasks open after %d frames", n.open.n, len(frames))
+	}
+	for i, f := range frames {
+		if tk := n.open.at(i); tk.seq != int64(i+1) || tk.ev.ID != f.Event.ID {
+			t.Fatalf("task %d is seq %d for %s, want seq %d for %s", i, tk.seq, tk.ev.ID, i+1, f.Event.ID)
+		}
+	}
+	last := n.open.at(len(frames) - 1)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		last.mu.Lock()
+		pending := last.pendingLogs
+		last.mu.Unlock()
+		if pending == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the input records never became stable")
+		}
+	}
+	recs, err := memScanner(disk)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.SortFunc(recs, func(a, b wal.Record) int { return cmp.Compare(a.LSN, b.LSN) })
+	var logged []event.ID
+	for _, r := range recs {
+		if r.Kind == wal.KindInput {
+			logged = append(logged, r.Event)
+		}
+	}
+	for i, f := range frames {
+		if i >= len(logged) || logged[i] != f.Event.ID {
+			t.Fatalf("input record %d of %d names %v, want %s: not logged in arrival order", i, len(logged), logged[min(i, len(logged)-1)], f.Event.ID)
+		}
+	}
+
+	ctx := new(procCtx)
+	for range frames {
+		tk, _ := n.execQ.Pop()
+		n.runTask(tk, ctx)
+	}
+	for turns := 0; n.cCommitted.Load() < uint64(len(frames)); turns++ {
+		if turns == len(frames) {
+			t.Fatalf("%d of %d tasks committed in %d committer turns", n.cCommitted.Load(), len(frames), turns)
+		}
+		n.commitBatch(len(frames))
+	}
+	var out admitted
+	out.appends = int(appends.Value())
+	for _, rec := range n.bufferedOutputs() {
+		out.outputs = append(out.outputs, committedOut{rec.id, rec.version, string(rec.payload), rec.finalSent.Load()})
+	}
+	return out
+}
+
+// TestQueuedFramesAdmitAsOneRun: 64 single EVENT frames from two inputs,
+// interleaved in stretches and queued while the dispatcher is held, leave
+// the mailbox one run per stretch, and each run is one decision-log append.
+// The input records and the task sequences are in arrival order, and the
+// node commits the same outputs as when every frame is admitted the moment
+// it arrives — one append each.
+func TestQueuedFramesAdmitAsOneRun(t *testing.T) {
+	stretches := []int{5, 3, 1, 7, 2, 9, 4, 1, 6, 8, 3, 2, 13} // inputs 0 and 1 in turn
+	var frames []transport.Message
+	for s, k := range stretches {
+		for i := 0; i < k; i++ {
+			key := uint64(len(frames))
+			frames = append(frames, transport.Message{Type: transport.MsgEvent, Input: s % 2, Event: event.Event{
+				ID: event.ID{Source: event.SourceID(s%2 + 1), Seq: event.Seq(key + 1)}, Key: key, Payload: operator.EncodeValue(key),
+			}})
+		}
+	}
+	if len(frames) != 64 {
+		t.Fatalf("%d frames, want 64", len(frames))
+	}
+	queued, alone := admitFrames(t, frames, true), admitFrames(t, frames, false)
+	if queued.appends != len(stretches) || alone.appends != len(frames) {
+		t.Errorf("decision-log appends: %d queued, %d one frame at a time; want %d (one a stretch) and %d",
+			queued.appends, alone.appends, len(stretches), len(frames))
+	}
+	if len(queued.outputs) != len(frames) || !slices.Equal(queued.outputs, alone.outputs) {
+		t.Errorf("committed outputs differ:\nqueued %v\nalone  %v", queued.outputs, alone.outputs)
+	}
+	for _, o := range queued.outputs {
+		if !o.final {
+			t.Fatalf("output %s committed but not sent final", o.id)
+		}
+	}
+}
+
+// incarnationFrames builds the frames an upstream sends for one output ID:
+// a version of its event, a FINALIZE or a REVOKE of a version.
+func incarnationFrames(id event.ID) (evAt func(v event.Version, key uint64) transport.Message, ctl func(typ transport.MsgType, v event.Version) transport.Message) {
+	evAt = func(v event.Version, key uint64) transport.Message {
+		return transport.Message{Type: transport.MsgEvent, Event: event.Event{
+			ID: id, Version: v, Key: key, Payload: operator.EncodeValue(key), Speculative: true,
+		}}
+	}
+	ctl = func(typ transport.MsgType, v event.Version) transport.Message {
+		return transport.Message{Type: typ, ID: id, Version: v}
+	}
+	return evAt, ctl
+}
+
+// TestEarlyRevokeDropsItsIncarnation: a REVOKE names the last version of
+// the incarnation it ends, and drops every event of it that it overtook.
+// First an output's versions 0 and 1 are both queued behind its REVOKE.
+// Then an output goes through versions 0, 1 and 2 and is revoked, then
+// re-emitted at version 0 and revoked again; downstream holds the task at
+// version 1 when both REVOKEs overtake the events still queued behind them
+// (version 2 and the re-emission), and the cancelled task is retired before
+// those arrive. The first REVOKE cancels the task and the rest of its
+// incarnation, the second the re-emission. Either way nothing is left open
+// to wait for a FINALIZE that never comes.
+func TestEarlyRevokeDropsItsIncarnation(t *testing.T) {
+	n, _ := classifierHop(t, 4)
+	var run []event.Event
+	evAt, ctl := incarnationFrames(event.ID{Source: 1, Seq: 6})
+	for _, m := range []transport.Message{evAt(0, 1), evAt(1, 2), ctl(transport.MsgRevoke, 1)} {
+		n.mailbox.Push(m)
+	}
+	run, _ = popDispatch(t, n, run)
+	run, _ = popDispatch(t, n, run)
+	if n.open.n != 0 {
+		t.Fatalf("%d tasks open, want none: an overtaken version outlived its REVOKE", n.open.n)
+	}
+
+	evAt, ctl = incarnationFrames(event.ID{Source: 1, Seq: 7})
+	for v, key := range []uint64{1, 2} {
+		n.mailbox.Push(evAt(event.Version(v), key))
+		run, _ = popDispatch(t, n, run)
+	}
+	for _, m := range []transport.Message{evAt(2, 3), ctl(transport.MsgRevoke, 2), evAt(0, 4), ctl(transport.MsgRevoke, 0)} {
+		n.mailbox.Push(m)
+	}
+	run, _ = popDispatch(t, n, run) // the two REVOKEs leave first
+	run, _ = popDispatch(t, n, run)
+	n.commitBatch(1) // retires the cancelled task
+	if run, k := popDispatch(t, n, run); k != 2 || len(run) != 2 {
+		t.Fatalf("the queued events left as a run of %d, want both", k)
+	}
+	n.mu.Lock()
+	open, stashed := n.open.n, n.pendRevoke.len()
+	n.mu.Unlock()
+	if open != 0 || stashed != 0 {
+		t.Fatalf("%d tasks open and %d REVOKE stashes left, want none: a revoked incarnation was admitted", open, stashed)
+	}
+}
+
+// TestFinalizeOfReemissionAfterCancel: a task is cancelled by the REVOKE of
+// its incarnation, and the upstream re-emits the output at version 0 and
+// finalizes it at once. The FINALIZE overtakes the re-emission while the
+// cancelled task still holds the ID; it is for the event queued behind, so
+// the re-emission is admitted final.
+func TestFinalizeOfReemissionAfterCancel(t *testing.T) {
+	n, _ := classifierHop(t, 4)
+	evAt, ctl := incarnationFrames(event.ID{Source: 1, Seq: 7})
+	var run []event.Event
+	for _, m := range []transport.Message{evAt(0, 1), ctl(transport.MsgRevoke, 0)} {
+		n.mailbox.Push(m)
+		run, _ = popDispatch(t, n, run)
+	}
+	n.mailbox.Push(evAt(0, 2))
+	n.mailbox.Push(ctl(transport.MsgFinalize, 0))
+	run, _ = popDispatch(t, n, run) // the FINALIZE leaves first
+	n.commitBatch(1)
+	popDispatch(t, n, run)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.open.n != 1 {
+		t.Fatalf("%d tasks open, want the re-emission's", n.open.n)
+	}
+	if tk := n.open.at(0); !tk.evFinal || tk.ev.Key != 2 {
+		t.Fatalf("the re-emission (key %d) was admitted with evFinal %v, want final", tk.ev.Key, tk.evFinal)
+	}
+}
+
 // TestInjectRunAllocs pins what a source pays to publish a run of eight: its
 // share of the chunks the run's events (the handle's slab) and records (the
 // dispatcher's) are cut from — one allocation in five runs; the run rides
@@ -353,14 +645,15 @@ func TestInjectRunAllocs(t *testing.T) {
 	}
 	srcNode, down := eng.nodes[0], eng.nodes[1]
 	items := make([]BatchItem, 8)
+	run := make([]event.Event, 0, len(items))
 	allocs := testing.AllocsPerRun(300, func() {
 		if _, err := s.EmitBatch(items); err != nil {
 			t.Fatal(err)
 		}
-		it, _ := srcNode.mailbox.Pop()
+		it, _, _ := srcNode.mailbox.Pop(nil)
 		srcNode.handleInject(it.inject)
-		if run, _ := down.mailbox.Pop(); len(run.msg.Events) != 8 {
-			t.Fatalf("downstream got a run of %d, want 8", len(run.msg.Events))
+		if it, evs, _ := down.mailbox.Pop(run); len(it.msg.Events) != 8 || len(evs) != 8 {
+			t.Fatalf("downstream got a run of %d, want 8", len(evs))
 		}
 	})
 	if allocs > want {
@@ -436,7 +729,7 @@ func TestCommitGroupOfEightAllocs(t *testing.T) {
 	openReadyTasks(t, n, 1, (groups+1)*group)
 	allocs := mallocsPerRun(groups, func() {
 		n.commitBatch(group)
-		if it, _ := down.mailbox.Pop(); len(it.msg.Finals) != group {
+		if it, _, _ := down.mailbox.Pop(nil); len(it.msg.Finals) != group {
 			t.Fatalf("downstream got %v with %d references, want a FINALIZE run of %d", it.msg.Type, len(it.msg.Finals), group)
 		}
 	})

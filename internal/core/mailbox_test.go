@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"streammine/internal/event"
+	"streammine/internal/metrics"
 	"streammine/internal/transport"
 )
 
@@ -24,7 +25,7 @@ func TestMailboxFIFO(t *testing.T) {
 			next++
 		}
 		for i := 0; i < round/2; i++ {
-			v, ok := m.Pop()
+			v, _, ok := m.Pop(nil)
 			if !ok || v.msg.ID.Seq != event.Seq(want) {
 				t.Fatalf("Pop = %v, %v, want seq %d", v.msg.ID, ok, want)
 			}
@@ -35,7 +36,7 @@ func TestMailboxFIFO(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", m.Len(), next-want)
 	}
 	for ; want < next; want++ {
-		if v, ok := m.Pop(); !ok || v.msg.ID.Seq != event.Seq(want) {
+		if v, _, ok := m.Pop(nil); !ok || v.msg.ID.Seq != event.Seq(want) {
 			t.Fatalf("Pop = %v, %v, want seq %d", v.msg.ID, ok, want)
 		}
 	}
@@ -50,7 +51,7 @@ func TestMailboxPoppedSlotsCleared(t *testing.T) {
 		m.PushReexec(cmdReexec{t: &task{}})
 	}
 	for m.Len() > 0 {
-		m.Pop()
+		m.Pop(nil)
 	}
 	for _, lane := range []*ring[mailItem]{&m.ctl, &m.data} {
 		for i, it := range lane.buf {
@@ -63,10 +64,12 @@ func TestMailboxPoppedSlotsCleared(t *testing.T) {
 
 // TestMailboxSteadyStateZeroAlloc: at a warm ring, queueing an EVENT, a
 // FINALIZE or a re-execution command allocates nothing — the frame is
-// stored by value, not boxed.
+// stored by value, not boxed — and popping them allocates nothing either:
+// the events of an input frame go to the caller's scratch run.
 func TestMailboxSteadyStateZeroAlloc(t *testing.T) {
 	m := newMailbox()
 	tk := &task{}
+	run := make([]event.Event, 0, 1)
 	push := func() {
 		m.Push(transport.Message{Type: transport.MsgEvent, Event: event.Event{Key: 1}})
 		m.Push(transport.Message{Type: transport.MsgFinalize, Version: 1})
@@ -74,12 +77,12 @@ func TestMailboxSteadyStateZeroAlloc(t *testing.T) {
 	}
 	push() // warm both lanes
 	for m.Len() > 0 {
-		m.Pop()
+		m.Pop(run)
 	}
 	if allocs := testing.AllocsPerRun(200, func() {
 		push()
 		for i := 0; i < 3; i++ {
-			if _, ok := m.Pop(); !ok {
+			if _, _, ok := m.Pop(run); !ok {
 				t.Fatal("Pop failed")
 			}
 		}
@@ -95,7 +98,7 @@ func TestMailboxBlockingPop(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		v, ok := m.Pop()
+		v, _, ok := m.Pop(nil)
 		if ok {
 			got <- v
 		}
@@ -114,16 +117,16 @@ func TestMailboxCloseDrainsThenStops(t *testing.T) {
 	m.Close()
 	// Queued items remain poppable after Close.
 	for want := event.Seq(1); want <= 2; want++ {
-		if v, ok := m.Pop(); !ok || v.msg.ID.Seq != want {
+		if v, _, ok := m.Pop(nil); !ok || v.msg.ID.Seq != want {
 			t.Fatalf("Pop after close = %v, %v", v.msg.ID, ok)
 		}
 	}
-	if _, ok := m.Pop(); ok {
+	if _, _, ok := m.Pop(nil); ok {
 		t.Fatal("Pop on closed empty mailbox returned ok")
 	}
 	// Push after close is a silent no-op.
 	m.Push(ctlMsg(3))
-	if _, ok := m.Pop(); ok {
+	if _, _, ok := m.Pop(nil); ok {
 		t.Fatal("Push after Close enqueued an item")
 	}
 }
@@ -133,7 +136,7 @@ func TestMailboxCloseUnblocksWaiters(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if _, ok := m.Pop(); ok {
+		if _, _, ok := m.Pop(nil); ok {
 			t.Error("Pop returned ok on close")
 		}
 	}()
@@ -160,8 +163,23 @@ func TestMailboxConcurrentProducers(t *testing.T) {
 	}
 }
 
-func dataMsg(seq uint64) transport.Message {
-	return transport.Message{Type: transport.MsgEvent, ID: event.ID{Seq: event.Seq(seq)}}
+// dataMsg is a single EVENT frame on input 0 whose event is numbered seq.
+func dataMsg(seq uint64) transport.Message { return inputMsg(0, seq) }
+
+// inputMsg is a single EVENT frame on the given input whose event is
+// numbered seq.
+func inputMsg(input int, seq uint64) transport.Message {
+	return transport.Message{Type: transport.MsgEvent, Input: input, Event: event.Event{ID: event.ID{Seq: event.Seq(seq)}}}
+}
+
+// batchMsg is an EVENT_BATCH frame on the given input carrying the events
+// numbered from, from+1, ... for n events.
+func batchMsg(input int, from uint64, n int) transport.Message {
+	evs := make([]event.Event, n)
+	for i := range evs {
+		evs[i].ID.Seq = event.Seq(from + uint64(i))
+	}
+	return transport.Message{Type: transport.MsgEventBatch, Input: input, Events: evs}
 }
 
 // TestMailboxControlLanePriority: control messages overtake queued data, so
@@ -180,22 +198,157 @@ func TestMailboxControlLanePriority(t *testing.T) {
 	m.PushReexec(cmdReexec{t: &task{}})
 	wantCtl := []transport.MsgType{transport.MsgFinalize, transport.MsgAck}
 	for _, want := range wantCtl {
-		v, ok := m.Pop()
-		if !ok || v.msg.Type != want {
-			t.Fatalf("Pop = %v (ok=%v), want control %v before any data", v.msg.Type, ok, want)
+		v, evs, ok := m.Pop(nil)
+		if !ok || v.msg.Type != want || len(evs) != 0 {
+			t.Fatalf("Pop = %v (ok=%v) with %d events, want control %v before any data", v.msg.Type, ok, len(evs), want)
 		}
 	}
-	if v, ok := m.Pop(); !ok {
+	if v, _, ok := m.Pop(nil); !ok {
 		t.Fatal("Pop drained early")
 	} else if v.reexec.t == nil {
 		t.Fatalf("Pop = %v, want cmdReexec before data", v.msg.Type)
 	}
-	// Only then the data lane, still FIFO within itself.
-	for i := uint64(0); i < 4; i++ {
-		v, ok := m.Pop()
-		if !ok || v.msg.Type != transport.MsgEvent || v.msg.ID.Seq != event.Seq(i) {
-			t.Fatalf("data Pop %d = %v %v", i, v.msg.Type, v.msg.ID)
+	// Only then the data lane, still FIFO within itself: one input's frames
+	// leave as one run.
+	v, evs, ok := m.Pop(nil)
+	if !ok || v.msg.Type != transport.MsgEvent || len(evs) != 4 {
+		t.Fatalf("data Pop = %v with %d events, want the run of 4", v.msg.Type, len(evs))
+	}
+	for i, ev := range evs {
+		if ev.ID.Seq != event.Seq(i) {
+			t.Fatalf("event %d of the run is seq %d", i, ev.ID.Seq)
 		}
+	}
+}
+
+// TestMailboxRunBoundaries: a run is the data item at the head and the
+// EVENT frames queued right behind it for the same input, in arrival order.
+// It never spans two inputs, a source injection or more than maxAdmitRun
+// events — a frame that would take it past the cap starts the next run —
+// and a control item pushed before the Pop leaves ahead of it.
+func TestMailboxRunBoundaries(t *testing.T) {
+	m := newMailbox()
+	seq := uint64(1)
+	singles := func(input, n int) {
+		for i := 0; i < n; i++ {
+			m.Push(inputMsg(input, seq))
+			seq++
+		}
+	}
+	batch := func(input, n int) {
+		m.Push(batchMsg(input, seq, n))
+		seq += uint64(n)
+	}
+	singles(0, 3)
+	singles(1, 2)
+	batch(0, 2)
+	m.PushInject(make([]event.Event, 1))
+	singles(0, maxAdmitRun+6)
+	singles(1, maxAdmitRun-4)
+	batch(1, 8)
+	m.Push(transport.Message{Type: transport.MsgFinalize})
+
+	type want struct{ input, events int } // events 0: not a run
+	wants := []want{{-1, 0}, {0, 3}, {1, 2}, {0, 2}, {-1, 0}, {0, maxAdmitRun}, {0, 6}, {1, maxAdmitRun - 4}, {1, 8}}
+	next := uint64(1)
+	var run []event.Event
+	for i, w := range wants {
+		it, evs, ok := m.Pop(run)
+		if !ok {
+			t.Fatalf("pop %d: mailbox closed", i)
+		}
+		switch {
+		case i == 0 && it.msg.Type != transport.MsgFinalize:
+			t.Fatalf("pop 0 is %v, want the FINALIZE pushed behind the data", it.msg.Type)
+		case i == 4 && len(it.inject) != 1:
+			t.Fatalf("pop 4 carries %d injected events, want the injection alone", len(it.inject))
+		case len(evs) != w.events || w.events > 0 && it.msg.Input != w.input:
+			t.Fatalf("pop %d: a run of %d on input %d, want %d on input %d", i, len(evs), it.msg.Input, w.events, w.input)
+		}
+		for _, ev := range evs {
+			if ev.ID.Seq != event.Seq(next) {
+				t.Fatalf("pop %d: seq %d where %d was next in arrival order", i, ev.ID.Seq, next)
+			}
+			next++
+		}
+		run = evs
+	}
+	if m.Len() != 0 {
+		t.Fatalf("%d items left queued", m.Len())
+	}
+}
+
+// TestMailboxRunAccounting: popping runs reports what popping one item at a
+// time would — the data lane's occupancy after each pop, its high-water
+// mark, and one queueing-delay observation per frame.
+func TestMailboxRunAccounting(t *testing.T) {
+	m := newMailbox()
+	qdelay := metrics.NewHDR()
+	m.SetQueueDelay(qdelay)
+	frames, events := 0, 0
+	for i := 0; i < 50; i++ {
+		if i%7 == 3 {
+			m.Push(batchMsg(i%2, uint64(events), 5))
+			events += 5
+		} else {
+			m.Push(inputMsg(i/10%2, uint64(events)))
+			events++
+		}
+		frames++
+	}
+	if h := m.DataHighWater(); h != events {
+		t.Fatalf("DataHighWater = %d, want %d", h, events)
+	}
+	left := events
+	for m.Len() > 0 {
+		_, evs, _ := m.Pop(nil)
+		left -= len(evs)
+		if d := m.DataDepth(); d != left {
+			t.Fatalf("DataDepth = %d after a run of %d, want %d", d, len(evs), left)
+		}
+	}
+	if left != 0 || m.DataHighWater() != events {
+		t.Fatalf("%d events never popped, high-water %d; want 0 and %d", left, m.DataHighWater(), events)
+	}
+	if got := qdelay.Count(); got != uint64(frames) {
+		t.Fatalf("%d queueing delays observed, want one per frame: %d", got, frames)
+	}
+}
+
+// grantCounter is a creditGranter that counts what it is asked to grant.
+type grantCounter struct{ grants, credits int }
+
+func (g *grantCounter) grant(n int) { g.grants++; g.credits += n }
+
+// TestQueuedRunGrantsItsCredits: the dispatcher returns a run's credits to
+// its input's sender once, and for exactly the events it popped.
+func TestQueuedRunGrantsItsCredits(t *testing.T) {
+	n, _ := classifierHop(t, 128)
+	g := &grantCounter{}
+	n.granters[0] = g
+	events := 0
+	for i := 0; i < 40; i++ {
+		if i%5 == 0 {
+			n.mailbox.Push(batchMsg(0, uint64(events+1), 4))
+			events += 4
+		} else {
+			n.mailbox.Push(inputMsg(0, uint64(events+1)))
+			events++
+		}
+	}
+	var run []event.Event
+	pops, popped := 0, 0
+	for n.mailbox.Len() > 0 {
+		var k int
+		run, k = popDispatch(t, n, run)
+		pops, popped = pops+1, popped+k
+	}
+	if popped != events || g.credits != events || g.grants != pops {
+		t.Fatalf("%d events popped in %d runs; %d credits granted in %d grants; want %d events, one grant a run",
+			popped, pops, g.credits, g.grants, events)
+	}
+	if got := n.cDispatched.Load(); got != uint64(events) {
+		t.Fatalf("admitted %d events, want %d", got, events)
 	}
 }
 
@@ -218,8 +371,9 @@ func TestMailboxDataAccounting(t *testing.T) {
 	if o := m.Overflows(); o != 2 {
 		t.Fatalf("Overflows = %d, want 2 (pushes 3 and 4 beyond cap 2)", o)
 	}
-	for i := 0; i < 4; i++ {
-		if _, ok := m.Pop(); !ok {
+	// The injection, then the three frames as one run.
+	for i := 0; i < 2; i++ {
+		if _, _, ok := m.Pop(nil); !ok {
 			t.Fatalf("Pop %d failed", i)
 		}
 	}
@@ -252,7 +406,7 @@ func TestMailboxReopenDiscardsBothLanes(t *testing.T) {
 		t.Fatalf("Len after Reopen = %d, want 0", m.Len())
 	}
 	m.Push(dataMsg(2))
-	if v, ok := m.Pop(); !ok || v.msg.ID.Seq != 2 {
-		t.Fatalf("reopened mailbox Pop = %v, %v", v.msg.ID, ok)
+	if v, _, ok := m.Pop(nil); !ok || v.msg.Event.ID.Seq != 2 {
+		t.Fatalf("reopened mailbox Pop = %v, %v", v.msg.Event.ID, ok)
 	}
 }

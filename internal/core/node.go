@@ -108,11 +108,11 @@ type node struct {
 	// pendFin and pendRevoke (guarded by mu) absorb control-lane
 	// reordering: with lane-separated mailboxes a FINALIZE or REVOKE can
 	// be processed before its EVENT clears the data lane. Early
-	// finalizations are stashed by version; early revocations are
-	// counted (one REVOKE consumes exactly one queued incarnation of the
-	// event, and incarnations arrive in FIFO order on the data lane).
+	// finalizations are stashed by version; early revocations by the
+	// version each names, the last of the incarnation whose queued events
+	// it drops (incarnations arrive in FIFO order on the data lane).
 	pendFin    idTable[event.Version]
-	pendRevoke idTable[int]
+	pendRevoke idTable[[]event.Version]
 
 	links    [][]link
 	upstream []upstreamSender // by input; nil where nothing feeds it yet
@@ -232,7 +232,7 @@ func (n *node) resetVolatile() {
 	n.outBuf = idTable[*outRecord]{}
 	clear(n.lastCommitted)
 	n.pendFin = idTable[event.Version]{}
-	n.pendRevoke = idTable[int]{}
+	n.pendRevoke = idTable[[]event.Version]{}
 	n.replay, n.sinceCkpt = nil, nil
 	n.nextSeq, n.outEmitSeq, n.commitCount = 1, 0, 0
 	n.nextCommit.Store(1)
@@ -343,6 +343,7 @@ func (n *node) start() error {
 		if err != nil {
 			return fmt.Errorf("restore %q: %w", n.spec.Name, err)
 		}
+		n.releaseRestored()
 	}
 	n.launch()
 	return nil
@@ -432,7 +433,7 @@ func (n *node) drain() {
 // quiet reports whether the node is momentarily idle: nothing queued, no
 // open tasks, no outputs parked behind credit gates.
 func (n *node) quiet() bool {
-	return n.mailbox.Len() == 0 && n.execQ.Len() == 0 && n.openCount() == 0 && n.creditQueued() == 0
+	return n.mailbox.Idle() && n.execQ.Len() == 0 && n.openCount() == 0 && n.creditQueued() == 0
 }
 
 // dispatcher serializes ordering decisions: event admission (assigning the
@@ -441,35 +442,41 @@ func (n *node) quiet() bool {
 // requests.
 func (n *node) dispatcher() {
 	defer n.wg.Done()
+	var run []event.Event // what the data lane's runs are popped into
 	for {
-		it, ok := n.mailbox.Pop()
+		it, evs, ok := n.mailbox.Pop(run)
 		if !ok {
 			return
 		}
-		switch {
-		case len(it.inject) > 0:
-			n.handleInject(it.inject)
-		case it.reexec.t != nil:
-			n.handleReexec(it.reexec)
-		default:
-			n.handleMessage(it.msg)
-		}
+		n.dispatch(it, evs)
+		clear(evs) // keeps no payload reachable until the next run
+		run = evs
 	}
 }
 
-// handleMessage normalises a frame to its run at the edge (eventsOf,
-// refsOf) and hands it to the one handler of its family.
-func (n *node) handleMessage(m transport.Message) {
-	var oneEv [1]event.Event
-	if evs := eventsOf(&m, &oneEv); evs != nil {
+// dispatch hands one popped item to its handler: a run of queued input
+// events (evs) to admission, anything else by kind.
+func (n *node) dispatch(it mailItem, evs []event.Event) {
+	switch {
+	case len(evs) > 0:
 		// The events left the data lane: return their credits so the
 		// upstream sender may transmit the next ones.
-		if m.Input < len(n.granters) && n.granters[m.Input] != nil {
-			n.granters[m.Input].grant(len(evs))
+		if in := it.msg.Input; in < len(n.granters) && n.granters[in] != nil {
+			n.granters[in].grant(len(evs))
 		}
-		n.admitRun(m.Input, evs)
-		return
+		n.admitRun(it.msg.Input, evs)
+	case len(it.inject) > 0:
+		n.handleInject(it.inject)
+	case it.reexec.t != nil:
+		n.handleReexec(it.reexec)
+	default:
+		n.handleMessage(it.msg)
 	}
+}
+
+// handleMessage normalises a control frame to its run at the edge (refsOf)
+// and hands it to the one handler of its family.
+func (n *node) handleMessage(m transport.Message) {
 	var oneRef [1]transport.FinalizeRef
 	if refs, ack := refsOf(&m, &oneRef); refs != nil {
 		if ack {

@@ -242,9 +242,9 @@ func (n *node) restoreDurable(d *durableState) error {
 		for i, id := range snap.InputPositions {
 			*slot(&n.lastCommitted, i) = inputPos{id: id, set: true}
 		}
-		// Rebuild the output buffer from the snapshot so a downstream
-		// replay request can re-send outputs whose inputs the snapshot
-		// covers; downstream identity dedup absorbs any it already has.
+		// Rebuild the output buffer from the snapshot so that outputs whose
+		// inputs the snapshot covers are re-sent (releaseRestored, replay
+		// requests); downstream identity dedup absorbs any it already has.
 		recs := make([]outRecord, len(snap.Outputs))
 		for i, o := range snap.Outputs {
 			out := pendingOut{port: o.Port, ts: o.Timestamp, key: o.Key, payload: o.Payload}
@@ -268,6 +268,20 @@ func (n *node) restoreDurable(d *durableState) error {
 	}
 	n.recStats = stats
 	return nil
+}
+
+// releaseRestored re-sends the restored outputs on the links that ACK: a
+// snapshot misses the ACKs that came after it, and only downstream dedup's
+// re-ACK prunes those outputs (a subscriber would see a second final).
+func (n *node) releaseRestored() {
+	for _, rec := range n.bufferedOutputs() {
+		m := transport.Message{Type: transport.MsgEvent, Event: rec.toEvent(false)}
+		for _, l := range n.links[rec.port] {
+			if l.buffered() {
+				l.deliver(m)
+			}
+		}
+	}
 }
 
 // requestUpstreamReplay asks every connected upstream to re-send its
@@ -307,6 +321,7 @@ func (n *node) recover() error {
 
 	n.mailbox.Reopen()
 	n.execQ.Reopen()
+	n.releaseRestored() // once the mailbox takes the ACKs it draws
 	n.stopFlag.Store(false)
 	n.launch()
 

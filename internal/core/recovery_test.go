@@ -348,17 +348,21 @@ func TestReplayResendsOldestFirst(t *testing.T) {
 		evs[i] = event.Event{ID: event.ID{Source: 0, Seq: event.Seq(i + 1)}}
 	}
 	srcNode.handleInject(evs)
-	if _, ok := procNode.mailbox.Pop(); !ok {
-		t.Fatal("no injected run downstream")
+	if _, run, _ := procNode.mailbox.Pop(nil); len(run) != total {
+		t.Fatalf("the injected run arrived downstream with %d events, want %d", len(run), total)
 	}
 	srcNode.handleReplay()
 	if got := procNode.mailbox.Len(); got != total {
 		t.Fatalf("replay re-sent %d frames, want %d", got, total)
 	}
-	for i := 1; i <= total; i++ {
-		item, _ := procNode.mailbox.Pop()
-		if m := item.msg; m.Event.ID.Seq != event.Seq(i) {
-			t.Fatalf("re-sent frame %d carries seq %d: not oldest first", i, m.Event.ID.Seq)
+	var resent []event.Event
+	for procNode.mailbox.Len() > 0 {
+		_, run, _ := procNode.mailbox.Pop(nil)
+		resent = append(resent, run...)
+	}
+	for i, ev := range resent {
+		if ev.ID.Seq != event.Seq(i+1) {
+			t.Fatalf("re-sent frame %d carries seq %d: not oldest first", i+1, ev.ID.Seq)
 		}
 	}
 }
@@ -438,6 +442,87 @@ func TestRecoveryFromCheckpointSkipsAckedEvents(t *testing.T) {
 	if fmt.Sprint(eng.Err()) != "<nil>" {
 		t.Fatal(eng.Err())
 	}
+}
+
+// TestRestoredOutputsAreReleased: a checkpoint carries the outputs its node
+// had not been ACKed for, and downstream ACKs them after it is taken; a
+// crash later, the restore puts them all back in the output buffer. They are
+// re-sent on the links that ACK, so the buffer empties again — no restored
+// output stays buffered for good and rides in every later checkpoint — and
+// a subscriber on the node, which does not ACK, sees no second final. Each
+// cycle ends on a checkpoint, so recovery replays nothing and a second
+// final could only come from the re-sending.
+func TestRestoredOutputsAreReleased(t *testing.T) {
+	const cycles, window = 20, 24
+	g := graph.New()
+	src := g.AddNode(graph.Node{Name: "src"})
+	proc := g.AddNode(graph.Node{
+		Name: "proc", Op: &operator.Classifier{Classes: 4}, Traits: operator.ClassifierTraits(4),
+		Speculative: true, CheckpointEvery: 8,
+	})
+	g.Connect(src, 0, proc, 0)
+	var downs []graph.NodeID
+	for _, name := range []string{"down0", "down1"} {
+		d := g.AddNode(graph.Node{Name: name, Op: &operator.Passthrough{}})
+		g.Connect(proc, 0, d, 0)
+		downs = append(downs, d)
+	}
+	eng := newTestEngine(t, g, Options{Seed: 31})
+	direct := newDedupSink(t)
+	if err := eng.Subscribe(proc, 0, direct.fn); err != nil {
+		t.Fatal(err)
+	}
+	var sinks []*dedupSink
+	for _, d := range downs {
+		s := newDedupSink(t)
+		if err := eng.Subscribe(d, 0, s.fn); err != nil {
+			t.Fatal(err)
+		}
+		sinks = append(sinks, s)
+	}
+	s, _ := eng.Source(src)
+	n, _ := eng.node(proc)
+	released := func(when string, cycle int) {
+		t.Helper()
+		eng.Drain()
+		for deadline := time.Now().Add(5 * time.Second); outBufLen(n) != 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("cycle %d, %s: %d outputs still buffered after the drain", cycle, when, outBufLen(n))
+			}
+		}
+	}
+	for c := 1; c <= cycles; c++ {
+		emitRange(t, s, (c-1)*window, c*window)
+		for _, sink := range sinks {
+			if !sink.waitCount(c * window) {
+				t.Fatalf("cycle %d: a downstream sink stalled at %d of %d", c, sink.count(), c*window)
+			}
+		}
+		released("before the crash", c)
+		if err := eng.Crash(proc); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Recover(proc); err != nil {
+			t.Fatal(err)
+		}
+		released("after the recovery", c)
+		snap, err := eng.store.Latest(n.opID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(snap.Outputs) > window {
+			t.Fatalf("cycle %d: checkpoint %d carries %d outputs, more than the %d of one window", c, snap.Epoch, len(snap.Outputs), window)
+		}
+	}
+	if err := eng.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for _, sink := range append(sinks, direct) {
+		if sink.dups != 0 {
+			t.Errorf("a subscriber saw %d second finals", sink.dups)
+		}
+	}
+	checkClassCounts(t, sinks[0], cycles*window)
 }
 
 // outBufLen reads how many unacknowledged outputs a node buffers.

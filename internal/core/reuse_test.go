@@ -462,7 +462,7 @@ func TestReexecLeavesExecutingTaskAlone(t *testing.T) {
 	tk := &task{n: n, seq: 1, state: taskExecuting, tx: tx, attempts: 1}
 	tx.OnAbort(tk)
 	tx.Abort()
-	it, ok := n.mailbox.Pop()
+	it, _, ok := n.mailbox.Pop(nil)
 	if !ok || it.reexec.t != tk || it.reexec.tx != tx {
 		t.Fatalf("abort hook queued %+v, want the task's re-execution", it.reexec)
 	}
@@ -499,7 +499,7 @@ func TestReplacementClosesOpenTask(t *testing.T) {
 		t.Fatalf("after the replacement: evFinal %t, state %v; want final and no longer open", tk.evFinal, tk.state)
 	}
 	// The abort's re-execution request then re-queues it as usual.
-	it, ok := n.mailbox.Pop()
+	it, _, ok := n.mailbox.Pop(nil)
 	if !ok || it.reexec.t != tk {
 		t.Fatalf("the replacement queued %+v, want the task's re-execution", it.reexec)
 	}
@@ -523,7 +523,7 @@ func TestPayloadBytesAreHandedOutOnce(t *testing.T) {
 	}
 	a := &task{n: n, seq: 1, state: taskQueued, evFinal: true, ev: event.Event{ID: event.ID{Seq: 1}, Key: 0}}
 	n.runTask(a, ctx)
-	it, _ := down.mailbox.Pop()
+	it, _, _ := down.mailbox.Pop(nil)
 	published := it.msg.Event.Payload
 	want := operator.EncodePair(0, 1)
 	if !bytes.Equal(published, want) {
@@ -544,7 +544,7 @@ func TestPayloadBytesAreHandedOutOnce(t *testing.T) {
 		}
 		seen[blo] = true
 		b.tx.Abort() // queues the re-execution
-		re, _ := n.mailbox.Pop()
+		re, _, _ := n.mailbox.Pop(nil)
 		n.handleReexec(re.reexec)
 		if tk, _ := n.execQ.Pop(); tk != b {
 			t.Fatalf("attempt %d's abort did not re-queue task B", attempt)
@@ -567,20 +567,22 @@ func TestReexecutionLeavesSentVersionAlone(t *testing.T) {
 		tk, _ := n.execQ.Pop()
 		n.runTask(tk, ctx)
 	}
-	n.handleMessage(transport.Message{Type: transport.MsgEvent, Event: event.Event{ID: id, Key: 1, Speculative: true}})
+	n.admitRun(0, []event.Event{{ID: id, Key: 1, Speculative: true}})
 	run()
 	// A replacement with another key: another class, another output.
-	n.handleMessage(transport.Message{Type: transport.MsgEvent, Event: event.Event{ID: id, Version: 1, Key: 2, Speculative: true}})
-	re, _ := n.mailbox.Pop()
+	n.admitRun(0, []event.Event{{ID: id, Version: 1, Key: 2, Speculative: true}})
+	re, _, _ := n.mailbox.Pop(nil)
 	n.handleReexec(re.reexec)
 	run()
 
 	if got := down.mailbox.Len(); got != 2 {
 		t.Fatalf("%d frames downstream, want both versions", got)
 	}
-	first, _ := down.mailbox.Pop()
-	second, _ := down.mailbox.Pop()
-	v0, v1 := first.msg.Event, second.msg.Event
+	_, both, _ := down.mailbox.Pop(nil) // one input's frames leave as one run
+	if len(both) != 2 {
+		t.Fatalf("the downstream mailbox gave up a run of %d, want both versions", len(both))
+	}
+	v0, v1 := both[0], both[1]
 	if v0.ID != v1.ID || v0.Version != 0 || v1.Version != 1 {
 		t.Fatalf("downstream holds %s v%d and %s v%d, want versions 0 and 1 of one output", v0.ID, v0.Version, v1.ID, v1.Version)
 	}

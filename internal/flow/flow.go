@@ -65,11 +65,13 @@ type Limits struct {
 	// Defaults to 1.
 	MinOpenSpec int `json:"minOpenSpec,omitempty"`
 
-	// BatchSize enables hot-path batching on the node: source emissions,
-	// credit-gated edge transfers and commit finalization amortize their
-	// per-event costs over runs of up to BatchSize events. Zero or one
-	// disables batching. Batching never delays a lone event on the commit
-	// path — the committer only groups tasks that are already ready.
+	// BatchSize caps the runs of the node's source emissions, its credited
+	// input edges' frames and its commit groups, which amortize their
+	// per-event costs over runs of up to BatchSize events; zero or one means
+	// runs of one. Admission is not capped by it: the dispatcher admits what
+	// is queued for one input, up to 64 events, as one run at any batch
+	// size. Batching never delays a lone event on the commit path — the
+	// committer only groups tasks that are already ready.
 	BatchSize int `json:"batchSize,omitempty"`
 }
 

@@ -173,8 +173,11 @@ func escapeHelp(h string) string {
 	return b.String()
 }
 
-// register adds or resolves a series under the registry lock.
-func (r *Registry) register(name, help string, labels Labels, kind seriesKind) *series {
+// register adds or resolves a series and binds its value source, both in
+// one registry lock hold, so that a series is never published without one:
+// bind gives a new series its handle or func, and rebinds a func-backed
+// series (a handle, once made, stays).
+func (r *Registry) register(name, help string, labels Labels, kind seriesKind, bind func(*series)) *series {
 	key := name + "{" + renderLabels(labels) + "}"
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -184,9 +187,11 @@ func (r *Registry) register(name, help string, labels Labels, kind seriesKind) *
 				key, kind.typeName(), s.kind.typeName()))
 		}
 		s.kind = kind // funcs rebind below; handle kinds keep their slot
+		bind(s)
 		return s
 	}
 	s := &series{name: name, labels: renderLabels(labels), kind: kind}
+	bind(s)
 	r.byKey[key] = s
 	r.order = append(r.order, s)
 	if _, ok := r.help[name]; !ok && help != "" {
@@ -202,13 +207,11 @@ func (r *Registry) Counter(name, help string) *Counter {
 
 // CounterWith registers (or resolves) a counter series with labels.
 func (r *Registry) CounterWith(name, help string, labels Labels) *Counter {
-	s := r.register(name, help, labels, kindCounter)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s.counter == nil {
-		s.counter = &Counter{}
-	}
-	return s.counter
+	return r.register(name, help, labels, kindCounter, func(s *series) {
+		if s.counter == nil {
+			s.counter = &Counter{}
+		}
+	}).counter
 }
 
 // Gauge registers (or resolves) an unlabeled gauge.
@@ -218,13 +221,11 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 
 // GaugeWith registers (or resolves) a gauge series with labels.
 func (r *Registry) GaugeWith(name, help string, labels Labels) *Gauge {
-	s := r.register(name, help, labels, kindGauge)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s.gauge == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
+	return r.register(name, help, labels, kindGauge, func(s *series) {
+		if s.gauge == nil {
+			s.gauge = &Gauge{}
+		}
+	}).gauge
 }
 
 // Histogram registers (or resolves) an unlabeled latency histogram,
@@ -236,13 +237,11 @@ func (r *Registry) Histogram(name, help string) *Histogram {
 
 // HistogramWith registers (or resolves) a histogram series with labels.
 func (r *Registry) HistogramWith(name, help string, labels Labels) *Histogram {
-	s := r.register(name, help, labels, kindHistogram)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s.hist == nil {
-		s.hist = NewHistogram()
-	}
-	return s.hist
+	return r.register(name, help, labels, kindHistogram, func(s *series) {
+		if s.hist == nil {
+			s.hist = NewHistogram()
+		}
+	}).hist
 }
 
 // HDR registers (or resolves) an unlabeled high-resolution latency
@@ -271,33 +270,25 @@ func (r *Registry) HDRCountsWith(name, help string, labels Labels) *HDR {
 }
 
 func (r *Registry) hdrWith(name, help string, labels Labels, raw bool) *HDR {
-	s := r.register(name, help, labels, kindHDR)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s.hdr == nil {
-		s.hdr = NewHDR()
-		s.hdrRaw = raw
-	}
-	return s.hdr
+	return r.register(name, help, labels, kindHDR, func(s *series) {
+		if s.hdr == nil {
+			s.hdr = NewHDR()
+			s.hdrRaw = raw
+		}
+	}).hdr
 }
 
 // CounterFunc registers a counter whose value is read from fn at
 // exposition time (for counters that already live elsewhere as atomics —
 // zero hot-path cost). Re-registering rebinds the series to fn.
 func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() uint64) {
-	s := r.register(name, help, labels, kindCounterFunc)
-	r.mu.Lock()
-	s.counterFn = fn
-	r.mu.Unlock()
+	r.register(name, help, labels, kindCounterFunc, func(s *series) { s.counterFn = fn })
 }
 
 // GaugeFunc registers a gauge read from fn at exposition time.
 // Re-registering rebinds the series to fn.
 func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {
-	s := r.register(name, help, labels, kindGaugeFunc)
-	r.mu.Lock()
-	s.gaugeFn = fn
-	r.mu.Unlock()
+	r.register(name, help, labels, kindGaugeFunc, func(s *series) { s.gaugeFn = fn })
 }
 
 // Point is one series in a Snapshot. For histogram series Value is the
@@ -319,13 +310,17 @@ type Point struct {
 	RawUnit bool
 }
 
-// snapshotLocked copies the series slice under the lock; value reads
-// happen outside it so func-backed series may take their own locks.
-func (r *Registry) seriesSnapshot() []*series {
+// seriesSnapshot copies every series under the lock — its kind and value
+// source as they are bound now, which a rebinding may change the moment the
+// lock is released; value reads happen outside it so func-backed series may
+// take their own locks.
+func (r *Registry) seriesSnapshot() []series {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]*series, len(r.order))
-	copy(out, r.order)
+	out := make([]series, len(r.order))
+	for i, s := range r.order {
+		out[i] = *s
+	}
 	return out
 }
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# bench_profile.sh — one benchmark workload under the allocation or the CPU
-# profiler, its top table already in the benchmark's own units.
+# bench_profile.sh — one benchmark workload under the allocation, CPU, mutex
+# or block profiler, its top table already in the benchmark's own units.
 #
 # Nothing under bench/ may change for a measurement, so the profiler is added
 # to a copy: the working tree (without .git) is copied to a temporary
@@ -10,21 +10,31 @@
 # printed is the run's own report, then `go tool pprof -top` of the profile
 # with two columns appended: flat and cum as a share of the run's
 # allocs_per_event (alloc: objects per event, sampled every 4,096 bytes) or
-# of its cpu_us_per_event (cpu: µs per event). The rows of "What one hop
-# still allocates" and of the CPU tables in docs/PERFORMANCE.md are read off
-# these columns. A profiled run is slower than a plain one: its events_per_s
-# is not a measurement, its allocs_per_event is (it is a count).
+# of its cpu_us_per_event (cpu: µs per event). mutex and block profile the
+# time goroutines waited — to acquire a contended sync.Mutex (mutex, one
+# contention in five sampled) or blocked in a lock, channel, select or
+# sync.Cond wait (block, sampled from 10 µs) — and append the delay in ns
+# per finalized event: the whole run's delay over the whole run's
+# `attempted` events, every one of which a correct run finalized. The rows
+# of "What one hop still allocates" and of the CPU and lock tables in
+# docs/PERFORMANCE.md are read off these columns. A profiled run is slower
+# than a plain one: its events_per_s is not a measurement, its
+# allocs_per_event is (it is a count).
 #
-# Usage: scripts/bench_profile.sh <workload> <seed> alloc|cpu [pprof flags]
+# Usage: scripts/bench_profile.sh <workload> <seed> alloc|cpu|mutex|block [pprof flags]
 #        e.g. scripts/bench_profile.sh pipe2-sat 12 alloc -nodecount=40
 #             scripts/bench_profile.sh pipe2-sat 11 cpu -focus='idTable|idSet'
+#             scripts/bench_profile.sh sketch-par2 11 mutex
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-if [ $# -lt 3 ] || { [ "$3" != alloc ] && [ "$3" != cpu ]; }; then
-	echo "usage: scripts/bench_profile.sh <workload> <seed> alloc|cpu [go tool pprof flags]" >&2
+case ${3:-} in
+alloc | cpu | mutex | block) ;;
+*)
+	echo "usage: scripts/bench_profile.sh <workload> <seed> alloc|cpu|mutex|block [go tool pprof flags]" >&2
 	exit 2
-fi
+	;;
+esac
 workload=$1 seed=$2 kind=$3
 shift 3
 
@@ -43,8 +53,13 @@ import (
 )
 
 func init() {
-	if os.Getenv("BENCH_PROFILE_KIND") == "alloc" {
+	switch os.Getenv("BENCH_PROFILE_KIND") {
+	case "alloc":
 		runtime.MemProfileRate = 4096
+	case "mutex":
+		runtime.SetMutexProfileFraction(5)
+	case "block":
+		runtime.SetBlockProfileRate(10000)
 	}
 }
 
@@ -55,15 +70,19 @@ func profileStart() func() {
 	if err != nil {
 		panic(err)
 	}
-	if os.Getenv("BENCH_PROFILE_KIND") == "cpu" {
+	kind := os.Getenv("BENCH_PROFILE_KIND")
+	if kind == "cpu" {
 		if err := pprof.StartCPUProfile(f); err != nil {
 			panic(err)
 		}
 		return func() { pprof.StopCPUProfile(); f.Close() }
 	}
+	if kind == "alloc" {
+		kind = "allocs"
+	}
 	return func() {
-		runtime.GC() // the profile is complete up to the last collection
-		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		runtime.GC() // an allocation profile is complete up to the last collection
+		if err := pprof.Lookup(kind).WriteTo(f, 0); err != nil {
 			panic(err)
 		}
 		f.Close()
@@ -82,6 +101,20 @@ case $(tail -n 1 <<<"$out") in
 *'"correct":true'*'"failed":0,'*) ;;
 *) echo "bench_profile: the profiled run was not correct" >&2; exit 1 ;;
 esac
+
+if [ "$kind" = mutex ] || [ "$kind" = block ]; then
+	events=$(grep -o '"attempted":[0-9]*' <<<"$out" | tail -n 1 | cut -d: -f2)
+	[ -n "$events" ] && [ "$events" -gt 0 ] || { echo "bench_profile: no attempted events in the run's report" >&2; exit 1; }
+	echo
+	echo "== $kind profile of $workload, seed $seed: delay in ns / $events finalized events"
+	go tool pprof -top -sample_index=delay -unit=ns "$@" "$work/bench" "$work/profile" 2>/dev/null |
+		awk -v events="$events" '
+			$1 == "flat" && $2 == "flat%" { printf "%s  flat ns/event  cum ns/event\n", $0; next }
+			$2 ~ /%$/ && $5 ~ /%$/ { f = $1; c = $4; sub(/ns$/, "", f); sub(/ns$/, "", c)
+				printf "%s  [%.1f  %.1f]\n", $0, f / events, c / events; next }
+			{ print }'
+	exit 0
+fi
 
 if [ "$kind" = alloc ]; then
 	metric=allocs_per_event unit='objects/event' index=-sample_index=alloc_objects
