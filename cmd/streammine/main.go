@@ -225,7 +225,7 @@ func run() error {
 	dataAddr := flag.String("data-addr", "127.0.0.1:0", "with -worker: listen address for peer bridge traffic")
 	stateDir := flag.String("state-dir", "streammine-state", "with -worker: root of durable partition state (shared across workers)")
 	hbTimeout := flag.Duration("hb-timeout", time.Second, "cluster heartbeat timeout before a peer is declared dead")
-	batch := flag.Int("batch", 0, "hot-path batch size: coalesce up to N events per admission charge, commit group and wire frame (0 = use the topology's flow settings; see docs/PERFORMANCE.md)")
+	batch := flag.Int("batch", 0, "hot-path batch size: coalesce up to N events per source admission charge and wire frame (0 = use the topology's flow settings; see docs/PERFORMANCE.md)")
 	ingestAddr := flag.String("ingest-addr", "", "serve the multi-tenant network ingest gateway on this address; topology sources marked \"ingest\" accept records here (docs/INGEST.md)")
 	ingestStateDir := flag.String("ingest-state-dir", "", "root of the per-stream ingest admission logs (default: streammine-ingest, or <state-dir>/ingest with -worker)")
 	ingestTenants := flag.String("ingest-tenants", "", "JSON file declaring ingest tenants (name, token, rate, burst, maxBatch); empty runs the gateway open")

@@ -6,11 +6,13 @@ import (
 
 	"streammine/internal/checkpoint"
 	"streammine/internal/event"
+	"streammine/internal/transport"
 	"streammine/internal/wal"
 )
 
 // takeCheckpoint snapshots the operator state, persists it, marks the log
-// and releases the batched upstream ACKs once the snapshot is saved.
+// and releases the batched upstream ACKs, one run per input, once the mark
+// is stable.
 func (n *node) takeCheckpoint() {
 	n.rngMu.Lock()
 	randState := n.rng.State()
@@ -69,8 +71,14 @@ func (n *node) takeCheckpoint() {
 			n.fail(fmt.Errorf("mark checkpoint: %w", err))
 			return
 		}
+		var runs [][]transport.FinalizeRef // by input: one ACK run each
 		for _, a := range acks {
-			n.ackUpstream(a.input, a.id)
+			runs = addAt(runs, a.input, transport.FinalizeRef{ID: a.id})
+		}
+		for input, run := range runs {
+			if len(run) > 0 {
+				n.sendUpstream(input, refFrame(run, true))
+			}
 		}
 	})
 	if err != nil {

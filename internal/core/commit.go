@@ -41,14 +41,12 @@ func (n *node) waitCommitSignal(seen uint64) {
 // committer commits tasks strictly in arrival order once authorized:
 // executed, input final, decisions stable, STM dependencies committed
 // (paper §3: "gets the authorization to commit"). Each turn gathers the
-// run of consecutive already-ready head tasks — up to the node's batch
-// size, which is 1 unless flow batching is configured — and commits it as
-// one group, without ever waiting for a run to fill.
+// run of consecutive already-ready head tasks, up to maxRun, and commits it
+// as one group, without ever waiting for a run to fill.
 func (n *node) committer() {
 	defer n.wg.Done()
-	max := n.spec.Flow.Batch()
 	for !n.stopFlag.Load() {
-		n.commitBatch(max)
+		n.commitBatch(maxRun)
 	}
 }
 
@@ -73,7 +71,7 @@ func (n *node) conflictRetry(t *task, tx *stm.Tx) {
 
 // commitBatch is one turn of the committer: gather the run of consecutive
 // ready head tasks (up to max), group-commit their transactions under one
-// version-clock bump, and run the post-commit protocol with the FINALIZE,
+// commit-gate hold, and run the post-commit protocol with the FINALIZE,
 // late-final and ACK deliveries coalesced into one frame per port or
 // input. A lone ready task commits immediately (a longer run adds no
 // latency, it only amortizes tasks that are already ready).
@@ -219,15 +217,15 @@ type retirePost struct {
 	input     int
 	maxLSN    wal.LSN
 	throttled bool
-	ckptDue   bool
 }
 
 // retireGroup runs the post-commit protocol for a run of committed tasks:
 // finalize speculative outputs (or publish held outputs for non-speculative
 // nodes), ACK the consumed events upstream, advance the commit cursor, and
-// checkpoint if due. Runs on the committer goroutine, holding no lock on
-// entry. The FINALIZE, late-final and ACK deliveries collect in n.fin and
-// ship last, one frame per port or input for the whole group. The table
+// checkpoint if the group crossed a multiple of CheckpointEvery — once,
+// after the whole group. Runs on the committer goroutine, holding no lock
+// on entry. The FINALIZE, late-final and ACK deliveries collect in n.fin
+// and ship last, one frame per port or input for the whole group. The table
 // bookkeeping for the run happens under ONE n.mu hold, and the commit
 // cursor advances once by the run length.
 func (n *node) retireGroup(run []*task) {
@@ -283,6 +281,7 @@ func (n *node) retireGroup(run []*task) {
 		posts = append(posts, p)
 	}
 	ckpt := n.spec.Traits.Stateful && n.spec.CheckpointEvery > 0
+	ckptDue := false
 	n.mu.Lock()
 	for i := range posts {
 		p := &posts[i]
@@ -298,7 +297,7 @@ func (n *node) retireGroup(run []*task) {
 		n.commitCount++
 		if ckpt {
 			n.sinceCkpt = append(n.sinceCkpt, ackTarget{input: p.input, id: p.inputID})
-			p.ckptDue = n.commitCount%uint64(n.spec.CheckpointEvery) == 0
+			ckptDue = ckptDue || n.commitCount%uint64(n.spec.CheckpointEvery) == 0
 		}
 	}
 	n.mu.Unlock()
@@ -312,12 +311,12 @@ func (n *node) retireGroup(run []*task) {
 		if !ckpt {
 			fb.acks = addAt(fb.acks, p.input, transport.FinalizeRef{ID: p.inputID})
 		}
-		if p.ckptDue {
-			n.takeCheckpoint()
-		}
 		if p.throttled {
 			n.throttle.Release(false)
 		}
+	}
+	if ckptDue {
+		n.takeCheckpoint() // covers the whole group
 	}
 	n.nextCommit.Add(int64(len(posts)))
 	n.throttle.Wake() // head moved: re-evaluate parked head-bypass waiters

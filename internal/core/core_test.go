@@ -578,51 +578,88 @@ func TestAckPruning(t *testing.T) {
 }
 
 // TestCheckpointBatchesAcks: a stateful consumer with periodic checkpoints
-// releases upstream buffers in batches and records snapshots.
+// ACKs its inputs upstream only once a checkpoint covers them. Run end to
+// end, whatever commit groups form, the source ends up holding exactly the
+// events the last checkpoint does not cover. Driven by hand, one commit
+// group that crosses three multiples of CheckpointEvery saves one snapshot,
+// which covers the whole group, and sends its ACKs upstream as one run.
 func TestCheckpointBatchesAcks(t *testing.T) {
-	g := graph.New()
-	src := g.AddNode(graph.Node{Name: "src"})
-	cls := g.AddNode(graph.Node{
-		Name:            "classifier",
-		Op:              &operator.Classifier{Classes: 4},
-		Traits:          operator.ClassifierTraits(4),
-		Speculative:     true,
-		CheckpointEvery: 10,
-	})
-	g.Connect(src, 0, cls, 0)
-	eng := newTestEngine(t, g, Options{Seed: 10})
-	s, _ := eng.Source(src)
-	for i := 0; i < 35; i++ {
-		if _, err := s.Emit(uint64(i), nil); err != nil {
+	const events, every = 35, 10
+	build := func(t *testing.T) (src, cls *node, saves func() int) {
+		g := graph.New()
+		srcID := g.AddNode(graph.Node{Name: "src"})
+		clsID := g.AddNode(graph.Node{
+			Name:            "classifier",
+			Op:              &operator.Classifier{Classes: 4},
+			Traits:          operator.ClassifierTraits(4),
+			Speculative:     true,
+			CheckpointEvery: every,
+		})
+		g.Connect(srcID, 0, clsID, 0)
+		pool := storage.NewPool([]storage.Disk{storage.NewMemDisk()})
+		t.Cleanup(func() { pool.Close() })
+		eng, err := New(g, Options{Seed: 10, Pool: pool})
+		if err != nil {
 			t.Fatal(err)
 		}
+		store := eng.store.(interface{ Saves(uint32) int })
+		return eng.nodes[srcID], eng.nodes[clsID], func() int { return store.Saves(uint32(clsID)) }
 	}
-	eng.Drain()
-	// 35 commits → 3 checkpoints (at 10, 20, 30); 5 events still unacked.
-	store, ok := eng.store.(interface{ Saves(uint32) int })
-	if !ok {
-		t.Fatal("store lacks Saves")
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for store.Saves(uint32(cls)) < 3 {
-		if time.Now().After(deadline) {
-			t.Fatalf("checkpoints = %d, want 3", store.Saves(uint32(cls)))
+
+	t.Run("pipeline", func(t *testing.T) {
+		src, cls, saves := build(t)
+		if err := src.eng.Start(); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	srcNode, _ := eng.node(src)
-	for {
-		srcNode.mu.Lock()
-		left := srcNode.outBuf.len()
-		srcNode.mu.Unlock()
-		if left == 5 {
-			break
+		t.Cleanup(src.eng.Stop)
+		s, _ := src.eng.Source(0)
+		for i := 0; i < events; i++ {
+			if _, err := s.Emit(uint64(i), nil); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("source buffer holds %d, want 5 (only post-checkpoint tail)", left)
+		drainOrDump(t, src.eng, 10*time.Second)
+		cls.mu.Lock()
+		uncovered := len(cls.sinceCkpt)
+		cls.mu.Unlock()
+		if saves() == 0 || uncovered > events-every {
+			t.Fatalf("%d checkpoints, %d commits uncovered; want at least one covering %d", saves(), uncovered, every)
 		}
-		time.Sleep(time.Millisecond)
-	}
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			src.mu.Lock()
+			left := src.outBuf.len()
+			src.mu.Unlock()
+			if left == uncovered {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("source buffer holds %d, want the %d the last checkpoint does not cover", left, uncovered)
+			}
+		}
+	})
+
+	t.Run("group", func(t *testing.T) {
+		src, cls, saves := build(t)
+		openReadyTasks(t, cls, 1, events)
+		cls.commitBatch(maxRun)
+		if got := cls.cCommitted.Load(); got != events {
+			t.Fatalf("one turn committed %d tasks, want all %d", got, events)
+		}
+		if saves() != 1 || len(cls.sinceCkpt) != 0 {
+			t.Fatalf("a group of %d saved %d snapshots, %d commits left uncovered; want one covering all", events, saves(), len(cls.sinceCkpt))
+		}
+		// The ACKs leave once the checkpoint's mark is stable.
+		for deadline := time.Now().Add(5 * time.Second); src.mailbox.Len() == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("no ACK reached the source")
+			}
+		}
+		it, _, _ := src.mailbox.Pop(nil)
+		if it.msg.Type != transport.MsgAckBatch || len(it.msg.Finals) != events || src.mailbox.Len() != 0 {
+			t.Fatalf("upstream got %v with %d references and %d frames behind, want one ACK run of %d",
+				it.msg.Type, len(it.msg.Finals), src.mailbox.Len(), events)
+		}
+	})
 }
 
 // TestOperatorErrorSurfaces: a failing operator is reported by Engine.Err.

@@ -287,14 +287,13 @@ func (n *node) publishOutputs(t *task) {
 			}
 			tr.RecordTrace(n.spec.Name, s.rec.id.String(), inTrace, phase, "from="+inputID.String())
 		}
-		// The record is read as late as possible, under the lock a later
-		// attempt changes it under: a send that lost the race to that
-		// attempt's then repeats its version instead of following it with a
-		// stale one.
+		// The record is read and delivered under the lock a later attempt
+		// changes it under: a send that lost the race to that attempt's
+		// repeats its version, and no stale one can follow that attempt's
+		// send, or its FINALIZE, onto the link.
 		t.mu.Lock()
-		port, ev := s.rec.port, s.rec.toEvent(s.spec)
+		n.deliverToPort(s.rec.port, transport.Message{Type: transport.MsgEvent, Event: s.rec.toEvent(s.spec)})
 		t.mu.Unlock()
-		n.deliverToPort(port, transport.Message{Type: transport.MsgEvent, Event: ev})
 	}
 	for _, rec := range revokes {
 		n.revokeRecord(rec)

@@ -12,6 +12,7 @@ import (
 	"streammine/internal/operator"
 	"streammine/internal/stm"
 	"streammine/internal/storage"
+	"streammine/internal/transport"
 )
 
 // What an input's value asks finalityOp to do before it emits.
@@ -196,6 +197,83 @@ func TestStatelessFinalBehindOpenLogger(t *testing.T) {
 		t.Fatalf("the logger's output changed between speculative and final")
 	}
 	r.settle(2)
+}
+
+// holdFirstEvent is a link that keeps the first EVENT frame it is handed
+// back until its node has committed a task, or for 100 ms at most, telling
+// held when it starts to wait.
+type holdFirstEvent struct {
+	inner link
+	n     *node
+	held  chan struct{}
+	done  atomic.Bool // the first EVENT came
+}
+
+func (l *holdFirstEvent) deliver(m transport.Message) {
+	if m.Type == transport.MsgEvent && !l.done.Swap(true) {
+		close(l.held)
+		for deadline := time.Now().Add(100 * time.Millisecond); l.n.cCommitted.Load() == 0 && time.Now().Before(deadline); {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	l.inner.deliver(m)
+}
+
+func (l *holdFirstEvent) buffered() bool { return l.inner.buffered() }
+
+// TestStaleSendNeverFollowsNextAttempt: a task's first attempt is held in
+// the send of its output while a replacement of its input, with other
+// content and final, rolls the task back; the second attempt sends its
+// output at version 1 and commits, which finalizes it. Whenever the first
+// attempt's version 0 is let go, it must not reach downstream after version
+// 1 — there it would read as a content change and leave the output
+// speculative at version 0 for good. The test drives the node: dispatcher,
+// workers and committer.
+func TestStaleSendNeverFollowsNextAttempt(t *testing.T) {
+	n, down := classifierHop(t, 4)
+	gate := &holdFirstEvent{inner: n.links[0][0], n: n, held: make(chan struct{})}
+	n.links[0][0] = gate
+	in := event.ID{Source: 1, Seq: 1}
+	evAt := func(key uint64, spec bool) transport.Message {
+		return transport.Message{Type: transport.MsgEvent, Event: event.Event{
+			ID: in, Key: key, Payload: operator.EncodeValue(key), Speculative: spec,
+		}}
+	}
+	var run []event.Event
+	n.mailbox.Push(evAt(1, true))
+	run, _ = popDispatch(t, n, run)
+	waitLogged(t, n.open.at(0))
+	first := make(chan struct{})
+	go func() {
+		defer close(first)
+		qt, _ := n.execQ.Pop()
+		n.runTask(qt, new(procCtx))
+	}()
+	<-gate.held
+
+	n.mailbox.Push(evAt(2, false)) // other content, final: the task rolls back
+	run, _ = popDispatch(t, n, run)
+	run, _ = popDispatch(t, n, run) // the re-execution request
+	qt, _ := n.execQ.Pop()
+	n.runTask(qt, new(procCtx))
+	for turns := 0; n.cCommitted.Load() == 0; turns++ {
+		if turns == 100 {
+			t.Fatal("the second attempt never committed")
+		}
+		n.commitBatch(maxRun)
+	}
+	<-first
+
+	for down.mailbox.Len() > 0 {
+		run, _ = popDispatch(t, down, run)
+	}
+	out, ok := down.tasks.get(outputID(n.opID, in, 0))
+	if !ok {
+		t.Fatal("downstream holds no task for the output")
+	}
+	if !out.evFinal || out.ev.Version != 1 {
+		t.Fatalf("downstream holds the output at version %d, final %t; want final at version 1", out.ev.Version, out.evFinal)
+	}
 }
 
 // TestStateReaderBehindHeadIsSpeculative: a task that read operator state

@@ -160,14 +160,17 @@ func (m *mailbox) push(it mailItem) {
 	m.mu.Unlock()
 }
 
-const maxAdmitRun = 64 // events one Pop takes (27 and 256 measured alike, 8 not)
+// maxRun caps a run of what is ready: the events one Pop takes for
+// admission (27 and 256 measured alike, 8 not) and the tasks one commit
+// group takes.
+const maxRun = 64
 
 // Pop dequeues the oldest control item, or the oldest data item when the
 // control lane is empty, blocking while both lanes are empty. It returns
 // ok=false once the mailbox is closed and drained. An input frame leaves
 // with the EVENT frames queued right behind it for the same input, up to a
-// source injection or maxAdmitRun events: their events, in arrival order,
-// are appended to run[:0] as evs. Any other item leaves alone.
+// source injection or maxRun events: their events, in arrival order, are
+// appended to run[:0] as evs. Any other item leaves alone.
 func (m *mailbox) Pop(run []event.Event) (it mailItem, evs []event.Event, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -182,7 +185,7 @@ func (m *mailbox) Pop(run []event.Event) (it mailItem, evs []event.Event, ok boo
 	for m.data.n > 0 { // ok: the run has its first item, it
 		next := &m.data.buf[m.data.head]
 		if ok && (len(it.inject) > 0 || len(next.inject) > 0 || next.msg.Input != it.msg.Input ||
-			len(evs)+next.dataWeight() > maxAdmitRun) {
+			len(evs)+next.dataWeight() > maxRun) {
 			break
 		}
 		d := m.data.pop()

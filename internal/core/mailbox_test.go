@@ -223,7 +223,7 @@ func TestMailboxControlLanePriority(t *testing.T) {
 
 // TestMailboxRunBoundaries: a run is the data item at the head and the
 // EVENT frames queued right behind it for the same input, in arrival order.
-// It never spans two inputs, a source injection or more than maxAdmitRun
+// It never spans two inputs, a source injection or more than maxRun
 // events — a frame that would take it past the cap starts the next run —
 // and a control item pushed before the Pop leaves ahead of it.
 func TestMailboxRunBoundaries(t *testing.T) {
@@ -243,13 +243,13 @@ func TestMailboxRunBoundaries(t *testing.T) {
 	singles(1, 2)
 	batch(0, 2)
 	m.PushInject(make([]event.Event, 1))
-	singles(0, maxAdmitRun+6)
-	singles(1, maxAdmitRun-4)
+	singles(0, maxRun+6)
+	singles(1, maxRun-4)
 	batch(1, 8)
 	m.Push(transport.Message{Type: transport.MsgFinalize})
 
 	type want struct{ input, events int } // events 0: not a run
-	wants := []want{{-1, 0}, {0, 3}, {1, 2}, {0, 2}, {-1, 0}, {0, maxAdmitRun}, {0, 6}, {1, maxAdmitRun - 4}, {1, 8}}
+	wants := []want{{-1, 0}, {0, 3}, {1, 2}, {0, 2}, {-1, 0}, {0, maxRun}, {0, 6}, {1, maxRun - 4}, {1, 8}}
 	next := uint64(1)
 	var run []event.Event
 	for i, w := range wants {

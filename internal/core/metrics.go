@@ -59,9 +59,10 @@ type engineMetrics struct {
 	abortSpecDepth *metrics.HDR
 
 	// Run accounting (see docs/PERFORMANCE.md). Every node commits in
-	// groups and every source injects in runs — of one unless flow
-	// Limits.BatchSize and EmitBatch make them longer — so these describe
-	// every node and batchCommitEvents equals the engine's committed count.
+	// groups of what is ready, and every source injects in runs — of one
+	// unless flow Limits.BatchSize and EmitBatch make them longer — so these
+	// describe every node and batchCommitEvents equals the engine's
+	// committed count.
 	// batchCommitGroups counts committer turns that committed a ready run;
 	// batchCommitEvents counts the events in those runs; batchOccupancy
 	// observes the run length per group (how full groups actually get).
@@ -107,7 +108,7 @@ func registerEngineMetrics(e *Engine, reg *metrics.Registry) *engineMetrics {
 		cascadeSize: reg.HDRCounts("core_revoke_cascade_size",
 			"Live downstream outputs revoked per aborted task (cascade fan-out)."),
 		batchCommitGroups: reg.Counter("batch_commit_groups_total",
-			"Committer turns that committed a run of ready tasks (one version-clock bump each; runs of one included)."),
+			"Committer turns that committed a run of ready tasks (one commit-gate hold each; runs of one included)."),
 		batchCommitEvents: reg.Counter("batch_commit_events_total",
 			"Events committed in those groups: every commit of every node."),
 		batchOccupancy: reg.HDRCounts("batch_occupancy",

@@ -37,8 +37,9 @@ type cmdReexec struct {
 // locks each task, but only after the node's goroutines are joined). Every
 // other mutex here — commitMu, errMu, rngMu, and the ones inside the
 // mailbox, the executor queue, the links and the throttle — is a leaf: no
-// other lock is acquired while it is held. The committer holds no lock
-// across a commit group.
+// other lock is acquired while it is held. publishOutputs delivers each
+// output under its task's mu, so a link's lock, and a subscriber's callback,
+// come after t.mu. The committer holds no lock across a commit group.
 type node struct {
 	eng  *Engine
 	spec graph.Node

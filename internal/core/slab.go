@@ -2,9 +2,11 @@ package core
 
 import "unsafe"
 
-// slabBytes is the size of a slab's chunk: a hundred short slices, and
-// still a small object to the allocator and the collector.
-const slabBytes = 8 << 10
+// slabBytes is the size of a slab's chunk: hundreds of short slices, with a
+// full commit group's run of late finals (64 events, 4.5 KiB) inside the
+// quarter one take may ask for, and still a small object to the allocator
+// and the collector.
+const slabBytes = 32 << 10
 
 // slab cuts the short slices one goroutine writes once and hands to exactly
 // one consumer — a payload, a run of events or references, a run's records —

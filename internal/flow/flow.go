@@ -65,13 +65,13 @@ type Limits struct {
 	// Defaults to 1.
 	MinOpenSpec int `json:"minOpenSpec,omitempty"`
 
-	// BatchSize caps the runs of the node's source emissions, its credited
-	// input edges' frames and its commit groups, which amortize their
-	// per-event costs over runs of up to BatchSize events; zero or one means
-	// runs of one. Admission is not capped by it: the dispatcher admits what
-	// is queued for one input, up to 64 events, as one run at any batch
-	// size. Batching never delays a lone event on the commit path — the
-	// committer only groups tasks that are already ready.
+	// BatchSize caps the runs of the node's source emissions and its
+	// credited input edges' frames, which amortize their per-event costs
+	// over runs of up to BatchSize events; zero or one means runs of one.
+	// Admission and commit are not capped by it: the dispatcher admits what
+	// is queued for one input, and the committer commits the ready tasks at
+	// the head, each up to 64, as one run at any batch size — never waiting
+	// for a run to fill.
 	BatchSize int `json:"batchSize,omitempty"`
 }
 

@@ -22,8 +22,8 @@ type recordedOp struct {
 // maximal speculative read-from/overwrite chaining, with some timestamps
 // swapped so that an older transaction joins chains behind newer owners —
 // while a second goroutine aborts transactions at random, executing, open
-// or mid-chain. It commits what is left in timestamp order and checks the
-// history three ways:
+// or mid-chain. It commits what is left in timestamp order, in commit groups
+// of one to four, and checks the history three ways:
 //
 //   - against a sequential model: replaying the committed transactions in
 //     timestamp order, every recorded read matches the model state;
@@ -140,13 +140,23 @@ func TestSerializabilityRandomOpenChains(t *testing.T) {
 		}
 		// Commit in timestamp order; every dependency then has an earlier
 		// timestamp and is finished, so ErrDepsOpen cannot occur — except in
-		// the probe, which tries a random transaction out of turn first.
+		// the probe, which tries a random transaction out of turn first. A
+		// turn commits a random run of one to four consecutive live
+		// transactions through CommitGroup.
 		order := append([]*txRec(nil), txs...)
 		sort.Slice(order, func(i, j int) bool { return order[j].tx.newerThan(order[i].tx) })
+		live := func(rec *txRec) bool {
+			st := rec.tx.Status()
+			return st != StatusAborted && st != StatusCommitted
+		}
 		commits := 0
-		commit := func(rec *txRec) error {
-			err := rec.tx.Commit()
-			if err == nil {
+		group := func(recs []*txRec) error {
+			txs := make([]*Tx, len(recs))
+			for i, rec := range recs {
+				txs[i] = rec.tx
+			}
+			n, err := mem.CommitGroup(txs)
+			for _, rec := range recs[:n] {
 				commits++
 				rec.commitSeq = commits
 			}
@@ -158,16 +168,23 @@ func TestSerializabilityRandomOpenChains(t *testing.T) {
 			for _, u := range probe.after {
 				blocked = blocked || u.tx.Status() != StatusCommitted
 			}
-			if blocked && commit(probe) == nil {
+			if blocked && group([]*txRec{probe}) == nil {
 				t.Fatalf("round %d: tx ts=%d committed before one it read from or overwrote", round, probe.tx.ts)
 			}
-			if st := rec.tx.Status(); st == StatusAborted || st == StatusCommitted {
+			size := 1 + rng.Intn(4)
+			if !live(rec) {
 				continue
 			}
-			if err := commit(rec); err != nil && !errors.Is(err, ErrConflict) {
+			run := []*txRec{rec}
+			for _, next := range order[i+1:] {
+				if len(run) < size && live(next) {
+					run = append(run, next)
+				}
+			}
+			if err := group(run); err != nil && !errors.Is(err, ErrConflict) {
 				// ErrConflict: a cascade or a stale read got it; anything else
 				// (ErrDepsOpen in timestamp order included) is a bug.
-				t.Fatalf("round %d: commit of ts=%d: %v", round, rec.tx.ts, err)
+				t.Fatalf("round %d: commit of a run from ts=%d: %v", round, rec.tx.ts, err)
 			}
 			runtime.Gosched()
 		}

@@ -431,6 +431,31 @@ func TestValidationDetectsCommittedOverwrite(t *testing.T) {
 	reader.Abort()
 }
 
+// TestCommitGroupKeepsLaterOverwriteVisible: r reads an address from the
+// open g1; g2, older than r, then overwrites it. Committing g1 and g2 as one
+// group must leave r as stale as two Commits would: r never saw g2's value.
+func TestCommitGroupKeepsLaterOverwriteVisible(t *testing.T) {
+	m := NewMemory(4)
+	g1, g2, r := m.Begin(1), m.Begin(2), m.Begin(3)
+	mustDo(t, g1.Write(0, 5))
+	mustDo(t, g1.Complete())
+	if v, err := r.Read(0); err != nil || v != 5 {
+		t.Fatalf("r reads %d, %v; want g1's 5", v, err)
+	}
+	mustDo(t, r.Complete())
+	mustDo(t, g2.Write(0, 7))
+	mustDo(t, g2.Complete())
+	if n, err := m.CommitGroup([]*Tx{g1, g2}); n != 2 || err != nil {
+		t.Fatalf("CommitGroup = %d, %v; want 2, nil", n, err)
+	}
+	if err := r.Commit(); !errors.Is(err, ErrConflict) {
+		t.Fatalf("r.Commit = %v, want ErrConflict: it read 5 where g2 left 7", err)
+	}
+	if r.Status() != StatusAborted {
+		t.Fatalf("r is %s, want aborted", r.Status())
+	}
+}
+
 // TestCommitByAnotherThread: the paper's §5 requirement — a transaction
 // executed on one thread is committed from another.
 func TestCommitByAnotherThread(t *testing.T) {
