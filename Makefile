@@ -2,7 +2,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: check fmt vet staticcheck test race race-stm race-core-finality race-core-equiv alloc-guards bench-pairs bench-profile build trace-e2e doccheck campaign-smoke
+.PHONY: check fmt vet staticcheck test race race-stm race-core-finality race-core-quiesce race-core-equiv alloc-guards bench-pairs bench-profile build trace-e2e doccheck campaign-smoke
 
 check: fmt vet staticcheck doccheck alloc-guards race
 
@@ -48,6 +48,15 @@ race-stm:
 race-core-finality:
 	for p in 1 2 8; do \
 		GOMAXPROCS=$$p go test -race -count=20 -run 'TestStatelessFinalBehindOpenLogger|TestStateReaderBehindHeadIsSpeculative|TestPipelineBasic|TestStatefulParallelismCorrectness' ./internal/core || exit 1; \
+	done
+
+# race-core-quiesce is the same gate for the engine's in-flight ledger
+# (DESIGN.md §9.9): Drain and Quiesced wait out work held at each hand-off,
+# ACKs wait for a stable checkpoint mark, and random pipelines drain to a
+# ledger of zero.
+race-core-quiesce:
+	for p in 1 2 8; do \
+		GOMAXPROCS=$$p go test -race -count=20 -run 'TestDrainWaitsForEveryHandOff|TestDupOfUncheckpointedCommitNotAcked|TestCheckpointBatchesAcks|TestRandomPipelines' ./internal/core || exit 1; \
 	done
 
 # alloc-guards runs the AllocsPerRun tests of the hot-path packages — the

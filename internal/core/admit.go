@@ -74,9 +74,9 @@ func (n *node) admitRun(input int, evs []event.Event) {
 			// is byte-identical and silently dropped, and so is a
 			// redelivery of an event the restored snapshot already covers
 			// (its covering mark never became stable). Re-ACK so upstream
-			// prunes — except a commit no checkpoint covers yet: upstream
-			// holds the only copy a recovery could replay, and its ACK
-			// leaves with the checkpoint (sinceCkpt).
+			// prunes — except a commit whose ACK waits in sinceCkpt for a
+			// stable checkpoint mark: upstream holds the only copy a
+			// recovery could replay.
 			if !pe.dup {
 				n.recStats.replayDrops++
 			} else if slices.ContainsFunc(n.sinceCkpt, func(a ackTarget) bool { return a.id == id }) {
@@ -138,6 +138,7 @@ func (n *node) admitRun(input int, evs []event.Event) {
 		fresh = append(fresh, t)
 	}
 	n.mu.Unlock()
+	n.eng.inflight.add(len(fresh)) // until retired, which needs the workers they go to below
 	// The append goes first: its stability is on every task's path to
 	// commit, so the log works on it while the workers execute.
 	if len(recs) > 0 {
@@ -163,7 +164,7 @@ func (n *node) admitRun(input int, evs []event.Event) {
 		if d := &deferred[i]; d.t != nil {
 			n.applyReplacement(d.t, d.ev)
 		} else {
-			n.ackUpstream(d.input, d.ev.ID)
+			n.sendUpstream(d.input, transport.Message{Type: transport.MsgAck, ID: d.ev.ID})
 		}
 	}
 	// Drop what the scratch references (payloads, decisions, tasks).
@@ -304,7 +305,8 @@ func (n *node) applyReplacement(t *task, ev event.Event) {
 			if tr := n.eng.tracer; tr != nil {
 				tr.RecordTrace(n.spec.Name, ev.ID.String(), ev.Trace, metrics.PhaseAbort, "cause=replacement")
 			}
-			tx.Abort() // OnAbort enqueues the re-execution
+			tx.Abort()
+			n.mailbox.PushReexec(cmdReexec{t: t, tx: tx}) // OnAbort's is lost if tx aborted while the task executed
 		}
 	}
 }

@@ -35,7 +35,7 @@ func TestConflictBackoffReducesWastedWork(t *testing.T) {
 			}
 		}
 		start := time.Now()
-		eng.Drain()
+		drainOrDump(t, eng, 10*time.Second)
 		elapsed := time.Since(start)
 		if err := eng.Err(); err != nil {
 			t.Fatal(err)
@@ -75,7 +75,7 @@ func TestTotalStatsAggregates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eng.Drain()
+	drainOrDump(t, eng, 10*time.Second)
 	total := eng.TotalStats()
 	if total.Committed != 2*events {
 		t.Fatalf("total committed = %d, want %d", total.Committed, 2*events)

@@ -704,9 +704,10 @@ func mallocsPerRun(runs int, f func()) float64 {
 
 // openReadyTasks puts count tasks on n that the committer will find ready:
 // executed, published, final, each with one speculative output to FINALIZE
-// and one input to ACK. Their sequences, and the Seq of their input IDs,
-// start at first.
+// and one input to ACK, and counts them in flight as admission would. Their
+// sequences, and the Seq of their input IDs, start at first.
 func openReadyTasks(t *testing.T, n *node, first, count int) {
+	n.eng.inflight.add(count)
 	for i := first; i < first+count; i++ {
 		id := event.ID{Source: 0, Seq: event.Seq(i)}
 		tx := n.mem.Begin(int64(i))
@@ -780,7 +781,7 @@ func (l *sentFrames) buffered() bool              { return false }
 func TestSendRunCoalesceAllocs(t *testing.T) {
 	const runs, batch = 200, 8
 	out := &sentFrames{frames: make([]transport.Message, 0, 3*(runs+1))}
-	l := &creditedLink{inner: out, gate: flow.NewCreditGate(1 << 30), q: newLinkQueue(), batch: batch}
+	l := &creditedLink{inner: out, gate: flow.NewCreditGate(1 << 30), q: newLinkQueue(new(inflight)), batch: batch}
 	var one [1]event.Event
 	send := func() {
 		m, _ := l.q.pop()
@@ -878,7 +879,7 @@ func testBatchCommitGrouping(t *testing.T, fl *flow.Limits, subscribe bool) {
 		}
 		emitted += n
 	}
-	eng.Drain()
+	drainOrDump(t, eng, 10*time.Second)
 	if err := eng.Err(); err != nil {
 		t.Fatal(err)
 	}

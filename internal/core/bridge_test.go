@@ -113,7 +113,7 @@ func TestBridgedEnginesOverTCP(t *testing.T) {
 	}
 
 	// ACKs must flow back over TCP and prune A's output buffer.
-	engB.Drain()
+	drainOrDump(t, engB, 10*time.Second)
 	nodeA, _ := engA.node(logA)
 	deadline := time.Now().Add(10 * time.Second)
 	for {

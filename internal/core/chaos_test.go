@@ -68,7 +68,7 @@ func TestChaosRepeatedCrashes(t *testing.T) {
 	if !sink.waitCount(totalEvents) {
 		t.Fatalf("stalled at %d of %d outputs after %d crashes", sink.count(), totalEvents, crashes)
 	}
-	eng.Drain()
+	drainOrDump(t, eng, 10*time.Second)
 	if err := eng.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestChaosCrashDuringBacklog(t *testing.T) {
 	if !sink.waitCount(totalEvents) {
 		t.Fatalf("stalled at %d of %d", sink.count(), totalEvents)
 	}
-	eng.Drain()
+	drainOrDump(t, eng, 10*time.Second)
 	if err := eng.Err(); err != nil {
 		t.Fatal(err)
 	}

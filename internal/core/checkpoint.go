@@ -51,8 +51,9 @@ func (n *node) takeCheckpoint() {
 			Trace: rec.trace,
 		})
 	}
-	acks := n.sinceCkpt
-	n.sinceCkpt = nil
+	// Its ACKs wait in sinceCkpt, seen by admission's duplicate check, until
+	// the mark is stable: sent sooner, they let upstream prune what replay needs.
+	upTo := n.ackedCkpt + uint64(len(n.sinceCkpt))
 	covered := n.coveredLSN
 	n.mu.Unlock()
 
@@ -61,20 +62,22 @@ func (n *node) takeCheckpoint() {
 		n.fail(fmt.Errorf("save checkpoint: %w", err))
 		return
 	}
-	// The batched upstream ACKs are released only once the covering mark
-	// is stable: releasing them earlier opens a crash window in which
-	// upstream buffers are pruned while the replay plan still demands the
-	// covered events.
 	mark := []wal.Record{{Kind: wal.KindCheckpointMark, Operator: n.opID, Value: uint64(covered)}}
+	n.eng.inflight.add(1) // the mark, until the ACKs it releases are sent
 	_, err := n.log.Append(mark, func(err error) {
+		defer n.settle(1)
 		if err != nil {
 			n.fail(fmt.Errorf("mark checkpoint: %w", err))
 			return
 		}
 		var runs [][]transport.FinalizeRef // by input: one ACK run each
-		for _, a := range acks {
+		n.mu.Lock()
+		k := max(upTo, n.ackedCkpt) - n.ackedCkpt // none if a later mark or a crash took them
+		for _, a := range n.sinceCkpt[:k] {
 			runs = addAt(runs, a.input, transport.FinalizeRef{ID: a.id})
 		}
+		n.sinceCkpt, n.ackedCkpt = n.sinceCkpt[k:], n.ackedCkpt+k
+		n.mu.Unlock()
 		for input, run := range runs {
 			if len(run) > 0 {
 				n.sendUpstream(input, refFrame(run, true))
@@ -83,5 +86,6 @@ func (n *node) takeCheckpoint() {
 	})
 	if err != nil {
 		n.fail(fmt.Errorf("mark checkpoint: %w", err))
+		n.settle(1)
 	}
 }

@@ -157,6 +157,7 @@ func (n *node) cleanupHead(t *task) {
 	// The head moved: re-evaluate parked tasks' head-bypass even when no
 	// slot was released.
 	n.throttle.Wake()
+	n.settle(1)
 }
 
 // finFlush accumulates the control traffic of one commit group: FINALIZE
@@ -231,11 +232,9 @@ type retirePost struct {
 func (n *node) retireGroup(run []*task) {
 	fb := &n.fin
 	posts := n.retirePosts[:0]
-	n.retiring.Store(int32(len(run)))
 	defer func() {
 		clear(posts[:cap(posts)]) // drop task pointers held in dead slots
 		n.retirePosts = posts[:0]
-		n.retiring.Store(0)
 	}()
 	for _, t := range run {
 		t.mu.Lock()
@@ -338,4 +337,5 @@ func (n *node) retireGroup(run []*task) {
 		}
 	}
 	fb.flush(n)
+	n.settle(len(posts)) // not before: the frames were the tasks' last consequences
 }

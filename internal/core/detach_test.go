@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"streammine/internal/event"
 	"streammine/internal/flow"
@@ -105,7 +106,7 @@ func TestDetachSourceAdmissionBypassesShed(t *testing.T) {
 	if got := adm.AdmitN(5); got != flow.Shed {
 		t.Fatalf("second detached AdmitN = %v, want Shed", got)
 	}
-	eng.Drain()
+	drainOrDump(t, eng, 10*time.Second)
 	if err := eng.Err(); err != nil {
 		t.Fatal(err)
 	}

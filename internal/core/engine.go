@@ -120,7 +120,8 @@ type Engine struct {
 	store checkpoint.Store
 	tick  *vclock.Ticker
 
-	nodes []*node
+	nodes    []*node
+	inflight inflight
 
 	// met, tracer and prof are the observability hooks; all nil when
 	// disabled so hot paths pay a single pointer check.
@@ -149,6 +150,8 @@ var (
 	// Options.LogScanner: the decision log is on the caller's disks, and
 	// only the caller can read it back.
 	ErrNoLogScanner = errors.New("core: recovery needs Options.LogScanner")
+	// errInflightBelowZero fails a node that settled work never counted.
+	errInflightBelowZero = errors.New("core: in-flight ledger below zero")
 )
 
 // New validates the graph and builds an engine for it.
@@ -170,6 +173,7 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 		opts: opts,
 		tick: vclock.NewTicker(opts.Clock),
 	}
+	eng.inflight.zero.L = &eng.inflight.mu
 	if opts.CheckpointStore != nil {
 		eng.store = opts.CheckpointStore
 	} else {
@@ -202,7 +206,7 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 			// receiving node's Limits: the sender coalesces consecutive
 			// queued events into one EVENT_BATCH delivery (one credit
 			// charge, one mailbox push).
-			up.addLink(e.FromPort, newCreditedLink(inner, gate, down.spec.Flow.Batch()))
+			up.addLink(e.FromPort, newCreditedLink(up, inner, gate, down.spec.Flow.Batch()))
 			*slot(&down.granters, e.ToInput) = localGranter{gate: gate}
 			down.inGates = append(down.inGates, gate)
 		} else {
@@ -349,38 +353,21 @@ func (e *Engine) Stop() {
 	}
 	e.stopped = true
 	e.mu.Unlock()
+	e.inflight.stop()
 	for _, n := range e.nodes {
 		n.stop()
 	}
 }
 
-// Drain blocks until every node's mailbox is empty and all dispatched
-// tasks have committed (or the engine stops). Nodes are drained in
-// topological order so upstream finalizations reach downstream nodes
-// before those are waited on. It is the quiesce point used by tests and
-// benchmarks between workload phases.
-func (e *Engine) Drain() {
-	order, err := e.g.TopoOrder()
-	if err != nil {
-		return // validated at New; unreachable
-	}
-	for _, id := range order {
-		e.nodes[id].drain()
-	}
-}
+// Drain blocks until nothing is in flight in the engine, or until it stops:
+// no frame queued or in a dispatcher's or credited link sender's hand, no
+// task short of retired with its FINALIZE, late-final and ACK frames sent,
+// no checkpoint mark with its ACKs unsent. Tests and benchmarks quiesce here.
+func (e *Engine) Drain() { e.inflight.wait() }
 
-// Quiesced reports whether the engine is momentarily idle: every node's
-// mailbox and execution queue are empty and no tasks are open. Unlike
-// Drain it does not block; cluster workers poll it to report quiescence
-// to the coordinator's completion detector.
-func (e *Engine) Quiesced() bool {
-	for _, n := range e.nodes {
-		if !n.quiet() {
-			return false
-		}
-	}
-	return true
-}
+// Quiesced reports without blocking what Drain waits for, that nothing is in
+// flight; cluster workers report it to the coordinator's completion detector.
+func (e *Engine) Quiesced() bool { return e.inflight.n.Load() <= 0 }
 
 // Err returns the first operator or logging error any node recorded, or
 // nil.

@@ -60,7 +60,7 @@ func TestRevokeCascadesDownstream(t *testing.T) {
 	// Finalize the (revised) input; a commits with zero outputs.
 	nodeA.mailbox.Push(transport.Message{Type: transport.MsgFinalize, ID: id, Version: 1})
 
-	eng.Drain()
+	drainOrDump(t, eng, 10*time.Second)
 	time.Sleep(5 * time.Millisecond)
 	if got := len(sink.finals()); got != 0 {
 		t.Fatalf("revoked output finalized anyway: %d finals", got)
@@ -103,7 +103,7 @@ func TestSplitFanoutEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eng.Drain()
+	drainOrDump(t, eng, 10*time.Second)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		sum := 0
@@ -161,7 +161,7 @@ func TestJoinThroughEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eng.Drain() // all left rows stored, no matches yet
+	drainOrDump(t, eng, 10*time.Second) // all left rows stored, no matches yet
 	if len(sink.finals()) != 0 {
 		t.Fatalf("join fired with one side only")
 	}
@@ -171,7 +171,7 @@ func TestJoinThroughEngine(t *testing.T) {
 		}
 	}
 	finals := sink.waitFinals(t, pairs)
-	eng.Drain()
+	drainOrDump(t, eng, 10*time.Second)
 	for _, ev := range finals {
 		l, r := operator.DecodePair(ev.Payload)
 		if l != 100+ev.Key || r != 200+ev.Key {
@@ -211,7 +211,7 @@ func TestTimeWindowThroughEngine(t *testing.T) {
 		}
 	}
 	finals := sink.waitFinals(t, 2)
-	eng.Drain()
+	drainOrDump(t, eng, 10*time.Second)
 	if got := operator.DecodeValue(finals[0].Payload); got != 6 {
 		t.Fatalf("window 1 sum = %d, want 6", got)
 	}

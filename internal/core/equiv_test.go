@@ -212,16 +212,12 @@ func runEquivVariant(t *testing.T, seed uint64, v equivVariant, want int) map[ev
 	if want > 0 && !sink.waitCount(want) {
 		t.Fatalf("seed %d %s: stalled at %d of %d finals", seed, v.name, sink.count(), want)
 	}
-	// Engine.Drain with a deadline: a stalled task must fail the test, not
-	// hang it.
-	for deadline := time.Now().Add(20 * time.Second); !eng.Quiesced(); {
-		if time.Now().After(deadline) {
-			t.Fatalf("seed %d %s: not quiescent with %d finals delivered", seed, v.name, sink.count())
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
+	drainOrDump(t, eng, 20*time.Second)
 	if err := eng.Err(); err != nil {
 		t.Fatal(err)
+	}
+	if left := eng.inflight.n.Load(); left != 0 {
+		t.Fatalf("seed %d %s: the in-flight ledger reads %d after the drain, want 0", seed, v.name, left)
 	}
 	sink.mu.Lock()
 	defer sink.mu.Unlock()

@@ -287,12 +287,13 @@ func (n *node) publishOutputs(t *task) {
 			}
 			tr.RecordTrace(n.spec.Name, s.rec.id.String(), inTrace, phase, "from="+inputID.String())
 		}
-		// The record is read and delivered under the lock a later attempt
-		// changes it under: a send that lost the race to that attempt's
-		// repeats its version, and no stale one can follow that attempt's
-		// send, or its FINALIZE, onto the link.
+		// Read and delivered under the lock that a later attempt, the commit and
+		// a cancellation change it under: a late send repeats the current
+		// version, goes final once that is finalized, and never follows a REVOKE.
 		t.mu.Lock()
-		n.deliverToPort(s.rec.port, transport.Message{Type: transport.MsgEvent, Event: s.rec.toEvent(s.spec)})
+		if t.state != taskCancelled {
+			n.deliverToPort(s.rec.port, transport.Message{Type: transport.MsgEvent, Event: s.rec.toEvent(s.spec && !s.rec.finalSent.Load())})
+		}
 		t.mu.Unlock()
 	}
 	for _, rec := range revokes {

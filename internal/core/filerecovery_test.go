@@ -3,6 +3,7 @@ package core
 import (
 	"path/filepath"
 	"testing"
+	"time"
 
 	"streammine/internal/graph"
 	"streammine/internal/operator"
@@ -75,7 +76,7 @@ func TestRecoveryFromSegmentedFiles(t *testing.T) {
 	if !sink.waitCount(total) {
 		t.Fatalf("post-recovery stalled at %d of %d", sink.count(), total)
 	}
-	eng.Drain()
+	drainOrDump(t, eng, 10*time.Second)
 	if err := eng.Err(); err != nil {
 		t.Fatal(err)
 	}

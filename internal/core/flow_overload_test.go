@@ -80,7 +80,7 @@ func runOverload(t *testing.T, fl *flow.Limits, total, workers int, opts Options
 	if !sink.waitCount(total) {
 		t.Fatalf("overloaded chain stalled at %d of %d finals", sink.count(), total)
 	}
-	eng.Drain()
+	drainOrDump(t, eng, 10*time.Second)
 	if err := eng.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestFlowCrashRecoverPreciseOutputs(t *testing.T) {
 	if !sink.waitCount(total) {
 		t.Fatalf("post-recovery outputs stalled at %d of %d (credits not re-granted?)", sink.count(), total)
 	}
-	eng.Drain()
+	drainOrDump(t, eng, 10*time.Second)
 	if err := eng.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestFlowSourceAdmissionShed(t *testing.T) {
 	if !sink.waitCount(admitted) {
 		t.Fatalf("finals stalled at %d of %d admitted", sink.count(), admitted)
 	}
-	eng.Drain()
+	drainOrDump(t, eng, 10*time.Second)
 	if err := eng.Err(); err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func TestUnmeteredEngineReportsFinalizeLatency(t *testing.T) {
 		}
 	}
 	sink.waitFinals(t, 50)
-	eng.Drain()
+	drainOrDump(t, eng, 10*time.Second)
 	if err := eng.Err(); err != nil {
 		t.Fatal(err)
 	}

@@ -385,7 +385,7 @@ func TestCommittedDedupSurvivesGrowth(t *testing.T) {
 			dups = append(dups, evs[run-1])
 		}
 	}
-	eng.Drain()
+	drainOrDump(t, eng, 10*time.Second)
 	n.mu.Lock()
 	committed, segments := n.committed.len(), 0
 	n.committed.segments(func(*idTable[struct{}]) { segments++ })
@@ -413,7 +413,7 @@ func TestCommittedDedupSurvivesGrowth(t *testing.T) {
 			t.Fatalf("re-ACKed %v, want %v", got, want)
 		}
 	}
-	eng.Drain()
+	drainOrDump(t, eng, 10*time.Second)
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.cDispatched.Load() != total || n.tasks.len() != 0 || n.committed.len() != total {

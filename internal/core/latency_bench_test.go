@@ -136,7 +136,7 @@ func benchThroughputBatch(b *testing.B, batch int) {
 		}
 		emitted++
 	}
-	eng.Drain()
+	drainOrDump(b, eng, time.Minute)
 	elapsed := b.Elapsed()
 	b.StopTimer()
 	if err := eng.Err(); err != nil {

@@ -156,10 +156,11 @@ type linkQueue struct {
 	cond   *sync.Cond
 	items  ring[transport.Message]
 	closed bool
+	led    *inflight // counts each push; the sender settles it
 }
 
-func newLinkQueue() *linkQueue {
-	q := &linkQueue{}
+func newLinkQueue(f *inflight) *linkQueue {
+	q := &linkQueue{led: f}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
@@ -167,6 +168,7 @@ func newLinkQueue() *linkQueue {
 func (q *linkQueue) push(m transport.Message) {
 	q.mu.Lock()
 	if !q.closed {
+		q.led.add(1)
 		q.items.push(m)
 		q.cond.Signal()
 	}
@@ -232,6 +234,7 @@ func (q *linkQueue) close() {
 // events is the same goroutine that processes inbound CREDIT grants on
 // the reverse path — blocking it on a credit would deadlock the cycle.
 type creditedLink struct {
+	n     *node // the sending node, failed if the ledger goes below zero
 	inner link
 	gate  *flow.CreditGate
 	q     *linkQueue
@@ -243,12 +246,12 @@ type creditedLink struct {
 
 var _ link = (*creditedLink)(nil)
 
-// newCreditedLink wraps inner behind gate and starts the sender. The sender
-// coalesces consecutive queued events into one frame of up to batch events
-// (below 1 means 1), charging the credit gate once for the whole run. It
-// never waits for a run to fill.
-func newCreditedLink(inner link, gate *flow.CreditGate, batch int) *creditedLink {
-	l := &creditedLink{inner: inner, gate: gate, q: newLinkQueue(), batch: max(batch, 1), done: make(chan struct{})}
+// newCreditedLink wraps n's link inner behind gate and starts the sender.
+// The sender coalesces consecutive queued events into one frame of up to
+// batch events (below 1 means 1), charging the credit gate once for the
+// whole run. It never waits for a run to fill.
+func newCreditedLink(n *node, inner link, gate *flow.CreditGate, batch int) *creditedLink {
+	l := &creditedLink{n: n, inner: inner, gate: gate, q: newLinkQueue(&n.eng.inflight), batch: max(batch, 1), done: make(chan struct{})}
 	go l.sender()
 	return l
 }
@@ -257,13 +260,8 @@ func (l *creditedLink) deliver(m transport.Message) { l.q.push(m) }
 
 func (l *creditedLink) buffered() bool { return l.inner.buffered() }
 
-// queued reports messages waiting for transmission (quiescence and
-// pressure accounting: these are in flight even though no mailbox holds
-// them yet).
-func (l *creditedLink) queued() int { return l.q.len() }
-
-// sender forwards queued messages: control frames as they are, data events
-// as credit-charged runs.
+// sender forwards queued messages, control frames as they are and data
+// events as credit-charged runs, each in flight until its delivery returns.
 func (l *creditedLink) sender() {
 	defer close(l.done)
 	var one [1]event.Event
@@ -272,26 +270,30 @@ func (l *creditedLink) sender() {
 		if !ok {
 			return
 		}
+		frames := 1
 		if run := eventsOf(&m, &one); len(run) > 0 {
-			l.sendRun(run)
+			frames = l.sendRun(run)
 		} else {
 			l.inner.deliver(m)
 		}
+		l.n.settle(frames)
 	}
 }
 
-// sendRun sends one run of data events under a single credit charge. A run
-// shorter than the cap first takes the single events queued right behind
-// it. If the gate closed meanwhile (shutdown) the run is dropped:
-// its events are either retained in the output buffer for replay or moot
-// because the engine is stopping.
-func (l *creditedLink) sendRun(run []event.Event) {
+// sendRun sends one run of data events under a single credit charge and
+// reports how many queued frames it was made of. A run shorter than the cap
+// first takes the single events queued right behind it. If the gate closed
+// meanwhile (shutdown) the run is dropped: its events are either retained
+// in the output buffer for replay or moot because the engine is stopping.
+func (l *creditedLink) sendRun(run []event.Event) (frames int) {
 	if len(run) < l.batch {
-		run = l.q.takeEvents(run, l.batch-len(run), &l.runs)
+		merged := l.q.takeEvents(run, l.batch-len(run), &l.runs)
+		run, frames = merged, len(merged)-len(run)
 	}
 	if l.gate.AcquireN(len(run)) {
 		l.inner.deliver(eventFrame(run))
 	}
+	return 1 + frames
 }
 
 // close stops the sender and releases any credit wait. Idempotent.

@@ -34,7 +34,7 @@ type mailbox struct {
 	ctl    ring[mailItem]
 	data   ring[mailItem]
 	closed bool
-	held   bool // the last Pop's item is not handled: no Pop came since
+	led    *inflight // counts each push by its events; the dispatch turn settles them
 
 	dataCap   int // 0 = unbounded (no accounting against a bound)
 	dataDepth int // queued data EVENTS (an item weighs the length of its run)
@@ -90,8 +90,8 @@ func (r *ring[T]) pop() T {
 	return v
 }
 
-func newMailbox() *mailbox {
-	m := &mailbox{}
+func newMailbox(f *inflight) *mailbox {
+	m := &mailbox{led: f}
 	m.cond = sync.NewCond(&m.mu)
 	return m
 }
@@ -140,6 +140,7 @@ func (m *mailbox) PushInject(run []event.Event) { m.push(mailItem{inject: run}) 
 func (m *mailbox) push(it mailItem) {
 	m.mu.Lock()
 	if !m.closed {
+		m.led.add(max(it.dataWeight(), 1)) // a control item weighs 1
 		if w := it.dataWeight(); w > 0 {
 			if m.qdelay != nil {
 				it.pushedNs = time.Now().UnixNano()
@@ -174,11 +175,11 @@ const maxRun = 64
 func (m *mailbox) Pop(run []event.Event) (it mailItem, evs []event.Event, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for m.held = false; m.ctl.n == 0 && m.data.n == 0 && !m.closed; {
+	for m.ctl.n == 0 && m.data.n == 0 && !m.closed {
 		m.cond.Wait()
 	}
 	evs = run[:0]
-	if m.held = m.ctl.n > 0; m.held {
+	if m.ctl.n > 0 {
 		return m.ctl.pop(), evs, true
 	}
 	var one [1]event.Event
@@ -198,23 +199,7 @@ func (m *mailbox) Pop(run []event.Event) (it mailItem, evs []event.Event, ok boo
 		}
 		evs = append(evs, eventsOf(&d.msg, &one)...)
 	}
-	m.held = ok
 	return it, evs, ok
-}
-
-// Len reports the queued item count across both lanes.
-func (m *mailbox) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ctl.n + m.data.n
-}
-
-// Idle reports that nothing is queued, nor in the hand of the one goroutine
-// that pops, which handles an item before it pops the next.
-func (m *mailbox) Idle() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ctl.n == 0 && m.data.n == 0 && !m.held
 }
 
 // DataDepth reports the data-lane occupancy in events (a queued batch

@@ -17,7 +17,7 @@ func ctlMsg(seq uint64) transport.Message {
 // TestMailboxFIFO pushes through several ring growths with pops in
 // between, so the order is checked across wrapped and regrown rings.
 func TestMailboxFIFO(t *testing.T) {
-	m := newMailbox()
+	m := newMailbox(new(inflight))
 	next, want := uint64(0), uint64(0)
 	for round := 1; round <= 40; round++ {
 		for i := 0; i < round; i++ {
@@ -45,7 +45,7 @@ func TestMailboxFIFO(t *testing.T) {
 // TestMailboxPoppedSlotsCleared: a popped frame must not stay reachable
 // from the lane's backing array.
 func TestMailboxPoppedSlotsCleared(t *testing.T) {
-	m := newMailbox()
+	m := newMailbox(new(inflight))
 	for i := uint64(0); i < 5; i++ {
 		m.Push(transport.Message{Type: transport.MsgEvent, Event: event.Event{Payload: []byte("x")}})
 		m.PushReexec(cmdReexec{t: &task{}})
@@ -67,7 +67,7 @@ func TestMailboxPoppedSlotsCleared(t *testing.T) {
 // stored by value, not boxed — and popping them allocates nothing either:
 // the events of an input frame go to the caller's scratch run.
 func TestMailboxSteadyStateZeroAlloc(t *testing.T) {
-	m := newMailbox()
+	m := newMailbox(new(inflight))
 	tk := &task{}
 	run := make([]event.Event, 0, 1)
 	push := func() {
@@ -92,7 +92,7 @@ func TestMailboxSteadyStateZeroAlloc(t *testing.T) {
 }
 
 func TestMailboxBlockingPop(t *testing.T) {
-	m := newMailbox()
+	m := newMailbox(new(inflight))
 	got := make(chan mailItem, 1)
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -111,7 +111,7 @@ func TestMailboxBlockingPop(t *testing.T) {
 }
 
 func TestMailboxCloseDrainsThenStops(t *testing.T) {
-	m := newMailbox()
+	m := newMailbox(new(inflight))
 	m.Push(ctlMsg(1))
 	m.Push(ctlMsg(2))
 	m.Close()
@@ -132,7 +132,7 @@ func TestMailboxCloseDrainsThenStops(t *testing.T) {
 }
 
 func TestMailboxCloseUnblocksWaiters(t *testing.T) {
-	m := newMailbox()
+	m := newMailbox(new(inflight))
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -145,7 +145,7 @@ func TestMailboxCloseUnblocksWaiters(t *testing.T) {
 }
 
 func TestMailboxConcurrentProducers(t *testing.T) {
-	m := newMailbox()
+	m := newMailbox(new(inflight))
 	const producers, per = 4, 100
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
@@ -185,7 +185,7 @@ func batchMsg(input int, from uint64, n int) transport.Message {
 // TestMailboxControlLanePriority: control messages overtake queued data, so
 // FINALIZE/ACK/REPLAY retain progress while the data lane sits at capacity.
 func TestMailboxControlLanePriority(t *testing.T) {
-	m := newMailbox()
+	m := newMailbox(new(inflight))
 	m.SetDataCap(4)
 	for i := uint64(0); i < 4; i++ {
 		m.Push(dataMsg(i))
@@ -227,7 +227,7 @@ func TestMailboxControlLanePriority(t *testing.T) {
 // events — a frame that would take it past the cap starts the next run —
 // and a control item pushed before the Pop leaves ahead of it.
 func TestMailboxRunBoundaries(t *testing.T) {
-	m := newMailbox()
+	m := newMailbox(new(inflight))
 	seq := uint64(1)
 	singles := func(input, n int) {
 		for i := 0; i < n; i++ {
@@ -282,7 +282,7 @@ func TestMailboxRunBoundaries(t *testing.T) {
 // time would — the data lane's occupancy after each pop, its high-water
 // mark, and one queueing-delay observation per frame.
 func TestMailboxRunAccounting(t *testing.T) {
-	m := newMailbox()
+	m := newMailbox(new(inflight))
 	qdelay := metrics.NewHDR()
 	m.SetQueueDelay(qdelay)
 	frames, events := 0, 0
@@ -356,7 +356,7 @@ func TestQueuedRunGrantsItsCredits(t *testing.T) {
 // and overshoot against its configured capacity without ever rejecting —
 // the hard bound lives at the upstream credit gates.
 func TestMailboxDataAccounting(t *testing.T) {
-	m := newMailbox()
+	m := newMailbox(new(inflight))
 	m.SetDataCap(2)
 	m.PushInject(make([]event.Event, 1)) // source injections ride the data lane
 	for i := uint64(0); i < 3; i++ {
@@ -397,7 +397,7 @@ func TestMailboxDataAccounting(t *testing.T) {
 // mailbox in place; everything queued pre-crash is discarded (upstream
 // replays the unacknowledged events).
 func TestMailboxReopenDiscardsBothLanes(t *testing.T) {
-	m := newMailbox()
+	m := newMailbox(new(inflight))
 	m.Push(dataMsg(1))
 	m.Push(transport.Message{Type: transport.MsgFinalize})
 	m.Close()

@@ -187,7 +187,9 @@ func registerEngineMetrics(e *Engine, reg *metrics.Registry) *engineMetrics {
 		func() float64 {
 			total := 0
 			for _, n := range e.nodes {
-				total += n.openCount()
+				n.mu.Lock()
+				total += n.open.n
+				n.mu.Unlock()
 			}
 			return float64(total)
 		})

@@ -64,7 +64,7 @@ func TestMetricsEndToEndChaos(t *testing.T) {
 	if !sink.waitCount(totalEvents) {
 		t.Fatalf("stalled at %d of %d outputs", sink.count(), totalEvents)
 	}
-	eng.Drain()
+	drainOrDump(t, eng, 10*time.Second)
 	if err := eng.Err(); err != nil {
 		t.Fatal(err)
 	}

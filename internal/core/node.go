@@ -62,8 +62,9 @@ type node struct {
 	committed     idSet // never pruned: DESIGN.md §9.4
 	outBuf        idTable[*outRecord]
 	outEmitSeq    uint64
-	lastCommitted []inputPos // by input
-	sinceCkpt     []ackTarget
+	lastCommitted []inputPos  // by input
+	sinceCkpt     []ackTarget // commits whose ACK waits for a stable checkpoint mark
+	ackedCkpt     uint64      // commits ever taken off the front of sinceCkpt
 	ckptEpoch     uint64
 	coveredLSN    wal.LSN
 	commitCount   uint64
@@ -72,7 +73,6 @@ type node struct {
 	commitCond *sync.Cond
 	commitGen  uint64
 	nextCommit atomic.Int64
-	retiring   atomic.Int32 // tasks of the commit group being retired (see openCount)
 
 	// commitRun/commitTxs are the committer's gather scratch, touched only
 	// by the committer goroutine and reused across groups (the committer
@@ -121,7 +121,7 @@ type node struct {
 	// Flow control (all nil/empty when unconfigured — see internal/flow).
 	// granters return credits per input as events leave the mailbox;
 	// inGates are the gates feeding this node (reset on recovery);
-	// credLinks are credit-gated output links (quiescence accounting);
+	// credLinks are credit-gated output links (pressure accounting);
 	// throttle caps open speculative tasks; admission rate-limits a
 	// source node. granters and inGates are wired before start and
 	// immutable afterwards; credLinks appends are wiring-time only.
@@ -201,7 +201,7 @@ func newNode(eng *Engine, spec graph.Node, inputs int, rng *detrand.Source, log 
 		mem:       stm.NewMemory(capWords),
 		log:       log,
 		rng:       rng,
-		mailbox:   newMailbox(),
+		mailbox:   newMailbox(&eng.inflight),
 		execQ:     newTaskQueue(),
 		links:     make([][]link, spec.OutputPorts),
 		upstream:  make([]upstreamSender, inputs),
@@ -234,6 +234,7 @@ func (n *node) resetVolatile() {
 	clear(n.lastCommitted)
 	n.pendFin = idTable[event.Version]{}
 	n.pendRevoke = idTable[[]event.Version]{}
+	n.ackedCkpt += uint64(len(n.sinceCkpt)) // a mark appended before the crash releases none
 	n.replay, n.sinceCkpt = nil, nil
 	n.nextSeq, n.outEmitSeq, n.commitCount = 1, 0, 0
 	n.nextCommit.Store(1)
@@ -246,13 +247,11 @@ func (n *node) addLink(port int, l link) {
 	}
 }
 
-// creditQueued sums output events waiting for credits across this node's
-// credit-gated links. They are in flight for quiescence purposes: no
-// mailbox holds them yet, but they will be delivered.
+// creditQueued sums the frames queued on this node's credit-gated links.
 func (n *node) creditQueued() int {
 	total := 0
 	for _, cl := range n.credLinks {
-		total += cl.queued()
+		total += cl.q.len()
 	}
 	return total
 }
@@ -414,29 +413,6 @@ func (n *node) stats() NodeStats {
 	}
 }
 
-// openCount reports tasks not yet committed or cleaned up, counting a
-// committed group until its FINALIZE, late-final and ACK frames have left
-// (n.retiring), so a drained node has nothing left to deliver.
-func (n *node) openCount() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.open.n + int(n.retiring.Load())
-}
-
-// drain blocks until the node has no queued work, no open tasks, and no
-// outputs parked behind credit gates.
-func (n *node) drain() {
-	for !n.stopFlag.Load() && !n.quiet() {
-		time.Sleep(200 * time.Microsecond)
-	}
-}
-
-// quiet reports whether the node is momentarily idle: nothing queued, no
-// open tasks, no outputs parked behind credit gates.
-func (n *node) quiet() bool {
-	return n.mailbox.Idle() && n.execQ.Len() == 0 && n.openCount() == 0 && n.creditQueued() == 0
-}
-
 // dispatcher serializes ordering decisions: event admission (assigning the
 // per-node sequence = STM timestamp, the logged input-order decision),
 // replacements, finalization, revocation, ACK bookkeeping and re-execution
@@ -455,9 +431,10 @@ func (n *node) dispatcher() {
 	}
 }
 
-// dispatch hands one popped item to its handler: a run of queued input
-// events (evs) to admission, anything else by kind.
+// dispatch hands one popped item to its handler, a run of queued input
+// events (evs) to admission, anything else by kind, and settles them.
 func (n *node) dispatch(it mailItem, evs []event.Event) {
+	defer n.settle(max(len(evs), it.dataWeight(), 1))
 	switch {
 	case len(evs) > 0:
 		// The events left the data lane: return their credits so the
@@ -514,10 +491,4 @@ func (n *node) sendUpstream(input int, m transport.Message) {
 	if up != nil {
 		up.send(m)
 	}
-}
-
-// ackUpstream notifies the upstream feeding the given input that an event
-// will never be requested again.
-func (n *node) ackUpstream(input int, id event.ID) {
-	n.sendUpstream(input, transport.Message{Type: transport.MsgAck, ID: id})
 }

@@ -47,7 +47,7 @@ func TestProfilerAttributesConflicts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eng.Drain()
+	drainOrDump(t, eng, 10*time.Second)
 	if err := eng.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func benchSpeculationWaste(b *testing.B, classes int) {
 				b.Fatal(err)
 			}
 		}
-		eng.Drain()
+		drainOrDump(b, eng, 10*time.Second)
 		b.StopTimer()
 		eng.Stop()
 		pool.Close()

@@ -34,9 +34,9 @@ func randomOperator(rng *detrand.Source) (operator.Operator, operator.Traits) {
 
 // TestRandomPipelines builds randomized linear pipelines (random operators,
 // worker counts, speculation flags) and checks structural engine
-// invariants after a drain: no errors, every dispatched task committed or
-// cancelled, and speculative sightings at the sink eventually finalized or
-// revoked.
+// invariants after a drain: no errors, nothing left in flight, every
+// dispatched task committed or cancelled, and speculative sightings at the
+// sink eventually finalized or revoked.
 func TestRandomPipelines(t *testing.T) {
 	rng := detrand.New(0xC0FFEE)
 	for round := 0; round < 12; round++ {
@@ -72,9 +72,11 @@ func TestRandomPipelines(t *testing.T) {
 				}
 			}
 			drainOrDump(t, eng, 30*time.Second)
-			time.Sleep(2 * time.Millisecond)
 			if err := eng.Err(); err != nil {
 				t.Fatalf("pipeline error: %v", err)
+			}
+			if left := eng.inflight.n.Load(); left != 0 {
+				t.Fatalf("the in-flight ledger reads %d after the drain, want 0", left)
 			}
 			for _, node := range g.Nodes() {
 				if node.Op == nil {

@@ -70,6 +70,7 @@ func (n *node) crash() {
 	// Abort open transactions so no downstream STM chains dangle. (All
 	// state dies with the memory anyway; this is bookkeeping hygiene.)
 	n.mu.Lock()
+	n.settle(n.open.n) // the tasks die; what was queued, the dispatcher drained
 	for i := 0; i < n.open.n; i++ {
 		t := n.open.at(i)
 		t.mu.Lock()

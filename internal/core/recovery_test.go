@@ -131,7 +131,7 @@ func TestCrashRecoverPreciseOutputs(t *testing.T) {
 	if !sink.waitCount(total) {
 		t.Fatalf("post-recovery outputs stalled at %d of %d", sink.count(), total)
 	}
-	eng.Drain()
+	drainOrDump(t, eng, 10*time.Second)
 	if err := eng.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestRecoveryReplaysLoggedDecisions(t *testing.T) {
 	if !sink.waitCount(total) {
 		t.Fatalf("pre-crash outputs stalled at %d", sink.count())
 	}
-	eng.Drain()
+	drainOrDump(t, eng, 10*time.Second)
 	before := sink.snapshot()
 
 	if err := eng.Crash(nd); err != nil {
@@ -248,7 +248,7 @@ func TestRecoveryReplaysLoggedDecisions(t *testing.T) {
 	// All events were committed but never checkpoint-acked, so the source
 	// replays all of them; the dedup sink will scream if any regenerated
 	// output differs from its pre-crash content.
-	eng.Drain()
+	drainOrDump(t, eng, 10*time.Second)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		ndNode, _ := eng.node(nd)
@@ -263,7 +263,7 @@ func TestRecoveryReplaysLoggedDecisions(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	eng.Drain()
+	drainOrDump(t, eng, 10*time.Second)
 	if err := eng.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestReplayRequestResendsUnacked(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eng.Drain()
+	drainOrDump(t, eng, 10*time.Second)
 	srcNode, _ := eng.node(src)
 	srcNode.mu.Lock()
 	buffered := srcNode.outBuf.len()
@@ -311,7 +311,7 @@ func TestReplayRequestResendsUnacked(t *testing.T) {
 	// dropped as committed duplicates).
 	procNode, _ := eng.node(proc)
 	srcNode.mailbox.Push(transport.Message{Type: transport.MsgReplay})
-	eng.Drain()
+	drainOrDump(t, eng, 10*time.Second)
 	time.Sleep(5 * time.Millisecond)
 	st, _ := eng.Stats(proc)
 	if st.Committed != total {
@@ -387,7 +387,7 @@ func TestRecoveryFromCheckpointSkipsAckedEvents(t *testing.T) {
 	if !sink.waitCount(total) {
 		t.Fatal("initial run stalled")
 	}
-	eng.Drain()
+	drainOrDump(t, eng, 10*time.Second)
 
 	// 40 events, checkpoint every 8 → the last checkpoint at 40 acked all.
 	// The covering ACK travels source-ward asynchronously after the
@@ -423,7 +423,7 @@ func TestRecoveryFromCheckpointSkipsAckedEvents(t *testing.T) {
 	if !sink.waitCount(total + 8) {
 		t.Fatalf("post-recovery outputs stalled at %d", sink.count())
 	}
-	eng.Drain()
+	drainOrDump(t, eng, 10*time.Second)
 	perClass := make(map[uint64]int)
 	maxPerClass := make(map[uint64]uint64)
 	for _, payload := range sink.snapshot() {
@@ -484,7 +484,7 @@ func TestRestoredOutputsAreReleased(t *testing.T) {
 	n, _ := eng.node(proc)
 	released := func(when string, cycle int) {
 		t.Helper()
-		eng.Drain()
+		drainOrDump(t, eng, 10*time.Second)
 		for deadline := time.Now().Add(5 * time.Second); outBufLen(n) != 0; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
 				t.Fatalf("cycle %d, %s: %d outputs still buffered after the drain", cycle, when, outBufLen(n))
@@ -543,47 +543,102 @@ func emitRange(t *testing.T, s *SourceHandle, from, to int) {
 }
 
 // TestDupOfUncheckpointedCommitNotAcked: a checkpointing stateful node
-// withholds the ACK of a committed event until a checkpoint covers it, and
-// a duplicate of that event (upstream replayed: a link flap, a second
-// recovery) must not release it early — upstream holds the only copy a
-// recovery could rebuild the uncheckpointed state from.
+// withholds the ACK of a committed event until a checkpoint covers it and
+// the checkpoint's mark is stable, and a duplicate of that event (upstream
+// replayed: a link flap, a second recovery) must not release it early —
+// upstream holds the only copy a recovery could rebuild the uncheckpointed
+// state from. The duplicate comes before any checkpoint, or while the
+// covering checkpoint's mark is not yet stable.
 func TestDupOfUncheckpointedCommitNotAcked(t *testing.T) {
 	const half = 10
-	g, src, proc := classifierGraph(1000) // never: nothing is ACKed
-	eng := newTestEngine(t, g, Options{Seed: 27})
-	sink := newDedupSink(t)
-	if err := eng.Subscribe(proc, 0, sink.fn); err != nil {
-		t.Fatal(err)
+	t.Run("no checkpoint", func(t *testing.T) {
+		g, src, proc := classifierGraph(1000) // never: nothing is ACKed
+		eng := newTestEngine(t, g, Options{Seed: 27})
+		sink := newDedupSink(t)
+		if err := eng.Subscribe(proc, 0, sink.fn); err != nil {
+			t.Fatal(err)
+		}
+		s, _ := eng.Source(src)
+		emitRange(t, s, 0, half)
+		if !sink.waitCount(half) {
+			t.Fatalf("initial run stalled at %d", sink.count())
+		}
+		drainOrDump(t, eng, 10*time.Second)
+		srcNode, _ := eng.node(src)
+		srcNode.mailbox.Push(transport.Message{Type: transport.MsgReplay})
+		drainOrDump(t, eng, 10*time.Second)
+		if got := outBufLen(srcNode); got != half {
+			t.Fatalf("source buffers %d after a replay of committed events, want %d: duplicates were ACKed before any checkpoint", got, half)
+		}
+		if err := eng.Crash(proc); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Recover(proc); err != nil {
+			t.Fatal(err)
+		}
+		emitRange(t, s, half, 2*half)
+		if !sink.waitCount(2 * half) {
+			t.Fatalf("post-recovery stalled at %d of %d", sink.count(), 2*half)
+		}
+		drainOrDump(t, eng, 10*time.Second)
+		if err := eng.Err(); err != nil {
+			t.Fatal(err)
+		}
+		checkClassCounts(t, sink, 2*half)
+	})
+
+	t.Run("mark not stable", func(t *testing.T) {
+		g, src, proc := classifierGraph(half) // one checkpoint covers the run
+		disk := storage.NewMemDisk()
+		release := make(chan struct{})
+		pool := storage.NewPool([]storage.Disk{markHoldDisk{disk, release}})
+		t.Cleanup(func() { pool.Close() })
+		eng := newTestEngine(t, g, Options{Seed: 27, Pool: pool, LogScanner: memScanner(disk)})
+		letGo := sync.OnceFunc(func() { close(release) })
+		t.Cleanup(letGo) // registered last: runs before anything stops
+		sink := newDedupSink(t)
+		if err := eng.Subscribe(proc, 0, sink.fn); err != nil {
+			t.Fatal(err)
+		}
+		s, _ := eng.Source(src)
+		srcNode, _ := eng.node(src)
+		markOnly := func(when string) { // wait until the held mark is all that is in flight
+			t.Helper()
+			for deadline := time.Now().Add(5 * time.Second); eng.inflight.n.Load() != 1; time.Sleep(100 * time.Microsecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s: %d units in flight, want the checkpoint's mark alone", when, eng.inflight.n.Load())
+				}
+			}
+		}
+		emitRange(t, s, 0, half)
+		markOnly("after the run")
+		srcNode.mailbox.Push(transport.Message{Type: transport.MsgReplay})
+		markOnly("after the replay")
+		if got := outBufLen(srcNode); got != half {
+			t.Fatalf("source buffers %d after a replay of committed events, want %d: duplicates were ACKed before the checkpoint's mark was stable", got, half)
+		}
+		letGo()
+		drainOrDump(t, eng, 10*time.Second)
+		if got := outBufLen(srcNode); got != 0 || sink.count() != half || eng.Err() != nil {
+			t.Fatalf("once the mark is stable: source buffers %d, %d finals, error %v; want 0, %d, nil", got, sink.count(), eng.Err(), half)
+		}
+	})
+}
+
+// markHoldDisk writes everything to its MemDisk and then keeps a write that
+// carries a checkpoint mark from returning until release is closed: the mark
+// is on disk, and the pool has not reported it stable.
+type markHoldDisk struct {
+	*storage.MemDisk
+	release chan struct{}
+}
+
+func (d markHoldDisk) Write(p []byte) error {
+	err := d.MemDisk.Write(p)
+	if recs, _ := wal.Scan(p); slices.ContainsFunc(recs, func(r wal.Record) bool { return r.Kind == wal.KindCheckpointMark }) {
+		<-d.release
 	}
-	s, _ := eng.Source(src)
-	emitRange(t, s, 0, half)
-	if !sink.waitCount(half) {
-		t.Fatalf("initial run stalled at %d", sink.count())
-	}
-	eng.Drain()
-	srcNode, _ := eng.node(src)
-	srcNode.mailbox.Push(transport.Message{Type: transport.MsgReplay})
-	eng.Drain()
-	// An early, best-effort look (Drain can return between a duplicate's
-	// admission and its ACK); the recovery below is what decides.
-	if got := outBufLen(srcNode); got != half {
-		t.Fatalf("source buffers %d after a replay of committed events, want %d: duplicates were ACKed before any checkpoint", got, half)
-	}
-	if err := eng.Crash(proc); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Recover(proc); err != nil {
-		t.Fatal(err)
-	}
-	emitRange(t, s, half, 2*half)
-	if !sink.waitCount(2 * half) {
-		t.Fatalf("post-recovery stalled at %d of %d", sink.count(), 2*half)
-	}
-	eng.Drain()
-	if err := eng.Err(); err != nil {
-		t.Fatal(err)
-	}
-	checkClassCounts(t, sink, 2*half)
+	return err
 }
 
 // TestRecoverNeedsLogScanner: recovery cannot run without a scanner, and a
@@ -656,7 +711,7 @@ func TestRecoverNeedsLogScanner(t *testing.T) {
 	if !sink.waitCount(total) {
 		t.Fatalf("post-recovery stalled at %d of %d", sink.count(), total)
 	}
-	eng.Drain()
+	drainOrDump(t, eng, 10*time.Second)
 	if err := eng.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -713,7 +768,7 @@ func TestRecoveryScanOrderTwoDisks(t *testing.T) {
 	if !sink.waitCount(total) {
 		t.Fatalf("post-recovery stalled at %d of %d", sink.count(), total)
 	}
-	eng.Drain()
+	drainOrDump(t, eng, 10*time.Second)
 	if err := eng.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -837,7 +892,7 @@ func TestRecoveryReadsWhatTheDiskHolds(t *testing.T) {
 	if got := finals[len(finals)-1]; got.ID != specOut.ID || !bytes.Equal(got.Payload, specOut.Payload) {
 		t.Fatalf("replayed output %s %v, want %s %v: the logged clock read was not used", got.ID, got.Payload, specOut.ID, specOut.Payload)
 	}
-	eng.Drain()
+	drainOrDump(t, eng, 10*time.Second)
 
 	if err := eng.Crash(proc); err != nil {
 		t.Fatal(err)
@@ -850,7 +905,7 @@ func TestRecoveryReadsWhatTheDiskHolds(t *testing.T) {
 	if st.CheckpointBytes == 0 || st.LogRecords != 0 || st.CoveredSet != 0 || !st.ReplayDone {
 		t.Fatalf("recovery over an empty log: %+v, want the checkpoint and no plan", st)
 	}
-	eng.Drain()
+	drainOrDump(t, eng, 10*time.Second)
 	if err := eng.Err(); err != nil {
 		t.Fatal(err)
 	}

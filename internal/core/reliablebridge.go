@@ -115,7 +115,7 @@ func (e *Engine) BridgeOutReliableOpts(id graph.NodeID, port int, addr string, o
 	var l link = b
 	if o.CreditWindow > 0 {
 		b.gate = flow.NewCreditGate(o.CreditWindow)
-		b.cl = newCreditedLink(l, b.gate, o.Batch)
+		b.cl = newCreditedLink(n, l, b.gate, o.Batch)
 		l = b.cl
 	}
 	n.addLink(port, l)

@@ -282,7 +282,7 @@ func TestAttemptScratchReuseSafety(t *testing.T) {
 		ref.send(event.Seq(i+1), 0, v, false)
 	}
 	ref.awaitFinals(7) // one per input, two more on port 1 for the odd values
-	ref.eng.Drain()
+	drainOrDump(t, ref.eng, 10*time.Second)
 
 	r := newReuseRig(t, 2)
 	doomed := make(map[uint64]bool)
@@ -342,7 +342,7 @@ func TestAttemptScratchReuseSafety(t *testing.T) {
 	r.awaitFinals(6)
 	close(again.release)
 	r.awaitFinals(7)
-	r.eng.Drain()
+	drainOrDump(t, r.eng, 10*time.Second)
 
 	if err := r.eng.Err(); err != nil {
 		t.Fatal(err)
@@ -431,7 +431,7 @@ func TestReexecutionBuysItsOwnTx(t *testing.T) {
 	r.awaitFinals(1)
 	close(gr2.release)
 	r.awaitFinals(2)
-	r.eng.Drain()
+	drainOrDump(t, r.eng, 10*time.Second)
 	if err := r.eng.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -606,7 +606,7 @@ func TestQueuedFinalizeRunIsOwned(t *testing.T) {
 	eng, _, pool, _ := buildBatchPipeline(t, nil, nil)
 	defer pool.Close()
 	n := eng.nodes[1]
-	held := &creditedLink{inner: &localLink{target: eng.nodes[2]}, q: newLinkQueue(), batch: 8}
+	held := &creditedLink{inner: &localLink{target: eng.nodes[2]}, q: newLinkQueue(&eng.inflight), batch: 8}
 	n.links[0] = []link{held}
 	const groups, group = 101, 8
 	openReadyTasks(t, n, 1, groups*group)

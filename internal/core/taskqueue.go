@@ -78,13 +78,6 @@ func (q *taskQueue) Pop() (*task, bool) {
 	return t, true
 }
 
-// Len reports the number of queued tasks.
-func (q *taskQueue) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.heap)
-}
-
 // Close wakes all blocked Pops; queued tasks remain poppable.
 func (q *taskQueue) Close() {
 	q.mu.Lock()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strconv"
 	"testing"
+	"time"
 
 	"streammine/internal/event"
 	"streammine/internal/graph"
@@ -92,7 +93,7 @@ func TestTracePropagationAcrossBridge(t *testing.T) {
 	if finals := sink.waitFinals(t, total); len(finals) < total {
 		t.Fatalf("finals = %d", len(finals))
 	}
-	engB.Drain()
+	drainOrDump(t, engB, 10*time.Second)
 
 	// Every sink delivery must still carry the source-derived trace id.
 	for _, ev := range sink.finals() {
