@@ -20,7 +20,7 @@ import (
 func main() {
 	out := flag.String("out", "", "output JSON path (default stdout)")
 	require := flag.String("require", "", "comma-separated column names that must appear in at least one row of the report (e.g. recovery_ms,completeness_pct); exit non-zero when a requested column is absent instead of silently emitting blanks")
-	prev := flag.String("prev", "", "previous report JSON to compare against: exit non-zero when a benchmark's events_per_sec drops more than 20%, its waste_cpu_pct or recovery_ms more than doubles, or its completeness_pct falls by over half a point")
+	prev := flag.String("prev", "", "previous report JSON to compare against: exit non-zero when a row's waste_cpu_pct, recovery_ms or replay_ms more than doubles, or its completeness_pct falls by over half a point")
 	flag.Parse()
 
 	var rep benchfmt.Report

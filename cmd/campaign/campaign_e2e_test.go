@@ -52,7 +52,7 @@ func TestCampaignHealthEvidence(t *testing.T) {
 	}
 
 	r := &campaign.Runner{Bin: bin, OutDir: dir, Logf: t.Logf}
-	outcome, err := r.Run(spec)
+	outcome, err := r.RunCells(spec, spec.Expand())
 	if err != nil {
 		t.Fatalf("campaign run: %v", err)
 	}

@@ -1,12 +1,15 @@
-// Command doccheck keeps the documentation honest. It walks the
-// repository and fails when either
+// Command doccheck keeps the documentation and the API honest. It walks
+// the repository and fails when
 //
 //   - a markdown file contains a relative (intra-repo) link whose target
 //     file does not exist — dead links accumulate silently as files move
-//     across PRs; or
+//     across PRs;
 //   - a command-line flag registered in cmd/ never appears in any
 //     markdown file — every knob must be documented somewhere (README.md,
-//     DESIGN.md or docs/).
+//     DESIGN.md or docs/); or
+//   - an exported identifier under internal/ has no user outside tests
+//     (census.go) — what nothing consumes goes, or is kept by name with
+//     the ROADMAP item that will consume it.
 //
 // make doccheck runs it as part of make check and CI.
 package main
@@ -42,6 +45,11 @@ func main() {
 	var problems []string
 	problems = append(problems, checkLinks(root)...)
 	problems = append(problems, checkFlags(root)...)
+	orphans, err := census(root, keep)
+	if err != nil {
+		orphans = []string{"export census: " + err.Error()}
+	}
+	problems = append(problems, orphans...)
 	if len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Fprintln(os.Stderr, "doccheck:", p)

@@ -90,7 +90,7 @@ func runClusterProcesses(t *testing.T, bin, topo string, chaos bool, traceDir st
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("SIGKILL %s after %d sink events", victim, cl.Sinks.Count(victim))
+		t.Logf("SIGKILL %s after %d distinct sink events", victim, cl.Sinks.Distinct())
 		if err := cl.KillWorker(victim); err != nil {
 			t.Fatalf("kill %s: %v", victim, err)
 		}
@@ -99,7 +99,8 @@ func runClusterProcesses(t *testing.T, bin, topo string, chaos bool, traceDir st
 	if err := cl.WaitDone(90 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	return cl.Sinks.IDs()
+	ids, _ := cl.Sinks.Snapshot()
+	return ids
 }
 
 // TestClusterProcessesFailover is the full multi-process chaos drill: a
@@ -303,7 +304,7 @@ func TestClusterRecoveryAnatomy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("SIGKILL %s after %d sink events", victim, cl.Sinks.Count(victim))
+	t.Logf("SIGKILL %s after %d distinct sink events", victim, cl.Sinks.Distinct())
 	if err := cl.KillWorker(victim); err != nil {
 		t.Fatalf("kill %s: %v", victim, err)
 	}

@@ -12,30 +12,16 @@ import (
 	"strings"
 )
 
-// Result is one measurement row: a benchmark, or one campaign cell.
+// Result is one measurement row: one campaign cell.
 type Result struct {
-	Pkg         string  `json:"pkg"`
-	Name        string  `json:"name"`
-	Iterations  int64   `json:"iterations"`
-	NsPerOp     float64 `json:"nsPerOp,omitempty"`
-	BytesPerOp  float64 `json:"bytesPerOp,omitempty"`
-	AllocsPerOp float64 `json:"allocsPerOp,omitempty"`
-	MBPerSec    float64 `json:"mbPerSec,omitempty"`
-	// Latency quantiles reported by benchmarks that measure end-to-end
-	// event latency (b.ReportMetric with "p50-us" / "p99-us" units).
+	Pkg        string `json:"pkg"`
+	Name       string `json:"name"`
+	Iterations int64  `json:"iterations"`
+	// Sink latency quantiles after the fault.
 	LatencyP50Us float64 `json:"latency_p50_us,omitempty"`
 	LatencyP99Us float64 `json:"latency_p99_us,omitempty"`
-	// Speculation-waste metrics reported by benchmarks that run with the
-	// profiler enabled ("waste-cpu-pct" / "aborted-attempts/event" units).
-	WasteCPUPct             float64 `json:"waste_cpu_pct,omitempty"`
-	AbortedAttemptsPerEvent float64 `json:"aborted_attempts_per_event,omitempty"`
-	// Sustained throughput reported by open-loop benchmarks
-	// (b.ReportMetric with "events/sec" units).
-	EventsPerSec float64 `json:"events_per_sec,omitempty"`
-	// Ingest-gateway edge metrics reported by the network ingest
-	// benchmark ("ingest-admit-p99-ms" / "ingest-shed-pct" units).
-	IngestAdmitP99Ms float64 `json:"ingest_admit_p99_ms,omitempty"`
-	IngestShedPct    float64 `json:"ingest_shed_pct,omitempty"`
+	// Speculation waste: the share of CPU spent on aborted attempts.
+	WasteCPUPct float64 `json:"waste_cpu_pct,omitempty"`
 	// Fault-recovery campaign metrics (docs/CAMPAIGNS.md): time from
 	// fault injection until sink throughput was restored, and the
 	// fraction of externalized lineages that are reconstructable end to
@@ -59,32 +45,21 @@ type Result struct {
 // result carries that column. Keep in sync with the JSON field tags
 // above.
 var Columns = map[string]func(*Result) bool{
-	"nsPerOp":                    func(r *Result) bool { return r.NsPerOp != 0 },
-	"bytesPerOp":                 func(r *Result) bool { return r.BytesPerOp != 0 },
-	"allocsPerOp":                func(r *Result) bool { return r.AllocsPerOp != 0 },
-	"mbPerSec":                   func(r *Result) bool { return r.MBPerSec != 0 },
-	"latency_p50_us":             func(r *Result) bool { return r.LatencyP50Us != 0 },
-	"latency_p99_us":             func(r *Result) bool { return r.LatencyP99Us != 0 },
-	"waste_cpu_pct":              func(r *Result) bool { return r.WasteCPUPct != 0 },
-	"aborted_attempts_per_event": func(r *Result) bool { return r.AbortedAttemptsPerEvent != 0 },
-	"events_per_sec":             func(r *Result) bool { return r.EventsPerSec != 0 },
-	"ingest_admit_p99_ms":        func(r *Result) bool { return r.IngestAdmitP99Ms != 0 },
-	"ingest_shed_pct":            func(r *Result) bool { return r.IngestShedPct != 0 },
-	"recovery_ms":                func(r *Result) bool { return r.RecoveryMs != 0 },
-	"completeness_pct":           func(r *Result) bool { return r.CompletenessPct != 0 },
-	"detect_ms":                  func(r *Result) bool { return r.DetectMs != 0 },
-	"restore_ms":                 func(r *Result) bool { return r.RestoreMs != 0 },
-	"replay_ms":                  func(r *Result) bool { return r.ReplayMs != 0 },
-	"catchup_ms":                 func(r *Result) bool { return r.CatchupMs != 0 },
-	"replay_events_per_sec":      func(r *Result) bool { return r.ReplayEventsPerSec != 0 },
-	"recovery_detected_ms":       func(r *Result) bool { return r.RecoveryDetectedMs != 0 },
+	"latency_p50_us":        func(r *Result) bool { return r.LatencyP50Us != 0 },
+	"latency_p99_us":        func(r *Result) bool { return r.LatencyP99Us != 0 },
+	"waste_cpu_pct":         func(r *Result) bool { return r.WasteCPUPct != 0 },
+	"recovery_ms":           func(r *Result) bool { return r.RecoveryMs != 0 },
+	"completeness_pct":      func(r *Result) bool { return r.CompletenessPct != 0 },
+	"detect_ms":             func(r *Result) bool { return r.DetectMs != 0 },
+	"restore_ms":            func(r *Result) bool { return r.RestoreMs != 0 },
+	"replay_ms":             func(r *Result) bool { return r.ReplayMs != 0 },
+	"catchup_ms":            func(r *Result) bool { return r.CatchupMs != 0 },
+	"replay_events_per_sec": func(r *Result) bool { return r.ReplayEventsPerSec != 0 },
+	"recovery_detected_ms":  func(r *Result) bool { return r.RecoveryDetectedMs != 0 },
 }
 
 // Report is the file-level record.
 type Report struct {
-	GoOS       string   `json:"goos,omitempty"`
-	GoArch     string   `json:"goarch,omitempty"`
-	CPU        string   `json:"cpu,omitempty"`
 	Benchmarks []Result `json:"benchmarks"`
 }
 
@@ -147,8 +122,8 @@ func CheckRequired(rep Report, require string) error {
 }
 
 // CheckRegression compares the new report against a previous one by
-// pkg+name. A row fails the gate when its events_per_sec dropped by more
-// than 20%, its waste_cpu_pct more than doubled, its recovery_ms or
+// pkg+name. A row fails the gate when its waste_cpu_pct more than
+// doubled, its recovery_ms or
 // replay_ms more than doubled (and grew by at least 250 ms, so
 // fast-recovery jitter does not trip it), or its completeness_pct fell
 // by more than half a point.
@@ -176,10 +151,6 @@ func CheckRegression(prevPath string, cur Report) error {
 		p, ok := old[r.Pkg+" "+r.Name]
 		if !ok {
 			continue
-		}
-		if p.EventsPerSec > 0 && r.EventsPerSec > 0 && r.EventsPerSec < 0.8*p.EventsPerSec {
-			regress(r.Name, "events_per_sec", 0, p.EventsPerSec, r.EventsPerSec,
-				fmt.Sprintf("dropped %.0f%%; gate is 20%%", 100*(1-r.EventsPerSec/p.EventsPerSec)))
 		}
 		if p.WasteCPUPct > 0 && r.WasteCPUPct > 2*p.WasteCPUPct {
 			regress(r.Name, "waste_cpu_pct", 2, p.WasteCPUPct, r.WasteCPUPct, "more than doubled")

@@ -6,18 +6,18 @@ import (
 	"testing"
 )
 
-// sample is a report with one benchmark-shaped and one campaign-shaped row.
+// sample is a report with two campaign cells.
 var sample = Report{Benchmarks: []Result{
-	{Pkg: "streammine", Name: "BenchmarkLatencyDepth/depth=4-8", Iterations: 1, LatencyP50Us: 420.5, LatencyP99Us: 990.1, EventsPerSec: 81234},
+	{Pkg: "campaign/smoke", Name: "paper/sigkill/nospec", Iterations: 1, LatencyP50Us: 420.5, LatencyP99Us: 990.1},
 	{Pkg: "campaign/smoke", Name: "paper/sigkill/spec", Iterations: 1, RecoveryMs: 840, CompletenessPct: 99.7},
 }}
 
 func TestCheckRequired(t *testing.T) {
 	rep := sample
-	if err := CheckRequired(rep, "recovery_ms,completeness_pct,events_per_sec"); err != nil {
+	if err := CheckRequired(rep, "recovery_ms,completeness_pct,latency_p99_us"); err != nil {
 		t.Fatalf("required columns present but check failed: %v", err)
 	}
-	if err := CheckRequired(rep, "ingest_shed_pct"); err == nil {
+	if err := CheckRequired(rep, "replay_ms"); err == nil {
 		t.Fatal("absent column passed -require")
 	}
 	if err := CheckRequired(rep, "no_such_column"); err == nil {
@@ -29,10 +29,7 @@ func TestColumnsCoverResultFields(t *testing.T) {
 	// Every campaign/bench column that CheckRequired can name must have a
 	// probe that actually fires when the field is set.
 	r := Result{
-		NsPerOp: 1, BytesPerOp: 1, AllocsPerOp: 1, MBPerSec: 1,
 		LatencyP50Us: 1, LatencyP99Us: 1, WasteCPUPct: 1,
-		AbortedAttemptsPerEvent: 1, EventsPerSec: 1,
-		IngestAdmitP99Ms: 1, IngestShedPct: 1,
 		RecoveryMs: 1, CompletenessPct: 1,
 		RecoveryDetectedMs: 1, DetectMs: 1, RestoreMs: 1, ReplayMs: 1,
 		CatchupMs: 1, ReplayEventsPerSec: 1,
@@ -83,11 +80,11 @@ func TestCheckRegressionRecovery(t *testing.T) {
 
 func TestCheckRegressionNamesColumnAndValues(t *testing.T) {
 	prev := Report{Benchmarks: []Result{
-		{Pkg: "p", Name: "B1", Iterations: 1, EventsPerSec: 1000, RecoveryMs: 800},
+		{Pkg: "p", Name: "B1", Iterations: 1, WasteCPUPct: 2, RecoveryMs: 800},
 	}}
 	path := writePrev(t, prev)
 	bad := Report{Benchmarks: []Result{
-		{Pkg: "p", Name: "B1", Iterations: 1, EventsPerSec: 700, RecoveryMs: 2200},
+		{Pkg: "p", Name: "B1", Iterations: 1, WasteCPUPct: 5, RecoveryMs: 2200},
 	}}
 	err := CheckRegression(path, bad)
 	if err == nil {
@@ -97,7 +94,7 @@ func TestCheckRegressionNamesColumnAndValues(t *testing.T) {
 	// Every failure must name the offending column and both values, so
 	// the CI log is diagnosable without re-running the comparison.
 	for _, want := range []string{
-		"column events_per_sec", "prev 1000", "now 700",
+		"column waste_cpu_pct", "prev 2.00", "now 5.00",
 		"column recovery_ms", "prev 800", "now 2200",
 	} {
 		if !strings.Contains(msg, want) {
@@ -108,17 +105,17 @@ func TestCheckRegressionNamesColumnAndValues(t *testing.T) {
 
 func TestCheckRegressionThroughputUnchangedRules(t *testing.T) {
 	prev := Report{Benchmarks: []Result{
-		{Pkg: "p", Name: "B1", Iterations: 1, EventsPerSec: 1000, WasteCPUPct: 2},
+		{Pkg: "p", Name: "B1", Iterations: 1, WasteCPUPct: 2},
 	}}
 	path := writePrev(t, prev)
 	bad := Report{Benchmarks: []Result{
-		{Pkg: "p", Name: "B1", Iterations: 1, EventsPerSec: 700, WasteCPUPct: 2},
+		{Pkg: "p", Name: "B1", Iterations: 1, WasteCPUPct: 5},
 	}}
 	if err := CheckRegression(path, bad); err == nil {
-		t.Fatal("20% throughput drop passed the gate")
+		t.Fatal("waste_cpu_pct more than doubled but gate passed")
 	}
 	renamed := Report{Benchmarks: []Result{
-		{Pkg: "p", Name: "B2", Iterations: 1, EventsPerSec: 1},
+		{Pkg: "p", Name: "B2", Iterations: 1, WasteCPUPct: 50},
 	}}
 	if err := CheckRegression(path, renamed); err != nil {
 		t.Fatalf("rename treated as regression: %v", err)

@@ -135,16 +135,11 @@ func (r *Runner) logf(format string, args ...any) {
 	}
 }
 
-// Run expands the spec and executes every cell in order (baselines first
+// RunCells executes the cells in order (Spec.Expand puts baselines first
 // per workload × config, so faulted cells always compare against an
-// already-measured identity set). Cell failures become per-cell verdicts,
-// not errors; Run only errors when it cannot run at all.
-func (r *Runner) Run(s *Spec) (*Outcome, error) {
-	return r.RunCells(s, s.Expand())
-}
-
-// RunCells executes an explicit cell selection (e.g. cmd/campaign's
-// -cells filter, which keeps each selected cell's baseline in the list).
+// already-measured identity set; cmd/campaign's -cells filter keeps each
+// selected cell's baseline in the list). Cell failures become per-cell
+// verdicts, not errors; RunCells only errors when it cannot run at all.
 func (r *Runner) RunCells(s *Spec, cells []Cell) (*Outcome, error) {
 	if r.Bin == "" || r.OutDir == "" {
 		return nil, fmt.Errorf("campaign: Runner needs Bin and OutDir")

@@ -14,7 +14,6 @@ import (
 // and a pacing curve; the runner drives their records through the
 // gateway in-process instead of a synthetic source.
 type workloadDef struct {
-	desc   string
 	ingest bool
 	// sinks maps the event count to the expected number of distinct
 	// sink outputs (nil = one output per event). exact marks workloads
@@ -32,8 +31,8 @@ type workloadDef struct {
 
 // workloads is the registry of pipeline shapes a campaign can name.
 var workloads = map[string]workloadDef{
+	// The paper's pipeline: source -> stateful classifier -> sink, cut across workers.
 	"paper": {
-		desc:  "the paper's pipeline: source -> stateful classifier -> sink, cut across workers",
 		exact: true,
 		build: func(s *Spec, cfg Config) *topology.Config {
 			return baseTopo(s, cfg, []topology.NodeConfig{
@@ -43,8 +42,8 @@ var workloads = map[string]workloadDef{
 			}, map[string]int{"src": 0, "classify": 1, "out": 1})
 		},
 	},
+	// Windowed aggregation: source -> count-window average -> sink.
 	"window": {
-		desc:  "windowed aggregation: source -> count-window average -> sink",
 		sinks: func(events int) int { return events / 16 },
 		build: func(s *Spec, cfg Config) *topology.Config {
 			return baseTopo(s, cfg, []topology.NodeConfig{
@@ -54,8 +53,8 @@ var workloads = map[string]workloadDef{
 			}, map[string]int{"src": 0, "win": 1, "out": 1})
 		},
 	},
+	// Skewed keys: hash-split into a hot and a cold stateful branch, re-unioned.
 	"skew": {
-		desc:  "skewed keys: hash-split into a hot and a cold stateful branch, re-unioned",
 		exact: true,
 		build: func(s *Spec, cfg Config) *topology.Config {
 			return baseTopo(s, cfg, []topology.NodeConfig{
@@ -68,8 +67,8 @@ var workloads = map[string]workloadDef{
 			}, map[string]int{"src": 0, "route": 0, "hot": 1, "cold": 1, "merge": 1, "out": 1})
 		},
 	},
+	// Ingest-fed bursty load: on/off cycles through the network gateway.
 	"burst": {
-		desc:   "ingest-fed bursty load: on/off cycles through the network gateway",
 		ingest: true,
 		exact:  true,
 		// Four bursts: full speed for the first 60% of each cycle, a
@@ -83,8 +82,8 @@ var workloads = map[string]workloadDef{
 		},
 		build: ingestTopo,
 	},
+	// Ingest-fed diurnal load: one slow sine cycle through the network gateway.
 	"diurnal": {
-		desc:   "ingest-fed diurnal load: one slow sine cycle through the network gateway",
 		ingest: true,
 		exact:  true,
 		curve: func(frac float64) float64 {
@@ -141,9 +140,6 @@ func WorkloadNames() []string {
 	sort.Strings(names)
 	return names
 }
-
-// WorkloadDesc returns the one-line description of a workload.
-func WorkloadDesc(name string) string { return workloads[name].desc }
 
 // IngestWorkload reports whether the workload is gateway-fed (the
 // runner drives it with network clients instead of a synthetic source).

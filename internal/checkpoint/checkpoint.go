@@ -227,16 +227,15 @@ type Store interface {
 // MemStore is an in-memory Store (the default for simulations; the paper's
 // experiments likewise simulate checkpoint storage).
 type MemStore struct {
-	mu      sync.Mutex
-	byOp    map[uint32][]byte
-	history map[uint32]int
+	mu   sync.Mutex
+	byOp map[uint32][]byte
 }
 
 var _ Store = (*MemStore)(nil)
 
 // NewMemStore returns an empty store.
 func NewMemStore() *MemStore {
-	return &MemStore{byOp: make(map[uint32][]byte), history: make(map[uint32]int)}
+	return &MemStore{byOp: make(map[uint32][]byte)}
 }
 
 // Save encodes and retains the snapshot, replacing any previous one for
@@ -252,7 +251,6 @@ func (st *MemStore) Save(s *Snapshot) error {
 		}
 	}
 	st.byOp[s.Operator] = data
-	st.history[s.Operator]++
 	return nil
 }
 
@@ -265,11 +263,4 @@ func (st *MemStore) Latest(operator uint32) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: operator %d", ErrNotFound, operator)
 	}
 	return Decode(data)
-}
-
-// Saves reports how many snapshots were taken for an operator (metrics).
-func (st *MemStore) Saves(operator uint32) int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.history[operator]
 }

@@ -116,9 +116,6 @@ func TestMemStoreLatest(t *testing.T) {
 	if got.Epoch != 4 || len(got.Memory) != 1 || got.Memory[0] != 9 {
 		t.Fatalf("Latest = %+v, want epoch 4", got)
 	}
-	if st.Saves(7) != 2 {
-		t.Fatalf("Saves = %d, want 2", st.Saves(7))
-	}
 }
 
 func TestMemStoreRejectsStaleEpoch(t *testing.T) {

@@ -12,6 +12,7 @@ import (
 	"streammine/internal/debugserver"
 	"streammine/internal/event"
 	"streammine/internal/metrics"
+	"streammine/internal/metricstest"
 	"streammine/internal/transport"
 )
 
@@ -196,7 +197,7 @@ func TestClusterFailover(t *testing.T) {
 			t.Fatalf("event %v missing from chaos run", id)
 		}
 	}
-	if v, ok := reg.Value("cluster_reassignments_total", nil); !ok || v < 1 {
+	if v, ok := metricstest.Value(reg, "cluster_reassignments_total", nil); !ok || v < 1 {
 		t.Fatalf("cluster_reassignments_total = %v (ok=%v), want >= 1", v, ok)
 	}
 }

@@ -181,12 +181,6 @@ func (c *Coordinator) Err() error {
 	return c.err
 }
 
-// Wait blocks until the deployment completes or fails.
-func (c *Coordinator) Wait() error {
-	<-c.done
-	return c.Err()
-}
-
 // PartitionPressure is one partition's last-reported flow-control state.
 type PartitionPressure struct {
 	Partition int                 `json:"partition"`

@@ -2,11 +2,13 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"streammine/internal/metrics"
 	"streammine/internal/metricstest"
+	"streammine/internal/profiler"
 )
 
 // runProfiledCluster runs clusterTopo to completion on two workers with
@@ -75,10 +77,11 @@ func TestClusterWasteRollup(t *testing.T) {
 	if sum == nil {
 		t.Fatal("coordinator Waste() = nil after a profiled run")
 	}
-	nw := sum.NodeByName("classify")
-	if nw == nil {
+	i := slices.IndexFunc(sum.Nodes, func(n profiler.NodeWaste) bool { return n.Node == "classify" })
+	if i < 0 {
 		t.Fatalf("merged summary has no ledger for classify; nodes: %+v", sum.Nodes)
 	}
+	nw := &sum.Nodes[i]
 	if nw.AttemptCPUNs <= 0 {
 		t.Errorf("classify attempt_cpu_ns = %d, want > 0", nw.AttemptCPUNs)
 	}
@@ -96,12 +99,12 @@ func TestClusterWasteRollup(t *testing.T) {
 
 	// Aggregated series must be registered and agree with the merged
 	// summary at scrape time.
-	if v, ok := reg.Value("cluster_waste_aborted_attempts_total", metrics.Labels{"cause": "conflict"}); !ok {
+	if v, ok := metricstest.Value(reg, "cluster_waste_aborted_attempts_total", metrics.Labels{"cause": "conflict"}); !ok {
 		t.Error("cluster_waste_aborted_attempts_total{cause=conflict} not registered")
 	} else if want := float64(nw.AbortedAttempts["conflict"]); v < want {
 		t.Errorf("cluster_waste_aborted_attempts_total{conflict} = %v, classify ledger alone has %v", v, want)
 	}
-	if _, ok := reg.Value("cluster_waste_cpu_pct", nil); !ok {
+	if _, ok := metricstest.Value(reg, "cluster_waste_cpu_pct", nil); !ok {
 		t.Error("cluster_waste_cpu_pct not registered")
 	}
 

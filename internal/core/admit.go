@@ -391,8 +391,10 @@ func (n *node) handleRevoke(m transport.Message) {
 	}
 }
 
-// cancelTask aborts and retires a task; cause ("revoke" or "error") feeds
-// the core_aborts_total metric and the abort trace span.
+// cancelTask aborts a task and frees its input ID, so that a re-emission
+// arriving before the committer retires the task is admitted as a task of
+// its own; cause ("revoke" or "error") feeds the core_aborts_total metric
+// and the abort trace span.
 func (n *node) cancelTask(t *task, cause string) {
 	t.mu.Lock()
 	if t.state == taskCommitted || t.state == taskCancelled {
@@ -414,6 +416,9 @@ func (n *node) cancelTask(t *task, cause string) {
 	throttled := t.throttleHeld
 	t.throttleHeld = false
 	t.mu.Unlock()
+	n.mu.Lock()
+	n.forgetTask(t)
+	n.mu.Unlock()
 	if throttled {
 		n.throttle.Release(true)
 	}

@@ -636,6 +636,40 @@ func TestFinalizeOfReemissionAfterCancel(t *testing.T) {
 	}
 }
 
+// TestReemissionBehindOpenHead: a task is cancelled by the REVOKE of its
+// incarnation while a speculative task older than it holds the commit head,
+// so the committer cannot retire it, and the upstream re-emits the output at
+// version 0 and finalizes it. The re-emission is admitted as a task of its
+// own, and the FINALIZE lands on it: neither is spent on the cancelled task.
+func TestReemissionBehindOpenHead(t *testing.T) {
+	n, _ := classifierHop(t, 4)
+	headAt, _ := incarnationFrames(event.ID{Source: 1, Seq: 1})
+	id := event.ID{Source: 1, Seq: 2}
+	evAt, ctl := incarnationFrames(id)
+	var run []event.Event
+	for _, m := range []transport.Message{headAt(0, 0), evAt(0, 1), ctl(transport.MsgRevoke, 0), evAt(0, 2), ctl(transport.MsgFinalize, 0)} {
+		n.mailbox.Push(m)
+		run, _ = popDispatch(t, n, run)
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	var live []*task
+	for i := 0; i < n.open.n; i++ {
+		if tk := n.open.at(i); tk.ev.ID == id && tk.state != taskCancelled {
+			live = append(live, tk)
+		}
+	}
+	if len(live) != 1 {
+		t.Fatalf("%d live tasks for %s, want the re-emission's", len(live), id)
+	}
+	if tk := live[0]; tk.ev.Key != 2 || !tk.evFinal {
+		t.Fatalf("the live task has key %d, evFinal %v; want the re-emission (key 2), final", tk.ev.Key, tk.evFinal)
+	}
+	if fins, revs := n.pendFin.len(), n.pendRevoke.len(); fins != 0 || revs != 0 {
+		t.Fatalf("%d FINALIZE and %d REVOKE stashes left, want none", fins, revs)
+	}
+}
+
 // TestInjectRunAllocs pins what a source pays to publish a run of eight: its
 // share of the chunks the run's events (the handle's slab) and records (the
 // dispatcher's) are cut from — one allocation in twenty runs; the run rides

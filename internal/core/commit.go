@@ -144,7 +144,7 @@ func (n *node) commitBatch(max int) {
 func (n *node) cleanupHead(t *task) {
 	n.mu.Lock()
 	n.open.pop()
-	n.tasks.delete(t.ev.ID)
+	n.forgetTask(t)
 	n.mu.Unlock()
 	t.mu.Lock()
 	throttled := t.throttleHeld
@@ -158,6 +158,14 @@ func (n *node) cleanupHead(t *task) {
 	// slot was released.
 	n.throttle.Wake()
 	n.settle(1)
+}
+
+// forgetTask frees t's input ID unless a later task of the same ID holds it
+// already. Caller holds n.mu.
+func (n *node) forgetTask(t *task) {
+	if cur, ok := n.tasks.get(t.ev.ID); ok && cur == t {
+		n.tasks.delete(t.ev.ID)
+	}
 }
 
 // finFlush accumulates the control traffic of one commit group: FINALIZE

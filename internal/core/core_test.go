@@ -3,9 +3,11 @@ package core
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"streammine/internal/checkpoint"
 	"streammine/internal/event"
 	"streammine/internal/graph"
 	"streammine/internal/operator"
@@ -106,7 +108,7 @@ func TestPipelineBasic(t *testing.T) {
 		Op: &operator.Map{Fn: func(e event.Event) ([]byte, error) {
 			return operator.EncodeValue(operator.DecodeValue(e.Payload) * 2), nil
 		}},
-		Traits:      operator.MapTraits,
+		Traits:      operator.Traits{Deterministic: true},
 		Speculative: true,
 	})
 	g.Connect(src, 0, mid, 0)
@@ -504,7 +506,7 @@ func TestUnionAggregatePipeline(t *testing.T) {
 	g := graph.New()
 	p1 := g.AddNode(graph.Node{Name: "p1"})
 	p2 := g.AddNode(graph.Node{Name: "p2"})
-	union := g.AddNode(graph.Node{Name: "union", Op: &operator.Union{}, Traits: operator.UnionTraits, Speculative: true})
+	union := g.AddNode(graph.Node{Name: "union", Op: &operator.Union{}, Traits: operator.Traits{OrderSensitive: true}, Speculative: true})
 	agg := g.AddNode(graph.Node{
 		Name:        "avg",
 		Op:          &operator.CountWindowAvg{Window: 10},
@@ -577,6 +579,17 @@ func TestAckPruning(t *testing.T) {
 	}
 }
 
+// countingStore counts the snapshots saved through it.
+type countingStore struct {
+	checkpoint.Store
+	saves atomic.Int64
+}
+
+func (s *countingStore) Save(snap *checkpoint.Snapshot) error {
+	s.saves.Add(1)
+	return s.Store.Save(snap)
+}
+
 // TestCheckpointBatchesAcks: a stateful consumer with periodic checkpoints
 // ACKs its inputs upstream only once a checkpoint covers them. Run end to
 // end, whatever commit groups form, the source ends up holding exactly the
@@ -598,12 +611,12 @@ func TestCheckpointBatchesAcks(t *testing.T) {
 		g.Connect(srcID, 0, clsID, 0)
 		pool := storage.NewPool([]storage.Disk{storage.NewMemDisk()})
 		t.Cleanup(func() { pool.Close() })
-		eng, err := New(g, Options{Seed: 10, Pool: pool})
+		store := &countingStore{Store: checkpoint.NewMemStore()}
+		eng, err := New(g, Options{Seed: 10, Pool: pool, CheckpointStore: store})
 		if err != nil {
 			t.Fatal(err)
 		}
-		store := eng.store.(interface{ Saves(uint32) int })
-		return eng.nodes[srcID], eng.nodes[clsID], func() int { return store.Saves(uint32(clsID)) }
+		return eng.nodes[srcID], eng.nodes[clsID], func() int { return int(store.saves.Load()) }
 	}
 
 	t.Run("pipeline", func(t *testing.T) {

@@ -136,8 +136,6 @@ type Engine struct {
 
 // Common engine errors.
 var (
-	// ErrNotStarted is returned for operations requiring Start.
-	ErrNotStarted = errors.New("core: engine not started")
 	// ErrStopped is returned after Stop.
 	ErrStopped = errors.New("core: engine stopped")
 	// ErrUnknownNode reports an out-of-range node ID.

@@ -29,7 +29,7 @@ func overloadChain(fl *flow.Limits, workers int) (*graph.Graph, graph.NodeID, gr
 		Op: &operator.Map{Fn: func(e event.Event) ([]byte, error) {
 			return operator.EncodeValue(operator.DecodeValue(e.Payload) * 2), nil
 		}},
-		Traits:      operator.MapTraits,
+		Traits:      operator.Traits{Deterministic: true},
 		Speculative: true,
 		Flow:        fl,
 	})
@@ -47,7 +47,7 @@ func overloadChain(fl *flow.Limits, workers int) (*graph.Graph, graph.NodeID, gr
 		Op: &operator.Map{Fn: func(e event.Event) ([]byte, error) {
 			return e.Payload, nil
 		}},
-		Traits:      operator.MapTraits,
+		Traits:      operator.Traits{Deterministic: true},
 		Speculative: true,
 		Flow:        fl,
 	})
@@ -270,7 +270,7 @@ func TestFlowSourceAdmissionShed(t *testing.T) {
 		Op: &operator.Map{Fn: func(e event.Event) ([]byte, error) {
 			return e.Payload, nil
 		}},
-		Traits:      operator.MapTraits,
+		Traits:      operator.Traits{Deterministic: true},
 		Speculative: true,
 	})
 	g.Connect(src, 0, mid, 0)

@@ -47,7 +47,7 @@ func TestUnmeteredEngineReportsFinalizeLatency(t *testing.T) {
 		Op: &operator.Map{Fn: func(e event.Event) ([]byte, error) {
 			return operator.EncodeValue(operator.DecodeValue(e.Payload) * 2), nil
 		}},
-		Traits:      operator.MapTraits,
+		Traits:      operator.Traits{Deterministic: true},
 		Speculative: true,
 	})
 	g.Connect(src, 0, mid, 0)

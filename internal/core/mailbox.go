@@ -16,6 +16,10 @@ import (
 //     It is always unbounded and popped first, so control traffic retains
 //     guaranteed progress no matter how congested the data lane is (the
 //     deadlock a naive bounded mailbox would reintroduce — DESIGN §9).
+//     Popping it first is also a latency and CPU feature, not only
+//     deadlock avoidance: FIFO order per input measured 15 % more CPU and
+//     11 % more allocations per event on ingest-rate (ROADMAP, "Settled
+//     by measurement").
 //   - The data lane carries EVENT messages and source injections. It has a
 //     configured capacity enforced upstream by credit-based flow control;
 //     the lane itself only accounts (depth, high-water mark, overflow

@@ -7,6 +7,7 @@ import (
 
 	"streammine/internal/graph"
 	"streammine/internal/metrics"
+	"streammine/internal/metricstest"
 	"streammine/internal/operator"
 )
 
@@ -20,7 +21,7 @@ func TestMetricsEndToEndChaos(t *testing.T) {
 	const totalEvents = 300
 	reg := metrics.NewRegistry()
 	var traceBuf bytes.Buffer
-	tracer := metrics.NewTracer(&traceBuf)
+	tracer := metrics.NewTracerProc(&traceBuf, "")
 
 	// A maximally contended stateful classifier: 4 workers all updating a
 	// single class counter, each execution costing real time, so
@@ -71,7 +72,7 @@ func TestMetricsEndToEndChaos(t *testing.T) {
 
 	val := func(name string, labels metrics.Labels) float64 {
 		t.Helper()
-		v, ok := reg.Value(name, labels)
+		v, ok := metricstest.Value(reg, name, labels)
 		if !ok {
 			t.Fatalf("metric %s %v not registered", name, labels)
 		}
@@ -113,7 +114,7 @@ func TestMetricsEndToEndChaos(t *testing.T) {
 	if err := tracer.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	spans, err := metrics.ReadSpans(&traceBuf)
+	spans, err := readSpans(&traceBuf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"streammine/internal/flow"
 	"streammine/internal/graph"
 	"streammine/internal/metrics"
+	"streammine/internal/metricstest"
 	"streammine/internal/operator"
 	"streammine/internal/profiler"
 	"streammine/internal/storage"
@@ -56,10 +58,11 @@ func TestProfilerAttributesConflicts(t *testing.T) {
 	if sum == nil {
 		t.Fatal("Waste() = nil with profiler enabled")
 	}
-	nw := sum.NodeByName("hot")
-	if nw == nil {
+	i := slices.IndexFunc(sum.Nodes, func(n profiler.NodeWaste) bool { return n.Node == "hot" })
+	if i < 0 {
 		t.Fatalf("no ledger for node hot; nodes: %+v", sum.Nodes)
 	}
+	nw := &sum.Nodes[i]
 	if nw.AbortedAttempts["conflict"] == 0 {
 		t.Skip("no conflicts materialized on this host")
 	}
@@ -69,7 +72,7 @@ func TestProfilerAttributesConflicts(t *testing.T) {
 	// "replacement" is ledger cause "replace".
 	val := func(name string, labels metrics.Labels) float64 {
 		t.Helper()
-		v, ok := reg.Value(name, labels)
+		v, ok := metricstest.Value(reg, name, labels)
 		if !ok {
 			t.Fatalf("metric %s %v not registered", name, labels)
 		}

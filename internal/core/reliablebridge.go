@@ -27,9 +27,7 @@ import (
 // runtime uses it when a downstream partition is reassigned to another
 // worker after a failure.
 type ReliableBridge struct {
-	n        *node
-	retry    time.Duration
-	maxRetry time.Duration
+	n *node
 
 	mu          sync.Mutex
 	addr        string
@@ -38,7 +36,6 @@ type ReliableBridge struct {
 	hello       *transport.Message
 	onReconnect func()
 	rtt         *metrics.HDR
-	reconnects  int
 
 	// gate, when non-nil, credit-limits data events over this bridge: the
 	// remote receiver returns CREDIT frames as events leave its mailbox,
@@ -51,13 +48,16 @@ type ReliableBridge struct {
 	done chan struct{}
 }
 
+// Redial backoff of a ReliableBridge: the first redial waits bridgeRetry,
+// each failed one doubles the wait up to bridgeMaxRetry.
+const (
+	bridgeRetry    = 100 * time.Millisecond
+	bridgeMaxRetry = 2 * time.Second
+)
+
 // BridgeOptions tune a ReliableBridge. The zero value of a field selects
 // its default.
 type BridgeOptions struct {
-	// Retry is the initial redial delay (default 100 ms).
-	Retry time.Duration
-	// MaxRetry caps the exponential backoff (default 2 s).
-	MaxRetry time.Duration
 	// Hello, when set, is sent first on every (re)connection, before any
 	// data. The cluster runtime uses it to route a fresh connection to the
 	// right edge on a worker's shared data listener.
@@ -90,17 +90,9 @@ func (e *Engine) BridgeOutReliableOpts(id graph.NodeID, port int, addr string, o
 	if port < 0 || port >= n.spec.OutputPorts {
 		return nil, fmt.Errorf("core: node %q has no output port %d", n.spec.Name, port)
 	}
-	if o.Retry <= 0 {
-		o.Retry = 100 * time.Millisecond
-	}
-	if o.MaxRetry <= 0 {
-		o.MaxRetry = 2 * time.Second
-	}
 	b := &ReliableBridge{
 		n:           n,
 		addr:        addr,
-		retry:       o.Retry,
-		maxRetry:    o.MaxRetry,
 		hello:       o.Hello,
 		onReconnect: o.OnReconnect,
 		rtt:         o.RTT,
@@ -196,8 +188,8 @@ func (b *ReliableBridge) buffered() bool { return true }
 // node's unacknowledged buffer after every successful reconnect.
 func (b *ReliableBridge) supervise() {
 	defer close(b.done)
-	bo := backoff{base: b.retry, max: b.maxRetry}
-	timer := time.NewTimer(b.retry)
+	bo := backoff{base: bridgeRetry, max: bridgeMaxRetry}
+	timer := time.NewTimer(bridgeRetry)
 	defer timer.Stop()
 	for {
 		select {
@@ -210,7 +202,7 @@ func (b *ReliableBridge) supervise() {
 		b.mu.Unlock()
 		if !needsDial {
 			bo.reset()
-			timer.Reset(b.retry)
+			timer.Reset(bridgeRetry)
 			continue
 		}
 		if err := b.connect(); err != nil {
@@ -218,9 +210,8 @@ func (b *ReliableBridge) supervise() {
 			continue
 		}
 		bo.reset()
-		timer.Reset(b.retry)
+		timer.Reset(bridgeRetry)
 		b.mu.Lock()
-		b.reconnects++
 		onRec := b.onReconnect
 		b.mu.Unlock()
 		if onRec != nil {
@@ -256,20 +247,6 @@ func (b *ReliableBridge) Retarget(addr string) {
 	if conn != nil {
 		_ = conn.Close()
 	}
-}
-
-// Addr returns the bridge's current target address.
-func (b *ReliableBridge) Addr() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.addr
-}
-
-// Reconnects reports how many times the bridge re-established the link.
-func (b *ReliableBridge) Reconnects() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.reconnects
 }
 
 // Connected reports whether a live connection is installed.

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"strconv"
 	"testing"
 	"time"
@@ -13,6 +15,19 @@ import (
 	"streammine/internal/storage"
 	"streammine/internal/transport"
 )
+
+// readSpans decodes a JSONL trace written by a metrics.Tracer.
+func readSpans(r io.Reader) ([]metrics.Span, error) {
+	var out []metrics.Span
+	for dec := json.NewDecoder(r); dec.More(); {
+		var s metrics.Span
+		if err := dec.Decode(&s); err != nil {
+			return out, err
+		}
+		out = append(out, s)
+	}
+	return out, nil
+}
 
 // TestTracePropagationAcrossBridge drives a pipeline split across two
 // engines connected by real TCP, each with its own tracer, and asserts
@@ -27,7 +42,7 @@ func TestTracePropagationAcrossBridge(t *testing.T) {
 
 	gA := graph.New()
 	srcA := gA.AddNode(graph.Node{Name: "src"})
-	mapA := gA.AddNode(graph.Node{Name: "mapper", Op: &operator.Passthrough{}, Traits: operator.MapTraits, Speculative: true})
+	mapA := gA.AddNode(graph.Node{Name: "mapper", Op: &operator.Passthrough{}, Traits: operator.Traits{Deterministic: true}, Speculative: true})
 	gA.Connect(srcA, 0, mapA, 0)
 	poolA := storage.NewPool([]storage.Disk{storage.NewMemDisk()})
 	defer poolA.Close()
@@ -108,11 +123,11 @@ func TestTracePropagationAcrossBridge(t *testing.T) {
 	if err := trB.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	spansA, err := metrics.ReadSpans(&bufA)
+	spansA, err := readSpans(&bufA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spansB, err := metrics.ReadSpans(&bufB)
+	spansB, err := readSpans(&bufB)
 	if err != nil {
 		t.Fatal(err)
 	}

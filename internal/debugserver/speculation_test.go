@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -41,10 +42,11 @@ func TestSpeculationEndpoint(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &sum); err != nil {
 		t.Fatalf("body is not a summary: %v\n%s", err, body)
 	}
-	nw := sum.NodeByName("agg")
-	if nw == nil {
+	i := slices.IndexFunc(sum.Nodes, func(n profiler.NodeWaste) bool { return n.Node == "agg" })
+	if i < 0 {
 		t.Fatalf("summary has no agg ledger: %s", body)
 	}
+	nw := &sum.Nodes[i]
 	if nw.AbortedAttempts["conflict"] != 1 || nw.WastedCPUNs["conflict"] != 3_000_000 {
 		t.Errorf("agg ledger = %+v, want 1 conflict abort, 3ms wasted", nw)
 	}

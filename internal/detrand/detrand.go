@@ -17,7 +17,6 @@
 package detrand
 
 import (
-	"errors"
 	"math"
 )
 
@@ -67,35 +66,6 @@ func (s *Source) Restore(state uint64) { s.state = state }
 func (s *Source) Fork() *Source {
 	return New(s.Uint64() ^ 0xD1B54A32D192ED03)
 }
-
-// ErrReplayExhausted is returned when a Replayer runs out of logged draws.
-var ErrReplayExhausted = errors.New("detrand: replay log exhausted")
-
-// Replayer feeds previously logged draws back to an operator during
-// recovery. Once the log is exhausted the operator switches back to live
-// generation (the Source whose state was part of the checkpoint).
-type Replayer struct {
-	draws []uint64
-	next  int
-}
-
-// NewReplayer wraps a logged draw sequence.
-func NewReplayer(draws []uint64) *Replayer {
-	return &Replayer{draws: draws}
-}
-
-// Uint64 returns the next logged draw.
-func (r *Replayer) Uint64() (uint64, error) {
-	if r.next >= len(r.draws) {
-		return 0, ErrReplayExhausted
-	}
-	v := r.draws[r.next]
-	r.next++
-	return v, nil
-}
-
-// Remaining reports how many logged draws have not yet been replayed.
-func (r *Replayer) Remaining() int { return len(r.draws) - r.next }
 
 // Zipf draws from a Zipf distribution over [0, n) with exponent theta,
 // using the rejection-inversion free cumulative method (precomputed CDF).

@@ -1,7 +1,6 @@
 package detrand
 
 import (
-	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -83,26 +82,6 @@ func TestForkIndependence(t *testing.T) {
 		if child.Uint64() != child2.Uint64() {
 			t.Fatal("fork is not deterministic")
 		}
-	}
-}
-
-func TestReplayer(t *testing.T) {
-	draws := []uint64{10, 20, 30}
-	r := NewReplayer(draws)
-	if r.Remaining() != 3 {
-		t.Fatalf("Remaining = %d, want 3", r.Remaining())
-	}
-	for i, want := range draws {
-		got, err := r.Uint64()
-		if err != nil {
-			t.Fatalf("draw %d: %v", i, err)
-		}
-		if got != want {
-			t.Fatalf("draw %d = %d, want %d", i, got, want)
-		}
-	}
-	if _, err := r.Uint64(); !errors.Is(err, ErrReplayExhausted) {
-		t.Fatalf("exhausted replay returned %v, want ErrReplayExhausted", err)
 	}
 }
 

@@ -46,15 +46,6 @@ var (
 	ErrPayloadTooLarge = errors.New("event: payload too large")
 )
 
-// EncodedSize returns the exact number of bytes Encode will produce for e.
-func (e Event) EncodedSize() int {
-	n := headerSize + len(e.Payload)
-	if e.Trace != 0 {
-		n += traceSize
-	}
-	return n
-}
-
 // Encode appends the binary form of e to dst and returns the extended
 // slice. Encode never fails.
 func (e Event) Encode(dst []byte) []byte {

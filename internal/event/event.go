@@ -38,15 +38,6 @@ func (id ID) String() string {
 		strconv.FormatUint(uint64(id.Seq), 10)
 }
 
-// Less orders IDs by (Source, Seq). It exists so deterministic tie-breaking
-// is available wherever a total order over events is needed.
-func (id ID) Less(other ID) bool {
-	if id.Source != other.Source {
-		return id.Source < other.Source
-	}
-	return id.Seq < other.Seq
-}
-
 // Version counts re-emissions of a logical event. The first emission is
 // version 0; every rollback + re-execution that changes the event's content
 // increments the version. A FINALIZE control message carries the version it
@@ -102,16 +93,6 @@ func TraceOf(id ID) uint64 {
 	return z
 }
 
-// New returns a final event with the given identity and payload.
-func New(id ID, ts int64, payload []byte) Event {
-	return Event{ID: id, Timestamp: ts, Payload: payload}
-}
-
-// NewSpeculative returns a speculative event with version 0.
-func NewSpeculative(id ID, ts int64, payload []byte) Event {
-	return Event{ID: id, Timestamp: ts, Speculative: true, Payload: payload}
-}
-
 // Clone returns a deep copy of the event (payload included).
 func (e Event) Clone() Event {
 	c := e
@@ -128,15 +109,6 @@ func (e Event) AsFinal() Event {
 	return e
 }
 
-// NextVersion returns a copy of the event with the version incremented and
-// the speculative flag set; used when a rollback re-emits a changed output.
-func (e Event) NextVersion(payload []byte) Event {
-	e.Version++
-	e.Speculative = true
-	e.Payload = payload
-	return e
-}
-
 // SameContent reports whether two events carry identical observable content
 // (everything except the speculative flag and version). Precise recovery
 // requires that a re-emitted final duplicate satisfies SameContent with the
@@ -146,15 +118,6 @@ func (e Event) SameContent(other Event) bool {
 		e.Timestamp == other.Timestamp &&
 		e.Key == other.Key &&
 		bytes.Equal(e.Payload, other.Payload)
-}
-
-// Before reports whether e precedes other in the canonical processing
-// order: by timestamp, with the ID as a deterministic tie-breaker.
-func (e Event) Before(other Event) bool {
-	if e.Timestamp != other.Timestamp {
-		return e.Timestamp < other.Timestamp
-	}
-	return e.ID.Less(other.ID)
 }
 
 // String renders a short human-readable description, for logs and tests.

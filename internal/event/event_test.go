@@ -22,65 +22,34 @@ func TestIDString(t *testing.T) {
 	}
 }
 
-func TestIDLess(t *testing.T) {
-	tests := []struct {
-		name string
-		a, b ID
-		want bool
-	}{
-		{"same", ID{1, 1}, ID{1, 1}, false},
-		{"seq less", ID{1, 1}, ID{1, 2}, true},
-		{"seq greater", ID{1, 3}, ID{1, 2}, false},
-		{"source dominates seq", ID{1, 99}, ID{2, 0}, true},
-		{"source greater", ID{3, 0}, ID{2, 99}, false},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := tt.a.Less(tt.b); got != tt.want {
-				t.Errorf("%v.Less(%v) = %v, want %v", tt.a, tt.b, got, tt.want)
-			}
-		})
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
-	e := New(ID{1, 2}, 3, []byte("hello"))
+	e := Event{ID: ID{1, 2}, Timestamp: 3, Payload: []byte("hello")}
 	c := e.Clone()
 	c.Payload[0] = 'X'
 	if e.Payload[0] != 'h' {
 		t.Fatal("Clone shares payload with original")
 	}
-	if !e.SameContent(New(ID{1, 2}, 3, []byte("hello"))) {
+	if !e.SameContent(Event{ID: ID{1, 2}, Timestamp: 3, Payload: []byte("hello")}) {
 		t.Fatal("original mutated by clone edit")
 	}
 }
 
 func TestCloneNilPayload(t *testing.T) {
-	e := New(ID{1, 2}, 3, nil)
+	e := Event{ID: ID{1, 2}, Timestamp: 3}
 	c := e.Clone()
 	if c.Payload != nil {
 		t.Fatalf("Clone of nil payload = %v, want nil", c.Payload)
 	}
 }
 
-func TestAsFinalAndNextVersion(t *testing.T) {
-	e := NewSpeculative(ID{1, 1}, 10, []byte("a"))
-	if !e.Speculative || e.Version != 0 {
-		t.Fatalf("NewSpeculative: got %+v", e)
-	}
+func TestAsFinal(t *testing.T) {
+	e := Event{ID: ID{1, 1}, Timestamp: 10, Speculative: true, Payload: []byte("a")}
 	f := e.AsFinal()
 	if f.Speculative {
 		t.Fatal("AsFinal left speculative flag set")
 	}
 	if !e.Speculative {
 		t.Fatal("AsFinal mutated receiver")
-	}
-	v1 := e.NextVersion([]byte("b"))
-	if v1.Version != 1 || !v1.Speculative || string(v1.Payload) != "b" {
-		t.Fatalf("NextVersion: got %+v", v1)
-	}
-	if v1.ID != e.ID || v1.Timestamp != e.Timestamp {
-		t.Fatal("NextVersion changed identity")
 	}
 }
 
@@ -96,40 +65,17 @@ func TestSameContentIgnoresSpeculationMetadata(t *testing.T) {
 	}
 }
 
-func TestBefore(t *testing.T) {
-	tests := []struct {
-		name string
-		a, b Event
-		want bool
-	}{
-		{"timestamp order", Event{ID: ID{2, 2}, Timestamp: 1}, Event{ID: ID{1, 1}, Timestamp: 2}, true},
-		{"timestamp reverse", Event{ID: ID{1, 1}, Timestamp: 3}, Event{ID: ID{2, 2}, Timestamp: 2}, false},
-		{"tie broken by id", Event{ID: ID{1, 1}, Timestamp: 5}, Event{ID: ID{1, 2}, Timestamp: 5}, true},
-		{"equal", Event{ID: ID{1, 1}, Timestamp: 5}, Event{ID: ID{1, 1}, Timestamp: 5}, false},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := tt.a.Before(tt.b); got != tt.want {
-				t.Errorf("Before = %v, want %v", got, tt.want)
-			}
-		})
-	}
-}
-
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	events := []Event{
 		{},
-		New(ID{1, 2}, 3, []byte("payload")),
-		NewSpeculative(ID{9, 100}, -5, nil),
+		{ID: ID{1, 2}, Timestamp: 3, Payload: []byte("payload")},
+		{ID: ID{9, 100}, Timestamp: -5, Speculative: true},
 		{ID: ID{4294967295, 1 << 60}, Timestamp: 1 << 40, Version: 77, Speculative: true, Key: 1 << 50, Payload: bytes.Repeat([]byte{0xAB}, 1000)},
 		{ID: ID{5, 6}, Timestamp: 7, Trace: TraceOf(ID{5, 6}), Payload: []byte("traced")},
 		{ID: ID{5, 7}, Trace: ^uint64(0), Speculative: true},
 	}
 	for i, e := range events {
 		buf := e.Encode(nil)
-		if len(buf) != e.EncodedSize() {
-			t.Errorf("event %d: EncodedSize=%d, Encode produced %d", i, e.EncodedSize(), len(buf))
-		}
 		got, n, err := Decode(buf)
 		if err != nil {
 			t.Fatalf("event %d: Decode: %v", i, err)
@@ -154,7 +100,7 @@ func eventsEqual(a, b Event) bool {
 // bit, no trailer), so old decoders read frames from new encoders as long
 // as tracing is off, and the traced form is strictly additive.
 func TestEncodeUntracedIsLegacyCompatible(t *testing.T) {
-	e := New(ID{1, 2}, 3, []byte("payload"))
+	e := Event{ID: ID{1, 2}, Timestamp: 3, Payload: []byte("payload")}
 	buf := e.Encode(nil)
 	if len(buf) != headerSize+len(e.Payload) {
 		t.Fatalf("untraced frame is %d bytes, want header %d + payload %d", len(buf), headerSize, len(e.Payload))
@@ -206,7 +152,7 @@ func TestTraceOf(t *testing.T) {
 }
 
 func TestDecodeShortBuffer(t *testing.T) {
-	e := New(ID{1, 2}, 3, []byte("hello"))
+	e := Event{ID: ID{1, 2}, Timestamp: 3, Payload: []byte("hello")}
 	buf := e.Encode(nil)
 	for cut := 0; cut < len(buf); cut++ {
 		if _, _, err := Decode(buf[:cut]); err == nil {
@@ -216,7 +162,7 @@ func TestDecodeShortBuffer(t *testing.T) {
 }
 
 func TestDecodeRejectsHugePayload(t *testing.T) {
-	e := New(ID{1, 2}, 3, []byte("hello"))
+	e := Event{ID: ID{1, 2}, Timestamp: 3, Payload: []byte("hello")}
 	buf := e.Encode(nil)
 	// Corrupt the length prefix to claim an enormous payload.
 	buf[33], buf[34], buf[35], buf[36] = 0xFF, 0xFF, 0xFF, 0x7F
@@ -228,9 +174,9 @@ func TestDecodeRejectsHugePayload(t *testing.T) {
 
 func TestBatchRoundTrip(t *testing.T) {
 	batch := []Event{
-		New(ID{1, 1}, 1, []byte("a")),
-		NewSpeculative(ID{2, 2}, 2, []byte("bb")),
-		New(ID{3, 3}, 3, nil),
+		{ID: ID{1, 1}, Timestamp: 1, Payload: []byte("a")},
+		{ID: ID{2, 2}, Timestamp: 2, Speculative: true, Payload: []byte("bb")},
+		{ID: ID{3, 3}, Timestamp: 3},
 	}
 	buf := EncodeBatch(nil, batch)
 	got, n, err := DecodeBatch(buf)
@@ -262,7 +208,7 @@ func TestBatchEmpty(t *testing.T) {
 }
 
 func TestBatchTruncated(t *testing.T) {
-	buf := EncodeBatch(nil, []Event{New(ID{1, 1}, 1, []byte("abc"))})
+	buf := EncodeBatch(nil, []Event{{ID: ID{1, 1}, Timestamp: 1, Payload: []byte("abc")}})
 	if _, _, err := DecodeBatch(buf[:len(buf)-1]); err == nil {
 		t.Fatal("DecodeBatch accepted truncated input")
 	}
@@ -298,29 +244,9 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 }
 
-// TestQuickBeforeIsStrictOrder property-tests that Before is a strict total
-// order (irreflexive, asymmetric, and connected on distinct events).
-func TestQuickBeforeIsStrictOrder(t *testing.T) {
-	f := func(s1, s2 uint32, q1, q2 uint64, t1, t2 int64) bool {
-		a := Event{ID: ID{SourceID(s1), Seq(q1)}, Timestamp: t1}
-		b := Event{ID: ID{SourceID(s2), Seq(q2)}, Timestamp: t2}
-		if a.Before(a) || b.Before(b) {
-			return false // must be irreflexive
-		}
-		same := a.ID == b.ID && a.Timestamp == b.Timestamp
-		if same {
-			return !a.Before(b) && !b.Before(a)
-		}
-		return a.Before(b) != b.Before(a) // exactly one direction
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkEncode(b *testing.B) {
-	e := New(ID{1, 2}, 3, bytes.Repeat([]byte{0x55}, 128))
-	buf := make([]byte, 0, e.EncodedSize())
+	e := Event{ID: ID{1, 2}, Timestamp: 3, Payload: bytes.Repeat([]byte{0x55}, 128)}
+	buf := e.Encode(nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buf = e.Encode(buf[:0])
@@ -328,7 +254,7 @@ func BenchmarkEncode(b *testing.B) {
 }
 
 func BenchmarkDecode(b *testing.B) {
-	e := New(ID{1, 2}, 3, bytes.Repeat([]byte{0x55}, 128))
+	e := Event{ID: ID{1, 2}, Timestamp: 3, Payload: bytes.Repeat([]byte{0x55}, 128)}
 	buf := e.Encode(nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -344,7 +270,7 @@ func BenchmarkDecode(b *testing.B) {
 func TestCodecAllocs(t *testing.T) {
 	evs := make([]Event, 8)
 	for i := range evs {
-		evs[i] = New(ID{1, Seq(i)}, 3, bytes.Repeat([]byte{0x55}, 16))
+		evs[i] = Event{ID: ID{1, Seq(i)}, Timestamp: 3, Payload: bytes.Repeat([]byte{0x55}, 16)}
 	}
 	one := evs[0].Encode(nil)
 	batch := EncodeBatch(nil, evs)

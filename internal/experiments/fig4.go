@@ -28,17 +28,6 @@ type Fig4Result struct {
 	DataCap       int
 }
 
-// PeakLatency returns the largest bucketed latency (ms).
-func (r Fig4Result) PeakLatency() float64 {
-	peak := 0.0
-	for _, v := range r.Buckets {
-		if !math.IsNaN(v) && v > peak {
-			peak = v
-		}
-	}
-	return peak
-}
-
 // RunFig4 reproduces Figure 4: the evolution of end-to-end latency when
 // the event inter-arrival time drops below the sequential processing time
 // during the middle of the run. Sequential execution builds a backlog it

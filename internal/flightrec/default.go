@@ -23,20 +23,12 @@ func Enable(size int) *Recorder {
 	return def.Load()
 }
 
-// Default returns the process-wide recorder, or nil when Enable was
-// never called.
-func Default() *Recorder { return def.Load() }
-
 // Record appends to the process-wide recorder (no-op when disabled).
 func Record(kind Kind, detail string) { def.Load().Record(kind, detail) }
 
-// Record3 appends three space-joined parts to the process-wide recorder
-// without building an intermediate string (no-op when disabled).
-func Record3(kind Kind, a, b, c string) { def.Load().Record3(kind, a, b, c) }
-
 // Recordf formats and appends to the process-wide recorder. It allocates
 // for the format step, so it is meant for control-plane sites (lifecycle
-// transitions, chaos arms) — use Record/Record3 on anything hot. When
+// transitions, chaos arms) — use Record on anything hot. When
 // recording is disabled the format is skipped entirely.
 func Recordf(kind Kind, format string, args ...any) {
 	r := def.Load()

@@ -164,7 +164,7 @@ func TestMetricsRegisteredAndDocumented(t *testing.T) {
 	reg := metrics.NewRegistry()
 	RegisterMetrics(r, reg)
 	r.Record(KindLifecycle, "start")
-	if v, ok := reg.Value("flightrec_records_total", nil); !ok || v != 1 {
+	if v, ok := metricstest.Value(reg, "flightrec_records_total", nil); !ok || v != 1 {
 		t.Errorf("flightrec_records_total = %v ok=%v, want 1", v, ok)
 	}
 

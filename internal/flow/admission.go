@@ -125,13 +125,6 @@ func (a *AIMD) Observe(congested bool) float64 {
 	return a.rate
 }
 
-// Rate returns the current controlled rate.
-func (a *AIMD) Rate() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.rate
-}
-
 // Outcome is the result of one admission attempt.
 type Outcome int
 
@@ -193,7 +186,7 @@ func NewAdmission(l *Limits, pressure func() bool) *Admission {
 		quit:          make(chan struct{}),
 	}
 	if l.AIMD && pressure != nil {
-		a.aimd = NewAIMD(l.MinRate, l.AdmitRate, 0, 0)
+		a.aimd = NewAIMD(0, l.AdmitRate, 0, 0)
 	}
 	return a
 }
@@ -209,18 +202,12 @@ func sleepInterruptible(d time.Duration, quit <-chan struct{}) bool {
 	}
 }
 
-// Admit decides the fate of one source event. With shedding enabled it
-// never blocks: an event that cannot take a token immediately is Shed.
-// Without shedding it blocks (interruptibly) until a token is available.
-func (a *Admission) Admit() Outcome {
-	return a.AdmitN(1)
-}
-
 // AdmitN decides the fate of a batch of n source events with one bucket
-// charge and at most one pressure sample — the amortized admission path.
-// The outcome applies to the whole batch: admitted together, or (with
-// shedding) shed together. Events in a shed batch were never logged, so
-// recovery semantics are untouched, exactly as for single-event shedding.
+// charge and at most one pressure sample. With shedding enabled it never
+// blocks: a batch that cannot take its tokens immediately is Shed, whole.
+// Without shedding it blocks (interruptibly) until the tokens are
+// available. Events in a shed batch were never logged, so recovery
+// semantics are untouched.
 func (a *Admission) AdmitN(n int) Outcome {
 	if n < 1 {
 		n = 1
@@ -265,7 +252,7 @@ func (a *Admission) adapt(n int) {
 	a.bucket.SetRate(a.aimd.Observe(a.pressure()))
 }
 
-// Close interrupts any blocked Admit calls; they return Stopped.
+// Close interrupts any blocked AdmitN calls; they return Stopped.
 func (a *Admission) Close() {
 	if a == nil {
 		return

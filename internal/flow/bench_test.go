@@ -27,20 +27,8 @@ func BenchmarkTokenBucketTake(b *testing.B) {
 	}
 }
 
-// BenchmarkSpecThrottleAdmitRelease measures the uncontended slot
-// take/return cycle every speculative task pays.
-func BenchmarkSpecThrottleAdmitRelease(b *testing.B) {
-	s := NewSpecThrottle(&Limits{MaxOpenSpec: 64})
-	head := func() bool { return false }
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.Admit(head)
-		s.Release(false)
-	}
-}
-
-// BenchmarkSpecThrottleTryAdmit measures the worker-pool fast path (the
-// non-blocking form used by node workers).
+// BenchmarkSpecThrottleTryAdmit measures the uncontended slot take/return
+// cycle every speculative task pays.
 func BenchmarkSpecThrottleTryAdmit(b *testing.B) {
 	s := NewSpecThrottle(&Limits{MaxOpenSpec: 64})
 	head := func() bool { return false }

@@ -71,18 +71,6 @@ func (g *CreditGate) AcquireN(n int) bool {
 	return true
 }
 
-// TryAcquire consumes a credit without blocking. It reports whether a
-// credit was consumed.
-func (g *CreditGate) TryAcquire() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.closed || g.avail <= 0 {
-		return false
-	}
-	g.avail--
-	return true
-}
-
 // Grant returns n credits to the window. Grants beyond the window size
 // are clamped (a duplicate CREDIT frame after a reconnect must not grow
 // the window permanently).
@@ -131,6 +119,3 @@ func (g *CreditGate) Outstanding() int {
 	defer g.mu.Unlock()
 	return g.window - g.avail
 }
-
-// Window returns the configured window size.
-func (g *CreditGate) Window() int { return g.window }

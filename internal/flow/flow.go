@@ -45,11 +45,9 @@ type Limits struct {
 	AdmitBurst int `json:"admitBurst,omitempty"`
 
 	// AIMD enables additive-increase/multiplicative-decrease adaptation
-	// of the admission rate, driven by downstream queue pressure.
+	// of the admission rate, driven by downstream queue pressure and
+	// floored at AdmitRate/10.
 	AIMD bool `json:"aimd,omitempty"`
-
-	// MinRate floors the AIMD-controlled rate. Defaults to AdmitRate/10.
-	MinRate float64 `json:"minRate,omitempty"`
 
 	// Shed makes the source drop events that cannot be admitted
 	// immediately instead of blocking the emitter. Shed events are
@@ -57,13 +55,10 @@ type Limits struct {
 	// recovery is unaffected.
 	Shed bool `json:"shed,omitempty"`
 
-	// MaxOpenSpec caps the number of open speculative tasks on the node.
-	// Zero disables speculation throttling.
+	// MaxOpenSpec caps the number of open speculative tasks on the node;
+	// a high abort rate lowers the cap as far as one. Zero disables
+	// speculation throttling.
 	MaxOpenSpec int `json:"maxOpenSpec,omitempty"`
-
-	// MinOpenSpec floors the adaptive cap when the abort rate is high.
-	// Defaults to 1.
-	MinOpenSpec int `json:"minOpenSpec,omitempty"`
 
 	// BatchSize caps the runs of the node's source emissions and its
 	// credited input edges' frames, which amortize their per-event costs

@@ -9,12 +9,9 @@ import (
 func TestCreditGateWindow(t *testing.T) {
 	g := NewCreditGate(3)
 	for i := 0; i < 3; i++ {
-		if !g.TryAcquire() {
+		if !g.AcquireN(1) {
 			t.Fatalf("acquire %d failed inside window", i)
 		}
-	}
-	if g.TryAcquire() {
-		t.Fatal("acquire succeeded past window")
 	}
 	if got := g.Outstanding(); got != 3 {
 		t.Fatalf("Outstanding = %d, want 3", got)
@@ -110,25 +107,22 @@ func TestTokenBucket(t *testing.T) {
 
 func TestAIMD(t *testing.T) {
 	a := NewAIMD(10, 100, 5, 0.5)
-	if r := a.Rate(); r != 100 {
-		t.Fatalf("initial rate = %v, want 100", r)
-	}
 	if r := a.Observe(true); r != 50 {
 		t.Fatalf("rate after decrease = %v, want 50", r)
 	}
 	if r := a.Observe(false); r != 55 {
 		t.Fatalf("rate after increase = %v, want 55", r)
 	}
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 19; i++ {
 		a.Observe(true)
 	}
-	if r := a.Rate(); r != 10 {
+	if r := a.Observe(true); r != 10 {
 		t.Fatalf("rate not floored: %v, want 10", r)
 	}
-	for i := 0; i < 100; i++ {
+	for i := 0; i < 99; i++ {
 		a.Observe(false)
 	}
-	if r := a.Rate(); r != 100 {
+	if r := a.Observe(false); r != 100 {
 		t.Fatalf("rate not capped: %v, want 100", r)
 	}
 }
@@ -137,13 +131,13 @@ func TestAdmissionShed(t *testing.T) {
 	a := NewAdmission(&Limits{AdmitRate: 1000, AdmitBurst: 2, Shed: true}, nil)
 	fake := time.Unix(0, 0)
 	a.now = func() time.Time { return fake }
-	if got := a.Admit(); got != Admitted {
+	if got := a.AdmitN(1); got != Admitted {
 		t.Fatalf("admit 1 = %v, want Admitted", got)
 	}
-	if got := a.Admit(); got != Admitted {
+	if got := a.AdmitN(1); got != Admitted {
 		t.Fatalf("admit 2 = %v, want Admitted", got)
 	}
-	if got := a.Admit(); got != Shed {
+	if got := a.AdmitN(1); got != Shed {
 		t.Fatalf("admit 3 = %v, want Shed", got)
 	}
 	if a.Admitted() != 2 || a.Shedded() != 1 {
@@ -153,11 +147,11 @@ func TestAdmissionShed(t *testing.T) {
 
 func TestAdmissionBlocksAndStops(t *testing.T) {
 	a := NewAdmission(&Limits{AdmitRate: 0.001, AdmitBurst: 1}, nil)
-	if got := a.Admit(); got != Admitted {
+	if got := a.AdmitN(1); got != Admitted {
 		t.Fatalf("first admit = %v, want Admitted", got)
 	}
 	done := make(chan Outcome, 1)
-	go func() { done <- a.Admit() }()
+	go func() { done <- a.AdmitN(1) }()
 	select {
 	case got := <-done:
 		t.Fatalf("second admit returned %v without waiting", got)
@@ -170,53 +164,67 @@ func TestAdmissionBlocksAndStops(t *testing.T) {
 			t.Fatalf("admit after close = %v, want Stopped", got)
 		}
 	case <-time.After(time.Second):
-		t.Fatal("Close did not interrupt blocked Admit")
+		t.Fatal("Close did not interrupt blocked AdmitN")
 	}
 }
 
 func TestAdmissionAIMDBacksOff(t *testing.T) {
 	congested := true
-	a := NewAdmission(&Limits{AdmitRate: 1000, AdmitBurst: 1, Shed: true, AIMD: true, MinRate: 10},
+	a := NewAdmission(&Limits{AdmitRate: 1000, AdmitBurst: 1, Shed: true, AIMD: true},
 		func() bool { return congested })
 	a.pressureEvery = 1
 	fake := time.Unix(0, 0)
 	a.now = func() time.Time { return fake }
 	for i := 0; i < 20; i++ {
 		fake = fake.Add(time.Second)
-		a.Admit()
+		a.AdmitN(1)
 	}
-	if r := a.Rate(); r != 10 {
-		t.Fatalf("rate under sustained congestion = %v, want floor 10", r)
+	if r := a.Rate(); r != 100 {
+		t.Fatalf("rate under sustained congestion = %v, want floor 100 (AdmitRate/10)", r)
 	}
 	congested = false
 	for i := 0; i < 100; i++ {
 		fake = fake.Add(time.Second)
-		a.Admit()
+		a.AdmitN(1)
 	}
-	if r := a.Rate(); r <= 10 {
+	if r := a.Rate(); r <= 100 {
 		t.Fatalf("rate did not recover after congestion cleared: %v", r)
+	}
+}
+
+// admit is a worker's admission loop: try for a slot, and on refusal park
+// until the throttle's state changes.
+func admit(s *SpecThrottle, head func() bool) bool {
+	for {
+		gen := s.Gen()
+		if ok, closed := s.TryAdmit(head); ok || closed {
+			return ok
+		}
+		if !s.WaitSince(gen) {
+			return false
+		}
 	}
 }
 
 func TestSpecThrottleCapAndHeadBypass(t *testing.T) {
 	s := NewSpecThrottle(&Limits{MaxOpenSpec: 2})
 	notHead := func() bool { return false }
-	if !s.Admit(notHead) || !s.Admit(notHead) {
+	if !admit(s, notHead) || !admit(s, notHead) {
 		t.Fatal("admits inside cap failed")
 	}
 	// A third non-head task parks...
 	done := make(chan bool, 1)
-	go func() { done <- s.Admit(notHead) }()
+	go func() { done <- admit(s, notHead) }()
 	select {
 	case <-done:
 		t.Fatal("admit past cap did not block")
 	case <-time.After(20 * time.Millisecond):
 	}
 	// ...but the commit head walks straight through.
-	if !s.Admit(func() bool { return true }) {
+	if ok, _ := s.TryAdmit(func() bool { return true }); !ok {
 		t.Fatal("head task was throttled")
 	}
-	if open, _, _ := snapshotOpen(s); open != 3 {
+	if open, _, _ := s.Snapshot(); open != 3 {
 		t.Fatalf("open = %d, want 3", open)
 	}
 	s.Release(false)
@@ -229,35 +237,33 @@ func TestSpecThrottleCapAndHeadBypass(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("release did not wake parked admit")
 	}
-	_, _, throttled := s.Snapshot()
-	if throttled != 1 {
-		t.Fatalf("throttled count = %d, want 1", throttled)
+	if _, _, throttled := s.Snapshot(); throttled == 0 {
+		t.Fatal("throttled count = 0 after a refused admission")
 	}
 }
 
-func snapshotOpen(s *SpecThrottle) (int, int, uint64) { return s.Snapshot() }
-
 func TestSpecThrottleAdaptsToAborts(t *testing.T) {
-	s := NewSpecThrottle(&Limits{MaxOpenSpec: 8, MinOpenSpec: 2})
+	s := NewSpecThrottle(&Limits{MaxOpenSpec: 8})
+	head := func() bool { return true }
 	// One full window of aborts halves the cap.
 	for i := 0; i < s.window; i++ {
-		s.Admit(func() bool { return true })
+		s.TryAdmit(head)
 		s.Release(true)
 	}
 	if _, cap, _ := s.Snapshot(); cap != 4 {
 		t.Fatalf("cap after abort window = %d, want 4", cap)
 	}
-	// Keep aborting: cap floors at MinOpenSpec.
+	// Keep aborting: cap floors at one.
 	for i := 0; i < 4*s.window; i++ {
-		s.Admit(func() bool { return true })
+		s.TryAdmit(head)
 		s.Release(true)
 	}
-	if _, cap, _ := s.Snapshot(); cap != 2 {
-		t.Fatalf("cap not floored: %d, want 2", cap)
+	if _, cap, _ := s.Snapshot(); cap != 1 {
+		t.Fatalf("cap not floored: %d, want 1", cap)
 	}
 	// Clean windows recover the cap one step at a time.
 	for i := 0; i < 16*s.window; i++ {
-		s.Admit(func() bool { return true })
+		s.TryAdmit(head)
 		s.Release(false)
 	}
 	if _, cap, _ := s.Snapshot(); cap != 8 {
@@ -272,7 +278,7 @@ func TestSpecThrottleConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if s.Admit(func() bool { return false }) {
+			if admit(s, func() bool { return false }) {
 				s.Release(false)
 			}
 		}()

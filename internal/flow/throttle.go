@@ -10,16 +10,15 @@ import "sync"
 //
 // Deadlock safety: strict in-order commit means the task at the commit
 // head must always be able to execute, even when younger tasks hold every
-// slot. Admit therefore never blocks a caller that reports head == true.
-// Workers blocked in Admit re-check head status on every wake, so a task
-// that becomes the head while parked gets through.
+// slot. TryAdmit therefore never refuses a caller that reports head ==
+// true, and a worker parked in WaitSince wakes whenever the commit cursor
+// advances, so a task that becomes the head while parked gets through.
 type SpecThrottle struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
 	max  int // configured ceiling
-	min  int // adaptive floor
-	cap  int // current adaptive cap
+	cap  int // current adaptive cap, at least 1
 	open int
 
 	// abort-rate window
@@ -42,49 +41,16 @@ func NewSpecThrottle(l *Limits) *SpecThrottle {
 	if l == nil || l.MaxOpenSpec <= 0 {
 		return nil
 	}
-	min := l.MinOpenSpec
-	if min < 1 {
-		min = 1
-	}
-	if min > l.MaxOpenSpec {
-		min = l.MaxOpenSpec
-	}
-	s := &SpecThrottle{max: l.MaxOpenSpec, min: min, cap: l.MaxOpenSpec, window: 16}
+	s := &SpecThrottle{max: l.MaxOpenSpec, cap: l.MaxOpenSpec, window: 16}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
 
-// Admit blocks until the task may open (open < cap), unless head is true,
-// in which case it is admitted immediately regardless of occupancy.
-// head must be re-evaluated by the caller on each call; Admit re-invokes
-// it after every wake so a parked task that becomes the commit head is
-// released. Returns false if the throttle was closed.
-func (s *SpecThrottle) Admit(head func() bool) bool {
-	if s == nil {
-		return true
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	waited := false
-	for !s.closed && s.open >= s.cap && !head() {
-		if !waited {
-			waited = true
-			s.throttled++
-		}
-		s.cond.Wait()
-	}
-	if s.closed {
-		return false
-	}
-	s.open++
-	return true
-}
-
-// TryAdmit is the non-blocking form of Admit: it either takes a slot
-// immediately (or bypasses the cap for the commit head) or refuses.
-// Callers that cannot afford to block — a worker pool where parking every
-// worker would strand the commit head in the run queue with nobody to
-// execute it — defer the task instead and park via WaitSince.
+// TryAdmit takes a slot if one is free (open < cap), or bypasses the cap
+// when head reports the task is the commit head, or refuses. It never
+// blocks: a worker pool where parking every worker would strand the commit
+// head in the run queue with nobody to execute it defers a refused task
+// instead and parks via WaitSince.
 func (s *SpecThrottle) TryAdmit(head func() bool) (admitted, closed bool) {
 	if s == nil {
 		return true, false
@@ -186,10 +152,7 @@ func (s *SpecThrottle) observeLocked(aborted bool) {
 	}
 	if s.commits+s.aborts >= s.window {
 		if float64(s.aborts) > abortHighWater*float64(s.commits+s.aborts) {
-			s.cap /= 2
-			if s.cap < s.min {
-				s.cap = s.min
-			}
+			s.cap = max(s.cap/2, 1)
 		} else if s.cap < s.max {
 			s.cap++
 		}
@@ -212,7 +175,7 @@ func (s *SpecThrottle) Reset() {
 	s.cond.Broadcast()
 }
 
-// Close releases all waiters; subsequent Admit calls fail.
+// Close releases all waiters; subsequent TryAdmit calls report closed.
 func (s *SpecThrottle) Close() {
 	if s == nil {
 		return

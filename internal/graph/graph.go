@@ -136,26 +136,6 @@ func (g *Graph) OutputsOf(id NodeID) []Edge {
 	return out
 }
 
-// Sources returns nodes with no incoming edges.
-func (g *Graph) Sources() []NodeID {
-	return g.pick(func(id NodeID) bool { return len(g.InputsOf(id)) == 0 })
-}
-
-// Sinks returns nodes with no outgoing edges.
-func (g *Graph) Sinks() []NodeID {
-	return g.pick(func(id NodeID) bool { return len(g.OutputsOf(id)) == 0 })
-}
-
-func (g *Graph) pick(keep func(NodeID) bool) []NodeID {
-	var out []NodeID
-	for i := range g.nodes {
-		if keep(NodeID(i)) {
-			out = append(out, NodeID(i))
-		}
-	}
-	return out
-}
-
 // Validate checks structural integrity: unique names, edges referencing
 // existing nodes and ports, contiguous input indices starting at 0, and
 // acyclicity.

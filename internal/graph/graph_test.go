@@ -31,11 +31,8 @@ func TestValidChain(t *testing.T) {
 	if len(order) != 3 || order[0] != src || order[1] != a || order[2] != b {
 		t.Fatalf("order = %v", order)
 	}
-	if s := g.Sources(); len(s) != 1 || s[0] != src {
-		t.Fatalf("Sources = %v", s)
-	}
-	if s := g.Sinks(); len(s) != 1 || s[0] != b {
-		t.Fatalf("Sinks = %v", s)
+	if len(g.InputsOf(src)) != 0 || len(g.OutputsOf(b)) != 0 {
+		t.Fatalf("chain ends: src inputs %v, b outputs %v", g.InputsOf(src), g.OutputsOf(b))
 	}
 }
 
@@ -132,7 +129,7 @@ func TestDiamondTopology(t *testing.T) {
 	g := New()
 	p1 := g.AddNode(Node{Name: "p1"})
 	p2 := g.AddNode(Node{Name: "p2"})
-	union := g.AddNode(Node{Name: "union", Op: &operator.Union{}, Traits: operator.UnionTraits})
+	union := g.AddNode(Node{Name: "union", Op: &operator.Union{}, Traits: operator.Traits{OrderSensitive: true}})
 	split := g.AddNode(Node{Name: "split", Op: &operator.Split{Outputs: 2}, OutputPorts: 2})
 	c1 := g.AddNode(Node{Name: "c1"})
 	c2 := g.AddNode(Node{Name: "c2"})
@@ -150,9 +147,8 @@ func TestDiamondTopology(t *testing.T) {
 	if outs := g.OutputsOf(split); len(outs) != 2 {
 		t.Fatalf("split outputs = %d", len(outs))
 	}
-	srcs := g.Sources()
-	if len(srcs) != 2 {
-		t.Fatalf("sources = %v", srcs)
+	if len(g.InputsOf(p1)) != 0 || len(g.InputsOf(p2)) != 0 {
+		t.Fatal("diamond sources have inputs")
 	}
 }
 

@@ -206,13 +206,13 @@ func TestHealthMetricsRegisteredAndDocumented(t *testing.T) {
 	m.Fold("w1", 0, []core.NodeHealth{
 		{Node: "src", Committed: 10, FinalizeP99Ns: ms(2)},
 	}, nil, now)
-	if v, ok := reg.Value("health_slo_target_ms", nil); !ok || v != 10 {
+	if v, ok := metricstest.Value(reg, "health_slo_target_ms", nil); !ok || v != 10 {
 		t.Errorf("health_slo_target_ms = %v ok=%v, want 10", v, ok)
 	}
-	if _, ok := reg.Value("health_hop_p99_ms", metrics.Labels{"node": "classify"}); !ok {
+	if _, ok := metricstest.Value(reg, "health_hop_p99_ms", metrics.Labels{"node": "classify"}); !ok {
 		t.Error("health_hop_p99_ms{node=classify} not registered")
 	}
-	if _, ok := reg.Value("health_stragglers", nil); !ok {
+	if _, ok := metricstest.Value(reg, "health_stragglers", nil); !ok {
 		t.Error("health_stragglers not registered")
 	}
 

@@ -238,8 +238,5 @@ func (c *Client) Dups() uint64 { return c.dups }
 // Retries returns the number of send attempts beyond the first.
 func (c *Client) Retries() uint64 { return c.retries }
 
-// NextSeq returns the sequence the next Send will start at.
-func (c *Client) NextSeq() uint64 { return c.nextSeq }
-
 // Close drops the connection.
 func (c *Client) Close() { c.drop() }

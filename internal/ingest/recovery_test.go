@@ -10,6 +10,7 @@ import (
 	"streammine/internal/flow"
 	"streammine/internal/graph"
 	"streammine/internal/metrics"
+	"streammine/internal/metricstest"
 	"streammine/internal/operator"
 	"streammine/internal/storage"
 )
@@ -260,7 +261,7 @@ loaded:
 	if st.Acked != 1500 {
 		t.Fatalf("acked %d records, want 1500 (retries must eventually land)", st.Acked)
 	}
-	if v, _ := reg.Value("ingest_shed_total", metrics.Labels{"tenant": "default", "reason": "engine"}); v == 0 {
+	if v, _ := metricstest.Value(reg, "ingest_shed_total", metrics.Labels{"tenant": "default", "reason": "engine"}); v == 0 {
 		t.Fatal("ingest_shed_total{reason=engine} is zero despite sheds")
 	}
 	eng.Drain()

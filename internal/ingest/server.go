@@ -503,19 +503,6 @@ func (s *Server) RegisterSource(name string, em Emitter, adm *flow.Admission) er
 	return nil
 }
 
-// UnregisterSource detaches a stream (partition moved away); in-flight
-// batches fail with a retryable verdict.
-func (s *Server) UnregisterSource(name string) {
-	s.mu.Lock()
-	st := s.streams[name]
-	delete(s.streams, name)
-	s.mu.Unlock()
-	if st != nil {
-		st.close()
-		s.mStreams.Dec()
-	}
-}
-
 // verdict is the outcome of processing one batch, rendered as a frame on
 // the binary lane or a status code on the HTTP lane.
 type verdict struct {

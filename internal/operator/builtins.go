@@ -39,9 +39,6 @@ type Map struct {
 
 var _ Operator = (*Map)(nil)
 
-// MapTraits describe Map for engine configuration.
-var MapTraits = Traits{Deterministic: true}
-
 // Process emits the transformed payload.
 func (m *Map) Process(ctx Context, e event.Event) error {
 	out, err := m.Fn(e)
@@ -90,9 +87,6 @@ type Union struct {
 
 var _ Operator = (*Union)(nil)
 
-// UnionTraits mark the interleaving order as a logged decision.
-var UnionTraits = Traits{OrderSensitive: true}
-
 // Process forwards the event unchanged.
 func (u *Union) Process(ctx Context, e event.Event) error {
 	return ctx.Emit(e.Key, e.Payload)
@@ -112,9 +106,6 @@ type Split struct {
 }
 
 var _ Operator = (*Split)(nil)
-
-// SplitTraits describe the random-balancing variant (the logged one).
-var SplitTraits = Traits{}
 
 // Process routes the event to one output port.
 func (s *Split) Process(ctx Context, e event.Event) error {

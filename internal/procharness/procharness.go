@@ -178,16 +178,6 @@ func (c *Cluster) KillWorker(name string) error {
 	return wk.Process.Kill()
 }
 
-// SignalWorker delivers sig (e.g. SIGSTOP/SIGCONT for a pause fault) to
-// the named worker.
-func (c *Cluster) SignalWorker(name string, sig os.Signal) error {
-	wk, ok := c.workers[name]
-	if !ok {
-		return fmt.Errorf("procharness: no worker %q", name)
-	}
-	return wk.Process.Signal(sig)
-}
-
 // SignalCoord delivers sig to the coordinator (SIGSTOP/SIGCONT for the
 // coordinator-pause fault).
 func (c *Cluster) SignalCoord(sig os.Signal) error {

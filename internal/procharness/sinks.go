@@ -59,13 +59,6 @@ func (s *Sinks) Distinct() int {
 	return len(s.counts)
 }
 
-// Count reports how many SINK lines worker has printed.
-func (s *Sinks) Count(worker string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.per[worker]
-}
-
 // Busiest returns a worker that has printed at least min SINK lines, or
 // "" when none has yet.
 func (s *Sinks) Busiest(min int) string {
@@ -109,17 +102,6 @@ func (s *Sinks) WaitDistinct(n int, timeout time.Duration) error {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-}
-
-// IDs snapshots the distinct identity set.
-func (s *Sinks) IDs() map[string]bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]bool, len(s.counts))
-	for id := range s.counts {
-		out[id] = true
-	}
-	return out
 }
 
 // Snapshot returns the identity set plus the number of duplicate prints

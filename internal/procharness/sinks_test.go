@@ -10,8 +10,8 @@ func TestSinksCountsAndSnapshot(t *testing.T) {
 	s.Record("w1", "a")
 	s.Record("w1", "b")
 	s.Record("w2", "c")
-	if s.Distinct() != 3 || s.Count("w1") != 2 {
-		t.Fatalf("distinct=%d w1=%d", s.Distinct(), s.Count("w1"))
+	if s.Distinct() != 3 || s.Busiest(2) != "w1" {
+		t.Fatalf("distinct=%d busiest(2)=%q, want 3, w1", s.Distinct(), s.Busiest(2))
 	}
 	ids, dups := s.Snapshot()
 	if len(ids) != 3 || dups != 0 {

@@ -194,11 +194,6 @@ func (np *NodeProfile) RevokedOutputs(n int) {
 // AbortedAttempts returns the aborted-attempt count for a cause.
 func (np *NodeProfile) AbortedAttempts(c Cause) uint64 { return np.attempts[c].Load() }
 
-// WastedSeconds returns the wasted CPU seconds for a cause.
-func (np *NodeProfile) WastedSeconds(c Cause) float64 {
-	return float64(np.wastedNs[c].Load()) / 1e9
-}
-
 // WastedNs returns the wasted CPU nanoseconds for a cause.
 func (np *NodeProfile) WastedNs(c Cause) int64 { return np.wastedNs[c].Load() }
 

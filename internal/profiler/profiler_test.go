@@ -2,6 +2,7 @@ package profiler
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
 	"time"
 
@@ -29,10 +30,11 @@ func TestLedgerAndSummary(t *testing.T) {
 	p.CausedBy("upstream", 2)
 
 	s := p.Summary()
-	nw := s.NodeByName("sketch-op")
-	if nw == nil {
+	i := slices.IndexFunc(s.Nodes, func(n NodeWaste) bool { return n.Node == "sketch-op" })
+	if i < 0 {
 		t.Fatal("node missing from summary")
 	}
+	nw := &s.Nodes[i]
 	if nw.AbortedAttempts["conflict"] != 1 || nw.AbortedAttempts["revoke"] != 1 {
 		t.Fatalf("aborted attempts = %v", nw.AbortedAttempts)
 	}
@@ -133,11 +135,12 @@ func TestMerge(t *testing.T) {
 		WitnessesDropped: 7,
 	}
 	m := Merge(8, a, b, nil)
-	nw := m.NodeByName("op")
-	if nw == nil || nw.AbortedAttempts["conflict"] != 5 || nw.AbortedAttempts["revoke"] != 1 {
-		t.Fatalf("merged node = %+v", nw)
+	i := slices.IndexFunc(m.Nodes, func(n NodeWaste) bool { return n.Node == "op" })
+	if i < 0 {
+		t.Fatalf("merged nodes = %+v", m.Nodes)
 	}
-	if nw.WastedCPUNs["conflict"] != 150 || nw.AttemptCPUNs != 1500 || nw.SpecDepthMax != 4 {
+	if nw := m.Nodes[i]; nw.AbortedAttempts["conflict"] != 5 || nw.AbortedAttempts["revoke"] != 1 ||
+		nw.WastedCPUNs["conflict"] != 150 || nw.AttemptCPUNs != 1500 || nw.SpecDepthMax != 4 {
 		t.Fatalf("merged node = %+v", nw)
 	}
 	if len(m.Heatmap) != 2 || m.Heatmap[0].State != "s[0]" || m.Heatmap[0].Count != 5 {

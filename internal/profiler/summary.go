@@ -99,16 +99,6 @@ func (s *Summary) WastePct() float64 {
 	return 100 * float64(s.TotalWastedNs()) / float64(total)
 }
 
-// NodeByName returns the ledger for one node, or nil.
-func (s *Summary) NodeByName(name string) *NodeWaste {
-	for i := range s.Nodes {
-		if s.Nodes[i].Node == name {
-			return &s.Nodes[i]
-		}
-	}
-	return nil
-}
-
 // Merge folds several summaries (typically one per cluster partition) into
 // one: node ledgers are summed by node name, heatmaps are re-sketched into
 // a top-k of the given size, caused-by charges are summed.

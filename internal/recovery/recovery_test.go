@@ -203,7 +203,7 @@ func TestMetricsRegisteredAndDocumented(t *testing.T) {
 		"recovery_last_total_ms":            145,
 	}
 	for name, want := range checks {
-		if v, ok := reg.Value(name, nil); !ok || v != want {
+		if v, ok := metricstest.Value(reg, name, nil); !ok || v != want {
 			t.Errorf("%s = %v ok=%v, want %v", name, v, ok, want)
 		}
 	}

@@ -8,34 +8,6 @@ import (
 	"streammine/internal/stm"
 )
 
-// HyperLogLog estimates the number of distinct keys in a stream using
-// 2^precision single-byte registers (Flajolet et al. 2007, with the
-// standard linear-counting small-range correction). It complements the
-// count sketch in the stream-analytics substrate: frequencies from the
-// sketch, cardinalities from the HLL.
-type HyperLogLog struct {
-	precision uint
-	m         int
-	registers []uint8
-	seed      uint64
-}
-
-// NewHyperLogLog creates an estimator with 2^precision registers.
-// Precision must be in [4, 16]; it panics otherwise (construction-time
-// misuse).
-func NewHyperLogLog(precision uint, seed uint64) *HyperLogLog {
-	if precision < 4 || precision > 16 {
-		panic(fmt.Sprintf("sketch: HLL precision %d out of [4,16]", precision))
-	}
-	m := 1 << precision
-	return &HyperLogLog{
-		precision: precision,
-		m:         m,
-		registers: make([]uint8, m),
-		seed:      seed,
-	}
-}
-
 // hllParts splits a hashed key into (register index, rank).
 func hllParts(precision uint, seed, key uint64) (int, uint8) {
 	h := rowHash(seed, key)
@@ -47,14 +19,6 @@ func hllParts(precision uint, seed, key uint64) (int, uint8) {
 		rest <<= 1
 	}
 	return idx, rank
-}
-
-// Add observes a key.
-func (h *HyperLogLog) Add(key uint64) {
-	idx, rank := hllParts(h.precision, h.seed, key)
-	if rank > h.registers[idx] {
-		h.registers[idx] = rank
-	}
 }
 
 // hllAlpha is the bias-correction constant.
@@ -90,29 +54,11 @@ func hllEstimate(registers []uint8) uint64 {
 	return uint64(est + 0.5)
 }
 
-// Estimate returns the approximate distinct-key count.
-func (h *HyperLogLog) Estimate() uint64 {
-	return hllEstimate(h.registers)
-}
-
-// Merge folds another HLL (same precision and seed) into this one. It
-// returns an error on mismatched configurations.
-func (h *HyperLogLog) Merge(other *HyperLogLog) error {
-	if h.precision != other.precision || h.seed != other.seed {
-		return fmt.Errorf("sketch: merging incompatible HLLs (p=%d/%d seed=%d/%d)",
-			h.precision, other.precision, h.seed, other.seed)
-	}
-	for i, r := range other.registers {
-		if r > h.registers[i] {
-			h.registers[i] = r
-		}
-	}
-	return nil
-}
-
-// TxHyperLogLog is the transactional variant: registers live in STM
-// memory (one word per register; byte-packing would create false
-// conflicts between neighbouring registers under concurrent updates).
+// TxHyperLogLog estimates the number of distinct keys in a stream using
+// 2^precision registers (Flajolet et al. 2007, with the standard
+// linear-counting small-range correction). The registers live in STM
+// memory, one word per register: byte-packing would create false
+// conflicts between neighbouring registers under concurrent updates.
 type TxHyperLogLog struct {
 	precision uint
 	seed      uint64

@@ -8,19 +8,41 @@ import (
 	"streammine/internal/stm"
 )
 
+// hllEstimateOf adds keys to a fresh TxHyperLogLog in one transaction and
+// returns its estimate.
+func hllEstimateOf(t *testing.T, precision uint, seed uint64, keys []uint64) uint64 {
+	t.Helper()
+	mem := stm.NewMemory(1<<precision + 8)
+	h, err := NewTxHyperLogLog(mem, precision, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := mem.Begin(1)
+	defer tx.Abort()
+	for _, k := range keys {
+		if err := h.Add(tx, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	est, err := h.Estimate(tx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return est
+}
+
 func TestHLLAccuracy(t *testing.T) {
 	for _, n := range []int{100, 1000, 50000} {
-		h := NewHyperLogLog(12, 7)
 		src := detrand.New(uint64(n))
 		seen := make(map[uint64]bool, n)
+		var keys []uint64
 		for len(seen) < n {
 			k := src.Uint64()
 			seen[k] = true
-			h.Add(k)
 			// Duplicates must not affect the estimate.
-			h.Add(k)
+			keys = append(keys, k, k)
 		}
-		est := float64(h.Estimate())
+		est := float64(hllEstimateOf(t, 12, 7, keys))
 		relErr := math.Abs(est-float64(n)) / float64(n)
 		// Standard error at p=12 is ~1.6%; allow 6%.
 		if relErr > 0.06 {
@@ -30,65 +52,32 @@ func TestHLLAccuracy(t *testing.T) {
 }
 
 func TestHLLEmpty(t *testing.T) {
-	h := NewHyperLogLog(8, 1)
-	if got := h.Estimate(); got != 0 {
+	if got := hllEstimateOf(t, 8, 1, nil); got != 0 {
 		t.Fatalf("empty estimate = %d", got)
 	}
 }
 
 func TestHLLSmallRange(t *testing.T) {
-	h := NewHyperLogLog(10, 3)
-	for i := uint64(0); i < 5; i++ {
-		h.Add(i)
-	}
-	est := h.Estimate()
+	est := hllEstimateOf(t, 10, 3, []uint64{0, 1, 2, 3, 4})
 	if est < 4 || est > 6 {
 		t.Fatalf("estimate for 5 keys = %d (linear counting should be near-exact)", est)
 	}
 }
 
-func TestHLLMerge(t *testing.T) {
-	a := NewHyperLogLog(10, 9)
-	b := NewHyperLogLog(10, 9)
-	for i := uint64(0); i < 3000; i++ {
-		a.Add(i)
-	}
-	for i := uint64(1500); i < 4500; i++ {
-		b.Add(i)
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	est := float64(a.Estimate())
-	if math.Abs(est-4500)/4500 > 0.08 {
-		t.Fatalf("merged estimate %.0f, want ≈4500", est)
-	}
-	c := NewHyperLogLog(11, 9)
-	if err := a.Merge(c); err == nil {
-		t.Fatal("merge of mismatched precision accepted")
-	}
-}
-
-func TestHLLPanicsOnBadPrecision(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("precision 2 accepted")
-		}
-	}()
-	NewHyperLogLog(2, 1)
-}
-
+// TestTxHLLMatchesPlain checks the transactional registers, updated one
+// committed transaction per key, against a plain fold of the same keys.
 func TestTxHLLMatchesPlain(t *testing.T) {
 	mem := stm.NewMemory(1<<10 + 8)
 	txh, err := NewTxHyperLogLog(mem, 10, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := NewHyperLogLog(10, 5)
+	plain := make([]uint8, 1<<10)
 	src := detrand.New(42)
 	for i := 0; i < 5000; i++ {
 		k := src.Uint64() % 2000
-		plain.Add(k)
+		idx, rank := hllParts(10, 5, k)
+		plain[idx] = max(plain[idx], rank)
 		tx := mem.Begin(int64(i))
 		if err := txh.Add(tx, k); err != nil {
 			t.Fatal(err)
@@ -106,7 +95,7 @@ func TestTxHLLMatchesPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := plain.Estimate(); got != want {
+	if want := hllEstimate(plain); got != want {
 		t.Fatalf("tx estimate %d != plain %d", got, want)
 	}
 }
@@ -115,94 +104,4 @@ func TestTxHLLBadPrecision(t *testing.T) {
 	if _, err := NewTxHyperLogLog(stm.NewMemory(64), 20, 1); err == nil {
 		t.Fatal("precision 20 accepted")
 	}
-}
-
-func TestP2QuantileMedian(t *testing.T) {
-	e := NewP2Quantile(0.5)
-	src := detrand.New(17)
-	for i := 0; i < 20000; i++ {
-		e.Observe(src.Float64() * 100)
-	}
-	if got := e.Value(); got < 45 || got > 55 {
-		t.Fatalf("median of U(0,100) estimated %.2f", got)
-	}
-	if e.Count() != 20000 {
-		t.Fatalf("Count = %d", e.Count())
-	}
-}
-
-func TestP2QuantileP99(t *testing.T) {
-	e := NewP2Quantile(0.99)
-	src := detrand.New(23)
-	for i := 0; i < 50000; i++ {
-		e.Observe(src.Float64())
-	}
-	if got := e.Value(); got < 0.97 || got > 1.0 {
-		t.Fatalf("p99 of U(0,1) estimated %.4f", got)
-	}
-}
-
-func TestP2QuantileFewSamples(t *testing.T) {
-	e := NewP2Quantile(0.5)
-	if e.Value() != 0 {
-		t.Fatal("empty Value != 0")
-	}
-	e.Observe(3)
-	e.Observe(1)
-	e.Observe(2)
-	if got := e.Value(); got != 2 {
-		t.Fatalf("exact small-sample median = %v, want 2", got)
-	}
-}
-
-func TestP2QuantilePanicsOnBadP(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("p=1 accepted")
-		}
-	}()
-	NewP2Quantile(1)
-}
-
-func TestReservoirUniformity(t *testing.T) {
-	const capacity, stream = 100, 10000
-	r := NewReservoir(capacity, detrand.New(31))
-	for i := uint64(0); i < stream; i++ {
-		r.Observe(i)
-	}
-	if r.Seen() != stream {
-		t.Fatalf("Seen = %d", r.Seen())
-	}
-	sample := r.Sample()
-	if len(sample) != capacity {
-		t.Fatalf("sample size = %d", len(sample))
-	}
-	// Mean of a uniform sample over [0,10000) should be near 5000.
-	var sum float64
-	for _, v := range sample {
-		sum += float64(v)
-	}
-	mean := sum / capacity
-	if mean < 3800 || mean > 6200 {
-		t.Fatalf("sample mean %.0f suggests bias", mean)
-	}
-}
-
-func TestReservoirSmallStream(t *testing.T) {
-	r := NewReservoir(10, detrand.New(1))
-	for i := uint64(0); i < 4; i++ {
-		r.Observe(i)
-	}
-	if got := r.Sample(); len(got) != 4 {
-		t.Fatalf("sample = %v", got)
-	}
-}
-
-func TestReservoirPanicsOnBadCapacity(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("capacity 0 accepted")
-		}
-	}()
-	NewReservoir(0, detrand.New(1))
 }

@@ -1,11 +1,11 @@
 // Package sketch implements the stream summaries used by the paper's
 // expensive parallelizable operator: the count sketch of Charikar, Chen
 // and Farach-Colton ("Finding frequent items in data streams", TCS 2004),
-// plus a count-min sketch and a top-k tracker for comparison.
+// a top-k tracker and a HyperLogLog distinct counter.
 //
-// Two variants are provided: plain in-process sketches (for workload
-// generation, baselines and accuracy tests) and transactional sketches
-// whose counter matrix lives in STM memory, so updates from concurrent
+// The count sketch comes in two variants: a plain in-process one (for
+// workload generation, baselines and accuracy tests) and a transactional
+// one whose counter matrix lives in STM memory, so updates from concurrent
 // speculative transactions are detected and serialized by the STM — the
 // access pattern the paper highlights as ideal for optimistic
 // parallelization (each update touches only d of the d×w counters, at
@@ -68,12 +68,6 @@ func NewCountSketch(depth, width int, seed uint64) *CountSketch {
 	}
 }
 
-// Depth and Width expose the dimensions.
-func (cs *CountSketch) Depth() int { return cs.depth }
-
-// Width returns the number of counters per row.
-func (cs *CountSketch) Width() int { return cs.width }
-
 func (cs *CountSketch) pos(row int, key uint64) (col int, sign int64) {
 	col = int(rowHash(cs.hashSeeds[row], key) % uint64(cs.width))
 	if rowHash(cs.signSeeds[row], key)&1 == 0 {
@@ -121,45 +115,6 @@ func median(v []int64) int64 {
 		return v[n/2]
 	}
 	return (v[n/2-1] + v[n/2]) / 2
-}
-
-// CountMin is the plain count-min sketch (non-negative counts only).
-type CountMin struct {
-	depth, width int
-	rows         [][]uint64
-	hashSeeds    []uint64
-}
-
-// NewCountMin creates a count-min sketch. Panics on bad dimensions.
-func NewCountMin(depth, width int, seed uint64) *CountMin {
-	if depth <= 0 || width <= 0 {
-		panic(fmt.Sprintf("sketch: bad dimensions %d×%d", depth, width))
-	}
-	rows := make([][]uint64, depth)
-	for i := range rows {
-		rows[i] = make([]uint64, width)
-	}
-	return &CountMin{depth: depth, width: width, rows: rows, hashSeeds: seeds(depth, seed)}
-}
-
-// Update adds count occurrences of key.
-func (cm *CountMin) Update(key uint64, count uint64) {
-	for r := 0; r < cm.depth; r++ {
-		col := rowHash(cm.hashSeeds[r], key) % uint64(cm.width)
-		cm.rows[r][col] += count
-	}
-}
-
-// Estimate returns the (over-)estimated frequency of key.
-func (cm *CountMin) Estimate(key uint64) uint64 {
-	var min uint64
-	for r := 0; r < cm.depth; r++ {
-		col := rowHash(cm.hashSeeds[r], key) % uint64(cm.width)
-		if v := cm.rows[r][col]; r == 0 || v < min {
-			min = v
-		}
-	}
-	return min
 }
 
 // TopK tracks the k keys with the highest estimated frequencies, fed by

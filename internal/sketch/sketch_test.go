@@ -67,40 +67,6 @@ func TestCountSketchPanicsOnBadDims(t *testing.T) {
 	NewCountSketch(0, 0, 1)
 }
 
-func TestCountMin(t *testing.T) {
-	cm := NewCountMin(4, 1024, 9)
-	cm.Update(5, 10)
-	cm.Update(5, 5)
-	cm.Update(6, 3)
-	if got := cm.Estimate(5); got != 15 {
-		t.Fatalf("Estimate(5) = %d, want 15", got)
-	}
-	if got := cm.Estimate(6); got != 3 {
-		t.Fatalf("Estimate(6) = %d, want 3", got)
-	}
-	// Count-min never under-estimates.
-	if got := cm.Estimate(7777); got > 18 {
-		t.Fatalf("absent key estimate %d suspiciously high", got)
-	}
-}
-
-// TestCountMinNeverUnderestimates is the defining property of count-min.
-func TestCountMinNeverUnderestimates(t *testing.T) {
-	cm := NewCountMin(4, 64, 3) // narrow: force collisions
-	src := detrand.New(5)
-	truth := make(map[uint64]uint64)
-	for i := 0; i < 20000; i++ {
-		k := uint64(src.Intn(500))
-		truth[k]++
-		cm.Update(k, 1)
-	}
-	for k, actual := range truth {
-		if est := cm.Estimate(k); est < actual {
-			t.Fatalf("count-min underestimated key %d: %d < %d", k, est, actual)
-		}
-	}
-}
-
 func TestMedian(t *testing.T) {
 	tests := []struct {
 		in   []int64

@@ -24,13 +24,11 @@ type AddrMap struct {
 }
 
 // region is one registered address range. Addresses resolve to bucket
-// (addr - base - offset) / stride; the offset words (container headers,
-// e.g. a Ring's head/count) resolve to bucket -1.
+// (addr - base) / stride.
 type region struct {
 	base   stm.Addr
 	words  int
 	stride int
-	offset int
 	name   string
 }
 
@@ -47,7 +45,7 @@ func Names(m *stm.Memory) *AddrMap {
 }
 
 // add registers a region under a generated "<kind>#<n>" name.
-func (am *AddrMap) add(kind string, base stm.Addr, words, stride, offset int) {
+func (am *AddrMap) add(kind string, base stm.Addr, words, stride int) {
 	am.mu.Lock()
 	defer am.mu.Unlock()
 	n := am.counts[kind]
@@ -56,7 +54,6 @@ func (am *AddrMap) add(kind string, base stm.Addr, words, stride, offset int) {
 		base:   base,
 		words:  words,
 		stride: stride,
-		offset: offset,
 		name:   fmt.Sprintf("%s#%d", kind, n),
 	})
 	sort.Slice(am.regions, func(i, j int) bool { return am.regions[i].base < am.regions[j].base })
@@ -85,24 +82,8 @@ func (am *AddrMap) lookup(addr stm.Addr) (region, bool) {
 	return am.regions[i], true
 }
 
-// Resolve maps an address to its container name and bucket index. Header
-// words resolve to bucket -1. ok is false for unregistered addresses.
-func (am *AddrMap) Resolve(addr stm.Addr) (name string, bucket int, ok bool) {
-	am.mu.RLock()
-	defer am.mu.RUnlock()
-	r, ok := am.lookup(addr)
-	if !ok {
-		return "", 0, false
-	}
-	off := int(addr - r.base)
-	if off < r.offset {
-		return r.name, -1, true
-	}
-	return r.name, (off - r.offset) / r.stride, true
-}
-
-// Describe renders an address as "name[bucket]" ("name" for headers and
-// single-bucket containers, "word@N" when unregistered). It is the
+// Describe renders an address as "name[bucket]" ("name" for single-bucket
+// containers, "word@N" when unregistered). It is the
 // resolver the profiler installs per node.
 func (am *AddrMap) Describe(addr stm.Addr) string {
 	am.mu.RLock()
@@ -111,9 +92,8 @@ func (am *AddrMap) Describe(addr stm.Addr) string {
 	if !ok {
 		return fmt.Sprintf("word@%d", addr)
 	}
-	off := int(addr - r.base)
-	if off < r.offset || r.words-r.offset <= r.stride {
+	if r.words <= r.stride {
 		return r.name
 	}
-	return fmt.Sprintf("%s[%d]", r.name, (off-r.offset)/r.stride)
+	return fmt.Sprintf("%s[%d]", r.name, int(addr-r.base)/r.stride)
 }

@@ -23,36 +23,21 @@ func TestAddrMapResolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	mp = mp.Named(m, "table")
-	r, err := NewRing(m, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r = r.Named(m, "window")
 
 	am := Names(m)
 	cases := []struct {
-		addr   stm.Addr
-		want   string
-		bucket int
+		addr stm.Addr
+		want string
 	}{
-		{f.Addr(), "total", 0},
-		{arr.base, "counts[0]", 0},
-		{arr.base + 5, "counts[5]", 5},
-		{mp.base, "table[0]", 0},
-		{mp.base + 4, "table[1]", 1}, // second bucket's key word
-		{r.base, "window", -1},       // head word (header)
-		{r.base + 3, "window[1]", 1}, // second slot
+		{f.addr, "total"},
+		{arr.base, "counts[0]"},
+		{arr.base + 5, "counts[5]"},
+		{mp.base, "table[0]"},
+		{mp.base + 4, "table[1]"}, // second bucket's key word
 	}
 	for _, c := range cases {
-		name, bucket, ok := am.Resolve(c.addr)
-		if !ok {
-			t.Fatalf("Resolve(%d): not found", c.addr)
-		}
-		if bucket != c.bucket {
-			t.Errorf("Resolve(%d) bucket = %d, want %d", c.addr, bucket, c.bucket)
-		}
 		if got := am.Describe(c.addr); got != c.want {
-			t.Errorf("Describe(%d) = %q, want %q (name %q)", c.addr, got, c.want, name)
+			t.Errorf("Describe(%d) = %q, want %q", c.addr, got, c.want)
 		}
 	}
 
@@ -72,10 +57,10 @@ func TestAddrMapGeneratedNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	am := Names(m)
-	if got := am.Describe(a.Addr()); got != "field#0" {
+	if got := am.Describe(a.addr); got != "field#0" {
 		t.Errorf("first field = %q, want field#0", got)
 	}
-	if got := am.Describe(b.Addr()); got != "field#1" {
+	if got := am.Describe(b.addr); got != "field#1" {
 		t.Errorf("second field = %q, want field#1", got)
 	}
 }

@@ -1,6 +1,6 @@
 // Package state provides typed containers layered over the word-granular
-// transactional memory (internal/stm): scalar fields, arrays, hash maps
-// and ring buffers. Operators build their local state from these so that
+// transactional memory (internal/stm): scalar fields, arrays and hash
+// maps. Operators build their local state from these so that
 // every state access flows through a transaction — the Go equivalent of
 // the paper's compile-time instrumentation of C operators.
 //
@@ -12,7 +12,6 @@ package state
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"streammine/internal/stm"
 )
@@ -32,7 +31,7 @@ func NewField(m *stm.Memory) (Field, error) {
 	if err != nil {
 		return Field{}, fmt.Errorf("alloc field: %w", err)
 	}
-	Names(m).add("field", addr, 1, 1, 0)
+	Names(m).add("field", addr, 1, 1)
 	return Field{addr: addr}, nil
 }
 
@@ -61,48 +60,6 @@ func (f Field) Add(tx *stm.Tx, delta uint64) (uint64, error) {
 	return v, nil
 }
 
-// Addr exposes the underlying address (used by tests asserting conflict
-// behaviour on specific words).
-func (f Field) Addr() stm.Addr { return f.addr }
-
-// FloatField stores a float64 in a word via its IEEE-754 bits.
-type FloatField struct {
-	f Field
-}
-
-// NewFloatField allocates a float field initialized to zero.
-func NewFloatField(m *stm.Memory) (FloatField, error) {
-	f, err := NewField(m)
-	return FloatField{f: f}, err
-}
-
-// Named labels the field in m's address map (conflict attribution).
-func (f FloatField) Named(m *stm.Memory, name string) FloatField {
-	f.f.Named(m, name)
-	return f
-}
-
-// Get reads the float value.
-func (f FloatField) Get(tx *stm.Tx) (float64, error) {
-	v, err := f.f.Get(tx)
-	return math.Float64frombits(v), err
-}
-
-// Set writes the float value.
-func (f FloatField) Set(tx *stm.Tx, v float64) error {
-	return f.f.Set(tx, math.Float64bits(v))
-}
-
-// Add adds delta and returns the new value.
-func (f FloatField) Add(tx *stm.Tx, delta float64) (float64, error) {
-	v, err := f.Get(tx)
-	if err != nil {
-		return 0, err
-	}
-	v += delta
-	return v, f.Set(tx, v)
-}
-
 // Array is a fixed-length sequence of transactional words.
 type Array struct {
 	base stm.Addr
@@ -118,7 +75,7 @@ func NewArray(m *stm.Memory, n int) (Array, error) {
 	if err != nil {
 		return Array{}, fmt.Errorf("alloc array: %w", err)
 	}
-	Names(m).add("array", base, n, 1, 0)
+	Names(m).add("array", base, n, 1)
 	return Array{base: base, n: n}, nil
 }
 
@@ -159,7 +116,7 @@ func (a Array) Add(tx *stm.Tx, i int, delta uint64) (uint64, error) {
 
 // Map is a fixed-capacity open-addressing hash map from uint64 keys to
 // uint64 values, stored as (state, key, value) bucket triples in
-// transactional memory. Linear probing; deletions leave tombstones.
+// transactional memory. Linear probing; Clear empties it.
 type Map struct {
 	base    stm.Addr
 	buckets int
@@ -169,7 +126,6 @@ type Map struct {
 const (
 	bucketEmpty uint64 = iota
 	bucketUsed
-	bucketTombstone
 )
 
 const bucketWords = 3
@@ -185,7 +141,7 @@ func NewMap(m *stm.Memory, buckets int) (Map, error) {
 	if err != nil {
 		return Map{}, fmt.Errorf("alloc map: %w", err)
 	}
-	Names(m).add("map", base, buckets*bucketWords, bucketWords, 0)
+	Names(m).add("map", base, buckets*bucketWords, bucketWords)
 	return Map{base: base, buckets: buckets}, nil
 }
 
@@ -215,11 +171,8 @@ func (mp Map) Get(tx *stm.Tx, k uint64) (uint64, bool, error) {
 		if err != nil {
 			return 0, false, err
 		}
-		switch st {
-		case bucketEmpty:
+		if st == bucketEmpty {
 			return 0, false, nil
-		case bucketTombstone:
-			continue
 		}
 		key, err := tx.Read(s + 1)
 		if err != nil {
@@ -237,25 +190,20 @@ func (mp Map) Get(tx *stm.Tx, k uint64) (uint64, bool, error) {
 // Put inserts or updates k.
 func (mp Map) Put(tx *stm.Tx, k, v uint64) error {
 	start := int(hashKey(k) % uint64(mp.buckets))
-	firstFree := -1
 	for probe := 0; probe < mp.buckets; probe++ {
-		i := (start + probe) % mp.buckets
-		s := mp.slot(i)
+		s := mp.slot((start + probe) % mp.buckets)
 		st, err := tx.Read(s)
 		if err != nil {
 			return err
 		}
-		switch st {
-		case bucketEmpty:
-			if firstFree < 0 {
-				firstFree = i
+		if st == bucketEmpty {
+			if err := tx.Write(s, bucketUsed); err != nil {
+				return err
 			}
-			return mp.fill(tx, firstFree, k, v)
-		case bucketTombstone:
-			if firstFree < 0 {
-				firstFree = i
+			if err := tx.Write(s+1, k); err != nil {
+				return err
 			}
-			continue
+			return tx.Write(s+2, v)
 		}
 		key, err := tx.Read(s + 1)
 		if err != nil {
@@ -265,47 +213,7 @@ func (mp Map) Put(tx *stm.Tx, k, v uint64) error {
 			return tx.Write(s+2, v)
 		}
 	}
-	if firstFree >= 0 {
-		return mp.fill(tx, firstFree, k, v)
-	}
 	return ErrFull
-}
-
-func (mp Map) fill(tx *stm.Tx, i int, k, v uint64) error {
-	s := mp.slot(i)
-	if err := tx.Write(s, bucketUsed); err != nil {
-		return err
-	}
-	if err := tx.Write(s+1, k); err != nil {
-		return err
-	}
-	return tx.Write(s+2, v)
-}
-
-// Delete removes k, returning whether it was present.
-func (mp Map) Delete(tx *stm.Tx, k uint64) (bool, error) {
-	start := int(hashKey(k) % uint64(mp.buckets))
-	for probe := 0; probe < mp.buckets; probe++ {
-		s := mp.slot((start + probe) % mp.buckets)
-		st, err := tx.Read(s)
-		if err != nil {
-			return false, err
-		}
-		switch st {
-		case bucketEmpty:
-			return false, nil
-		case bucketTombstone:
-			continue
-		}
-		key, err := tx.Read(s + 1)
-		if err != nil {
-			return false, err
-		}
-		if key == k {
-			return true, tx.Write(s, bucketTombstone)
-		}
-	}
-	return false, nil
 }
 
 // Clear empties the map by resetting every bucket state word. It touches
@@ -318,117 +226,4 @@ func (mp Map) Clear(tx *stm.Tx) error {
 		}
 	}
 	return nil
-}
-
-// Len counts used buckets (a full scan; intended for tests and small maps).
-func (mp Map) Len(tx *stm.Tx) (int, error) {
-	n := 0
-	for i := 0; i < mp.buckets; i++ {
-		st, err := tx.Read(mp.slot(i))
-		if err != nil {
-			return 0, err
-		}
-		if st == bucketUsed {
-			n++
-		}
-	}
-	return n, nil
-}
-
-// Ring is a fixed-capacity FIFO ring buffer of words, used by count-window
-// operators. Layout: [head, count, slots...].
-type Ring struct {
-	base stm.Addr
-	cap  int
-}
-
-// NewRing allocates a ring with the given capacity.
-func NewRing(m *stm.Memory, capacity int) (Ring, error) {
-	if capacity <= 0 {
-		return Ring{}, fmt.Errorf("ring capacity %d: %w", capacity, stm.ErrBadAddr)
-	}
-	base, err := m.Alloc(capacity + 2)
-	if err != nil {
-		return Ring{}, fmt.Errorf("alloc ring: %w", err)
-	}
-	Names(m).add("ring", base, capacity+2, 1, 2)
-	return Ring{base: base, cap: capacity}, nil
-}
-
-// Named labels the ring in m's address map (conflict attribution).
-func (r Ring) Named(m *stm.Memory, name string) Ring {
-	Names(m).rename(r.base, name)
-	return r
-}
-
-// Cap returns the ring capacity.
-func (r Ring) Cap() int { return r.cap }
-
-// Len returns the number of queued elements.
-func (r Ring) Len(tx *stm.Tx) (int, error) {
-	n, err := tx.Read(r.base + 1)
-	return int(n), err
-}
-
-// Push appends v at the tail; ErrFull if at capacity.
-func (r Ring) Push(tx *stm.Tx, v uint64) error {
-	head, err := tx.Read(r.base)
-	if err != nil {
-		return err
-	}
-	count, err := tx.Read(r.base + 1)
-	if err != nil {
-		return err
-	}
-	if int(count) >= r.cap {
-		return ErrFull
-	}
-	idx := (head + count) % uint64(r.cap)
-	if err := tx.Write(r.base+2+stm.Addr(idx), v); err != nil {
-		return err
-	}
-	return tx.Write(r.base+1, count+1)
-}
-
-// Pop removes and returns the head element; ok is false when empty.
-func (r Ring) Pop(tx *stm.Tx) (v uint64, ok bool, err error) {
-	head, err := tx.Read(r.base)
-	if err != nil {
-		return 0, false, err
-	}
-	count, err := tx.Read(r.base + 1)
-	if err != nil {
-		return 0, false, err
-	}
-	if count == 0 {
-		return 0, false, nil
-	}
-	v, err = tx.Read(r.base + 2 + stm.Addr(head))
-	if err != nil {
-		return 0, false, err
-	}
-	if err := tx.Write(r.base, (head+1)%uint64(r.cap)); err != nil {
-		return 0, false, err
-	}
-	if err := tx.Write(r.base+1, count-1); err != nil {
-		return 0, false, err
-	}
-	return v, true, nil
-}
-
-// Peek returns the head element without removing it.
-func (r Ring) Peek(tx *stm.Tx) (v uint64, ok bool, err error) {
-	head, err := tx.Read(r.base)
-	if err != nil {
-		return 0, false, err
-	}
-	count, err := tx.Read(r.base + 1)
-	if err != nil {
-		return 0, false, err
-	}
-	if count == 0 {
-		return 0, false, nil
-	}
-	v, err = tx.Read(r.base + 2 + stm.Addr(head))
-	return v, err == nil, err
 }

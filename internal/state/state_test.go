@@ -50,34 +50,6 @@ func TestField(t *testing.T) {
 	})
 }
 
-func TestFloatField(t *testing.T) {
-	m := stm.NewMemory(8)
-	f, err := NewFloatField(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run(t, m, func(tx *stm.Tx) error {
-		if err := f.Set(tx, 3.25); err != nil {
-			return err
-		}
-		v, err := f.Add(tx, 0.5)
-		if err != nil {
-			return err
-		}
-		if v != 3.75 {
-			t.Fatalf("Add = %v, want 3.75", v)
-		}
-		return nil
-	})
-	run(t, m, func(tx *stm.Tx) error {
-		v, err := f.Get(tx)
-		if v != 3.75 {
-			t.Fatalf("committed = %v", v)
-		}
-		return err
-	})
-}
-
 func TestArray(t *testing.T) {
 	m := stm.NewMemory(32)
 	a, err := NewArray(m, 10)
@@ -165,70 +137,26 @@ func TestMapPutGetDelete(t *testing.T) {
 		if _, ok, _ := mp.Get(tx, 999); ok {
 			t.Fatal("found missing key")
 		}
-		n, err := mp.Len(tx)
-		if err != nil {
-			return err
-		}
-		if n != 30 {
-			t.Fatalf("Len = %d, want 30", n)
-		}
 		return nil
 	})
-	// Update + delete.
+	// Update, then clear.
 	run(t, m, func(tx *stm.Tx) error {
 		if err := mp.Put(tx, 5, 999); err != nil {
 			return err
 		}
-		found, err := mp.Delete(tx, 6)
-		if err != nil {
-			return err
-		}
-		if !found {
-			t.Fatal("Delete(6) did not find key")
-		}
-		found, err = mp.Delete(tx, 1234)
-		if err != nil {
-			return err
-		}
-		if found {
-			t.Fatal("Delete of missing key reported found")
-		}
-		return nil
-	})
-	run(t, m, func(tx *stm.Tx) error {
-		v, ok, err := mp.Get(tx, 5)
-		if err != nil || !ok || v != 999 {
+		if v, ok, err := mp.Get(tx, 5); err != nil || !ok || v != 999 {
 			t.Fatalf("updated Get(5) = %d, %v, %v", v, ok, err)
 		}
-		if _, ok, _ := mp.Get(tx, 6); ok {
-			t.Fatal("deleted key still present")
+		return mp.Clear(tx)
+	})
+	run(t, m, func(tx *stm.Tx) error {
+		for k := uint64(0); k < 30; k++ {
+			if _, ok, _ := mp.Get(tx, k); ok {
+				t.Fatalf("key %d present after Clear", k)
+			}
 		}
 		return nil
 	})
-}
-
-func TestMapReusesTombstones(t *testing.T) {
-	m := stm.NewMemory(64)
-	mp, err := NewMap(m, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fill, delete, refill repeatedly: tombstone reuse must prevent ErrFull.
-	for round := 0; round < 10; round++ {
-		run(t, m, func(tx *stm.Tx) error {
-			for k := uint64(0); k < 4; k++ {
-				if err := mp.Put(tx, k+uint64(round)*10, k); err != nil {
-					return err
-				}
-			}
-			for k := uint64(0); k < 4; k++ {
-				if _, err := mp.Delete(tx, k+uint64(round)*10); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}
 }
 
 func TestMapFull(t *testing.T) {
@@ -254,12 +182,12 @@ func TestMapFull(t *testing.T) {
 }
 
 // TestQuickMapMatchesNativeMap property-tests Map against Go's map under a
-// random operation sequence.
+// random sequence of puts and clears.
 func TestQuickMapMatchesNativeMap(t *testing.T) {
 	f := func(ops []struct {
-		Key uint64
-		Val uint64
-		Del bool
+		Key   uint64
+		Val   uint64
+		Clear bool
 	}) bool {
 		if len(ops) > 40 {
 			ops = ops[:40]
@@ -274,16 +202,11 @@ func TestQuickMapMatchesNativeMap(t *testing.T) {
 		defer tx.Abort()
 		for _, op := range ops {
 			k := op.Key % 50 // force collisions
-			if op.Del {
-				found, err := mp.Delete(tx, k)
-				if err != nil {
+			if op.Clear {
+				if mp.Clear(tx) != nil {
 					return false
 				}
-				_, want := model[k]
-				if found != want {
-					return false
-				}
-				delete(model, k)
+				clear(model)
 			} else {
 				if err := mp.Put(tx, k, op.Val); err != nil {
 					return false
@@ -291,85 +214,17 @@ func TestQuickMapMatchesNativeMap(t *testing.T) {
 				model[k] = op.Val
 			}
 		}
-		for k, want := range model {
+		for k := uint64(0); k < 50; k++ {
 			v, ok, err := mp.Get(tx, k)
-			if err != nil || !ok || v != want {
+			want, in := model[k]
+			if err != nil || ok != in || v != want {
 				return false
 			}
 		}
-		n, err := mp.Len(tx)
-		return err == nil && n == len(model)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRingFIFO(t *testing.T) {
-	m := stm.NewMemory(16)
-	r, err := NewRing(m, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Cap() != 4 {
-		t.Fatalf("Cap = %d", r.Cap())
-	}
-	run(t, m, func(tx *stm.Tx) error {
-		if _, ok, err := r.Pop(tx); err != nil || ok {
-			t.Fatalf("Pop on empty = ok=%v err=%v", ok, err)
-		}
-		for i := uint64(1); i <= 4; i++ {
-			if err := r.Push(tx, i); err != nil {
-				return err
-			}
-		}
-		if err := r.Push(tx, 5); !errors.Is(err, ErrFull) {
-			t.Fatalf("Push into full ring = %v", err)
-		}
-		if v, ok, err := r.Peek(tx); err != nil || !ok || v != 1 {
-			t.Fatalf("Peek = %d, %v, %v", v, ok, err)
-		}
-		for i := uint64(1); i <= 4; i++ {
-			v, ok, err := r.Pop(tx)
-			if err != nil || !ok || v != i {
-				t.Fatalf("Pop = %d, %v, %v; want %d", v, ok, err, i)
-			}
-		}
-		return nil
-	})
-}
-
-// TestRingWrapAround pushes/pops past the capacity boundary repeatedly.
-func TestRingWrapAround(t *testing.T) {
-	m := stm.NewMemory(16)
-	r, err := NewRing(m, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	next := uint64(0)
-	expect := uint64(0)
-	for round := 0; round < 7; round++ {
-		run(t, m, func(tx *stm.Tx) error {
-			if err := r.Push(tx, next); err != nil {
-				return err
-			}
-			next++
-			if err := r.Push(tx, next); err != nil {
-				return err
-			}
-			next++
-			v, ok, err := r.Pop(tx)
-			if err != nil || !ok || v != expect {
-				t.Fatalf("round %d: Pop = %d, want %d", round, v, expect)
-			}
-			expect++
-			v, ok, err = r.Pop(tx)
-			if err != nil || !ok || v != expect {
-				t.Fatalf("round %d: Pop = %d, want %d", round, v, expect)
-			}
-			expect++
-			return nil
-		})
 	}
 }
 

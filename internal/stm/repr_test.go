@@ -128,9 +128,9 @@ func TestBeginAtRejectsUsedTx(t *testing.T) {
 			m.BeginAt(tx, 5)
 		}()
 	}
-	if open.Timestamp() != 1 || committed.Status() != StatusCommitted || aborted.Status() != StatusAborted {
+	if open.ts != 1 || committed.Status() != StatusCommitted || aborted.Status() != StatusAborted {
 		t.Fatalf("a refused BeginAt changed its argument: ts %d, %s, %s",
-			open.Timestamp(), committed.Status(), aborted.Status())
+			open.ts, committed.Status(), aborted.Status())
 	}
 }
 
@@ -181,8 +181,8 @@ func TestAllocsSketchShapedTx(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if tx.ReadSetSize() != rows || tx.WriteSetSize() != rows {
-			t.Fatalf("set sizes %d, %d, want %d each", tx.ReadSetSize(), tx.WriteSetSize(), rows)
+		if tx.ReadSetSize() != rows || len(tx.writes.items) != rows {
+			t.Fatalf("set sizes %d, %d, want %d each", tx.ReadSetSize(), len(tx.writes.items), rows)
 		}
 		mustFinish(t, tx)
 	})
@@ -211,7 +211,7 @@ func TestAllocsCommitGroup(t *testing.T) {
 	if allocs > 8 {
 		t.Fatalf("8 one-word transactions in one CommitGroup: %.1f allocs, want <= 8", allocs)
 	}
-	if v, _ := m.ReadCommitted(0); v != 101 { // AllocsPerRun adds a warm-up run
+	if v := m.data[0].Load(); v != 101 { // AllocsPerRun adds a warm-up run
 		t.Fatalf("word 0 = %d after 101 groups", v)
 	}
 }
@@ -237,7 +237,7 @@ func TestAllocsChainedWrite(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, join); allocs > 1 {
 		t.Fatalf("Begin, Read, Write, Complete behind 64 open writers: %.1f allocs, want <= 1", allocs)
 	}
-	if n := open[len(open)-1].DepsOpen(); n != 1 {
+	if n := len(open[len(open)-1].deps.items); n != 1 {
 		t.Fatalf("the last of %d chained writers has %d dependencies, want 1", len(open), n)
 	}
 	if allocs := testing.AllocsPerRun(20, func() {
@@ -259,7 +259,7 @@ func TestAllocsChainedWrite(t *testing.T) {
 		mustDo(t, tx.Commit())
 	}
 	// 21 heads committed above: AllocsPerRun adds a warm-up run.
-	if v, _ := m.ReadCommitted(0); v != uint64(len(open))+21 {
+	if v := m.data[0].Load(); v != uint64(len(open))+21 {
 		t.Fatalf("word 0 = %d, want %d", v, len(open)+21)
 	}
 }
@@ -275,24 +275,18 @@ func TestDepsOpenZeroAlloc(t *testing.T) {
 	rw(t, tx, 0)
 	rw(t, tx, 1)
 	mustDo(t, tx.Complete())
-	if n := tx.DepsOpen(); n != 2 {
-		t.Fatalf("DepsOpen = %d, want 2", n)
-	}
-	if allocs := testing.AllocsPerRun(200, func() { tx.DepsOpen() }); allocs != 0 {
-		t.Fatalf("DepsOpen allocated %.1f per call, want 0", allocs)
-	}
 	if err := tx.Commit(); err != ErrDepsOpen {
-		t.Fatalf("Commit with open deps = %v", err)
+		t.Fatalf("Commit with two open deps = %v, want ErrDepsOpen", err)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { _ = tx.Commit() }); allocs != 0 {
+		t.Fatalf("Commit refused for open deps allocated %.1f per call, want 0", allocs)
 	}
 	mustDo(t, a.Commit())
-	if n := tx.DepsOpen(); n != 1 {
-		t.Fatalf("DepsOpen = %d after one dependency committed, want 1", n)
+	if err := tx.Commit(); err != ErrDepsOpen {
+		t.Fatalf("Commit with one open dep = %v, want ErrDepsOpen", err)
 	}
 	mustDo(t, b.Commit())
 	mustDo(t, tx.Commit())
-	if n := tx.DepsOpen(); n != 0 {
-		t.Fatalf("DepsOpen = %d after commit", n)
-	}
 }
 
 // accessTime runs transactions of n read+write+read-back accesses over
@@ -301,12 +295,9 @@ func TestDepsOpenZeroAlloc(t *testing.T) {
 func accessTime(t *testing.T, m *Memory, n, rounds int) time.Duration {
 	best := time.Duration(1 << 62)
 	for r := 0; r < rounds; r++ {
-		base, err := m.ReadCommitted(0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		base := m.data[0].Load()
 		start := time.Now()
-		tx := m.Begin(int64(m.Clock()) + 1)
+		tx := m.Begin(int64(m.clock.Load()) + 1)
 		for i := 0; i < n; i++ {
 			rw(t, tx, Addr(i))
 		}
@@ -315,8 +306,8 @@ func accessTime(t *testing.T, m *Memory, n, rounds int) time.Duration {
 				t.Fatalf("n=%d: read back word %d = %d, %v, want %d", n, i, v, err, base+1)
 			}
 		}
-		if tx.ReadSetSize() != n || tx.WriteSetSize() != n {
-			t.Fatalf("n=%d: set sizes %d, %d", n, tx.ReadSetSize(), tx.WriteSetSize())
+		if tx.ReadSetSize() != n || len(tx.writes.items) != n {
+			t.Fatalf("n=%d: set sizes %d, %d", n, tx.ReadSetSize(), len(tx.writes.items))
 		}
 		mustFinish(t, tx)
 		if d := time.Since(start) / time.Duration(n); d < best {
@@ -324,7 +315,7 @@ func accessTime(t *testing.T, m *Memory, n, rounds int) time.Duration {
 		}
 	}
 	for i := 0; i < n; i++ {
-		if v, _ := m.ReadCommitted(Addr(i)); v == 0 {
+		if v := m.data[i].Load(); v == 0 {
 			t.Fatalf("n=%d: word %d never committed", n, i)
 		}
 	}
@@ -434,7 +425,7 @@ func TestChainInPlaceNeverHalfUpdated(t *testing.T) {
 	workers.Wait()
 	stop.Store(true)
 	observer.Wait()
-	if v, _ := m.ReadCommitted(3); v != 402 {
+	if v := m.data[3].Load(); v != 402 {
 		t.Fatalf("word 3 = %d, want 402", v)
 	}
 	check("at rest", c.version)
@@ -461,15 +452,15 @@ func TestFinishedTxRetainsNoHistory(t *testing.T) {
 		tx := m.Begin(i)
 		rw(t, tx, 0)
 		mustDo(t, tx.Complete())
-		if tx.DepsOpen() != 1 {
-			t.Fatalf("tx %d: DepsOpen = %d, want 1", i, tx.DepsOpen())
+		if n := len(tx.deps.items); n != 1 {
+			t.Fatalf("tx %d: %d dependencies, want 1", i, n)
 		}
 		mustDo(t, prev.Commit())
 		prev = tx
 	}
 	after := heapObjects()
 	mustDo(t, prev.Commit())
-	if v, _ := m.ReadCommitted(0); v != n {
+	if v := m.data[0].Load(); v != n {
 		t.Fatalf("word 0 = %d, want %d", v, n)
 	}
 	// At the parent commit this grew by 10 objects per transaction.
@@ -508,7 +499,7 @@ func TestValidationSeesWriterMidCommit(t *testing.T) {
 		}
 		older.Abort()
 		finish()
-		if v, _ := m.ReadCommitted(0); v != 1 {
+		if v := m.data[0].Load(); v != 1 {
 			t.Fatalf("word 0 = %d, want 1", v)
 		}
 	})
@@ -531,7 +522,7 @@ func TestValidationSeesWriterMidCommit(t *testing.T) {
 		}
 		reader.Abort()
 		finish()
-		if v, _ := m.ReadCommitted(0); v != 2 {
+		if v := m.data[0].Load(); v != 2 {
 			t.Fatalf("word 0 = %d, want 2", v)
 		}
 	})

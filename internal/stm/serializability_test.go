@@ -225,11 +225,7 @@ func TestSerializabilityRandomOpenChains(t *testing.T) {
 			}
 		}
 		for a := 0; a < addrSpace; a++ {
-			got, err := mem.ReadCommitted(Addr(a))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != model[a] {
+			if got := mem.data[a].Load(); got != model[a] {
 				t.Fatalf("round %d: final memory[%d] = %d, model %d", round, a, got, model[a])
 			}
 		}

@@ -197,18 +197,10 @@ type Memory struct {
 	kills     atomic.Uint64
 }
 
-// Option configures a Memory.
-type Option func(*Memory)
-
-// WithConflictSink installs a conflict witness sink at construction.
-func WithConflictSink(s ConflictSink) Option {
-	return func(m *Memory) { m.sink = s }
-}
-
-// SetConflictSink installs (or clears) the conflict witness sink. Like
-// WithConflictSink it must run before the Memory is shared between
-// goroutines — the engine calls it at node construction and again after a
-// recovery memory swap, both single-threaded.
+// SetConflictSink installs (or clears) the conflict witness sink. It must
+// run before the Memory is shared between goroutines — the engine calls it
+// at node construction and again after a recovery memory swap, both
+// single-threaded.
 func (m *Memory) SetConflictSink(s ConflictSink) { m.sink = s }
 
 // SetLabelSpace attaches an opaque per-Memory label space (see labelSpace).
@@ -230,7 +222,7 @@ func (m *Memory) witness(kind ConflictKind, addr Addr, victim, owner *Tx) {
 
 // NewMemory creates a heap with room for capacity words. It panics if
 // capacity is not positive (construction-time misuse).
-func NewMemory(capacity int, opts ...Option) *Memory {
+func NewMemory(capacity int) *Memory {
 	if capacity <= 0 {
 		panic("stm: NewMemory requires positive capacity")
 	}
@@ -238,15 +230,11 @@ func NewMemory(capacity int, opts ...Option) *Memory {
 	for nLocks < capacity && nLocks < 1<<16 {
 		nLocks <<= 1
 	}
-	m := &Memory{
+	return &Memory{
 		data:  make([]atomic.Uint64, capacity),
 		locks: make([]atomic.Pointer[[blockSlots]chain], (nLocks+blockSlots-1)/blockSlots),
 		mask:  uint32(nLocks - 1),
 	}
-	for _, opt := range opts {
-		opt(m)
-	}
-	return m
 }
 
 // Alloc reserves n consecutive words and returns the address of the first.
@@ -269,9 +257,6 @@ func (m *Memory) Alloc(n int) (Addr, error) {
 // Capacity returns the total number of words.
 func (m *Memory) Capacity() int { return len(m.data) }
 
-// Allocated returns the number of words handed out by Alloc.
-func (m *Memory) Allocated() int { return int(m.allocNext.Load()) }
-
 // Stats returns a snapshot of the cumulative counters.
 func (m *Memory) Stats() Stats {
 	return Stats{
@@ -281,9 +266,6 @@ func (m *Memory) Stats() Stats {
 		Kills:     m.kills.Load(),
 	}
 }
-
-// Clock returns the current commit clock.
-func (m *Memory) Clock() uint64 { return m.clock.Load() }
 
 // slotOf maps an address to its lock-array slot. Nearby addresses map to
 // distinct slots; far apart addresses may collide (false conflicts, as in
@@ -316,26 +298,7 @@ func (m *Memory) acquire(slot uint32) *chain {
 	return m.chainAt(slot)
 }
 
-// ReadCommitted returns the committed value of addr, outside any
-// transaction. It reflects only committed state, never buffered writes.
-func (m *Memory) ReadCommitted(addr Addr) (uint64, error) {
-	if int(addr) >= len(m.data) {
-		return 0, fmt.Errorf("%w: %d", ErrBadAddr, addr)
-	}
-	return m.data[addr].Load(), nil
-}
-
-// WriteDirect stores a value bypassing concurrency control. It is intended
-// for single-threaded initialization and checkpoint restore only.
-func (m *Memory) WriteDirect(addr Addr, v uint64) error {
-	if int(addr) >= len(m.data) {
-		return fmt.Errorf("%w: %d", ErrBadAddr, addr)
-	}
-	m.data[addr].Store(v)
-	return nil
-}
-
-// Snapshot copies the committed words [0, Allocated()) while holding the
+// Snapshot copies the committed words handed out by Alloc while holding the
 // commit gate, yielding a transaction-consistent checkpoint image.
 func (m *Memory) Snapshot() []uint64 {
 	m.commitGate.Lock()

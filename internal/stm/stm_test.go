@@ -33,8 +33,8 @@ func TestAlloc(t *testing.T) {
 	if _, err := m.Alloc(0); !errors.Is(err, ErrBadAddr) {
 		t.Fatalf("Alloc(0) = %v, want ErrBadAddr", err)
 	}
-	if m.Allocated() != 10 || m.Capacity() != 10 {
-		t.Fatalf("Allocated=%d Capacity=%d", m.Allocated(), m.Capacity())
+	if int(m.allocNext.Load()) != 10 || m.Capacity() != 10 {
+		t.Fatalf("Allocated=%d Capacity=%d", int(m.allocNext.Load()), m.Capacity())
 	}
 }
 
@@ -45,7 +45,7 @@ func TestBasicCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Buffered write is invisible to committed reads.
-	if v, _ := m.ReadCommitted(0); v != 0 {
+	if v := m.data[0].Load(); v != 0 {
 		t.Fatalf("uncommitted write visible: %d", v)
 	}
 	// Read-own-write.
@@ -59,7 +59,7 @@ func TestBasicCommit(t *testing.T) {
 	if _, err := tx.Read(2); err != nil {
 		t.Fatal(err)
 	}
-	if r, w := tx.ReadSetSize(), tx.WriteSetSize(); r != 1 || w != 2 {
+	if r, w := tx.ReadSetSize(), len(tx.writes.items); r != 1 || w != 2 {
 		t.Fatalf("ReadSetSize, WriteSetSize = %d, %d, want 1, 2", r, w)
 	}
 	if err := tx.Complete(); err != nil {
@@ -68,7 +68,7 @@ func TestBasicCommit(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := m.ReadCommitted(0); v != 42 {
+	if v := m.data[0].Load(); v != 42 {
 		t.Fatalf("committed value = %d, want 42", v)
 	}
 	if tx.Status() != StatusCommitted {
@@ -98,12 +98,6 @@ func TestBadAddr(t *testing.T) {
 	if err := tx.Write(99, 1); !errors.Is(err, ErrBadAddr) {
 		t.Fatalf("Write(99) = %v", err)
 	}
-	if _, err := m.ReadCommitted(99); !errors.Is(err, ErrBadAddr) {
-		t.Fatalf("ReadCommitted(99) = %v", err)
-	}
-	if err := m.WriteDirect(99, 1); !errors.Is(err, ErrBadAddr) {
-		t.Fatalf("WriteDirect(99) = %v", err)
-	}
 	tx.Abort()
 }
 
@@ -114,12 +108,12 @@ func TestAbortDiscardsWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx.Abort()
-	if v, _ := m.ReadCommitted(0); v != 0 {
+	if v := m.data[0].Load(); v != 0 {
 		t.Fatalf("aborted write visible: %d", v)
 	}
 	// The lock entry must be free for a new transaction.
 	mustRun(t, m, 2, func(tx *Tx) error { return tx.Write(0, 9) })
-	if v, _ := m.ReadCommitted(0); v != 9 {
+	if v := m.data[0].Load(); v != 9 {
 		t.Fatalf("post-abort write = %d, want 9", v)
 	}
 	if s := m.Stats(); s.Aborts != 1 {
@@ -186,9 +180,6 @@ func TestSpeculativeReadFrom(t *testing.T) {
 	// b cannot commit while a is open.
 	if err := b.Commit(); !errors.Is(err, ErrDepsOpen) {
 		t.Fatalf("Commit with open dep = %v, want ErrDepsOpen", err)
-	}
-	if b.DepsOpen() != 1 {
-		t.Fatalf("DepsOpen = %d, want 1", b.DepsOpen())
 	}
 	if err := a.Commit(); err != nil {
 		t.Fatal(err)
@@ -305,7 +296,7 @@ func TestOverwriteOpenBuffer(t *testing.T) {
 	}
 	mustDo(t, a.Commit())
 	mustDo(t, b.Commit())
-	if v, _ := m.ReadCommitted(0); v != 20 {
+	if v := m.data[0].Load(); v != 20 {
 		t.Fatalf("final value = %d, want 20", v)
 	}
 }
@@ -324,7 +315,7 @@ func TestActiveConflictAbortNewest(t *testing.T) {
 	newer.Abort()
 	mustDo(t, older.Complete())
 	mustDo(t, older.Commit())
-	if v, _ := m.ReadCommitted(0); v != 1 {
+	if v := m.data[0].Load(); v != 1 {
 		t.Fatalf("value = %d, want 1", v)
 	}
 	if s := m.Stats(); s.Conflicts == 0 {
@@ -365,7 +356,7 @@ func TestActiveConflictKillsNewerOwner(t *testing.T) {
 	}
 	mustDo(t, older.Complete())
 	mustDo(t, older.Commit())
-	if v, _ := m.ReadCommitted(0); v != 1 {
+	if v := m.data[0].Load(); v != 1 {
 		t.Fatalf("value = %d, want 1", v)
 	}
 }
@@ -392,7 +383,7 @@ func TestReadBeneathNewerOpenOwner(t *testing.T) {
 	// past commits first (timestamp order), future after.
 	mustDo(t, past.Commit())
 	mustDo(t, future.Commit())
-	if v, _ := m.ReadCommitted(0); v != 99 {
+	if v := m.data[0].Load(); v != 99 {
 		t.Fatalf("final value = %d, want 99", v)
 	}
 }
@@ -476,7 +467,7 @@ func TestCommitByAnotherThread(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := m.ReadCommitted(0); v != 11 {
+	if v := m.data[0].Load(); v != 11 {
 		t.Fatalf("value = %d, want 11", v)
 	}
 }
@@ -505,12 +496,12 @@ func TestSnapshotRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, want := range []uint64{1, 2, 3} {
-		if v, _ := m2.ReadCommitted(Addr(i)); v != want {
+		if v := m2.data[i].Load(); v != want {
 			t.Fatalf("restored[%d] = %d, want %d", i, v, want)
 		}
 	}
-	if m2.Allocated() != 3 {
-		t.Fatalf("restored Allocated = %d, want 3", m2.Allocated())
+	if int(m2.allocNext.Load()) != 3 {
+		t.Fatalf("restored Allocated = %d, want 3", int(m2.allocNext.Load()))
 	}
 	if err := m2.Restore(make([]uint64, 100)); !errors.Is(err, ErrOutOfMemory) {
 		t.Fatalf("oversized Restore = %v", err)
@@ -553,7 +544,7 @@ func TestConcurrentCounter(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if v, _ := m.ReadCommitted(0); v != workers*perWorker {
+	if v := m.data[0].Load(); v != workers*perWorker {
 		t.Fatalf("counter = %d, want %d", v, workers*perWorker)
 	}
 }
@@ -577,7 +568,7 @@ func TestConcurrentDisjointAddresses(t *testing.T) {
 	}
 	wg.Wait()
 	for w := 0; w < workers; w++ {
-		if v, _ := m.ReadCommitted(Addr(w)); v != perWorker {
+		if v := m.data[w].Load(); v != perWorker {
 			t.Fatalf("slot %d = %d, want %d", w, v, perWorker)
 		}
 	}

@@ -140,13 +140,6 @@ type Tx struct {
 // callers never observe it across an API boundary for long.
 const statusCommitting = int32(99)
 
-// ID returns the transaction's unique id (per Memory, monotonically
-// increasing — later Begin means larger ID).
-func (tx *Tx) ID() uint64 { return tx.id }
-
-// Timestamp returns the event timestamp the transaction was begun with.
-func (tx *Tx) Timestamp() int64 { return tx.ts }
-
 // Status returns the transaction's current lifecycle state.
 func (tx *Tx) Status() Status {
 	s := tx.status.Load()
@@ -559,21 +552,6 @@ func (tx *Tx) Complete() error {
 	return nil
 }
 
-// DepsOpen returns the number of dependencies that have not yet committed.
-// The engine polls this (together with its own log-stability and input-
-// finality conditions) to decide when a transaction may commit.
-func (tx *Tx) DepsOpen() int {
-	tx.mu.Lock()
-	defer tx.mu.Unlock()
-	open := 0
-	for i := range tx.deps.items {
-		if Status(tx.deps.items[i].key.status.Load()) != StatusCommitted {
-			open++
-		}
-	}
-	return open
-}
-
 // Commit applies the buffered writes and releases the lock entries. The
 // transaction must be Completed, all its dependencies must have committed,
 // and the read set must still be valid. Commits within one Memory must be
@@ -804,16 +782,9 @@ func (tx *Tx) witnessCascade(culprit *Tx) {
 	tx.mem.witness(ConflictCascade, addr, tx, culprit)
 }
 
-// ReadSetSize and WriteSetSize expose set sizes for metrics and tests.
+// ReadSetSize returns the number of distinct addresses read.
 func (tx *Tx) ReadSetSize() int {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
 	return len(tx.reads.items)
-}
-
-// WriteSetSize returns the number of distinct addresses buffered.
-func (tx *Tx) WriteSetSize() int {
-	tx.mu.Lock()
-	defer tx.mu.Unlock()
-	return len(tx.writes.items)
 }

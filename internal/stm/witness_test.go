@@ -33,7 +33,8 @@ func (s *collectSink) byKind(k ConflictKind) []ConflictWitness {
 // write-write witness naming the address, the victim and the survivor.
 func TestWitnessWriteWrite(t *testing.T) {
 	sink := &collectSink{}
-	m := NewMemory(16, WithConflictSink(sink))
+	m := NewMemory(16)
+	m.SetConflictSink(sink)
 	older := m.Begin(1)
 	newer := m.Begin(2)
 	if err := older.Write(3, 10); err != nil {
@@ -47,8 +48,8 @@ func TestWitnessWriteWrite(t *testing.T) {
 		t.Fatalf("write-write witnesses: got %d, want 1", len(ws))
 	}
 	w := ws[0]
-	if w.Addr != 3 || w.VictimID != newer.ID() || w.OwnerID != older.ID() {
-		t.Fatalf("witness = %+v, want addr=3 victim=%d owner=%d", w, newer.ID(), older.ID())
+	if w.Addr != 3 || w.VictimID != newer.id || w.OwnerID != older.id {
+		t.Fatalf("witness = %+v, want addr=3 victim=%d owner=%d", w, newer.id, older.id)
 	}
 }
 
@@ -56,7 +57,8 @@ func TestWitnessWriteWrite(t *testing.T) {
 // produces a validation witness for the stale address.
 func TestWitnessValidation(t *testing.T) {
 	sink := &collectSink{}
-	m := NewMemory(16, WithConflictSink(sink))
+	m := NewMemory(16)
+	m.SetConflictSink(sink)
 	reader := m.Begin(1)
 	if _, err := reader.Read(5); err != nil {
 		t.Fatalf("read: %v", err)
@@ -78,8 +80,8 @@ func TestWitnessValidation(t *testing.T) {
 	if len(ws) != 1 {
 		t.Fatalf("validation witnesses: got %d, want 1", len(ws))
 	}
-	if w := ws[0]; w.Addr != 5 || w.VictimID != reader.ID() {
-		t.Fatalf("witness = %+v, want addr=5 victim=%d", w, reader.ID())
+	if w := ws[0]; w.Addr != 5 || w.VictimID != reader.id {
+		t.Fatalf("witness = %+v, want addr=5 victim=%d", w, reader.id)
 	}
 }
 
@@ -88,7 +90,8 @@ func TestWitnessValidation(t *testing.T) {
 // culprit.
 func TestWitnessCascade(t *testing.T) {
 	sink := &collectSink{}
-	m := NewMemory(16, WithConflictSink(sink))
+	m := NewMemory(16)
+	m.SetConflictSink(sink)
 	producer := m.Begin(1)
 	if err := producer.Write(7, 99); err != nil {
 		t.Fatalf("write: %v", err)
@@ -106,8 +109,8 @@ func TestWitnessCascade(t *testing.T) {
 		t.Fatalf("cascade witnesses: got %d, want 1", len(ws))
 	}
 	w := ws[0]
-	if w.Addr != 7 || w.VictimID != consumer.ID() || w.OwnerID != producer.ID() {
-		t.Fatalf("witness = %+v, want addr=7 victim=%d owner=%d", w, consumer.ID(), producer.ID())
+	if w.Addr != 7 || w.VictimID != consumer.id || w.OwnerID != producer.id {
+		t.Fatalf("witness = %+v, want addr=7 victim=%d owner=%d", w, consumer.id, producer.id)
 	}
 	if err := consumer.checkRunnable(); err != ErrConflict {
 		t.Fatalf("consumer should be doomed, checkRunnable = %v", err)
@@ -118,7 +121,8 @@ func TestWitnessCascade(t *testing.T) {
 // invoke the sink — witness recording lives only on failure paths.
 func TestConflictFreePathRecordsNothing(t *testing.T) {
 	sink := &collectSink{}
-	m := NewMemory(64, WithConflictSink(sink))
+	m := NewMemory(64)
+	m.SetConflictSink(sink)
 	for i := int64(0); i < 50; i++ {
 		tx := m.Begin(i)
 		if _, err := tx.Read(Addr(i % 8)); err != nil {
@@ -147,9 +151,7 @@ func TestConflictFreePathRecordsNothing(t *testing.T) {
 func TestValidatePathZeroAlloc(t *testing.T) {
 	m := NewMemory(64)
 	for i := Addr(0); i < 8; i++ {
-		if err := m.WriteDirect(i, uint64(i)); err != nil {
-			t.Fatal(err)
-		}
+		m.data[i].Store(uint64(i))
 	}
 	tx := m.Begin(1)
 	for i := Addr(0); i < 8; i++ {

@@ -1,18 +1,16 @@
 // Package storage provides the stable-storage substrate: disk models
-// (simulated, in-memory, and file-backed) and the asynchronous writer pool
-// implementing the paper's N+1-thread logging algorithm (§2.4).
+// (simulated and in-memory) and the asynchronous writer pool implementing
+// the paper's N+1-thread logging algorithm (§2.4).
 //
 // The paper's experiments simulate fast disks with fixed write latencies
 // (the "Sim 10" and "Sim 5" configurations); SimDisk reproduces that model
-// and adds an optional per-byte cost. FileDisk gives a real fsync-backed
-// store for integration tests, and MemDisk a zero-latency store whose
-// contents can be read back for recovery tests.
+// and adds an optional per-byte cost. MemDisk is a zero-latency store
+// whose contents can be read back for recovery tests; the file-backed
+// store is wal.SegmentStore.
 package storage
 
 import (
 	"errors"
-	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,8 +38,6 @@ type SimDisk struct {
 	perByte time.Duration
 
 	closed atomic.Bool
-	writes atomic.Int64
-	bytes  atomic.Int64
 }
 
 var _ Disk = (*SimDisk)(nil)
@@ -58,8 +54,6 @@ func (d *SimDisk) Write(p []byte) error {
 		return ErrClosed
 	}
 	time.Sleep(d.latency + time.Duration(len(p))*d.perByte)
-	d.writes.Add(1)
-	d.bytes.Add(int64(len(p)))
 	return nil
 }
 
@@ -68,12 +62,6 @@ func (d *SimDisk) Close() error {
 	d.closed.Store(true)
 	return nil
 }
-
-// Writes reports the number of completed writes (for tests and metrics).
-func (d *SimDisk) Writes() int64 { return d.writes.Load() }
-
-// Bytes reports the number of bytes written.
-func (d *SimDisk) Bytes() int64 { return d.bytes.Load() }
 
 // MemDisk is an in-memory stable store with no latency. Its contents can be
 // read back, which recovery tests use to replay logs.
@@ -111,15 +99,6 @@ func (d *MemDisk) Close() error {
 	return nil
 }
 
-// Chunks returns a snapshot of all writes in order.
-func (d *MemDisk) Chunks() [][]byte {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([][]byte, len(d.chunks))
-	copy(out, d.chunks)
-	return out
-}
-
 // Contents returns the concatenation of all writes.
 func (d *MemDisk) Contents() []byte {
 	d.mu.Lock()
@@ -133,51 +112,6 @@ func (d *MemDisk) Contents() []byte {
 		out = append(out, c...)
 	}
 	return out
-}
-
-// FileDisk is a real append-only file flushed with Sync on every write.
-type FileDisk struct {
-	mu     sync.Mutex
-	f      *os.File
-	closed bool
-}
-
-var _ Disk = (*FileDisk)(nil)
-
-// OpenFileDisk creates (or truncates) path as a storage point.
-func OpenFileDisk(path string) (*FileDisk, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("open storage file: %w", err)
-	}
-	return &FileDisk{f: f}, nil
-}
-
-// Write appends p and fsyncs.
-func (d *FileDisk) Write(p []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
-	if _, err := d.f.Write(p); err != nil {
-		return fmt.Errorf("append: %w", err)
-	}
-	if err := d.f.Sync(); err != nil {
-		return fmt.Errorf("sync: %w", err)
-	}
-	return nil
-}
-
-// Close syncs and closes the file.
-func (d *FileDisk) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return nil
-	}
-	d.closed = true
-	return d.f.Close()
 }
 
 // FaultyDisk wraps a Disk and fails the nth write and everything after,

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -154,7 +155,9 @@ func TestReadSummary(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		if got == nil || got.NodeByName("agg") == nil || got.NodeByName("agg").AbortedAttempts["conflict"] != 3 {
+		if got == nil || !slices.ContainsFunc(got.Nodes, func(n profiler.NodeWaste) bool {
+			return n.Node == "agg" && n.AbortedAttempts["conflict"] == 3
+		}) {
 			t.Fatalf("%s: round-trip mismatch: %+v", path, got)
 		}
 	}

@@ -28,7 +28,7 @@ func (h *collectHandler) count() int {
 func dialPair(t *testing.T, o DialOptions) (Conn, *collectHandler, func()) {
 	t.Helper()
 	h := &collectHandler{}
-	srv, err := Listen("127.0.0.1:0", h.handle)
+	srv, err := listen("127.0.0.1:0", h.handle)
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}

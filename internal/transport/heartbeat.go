@@ -75,28 +75,16 @@ type Detector struct {
 	down     map[string]bool
 }
 
-// DetectorOption configures a Detector.
-type DetectorOption func(*Detector)
-
-// WithClock injects a test clock.
-func WithClock(c Clock) DetectorOption {
-	return func(d *Detector) { d.clock = c }
-}
-
 // NewDetector creates a detector that declares a peer down after timeout
 // of silence, invoking onDown (may be nil) once per transition.
-func NewDetector(timeout time.Duration, onDown func(peer string), opts ...DetectorOption) *Detector {
-	d := &Detector{
+func NewDetector(timeout time.Duration, onDown func(peer string)) *Detector {
+	return &Detector{
 		timeout:  timeout,
 		clock:    realClock{},
 		onDown:   onDown,
 		lastSeen: make(map[string]time.Time),
 		down:     make(map[string]bool),
 	}
-	for _, opt := range opts {
-		opt(d)
-	}
-	return d
 }
 
 // Observe records a liveness signal (heartbeat or any message) from peer.
@@ -153,15 +141,4 @@ func (d *Detector) LastSeen(peer string) (time.Time, bool) {
 	defer d.mu.Unlock()
 	seen, ok := d.lastSeen[peer]
 	return seen, ok
-}
-
-// Peers returns all known peer names.
-func (d *Detector) Peers() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]string, 0, len(d.lastSeen))
-	for p := range d.lastSeen {
-		out = append(out, p)
-	}
-	return out
 }

@@ -32,7 +32,8 @@ func TestDetectorDownAfterTimeout(t *testing.T) {
 		mu.Lock()
 		downs = append(downs, p)
 		mu.Unlock()
-	}, WithClock(clock))
+	})
+	d.clock = clock
 
 	d.Observe("node-a")
 	d.Observe("node-b")
@@ -68,7 +69,8 @@ func TestDetectorDownAfterTimeout(t *testing.T) {
 
 func TestDetectorResurrection(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(100, 0)}
-	d := NewDetector(time.Second, nil, WithClock(clock))
+	d := NewDetector(time.Second, nil)
+	d.clock = clock
 	d.Observe("n")
 	clock.Advance(2 * time.Second)
 	if down := d.Check(); len(down) != 1 {
@@ -84,14 +86,14 @@ func TestDetectorResurrection(t *testing.T) {
 	if down := d.Check(); len(down) != 1 || down[0] != "n" {
 		t.Fatalf("second death not reported: %v", down)
 	}
-	if peers := d.Peers(); len(peers) != 1 || peers[0] != "n" {
-		t.Fatalf("Peers = %v", peers)
+	if _, ok := d.LastSeen("n"); !ok {
+		t.Fatal("LastSeen forgot the peer")
 	}
 }
 
 func TestHeartbeaterSendsOverPipe(t *testing.T) {
 	received := make(chan Message, 64)
-	a, b := Pipe(nil, func(m Message) { received <- m })
+	a, b := pipe(nil, func(m Message) { received <- m })
 	defer a.Close()
 	defer b.Close()
 
@@ -114,7 +116,7 @@ func TestHeartbeaterSendsOverPipe(t *testing.T) {
 }
 
 func TestHeartbeaterStopsOnDeadConn(t *testing.T) {
-	a, b := Pipe(nil, nil)
+	a, b := pipe(nil, nil)
 	_ = b.Close()
 	_ = a.Close()
 	hb := NewHeartbeater(a, time.Millisecond)
@@ -146,7 +148,7 @@ func TestHeartbeatWireRoundTrip(t *testing.T) {
 // closing the connection leads to a down transition.
 func TestDetectorEndToEndTCP(t *testing.T) {
 	det := NewDetector(200*time.Millisecond, nil)
-	srv, err := Listen("127.0.0.1:0", func(m Message) {
+	srv, err := listen("127.0.0.1:0", func(m Message) {
 		if m.Type == MsgHeartbeat {
 			det.Observe("client")
 		}

@@ -1,7 +1,6 @@
 // Package transport carries events and speculation-control messages
-// between nodes: in-process pipes for single-machine deployments (the
-// paper's experimental setup) and TCP with a framed binary codec for
-// distributed ones.
+// between engines: TCP with a framed binary codec. (Nodes of one engine
+// hand frames to each other in process, without a Conn.)
 //
 // Besides data events, the speculation protocol needs three control
 // messages (paper §2.2, §3):

@@ -7,7 +7,7 @@ import (
 )
 
 // Metrics instruments the transport layer. Counters are process-global:
-// every Conn (in-process pipe or TCP) counts sends by message type, and
+// every Conn counts sends by message type, and
 // every Detector counts down-transitions as heartbeat misses. Nil fields
 // are skipped.
 type Metrics struct {

@@ -133,7 +133,7 @@ func TestPipeDelivery(t *testing.T) {
 	var mu sync.Mutex
 	var atB []Message
 	done := make(chan struct{}, 8)
-	a, b := Pipe(nil, func(m Message) {
+	a, b := pipe(nil, func(m Message) {
 		mu.Lock()
 		atB = append(atB, m)
 		mu.Unlock()
@@ -164,7 +164,7 @@ func TestPipeDelivery(t *testing.T) {
 func TestPipeBidirectional(t *testing.T) {
 	gotA := make(chan Message, 1)
 	gotB := make(chan Message, 1)
-	a, b := Pipe(func(m Message) { gotA <- m }, func(m Message) { gotB <- m })
+	a, b := pipe(func(m Message) { gotA <- m }, func(m Message) { gotB <- m })
 	defer a.Close()
 	defer b.Close()
 	if err := a.Send(Message{Type: MsgAck, ID: event.ID{Source: 1, Seq: 1}}); err != nil {
@@ -192,7 +192,7 @@ func TestPipeBidirectional(t *testing.T) {
 }
 
 func TestPipeSendAfterClose(t *testing.T) {
-	a, b := Pipe(nil, nil)
+	a, b := pipe(nil, nil)
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestPipeSendAfterClose(t *testing.T) {
 }
 
 func TestPipeSendToClosedPeer(t *testing.T) {
-	a, b := Pipe(nil, nil)
+	a, b := pipe(nil, nil)
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestPipeSendToClosedPeer(t *testing.T) {
 
 func TestTCPRoundTrip(t *testing.T) {
 	received := make(chan Message, 16)
-	srv, err := Listen("127.0.0.1:0", func(m Message) { received <- m })
+	srv, err := listen("127.0.0.1:0", func(m Message) { received <- m })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestTCPRoundTrip(t *testing.T) {
 
 func TestTCPManyMessagesInOrder(t *testing.T) {
 	received := make(chan Message, 1024)
-	srv, err := Listen("127.0.0.1:0", func(m Message) { received <- m })
+	srv, err := listen("127.0.0.1:0", func(m Message) { received <- m })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestTCPManyMessagesInOrder(t *testing.T) {
 
 	const n = 500
 	for i := 0; i < n; i++ {
-		e := event.New(event.ID{Source: 1, Seq: event.Seq(i)}, int64(i), nil)
+		e := event.Event{ID: event.ID{Source: 1, Seq: event.Seq(i)}, Timestamp: int64(i)}
 		if err := client.Send(Message{Type: MsgEvent, Event: e}); err != nil {
 			t.Fatal(err)
 		}
@@ -287,7 +287,7 @@ func TestTCPManyMessagesInOrder(t *testing.T) {
 }
 
 func TestTCPSendAfterClose(t *testing.T) {
-	srv, err := Listen("127.0.0.1:0", nil)
+	srv, err := listen("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,5 @@
 // Package vclock provides the logical clocks used across the engine: a
-// monotonic tick source for application timestamps, a watermark tracker
-// that computes the low-water mark across multiple input streams, and a
-// controllable clock for deterministic tests.
+// wall clock and a monotonic tick source for application timestamps.
 //
 // Physical-time reads taken during event processing are non-deterministic
 // decisions: when an operator asks for the time through its context the
@@ -13,11 +11,7 @@
 //   - Clock is the timestamp source interface the engine consumes
 //     (core.Options.Clock).
 //   - NewWall returns the production Clock: wall time in milliseconds.
-//   - NewManual returns a test Clock advanced explicitly by the caller.
 //   - NewTicker wraps a Clock into a strictly monotonic per-source tick
 //     stream, so simultaneous events still get distinct, ordered
 //     timestamps.
-//   - NewWatermark tracks per-input progress and reports the low-water
-//     mark across all inputs — the threshold below which window
-//     operators may safely close.
 package vclock

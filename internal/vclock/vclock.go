@@ -1,7 +1,6 @@
 package vclock
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -31,30 +30,6 @@ func (w *Wall) Now() int64 {
 	return time.Since(w.start).Nanoseconds()
 }
 
-// Manual is a Clock whose time only moves when Advance or Set is called.
-// It makes time-dependent behaviour deterministic in tests.
-type Manual struct {
-	now atomic.Int64
-}
-
-var _ Clock = (*Manual)(nil)
-
-// NewManual returns a Manual clock starting at start ticks.
-func NewManual(start int64) *Manual {
-	m := &Manual{}
-	m.now.Store(start)
-	return m
-}
-
-// Now returns the current manual time.
-func (m *Manual) Now() int64 { return m.now.Load() }
-
-// Advance moves the clock forward by d ticks and returns the new time.
-func (m *Manual) Advance(d int64) int64 { return m.now.Add(d) }
-
-// Set jumps the clock to t ticks.
-func (m *Manual) Set(t int64) { m.now.Store(t) }
-
 // Ticker hands out strictly increasing timestamps. Sources use it to
 // assign event timestamps: even if two events are created in the same
 // nanosecond they receive distinct, ordered ticks.
@@ -81,50 +56,4 @@ func (t *Ticker) Next() int64 {
 			return now
 		}
 	}
-}
-
-// Watermark tracks the minimum observed timestamp frontier across a fixed
-// set of input streams. An operator's watermark is the largest timestamp W
-// such that every input has delivered all events with timestamp <= W; it
-// drives time-window aggregation closing.
-type Watermark struct {
-	mu       sync.Mutex
-	frontier []int64
-	min      int64
-}
-
-// NewWatermark creates a tracker for n inputs, all starting at -1 (nothing
-// delivered).
-func NewWatermark(n int) *Watermark {
-	w := &Watermark{frontier: make([]int64, n), min: -1}
-	for i := range w.frontier {
-		w.frontier[i] = -1
-	}
-	return w
-}
-
-// Observe records that input i has delivered everything up to ts. Frontiers
-// never move backwards; stale observations are ignored. It returns the new
-// global watermark.
-func (w *Watermark) Observe(i int, ts int64) int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if ts > w.frontier[i] {
-		w.frontier[i] = ts
-	}
-	min := w.frontier[0]
-	for _, f := range w.frontier[1:] {
-		if f < min {
-			min = f
-		}
-	}
-	w.min = min
-	return min
-}
-
-// Current returns the global watermark (minimum frontier).
-func (w *Watermark) Current() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.min
 }

@@ -2,9 +2,34 @@ package vclock
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// Manual is a Clock whose time only moves when Advance or Set is called.
+// It makes the ticker tests deterministic.
+type Manual struct {
+	now atomic.Int64
+}
+
+var _ Clock = (*Manual)(nil)
+
+// NewManual returns a Manual clock starting at start ticks.
+func NewManual(start int64) *Manual {
+	m := &Manual{}
+	m.now.Store(start)
+	return m
+}
+
+// Now returns the current manual time.
+func (m *Manual) Now() int64 { return m.now.Load() }
+
+// Advance moves the clock forward by d ticks and returns the new time.
+func (m *Manual) Advance(d int64) int64 { return m.now.Add(d) }
+
+// Set jumps the clock to t ticks.
+func (m *Manual) Set(t int64) { m.now.Store(t) }
 
 func TestWallMonotonic(t *testing.T) {
 	w := NewWall()
@@ -74,34 +99,5 @@ func TestTickerConcurrentUnique(t *testing.T) {
 			}
 			seen[v] = true
 		}
-	}
-}
-
-func TestWatermark(t *testing.T) {
-	w := NewWatermark(3)
-	if w.Current() != -1 {
-		t.Fatalf("initial watermark = %d, want -1", w.Current())
-	}
-	w.Observe(0, 10)
-	w.Observe(1, 20)
-	if got := w.Current(); got != -1 {
-		t.Fatalf("watermark with one silent input = %d, want -1", got)
-	}
-	if got := w.Observe(2, 5); got != 5 {
-		t.Fatalf("watermark = %d, want 5", got)
-	}
-	// Stale observation must not regress the frontier.
-	if got := w.Observe(2, 3); got != 5 {
-		t.Fatalf("stale observation moved watermark to %d", got)
-	}
-	if got := w.Observe(2, 30); got != 10 {
-		t.Fatalf("watermark = %d, want 10", got)
-	}
-}
-
-func TestWatermarkSingleInput(t *testing.T) {
-	w := NewWatermark(1)
-	if got := w.Observe(0, 7); got != 7 {
-		t.Fatalf("watermark = %d, want 7", got)
 	}
 }

@@ -7,8 +7,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-
-	"streammine/internal/metrics"
 )
 
 // SegmentStore is a file-backed stable-storage point for the decision log:
@@ -220,24 +218,4 @@ func (s *SegmentStore) Prune(upTo LSN) (int, error) {
 		removed++
 	}
 	return removed, nil
-}
-
-// Segments reports the current number of segment files.
-func (s *SegmentStore) Segments() (int, error) {
-	idxs, err := s.segmentIndexes()
-	return len(idxs), err
-}
-
-// RegisterMetrics exposes the store's on-disk segment count as the
-// wal_segments gauge on reg (refreshed at scrape time).
-func (s *SegmentStore) RegisterMetrics(reg *metrics.Registry) {
-	reg.GaugeFunc("wal_segments",
-		"Decision-log segment files currently on disk.", nil,
-		func() float64 {
-			n, err := s.Segments()
-			if err != nil {
-				return -1
-			}
-			return float64(n)
-		})
 }

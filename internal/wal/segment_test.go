@@ -51,12 +51,12 @@ func TestSegmentRotation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n, err := store.Segments()
+	idxs, err := store.segmentIndexes()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 10 × 1500 B with a 4 KiB cap → at least 4 segments.
-	if n < 4 {
+	if n := len(idxs); n < 4 {
 		t.Fatalf("segments = %d, want >= 4", n)
 	}
 }
@@ -108,7 +108,8 @@ func TestSegmentPrune(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before, _ := store.Segments()
+	idxs, _ := store.segmentIndexes()
+	before := len(idxs)
 	if before < 2 {
 		t.Fatalf("segments = %d, want >= 2 for a meaningful prune", before)
 	}

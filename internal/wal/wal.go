@@ -162,7 +162,7 @@ func decodeOne(src []byte) (Record, int, error) {
 }
 
 // Scan decodes all records in data (as produced by appends through a
-// MemDisk or FileDisk). It returns records in log order.
+// MemDisk or a SegmentStore). It returns records in log order.
 func Scan(data []byte) ([]Record, error) {
 	var out []Record
 	for len(data) > 0 {
@@ -307,10 +307,6 @@ func advance(a *atomic.Uint64, v uint64) {
 // were submitted under.
 func (l *Log) SetMetrics(m *LogMetrics) { l.met.Store(m) }
 
-// StableLSN returns the highest LSN known stable. Records with LSN <=
-// StableLSN will survive a crash.
-func (l *Log) StableLSN() LSN { return LSN(l.stableLSN.Load()) }
-
 // UnstableLag returns the number of appended records not yet known
 // stable — the stable-LSN lag a scrape-time gauge exposes.
 func (l *Log) UnstableLag() uint64 {
@@ -321,9 +317,6 @@ func (l *Log) UnstableLag() uint64 {
 	}
 	return next - stable
 }
-
-// NextLSN returns the LSN that the next appended record will receive.
-func (l *Log) NextLSN() LSN { return LSN(l.nextLSN.Load() + 1) }
 
 // AdvanceLSN raises the LSN cursor (and the stable watermark) to at least
 // last. A recovered node calls it with the highest LSN found in its

@@ -34,11 +34,8 @@ func TestAppendAssignsMonotonicLSNs(t *testing.T) {
 	if last2 != 3 {
 		t.Fatalf("second batch last LSN = %d, want 3", last2)
 	}
-	if l.StableLSN() != 3 {
-		t.Fatalf("StableLSN = %d, want 3", l.StableLSN())
-	}
-	if l.NextLSN() != 4 {
-		t.Fatalf("NextLSN = %d, want 4", l.NextLSN())
+	if lag := l.UnstableLag(); lag != 0 {
+		t.Fatalf("UnstableLag = %d after synced appends, want 0", lag)
 	}
 }
 
