@@ -1,13 +1,12 @@
-// Command experiments regenerates the paper's evaluation: every figure
-// (2–8), the §4 externalization scenario, the §2.2 recovery experiment,
-// and the §5 related-work model table.
+// Command experiments regenerates the paper's evaluation figures (2–8)
+// that the repository benchmark (go run ./bench) does not produce.
 //
 // Usage:
 //
 //	experiments               # run everything at full scale
 //	experiments -quick        # scaled-down run (seconds, for CI)
-//	experiments -fig 3        # a single experiment (2,3,4,5,6,8,
-//	                          # external, recovery, related)
+//	experiments -fig 3        # a single experiment (2,3,4,5,6,8;
+//	                          # 6 prints Figs. 6 and 7)
 //	experiments -list         # list available experiments
 //
 // It also hosts the ingest load generator (docs/INGEST.md):
@@ -21,10 +20,7 @@ import (
 	"os"
 
 	"streammine/internal/autolimit"
-	"streammine/internal/debugserver"
 	"streammine/internal/experiments"
-	"streammine/internal/metrics"
-	"streammine/internal/transport"
 )
 
 func main() {
@@ -38,26 +34,12 @@ func run() error {
 	quick := flag.Bool("quick", false, "scaled-down parameters (finishes in seconds)")
 	fig := flag.String("fig", "", "run a single experiment by id")
 	list := flag.Bool("list", false, "list experiments and exit")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics, /healthz and /debug/pprof on this address while experiments run")
 	lg := loadgenFlags()
 	flag.Parse()
 	autolimit.Apply(func(format string, args ...any) { fmt.Printf(format+"\n", args...) })
 
 	if lg.enabled() {
 		return lg.run()
-	}
-
-	if *debugAddr != "" {
-		reg := metrics.NewRegistry()
-		transport.RegisterMetrics(reg)
-		experiments.SetMetricsRegistry(reg)
-		srv := debugserver.New(reg, nil)
-		bound, err := srv.Start(*debugAddr)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Printf("debug server on http://%s (/metrics /healthz /debug/pprof)\n", bound)
 	}
 
 	cfg := experiments.Config{Quick: *quick}

@@ -444,7 +444,7 @@ func admitFrames(t *testing.T, frames []transport.Message, queued bool) admitted
 	g.Connect(src0, 0, cls, 0)
 	g.Connect(src1, 0, cls, 1)
 	g.Connect(cls, 0, sink, 0)
-	disk := storage.NewMemDisk()
+	disk := new(memDisk)
 	pool := storage.NewPool([]storage.Disk{disk})
 	t.Cleanup(func() { pool.Close() })
 	eng, err := New(g, Options{Seed: 7, Pool: pool})

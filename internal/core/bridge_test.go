@@ -182,7 +182,7 @@ func TestBridgeRecoveryReplayOverTCP(t *testing.T) {
 		Speculative:     true,
 		CheckpointEvery: 5,
 	})
-	diskB := storage.NewMemDisk()
+	diskB := new(memDisk)
 	poolB := storage.NewPool([]storage.Disk{diskB})
 	defer poolB.Close()
 	engB, err := New(gB, Options{Pool: poolB, Seed: 4, LogScanner: memScanner(diskB)})

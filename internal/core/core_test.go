@@ -63,13 +63,36 @@ func (s *sinkCollector) waitFinals(t *testing.T, n int) []event.Event {
 	return nil
 }
 
+// memDisk is an instant disk that keeps what is written, so a test's
+// LogScanner can read the decision log back. Its pool refuses writes once
+// closed.
+type memDisk struct {
+	mu  sync.Mutex
+	buf []byte
+}
+
+func (d *memDisk) Write(p []byte) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.buf = append(d.buf, p...)
+	return nil
+}
+
+func (d *memDisk) Close() error { return nil }
+
+func (d *memDisk) contents() []byte {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return append([]byte(nil), d.buf...)
+}
+
 // memScanner is a LogScanner over what the given disks hold, read in the
 // order given.
-func memScanner(disks ...*storage.MemDisk) func() ([]wal.Record, error) {
+func memScanner(disks ...*memDisk) func() ([]wal.Record, error) {
 	return func() ([]wal.Record, error) {
 		var all []wal.Record
 		for _, d := range disks {
-			recs, err := wal.Scan(d.Contents())
+			recs, err := wal.Scan(d.contents())
 			if err != nil {
 				return nil, err
 			}
@@ -84,7 +107,7 @@ func memScanner(disks ...*storage.MemDisk) func() ([]wal.Record, error) {
 func newTestEngine(t *testing.T, g *graph.Graph, opts Options) *Engine {
 	t.Helper()
 	if opts.Pool == nil {
-		disk := storage.NewMemDisk()
+		disk := new(memDisk)
 		pool := storage.NewPool([]storage.Disk{disk})
 		t.Cleanup(func() { pool.Close() })
 		opts.Pool, opts.LogScanner = pool, memScanner(disk)

@@ -65,7 +65,7 @@ func TestDrainWaitsForEveryHandOff(t *testing.T) {
 			var held atomic.Bool
 			held.Store(true)
 			stable := make(chan struct{})
-			pool := storage.NewPool([]storage.Disk{holdDisk{storage.NewMemDisk(), &held, stable}})
+			pool := storage.NewPool([]storage.Disk{holdDisk{new(memDisk), &held, stable}})
 			t.Cleanup(func() { pool.Close() })
 			r := newFinalityRig(t, 1, pool)
 			letStable := sync.OnceFunc(func() { close(stable) })

@@ -177,7 +177,7 @@ func TestStatelessFinalBehindOpenLogger(t *testing.T) {
 	var held atomic.Bool
 	held.Store(true)
 	release := make(chan struct{})
-	pool := storage.NewPool([]storage.Disk{holdDisk{storage.NewMemDisk(), &held, release}})
+	pool := storage.NewPool([]storage.Disk{holdDisk{new(memDisk), &held, release}})
 	t.Cleanup(func() { pool.Close() })
 	r := newFinalityRig(t, 1, pool)
 	letGo := sync.OnceFunc(func() { close(release) })

@@ -14,7 +14,6 @@ import (
 	"streammine/internal/metricstest"
 	"streammine/internal/operator"
 	"streammine/internal/profiler"
-	"streammine/internal/storage"
 )
 
 // TestProfilerAttributesConflicts runs the paper's §3.1 classifier at
@@ -134,65 +133,4 @@ func TestProfilerAttributesConflicts(t *testing.T) {
 			t.Errorf("series %s not documented in docs/OBSERVABILITY.md", p.Name)
 		}
 	}
-}
-
-// BenchmarkSpeculationWaste measures the classifier contention sweep with
-// the profiler enabled and reports its waste metrics (waste-cpu-pct,
-// aborted-attempts/event): one class maximizes conflicts,
-// eight classes nearly eliminates them (the Figure 5 parallelism knob).
-func BenchmarkSpeculationWaste(b *testing.B) {
-	for _, classes := range []int{1, 8} {
-		name := "classes=1"
-		if classes != 1 {
-			name = "classes=8"
-		}
-		b.Run(name, func(b *testing.B) {
-			benchSpeculationWaste(b, classes)
-		})
-	}
-}
-
-func benchSpeculationWaste(b *testing.B, classes int) {
-	const events = 100
-	prof := profiler.New(profiler.Config{})
-	var total uint64
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		g := graph.New()
-		src := g.AddNode(graph.Node{Name: "src"})
-		hot := g.AddNode(graph.Node{
-			Name:        "hot",
-			Op:          &operator.Classifier{Classes: classes, Cost: 50 * time.Microsecond},
-			Traits:      operator.ClassifierTraits(classes),
-			Speculative: true,
-			Workers:     8,
-		})
-		g.Connect(src, 0, hot, 0)
-		pool := storage.NewPool([]storage.Disk{storage.NewMemDisk()})
-		eng, err := New(g, Options{Seed: 13, Pool: pool, Profiler: prof})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := eng.Start(); err != nil {
-			b.Fatal(err)
-		}
-		s, err := eng.Source(src)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		for k := 0; k < events; k++ {
-			if _, err := s.Emit(uint64(k), nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-		drainOrDump(b, eng, 10*time.Second)
-		b.StopTimer()
-		eng.Stop()
-		pool.Close()
-		total += events
-	}
-	sum := prof.Summary()
-	b.ReportMetric(sum.WastePct(), "waste-cpu-pct")
-	b.ReportMetric(float64(sum.TotalAborted())/float64(total), "aborted-attempts/event")
 }

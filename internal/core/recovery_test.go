@@ -589,7 +589,7 @@ func TestDupOfUncheckpointedCommitNotAcked(t *testing.T) {
 
 	t.Run("mark not stable", func(t *testing.T) {
 		g, src, proc := classifierGraph(half) // one checkpoint covers the run
-		disk := storage.NewMemDisk()
+		disk := new(memDisk)
 		release := make(chan struct{})
 		pool := storage.NewPool([]storage.Disk{markHoldDisk{disk, release}})
 		t.Cleanup(func() { pool.Close() })
@@ -625,16 +625,16 @@ func TestDupOfUncheckpointedCommitNotAcked(t *testing.T) {
 	})
 }
 
-// markHoldDisk writes everything to its MemDisk and then keeps a write that
+// markHoldDisk writes everything to its memDisk and then keeps a write that
 // carries a checkpoint mark from returning until release is closed: the mark
 // is on disk, and the pool has not reported it stable.
 type markHoldDisk struct {
-	*storage.MemDisk
+	*memDisk
 	release chan struct{}
 }
 
 func (d markHoldDisk) Write(p []byte) error {
-	err := d.MemDisk.Write(p)
+	err := d.memDisk.Write(p)
 	if recs, _ := wal.Scan(p); slices.ContainsFunc(recs, func(r wal.Record) bool { return r.Kind == wal.KindCheckpointMark }) {
 		<-d.release
 	}
@@ -653,7 +653,7 @@ func TestRecoverNeedsLogScanner(t *testing.T) {
 		}
 	}
 	g, _, proc := classifierGraph(10)
-	disk := storage.NewMemDisk()
+	disk := new(memDisk)
 	pool := storage.NewPool([]storage.Disk{disk})
 	t.Cleanup(func() { pool.Close() })
 	if _, err := New(g, Options{Pool: pool, RestoreFromStorage: true}); !errors.Is(err, ErrNoLogScanner) {
@@ -735,7 +735,7 @@ func TestRecoveryScanOrderTwoDisks(t *testing.T) {
 		CheckpointEvery: 1000, // never: the whole log is replayed
 	})
 	g.Connect(src, 0, proc, 0)
-	diskA, diskB := storage.NewMemDisk(), storage.NewMemDisk()
+	diskA, diskB := new(memDisk), new(memDisk)
 	pool := storage.NewPool([]storage.Disk{diskA, diskB})
 	t.Cleanup(func() { pool.Close() })
 	scan := memScanner(diskB, diskA)
@@ -777,17 +777,17 @@ func TestRecoveryScanOrderTwoDisks(t *testing.T) {
 	checkClassCounts(t, sink, total)
 }
 
-// holdDisk completes every write on its MemDisk; while held it then keeps
+// holdDisk completes every write on its memDisk; while held it then keeps
 // the writer from returning, so the record is on disk and the pool has not
 // reported it stable.
 type holdDisk struct {
-	*storage.MemDisk
+	*memDisk
 	held    *atomic.Bool
 	release chan struct{}
 }
 
 func (d holdDisk) Write(p []byte) error {
-	err := d.MemDisk.Write(p)
+	err := d.memDisk.Write(p)
 	if d.held.Load() {
 		<-d.release
 	}
@@ -825,7 +825,7 @@ func TestRecoveryReadsWhatTheDiskHolds(t *testing.T) {
 	g.Connect(src, 0, proc, 0)
 	var held, lost atomic.Bool
 	release := make(chan struct{})
-	diskA, diskB := storage.NewMemDisk(), storage.NewMemDisk()
+	diskA, diskB := new(memDisk), new(memDisk)
 	pool := storage.NewPool([]storage.Disk{holdDisk{diskA, &held, release}, holdDisk{diskB, &held, release}})
 	t.Cleanup(func() { pool.Close() })
 	scan := func() ([]wal.Record, error) {

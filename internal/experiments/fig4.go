@@ -117,7 +117,7 @@ func runFig4Mode(workers int, fl *flow.Limits, cost, total, normalPeriod, burstS
 
 	pool := storage.NewPool([]storage.Disk{storage.NewMemDisk()})
 	defer pool.Close()
-	eng, err := core.New(g, withMetrics(core.Options{Pool: pool, Seed: 99}))
+	eng, err := core.New(g, core.Options{Pool: pool, Seed: 99})
 	if err != nil {
 		return Fig4Result{}, err
 	}

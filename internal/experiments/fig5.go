@@ -92,7 +92,7 @@ func fig5Phase(k, workers, events int, cost time.Duration) (time.Duration, core.
 
 	pool := storage.NewPool([]storage.Disk{storage.NewMemDisk()})
 	defer pool.Close()
-	eng, err := core.New(g, withMetrics(core.Options{Pool: pool, Seed: uint64(k)}))
+	eng, err := core.New(g, core.Options{Pool: pool, Seed: uint64(k)})
 	if err != nil {
 		return 0, core.NodeStats{}, err
 	}

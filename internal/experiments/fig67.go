@@ -38,26 +38,45 @@ type Fig67Point struct {
 	OutputRate float64 // finalized events/second during the window
 }
 
+// fig67Scale holds the parameters of a Figs. 6/7 run: the offered rates
+// and, for every point, the publishing window, the sketch's simulated
+// cost per event and the log write latency.
+type fig67Scale struct {
+	rates   []int
+	window  time.Duration
+	cost    time.Duration
+	diskLat time.Duration
+}
+
+func fig67ScaleFor(cfg Config) fig67Scale {
+	if cfg.Quick {
+		// The 400 µs simulated cost sleeps for ≈1.1 ms on a coarse-timer
+		// host, so single-thread capacity is ≈900 ev/s: 400 ev/s sits
+		// safely below saturation, 6000 ev/s safely above.
+		return fig67Scale{
+			rates:   []int{400, 6000},
+			window:  500 * time.Millisecond,
+			cost:    400 * time.Microsecond,
+			diskLat: 4 * time.Millisecond,
+		}
+	}
+	return fig67Scale{
+		rates:   []int{1000, 2000, 3000, 5000, 10000, 20000},
+		window:  1200 * time.Millisecond,
+		cost:    400 * time.Microsecond,
+		diskLat: 5 * time.Millisecond,
+	}
+}
+
 // RunFig6 reproduces Figure 6 (latency vs input rate; (a) only the union
-// logs, (b) both operators log) and RunFig7 reads the throughput response
-// (Figure 7) from the same runs.
+// logs, (b) both operators log) and Figure 7 (the throughput response)
+// from the same runs.
 //
 // The application is the paper's: two publishers → union (cheap, order-
 // sensitive, logged) → count sketch (computationally expensive,
 // optimistically parallelized).
 func RunFig6(cfg Config) (*Table, *Table, []Fig67Point, error) {
-	rates := []int{1000, 2000, 3000, 5000, 10000, 20000}
-	window := 1200 * time.Millisecond
-	cost := 400 * time.Microsecond
-	diskLat := 5 * time.Millisecond
-	if cfg.Quick {
-		// The 400 µs simulated cost sleeps for ≈1.1 ms on a coarse-timer
-		// host, so single-thread capacity is ≈900 ev/s: 400 ev/s sits
-		// safely below saturation, 6000 ev/s safely above.
-		rates = []int{400, 6000}
-		window = 500 * time.Millisecond
-		diskLat = 4 * time.Millisecond
-	}
+	sc := fig67ScaleFor(cfg)
 
 	latTable := &Table{
 		ID:     "fig6",
@@ -81,11 +100,11 @@ func RunFig6(cfg Config) (*Table, *Table, []Fig67Point, error) {
 		if bothLog {
 			logName = "(b) both"
 		}
-		for _, rate := range rates {
+		for _, rate := range sc.rates {
 			latRow := []string{logName, fmt.Sprintf("%d", rate)}
 			thrRow := []string{logName, fmt.Sprintf("%d", rate)}
 			for _, m := range modes {
-				p, err := runFig67Point(m, bothLog, rate, window, cost, diskLat)
+				p, err := runFig67Point(m, bothLog, rate, sc)
 				if err != nil {
 					return nil, nil, nil, fmt.Errorf("fig6/7 %s rate=%d: %w", m.Name, rate, err)
 				}
@@ -100,7 +119,10 @@ func RunFig6(cfg Config) (*Table, *Table, []Fig67Point, error) {
 	return latTable, thrTable, points, nil
 }
 
-func runFig67Point(mode Fig67Mode, bothLog bool, rate int, window, cost, diskLat time.Duration) (Fig67Point, error) {
+// runFig67Point measures one mode at one offered rate, publishing for
+// sc.window.
+func runFig67Point(mode Fig67Mode, bothLog bool, rate int, sc fig67Scale) (Fig67Point, error) {
+	window := sc.window
 	const sketchDepth, sketchWidth = 4, 1024
 	g := graph.New()
 	p1 := g.AddNode(graph.Node{Name: "p1"})
@@ -118,7 +140,7 @@ func runFig67Point(mode Fig67Mode, bothLog bool, rate int, window, cost, diskLat
 	}
 	sk := g.AddNode(graph.Node{
 		Name:        "sketch",
-		Op:          &stampedSketch{depth: sketchDepth, width: sketchWidth, seed: 7, cost: cost},
+		Op:          &stampedSketch{depth: sketchDepth, width: sketchWidth, seed: 7, cost: sc.cost},
 		Traits:      sketchTraits,
 		Speculative: mode.Speculative,
 		Workers:     mode.Workers,
@@ -127,9 +149,9 @@ func runFig67Point(mode Fig67Mode, bothLog bool, rate int, window, cost, diskLat
 	g.Connect(p2, 0, union, 1)
 	g.Connect(union, 0, sk, 0)
 
-	pool := storage.NewPoolDelayed([]storage.Disk{storage.NewSimDisk(diskLat, 0)}, diskLat/10)
+	pool := storage.NewPoolDelayed([]storage.Disk{storage.NewSimDisk(sc.diskLat, 0)}, sc.diskLat/10)
 	defer pool.Close()
-	eng, err := core.New(g, withMetrics(core.Options{Pool: pool, Seed: 5}))
+	eng, err := core.New(g, core.Options{Pool: pool, Seed: 5})
 	if err != nil {
 		return Fig67Point{}, err
 	}

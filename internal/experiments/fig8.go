@@ -67,7 +67,7 @@ func RunFig8(cfg Config) (*Table, []Fig8Result, error) {
 				addrs[i] = stm.Addr(rng.Intn(stateWords))
 			}
 
-			direct := medianOf(reps, func() error {
+			direct, _ := medianOf(reps, func() error { // plain memory cannot fail
 				operator.BusyWork(task.cost)
 				for _, a := range addrs {
 					plain[a] = plain[a] + 1
@@ -75,7 +75,7 @@ func RunFig8(cfg Config) (*Table, []Fig8Result, error) {
 				return nil
 			})
 
-			first := medianOf(reps, func() error {
+			first, err := medianOf(reps, func() error {
 				tx := mem.Begin(ts)
 				ts++
 				operator.BusyWork(task.cost)
@@ -94,10 +94,13 @@ func RunFig8(cfg Config) (*Table, []Fig8Result, error) {
 				defer tx.Abort() // leave memory clean between measurements
 				return nil
 			})
+			if err != nil {
+				return nil, nil, fmt.Errorf("fig8 %s accesses=%d first execution: %w", task.name, n, err)
+			}
 
 			// Rollback + re-execution: run once, abort, and time the
 			// repeated execution.
-			reexec := medianOf(reps, func() error {
+			reexec, err := medianOf(reps, func() error {
 				tx := mem.Begin(ts)
 				ts++
 				operator.BusyWork(task.cost)
@@ -136,6 +139,9 @@ func RunFig8(cfg Config) (*Table, []Fig8Result, error) {
 				tx2.Abort()
 				return nil
 			})
+			if err != nil {
+				return nil, nil, fmt.Errorf("fig8 %s accesses=%d re-execution: %w", task.name, n, err)
+			}
 			// The body above contains two executions; halve to get the
 			// per-execution cost including abort bookkeeping.
 			reexec /= 2
@@ -150,21 +156,18 @@ func RunFig8(cfg Config) (*Table, []Fig8Result, error) {
 	return table, results, nil
 }
 
-// medianOf times fn reps times and returns the median duration.
-func medianOf(reps int, fn func() error) time.Duration {
-	times := make([]time.Duration, 0, reps)
-	for i := 0; i < reps; i++ {
+// medianOf times fn reps times and returns the median duration. A
+// transaction cannot conflict single-threaded, so an error from fn is a
+// bug: the first one ends the measurement.
+func medianOf(reps int, fn func() error) (time.Duration, error) {
+	times := make([]time.Duration, reps)
+	for i := range times {
 		start := time.Now()
 		if err := fn(); err != nil {
-			// Conflicts cannot happen single-threaded; treat as zero
-			// rather than poisoning the median.
-			continue
+			return 0, err
 		}
-		times = append(times, time.Since(start))
-	}
-	if len(times) == 0 {
-		return 0
+		times[i] = time.Since(start)
 	}
 	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-	return times[len(times)/2]
+	return times[len(times)/2], nil
 }

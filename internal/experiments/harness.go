@@ -1,6 +1,6 @@
-// Package experiments regenerates every figure in the paper's evaluation
-// (Figures 2–8) plus the two non-figure scenarios of §4 (speculative
-// externalization and precise recovery), on the real engine.
+// Package experiments regenerates the paper's evaluation figures (2–8) on
+// the real engine: the tables the repository benchmark (bench/) does not
+// produce.
 //
 // Each runner returns a Table whose rows mirror the series the paper
 // plots. Absolute numbers depend on the host; the shapes — who wins, by
@@ -11,39 +11,19 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"streammine/internal/core"
 	"streammine/internal/event"
 	"streammine/internal/graph"
-	"streammine/internal/metrics"
 	"streammine/internal/operator"
 	"streammine/internal/storage"
 )
 
-// metricsReg, when set via SetMetricsRegistry, is handed to every engine
-// the experiments construct, so a -debug-addr run exposes live engine
-// metrics while the figures execute. Experiments build engines
-// sequentially: func-backed series rebind to the newest engine and plain
-// counters accumulate across runs (registry semantics, see
-// internal/metrics).
-var metricsReg atomic.Pointer[metrics.Registry]
-
-// SetMetricsRegistry routes all subsequently built experiment engines'
-// metrics to reg (nil disables).
-func SetMetricsRegistry(reg *metrics.Registry) { metricsReg.Store(reg) }
-
-// withMetrics applies the package metrics registry to engine options.
-func withMetrics(opts core.Options) core.Options {
-	opts.Metrics = metricsReg.Load()
-	return opts
-}
-
 // Config scales an experiment run.
 type Config struct {
 	// Quick shrinks disk latencies, durations and event counts so the
-	// whole suite finishes in seconds (used by tests and testing.B).
+	// whole suite finishes in seconds (used by the tests).
 	Quick bool
 }
 
@@ -190,7 +170,7 @@ func measureChain(spec chainSpec, events int) (time.Duration, error) {
 		}
 	}()
 
-	eng, err := core.New(g, withMetrics(core.Options{Pool: shared, NodePools: pools, Seed: 42}))
+	eng, err := core.New(g, core.Options{Pool: shared, NodePools: pools, Seed: 42})
 	if err != nil {
 		return 0, err
 	}

@@ -39,18 +39,6 @@ func Runners() []Runner {
 			t, _, err := RunFig8(cfg)
 			return []*Table{t}, err
 		}},
-		{ID: "external", Desc: "§4 closing scenario: speculative externalization", Run: func(cfg Config) ([]*Table, error) {
-			t, _, err := RunExternalization(cfg)
-			return []*Table{t}, err
-		}},
-		{ID: "recovery", Desc: "§2.2 precise recovery under a crash", Run: func(cfg Config) ([]*Table, error) {
-			t, _, err := RunRecovery(cfg)
-			return []*Table{t}, err
-		}},
-		{ID: "related", Desc: "§5 related-work latency models", Run: func(cfg Config) ([]*Table, error) {
-			t, err := RunRelatedWork(cfg)
-			return []*Table{t}, err
-		}},
 	}
 }
 

@@ -63,8 +63,8 @@ func (d *SimDisk) Close() error {
 	return nil
 }
 
-// MemDisk is an in-memory stable store with no latency. Its contents can be
-// read back, which recovery tests use to replay logs.
+// MemDisk is an in-memory stable store with no latency. It keeps a copy of
+// every write.
 type MemDisk struct {
 	mu     sync.Mutex
 	chunks [][]byte
@@ -97,21 +97,6 @@ func (d *MemDisk) Close() error {
 	defer d.mu.Unlock()
 	d.closed = true
 	return nil
-}
-
-// Contents returns the concatenation of all writes.
-func (d *MemDisk) Contents() []byte {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var n int
-	for _, c := range d.chunks {
-		n += len(c)
-	}
-	out := make([]byte, 0, n)
-	for _, c := range d.chunks {
-		out = append(out, c...)
-	}
-	return out
 }
 
 // FaultyDisk wraps a Disk and fails the nth write and everything after,

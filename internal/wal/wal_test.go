@@ -10,9 +10,31 @@ import (
 	"streammine/internal/storage"
 )
 
-func newMemLog(t *testing.T) (*Log, *storage.MemDisk, *storage.Pool) {
+// memDisk is an instant disk that keeps what is written, so a test can
+// scan the log back.
+type memDisk struct {
+	mu  sync.Mutex
+	buf []byte
+}
+
+func (d *memDisk) Write(p []byte) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.buf = append(d.buf, p...)
+	return nil
+}
+
+func (d *memDisk) Close() error { return nil }
+
+func (d *memDisk) contents() []byte {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return append([]byte(nil), d.buf...)
+}
+
+func newMemLog(t *testing.T) (*Log, *memDisk, *storage.Pool) {
 	t.Helper()
-	mem := storage.NewMemDisk()
+	mem := new(memDisk)
 	pool := storage.NewPool([]storage.Disk{mem})
 	t.Cleanup(func() { pool.Close() })
 	return New(pool), mem, pool
@@ -62,7 +84,7 @@ func TestScanRoundTrip(t *testing.T) {
 	if _, err := l.AppendSync(recs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Scan(mem.Contents())
+	got, err := Scan(mem.contents())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +108,7 @@ func TestScanDetectsCorruption(t *testing.T) {
 	if _, err := l.AppendSync([]Record{{Kind: KindRandom, Value: 42}}); err != nil {
 		t.Fatal(err)
 	}
-	data := mem.Contents()
+	data := mem.contents()
 	data[len(data)-1] ^= 0xFF
 	if _, err := Scan(data); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Scan of corrupted data = %v, want ErrCorrupt", err)
@@ -98,7 +120,7 @@ func TestScanTruncatedTail(t *testing.T) {
 	if _, err := l.AppendSync([]Record{{Kind: KindRandom, Value: 1}, {Kind: KindRandom, Value: 2}}); err != nil {
 		t.Fatal(err)
 	}
-	data := mem.Contents()
+	data := mem.contents()
 	got, err := Scan(data[:len(data)-3])
 	if err == nil {
 		t.Fatal("Scan of truncated log succeeded")
@@ -127,7 +149,7 @@ func TestConcurrentAppendsKeepLSNOrder(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	got, err := Scan(mem.Contents())
+	got, err := Scan(mem.contents())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,20 +222,6 @@ func TestQuickEncodeDecode(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkAppendSync(b *testing.B) {
-	pool := storage.NewPool([]storage.Disk{storage.NewMemDisk()})
-	defer pool.Close()
-	l := New(pool)
-	rec := []Record{{Kind: KindRandom, Operator: 1, Value: 42}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.AppendSync(rec); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
