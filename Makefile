@@ -99,8 +99,9 @@ bench-profile:
 
 # race-core-equiv is the internal/core slice of the same gate: the
 # batch-size equivalence test (one admit / commit / retire path judged
-# across run lengths, batch sizes and a crash), the commit-group
-# accounting test, the attempt-scratch reuse-safety test, the two tests of
+# across run lengths, credit-gated edges and a crash), the commit-group
+# accounting test, the credited-edge frame rule (a frame is what is
+# queued, up to 64 and a quarter of the window), the attempt-scratch reuse-safety test, the two tests of
 # what a run's block holds (a re-execution never runs in the first attempt's
 # transaction; a long run's tasks are spread over blocks and nothing can
 # tell), the three tests of what is cut from a slab (a payload, a sent
@@ -120,7 +121,7 @@ bench-profile:
 # green, 4 to 5 minutes each on a 2-core box.
 race-core-equiv:
 	for p in 1 2 8; do \
-		GOMAXPROCS=$$p go test -race -count=20 -run 'TestBatchSizeEquivalence|TestBatchCommitGrouping|TestAttemptScratchReuseSafety|TestReexecutionBuysItsOwnTx|TestLongRunSplitsTaskBlocks|TestPayloadBytesAreHandedOutOnce|TestReexecutionLeavesSentVersionAlone|TestQueuedFinalizeRunIsOwned|TestRecoverNeedsLogScanner|TestRecoveryScanOrderTwoDisks|TestRecoveryReadsWhatTheDiskHolds|TestDupOfUncheckpointedCommitNotAcked|TestQueuedFramesAdmitAsOneRun|TestRestoredOutputsAreReleased|TestEarlyRevokeDropsItsIncarnation|TestFinalizeOfReemissionAfterCancel|TestReemissionBehindOpenHead|TestStaleSendNeverFollowsNextAttempt|TestCheckpointBatchesAcks' ./internal/core || exit 1; \
+		GOMAXPROCS=$$p go test -race -count=20 -run 'TestBatchSizeEquivalence|TestBatchCommitGrouping|TestAttemptScratchReuseSafety|TestReexecutionBuysItsOwnTx|TestLongRunSplitsTaskBlocks|TestPayloadBytesAreHandedOutOnce|TestReexecutionLeavesSentVersionAlone|TestQueuedFinalizeRunIsOwned|TestCreditedFramesFitTheWindow|TestRecoverNeedsLogScanner|TestRecoveryScanOrderTwoDisks|TestRecoveryReadsWhatTheDiskHolds|TestDupOfUncheckpointedCommitNotAcked|TestQueuedFramesAdmitAsOneRun|TestRestoredOutputsAreReleased|TestEarlyRevokeDropsItsIncarnation|TestFinalizeOfReemissionAfterCancel|TestReemissionBehindOpenHead|TestStaleSendNeverFollowsNextAttempt|TestCheckpointBatchesAcks' ./internal/core || exit 1; \
 	done
 
 # trace-e2e runs a traced two-worker cluster as real processes and pipes

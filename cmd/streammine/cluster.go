@@ -13,7 +13,6 @@ import (
 	"streammine/internal/event"
 	"streammine/internal/ingest"
 	"streammine/internal/metrics"
-	"streammine/internal/topology"
 )
 
 // ingestFlagsConfig folds the -ingest-* flags into a gateway config.
@@ -39,26 +38,14 @@ func ingestFlagsConfig(addr, stateDir, tenantsPath, tlsCert, tlsKey string) (ing
 
 // runCoordinator serves the cluster control plane: it waits for workers,
 // deploys the topology across them per its placement section, supervises
-// heartbeats, and reassigns partitions when a worker dies. -batch is folded
-// into the topology before deployment so every worker builds its
-// partitions with the same batching configuration.
-func runCoordinator(topoPath, addr string, workers int, hbTimeout, slo time.Duration, batch int, obs *observability) error {
+// heartbeats, and reassigns partitions when a worker dies.
+func runCoordinator(topoPath, addr string, workers int, hbTimeout, slo time.Duration, obs *observability) error {
 	if topoPath == "" {
 		return fmt.Errorf("usage: streammine -coordinator ADDR -topology pipeline.json")
 	}
 	data, err := os.ReadFile(topoPath)
 	if err != nil {
 		return fmt.Errorf("read topology: %w", err)
-	}
-	if batch > 0 {
-		cfg, err := topology.Parse(data)
-		if err != nil {
-			return err
-		}
-		cfg.ApplyBatch(batch)
-		if data, err = json.Marshal(cfg); err != nil {
-			return fmt.Errorf("re-encode topology: %w", err)
-		}
 	}
 	c, err := cluster.NewCoordinator(data, cluster.CoordinatorOptions{
 		Addr:             addr,

@@ -65,11 +65,9 @@ func buildBinary(t *testing.T) string {
 // a shared state directory via procharness. With chaos set it SIGKILLs
 // whichever worker externalizes sink output once the run is under way.
 // With traceDir set, every process writes its lifecycle trace to
-// <traceDir>/<proc>.jsonl. extraCoordArgs are appended to the coordinator
-// invocation (engine-wide overrides like -batch ride the ASSIGN payload
-// to the workers). Returns the distinct sink identity set externalized
-// across all workers.
-func runClusterProcesses(t *testing.T, bin, topo string, chaos bool, traceDir string, extraCoordArgs ...string) map[string]bool {
+// <traceDir>/<proc>.jsonl. Returns the distinct sink identity set
+// externalized across all workers.
+func runClusterProcesses(t *testing.T, bin, topo string, chaos bool, traceDir string) map[string]bool {
 	t.Helper()
 	cl, err := procharness.Start(procharness.Options{
 		Bin:       bin,
@@ -77,7 +75,6 @@ func runClusterProcesses(t *testing.T, bin, topo string, chaos bool, traceDir st
 		Dir:       t.TempDir(),
 		Workers:   2,
 		HBTimeout: 500 * time.Millisecond,
-		CoordArgs: extraCoordArgs,
 		TraceDir:  traceDir,
 	})
 	if err != nil {
@@ -130,8 +127,9 @@ func TestClusterProcessesFailover(t *testing.T) {
 
 // TestClusterProcessesFailoverWithFlow SIGKILLs a worker mid-run with
 // credit-based flow control active on the bridged cut edge (window 8, so
-// the upstream bridge is credit-starved almost continuously at rate
-// 1500). The reassigned partition's bridges must re-grant a fresh window
+// the upstream bridge is credit-starved almost continuously at rate 1500,
+// and the events queued behind it cross in EVENT_BATCH frames of up to
+// two). The reassigned partition's bridges must re-grant a fresh window
 // on reconnect; precise recovery must externalize every event exactly
 // once despite the bounded queues.
 func TestClusterProcessesFailoverWithFlow(t *testing.T) {
@@ -142,34 +140,6 @@ func TestClusterProcessesFailoverWithFlow(t *testing.T) {
 	chaos := runClusterProcesses(t, bin, e2eFlowTopo, true, "")
 	if len(chaos) != 1000 {
 		t.Fatalf("flow-controlled chaos run externalized %d distinct events, want 1000", len(chaos))
-	}
-}
-
-// TestClusterProcessesFailoverBatched is the SIGKILL chaos drill with
-// hot-path batching forced on for every node (`-batch 8` on the
-// coordinator rides the ASSIGN payload to the workers): events cross the
-// bridged cut edge in EVENT_BATCH frames, admission logs whole runs in
-// one append, and the committer group-commits. Recovery must stay
-// precise — identity-set equality between the batched chaos run and a
-// batched failure-free run, so batching neither loses events nor leaks
-// duplicates past suppression.
-func TestClusterProcessesFailoverBatched(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-process e2e: builds a binary and runs multi-second failure detection")
-	}
-	bin := buildBinary(t)
-	baseline := runClusterProcesses(t, bin, e2eTopo, false, "", "-batch", "8")
-	if len(baseline) != 1000 {
-		t.Fatalf("batched baseline externalized %d distinct events, want 1000", len(baseline))
-	}
-	chaos := runClusterProcesses(t, bin, e2eTopo, true, "", "-batch", "8")
-	if len(chaos) != len(baseline) {
-		t.Fatalf("batched chaos run externalized %d distinct events, baseline %d", len(chaos), len(baseline))
-	}
-	for id := range baseline {
-		if !chaos[id] {
-			t.Fatalf("event %s missing from batched chaos run", id)
-		}
 	}
 }
 

@@ -225,7 +225,6 @@ func run() error {
 	dataAddr := flag.String("data-addr", "127.0.0.1:0", "with -worker: listen address for peer bridge traffic")
 	stateDir := flag.String("state-dir", "streammine-state", "with -worker: root of durable partition state (shared across workers)")
 	hbTimeout := flag.Duration("hb-timeout", time.Second, "cluster heartbeat timeout before a peer is declared dead")
-	batch := flag.Int("batch", 0, "hot-path batch size: coalesce up to N events per source admission charge and wire frame (0 = use the topology's flow settings; see docs/PERFORMANCE.md)")
 	ingestAddr := flag.String("ingest-addr", "", "serve the multi-tenant network ingest gateway on this address; topology sources marked \"ingest\" accept records here (docs/INGEST.md)")
 	ingestStateDir := flag.String("ingest-state-dir", "", "root of the per-stream ingest admission logs (default: streammine-ingest, or <state-dir>/ingest with -worker)")
 	ingestTenants := flag.String("ingest-tenants", "", "JSON file declaring ingest tenants (name, token, rate, burst, maxBatch); empty runs the gateway open")
@@ -278,7 +277,7 @@ func run() error {
 	}
 	icfg.Addr = *ingestAddr
 	if *coordAddr != "" {
-		return runCoordinator(*topoPath, *coordAddr, *workers, *hbTimeout, *sloFlag, *batch, obs)
+		return runCoordinator(*topoPath, *coordAddr, *workers, *hbTimeout, *sloFlag, obs)
 	}
 	if *worker {
 		return runWorker(*name, *join, *dataAddr, *stateDir, *hbTimeout, *profileSpec, icfg, obs)
@@ -293,7 +292,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	cfg.ApplyBatch(*batch)
 	built, err := cfg.Build()
 	if err != nil {
 		return err
@@ -417,9 +415,10 @@ func run() error {
 		}
 	}
 
-	// Publishers: deficit-paced to each source's rate. With batching on,
-	// each deficit is flushed through EmitBatch in runs of up to the
-	// source's batch size (one admission charge and one injection per run).
+	// Publishers: deficit-paced to each source's rate. What is due leaves
+	// through EmitBatch in runs of up to publishRun (one admission charge and
+	// one injection per run), like an admission run and a commit group.
+	const publishRun = 64
 	var wg sync.WaitGroup
 	for _, src := range built.Sources {
 		if src.Ingest {
@@ -429,7 +428,6 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		eb := cfg.FlowFor(src.Name).Batch()
 		wg.Add(1)
 		go func(src topology.SourceSpec) {
 			defer wg.Done()
@@ -441,29 +439,16 @@ func run() error {
 					due = src.Count
 				}
 				for emitted < due {
-					if n := due - emitted; eb > 1 && n > 1 {
-						if n > eb {
-							n = eb
-						}
-						items := make([]core.BatchItem, n)
-						for i := range items {
-							items[i] = core.BatchItem{Key: uint64(emitted + i), Payload: operator.EncodeValue(uint64(emitted + i))}
-						}
-						if _, err := handle.EmitBatch(items); err != nil && !errors.Is(err, core.ErrShed) {
-							return
-						}
-						emitted += n
-						continue
+					items := make([]core.BatchItem, min(due-emitted, publishRun))
+					for i := range items {
+						items[i] = core.BatchItem{Key: uint64(emitted + i), Payload: operator.EncodeValue(uint64(emitted + i))}
 					}
-					payload := operator.EncodeValue(uint64(emitted))
-					if _, err := handle.Emit(uint64(emitted), payload); err != nil {
-						if !errors.Is(err, core.ErrShed) {
-							return
-						}
-						// Shed by admission control: the sequence number is
-						// burnt; keep publishing the remainder of the stream.
+					if _, err := handle.EmitBatch(items); err != nil && !errors.Is(err, core.ErrShed) {
+						return
 					}
-					emitted++
+					// A run shed by admission control burns its sequence
+					// numbers; keep publishing the remainder of the stream.
+					emitted += len(items)
 				}
 				time.Sleep(time.Millisecond)
 			}

@@ -51,14 +51,13 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("speculative run: %w", err)
 	}
-	fmt.Printf("\nnon-speculative: mean=%v p99=%v\n", nonspec.Mean(), nonspec.Percentile(0.99))
-	fmt.Printf("speculative:     mean=%v p99=%v\n", spec.Mean(), spec.Percentile(0.99))
-	fmt.Printf("speculation cuts mean latency by %.1fx\n",
-		float64(nonspec.Mean())/float64(spec.Mean()))
+	fmt.Printf("\nnon-speculative: mean=%v p99=%v\n", time.Duration(nonspec.Mean()), nonspec.QuantileDuration(0.99))
+	fmt.Printf("speculative:     mean=%v p99=%v\n", time.Duration(spec.Mean()), spec.QuantileDuration(0.99))
+	fmt.Printf("speculation cuts mean latency by %.1fx\n", nonspec.Mean()/spec.Mean())
 	return nil
 }
 
-func runPipeline(speculative bool) (*metrics.Histogram, error) {
+func runPipeline(speculative bool) (*metrics.HDR, error) {
 	g := graph.New()
 	pub1 := g.AddNode(graph.Node{Name: "nyse"})
 	pub2 := g.AddNode(graph.Node{Name: "nasdaq"})
@@ -108,7 +107,7 @@ func runPipeline(speculative bool) (*metrics.Histogram, error) {
 	}
 	defer eng.Stop()
 
-	hist := metrics.NewHistogram()
+	hist := metrics.NewHDR()
 	consumed := make(chan struct{}, 4*trades)
 	consume := func(ev event.Event, final bool) {
 		if !final {
@@ -159,6 +158,6 @@ func runPipeline(speculative bool) (*metrics.Histogram, error) {
 	if speculative {
 		mode = "speculative"
 	}
-	fmt.Printf("%-16s %d trades consumed, mean latency %v\n", mode, hist.Count(), hist.Mean())
+	fmt.Printf("%-16s %d trades consumed, mean latency %v\n", mode, hist.Count(), time.Duration(hist.Mean()))
 	return hist, nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"time"
 
 	"streammine/internal/flightrec"
@@ -210,9 +209,6 @@ func (r *Runner) runCell(s *Spec, cell Cell, baselines map[string]map[string]boo
 	// leaves its last seconds of lifecycle/chaos/span records on disk.
 	frDir := filepath.Join(cellDir, "flightrec")
 	coordArgs := []string{"-debug-addr", "127.0.0.1:0", "-flightrec", "-flightrec-dir", frDir}
-	if cell.Config.Batch > 0 {
-		coordArgs = append(coordArgs, "-batch", strconv.Itoa(cell.Config.Batch))
-	}
 	workerArgs := []string{"-chaos", "-debug-addr", "127.0.0.1:0", "-profile-speculation",
 		"-flightrec", "-flightrec-dir", frDir}
 	ingestFed := IngestWorkload(cell.Workload)

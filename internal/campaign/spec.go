@@ -87,9 +87,6 @@ type Config struct {
 	Name string `json:"name"`
 	// Speculative toggles speculation (default true).
 	Speculative *bool `json:"speculative"`
-	// Batch, when > 0, forces hot-path batching engine-wide (the
-	// coordinator's -batch flag).
-	Batch int `json:"batch"`
 	// MailboxCap, when > 0, bounds every mailbox and credit-gates cut
 	// edges with the same window (the topology flow section).
 	MailboxCap int `json:"mailboxCap"`

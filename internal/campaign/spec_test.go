@@ -57,7 +57,7 @@ func TestParseRejects(t *testing.T) {
 		"two triggers":     `{"name": "t", "workloads": ["paper"], "faults": ["sigkill"], "trigger": {"sinkEvents": 5, "wallMs": 10}}`,
 		"empty trigger":    `{"name": "t", "workloads": ["paper"], "faults": ["sigkill"], "trigger": {}}`,
 		"bad metric":       `{"name": "t", "workloads": ["paper"], "faults": ["sigkill"], "trigger": {"metric": {"min": 3}}}`,
-		"nameless config":  `{"name": "t", "workloads": ["paper"], "faults": ["sigkill"], "configs": [{"batch": 8}]}`,
+		"nameless config":  `{"name": "t", "workloads": ["paper"], "faults": ["sigkill"], "configs": [{"mailboxCap": 8}]}`,
 		"dup config":       `{"name": "t", "workloads": ["paper"], "faults": ["sigkill"], "configs": [{"name": "a"}, {"name": "a"}]}`,
 		"bad duration":     `{"name": "t", "workloads": ["paper"], "faults": [{"type": "sigkill", "duration": "fast"}]}`,
 	}

@@ -651,9 +651,6 @@ func (w *Worker) dialBridge(p *workerPart, e Edge, hello transport.Message) (*co
 		// Credit-gate the cut edge with the receiving node's window; the
 		// remote engine returns CREDIT frames as events leave its mailbox.
 		CreditWindow: p.cfg.CreditWindowFor(e.To),
-		// Batch the cut edge like an in-process edge: the receiving node's
-		// limits size the EVENT_BATCH wire frames.
-		Batch: p.cfg.FlowFor(e.To).Batch(),
 	}
 	var (
 		b   *core.ReliableBridge

@@ -2,8 +2,10 @@ package core
 
 import (
 	"cmp"
+	"fmt"
 	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -50,7 +52,7 @@ func buildBatchPipeline(t testing.TB, fl *flow.Limits, reg *metrics.Registry) (*
 // appear by name in the handbook's metric table.
 func TestBatchMetricInventoryDocumented(t *testing.T) {
 	reg := metrics.NewRegistry()
-	_, _, pool, _ := buildBatchPipeline(t, &flow.Limits{BatchSize: 8}, reg)
+	_, _, pool, _ := buildBatchPipeline(t, nil, reg)
 	defer pool.Close()
 	metricstest.Documented(t, reg, "batch_", "PERFORMANCE.md", 1)
 }
@@ -63,8 +65,7 @@ func TestBatchMetricInventoryDocumented(t *testing.T) {
 // engine is deliberately never started — no background goroutines, so
 // AllocsPerRun sees only this path.
 func TestFinalizeBatchZeroAlloc(t *testing.T) {
-	fl := &flow.Limits{BatchSize: 16}
-	eng, _, pool, sink := buildBatchPipeline(t, fl, nil)
+	eng, _, pool, sink := buildBatchPipeline(t, nil, nil)
 	defer pool.Close()
 	n := eng.nodes[sink]
 	const batch = 16
@@ -811,11 +812,13 @@ func (l *sentFrames) buffered() bool              { return false }
 // frame: for a run it coalesced from queued single events, its share of the
 // chunk the run is cut from; for a run with nothing to take behind it — a
 // full one, or a short one at the end of the queue — nothing, it goes out
-// as it came. The test is the sender: no goroutine is started.
+// as it came; for a run longer than a frame, nothing either, it goes out in
+// frame-sized slices of itself. The test is the sender: no goroutine is
+// started, and the gate's window is wide enough never to wait.
 func TestSendRunCoalesceAllocs(t *testing.T) {
-	const runs, batch = 200, 8
+	const runs, frame = 200, 8
 	out := &sentFrames{frames: make([]transport.Message, 0, 3*(runs+1))}
-	l := &creditedLink{inner: out, gate: flow.NewCreditGate(1 << 30), q: newLinkQueue(new(inflight)), batch: batch}
+	l := &creditedLink{inner: out, gate: flow.NewCreditGate(1 << 30), q: newLinkQueue(new(inflight)), frame: frame}
 	var one [1]event.Event
 	send := func() {
 		m, _ := l.q.pop()
@@ -823,22 +826,22 @@ func TestSendRunCoalesceAllocs(t *testing.T) {
 	}
 	seq := event.Seq(0)
 	coalesced := mallocsPerRun(runs, func() {
-		for i := 0; i < batch; i++ {
+		for i := 0; i < frame; i++ {
 			seq++
 			l.deliver(transport.Message{Type: transport.MsgEvent, Event: event.Event{ID: event.ID{Seq: seq}}})
 		}
 		send()
 	})
 	for i, m := range out.frames {
-		if len(m.Events) != batch || m.Events[0].ID.Seq != event.Seq(i*batch+1) || m.Events[batch-1].ID.Seq != event.Seq((i+1)*batch) {
-			t.Fatalf("frame %d carries %d events from %d, want %d from %d", i, len(m.Events), m.Events[0].ID.Seq, batch, i*batch+1)
+		if len(m.Events) != frame || m.Events[0].ID.Seq != event.Seq(i*frame+1) || m.Events[frame-1].ID.Seq != event.Seq((i+1)*frame) {
+			t.Fatalf("frame %d carries %d events from %d, want %d from %d", i, len(m.Events), m.Events[0].ID.Seq, frame, i*frame+1)
 		}
 	}
 	if coalesced > 0.2 {
-		t.Errorf("a coalesced run of %d allocated %.2f, want at most 0.2", batch, coalesced)
+		t.Errorf("a coalesced run of %d allocated %.2f, want at most 0.2", frame, coalesced)
 	}
 
-	full, short := make([]event.Event, batch), make([]event.Event, batch/2)
+	full, short := make([]event.Event, frame), make([]event.Event, frame/2)
 	out.frames = out.frames[:0]
 	asItCame := mallocsPerRun(runs, func() {
 		l.deliver(eventFrame(full))
@@ -854,20 +857,141 @@ func TestSendRunCoalesceAllocs(t *testing.T) {
 	if asItCame != 0 {
 		t.Errorf("forwarding a run as it came allocated %.2f, want 0", asItCame)
 	}
+
+	long := make([]event.Event, 2*frame+3)
+	out.frames = out.frames[:0]
+	sliced := mallocsPerRun(runs, func() {
+		l.deliver(eventFrame(long))
+		send()
+	})
+	for i, m := range out.frames {
+		if at := i % 3 * frame; len(m.Events) != min(frame, len(long)-at) || &m.Events[0] != &long[at] {
+			t.Fatalf("frame %d carries %d events, want events %d.. of the run", i, len(m.Events), at)
+		}
+	}
+	if sliced != 0 {
+		t.Errorf("slicing a run of %d into frames allocated %.2f, want 0", len(long), sliced)
+	}
+}
+
+// creditedEnd is the far end of a credited link. It checks that the events
+// arrive in order, records each data frame's length and the credits
+// outstanding when it arrived, and returns each frame's credits from its
+// own goroutine, as a receiver's mailbox pop does. A REVOKE holds the sender
+// in its delivery until release is closed.
+type creditedEnd struct {
+	t       *testing.T
+	gate    *flow.CreditGate
+	held    chan struct{} // closed once the sender is held
+	release chan struct{}
+	grants  chan int
+
+	mu      sync.Mutex
+	next    event.Seq
+	frames  []int
+	maxHeld int // the most credits ever outstanding at a delivery
+}
+
+func (e *creditedEnd) deliver(m transport.Message) {
+	if m.Type == transport.MsgRevoke {
+		close(e.held)
+		<-e.release
+		return
+	}
+	var one [1]event.Event
+	evs := eventsOf(&m, &one)
+	e.mu.Lock()
+	for _, ev := range evs {
+		if e.next++; ev.ID.Seq != e.next {
+			e.t.Errorf("event %d arrived where %d was due", ev.ID.Seq, e.next)
+		}
+	}
+	e.frames = append(e.frames, len(evs))
+	e.maxHeld = max(e.maxHeld, e.gate.Outstanding())
+	e.mu.Unlock()
+	e.grants <- len(evs)
+}
+
+func (e *creditedEnd) buffered() bool { return false }
+
+// TestCreditedFramesFitTheWindow pins the frame rule of a credited edge:
+// the events queued behind a run leave in frames of up to maxRun events and
+// a quarter of the window, so no frame asks the gate for more credits than
+// the window holds. A hundred single EVENTs queue while the sender is held
+// and the whole window is spent; once both are let go, they leave in frames
+// of at most two at window 8, with never more than eight credits out, and
+// as 64 + 36 at window 512.
+func TestCreditedFramesFitTheWindow(t *testing.T) {
+	const events = 100
+	for _, tc := range []struct {
+		window, most int
+		want         []int // the frames, where the rule fixes them
+	}{
+		{window: 8, most: 2},
+		{window: 512, most: maxRun, want: []int{64, 36}},
+	} {
+		t.Run(fmt.Sprintf("window%d", tc.window), func(t *testing.T) {
+			eng, _, pool, _ := buildBatchPipeline(t, nil, nil)
+			defer pool.Close()
+			end := &creditedEnd{t: t, held: make(chan struct{}), release: make(chan struct{}), grants: make(chan int, events)}
+			l := newCreditedLink(eng.nodes[0], end, tc.window)
+			defer l.close()
+			end.gate = l.gate
+			received := make(chan struct{})
+			go func() {
+				for got := 0; got < events; {
+					k := <-end.grants
+					got += k
+					l.gate.Grant(k)
+				}
+				close(received)
+			}()
+
+			l.deliver(transport.Message{Type: transport.MsgRevoke})
+			<-end.held
+			if !l.gate.AcquireN(tc.window) {
+				t.Fatal("the gate closed")
+			}
+			for i := 1; i <= events; i++ {
+				l.deliver(transport.Message{Type: transport.MsgEvent, Event: event.Event{ID: event.ID{Seq: event.Seq(i)}}})
+			}
+			close(end.release)
+			l.gate.Grant(tc.window)
+			select {
+			case <-received:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the queued events never all arrived")
+			}
+
+			end.mu.Lock()
+			defer end.mu.Unlock()
+			for i, k := range end.frames {
+				if k > tc.most {
+					t.Errorf("frame %d carries %d events, want at most %d", i, k, tc.most)
+				}
+			}
+			if tc.want != nil && !slices.Equal(end.frames, tc.want) {
+				t.Errorf("the events left as frames %v, want %v", end.frames, tc.want)
+			}
+			if end.maxHeld > tc.window {
+				t.Errorf("%d credits were out at once, more than the window of %d", end.maxHeld, tc.window)
+			}
+		})
+	}
 }
 
 // TestBatchCommitGrouping drives the two-stage pipeline open-loop and
 // checks that (a) every event still arrives finalized exactly once, (b) the
 // batch_commit_* series describe every node, so batch_commit_events_total
-// reconciles with Committed engine-wide, and (c) with a batch size or
-// without one, the committer actually grouped commits: strictly fewer
+// reconciles with Committed engine-wide, and (c) over credit-gated edges or
+// plain ones, the committer actually grouped commits: strictly fewer
 // groups than committed events, for a group is whatever is ready. Metrics
 // are on, so under -race this is also the guard for the
 // speculation-window stamp, which the committer reads the moment a task
 // commits right after its outputs were published.
 func TestBatchCommitGrouping(t *testing.T) {
-	t.Run("batch8", func(t *testing.T) {
-		testBatchCommitGrouping(t, &flow.Limits{MailboxCap: 1024, CreditWindow: 256, BatchSize: 8}, true)
+	t.Run("batch8", func(t *testing.T) { // EmitBatch runs of 8 over credit-gated edges
+		testBatchCommitGrouping(t, &flow.Limits{MailboxCap: 1024, CreditWindow: 256}, true)
 	})
 	// No subscriber on the unconfigured graph: a direct subscriber on a
 	// speculative node loses finals (ROADMAP open item 1, bug (1)), which

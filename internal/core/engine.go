@@ -199,14 +199,10 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 		up, down := eng.nodes[e.From], eng.nodes[e.To]
 		inner := &localLink{target: down, input: e.ToInput}
 		if w := creditWindow(g, down.spec); w > 0 {
-			gate := flow.NewCreditGate(w)
-			// Edge batching, like the credit window, is configured by the
-			// receiving node's Limits: the sender coalesces consecutive
-			// queued events into one EVENT_BATCH delivery (one credit
-			// charge, one mailbox push).
-			up.addLink(e.FromPort, newCreditedLink(up, inner, gate, down.spec.Flow.Batch()))
-			*slot(&down.granters, e.ToInput) = localGranter{gate: gate}
-			down.inGates = append(down.inGates, gate)
+			cl := newCreditedLink(up, inner, w)
+			up.addLink(e.FromPort, cl)
+			*slot(&down.granters, e.ToInput) = localGranter{gate: cl.gate}
+			down.inGates = append(down.inGates, cl.gate)
 		} else {
 			up.addLink(e.FromPort, inner)
 		}
@@ -244,30 +240,10 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 	return eng, nil
 }
 
-// creditWindow derives the per-edge credit window for a node: the explicit
-// CreditWindow when set, else the mailbox capacity split evenly across the
-// node's inputs (local and remote) so their windows sum to the capacity.
-// Zero disables credit gating on the node's inbound edges.
+// creditWindow is the credit window of each of a node's inbound edges,
+// local and remote (flow.Limits.Window); zero disables credit gating.
 func creditWindow(g *graph.Graph, spec graph.Node) int {
-	f := spec.Flow
-	if f == nil {
-		return 0
-	}
-	if f.CreditWindow > 0 {
-		return f.CreditWindow
-	}
-	if f.MailboxCap <= 0 {
-		return 0
-	}
-	inputs := inputCount(g, spec)
-	if inputs < 1 {
-		return 0
-	}
-	w := f.MailboxCap / inputs
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return spec.Flow.Window(inputCount(g, spec))
 }
 
 // inputCount is the number of a node's inputs, local and remote; Validate
@@ -276,15 +252,12 @@ func inputCount(g *graph.Graph, spec graph.Node) int {
 	return len(g.InputsOf(spec.ID)) + len(spec.RemoteInputs)
 }
 
-// creditBatch sizes remote CREDIT batching: a quarter window amortizes the
-// control frames while keeping the withheld remainder well below the
-// window, so the remote sender never starves.
+// creditBatch sizes remote CREDIT batching and caps a credited edge's
+// frames: a quarter window amortizes the control frames while keeping the
+// withheld remainder well below the window, so the remote sender never
+// starves, and a frame never needs more credits than the window holds.
 func creditBatch(window int) int {
-	b := window / 4
-	if b < 1 {
-		b = 1
-	}
-	return b
+	return max(window/4, 1)
 }
 
 // pressureProbe builds the downstream-congestion sampler driving a source

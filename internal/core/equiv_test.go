@@ -95,14 +95,12 @@ type equivVariant struct {
 }
 
 func equivVariants() []equivVariant {
-	limits := func(batch int) *flow.Limits {
-		return &flow.Limits{MailboxCap: 256, CreditWindow: 64, BatchSize: batch}
-	}
+	credited := &flow.Limits{MailboxCap: 256, CreditWindow: 64}
 	base := []equivVariant{
 		{name: "emit/unconfigured"},
-		{name: "emit/batch8", flow: limits(8)},
-		{name: "run8/batch8", flow: limits(8), run: 8},
-		{name: "run32/batch32", flow: limits(32), run: 32},
+		{name: "emit/credited", flow: credited},
+		{name: "run8/credited", flow: credited, run: 8},
+		{name: "run32/credited", flow: credited, run: 32},
 	}
 	out := base
 	for _, v := range base {
@@ -230,8 +228,8 @@ func runEquivVariant(t *testing.T, seed uint64, v equivVariant, want int) map[ev
 // TestBatchSizeEquivalence is the machine that judges the engine's one
 // admit / commit / retire path: for seeded linear topologies of
 // deterministic operators, the set of (ID, key, payload) finals at the sink
-// must not depend on how the input was cut into runs, on the batch size, or
-// on a crash and recovery of the stateful head node (after the rollback the
+// must not depend on how the input was cut into runs, on credit-gated edges
+// and their frames, or on a crash and recovery of the stateful head node (after the rollback the
 // node's outputs must be exactly the failure-free ones: Falkirk Wheel,
 // arXiv 1503.08877), and every ID must be finalized exactly once.
 func TestBatchSizeEquivalence(t *testing.T) {

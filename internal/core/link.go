@@ -24,8 +24,7 @@ type link interface {
 // FINALIZE_BATCH, ACK_BATCH). eventsOf and refsOf are the receiving edge —
 // the only readers of that distinction; past them the engine handles runs,
 // and a run of one is just a short run. eventFrame and refFrame are the
-// emitting edge: a run of one goes out in the plain shape, so a graph
-// without a batch size puts the same frames on the wire as it always did.
+// emitting edge: a run of one goes out in the plain shape.
 
 // eventsOf returns the run of data events a frame carries, nil for a
 // control frame. one backs a run of one.
@@ -238,7 +237,7 @@ type creditedLink struct {
 	inner link
 	gate  *flow.CreditGate
 	q     *linkQueue
-	batch int               // cap on the run coalesced into one frame (at least 1)
+	frame int               // cap on the events of one frame: at most the window
 	runs  slab[event.Event] // the sender's: what coalesced runs are cut from
 	done  chan struct{}
 	once  sync.Once
@@ -246,12 +245,16 @@ type creditedLink struct {
 
 var _ link = (*creditedLink)(nil)
 
-// newCreditedLink wraps n's link inner behind gate and starts the sender.
-// The sender coalesces consecutive queued events into one frame of up to
-// batch events (below 1 means 1), charging the credit gate once for the
-// whole run. It never waits for a run to fill.
-func newCreditedLink(n *node, inner link, gate *flow.CreditGate, batch int) *creditedLink {
-	l := &creditedLink{n: n, inner: inner, gate: gate, q: newLinkQueue(&n.eng.inflight), batch: max(batch, 1), done: make(chan struct{})}
+// newCreditedLink wraps n's link inner behind a credit gate of the given
+// window and starts the sender. A frame is what is queued: the sender
+// coalesces the events queued behind a run into one frame of up to maxRun
+// events and a quarter of the window (creditBatch), charging the gate once
+// for the frame. It never waits for a frame to fill.
+func newCreditedLink(n *node, inner link, window int) *creditedLink {
+	l := &creditedLink{
+		n: n, inner: inner, gate: flow.NewCreditGate(window), q: newLinkQueue(&n.eng.inflight),
+		frame: min(maxRun, creditBatch(window)), done: make(chan struct{}),
+	}
 	go l.sender()
 	return l
 }
@@ -280,18 +283,25 @@ func (l *creditedLink) sender() {
 	}
 }
 
-// sendRun sends one run of data events under a single credit charge and
-// reports how many queued frames it was made of. A run shorter than the cap
-// first takes the single events queued right behind it. If the gate closed
-// meanwhile (shutdown) the run is dropped: its events are either retained
-// in the output buffer for replay or moot because the engine is stopping.
+// sendRun sends one run of data events as frames of up to l.frame events,
+// one credit charge each, and reports how many queued frames it was made
+// of. A run shorter than the cap first takes the single events queued right
+// behind it; a longer one leaves in cap-sized frames. If the gate closed
+// meanwhile (shutdown) the rest of the run is dropped: its events are either
+// retained in the output buffer for replay or moot because the engine is
+// stopping.
 func (l *creditedLink) sendRun(run []event.Event) (frames int) {
-	if len(run) < l.batch {
-		merged := l.q.takeEvents(run, l.batch-len(run), &l.runs)
+	if len(run) < l.frame {
+		merged := l.q.takeEvents(run, l.frame-len(run), &l.runs)
 		run, frames = merged, len(merged)-len(run)
 	}
-	if l.gate.AcquireN(len(run)) {
-		l.inner.deliver(eventFrame(run))
+	for len(run) > 0 {
+		k := min(len(run), l.frame)
+		if !l.gate.AcquireN(k) {
+			break
+		}
+		l.inner.deliver(eventFrame(run[:k:k]))
+		run = run[k:]
 	}
 	return 1 + frames
 }

@@ -60,7 +60,7 @@ type engineMetrics struct {
 
 	// Run accounting (see docs/PERFORMANCE.md). Every node commits in
 	// groups of what is ready, and every source injects in runs — of one
-	// unless flow Limits.BatchSize and EmitBatch make them longer — so these
+	// unless EmitBatch makes them longer — so these
 	// describe every node and batchCommitEvents equals the engine's
 	// committed count.
 	// batchCommitGroups counts committer turns that committed a ready run;

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"streammine/internal/flow"
 	"streammine/internal/graph"
 	"streammine/internal/metrics"
 	"streammine/internal/metricstest"
@@ -33,11 +32,10 @@ func TestProfilerAttributesConflicts(t *testing.T) {
 		Op:          &operator.Classifier{Classes: 1, Cost: 200 * time.Microsecond},
 		Traits:      operator.ClassifierTraits(1),
 		Speculative: true,
-		Workers:     8,
-		// Batched finalize must not disturb the ledger: per-event abort
-		// accounting and conflict witnesses survive group commit, so the
-		// exact equalities below hold with batching on.
-		Flow: &flow.Limits{BatchSize: 8},
+		// Group commit must not disturb the ledger: per-event abort
+		// accounting and conflict witnesses survive it, so the exact
+		// equalities below hold.
+		Workers: 8,
 	})
 	g.Connect(src, 0, hot, 0)
 	eng := newTestEngine(t, g, Options{Seed: 91, Metrics: reg, Profiler: prof})

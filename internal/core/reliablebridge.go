@@ -67,12 +67,15 @@ type BridgeOptions struct {
 	OnReconnect func()
 	// CreditWindow, when positive, bounds the number of in-flight data
 	// events on the bridge. The receiving engine grants credits back as
-	// CREDIT frames; control traffic is never gated. Zero disables credit
-	// flow control (pre-flow behavior).
+	// CREDIT frames; control traffic is never gated. The queued data events
+	// leave as EVENT_BATCH wire frames like those of an in-process credited
+	// edge (one length prefix, one credit charge, one syscall). Zero
+	// disables credit flow control (pre-flow behavior).
 	CreditWindow int
-	// Batch, when > 1, coalesces up to Batch consecutive data events into
-	// one EVENT_BATCH wire frame (one length prefix, one credit charge,
-	// one syscall). Requires CreditWindow > 0; ignored otherwise.
+	// Batch is not read: a credited bridge's frames are sized by its
+	// window. The field is still declared only because the benchmark sets
+	// it and a change to the engine may not edit the benchmark; the
+	// benchmark-only change that drops those lines drops the field.
 	Batch int
 	// RTT, when set, observes the dial round-trip (connect + hello) of
 	// every connection attempt that succeeds — a proxy for the network
@@ -106,8 +109,8 @@ func (e *Engine) BridgeOutReliableOpts(id graph.NodeID, port int, addr string, o
 	}
 	var l link = b
 	if o.CreditWindow > 0 {
-		b.gate = flow.NewCreditGate(o.CreditWindow)
-		b.cl = newCreditedLink(n, l, b.gate, o.Batch)
+		b.cl = newCreditedLink(n, l, o.CreditWindow)
+		b.gate = b.cl.gate
 		l = b.cl
 	}
 	n.addLink(port, l)

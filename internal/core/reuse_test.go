@@ -604,7 +604,7 @@ func TestQueuedFinalizeRunIsOwned(t *testing.T) {
 	eng, _, pool, _ := buildBatchPipeline(t, nil, nil)
 	defer pool.Close()
 	n := eng.nodes[1]
-	held := &creditedLink{inner: &localLink{target: eng.nodes[2]}, q: newLinkQueue(&eng.inflight), batch: 8}
+	held := &creditedLink{inner: &localLink{target: eng.nodes[2]}, q: newLinkQueue(&eng.inflight)}
 	n.links[0] = []link{held}
 	const groups, group = 101, 8
 	openReadyTasks(t, n, 1, groups*group)

@@ -46,22 +46,20 @@ func (g *CreditGate) Acquire() bool {
 }
 
 // AcquireN blocks until n credits are available and consumes them all —
-// one gate charge for a whole batch. Batches wider than the window are
-// granted when the window is fully available (the window then goes
-// negative until the receiver returns the excess), so a batch larger
-// than the window cannot deadlock the edge. It returns false if the gate
-// was closed, in which case no credits were consumed.
+// one gate charge for a whole run. A run wider than the window could never
+// be granted, so n above the window is a programming error and panics. It
+// returns false if the gate was closed, in which case no credits were
+// consumed.
 func (g *CreditGate) AcquireN(n int) bool {
 	if n <= 1 {
 		return g.Acquire()
 	}
+	if n > g.window {
+		panic("flow: AcquireN beyond the credit window")
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	need := n
-	if need > g.window {
-		need = g.window
-	}
-	for g.avail < need && !g.closed {
+	for g.avail < n && !g.closed {
 		g.cond.Wait()
 	}
 	if g.closed {

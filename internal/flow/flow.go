@@ -60,21 +60,26 @@ type Limits struct {
 	// speculation throttling.
 	MaxOpenSpec int `json:"maxOpenSpec,omitempty"`
 
-	// BatchSize caps the runs of the node's source emissions and its
-	// credited input edges' frames, which amortize their per-event costs
-	// over runs of up to BatchSize events; zero or one means runs of one.
-	// Admission and commit are not capped by it: the dispatcher admits what
-	// is queued for one input, and the committer commits the ready tasks at
-	// the head, each up to 64, as one run at any batch size — never waiting
-	// for a run to fill.
-	BatchSize int `json:"batchSize,omitempty"`
+	// BatchSize is not read: a run is what is ready — an edge frame is what
+	// is queued behind it, up to 64 and a quarter of its credit window. The
+	// field is still declared only because the benchmark sets it and a
+	// change to the engine may not edit the benchmark; the benchmark-only
+	// change that drops those lines drops the field.
+	BatchSize int `json:"-"`
 }
 
-// Batch returns the effective batch size: at least 1, so callers can use
-// it directly as a loop bound.
-func (l *Limits) Batch() int {
-	if l == nil || l.BatchSize < 1 {
-		return 1
+// Window is the credit window of each of a node's input edges, given their
+// number: the explicit CreditWindow when set, else the mailbox capacity
+// split evenly across them, so their windows sum to the capacity. Zero
+// disables credit gating on the node's inbound edges.
+func (l *Limits) Window(inputs int) int {
+	switch {
+	case l == nil:
+		return 0
+	case l.CreditWindow > 0:
+		return l.CreditWindow
+	case l.MailboxCap <= 0 || inputs < 1:
+		return 0
 	}
-	return l.BatchSize
+	return max(l.MailboxCap/inputs, 1)
 }

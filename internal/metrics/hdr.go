@@ -28,10 +28,10 @@ const (
 // Prometheus exposition) walk the bucket array without stopping writers.
 // The zero value is ready to use. A nil *HDR is inert.
 //
-// Unlike the coarse power-of-two Histogram, HDR keeps enough resolution
-// (≤ 6.25% relative error) to report meaningful tail quantiles, and its
-// bucket array has a Prometheus classic-histogram text exposition
-// (_bucket/_sum/_count) via Registry.HDR.
+// It keeps enough resolution (≤ 6.25% relative error) to report
+// meaningful tail quantiles, and its bucket array has a Prometheus
+// classic-histogram text exposition (_bucket/_sum/_count) via
+// Registry.HDR.
 type HDR struct {
 	count   atomic.Uint64
 	sum     atomic.Int64

@@ -1,117 +1,15 @@
 // Package metrics provides the measurement primitives used by the
-// experiment harness: lock-free log-bucketed latency histograms,
+// experiment harness: lock-free log-bucketed latency histograms (HDR),
 // throughput counters, and time series for latency-evolution plots.
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// histBuckets is the number of logarithmic buckets: bucket i covers
-// latencies in [2^i, 2^(i+1)) nanoseconds, up to ~73 minutes at i=52.
-const histBuckets = 53
-
-// Histogram is a concurrent latency histogram with power-of-two buckets.
-// The zero value is ready to use.
-type Histogram struct {
-	buckets [histBuckets]atomic.Uint64
-	count   atomic.Uint64
-	sum     atomic.Uint64
-	maxNS   atomic.Uint64
-}
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram { return &Histogram{} }
-
-func bucketOf(ns uint64) int {
-	b := 0
-	for v := ns; v > 1 && b < histBuckets-1; v >>= 1 {
-		b++
-	}
-	return b
-}
-
-// Record adds one latency observation.
-func (h *Histogram) Record(d time.Duration) {
-	ns := uint64(d.Nanoseconds())
-	h.buckets[bucketOf(ns)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(ns)
-	for {
-		cur := h.maxNS.Load()
-		if ns <= cur || h.maxNS.CompareAndSwap(cur, ns) {
-			break
-		}
-	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Mean returns the average latency (0 when empty).
-func (h *Histogram) Mean() time.Duration {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(h.sum.Load() / n)
-}
-
-// Max returns the largest observation (0 when empty).
-func (h *Histogram) Max() time.Duration {
-	if h.count.Load() == 0 {
-		return 0
-	}
-	return time.Duration(h.maxNS.Load())
-}
-
-// Percentile returns an upper bound of the p-quantile (p in [0,1]),
-// accurate to one power-of-two bucket. The bound never exceeds the true
-// recorded maximum: when the rank lands in the top occupied bucket the
-// observed max is returned instead of the bucket's upper bound, so p99
-// and p100 are exact for unimodal tails.
-func (h *Histogram) Percentile(p float64) time.Duration {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	rank := uint64(math.Ceil(p * float64(total)))
-	if rank == 0 {
-		rank = 1
-	}
-	var cum uint64
-	for i := 0; i < histBuckets; i++ {
-		cum += h.buckets[i].Load()
-		if cum >= rank {
-			bound := uint64(1) << uint(i+1) // bucket upper bound
-			// The global max lives in the highest occupied bucket; if
-			// this bucket's bound exceeds it, the rank landed there and
-			// the max is the tight answer.
-			if max := h.maxNS.Load(); max < bound {
-				return time.Duration(max)
-			}
-			return time.Duration(bound)
-		}
-	}
-	return time.Duration(h.maxNS.Load())
-}
-
-// String summarizes the histogram.
-func (h *Histogram) String() string {
-	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v max=%v",
-		h.Count(), h.Mean(), h.Percentile(0.50), h.Percentile(0.99), h.Max())
-}
 
 // Counter is a concurrent event counter.
 type Counter struct {

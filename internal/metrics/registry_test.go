@@ -139,32 +139,3 @@ func TestWritePrometheusGolden(t *testing.T) {
 		t.Fatalf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", sb.String(), want)
 	}
 }
-
-// TestPercentileNeverExceedsMax is the regression test for the top-bucket
-// clamp: p99/p100 must return the true recorded maximum, not the
-// power-of-two bucket upper bound above it.
-func TestPercentileNeverExceedsMax(t *testing.T) {
-	h := NewHistogram()
-	for i := 0; i < 100; i++ {
-		h.Record(1 * time.Microsecond)
-	}
-	h.Record(1500 * time.Microsecond) // lands in the [1.048576ms, 2.097152ms) bucket
-
-	if got := h.Percentile(1); got != h.Max() {
-		t.Fatalf("p100 = %v, want exact max %v", got, h.Max())
-	}
-	for _, p := range []float64{0.5, 0.9, 0.99, 0.999, 1} {
-		if got := h.Percentile(p); got > h.Max() {
-			t.Fatalf("p%g = %v exceeds recorded max %v", p*100, got, h.Max())
-		}
-	}
-
-	// A single observation reports itself exactly at every quantile.
-	one := NewHistogram()
-	one.Record(777 * time.Nanosecond)
-	for _, p := range []float64{0, 0.5, 1} {
-		if got := one.Percentile(p); got != 777*time.Nanosecond {
-			t.Fatalf("single-value p%g = %v, want 777ns", p*100, got)
-		}
-	}
-}

@@ -53,8 +53,8 @@ type Options struct {
 	// HBTimeout is the cluster heartbeat timeout (default 500ms — fast
 	// failure detection keeps drills short).
 	HBTimeout time.Duration
-	// CoordArgs are appended to the coordinator invocation (engine-wide
-	// overrides like -batch ride the ASSIGN payload to the workers).
+	// CoordArgs are appended to the coordinator invocation (e.g.
+	// -debug-addr 127.0.0.1:0).
 	CoordArgs []string
 	// WorkerArgs are appended to every worker invocation (e.g. -chaos
 	// -debug-addr 127.0.0.1:0, or the ingest gateway flags).

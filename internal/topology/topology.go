@@ -275,43 +275,11 @@ func (cfg *Config) FlowFor(name string) *flow.Limits {
 	return cfg.Flow
 }
 
-// ApplyBatch overrides the hot-path batch size across the whole topology:
-// on the flow default and on every per-node flow section (a node's section
-// replaces the default entirely, so it must carry the batch setting too, or
-// the override would silently disable batching on that node). size <= 0
-// leaves the topology untouched. The streammine -batch flag calls this
-// before the graph (or the cluster deployment payload) is built.
-func (cfg *Config) ApplyBatch(size int) {
-	if size <= 0 {
-		return
-	}
-	if cfg.Flow == nil {
-		cfg.Flow = &flow.Limits{}
-	}
-	cfg.Flow.BatchSize = size
-	for i := range cfg.Nodes {
-		if cfg.Nodes[i].Flow != nil {
-			cfg.Nodes[i].Flow.BatchSize = size
-		}
-	}
-}
-
-// CreditWindowFor derives the per-edge credit window for the named node —
-// the explicit CreditWindow when set, else the mailbox capacity split
-// evenly across the node's inputs. This mirrors the rule the core engine
-// applies to its local edges, so cluster bridges gating a cut edge use the
-// same window the edge would have had in-process. Zero disables gating.
+// CreditWindowFor is the per-edge credit window of the named node
+// (flow.Limits.Window over its inputs), so cluster bridges gating a cut
+// edge use the window the edge would have had in-process. Zero disables
+// gating.
 func (cfg *Config) CreditWindowFor(name string) int {
-	f := cfg.FlowFor(name)
-	if f == nil {
-		return 0
-	}
-	if f.CreditWindow > 0 {
-		return f.CreditWindow
-	}
-	if f.MailboxCap <= 0 {
-		return 0
-	}
 	inputs := 0
 	for _, nc := range cfg.Nodes {
 		if nc.Name == name {
@@ -319,14 +287,7 @@ func (cfg *Config) CreditWindowFor(name string) int {
 			break
 		}
 	}
-	if inputs < 1 {
-		return 0
-	}
-	w := f.MailboxCap / inputs
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return cfg.FlowFor(name).Window(inputs)
 }
 
 // makeNode translates one NodeConfig into a graph.Node.
