@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"streammine/internal/campaign"
-	"streammine/internal/flightrec"
 	"streammine/internal/tracetool"
 )
 
@@ -21,8 +20,8 @@ import (
 //     diagnosed a backpressure root-cause chain before the fault window
 //     closed (the runner fails the cell otherwise; the test additionally
 //     pins the recorded detection latencies);
-//   - the SIGKILL'd worker left a parseable flight-recorder snapshot on
-//     disk, and tracetool renders it.
+//   - the SIGKILL'd worker's trace file loads (a torn tail tolerated),
+//     and its trail holds the victim's epoch and running records.
 func TestCampaignHealthEvidence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign e2e launches real clusters and waits out fault windows")
@@ -88,30 +87,33 @@ func TestCampaignHealthEvidence(t *testing.T) {
 	if kill == nil {
 		t.Fatal("no sigkill cell in outcome")
 	}
-	if kill.Victim == "" || len(kill.FlightRecDumps) == 0 {
-		t.Fatalf("sigkill cell: victim %q, %d flight-recorder dumps", kill.Victim, len(kill.FlightRecDumps))
+	if kill.Victim == "" || len(kill.Trails) == 0 {
+		t.Fatalf("sigkill cell: victim %q, %d trails", kill.Victim, len(kill.Trails))
 	}
-	var victimDump string
-	for _, d := range kill.FlightRecDumps {
-		if strings.HasSuffix(d, kill.Victim+".json") {
-			victimDump = filepath.Join(dir, d)
+	var victimTrail string
+	for _, p := range kill.Trails {
+		if strings.HasSuffix(p, "/"+kill.Victim+".jsonl") {
+			victimTrail = filepath.Join(dir, p)
 		}
 	}
-	if victimDump == "" {
-		t.Fatalf("no dump for victim %s among %v", kill.Victim, kill.FlightRecDumps)
+	if victimTrail == "" {
+		t.Fatalf("no trail for victim %s among %v", kill.Victim, kill.Trails)
 	}
-	d, err := flightrec.ReadDump(victimDump)
+	set, err := tracetool.Load(victimTrail)
 	if err != nil {
-		t.Fatalf("victim snapshot unparseable: %v", err)
-	}
-	if len(d.Entries) == 0 {
-		t.Fatal("victim snapshot is empty")
+		t.Fatalf("victim trail unreadable: %v", err)
 	}
 	var buf bytes.Buffer
-	if err := tracetool.WriteFlightRec(&buf, victimDump); err != nil {
-		t.Fatalf("tracetool render: %v", err)
+	set.WriteTrail(&buf)
+	var epoch, running bool
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if !strings.Contains(line, kill.Victim) {
+			continue
+		}
+		epoch = epoch || strings.Contains(line, " epoch ") && strings.Contains(line, "worker="+kill.Victim)
+		running = running || strings.Contains(line, " lifecycle ") && strings.Contains(line, "running epoch=")
 	}
-	if !strings.Contains(buf.String(), kill.Victim) {
-		t.Errorf("rendered timeline does not name the victim:\n%s", buf.String())
+	if !epoch || !running {
+		t.Errorf("victim trail lacks its epoch (%v) or running (%v) record:\n%s", epoch, running, buf.String())
 	}
 }

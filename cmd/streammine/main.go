@@ -8,6 +8,7 @@
 //	streammine -topology pipeline.json
 //	streammine -topology pipeline.json -debug-addr :8090   # + /metrics, pprof
 //	streammine -topology pipeline.json -trace run.jsonl    # + lifecycle spans
+//	streammine -topology pipeline.json -trace run.jsonl -trace-sample 0  # crash trail only
 //	streammine -example > pipeline.json   # print a starter topology
 //
 // Cluster mode splits the same topology across worker processes
@@ -24,7 +25,6 @@ import (
 	"fmt"
 	"net/url"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -33,7 +33,6 @@ import (
 	"streammine/internal/core"
 	"streammine/internal/debugserver"
 	"streammine/internal/event"
-	"streammine/internal/flightrec"
 	"streammine/internal/ingest"
 	"streammine/internal/metrics"
 	"streammine/internal/operator"
@@ -60,16 +59,17 @@ type observability struct {
 	addr      string
 	server    *debugserver.Server
 	traceFile *os.File
-	frSnap    *flightrec.Snapshotter
 	// sections are the planes a flag switched on before the server
-	// exists (-chaos, -flightrec); serve mounts them.
+	// exists (-chaos); serve mounts them.
 	sections []debugserver.Section
 }
 
 // newObservability configures instrumentation. proc labels every span
 // with the process identity (worker name, "coordinator", or "" for the
 // single-process engine) so tracetool can merge multi-process traces;
-// sample is the head-based keep fraction of traced lineages.
+// sample is the head-based keep fraction of traced lineages. The tracer is
+// installed as the process's, and its file is the crash trail: process-
+// level records are kept at any sample and flushed as they are written.
 func newObservability(debugAddr, tracePath, proc string, sample float64) (*observability, error) {
 	o := &observability{addr: debugAddr}
 	if debugAddr != "" {
@@ -84,6 +84,7 @@ func newObservability(debugAddr, tracePath, proc string, sample float64) (*obser
 		o.traceFile = f
 		o.tracer = metrics.NewTracerProc(f, proc)
 		o.tracer.SetSampling(sample)
+		metrics.InstallTracer(o.tracer)
 		if proc != "" {
 			// Cluster processes die by SIGKILL in failover drills; flush
 			// per-span so a kill loses at most one torn line (which
@@ -111,9 +112,9 @@ func (o *observability) serve(health func() error) error {
 }
 
 // enableChaos accepts runtime fault injection at /debug/chaos: GET
-// reports the armed faults, POST replaces them. Without -chaos the
-// section is never registered, so a production process cannot be handed
-// a fault.
+// reports the armed faults, POST replaces them and writes the new state
+// ("off" once cleared) to the crash trail. Without -chaos the section is
+// never registered, so a production process cannot be handed a fault.
 func (o *observability) enableChaos() {
 	o.sections = append(o.sections, debugserver.Section{
 		Name: "chaos",
@@ -121,7 +122,10 @@ func (o *observability) enableChaos() {
 		Post: func(q url.Values) (any, error) {
 			state, err := chaos.Handle(q)
 			if err != nil {
-				return nil, debugserver.BadInput{Err: err}
+				return nil, err
+			}
+			if len(q) > 0 {
+				o.tracer.Record("", "", metrics.PhaseChaos, state)
 			}
 			return state, nil
 		},
@@ -138,47 +142,7 @@ func speculationSections(profiling bool, waste func() *profiler.Summary) []debug
 	return []debugserver.Section{{Name: "speculation", Get: func() any { return waste() }}}
 }
 
-// enableFlightRec arms the process-wide flight recorder: lifecycle /
-// epoch / chaos records and sampled spans land in a lock-free ring that
-// is snapshotted to dir four times a second, so even a SIGKILL leaves
-// at most a quarter second of unrecorded history on disk. The arming
-// record below guarantees every snapshot — including the one written
-// immediately at start — holds at least one entry, so a victim killed
-// moments after launch still leaves parseable evidence.
-func (o *observability) enableFlightRec(dir, proc string) {
-	if proc == "" {
-		proc = "engine"
-	}
-	rec := flightrec.Enable(4096)
-	flightrec.Recordf(flightrec.KindLifecycle, "flight recorder armed proc=%s pid=%d", proc, os.Getpid())
-	if o.tracer != nil {
-		o.tracer.SetMirror(flightrec.SpanMirror)
-	}
-	if o.registry != nil {
-		flightrec.RegisterMetrics(rec, o.registry)
-	}
-	o.frSnap = rec.StartSnapshots(dir, proc, 250*time.Millisecond)
-	// GET dumps the in-memory ring; POST forces a snapshot to disk and
-	// reports its path, so evidence can be captured from a live process
-	// before killing it.
-	o.sections = append(o.sections, debugserver.Section{
-		Name: "flightrec",
-		Get:  func() any { return rec.Dump(proc) },
-		Post: func(url.Values) (any, error) {
-			path, err := rec.SaveTo(dir, proc)
-			if err != nil {
-				return nil, fmt.Errorf("flightrec snapshot: %w", err)
-			}
-			return map[string]string{"path": path}, nil
-		},
-	})
-	fmt.Printf("flight recorder on, snapshots in %s\n", dir)
-}
-
 func (o *observability) close() {
-	if o.frSnap != nil {
-		o.frSnap.Stop()
-	}
 	if o.server != nil {
 		_ = o.server.Close()
 	}
@@ -211,12 +175,10 @@ func run() error {
 	count := flag.Int("count", 5000, "with -query: events per source")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (e.g. :8090)")
 	chaosFlag := flag.Bool("chaos", false, "with -debug-addr: accept runtime fault injection at /debug/chaos (slow/lossy bridges, slow disk; docs/CAMPAIGNS.md)")
-	tracePath := flag.String("trace", "", "write per-event lifecycle spans (JSONL) to this file")
+	tracePath := flag.String("trace", "", "write per-event lifecycle spans and the process's crash trail (JSONL) to this file")
 	profileSpec := flag.Bool("profile-speculation", false, "enable the speculation-waste profiler (served at /debug/speculation; with -worker, waste summaries ride STATUS heartbeats to the coordinator)")
-	traceSample := flag.Float64("trace-sample", 1.0, "with -trace: fraction of event lineages to keep (head-based, by trace id)")
+	traceSample := flag.Float64("trace-sample", 1.0, "with -trace: fraction of event lineages to keep (head-based, by trace id); 0 keeps only the crash trail")
 	sloFlag := flag.Duration("slo", 0, "with -coordinator: declared end-to-end p99 latency target for /debug/health budget attribution (e.g. 50ms; overrides the topology's sloP99Millis)")
-	flightRecFlag := flag.Bool("flightrec", false, "arm the crash flight recorder: a lock-free ring of recent lifecycle/epoch/chaos records and sampled spans, snapshotted to disk every second and dumpable at /debug/flightrec")
-	flightRecDir := flag.String("flightrec-dir", "", "with -flightrec: snapshot directory (default <state-dir>/flightrec for workers, streammine-flightrec otherwise)")
 	coordAddr := flag.String("coordinator", "", "run as cluster coordinator listening on this address")
 	workers := flag.Int("workers", 0, "with -coordinator: workers to wait for (default: topology placement)")
 	worker := flag.Bool("worker", false, "run as cluster worker")
@@ -260,17 +222,6 @@ func run() error {
 		obs.enableChaos()
 	}
 	defer obs.close()
-	if *flightRecFlag {
-		dir := *flightRecDir
-		if dir == "" {
-			if *worker {
-				dir = filepath.Join(*stateDir, "flightrec")
-			} else {
-				dir = "streammine-flightrec"
-			}
-		}
-		obs.enableFlightRec(dir, proc)
-	}
 	icfg, err := ingestFlagsConfig(*ingestAddr, *ingestStateDir, *ingestTenants, *ingestTLSCert, *ingestTLSKey)
 	if err != nil {
 		return err

@@ -16,12 +16,11 @@ import (
 )
 
 // modeSections lists what each mode of the binary mounts with every
-// facility flag on (-chaos, -flightrec, -profile-speculation). The
-// closures are never called here, so nil engines and peers are fine.
+// facility flag on (-chaos, -profile-speculation). The closures are
+// never called here, so nil engines and peers are fine.
 func modeSections(t *testing.T) map[string][]debugserver.Section {
 	obs := &observability{}
 	obs.enableChaos()
-	obs.enableFlightRec(t.TempDir(), "test")
 	t.Cleanup(obs.close)
 	waste := func() *profiler.Summary { return nil }
 	return map[string][]debugserver.Section{
@@ -116,7 +115,7 @@ func TestSectionsDocumented(t *testing.T) {
 			t.Errorf("/debug/%s is mounted but docs/OBSERVABILITY.md does not mention it", name)
 		}
 	}
-	if len(mounted) < 6 {
-		t.Errorf("only %d sections mounted across all modes, want at least 6", len(mounted))
+	if len(mounted) < 5 {
+		t.Errorf("only %d sections mounted across all modes, want at least 5", len(mounted))
 	}
 }

@@ -13,7 +13,7 @@
 //	tracetool waste w*.jsonl                     # per-operator waste + top lineages
 //	tracetool waste -summary waste.json w*.jsonl # joined with /debug/speculation
 //	tracetool top -addr 127.0.0.1:8090           # live /debug/health view
-//	tracetool flightrec state/flightrec/*.json   # render crash flight-recorder dumps
+//	tracetool trail w*.jsonl                     # process-level crash trail
 //	tracetool recovery -addr 127.0.0.1:8090      # recovery anatomy waterfall (live)
 //	tracetool recovery cells/x/recovery.json     # same, from a campaign artifact
 package main
@@ -43,8 +43,8 @@ func run() error {
 	if len(os.Args) > 1 && os.Args[1] == "top" {
 		return runTop(os.Args[2:])
 	}
-	if len(os.Args) > 1 && os.Args[1] == "flightrec" {
-		return runFlightRec(os.Args[2:])
+	if len(os.Args) > 1 && os.Args[1] == "trail" {
+		return runTrail(os.Args[2:])
 	}
 	if len(os.Args) > 1 && os.Args[1] == "recovery" {
 		return runRecovery(os.Args[2:])
@@ -57,12 +57,9 @@ func run() error {
 		return fmt.Errorf("usage: tracetool [-chrome out.json] [-validate] trace.jsonl...")
 	}
 
-	set, err := tracetool.Load(flag.Args()...)
+	set, err := load(flag.Args())
 	if err != nil {
 		return err
-	}
-	if set.TornTails > 0 {
-		fmt.Fprintf(os.Stderr, "tracetool: %d input(s) end in a torn line (crash tear); intact prefixes merged\n", set.TornTails)
 	}
 	if !*quiet {
 		set.Analyze().WriteSummary(os.Stdout)
@@ -93,6 +90,16 @@ func run() error {
 	return nil
 }
 
+// load merges trace files, noting on stderr how many ended in a torn
+// line.
+func load(paths []string) (*tracetool.Set, error) {
+	set, err := tracetool.Load(paths...)
+	if err == nil && set.TornTails > 0 {
+		fmt.Fprintf(os.Stderr, "tracetool: %d input(s) end in a torn line (crash tear); intact prefixes merged\n", set.TornTails)
+	}
+	return set, err
+}
+
 // runWaste implements the "waste" subcommand: per-operator waste
 // breakdowns and the top wasted lineages from the merged trace, joined
 // with a saved /debug/speculation (or /debug/cluster) summary when given.
@@ -107,12 +114,9 @@ func runWaste(args []string) error {
 	if fs.NArg() == 0 {
 		return fmt.Errorf("usage: tracetool waste [-summary waste.json] [-top N] [-json] trace.jsonl...")
 	}
-	set, err := tracetool.Load(fs.Args()...)
+	set, err := load(fs.Args())
 	if err != nil {
 		return err
-	}
-	if set.TornTails > 0 {
-		fmt.Fprintf(os.Stderr, "tracetool: %d input(s) end in a torn line (crash tear); intact prefixes merged\n", set.TornTails)
 	}
 	var sum *profiler.Summary
 	if *summaryPath != "" {
@@ -144,19 +148,23 @@ func runTop(args []string) error {
 	return tracetool.RunTop(os.Stdout, *addr, *interval, *once)
 }
 
-// runFlightRec implements the "flightrec" subcommand: it renders one or
-// more flight-recorder dump files (written by -flightrec snapshots or a
-// POST to /debug/flightrec) as a merged timeline of the final moments of
-// each process.
-func runFlightRec(args []string) error {
-	fs := flag.NewFlagSet("flightrec", flag.ContinueOnError)
+// runTrail implements the "trail" subcommand: the process-level records
+// of one or more trace files — epochs, lifecycle, recovery and chaos — on
+// one merged timeline, the last moments of a crashed process included.
+func runTrail(args []string) error {
+	fs := flag.NewFlagSet("trail", flag.ContinueOnError)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() == 0 {
-		return fmt.Errorf("usage: tracetool flightrec dump.json...")
+		return fmt.Errorf("usage: tracetool trail trace.jsonl...")
 	}
-	return tracetool.WriteFlightRec(os.Stdout, fs.Args()...)
+	set, err := load(fs.Args())
+	if err != nil {
+		return err
+	}
+	set.WriteTrail(os.Stdout)
+	return nil
 }
 
 // runRecovery implements the "recovery" subcommand: the per-incident

@@ -107,8 +107,8 @@ func Markdown(o *Outcome) string {
 		if c.HealthChainMs > 0 {
 			fmt.Fprintf(&b, "- health: backpressure chain %.0f ms after injection: %s\n", c.HealthChainMs, c.HealthChain)
 		}
-		for _, d := range c.FlightRecDumps {
-			fmt.Fprintf(&b, "- flight recorder: [%s](%s)\n", d, d)
+		for _, t := range c.Trails {
+			fmt.Fprintf(&b, "- trail: [%s](%s)\n", t, t)
 		}
 		for _, f := range c.Failures {
 			fmt.Fprintf(&b, "- **FAIL**: %s\n", f)

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"streammine/internal/flightrec"
 	"streammine/internal/ingest"
 	"streammine/internal/operator"
 	"streammine/internal/procharness"
@@ -87,11 +86,11 @@ type Result struct {
 	HealthChainMs float64 `json:"health_chain_ms,omitempty"`
 	// HealthChain is the first diagnosed chain, rendered sink ← … ← root.
 	HealthChain string `json:"health_chain,omitempty"`
-	// FlightRecDumps lists the flight-recorder snapshots the cell's
-	// processes left behind (paths relative to the campaign OutDir),
-	// attached for failed cells and process-kill faults so the report can
-	// link the evidence.
-	FlightRecDumps []string `json:"flightrec_dumps,omitempty"`
+	// Trails lists the trace files the cell's processes left behind,
+	// one per process (paths relative to the campaign OutDir), attached
+	// for failed cells and process-kill faults so the report can link the
+	// evidence; `tracetool trail` renders them.
+	Trails []string `json:"trails,omitempty"`
 	// DurationMs is the cell's wall time, launch to verdict.
 	DurationMs float64 `json:"duration_ms"`
 	// Failures lists every assertion the cell failed (empty = passed).
@@ -205,12 +204,8 @@ func (r *Runner) runCell(s *Spec, cell Cell, baselines map[string]map[string]boo
 		return res
 	}
 
-	// Every process flies the crash flight recorder: a SIGKILL'd worker
-	// leaves its last seconds of lifecycle/chaos/span records on disk.
-	frDir := filepath.Join(cellDir, "flightrec")
-	coordArgs := []string{"-debug-addr", "127.0.0.1:0", "-flightrec", "-flightrec-dir", frDir}
-	workerArgs := []string{"-chaos", "-debug-addr", "127.0.0.1:0", "-profile-speculation",
-		"-flightrec", "-flightrec-dir", frDir}
+	coordArgs := []string{"-debug-addr", "127.0.0.1:0"}
+	workerArgs := []string{"-chaos", "-debug-addr", "127.0.0.1:0", "-profile-speculation"}
 	ingestFed := IngestWorkload(cell.Workload)
 	if ingestFed {
 		tenantsPath := filepath.Join(cellDir, "tenants.json")
@@ -340,10 +335,16 @@ func (r *Runner) runCell(s *Spec, cell Cell, baselines map[string]map[string]boo
 		}
 	}
 
+	// Every process's trace file is also its crash trail: process-level
+	// records are flushed as they are written, so a SIGKILL'd worker's
+	// file holds its epochs and lifecycle up to the kill.
 	paths, _ := filepath.Glob(filepath.Join(traceDir, "*.jsonl"))
 	if set, err := tracetool.Load(paths...); err != nil {
 		fail("traces: %v", err)
 	} else {
+		if cell.Fault.Type == "sigkill" && res.Victim != "" && !hasEpoch(set, res.Victim) {
+			fail("trail: victim %s left no epoch record in its trace", res.Victim)
+		}
 		ext, complete := completeness(set)
 		if ext > 0 {
 			res.CompletenessPct = 100 * float64(complete) / float64(ext)
@@ -468,26 +469,12 @@ func (r *Runner) runCell(s *Spec, cell Cell, baselines map[string]map[string]boo
 		}
 	}
 
-	// Flight-recorder evidence. A process-kill fault must leave the
-	// victim's parseable dump on disk (the snapshotter wrote it at most a
-	// second before the SIGKILL); failed cells attach every dump so the
-	// report links the evidence.
-	if cell.Fault.Type == "sigkill" && res.Victim != "" {
-		dumpPath := filepath.Join(frDir, res.Victim+".json")
-		if d, err := flightrec.ReadDump(dumpPath); err != nil {
-			fail("flightrec: victim %s left no parseable dump: %v", res.Victim, err)
-		} else if len(d.Entries) == 0 {
-			fail("flightrec: victim %s dump holds no records", res.Victim)
-		}
-	}
 	if cell.Fault.Type == "sigkill" || !res.Passed() {
-		dumps, _ := filepath.Glob(filepath.Join(frDir, "*.json"))
-		for _, d := range dumps {
-			if rel, err := filepath.Rel(r.OutDir, d); err == nil {
-				res.FlightRecDumps = append(res.FlightRecDumps, rel)
-			} else {
-				res.FlightRecDumps = append(res.FlightRecDumps, d)
+		for _, p := range paths {
+			if rel, err := filepath.Rel(r.OutDir, p); err == nil {
+				p = rel
 			}
+			res.Trails = append(res.Trails, p)
 		}
 	}
 
@@ -495,6 +482,16 @@ func (r *Runner) runCell(s *Spec, cell Cell, baselines map[string]map[string]boo
 		_ = os.WriteFile(filepath.Join(cellDir, "result.json"), append(data, '\n'), 0o644)
 	}
 	return res
+}
+
+// hasEpoch reports whether proc recorded a partition epoch.
+func hasEpoch(set *tracetool.Set, proc string) bool {
+	for _, e := range set.Epochs() {
+		if e.Proc == proc {
+			return true
+		}
+	}
+	return false
 }
 
 // driveIngest delivers the cell's journal through whatever gateway

@@ -25,7 +25,6 @@ import (
 	"strconv"
 	"time"
 
-	"streammine/internal/flightrec"
 	"streammine/internal/storage"
 	"streammine/internal/transport"
 )
@@ -71,7 +70,6 @@ func Apply(q url.Values) error {
 	}
 	transport.SetChaos(net)
 	storage.SetChaosWriteDelay(diskDelay)
-	flightrec.Recordf(flightrec.KindChaos, "arm %s", State())
 	return nil
 }
 
@@ -79,7 +77,6 @@ func Apply(q url.Values) error {
 func Clear() {
 	transport.ClearChaos()
 	storage.SetChaosWriteDelay(0)
-	flightrec.Record(flightrec.KindChaos, "clear")
 }
 
 // State renders the active faults in the same key=value vocabulary the

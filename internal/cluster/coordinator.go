@@ -552,7 +552,7 @@ func (c *Coordinator) status(st StatusMsg) {
 	if len(catchSpans) > 0 {
 		c.recAgg.Fold(catchSpans)
 		for _, s := range catchSpans {
-			recovery.RecordTransition(s)
+			recovery.RecordTransition(metrics.InstalledTracer(), s)
 			c.logf("partition %d caught up (epoch %d): commit rate restored", s.Partition, s.Epoch)
 		}
 	}
@@ -793,6 +793,6 @@ func (c *Coordinator) workerDown(name string) {
 		Records: int64(len(movedIDs)),
 	}
 	c.recAgg.Begin(newEpoch, name, movedIDs, detSpan, decSpan)
-	recovery.RecordTransition(detSpan)
-	recovery.RecordTransition(decSpan)
+	recovery.RecordTransition(metrics.InstalledTracer(), detSpan)
+	recovery.RecordTransition(metrics.InstalledTracer(), decSpan)
 }

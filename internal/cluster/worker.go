@@ -12,7 +12,6 @@ import (
 	"streammine/internal/checkpoint"
 	"streammine/internal/core"
 	"streammine/internal/event"
-	"streammine/internal/flightrec"
 	"streammine/internal/graph"
 	"streammine/internal/ingest"
 	"streammine/internal/metrics"
@@ -117,9 +116,9 @@ type workerPart struct {
 
 	// Recovery anatomy instrumentation. recBuild* is the partition
 	// rebuild window (ASSIGN → engine built); recRefill* is the bridge
-	// re-attach / credit-window refill window in handleStart. The
-	// *Marked flags make the flight-recorder phase-transition records
-	// one-shot (the spans themselves ride every STATUS).
+	// re-attach / credit-window refill window in handleStart.
+	// recReplayMarked makes the replay span's trail record one-shot (the
+	// spans themselves ride every STATUS).
 	recBuildStartNs  int64
 	recBuildEndNs    int64
 	recRefillStartNs int64
@@ -306,6 +305,20 @@ func (w *Worker) logf(format string, args ...any) {
 	}
 }
 
+// trail writes one process-level record about a partition (-1: the
+// worker itself) to the worker's tracer.
+func (w *Worker) trail(partition int, phase, format string, args ...any) {
+	tr := w.opts.Tracer
+	if tr == nil {
+		return
+	}
+	node := ""
+	if partition >= 0 {
+		node = fmt.Sprintf("p%d", partition)
+	}
+	tr.Record(node, "", phase, fmt.Sprintf(format, args...))
+}
+
 // fail records a fatal worker error and reports it to the coordinator.
 func (w *Worker) fail(partition, epoch int, err error) {
 	w.mu.Lock()
@@ -314,7 +327,7 @@ func (w *Worker) fail(partition, epoch int, err error) {
 	}
 	w.mu.Unlock()
 	w.logf("partition %d failed: %v", partition, err)
-	flightrec.Recordf(flightrec.KindLifecycle, "p%d epoch=%d failed: %v", partition, epoch, err)
+	w.trail(partition, metrics.PhaseLifecycle, "failed epoch=%d: %v", epoch, err)
 	w.sendStatus(StatusMsg{
 		Name: w.opts.Name, Partition: partition, Epoch: epoch,
 		Phase: PhaseError, Err: err.Error(),
@@ -366,7 +379,7 @@ func (w *Worker) handleCtl(m transport.Message) {
 		var stm StopMsg
 		_ = decodeCtl(m, &stm)
 		w.logf("stopping: %s", stm.Reason)
-		flightrec.Recordf(flightrec.KindLifecycle, "stop: %s", stm.Reason)
+		w.trail(-1, metrics.PhaseLifecycle, "stop: %s", stm.Reason)
 		go w.Close()
 	}
 }
@@ -405,7 +418,7 @@ func (w *Worker) handleAssign(am AssignMsg) {
 		w.mu.Unlock()
 		for _, r := range rts {
 			w.logf("partition %d: retarget bridge → %s", am.Partition, r.addr)
-			flightrec.Recordf(flightrec.KindLifecycle, "p%d retarget bridge → %s", am.Partition, r.addr)
+			w.trail(am.Partition, metrics.PhaseLifecycle, "retarget bridge → %s", r.addr)
 			r.b.Retarget(r.addr)
 		}
 		w.sendStatus(st)
@@ -496,14 +509,11 @@ func (w *Worker) buildPartition(am AssignMsg) (*workerPart, error) {
 		_ = pool.Close()
 		return nil, err
 	}
-	if tr := w.opts.Tracer; tr != nil {
-		// The epoch span fences lineage reconstruction: spans a dead epoch
-		// wrote after its successor's epoch record are attributable to the
-		// stale incarnation and discarded by tracetool.
-		tr.Record(fmt.Sprintf("p%d", am.Partition), "", metrics.PhaseEpoch,
-			fmt.Sprintf("partition=%d epoch=%d worker=%s nodes=%d", am.Partition, am.Epoch, w.opts.Name, len(am.Nodes)))
-	}
-	flightrec.Recordf(flightrec.KindEpoch, "p%d epoch=%d nodes=%d built", am.Partition, am.Epoch, len(am.Nodes))
+	// The epoch record fences lineage reconstruction: spans a dead epoch
+	// wrote after its successor's epoch record are attributable to the
+	// stale incarnation and discarded by tracetool.
+	w.trail(am.Partition, metrics.PhaseEpoch, "partition=%d epoch=%d worker=%s nodes=%d",
+		am.Partition, am.Epoch, w.opts.Name, len(am.Nodes))
 	p := &workerPart{
 		id:      am.Partition,
 		epoch:   am.Epoch,
@@ -517,10 +527,7 @@ func (w *Worker) buildPartition(am AssignMsg) (*workerPart, error) {
 		recBuildStartNs: buildStart,
 		recBuildEndNs:   time.Now().UnixNano(),
 	}
-	recovery.RecordTransition(recovery.Span{
-		Phase: recovery.PhaseRestore, Partition: p.id, Epoch: p.epoch,
-		Worker: w.opts.Name, StartNs: p.recBuildStartNs, EndNs: p.recBuildEndNs,
-	})
+	recovery.RecordTransition(w.opts.Tracer, w.rebuildSpan(p))
 	if w.opts.OnSinkEvent != nil {
 		for _, sinkID := range built.Sinks {
 			name := nodeName(built, sinkID)
@@ -572,13 +579,9 @@ func (w *Worker) handleStart(sm StartMsg) {
 	w.mu.Lock()
 	p.recRefillStartNs = refillStart
 	p.recRefillEndNs = time.Now().UnixNano()
-	refillSpan := recovery.Span{
-		Phase: recovery.PhaseRefill, Partition: p.id, Epoch: p.epoch,
-		Worker: w.opts.Name, StartNs: p.recRefillStartNs, EndNs: p.recRefillEndNs,
-		Records: int64(len(cutOut)),
-	}
+	refillSpan := w.refillSpan(p)
 	w.mu.Unlock()
-	recovery.RecordTransition(refillSpan)
+	recovery.RecordTransition(w.opts.Tracer, refillSpan)
 	ingestSrcs := 0
 	for _, src := range p.built.Sources {
 		if src.Ingest {
@@ -594,11 +597,7 @@ func (w *Worker) handleStart(sm StartMsg) {
 		return
 	}
 	if rs := p.eng.RecoveryStats(); rs.RestoreStartNs != 0 {
-		recovery.RecordTransition(recovery.Span{
-			Phase: recovery.PhaseRestore, Partition: p.id, Epoch: p.epoch,
-			Worker: w.opts.Name, StartNs: rs.RestoreStartNs, EndNs: rs.RestoreEndNs,
-			Bytes: rs.CheckpointBytes, Records: rs.LogRecords, Drops: rs.CoveredSet,
-		})
+		recovery.RecordTransition(w.opts.Tracer, w.restoreSpan(p, rs))
 	}
 	w.mu.Lock()
 	p.sourcesLeft = len(p.built.Sources) - ingestSrcs
@@ -606,7 +605,7 @@ func (w *Worker) handleStart(sm StartMsg) {
 	st := w.partStatusLocked(p, PhaseRunning)
 	w.mu.Unlock()
 	w.logf("partition %d running (%d sources)", p.id, len(p.built.Sources))
-	flightrec.Recordf(flightrec.KindLifecycle, "p%d epoch=%d running sources=%d", p.id, p.epoch, len(p.built.Sources))
+	w.trail(p.id, metrics.PhaseLifecycle, "running epoch=%d sources=%d", p.epoch, len(p.built.Sources))
 	w.sendStatus(st)
 	for _, src := range p.built.Sources {
 		if src.Ingest {
@@ -748,40 +747,63 @@ func (w *Worker) recoverySpansLocked(p *workerPart) []recovery.Span {
 		return nil
 	}
 	spans := make([]recovery.Span, 0, 4)
-	spans = append(spans, recovery.Span{
-		Phase: recovery.PhaseRestore, Partition: p.id, Epoch: p.epoch,
-		Worker: w.opts.Name, StartNs: p.recBuildStartNs, EndNs: p.recBuildEndNs,
-	})
+	spans = append(spans, w.rebuildSpan(p))
 	if !p.running {
 		return spans
 	}
 	if p.recRefillStartNs != 0 {
-		spans = append(spans, recovery.Span{
-			Phase: recovery.PhaseRefill, Partition: p.id, Epoch: p.epoch,
-			Worker: w.opts.Name, StartNs: p.recRefillStartNs, EndNs: p.recRefillEndNs,
-			Records: int64(len(p.cutOut)),
-		})
+		spans = append(spans, w.refillSpan(p))
 	}
 	rs := p.eng.RecoveryStats()
 	if rs.RestoreStartNs != 0 {
-		spans = append(spans, recovery.Span{
-			Phase: recovery.PhaseRestore, Partition: p.id, Epoch: p.epoch,
-			Worker: w.opts.Name, StartNs: rs.RestoreStartNs, EndNs: rs.RestoreEndNs,
-			Bytes: rs.CheckpointBytes, Records: rs.LogRecords,
-		})
+		spans = append(spans, w.restoreSpan(p, rs))
 	}
 	if rs.ReplayStartNs != 0 {
-		spans = append(spans, recovery.Span{
-			Phase: recovery.PhaseReplay, Partition: p.id, Epoch: p.epoch,
-			Worker: w.opts.Name, StartNs: rs.ReplayStartNs, EndNs: rs.ReplayEndNs,
-			Events: rs.ReplayEvents, Drops: rs.ReplayDrops,
-		})
+		spans = append(spans, w.replaySpan(p, rs))
 		if rs.ReplayEndNs != 0 && !p.recReplayMarked {
 			p.recReplayMarked = true
-			recovery.RecordTransition(spans[len(spans)-1])
+			recovery.RecordTransition(w.opts.Tracer, spans[len(spans)-1])
 		}
 	}
 	return spans
+}
+
+// The partition's recovery spans, one constructor each: the trail record
+// and the STATUS piggyback are built by the same call.
+
+// rebuildSpan is the partition rebuild window, ASSIGN → engine built.
+func (w *Worker) rebuildSpan(p *workerPart) recovery.Span {
+	return recovery.Span{
+		Phase: recovery.PhaseRestore, Partition: p.id, Epoch: p.epoch,
+		Worker: w.opts.Name, StartNs: p.recBuildStartNs, EndNs: p.recBuildEndNs,
+	}
+}
+
+// refillSpan is the bridge re-attach window of handleStart.
+func (w *Worker) refillSpan(p *workerPart) recovery.Span {
+	return recovery.Span{
+		Phase: recovery.PhaseRefill, Partition: p.id, Epoch: p.epoch,
+		Worker: w.opts.Name, StartNs: p.recRefillStartNs, EndNs: p.recRefillEndNs,
+		Records: int64(len(p.cutOut)),
+	}
+}
+
+// restoreSpan is the durable load: checkpoint and decision-log scan.
+func (w *Worker) restoreSpan(p *workerPart, rs core.RecoveryStats) recovery.Span {
+	return recovery.Span{
+		Phase: recovery.PhaseRestore, Partition: p.id, Epoch: p.epoch,
+		Worker: w.opts.Name, StartNs: rs.RestoreStartNs, EndNs: rs.RestoreEndNs,
+		Bytes: rs.CheckpointBytes, Records: rs.LogRecords, Drops: rs.CoveredSet,
+	}
+}
+
+// replaySpan is the window that drains the admission-ordered replay plan.
+func (w *Worker) replaySpan(p *workerPart, rs core.RecoveryStats) recovery.Span {
+	return recovery.Span{
+		Phase: recovery.PhaseReplay, Partition: p.id, Epoch: p.epoch,
+		Worker: w.opts.Name, StartNs: rs.ReplayStartNs, EndNs: rs.ReplayEndNs,
+		Events: rs.ReplayEvents, Drops: rs.ReplayDrops,
+	}
 }
 
 // Waste merges the speculation-waste summaries of every running partition

@@ -12,7 +12,6 @@ package debugserver
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -128,15 +127,10 @@ type Section struct {
 	// text/plain, anything else as indented JSON.
 	Get func() any
 	// Post, when set, applies the request's form parameters and returns
-	// the outcome, rendered like Get's. An error wrapped in BadInput
-	// answers 400, any other error 500.
+	// the outcome, rendered like Get's. An error means the parameters
+	// were rejected and answers 400.
 	Post func(url.Values) (any, error)
 }
-
-// BadInput marks a Section.Post error as the caller's fault.
-type BadInput struct{ Err error }
-
-func (e BadInput) Error() string { return e.Err.Error() }
 
 // Register mounts each section at /debug/<Name>, replacing any section
 // of the same name. A name nothing registered answers 404 "not enabled".
@@ -169,11 +163,7 @@ func (s *Server) handleSection(w http.ResponseWriter, r *http.Request) {
 		}
 		var err error
 		if v, err = sec.Post(r.Form); err != nil {
-			status := http.StatusInternalServerError
-			if errors.As(err, &BadInput{}) {
-				status = http.StatusBadRequest
-			}
-			jsonError(w, status, "%v", err)
+			jsonError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 	case sec.Post != nil:

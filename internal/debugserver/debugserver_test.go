@@ -176,12 +176,11 @@ func wantJSONError(t *testing.T, code int, body string, hdr http.Header, wantCod
 
 // TestSectionRoutes is the route table of the one /debug/<name> handler,
 // over one section of each shape a process registers: a JSON snapshot
-// (cluster, health, recovery, speculation), a text state with a POST
-// that applies parameters (chaos), and a snapshot with a POST action
-// (flightrec). Every failure — name not registered → 404, nothing to
-// show yet → 404, wrong method → 405, rejected input → 400, failed
-// action → 500 — answers the same {"error": "..."} JSON body, so pollers
-// parse one shape.
+// (cluster, health, recovery, speculation) and a text state with a POST
+// that applies parameters (chaos). Every failure — name not registered
+// → 404, nothing to show yet → 404, wrong method → 405, rejected input
+// → 400 — answers the same {"error": "..."} JSON body, so pollers parse
+// one shape.
 func TestSectionRoutes(t *testing.T) {
 	s := New(metrics.NewRegistry(), nil)
 	addr, err := s.Start("127.0.0.1:0")
@@ -202,22 +201,10 @@ func TestSectionRoutes(t *testing.T) {
 			Get:  func() any { return "off" },
 			Post: func(q url.Values) (any, error) {
 				if q.Get("fault") == "bogus" {
-					return nil, BadInput{errors.New("unknown fault \"bogus\"")}
+					return nil, errors.New("unknown fault \"bogus\"")
 				}
 				applied = q
 				return "net_delay=" + q.Get("net_delay"), nil
-			},
-		},
-		Section{
-			Name: "ring",
-			Get:  func() any { return nil },
-			Post: func(q url.Values) (any, error) {
-				if q.Get("fail") != "" {
-					return nil, errors.New("snapshot: disk full")
-				}
-				return struct {
-					Path string `json:"path"`
-				}{"/tmp/fr.json"}, nil
 			},
 		},
 	)
@@ -232,16 +219,12 @@ func TestSectionRoutes(t *testing.T) {
 		{http.MethodPost, "/debug/unset", "", http.StatusNotFound, jsonType, "not enabled"},
 		{http.MethodGet, "/debug/empty", "", http.StatusNotFound, jsonType, "no data yet"},
 		{http.MethodGet, "/debug/typednil", "", http.StatusNotFound, jsonType, "no data yet"},
-		{http.MethodGet, "/debug/ring", "", http.StatusNotFound, jsonType, "no data yet"},
 		{http.MethodPost, "/debug/view", "", http.StatusMethodNotAllowed, jsonType, "POST not allowed; use GET"},
 		{http.MethodDelete, "/debug/state", "", http.StatusMethodNotAllowed, jsonType, "DELETE not allowed; use GET or POST"},
-		{http.MethodDelete, "/debug/ring", "", http.StatusMethodNotAllowed, jsonType, "DELETE not allowed; use GET or POST"},
 		{http.MethodPost, "/debug/state", "fault=bogus", http.StatusBadRequest, jsonType, "unknown fault"},
-		{http.MethodPost, "/debug/ring", "fail=1", http.StatusInternalServerError, jsonType, "disk full"},
 		{http.MethodGet, "/debug/view", "", http.StatusOK, jsonType, `"workers": 2`},
 		{http.MethodGet, "/debug/state", "", http.StatusOK, textType, "off\n"},
 		{http.MethodPost, "/debug/state?net_delay=5ms", "", http.StatusOK, textType, "net_delay=5ms\n"},
-		{http.MethodPost, "/debug/ring", "", http.StatusOK, jsonType, `"path": "/tmp/fr.json"`},
 	} {
 		code, body, hdr := do(t, tc.method, "http://"+addr+tc.path, tc.form)
 		if code != http.StatusOK {

@@ -17,10 +17,15 @@ import (
 // engine produces (at minimum) ingress → exec → spec_out/final_out →
 // commit, with finalize/revoke/abort phases appearing when speculation
 // resolves or fails. externalize is recorded by the process boundary
-// (sink subscriber) when an output leaves the system. clock and epoch are
-// process-level records used by offline merging: clock is the per-process
-// header stamped at tracer creation, epoch marks a partition (re)build so
-// spans can be attributed to the right incarnation after a failover.
+// (sink subscriber) when an output leaves the system.
+//
+// The last five phases are process-level records (ProcessPhase): clock
+// is the per-process header stamped at tracer creation, epoch marks a
+// partition (re)build so spans can be attributed to the right incarnation
+// after a failover, and lifecycle, recovery and chaos record the control
+// plane. Together they are the process's crash trail: they carry no trace
+// id, so every sampling rate keeps them, and each is flushed through to
+// the writer, so a SIGKILL loses at most the line it tore.
 const (
 	PhaseIngress     = "ingress"     // event admitted by a node's dispatcher
 	PhaseExec        = "exec"        // one (speculative) execution finished
@@ -33,7 +38,31 @@ const (
 	PhaseExternalize = "externalize" // output left the system at a sink
 	PhaseClock       = "clock"       // per-process tracer header record
 	PhaseEpoch       = "epoch"       // partition epoch started on this process
+	PhaseLifecycle   = "lifecycle"   // worker or partition start, stop, failure, retarget
+	PhaseRecovery    = "recovery"    // recovery phase opened or closed
+	PhaseChaos       = "chaos"       // runtime fault injection armed or cleared
 )
+
+// ProcessPhase reports whether phase names a process-level record rather
+// than a step of an event's lifecycle.
+func ProcessPhase(phase string) bool {
+	switch phase {
+	case PhaseClock, PhaseEpoch, PhaseLifecycle, PhaseRecovery, PhaseChaos:
+		return true
+	}
+	return false
+}
+
+// installed is the process's tracer for control-plane code that is
+// handed none of its own (the coordinator's recovery transitions).
+var installed atomic.Pointer[Tracer]
+
+// InstallTracer makes t the process's tracer (nil uninstalls).
+func InstallTracer(t *Tracer) { installed.Store(t) }
+
+// InstalledTracer returns the tracer InstallTracer set, or nil — which
+// is inert.
+func InstalledTracer() *Tracer { return installed.Load() }
 
 // Span is one JSONL record written by the Tracer: a point event in an
 // event's lifecycle. Offline tooling groups spans by trace id (or by
@@ -79,10 +108,6 @@ type Tracer struct {
 	threshold atomic.Uint64
 	autoFlush atomic.Bool
 	count     atomic.Uint64
-
-	// mirror, when set, receives a copy of every kept span after it is
-	// written — the flight recorder samples lifecycle evidence from it.
-	mirror atomic.Pointer[func(Span)]
 
 	mu  sync.Mutex
 	buf *bufio.Writer
@@ -179,27 +204,10 @@ func (t *Tracer) RecordTrace(node, event string, trace uint64, phase, info strin
 	}
 	t.write(s)
 	t.count.Add(1)
-	if m := t.mirror.Load(); m != nil {
-		(*m)(s)
-	}
 }
 
-// SetMirror installs a secondary consumer that observes every kept span
-// (sampled-out spans never reach it). The consumer must be cheap and
-// must not block — it runs on the recording goroutine. Nil uninstalls.
-// Safe to call concurrently; nil receivers are no-ops.
-func (t *Tracer) SetMirror(fn func(Span)) {
-	if t == nil {
-		return
-	}
-	if fn == nil {
-		t.mirror.Store(nil)
-		return
-	}
-	t.mirror.Store(&fn)
-}
-
-// write marshals and appends one record (header or span).
+// write marshals and appends one record (header or span), flushing it
+// through when auto-flush is on or the record is process-level.
 func (t *Tracer) write(s Span) {
 	line, err := json.Marshal(s)
 	if err != nil {
@@ -208,7 +216,7 @@ func (t *Tracer) write(s Span) {
 	t.mu.Lock()
 	t.buf.Write(line)
 	t.buf.WriteByte('\n')
-	if t.autoFlush.Load() {
+	if t.autoFlush.Load() || ProcessPhase(s.Phase) {
 		t.buf.Flush()
 	}
 	t.mu.Unlock()

@@ -146,6 +146,24 @@ func TestTracerAutoFlush(t *testing.T) {
 	}
 }
 
+// A process-level record is the crash trail: it reaches the writer even
+// on a buffered tracer, with no Flush, and takes the spans buffered
+// before it along.
+func TestTracerProcessRecordWritesThrough(t *testing.T) {
+	var buf bytes.Buffer
+	tr := NewTracerProc(&buf, "")
+	tr.SetSampling(0)
+	tr.Record("n", "1:1", PhaseExec, "")
+	tr.Record("p0", "", PhaseEpoch, "partition=0 epoch=1")
+	if n := strings.Count(buf.String(), "\n"); n != 3 {
+		t.Fatalf("writer holds %d complete lines, want 3 (header, span, epoch record)", n)
+	}
+	tr.Record("n", "1:2", PhaseExec, "")
+	if n := strings.Count(buf.String(), "\n"); n != 3 {
+		t.Fatalf("a plain span was flushed through: %d lines, want 3", n)
+	}
+}
+
 func TestTracerConcurrent(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracerProc(&buf, "")

@@ -5,16 +5,17 @@
 // (checkpoint bytes, decision-log records, replay events/sec, dedup
 // drops). The coordinator owns an Aggregator; workers report their
 // local spans piggybacked on STATUS heartbeats; every phase transition
-// is mirrored into the flight recorder so a crash mid-takeover still
+// is written to the process's trace file so a crash mid-takeover still
 // leaves a parseable trail. Reports are served at /debug/recovery and
 // summarized into /debug/health.
 package recovery
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 
-	"streammine/internal/flightrec"
+	"streammine/internal/metrics"
 )
 
 // Phase names, in canonical timeline order. Per partition the phases
@@ -50,7 +51,8 @@ type Span struct {
 	// Attribution. Bytes: checkpoint bytes loaded (restore). Records:
 	// decision-log records scanned (restore) or credit gates reset
 	// (refill). Events: events re-admitted (replay) or committed
-	// (catchup). Drops: covered-set dedup drops (replay).
+	// (catchup). Drops: snapshot-covered IDs (restore) or covered-set
+	// dedup drops (replay).
 	Bytes   int64 `json:"bytes,omitempty"`
 	Records int64 `json:"records,omitempty"`
 	Events  int64 `json:"events,omitempty"`
@@ -65,15 +67,23 @@ func (s Span) DurationMs() float64 {
 	return float64(s.EndNs-s.StartNs) / 1e6
 }
 
-// RecordTransition mirrors a completed (or opened) phase span into the
-// flight recorder so the recovery trail survives a process crash.
-func RecordTransition(s Span) {
-	if s.EndNs == 0 {
-		flightrec.Recordf(flightrec.KindRecovery, "e%d p%d %s start", s.Epoch, s.Partition, s.Phase)
+// RecordTransition writes a completed (or opened) phase span to tr as a
+// process-level recovery record, so the recovery trail survives a
+// process crash. Coordinator-side spans (Partition -1) carry no node.
+func RecordTransition(tr *metrics.Tracer, s Span) {
+	if tr == nil {
 		return
 	}
-	flightrec.Recordf(flightrec.KindRecovery, "e%d p%d %s %.1fms b=%d r=%d ev=%d dr=%d",
-		s.Epoch, s.Partition, s.Phase, s.DurationMs(), s.Bytes, s.Records, s.Events, s.Drops)
+	node := ""
+	if s.Partition >= 0 {
+		node = fmt.Sprintf("p%d", s.Partition)
+	}
+	info := fmt.Sprintf("%s epoch=%d start", s.Phase, s.Epoch)
+	if s.EndNs != 0 {
+		info = fmt.Sprintf("%s epoch=%d ms=%.1f bytes=%d records=%d events=%d drops=%d",
+			s.Phase, s.Epoch, s.DurationMs(), s.Bytes, s.Records, s.Events, s.Drops)
+	}
+	tr.Record(node, "", metrics.PhaseRecovery, info)
 }
 
 // Incident is the stitched anatomy of one recovery: every span reported
@@ -141,7 +151,7 @@ type incident struct {
 }
 
 // maxIncidents bounds aggregator memory; older incidents are evicted
-// oldest-first (the flight recorder keeps the long tail).
+// oldest-first (the trace files keep the long tail).
 const maxIncidents = 16
 
 // Aggregator folds phase spans into per-incident reports. It is safe

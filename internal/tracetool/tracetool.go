@@ -3,7 +3,8 @@
 // timeline, groups spans into per-event lineages by trace id, computes
 // per-phase latency breakdowns and critical paths, validates structural
 // invariants (no orphan lineages, no spans from dead partition epochs),
-// and exports Chrome trace-event JSON loadable in Perfetto.
+// renders the process-level crash trail, and exports Chrome trace-event
+// JSON loadable in Perfetto.
 //
 // The command-line front end is cmd/tracetool; the analysis lives here so
 // tests (and the chaos suite) can drive it in-process.
@@ -175,12 +176,6 @@ type Lineage struct {
 	Spans []metrics.Span
 }
 
-// lifecyclePhase reports whether a phase belongs to an event lifecycle
-// (as opposed to process-level clock/epoch records).
-func lifecyclePhase(p string) bool {
-	return p != metrics.PhaseClock && p != metrics.PhaseEpoch
-}
-
 // Lineages groups the lifecycle spans by trace id, falling back to event
 // identity for untraced (legacy) spans so old traces still group
 // per-event within a process. Lineages are returned sorted by first
@@ -189,7 +184,7 @@ func (s *Set) Lineages() []*Lineage {
 	byKey := make(map[string]*Lineage)
 	var order []*Lineage
 	for _, sp := range s.Spans {
-		if !lifecyclePhase(sp.Phase) {
+		if metrics.ProcessPhase(sp.Phase) {
 			continue
 		}
 		key := sp.Trace

@@ -3,6 +3,8 @@ package tracetool
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -181,6 +183,66 @@ func TestValidateFlagsOrphanAndZombie(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("zombie span not flagged: %v", errs)
+	}
+}
+
+// A superseded worker may still log its own stop or failure after the
+// takeover: process-level records are its trail, never zombie spans. A
+// data span it writes at the same moment still is one.
+func TestValidateExemptsProcessRecords(t *testing.T) {
+	base := time.Now().UnixNano()
+	mk := func(off int64, proc, node, trace, phase, info string) metrics.Span {
+		return metrics.Span{TS: base + off, Proc: proc, Node: node, Trace: trace, Phase: phase, Info: info}
+	}
+	spans := []metrics.Span{
+		mk(0, "w1", "p0", "", metrics.PhaseEpoch, "partition=0 epoch=1 worker=w1"),
+		mk(100, "w2", "p0", "", metrics.PhaseEpoch, "partition=0 epoch=2 worker=w2"),
+		mk(150, "w1", "p0", "", metrics.PhaseLifecycle, "failed epoch=1: bridge closed"),
+		mk(150, "w1", "", "", metrics.PhaseLifecycle, "stop: run complete"),
+		mk(150, "w1", "p0", "", metrics.PhaseRecovery, "replay epoch=1 ms=2.0"),
+		mk(150, "w1", "", "", metrics.PhaseChaos, "off"),
+	}
+	if errs := Merge(&File{Spans: spans}).Validate(); len(errs) != 0 {
+		t.Fatalf("process-level records flagged: %v", errs)
+	}
+	spans = append(spans, mk(150, "w1", "src", "bb", metrics.PhaseExec, ""))
+	errs := Merge(&File{Spans: spans}).Validate()
+	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "zombie span: proc \"w1\" recorded exec") {
+		t.Fatalf("data span after takeover: got %v, want one zombie exec", errs)
+	}
+}
+
+// The trail is the process-level records of every file on one timeline,
+// torn tail tolerated, with the data spans left out.
+func TestWriteTrail(t *testing.T) {
+	dir := t.TempDir()
+	w1 := filepath.Join(dir, "w1.jsonl")
+	var b bytes.Buffer
+	tr := metrics.NewTracerProc(&b, "w1")
+	tr.Record("p0", "", metrics.PhaseEpoch, "partition=0 epoch=1 worker=w1 nodes=2")
+	tr.RecordTrace("src", "1:1", 7, metrics.PhaseIngress, "")
+	tr.Record("p0", "", metrics.PhaseLifecycle, "running epoch=1 sources=1")
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	b.WriteString(`{"ts_ns":`) // SIGKILL mid-line
+	if err := os.WriteFile(w1, b.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	set, err := Load(w1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	set.WriteTrail(&out)
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 3 || set.TornTails != 1 {
+		t.Fatalf("trail has %d lines (torn tails %d), want clock, epoch, running:\n%s", len(lines), set.TornTails, out.String())
+	}
+	for i, want := range []string{"clock", "epoch=1 worker=w1", "running epoch=1"} {
+		if !strings.Contains(lines[i], want) || !strings.Contains(lines[i], "w1") {
+			t.Errorf("trail line %d = %q, want w1 and %q", i, lines[i], want)
+		}
 	}
 }
 

@@ -16,7 +16,8 @@ import (
 //     process records epoch e' for a partition, the process that owned an
 //     earlier epoch was declared dead by the failure detector, so any
 //     span it stamps after the takeover is a zombie write (its engine
-//     outlived its lease);
+//     outlived its lease). Process-level records are exempt: a
+//     superseded worker may still log its own stop or failure;
 //   - files that ended mid-line (TornTails) are tolerated — a SIGKILL
 //     tears at most the final record — but more than one torn file per
 //     process crash indicates collection problems worth surfacing.
@@ -61,7 +62,7 @@ func (s *Set) validateEpochs() []error {
 	var errs []error
 	for _, sp := range s.Spans {
 		t, dead := deadAt[sp.Proc]
-		if dead && sp.TS > t && lifecyclePhase(sp.Phase) {
+		if dead && sp.TS > t && !metrics.ProcessPhase(sp.Phase) {
 			errs = append(errs, fmt.Errorf("zombie span: proc %q recorded %s at %d after its epoch was superseded at %d",
 				sp.Proc, sp.Phase, sp.TS, t))
 		}
