@@ -41,13 +41,13 @@ race-stm:
 	done
 
 # race-core-finality is the same gate for the engine's finality rule
-# (DESIGN.md §6.1): the two scripted tests of the rule, the stateless
+# (DESIGN.md §6.1): the three scripted tests of the rule, the stateless
 # pipeline that must see no speculative output, and the 4-worker Classifier
 # behind a direct subscriber (a rule that lets a non-head state reader send
 # final fails it with duplicate counts).
 race-core-finality:
 	for p in 1 2 8; do \
-		GOMAXPROCS=$$p go test -race -count=20 -run 'TestStatelessFinalBehindOpenLogger|TestStateReaderBehindHeadIsSpeculative|TestPipelineBasic|TestStatefulParallelismCorrectness' ./internal/core || exit 1; \
+		GOMAXPROCS=$$p go test -race -count=20 -run 'TestStatelessFinalBehindOpenLogger|TestStateReaderBehindHeadIsSpeculative|TestHeadAfterBeginIsSpeculative|TestPipelineBasic|TestStatefulParallelismCorrectness' ./internal/core || exit 1; \
 	done
 
 # race-core-quiesce is the same gate for the engine's in-flight ledger
@@ -115,13 +115,16 @@ bench-profile:
 # incarnation; a FINALIZE for a cancelled task waits for the re-emission,
 # which is admitted even while the cancelled task waits behind the head),
 # the one of a stale attempt's send (it never follows the next attempt's
-# version onto the link) and the one of a commit group's checkpoint (one
-# snapshot, one ACK run per input), twenty race-detected runs each with
+# version onto the link), the one of a commit group's checkpoint (one
+# snapshot, one ACK run per input) and the three of a worker's execution
+# run (one log append and one frame for what was queued; the run ends
+# before a re-execution, so contended retries never hold the commit head
+# unpublished), twenty race-detected runs each with
 # one, two and eight Ps. It is a CI job: three runs in a row were 60/60
 # green, 4 to 5 minutes each on a 2-core box.
 race-core-equiv:
 	for p in 1 2 8; do \
-		GOMAXPROCS=$$p go test -race -count=20 -run 'TestBatchSizeEquivalence|TestBatchCommitGrouping|TestAttemptScratchReuseSafety|TestReexecutionBuysItsOwnTx|TestLongRunSplitsTaskBlocks|TestPayloadBytesAreHandedOutOnce|TestReexecutionLeavesSentVersionAlone|TestQueuedFinalizeRunIsOwned|TestCreditedFramesFitTheWindow|TestRecoverNeedsLogScanner|TestRecoveryScanOrderTwoDisks|TestRecoveryReadsWhatTheDiskHolds|TestDupOfUncheckpointedCommitNotAcked|TestQueuedFramesAdmitAsOneRun|TestRestoredOutputsAreReleased|TestEarlyRevokeDropsItsIncarnation|TestFinalizeOfReemissionAfterCancel|TestReemissionBehindOpenHead|TestStaleSendNeverFollowsNextAttempt|TestCheckpointBatchesAcks' ./internal/core || exit 1; \
+		GOMAXPROCS=$$p go test -race -count=20 -run 'TestBatchSizeEquivalence|TestBatchCommitGrouping|TestAttemptScratchReuseSafety|TestReexecutionBuysItsOwnTx|TestLongRunSplitsTaskBlocks|TestPayloadBytesAreHandedOutOnce|TestReexecutionLeavesSentVersionAlone|TestQueuedFinalizeRunIsOwned|TestCreditedFramesFitTheWindow|TestRecoverNeedsLogScanner|TestRecoveryScanOrderTwoDisks|TestRecoveryReadsWhatTheDiskHolds|TestDupOfUncheckpointedCommitNotAcked|TestQueuedFramesAdmitAsOneRun|TestRestoredOutputsAreReleased|TestEarlyRevokeDropsItsIncarnation|TestFinalizeOfReemissionAfterCancel|TestReemissionBehindOpenHead|TestStaleSendNeverFollowsNextAttempt|TestCheckpointBatchesAcks|TestWorkerRunAppendsOnceFramesOnce|TestWorkerRunPublishesBeforeReexecution|TestConflictBackoffReducesWastedWork' ./internal/core || exit 1; \
 	done
 
 # trace-e2e runs a traced two-worker cluster as real processes and pipes

@@ -23,6 +23,7 @@ type admitScratch struct {
 
 	payloads slab[byte]
 	recs     slab[wal.Record]
+	owners   slab[*task]
 }
 
 // deferredAdmit is an admission outcome that needs n.mu released: a
@@ -63,8 +64,7 @@ func (n *node) admitRun(input int, evs []event.Event) {
 		planned[i].dup = n.committed.has(planned[i].ev.ID)
 	}
 	var recs []wal.Record
-	var logged *task // the chain creditInputs walks, and where it grows
-	link := &logged
+	var owners []*task // owners[j] is the task recs[j] is for
 	for i := range planned {
 		pe := &planned[i]
 		ev := pe.ev
@@ -124,9 +124,9 @@ func (n *node) admitRun(input int, evs []event.Event) {
 			// already logged). The task is unpublished until n.mu is
 			// released, so its pendingLogs needs no t.mu.
 			if recs == nil {
-				recs = a.recs.take(len(planned) - i)[:0]
+				recs, owners = a.recs.take(len(planned) - i)[:0], a.owners.take(len(planned) - i)[:0]
 			}
-			*link, link = t, &t.nextLogged
+			owners = append(owners, t)
 			t.pendingLogs++
 			recs = append(recs, wal.Record{
 				Kind:     wal.KindInput,
@@ -142,7 +142,7 @@ func (n *node) admitRun(input int, evs []event.Event) {
 	// The append goes first: its stability is on every task's path to
 	// commit, so the log works on it while the workers execute.
 	if len(recs) > 0 {
-		n.logInputs(logged, recs)
+		n.logRun(owners, recs)
 	}
 	if len(fresh) > 0 {
 		n.cDispatched.Add(uint64(len(fresh)))
@@ -199,41 +199,40 @@ func (n *node) takePendFin(ev *event.Event) {
 	}
 }
 
-// logInputs submits a run's input-order records as one append; a single
-// Append preserves the admission-order LSN sequence exactly as per-event
-// appends would have produced it. logged is the first of the tasks the
-// records are for.
-func (n *node) logInputs(logged *task, recs []wal.Record) {
+// logRun submits a run's decision records — a run's input-order records
+// at admission, or the records an execution run took — as ONE append: one
+// group-commit pool round trip however long the run, with the LSNs in the
+// order per-record appends would have produced. Once the records are stable
+// each is credited to its task, owners[j] being recs[j]'s, and the
+// committer is woken.
+func (n *node) logRun(owners []*task, recs []wal.Record) {
 	_, err := n.log.Append(recs, func(err error) {
 		if err != nil {
 			n.fail(fmt.Errorf("decision log: %w", err))
 			return
 		}
-		creditInputs(logged, recs)
+		credit(owners, recs)
 		n.notifyCommitter()
 	})
 	if err != nil {
 		n.fail(fmt.Errorf("submit decision log: %w", err))
-		creditInputs(logged, nil)
+		credit(owners, nil)
 	}
 }
 
-// creditInputs settles the pending input-record append of a run's tasks:
-// record j belongs to the j-th task of the chain that starts at t, whichever
-// blocks the run's tasks are in. recs is nil when the append could not be
-// submitted. A credited task is unlinked, so that it keeps no other block
-// reachable.
-func creditInputs(t *task, recs []wal.Record) {
-	for j := 0; t != nil; j++ {
+// credit settles one pending log record per owner: record j's LSN goes to
+// owners[j], whichever blocks the tasks are in; recs is nil when the append
+// could not be submitted. The owners are cleared, so that the chunk they
+// were cut from keeps no task reachable.
+func credit(owners []*task, recs []wal.Record) {
+	for j, t := range owners {
 		var lsn wal.LSN
 		if recs != nil {
 			lsn = recs[j].LSN
 		}
-		next := t.nextLogged
-		t.nextLogged = nil
 		t.logDone(lsn)
-		t = next
 	}
+	clear(owners)
 }
 
 // applyReplacement updates a task's input event in place. Identical

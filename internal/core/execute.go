@@ -11,27 +11,11 @@ import (
 	"streammine/internal/wal"
 )
 
-// appendRecords submits the decision records of one execution of t to the
-// log and wires the stability callback into the task.
-func (n *node) appendRecords(t *task, recs []wal.Record) {
-	_, err := n.log.Append(recs, func(err error) {
-		if err != nil {
-			n.fail(fmt.Errorf("decision log: %w", err))
-			return
-		}
-		t.logDone(recs[len(recs)-1].LSN) // LSNs ascend within an append
-		n.notifyCommitter()
-	})
-	if err != nil {
-		n.fail(fmt.Errorf("submit decision log: %w", err))
-		t.logDone(0)
-	}
-}
-
-// worker executes queued tasks under speculative transactions. The attempt
-// scratch is the worker's: a task has at most one attempt in flight
-// (handleReexec never re-queues an executing task), so an attempt can never
-// observe another one's context.
+// worker executes queued tasks under speculative transactions, a run at a
+// time (run). The attempt scratch and the run's bookkeeping are the
+// worker's: a task has at most one attempt in flight (handleReexec never
+// re-queues an executing task), so an attempt can never observe another
+// one's context.
 func (n *node) worker() {
 	defer n.wg.Done()
 	ctx := new(procCtx)
@@ -40,11 +24,62 @@ func (n *node) worker() {
 		if !ok {
 			return
 		}
-		n.runTask(t, ctx)
+		n.run(t, ctx)
 	}
 }
 
-func (n *node) runTask(t *task, ctx *procCtx) {
+// run executes t and then what is queued behind it, popping the
+// lowest-sequence task one at a time as every worker does, and makes the
+// run's executions effective together (endRun): one decision-log append, the
+// tasks' publication in execution order and one committer wake. The run ends
+// when the queue is empty or after maxRun pops, and execute ends it early
+// before a re-execution or a wait, so that no executed task — the commit
+// head among them — is held unpublished behind a retry that conflicts with
+// it, or behind a parked worker.
+func (n *node) run(t *task, ctx *procCtx) {
+	for pops := 1; ; pops++ {
+		n.execute(t, ctx)
+		if pops == maxRun {
+			break
+		}
+		if t = n.execQ.TryPop(); t == nil {
+			break
+		}
+	}
+	n.endRun(ctx)
+}
+
+// endRun makes what the worker's run executed effective: the run's decision
+// records are ONE append, which credits each record to its task once stable,
+// a speculative node's tasks are published in execution order, and the
+// committer is woken once.
+func (n *node) endRun(ctx *procCtx) {
+	r := &ctx.run
+	if len(r.tasks) == 0 {
+		return
+	}
+	if len(r.recs) > 0 {
+		// The log's callback outlives the run: it gets copies cut from the
+		// worker's slabs, and the scratch keeps no task reachable.
+		recs, owners := r.recSlab.take(len(r.recs)), r.ownerSlab.take(len(r.owners))
+		copy(recs, r.recs)
+		copy(owners, r.owners)
+		clear(r.owners)
+		r.recs, r.owners = r.recs[:0], r.owners[:0]
+		n.logRun(owners, recs)
+	}
+	if n.spec.Speculative {
+		for _, t := range r.tasks {
+			n.publishOutputs(t)
+		}
+	}
+	clear(r.tasks)
+	r.tasks = r.tasks[:0]
+	n.notifyCommitter()
+}
+
+// execute runs one attempt of t and adds its effects to the worker's run.
+func (n *node) execute(t *task, ctx *procCtx) {
 	t.mu.Lock()
 	if t.state != taskQueued || t.tx != nil {
 		t.mu.Unlock()
@@ -52,11 +87,16 @@ func (n *node) runTask(t *task, ctx *procCtx) {
 	}
 	attempts := t.attempts
 	t.mu.Unlock()
-	// Promptness/waste trade-off (paper §4): back off retries so doomed
-	// speculative executions stop burning resources while the conflicting
-	// older transaction is still open.
-	if backoff := n.eng.opts.ConflictBackoff; backoff > 0 && attempts > 0 {
-		time.Sleep(time.Duration(attempts) * backoff)
+	if attempts > 0 {
+		// A re-execution starts a run of its own: what the run executed is
+		// made effective first, so that it can commit while the retry runs.
+		n.endRun(ctx)
+		// Promptness/waste trade-off (paper §4): back off retries so doomed
+		// speculative executions stop burning resources while the
+		// conflicting older transaction is still open.
+		if backoff := n.eng.opts.ConflictBackoff; backoff > 0 {
+			time.Sleep(time.Duration(attempts) * backoff)
+		}
 	}
 	// Speculation throttle: a task takes one slot for its whole open
 	// lifetime (kept across re-executions, released at commit or cancel).
@@ -65,8 +105,9 @@ func (n *node) runTask(t *task, ctx *procCtx) {
 	// deadlock the pipeline. A worker must never sleep holding a refused
 	// task: with every worker parked on young tasks, the commit head would
 	// sit in the run queue with nobody to execute it. Instead the task is
-	// handed back (the seq-ordered queue resurfaces the oldest work first)
-	// and the worker parks until the throttle changes, then re-pops.
+	// handed back (the seq-ordered queue resurfaces the oldest work first),
+	// the run ends, and the worker parks until the throttle changes, then
+	// re-pops.
 	if n.throttle != nil {
 		t.mu.Lock()
 		need := !t.throttleHeld && t.state == taskQueued && t.tx == nil
@@ -79,6 +120,7 @@ func (n *node) runTask(t *task, ctx *procCtx) {
 			}
 			if !admitted {
 				n.execQ.Push(t)
+				n.endRun(ctx)
 				n.throttle.WaitSince(gen)
 				return
 			}
@@ -107,6 +149,7 @@ func (n *node) runTask(t *task, ctx *procCtx) {
 	t.tx = tx
 	t.state = taskExecuting
 	t.attempts++
+	t.beganHead = t.seq <= n.nextCommit.Load()
 	// The operator gets the event as it is: the payload is the dispatcher's
 	// copy, and nothing writes it (a replacement swaps t.ev whole).
 	ev := t.ev
@@ -163,49 +206,46 @@ func (n *node) runTask(t *task, ctx *procCtx) {
 		return
 	}
 	t.state = taskOpen
-	t.published = !n.spec.Speculative // speculative nodes publish below
+	t.published = !n.spec.Speculative // speculative nodes publish at the run's end
 	if ctx.truncateAt >= 0 && ctx.truncateAt < len(t.decisions) {
 		t.decisions = t.decisions[:ctx.truncateAt]
 	}
-	t.decisions = append(t.decisions, ctx.taken...)
-	t.setOuts(ctx.outs)
-	newDecs := ctx.taken
-	if len(newDecs) > 0 {
-		t.pendingLogs++
+	if len(ctx.taken) > 0 { // the task's sticky list, cut from the worker's slab
+		decs := ctx.decided.take(len(t.decisions) + len(ctx.taken))
+		copy(decs[copy(decs, t.decisions):], ctx.taken)
+		t.decisions = decs
 	}
+	t.setOuts(ctx.outs)
+	t.pendingLogs += len(ctx.taken) // one per record, each credited on its own
 	t.mu.Unlock()
 
-	if len(newDecs) > 0 {
-		recs := make([]wal.Record, len(newDecs))
-		for i, d := range newDecs {
-			recs[i] = wal.Record{Kind: d.kind, Operator: n.opID, Event: ev.ID, Value: d.value}
-		}
-		n.appendRecords(t, recs)
+	r := &ctx.run
+	for _, d := range ctx.taken {
+		r.recs = append(r.recs, wal.Record{Kind: d.kind, Operator: n.opID, Event: ev.ID, Value: d.value})
+		r.owners = append(r.owners, t)
 	}
 	n.cExecuted.Add(1)
 	if tr := n.eng.tracer; tr != nil && tr.Keeps(ev.Trace) {
 		tr.RecordTrace(n.spec.Name, ev.ID.String(), ev.Trace, metrics.PhaseExec,
 			fmt.Sprintf("outs=%d", len(ctx.outs)))
 	}
-	if n.spec.Speculative {
-		n.publishOutputs(t)
-	}
-	n.notifyCommitter()
+	r.tasks = append(r.tasks, t)
 }
 
 // computeTainted is the finality rule (DESIGN.md §6.1): the task's outputs
 // leave the worker final iff its input is final, its decisions are stable,
-// and nothing can still change what the attempt computed — it is the oldest
-// uncommitted task, or it read no operator state. An older task that has
-// not even executed yet can still write state a younger one already read,
-// failing that one's validation at commit time, so a state-reading task
-// behind the commit head is speculative whatever its dependencies look
-// like right now. Caller holds t.mu.
+// and nothing can still change what the attempt computed — it began as the
+// oldest uncommitted task, or it read no operator state. An older task that
+// has not even executed yet can still write state a younger one already
+// read, failing that one's validation at commit time, so a state-reading
+// attempt that began behind the commit head is speculative whatever its
+// dependencies look like right now, even once it is the head. Caller holds
+// t.mu.
 func (n *node) computeTainted(t *task) bool {
 	if !t.evFinal || t.pendingLogs > 0 {
 		return true
 	}
-	return n.nextCommit.Load() < t.seq && t.tx.ReadSetSize() > 0
+	return !t.beganHead && t.tx.ReadSetSize() > 0
 }
 
 // publishOutputs sends the current execution's outputs downstream,

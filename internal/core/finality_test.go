@@ -311,3 +311,47 @@ func TestStateReaderBehindHeadIsSpeculative(t *testing.T) {
 		t.Fatalf("in all: %d sent final, %d speculative; want 2, 1", st.FinalSent, st.SpecSent)
 	}
 }
+
+// TestHeadAfterBeginIsSpeculative: an attempt that began behind the commit
+// head can be the head by the time it is published, with a read gone stale:
+// an older task wrote the word it read and has committed since. Its output
+// must leave speculative, for the attempt fails validation at commit and its
+// re-execution changes it (ROADMAP bug (7)); headship is decided at begin. A
+// worker's run widens the window: it publishes what it executed at its end.
+func TestHeadAfterBeginIsSpeculative(t *testing.T) {
+	n, down := classifierHop(t, 1) // one class: both tasks bump one word
+	n.admitRun(0, []event.Event{
+		{ID: event.ID{Source: 0, Seq: 1}, Key: 0, Payload: operator.EncodeValue(0)},
+		{ID: event.ID{Source: 0, Seq: 2}, Key: 0, Payload: operator.EncodeValue(1)},
+	})
+	older, _ := n.execQ.Pop()
+	younger, _ := n.execQ.Pop()
+	waitLogged(t, older)
+	waitLogged(t, younger)
+
+	run := new(procCtx)
+	n.execute(younger, run)        // reads the word; the run goes on
+	n.runTask(older, new(procCtx)) // writes it
+	for turns := 0; n.cCommitted.Load() == 0; turns++ {
+		if turns == 100 {
+			t.Fatal("the older task never committed")
+		}
+		n.commitBatch(maxRun)
+	}
+	n.endRun(run) // the younger task is the head now
+	_, evs, _ := down.mailbox.Pop(nil)
+	if len(evs) != 2 || evs[1].ID != outputID(n.opID, younger.ev.ID, 0) {
+		t.Fatalf("downstream holds %d events, want the older task's output and the younger's", len(evs))
+	}
+	if !evs[1].Speculative {
+		t.Error("the stale attempt's output left final")
+	}
+	younger.tx.Abort() // as its validation at commit would
+	re, _, _ := n.mailbox.Pop(nil)
+	n.handleReexec(re.reexec)
+	tk, _ := n.execQ.Pop()
+	n.runTask(tk, run)
+	if v := n.finalViolations.Load(); v != 0 {
+		t.Errorf("%d finality violations after the re-execution", v)
+	}
+}

@@ -166,8 +166,8 @@ func (m *mailbox) push(it mailItem) {
 }
 
 // maxRun caps a run of what is ready: the events one Pop takes for
-// admission (27 and 256 measured alike, 8 not) and the tasks one commit
-// group takes.
+// admission (27 and 256 measured alike, 8 not), the tasks one commit
+// group takes and the pops of one execution run.
 const maxRun = 64
 
 // Pop dequeues the oldest control item, or the oldest data item when the

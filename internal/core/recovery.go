@@ -95,8 +95,9 @@ func (n *node) crash() {
 // logged order with their logged decisions; unlogged events (the tail that
 // was in flight at the crash) follow afterwards in arrival order.
 type replayPlan struct {
-	// order is the admission order of every logged input, at the position
-	// of each in it; pos is the next to admit (what lies before it, the
+	// order is the admission order of every logged input, then of what a
+	// source upstream will re-send (planSourceReplay), at the position of
+	// each in it; pos is the next to admit (what lies before it, the
 	// restored snapshot covers or replay has admitted).
 	order    []event.ID
 	at       map[event.ID]int
@@ -285,6 +286,35 @@ func (n *node) releaseRestored() {
 	}
 }
 
+// planSourceReplay appends to an active replay plan what an in-process
+// source upstream will re-send beyond it: its unacknowledged outputs, oldest
+// first. An event on the wire at the crash can reach the new incarnation
+// ahead of the replay of older ones the crash dropped; planned, it waits for
+// them, so the source's edge stays FIFO across the recovery. A source never
+// revokes or regenerates an output, so everything planned arrives.
+func (n *node) planSourceReplay() {
+	n.mu.Lock()
+	ups := slices.Clone(n.upstream)
+	n.mu.Unlock()
+	for _, up := range ups {
+		u, ok := up.(localUpstream)
+		if !ok || u.n.spec.Op != nil {
+			continue
+		}
+		recs := u.n.bufferedOutputs()
+		n.mu.Lock()
+		if plan := n.replay; plan != nil {
+			for _, rec := range recs {
+				if _, ok := plan.at[rec.id]; !ok && !n.recoverDrop.has(rec.id) {
+					plan.at[rec.id] = len(plan.order)
+					plan.order = append(plan.order, rec.id)
+				}
+			}
+		}
+		n.mu.Unlock()
+	}
+}
+
 // requestUpstreamReplay asks every connected upstream to re-send its
 // unacknowledged outputs.
 func (n *node) requestUpstreamReplay() {
@@ -321,6 +351,7 @@ func (n *node) recover() error {
 	}
 
 	n.mailbox.Reopen()
+	n.planSourceReplay() // after the reopen: what arrives from here on, it orders
 	n.execQ.Reopen()
 	n.releaseRestored() // once the mailbox takes the ACKs it draws
 	n.stopFlag.Store(false)
@@ -365,7 +396,8 @@ func (n *node) planRun(ready []plannedEvent, input int, evs []event.Event) []pla
 				break
 			}
 			delete(plan.buffered, next)
-			held.decisions, held.logged, held.maxLSN = plan.decs[next], true, plan.lsns[next]
+			held.maxLSN, held.logged = plan.lsns[next] // a planned source event has no record
+			held.decisions = plan.decs[next]
 			ready = append(ready, held)
 			plan.pos++
 		}

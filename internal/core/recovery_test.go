@@ -910,3 +910,63 @@ func TestRecoveryReadsWhatTheDiskHolds(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSourceEdgeStaysFIFOAcrossRecovery: the crash dropped three of a
+// source's unacknowledged events that the log never ordered, and the event
+// behind them was on the wire: it reaches the recovered node ahead of the
+// source's replay. The replay plan holds it until the replay has brought the
+// three, so the node admits the source's events in the order it emitted
+// them — the logged one first, as before.
+func TestSourceEdgeStaysFIFOAcrossRecovery(t *testing.T) {
+	g := graph.New()
+	src := g.AddNode(graph.Node{Name: "src"})
+	cls := g.AddNode(graph.Node{
+		Name: "cls", Op: &operator.Classifier{Classes: 4},
+		Traits: operator.ClassifierTraits(4), Speculative: true,
+	})
+	g.Connect(src, 0, cls, 0)
+	pool := storage.NewPool([]storage.Disk{storage.NewMemDisk()})
+	t.Cleanup(func() { pool.Close() })
+	eng, err := New(g, Options{Seed: 7, Pool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, n := eng.nodes[src], eng.nodes[cls]
+	if err := n.spec.Op.Init(initContext{n: n}); err != nil {
+		t.Fatal(err)
+	}
+	evs := make([]event.Event, 5) // logged, three dropped, on the wire
+	for i := range evs {
+		evs[i] = event.Event{ID: event.ID{Source: event.SourceID(src), Seq: event.Seq(i + 1)}, Key: uint64(i)}
+	}
+	s.handleInject(evs) // buffered at the source until acknowledged
+	n.mailbox.Close()
+	n.mailbox.Reopen() // the crash dropped the deliveries
+	n.replay = &replayPlan{
+		order: []event.ID{evs[0].ID}, at: map[event.ID]int{evs[0].ID: 0},
+		decs: map[event.ID][]decision{}, lsns: map[event.ID]wal.LSN{evs[0].ID: 1},
+		buffered: map[event.ID]plannedEvent{},
+	}
+	n.planSourceReplay()
+
+	n.admitRun(0, evs[4:]) // on the wire, ahead of the replay
+	n.admitRun(0, evs)     // the source's replay
+	if n.replay != nil {
+		t.Fatal("the replay did not complete the plan")
+	}
+	for i, ev := range evs {
+		if tk := n.open.at(i); tk.ev.ID != ev.ID {
+			t.Errorf("admission %d is %s, want %s: the source's edge was reordered", i, tk.ev.ID, ev.ID)
+		}
+	}
+	for i := range evs {
+		tk := n.open.at(i)
+		waitLogged(t, tk)
+		switch {
+		case i == 0 && tk.maxLSN != 1:
+			t.Errorf("the logged event was admitted at LSN %d, want its logged LSN 1", tk.maxLSN)
+		case i > 0 && tk.maxLSN == 0:
+			t.Errorf("planned source event %d was admitted without an input record", i)
+		}
+	}
+}

@@ -43,10 +43,6 @@ type task struct {
 	// admitted stamps admission when metrics are enabled (zero
 	// otherwise); retireGroup derives the finalize latency from it.
 	admitted time.Time
-	// nextLogged chains, in admission order, the tasks of a run whose
-	// admission appended an input-order record: admitRun's until the append is
-	// submitted, then creditInputs', which pairs records with it and undoes it.
-	nextLogged *task
 
 	mu       sync.Mutex
 	state    taskState
@@ -59,7 +55,7 @@ type task struct {
 	cursor    int
 
 	attemptNs   int64 // profiler: CPU-ns of the last completed attempt
-	pendingLogs int   // async log appends not yet stable
+	pendingLogs int   // decision-log records not yet stable
 	maxLSN      wal.LSN
 	outs        []pendingOut // outputs of the current execution
 	sent        []*outRecord // outputs already sent downstream, by position
@@ -69,6 +65,7 @@ type task struct {
 	published    bool // outputs of the current execution handed downstream
 	tainted      bool // last published speculative state
 	throttleHeld bool // holds a speculation-throttle slot
+	beganHead    bool // the current attempt began as the commit head
 
 	// The task owns what it published: the first output, its record and
 	// its sent slot live here, and outs and sent spill to the heap only
@@ -78,7 +75,7 @@ type task struct {
 	sent0 [1]*outRecord
 	rec0  outRecord
 
-	// tx0 is the first attempt's transaction, begun in place by runTask
+	// tx0 is the first attempt's transaction, begun in place by execute
 	// (attempts == 0 says it has not been) and never again: another task's
 	// reader keeps the pointer, and with it the block, past the attempt's
 	// end, so a re-execution buys its own from the heap.
@@ -88,7 +85,7 @@ type task struct {
 // maxBlockTasks is how many tasks admitRun puts in one block: as many as
 // keep the block, with the allocator's 8-byte header, a small object
 // (32 KiB) — a larger one is allocated and swept span by span. A run of
-// eight is 9,664 bytes, in the 9,728-byte size class.
+// eight is 9,600 bytes, in the 9,728-byte size class.
 const maxBlockTasks = (32<<10 - 8) / int(unsafe.Sizeof(task{}))
 
 // TxAborted implements stm.AbortHook: the dispatcher re-executes the task.
@@ -122,8 +119,8 @@ func (t *task) addSent(id event.ID, out pendingOut, trace uint64, final bool) *o
 	return rec
 }
 
-// logDone settles one pending log append: lsn is the highest LSN it made
-// stable, or zero when it could not be submitted.
+// logDone settles one pending log record: lsn is its LSN, or zero when its
+// append could not be submitted.
 func (t *task) logDone(lsn wal.LSN) {
 	t.mu.Lock()
 	t.pendingLogs--
@@ -143,8 +140,10 @@ type pendingOut struct {
 
 // procCtx implements operator.Context for one execution attempt. Each
 // worker goroutine owns one and resets it per attempt (begin), so taken and
-// outs keep their capacity; nothing in it outlives the attempt but the
-// payloads cut from its slab, which belong to the outputs they were emitted as.
+// outs keep their capacity; nothing in it outlives the attempt but what is
+// cut from its slabs — payloads, which belong to the outputs they were
+// emitted as, and decision lists, which belong to their tasks — and what the
+// attempt added to the worker's run.
 type procCtx struct {
 	t  *task
 	tx *stm.Tx
@@ -159,6 +158,21 @@ type procCtx struct {
 	taken        []decision
 	outs         []pendingOut
 	payloads     slab[byte]
+	decided      slab[decision] // what the tasks' decision lists are cut from
+
+	run execRun
+}
+
+// execRun is what a worker's run has executed and not yet made effective
+// (node.endRun): the tasks, in execution order, and the run's decision
+// records, owners[j] the task that took recs[j]. The slabs are what the
+// log append's copies of both are cut from.
+type execRun struct {
+	tasks     []*task
+	recs      []wal.Record
+	owners    []*task
+	recSlab   slab[wal.Record]
+	ownerSlab slab[*task]
 }
 
 // begin resets the scratch for an attempt of t under tx. Caller holds t.mu.
@@ -168,6 +182,7 @@ func (c *procCtx) begin(t *task, tx *stm.Tx) {
 		t: t, tx: tx, ts: t.ev.Timestamp,
 		decisions:  t.decisions, // immutable during execution
 		truncateAt: -1, taken: c.taken[:0], outs: c.outs[:0], payloads: c.payloads,
+		decided: c.decided, run: c.run,
 	}
 }
 

@@ -69,13 +69,27 @@ func (q *taskQueue) Pop() (*task, bool) {
 	if len(q.heap) == 0 {
 		return nil, false
 	}
+	return q.popMin(), true
+}
+
+// TryPop is Pop without the wait: nil when nothing is queued.
+func (q *taskQueue) TryPop() *task {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if len(q.heap) == 0 {
+		return nil
+	}
+	return q.popMin()
+}
+
+func (q *taskQueue) popMin() *task {
 	t := q.heap[0]
 	last := len(q.heap) - 1
 	q.heap[0] = q.heap[last]
 	q.heap[last] = nil
 	q.heap = q.heap[:last]
 	q.down(0)
-	return t, true
+	return t
 }
 
 // Close wakes all blocked Pops; queued tasks remain poppable.
