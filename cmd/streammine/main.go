@@ -267,7 +267,7 @@ func run() error {
 	wall := vclock.NewWall()
 	var prof *profiler.Profiler
 	if *profileSpec {
-		prof = profiler.New(profiler.Config{})
+		prof = profiler.New()
 	}
 	eng, err := core.New(built.Graph, core.Options{
 		Pool: pool, Seed: cfg.Seed, Clock: wall,

@@ -40,7 +40,7 @@ func runQuery(text string, rate, count int, profileSpec bool, obs *observability
 	defer pool.Close()
 	var prof *profiler.Profiler
 	if profileSpec {
-		prof = profiler.New(profiler.Config{})
+		prof = profiler.New()
 	}
 	eng, err := core.New(g, core.Options{
 		Pool: pool, Seed: 1,

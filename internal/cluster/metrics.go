@@ -115,7 +115,7 @@ func registerCoordWasteMetrics(c *Coordinator, reg *metrics.Registry) {
 			return n
 		}
 	}
-	for _, cause := range []string{"conflict", "revoke", "replace", "error"} {
+	for _, cause := range []string{"conflict", "revoke", "replacement", "error"} {
 		cause := cause
 		reg.CounterFunc("cluster_waste_aborted_attempts_total",
 			"Aborted attempts across the cluster, by cause (merged worker waste summaries).",

@@ -490,7 +490,7 @@ func (w *Worker) buildPartition(am AssignMsg) (*workerPart, error) {
 	// coordinator can merge them without collision.
 	var prof *profiler.Profiler
 	if w.opts.ProfileSpeculation {
-		prof = profiler.New(profiler.Config{})
+		prof = profiler.New()
 	}
 	eng, err := core.New(built.Graph, core.Options{
 		Pool:               pool,

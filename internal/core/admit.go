@@ -50,7 +50,7 @@ type deferredAdmit struct {
 func (n *node) admitRun(input int, evs []event.Event) {
 	a := &n.admit
 	stateful := n.spec.Traits.Stateful
-	stamp := n.eng.met != nil || n.healthLat != nil
+	stamp := n.finLat != nil
 	fresh, deferred := a.fresh[:0], a.deferred[:0]
 	// The run's tasks share one allocation, the largest a run makes: it is
 	// made before taking the lock that the workers and the committer wait for.
@@ -249,7 +249,7 @@ func (n *node) applyReplacement(t *task, ev event.Event) {
 	n.mu.Unlock()
 	if revoked {
 		n.eng.causedBy(ev.ID.Source)
-		n.cancelTask(t, "revoke")
+		n.cancelTask(t, profiler.CauseRevoke)
 		return
 	}
 	t.mu.Lock()
@@ -291,19 +291,8 @@ func (n *node) applyReplacement(t *task, ev event.Event) {
 	t.mu.Unlock()
 	if st == taskExecuting || st == taskOpen {
 		if tx != nil {
-			if m := n.eng.met; m != nil {
-				m.abortsReplace.Inc()
-				if hadSent {
-					m.cascadeAborts.Inc()
-				}
-			}
-			n.chargeAbort(profiler.CauseReplace, time.Duration(attemptNs))
-			if n.prof != nil {
-				n.eng.causedBy(ev.ID.Source)
-			}
-			if tr := n.eng.tracer; tr != nil {
-				tr.RecordTrace(n.spec.Name, ev.ID.String(), ev.Trace, metrics.PhaseAbort, "cause=replacement")
-			}
+			n.abort(profiler.CauseReplace, hadSent, attemptNs, ev.ID, ev.Trace)
+			n.eng.causedBy(ev.ID.Source)
 			tx.Abort()
 			n.mailbox.PushReexec(cmdReexec{t: t, tx: tx}) // OnAbort's is lost if tx aborted while the task executed
 		}
@@ -386,22 +375,20 @@ func (n *node) handleRevoke(m transport.Message) {
 		// The revoker (the event's source operator) caused whatever work this
 		// cancellation wastes; charge it on the caused-by side of the ledger.
 		n.eng.causedBy(m.ID.Source)
-		n.cancelTask(t, "revoke")
+		n.cancelTask(t, profiler.CauseRevoke)
 	}
 }
 
-// cancelTask aborts a task and frees its input ID, so that a re-emission
-// arriving before the committer retires the task is admitted as a task of
-// its own; cause ("revoke" or "error") feeds the core_aborts_total metric
-// and the abort trace span.
-func (n *node) cancelTask(t *task, cause string) {
+// cancelTask aborts a task for cause (CauseRevoke or CauseError), revokes
+// its outputs and frees its input ID, so that a re-emission arriving
+// before the committer retires the task is admitted as a task of its own.
+func (n *node) cancelTask(t *task, cause profiler.Cause) {
 	t.mu.Lock()
 	if t.state == taskCommitted || t.state == taskCancelled {
 		t.mu.Unlock()
 		return
 	}
 	t.state = taskCancelled
-	n.cCancelled.Add(1)
 	tx := t.tx
 	sent := t.sent
 	t.sent = nil
@@ -421,31 +408,9 @@ func (n *node) cancelTask(t *task, cause string) {
 	if throttled {
 		n.throttle.Release(true)
 	}
+	n.abort(cause, len(sent) > 0, attemptNs, inputID, inTrace)
 	if m := n.eng.met; m != nil {
-		switch cause {
-		case "revoke":
-			m.abortsRevoke.Inc()
-		default:
-			m.abortsError.Inc()
-		}
-		if len(sent) > 0 {
-			m.cascadeAborts.Inc()
-		}
 		m.cascadeSize.Observe(int64(len(sent)))
-	}
-	// Ledger charges mirror the metric increments above exactly, but are
-	// independent of them: cluster partition engines run without a metrics
-	// registry yet still profile.
-	if np := n.prof; np != nil {
-		c := profiler.CauseError
-		if cause == "revoke" {
-			c = profiler.CauseRevoke
-		}
-		n.chargeAbort(c, time.Duration(attemptNs))
-		np.RevokedOutputs(len(sent))
-	}
-	if tr := n.eng.tracer; tr != nil {
-		tr.RecordTrace(n.spec.Name, inputID.String(), inTrace, metrics.PhaseAbort, "cause="+cause)
 	}
 	if tx != nil {
 		tx.Abort()
@@ -460,9 +425,7 @@ func (n *node) revokeRecord(rec *outRecord) {
 	n.mu.Lock()
 	n.outBuf.delete(rec.id)
 	n.mu.Unlock()
-	if m := n.eng.met; m != nil {
-		m.revokes.Inc()
-	}
+	n.cRevoked.Add(1)
 	if tr := n.eng.tracer; tr != nil {
 		tr.RecordTrace(n.spec.Name, rec.id.String(), rec.trace, metrics.PhaseRevoke, "")
 	}
@@ -541,9 +504,6 @@ func (n *node) handleReexec(c cmdReexec) {
 	t.published = false
 	t.mu.Unlock()
 	n.cReexec.Add(1)
-	if np := n.prof; np != nil {
-		np.Reexec()
-	}
 	n.execQ.Push(t)
 	// Deferred workers must re-pop: the re-queued task may be the commit
 	// head (a re-execution always precedes every younger queued task).

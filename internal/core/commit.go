@@ -59,13 +59,7 @@ func (n *node) conflictRetry(t *task, tx *stm.Tx) {
 	evTrace := t.ev.Trace
 	attemptNs := t.attemptNs
 	t.mu.Unlock()
-	if m := n.eng.met; m != nil {
-		m.abortsConflict.Inc()
-	}
-	n.chargeAbort(profiler.CauseConflict, time.Duration(attemptNs))
-	if tr := n.eng.tracer; tr != nil {
-		tr.RecordTrace(n.spec.Name, evID.String(), evTrace, metrics.PhaseAbort, "cause=conflict")
-	}
+	n.abort(profiler.CauseConflict, false, attemptNs, evID, evTrace)
 	n.mailbox.PushReexec(cmdReexec{t: t, tx: tx})
 }
 
@@ -328,14 +322,10 @@ func (n *node) retireGroup(run []*task) {
 	n.nextCommit.Add(int64(len(posts)))
 	n.throttle.Wake() // head moved: re-evaluate parked head-bypass waiters
 	n.cCommitted.Add(uint64(len(posts)))
-	if m := n.eng.met; m != nil || n.healthLat != nil {
+	if lat := n.finLat; lat != nil {
 		for i := range posts {
 			if t := posts[i].t; !t.admitted.IsZero() {
-				lat := time.Since(t.admitted)
-				if m != nil {
-					m.finalizeLat.Record(lat)
-				}
-				n.healthLat.Record(lat)
+				lat.Record(time.Since(t.admitted))
 			}
 		}
 	}

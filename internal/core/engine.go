@@ -96,12 +96,13 @@ type Options struct {
 	// abort) as JSONL spans for offline latency breakdown. Tracing is
 	// opt-in and does allocate; leave nil on benchmark runs.
 	Tracer *metrics.Tracer
-	// Health enables per-node health sampling (Engine.Health): each node
-	// keeps its own admission→commit latency HDR, recorded at the same
-	// site as core_finalize_latency but independent of Metrics, so
-	// unmetered cluster partition engines can still ship per-hop latency
-	// to the coordinator's health model. Recording is lock-free and
-	// allocation-free (one HDR observe per committed event).
+	// Health enables per-node health sampling (Engine.Health), which reads
+	// each node's admission→commit latency HDR: the node's
+	// core_finalize_latency series when Metrics is set, a histogram of the
+	// node's own otherwise, so that unmetered cluster partition engines
+	// still ship per-hop latency to the coordinator's health model.
+	// Recording is lock-free and allocation-free (one HDR observe per
+	// committed event).
 	Health bool
 	// Profiler, when set, enables the speculation-waste profiler: STM
 	// conflict witnesses resolved to named state buckets, per-operator
@@ -235,6 +236,16 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 		}
 		if eng.prof != nil {
 			registerProfilerMetrics(eng, opts.Metrics)
+		}
+	}
+	// Unmetered, the views that are not series keep the ledger's
+	// histograms themselves.
+	for _, n := range eng.nodes {
+		if opts.Health && n.finLat == nil {
+			n.finLat = metrics.NewHDR()
+		}
+		if eng.prof != nil && n.abortDepth == nil {
+			n.abortDepth = metrics.NewHDR()
 		}
 	}
 	return eng, nil
@@ -409,13 +420,17 @@ type NodeStats struct {
 	Dispatched      uint64
 	Executed        uint64
 	Committed       uint64
-	Cancelled       uint64 // incarnations revoked or failed before commit
+	Cancelled       uint64 // incarnations revoked or failed before commit: AbortsBy revoke + error
 	Reexecuted      uint64 // re-executions after rollback
 	SpecSent        uint64 // outputs first sent speculative
 	FinalSent       uint64 // outputs first sent final
 	Aborts          uint64 // STM aborts
 	Conflicts       uint64 // STM conflicts observed
 	FinalViolations uint64 // replacements of already-final outputs (DESIGN §6.1; must stay 0)
+
+	AbortsBy      [numCauses]uint64 // aborted attempts, by profiler.Cause
+	CascadeAborts uint64            // aborts whose task had live downstream outputs
+	Revoked       uint64            // output records revoked downstream
 }
 
 // TotalStats sums NodeStats across the whole engine.
@@ -433,6 +448,11 @@ func (e *Engine) TotalStats() NodeStats {
 		total.Aborts += s.Aborts
 		total.Conflicts += s.Conflicts
 		total.FinalViolations += s.FinalViolations
+		for c, v := range s.AbortsBy {
+			total.AbortsBy[c] += v
+		}
+		total.CascadeAborts += s.CascadeAborts
+		total.Revoked += s.Revoked
 	}
 	return total
 }
@@ -505,12 +525,31 @@ func (e *Engine) Pressure() []NodePressure {
 }
 
 // Waste snapshots the speculation-waste profiler as a mergeable summary
-// (the /debug/speculation body), or nil when profiling is disabled.
+// (the /debug/speculation body), its counts read from the nodes' ledgers,
+// or nil when profiling is disabled.
 func (e *Engine) Waste() *profiler.Summary {
 	if e.prof == nil {
 		return nil
 	}
-	return e.prof.Summary()
+	s := e.prof.Summary()
+	for i := range s.Nodes {
+		nw := &s.Nodes[i]
+		for _, n := range e.nodes {
+			if n.spec.Name != nw.Node {
+				continue
+			}
+			l := n.ledger()
+			nw.AbortedAttempts = make(map[string]uint64)
+			for c, v := range l.AbortsBy {
+				if v != 0 {
+					nw.AbortedAttempts[profiler.Cause(c).String()] = v
+				}
+			}
+			nw.Reexecutions, nw.RevokedOutputs = l.Reexecuted, l.Revoked
+			nw.SpecDepthSum, nw.SpecDepthMax, nw.SpecDepthCount = n.abortDepth.Sum(), n.abortDepth.Max(), n.abortDepth.Count()
+		}
+	}
+	return s
 }
 
 // causedBy charges one aborted attempt to the upstream operator whose

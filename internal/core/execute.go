@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"streammine/internal/metrics"
+	"streammine/internal/profiler"
 	"streammine/internal/stm"
 	"streammine/internal/transport"
 	"streammine/internal/wal"
@@ -195,7 +196,7 @@ func (n *node) execute(t *task, ctx *procCtx) {
 		}
 		n.fail(fmt.Errorf("node %q event %s: %w", n.spec.Name, ev.ID, err))
 		tx.Abort()
-		n.cancelTask(t, "error")
+		n.cancelTask(t, profiler.CauseError)
 		return
 	}
 

@@ -1,7 +1,5 @@
 package core
 
-import "streammine/internal/metrics"
-
 // NodeHealth is one operator's liveness sample: cumulative commit count
 // plus the admission→commit latency distribution, collected per node so
 // the coordinator's health model can attribute an end-to-end latency
@@ -16,8 +14,8 @@ type NodeHealth struct {
 	// samples.
 	Committed uint64 `json:"committed"`
 	// FinalizeCount / FinalizeP50Ns / FinalizeP99Ns summarize the node's
-	// admission→commit latency HDR (same semantics as the
-	// core_finalize_latency series, but per node).
+	// admission→commit latency HDR (its core_finalize_latency series when
+	// the engine is metered).
 	FinalizeCount uint64 `json:"finalizeCount,omitempty"`
 	FinalizeP50Ns int64  `json:"finalizeP50Ns,omitempty"`
 	FinalizeP99Ns int64  `json:"finalizeP99Ns,omitempty"`
@@ -33,7 +31,7 @@ func (e *Engine) Health() []NodeHealth {
 	out := make([]NodeHealth, 0, len(e.nodes))
 	for _, n := range e.nodes {
 		h := NodeHealth{Node: n.spec.Name, Committed: n.cCommitted.Load()}
-		if lat := n.healthLat; lat != nil {
+		if lat := n.finLat; lat != nil {
 			h.FinalizeCount = lat.Count()
 			h.FinalizeP50Ns = lat.Quantile(0.50)
 			h.FinalizeP99Ns = lat.Quantile(0.99)
@@ -41,14 +39,4 @@ func (e *Engine) Health() []NodeHealth {
 		out = append(out, h)
 	}
 	return out
-}
-
-// newHealthHDR builds the per-node latency histogram when sampling is on.
-// A nil *HDR is inert, so the record site pays no branch of its own when
-// sampling is off.
-func newHealthHDR(enabled bool) *metrics.HDR {
-	if !enabled {
-		return nil
-	}
-	return metrics.NewHDR()
 }

@@ -6,23 +6,36 @@ import (
 
 	"streammine/internal/event"
 	"streammine/internal/graph"
+	"streammine/internal/metrics"
 	"streammine/internal/operator"
+	"streammine/internal/storage"
 )
 
-// TestHealthRecordSiteAllocFree guards the per-commit health sample: the
-// admission→commit latency record that feeds Engine.Health rides the
-// commit path of every node, so it must stay allocation-free both when
-// sampling is on (lock-free HDR update) and when it is off (nil HDR,
-// inert receiver) — the unmetered build must stay byte-identical in
+// TestHealthRecordSiteAllocFree guards the per-commit latency sample: the
+// admission→commit record that feeds Engine.Health rides the commit path
+// of every node, so it must stay allocation-free when sampling is on
+// (lock-free HDR update) and cost a nil check when nothing reads it (nil
+// HDR, inert receiver) — the unmetered build must stay byte-identical in
 // cost.
 func TestHealthRecordSiteAllocFree(t *testing.T) {
-	on := newHealthHDR(true)
+	finLat := func(opts Options) *metrics.HDR {
+		g := graph.New()
+		g.AddNode(graph.Node{Name: "src"})
+		opts.Pool = storage.NewPool([]storage.Disk{storage.NewMemDisk()})
+		defer opts.Pool.Close()
+		eng, err := New(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng.nodes[0].finLat
+	}
+	on := finLat(Options{Health: true})
 	if n := testing.AllocsPerRun(1000, func() { on.Record(250 * time.Microsecond) }); n != 0 {
 		t.Errorf("health HDR record allocates %.1f/op, want 0", n)
 	}
-	off := newHealthHDR(false)
+	off := finLat(Options{})
 	if off != nil {
-		t.Fatal("newHealthHDR(false) != nil; disabled sampling must cost a nil check only")
+		t.Fatal("an engine without Health or Metrics keeps a latency HDR; disabled sampling must cost a nil check only")
 	}
 	if n := testing.AllocsPerRun(1000, func() { off.Record(250 * time.Microsecond) }); n != 0 {
 		t.Errorf("disabled health record allocates %.1f/op, want 0", n)

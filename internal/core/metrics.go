@@ -2,7 +2,6 @@ package core
 
 import (
 	"streammine/internal/metrics"
-	"streammine/internal/profiler"
 	"streammine/internal/stm"
 	"streammine/internal/wal"
 )
@@ -13,33 +12,17 @@ import (
 // behind a single pointer check, so the uninstrumented hot path pays
 // nothing.
 //
-// Counters that already exist as per-node atomics (dispatched, executed,
-// committed, STM stats, ...) are NOT duplicated here: they are exported
-// as func-backed series read at scrape time (see registerEngineMetrics),
-// which keeps the hot path byte-identical to the unmetered build.
+// What the node's ledger counts (dispatched, committed, aborts by cause,
+// revocations, the finalize latency, ...) is NOT duplicated here: it is
+// exported as func-backed series read at scrape time, or as the node's own
+// histogram (see registerEngineMetrics), which keeps the hot path
+// byte-identical to the unmetered build.
 type engineMetrics struct {
-	// aborts by cause (core_aborts_total{cause=...}).
-	abortsConflict *metrics.Counter // STM validation / conflict kill
-	abortsRevoke   *metrics.Counter // upstream revoked the input event
-	abortsReplace  *metrics.Counter // input replaced with different content
-	abortsError    *metrics.Counter // operator or logging error
-
-	// cascadeAborts counts aborts that propagated: the cancelled or
-	// rolled-back task had already sent outputs downstream, so its
-	// revocations extend the cascade by another hop.
-	cascadeAborts *metrics.Counter
-	// revokes counts output records revoked downstream.
-	revokes *metrics.Counter
-
 	// replays counts REPLAY requests served from the output buffer;
 	// replayed counts the buffered events re-sent for them.
 	replays  *metrics.Counter
 	replayed *metrics.Counter
 
-	// finalizeLat observes admission→commit per event: the time an input
-	// stays speculative before its effects are final (per-hop commit
-	// delay).
-	finalizeLat *metrics.HDR
 	// specWindow observes first-speculative-send→finalize per output
 	// record: how long downstream consumers worked on data that could
 	// still have been revoked.
@@ -53,10 +36,6 @@ type engineMetrics struct {
 	// cascadeSize samples the number of live downstream outputs revoked
 	// per aborted task (revoke-cascade fan-out).
 	cascadeSize *metrics.HDR
-	// abortSpecDepth samples the speculation depth at each aborted
-	// attempt; registered only when the waste profiler is on (nil
-	// otherwise).
-	abortSpecDepth *metrics.HDR
 
 	// Run accounting (see docs/PERFORMANCE.md). Every node commits in
 	// groups of what is ready, and every source injects in runs — of one
@@ -83,22 +62,11 @@ type engineMetrics struct {
 // the same process, e.g. consecutive experiment runs) rebinds them to
 // the newest engine while plain counters keep accumulating.
 func registerEngineMetrics(e *Engine, reg *metrics.Registry) *engineMetrics {
-	const abortsHelp = "Task aborts by cause (conflict, revoke, replacement, error)."
 	m := &engineMetrics{
-		abortsConflict: reg.CounterWith("core_aborts_total", abortsHelp, metrics.Labels{"cause": "conflict"}),
-		abortsRevoke:   reg.CounterWith("core_aborts_total", abortsHelp, metrics.Labels{"cause": "revoke"}),
-		abortsReplace:  reg.CounterWith("core_aborts_total", abortsHelp, metrics.Labels{"cause": "replacement"}),
-		abortsError:    reg.CounterWith("core_aborts_total", abortsHelp, metrics.Labels{"cause": "error"}),
-		cascadeAborts: reg.Counter("core_cascade_aborts_total",
-			"Aborts whose task had live downstream outputs (the rollback cascade grew by one hop)."),
-		revokes: reg.Counter("core_revokes_total",
-			"Output records revoked downstream (rollback cascades and vanished outputs)."),
 		replays: reg.Counter("core_replay_requests_total",
 			"REPLAY requests served from output buffers (recovery)."),
 		replayed: reg.Counter("core_replayed_events_total",
 			"Buffered output events re-sent for replay requests."),
-		finalizeLat: reg.HDR("core_finalize_latency",
-			"Per-event latency from admission at a node to its commit (per-hop commit delay)."),
 		specWindow: reg.HDR("core_spec_window",
 			"Per-output latency from first speculative send to its FINALIZE."),
 		mailboxWait: reg.HDR("core_mailbox_wait",
@@ -141,9 +109,6 @@ func registerEngineMetrics(e *Engine, reg *metrics.Registry) *engineMetrics {
 	reg.CounterFunc("core_cancelled_total",
 		"Admitted incarnations cancelled before commit (input revoked, or operator error).", nil,
 		stat(func(s NodeStats) uint64 { return s.Cancelled }))
-	reg.CounterFunc("core_reexecutions_total",
-		"Task re-executions after rollback or conflict.", nil,
-		stat(func(s NodeStats) uint64 { return s.Reexecuted }))
 	const outputsHelp = "Outputs first sent downstream, by speculation state."
 	reg.CounterFunc("core_outputs_total", outputsHelp,
 		metrics.Labels{"kind": "speculative"},
@@ -221,13 +186,33 @@ func registerEngineMetrics(e *Engine, reg *metrics.Registry) *engineMetrics {
 			return float64(total)
 		})
 
-	// Flow control (internal/flow): per-node queue pressure, credit state,
-	// speculation throttling and source admission. Registered per node so
-	// congestion localizes to an operator; all read existing accounting at
-	// scrape time.
+	// The node's ledger, and flow control (internal/flow): per-node queue
+	// pressure, credit state, speculation throttling and source admission.
+	// Registered per node so waste and congestion localize to an operator;
+	// all read existing accounting at scrape time.
 	for _, n := range e.nodes {
 		n := n
 		labels := metrics.Labels{"node": n.spec.Name}
+		ledger := func(f func(NodeStats) uint64) func() uint64 {
+			return func() uint64 { return f(n.ledger()) }
+		}
+		for c := range numCauses {
+			reg.CounterFunc("core_aborts_total",
+				"Task aborts by cause (conflict, revoke, replacement, error).",
+				metrics.Labels{"node": n.spec.Name, "cause": c.String()},
+				ledger(func(s NodeStats) uint64 { return s.AbortsBy[c] }))
+		}
+		reg.CounterFunc("core_cascade_aborts_total",
+			"Aborts whose task had live downstream outputs (the rollback cascade grew by one hop).", labels,
+			ledger(func(s NodeStats) uint64 { return s.CascadeAborts }))
+		reg.CounterFunc("core_revokes_total",
+			"Output records revoked downstream (rollback cascades and vanished outputs).", labels,
+			ledger(func(s NodeStats) uint64 { return s.Revoked }))
+		reg.CounterFunc("core_reexecutions_total",
+			"Task re-executions after rollback or conflict.", labels,
+			ledger(func(s NodeStats) uint64 { return s.Reexecuted }))
+		n.finLat = reg.HDRWith("core_finalize_latency",
+			"Per-event latency from admission at a node to its commit (per-hop commit delay).", labels)
 		reg.GaugeFunc("flow_data_depth",
 			"Data-lane mailbox occupancy.", labels,
 			func() float64 { return float64(n.mailbox.DataDepth()) })
@@ -268,33 +253,24 @@ func registerEngineMetrics(e *Engine, reg *metrics.Registry) *engineMetrics {
 	return m
 }
 
-// registerProfilerMetrics exports the speculation-waste ledgers as
-// func-backed series read at scrape time (recording stays allocation-free)
-// and registers the abort-depth histogram. Called only when both
-// Options.Metrics and Options.Profiler are set; the ledger itself runs
-// without a registry too (cluster partition engines profile unmetered, and
-// their summaries surface via STATUS heartbeats instead).
+// registerProfilerMetrics exports the profiler's waste figures as
+// func-backed series read at scrape time (recording stays
+// allocation-free) and registers each node's abort-depth histogram.
+// Called only when both Options.Metrics and Options.Profiler are set; the
+// profiler itself runs without a registry too (cluster partition engines
+// profile unmetered, and their summaries surface via STATUS heartbeats
+// instead).
 func registerProfilerMetrics(e *Engine, reg *metrics.Registry) {
-	e.met.abortSpecDepth = reg.HDRCounts("profiler_abort_spec_depth",
-		"Open speculative tasks observed at each aborted attempt.")
-	causes := []profiler.Cause{
-		profiler.CauseConflict, profiler.CauseRevoke,
-		profiler.CauseReplace, profiler.CauseError,
-	}
 	kinds := []stm.ConflictKind{
 		stm.ConflictWriteWrite, stm.ConflictValidation, stm.ConflictCascade,
 	}
 	for _, n := range e.nodes {
 		np := n.prof
 		labels := metrics.Labels{"node": n.spec.Name}
-		for _, c := range causes {
-			c := c
-			cl := metrics.Labels{"node": n.spec.Name, "cause": c.String()}
-			reg.CounterFunc("profiler_aborted_attempts_total",
-				"Aborted execution attempts, by operator and abort cause.", cl,
-				func() uint64 { return np.AbortedAttempts(c) })
+		for c := range numCauses {
 			reg.CounterFunc("profiler_wasted_cpu_ns_total",
-				"CPU nanoseconds burned in attempts that later aborted.", cl,
+				"CPU nanoseconds burned in attempts that later aborted.",
+				metrics.Labels{"node": n.spec.Name, "cause": c.String()},
 				func() uint64 { return uint64(np.WastedNs(c)) })
 		}
 		for _, k := range kinds {
@@ -307,12 +283,8 @@ func registerProfilerMetrics(e *Engine, reg *metrics.Registry) {
 		reg.CounterFunc("profiler_attempt_cpu_ns_total",
 			"CPU nanoseconds across all execution attempts (waste denominator).",
 			labels, func() uint64 { return uint64(np.AttemptNs()) })
-		reg.CounterFunc("profiler_reexecutions_total",
-			"Re-executions dispatched after aborts.", labels,
-			func() uint64 { return np.Reexecs() })
-		reg.CounterFunc("profiler_revoked_outputs_total",
-			"Outputs revoked downstream because their task aborted.", labels,
-			func() uint64 { return np.RevokedOutputCount() })
+		n.abortDepth = reg.HDRCountsWith("profiler_abort_spec_depth",
+			"Open speculative tasks observed at each aborted attempt.", labels)
 	}
 }
 

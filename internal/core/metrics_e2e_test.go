@@ -81,7 +81,7 @@ func TestMetricsEndToEndChaos(t *testing.T) {
 
 	var aborts float64
 	for _, cause := range []string{"conflict", "revoke", "replacement", "error"} {
-		aborts += val("core_aborts_total", metrics.Labels{"cause": cause})
+		aborts += val("core_aborts_total", metrics.Labels{"node": "proc", "cause": cause})
 	}
 	if aborts == 0 {
 		t.Error("core_aborts_total = 0 across all causes; want > 0 under contention + crashes")
@@ -102,7 +102,7 @@ func TestMetricsEndToEndChaos(t *testing.T) {
 		t.Error("wal_appends_total = 0; the stateful node must log decisions")
 	}
 	// Value() reports a histogram's observation count.
-	if v := val("core_finalize_latency", nil); v == 0 {
+	if v := val("core_finalize_latency", metrics.Labels{"node": "proc"}); v == 0 {
 		t.Error("core_finalize_latency recorded no observations")
 	}
 	if v := val("wal_append_latency", nil); v == 0 {

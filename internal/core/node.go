@@ -145,20 +145,28 @@ type node struct {
 	errMu    sync.Mutex
 	firstErr error
 
-	// healthLat is the per-node admission→commit latency HDR feeding
-	// Engine.Health (nil unless Options.Health; a nil HDR is inert).
-	healthLat *metrics.HDR
-
+	// The node's ledger: each fact is written once, here, and Metrics, the
+	// waste profiler and the health sample only read it (ledger, Waste,
+	// Health). finLat is the admission→commit latency (nil unless
+	// Options.Metrics or Options.Health) and abortDepth the speculation
+	// depth at each abort (nil unless profiling); a nil HDR is inert.
 	cDispatched     atomic.Uint64
 	cExecuted       atomic.Uint64
 	cCommitted      atomic.Uint64
-	cCancelled      atomic.Uint64
 	cReexec         atomic.Uint64
+	cAborts         [numCauses]atomic.Uint64 // by profiler.Cause
+	cCascades       atomic.Uint64
+	cRevoked        atomic.Uint64
 	cSpecSent       atomic.Uint64
 	cFinalSent      atomic.Uint64
 	openTainted     atomic.Int64
 	finalViolations atomic.Uint64
+	finLat          *metrics.HDR
+	abortDepth      *metrics.HDR
 }
+
+// numCauses sizes the ledger's aborts by cause.
+const numCauses = profiler.CauseError + 1
 
 // inputPos is one input's entry in node.lastCommitted: the last event
 // committed from it, if any was.
@@ -195,18 +203,17 @@ func newNode(eng *Engine, spec graph.Node, inputs int, rng *detrand.Source, log 
 		opID = spec.StableID // cluster partitions keep global identities
 	}
 	n := &node{
-		eng:       eng,
-		spec:      spec,
-		opID:      opID,
-		mem:       stm.NewMemory(capWords),
-		log:       log,
-		rng:       rng,
-		mailbox:   newMailbox(&eng.inflight),
-		execQ:     newTaskQueue(),
-		links:     make([][]link, spec.OutputPorts),
-		upstream:  make([]upstreamSender, inputs),
-		granters:  make([]creditGranter, inputs),
-		healthLat: newHealthHDR(eng.opts.Health),
+		eng:      eng,
+		spec:     spec,
+		opID:     opID,
+		mem:      stm.NewMemory(capWords),
+		log:      log,
+		rng:      rng,
+		mailbox:  newMailbox(&eng.inflight),
+		execQ:    newTaskQueue(),
+		links:    make([][]link, spec.OutputPorts),
+		upstream: make([]upstreamSender, inputs),
+		granters: make([]creditGranter, inputs),
 	}
 	n.lastCommitted = make([]inputPos, inputs)
 	if f := spec.Flow; f != nil {
@@ -301,22 +308,22 @@ func (n *node) installProfiler() {
 	n.mem.SetConflictSink(n.prof)
 }
 
-// specDepth reads the node's current speculation depth (open tainted
-// tasks) for waste attribution.
-func (n *node) specDepth() int64 { return n.openTainted.Load() }
-
-// chargeAbort records one aborted attempt in the waste ledger and, when
-// profiler metrics are registered, observes the speculation depth at
-// abort. cpu is the CPU of the wasted attempt (zero when the task never
-// executed, or when profiling is off and nothing was timed).
-func (n *node) chargeAbort(c profiler.Cause, cpu time.Duration) {
-	if n.prof == nil {
-		return
+// abort writes one aborted attempt to the ledger — its cause, and a
+// cascade when the task had live downstream outputs — charges the
+// attempt's CPU and the speculation depth to the waste profiler when
+// profiling, and writes the abort trace record. attemptNs is zero when the
+// task never executed, or when profiling is off and nothing was timed.
+func (n *node) abort(c profiler.Cause, cascade bool, attemptNs int64, id event.ID, trace uint64) {
+	n.cAborts[c].Add(1)
+	if cascade {
+		n.cCascades.Add(1)
 	}
-	depth := n.specDepth()
-	n.prof.AbortedAttempt(c, cpu, depth)
-	if m := n.eng.met; m != nil && m.abortSpecDepth != nil {
-		m.abortSpecDepth.Observe(depth)
+	if n.prof != nil {
+		n.prof.AbortedAttempt(c, time.Duration(attemptNs))
+		n.abortDepth.Observe(n.openTainted.Load())
+	}
+	if tr := n.eng.tracer; tr != nil {
+		tr.RecordTrace(n.spec.Name, id.String(), trace, metrics.PhaseAbort, "cause="+c.String())
 	}
 }
 
@@ -395,22 +402,33 @@ func (n *node) err() error {
 	return n.firstErr
 }
 
-// stats snapshots the node counters. The STM stats go through memStats
-// (node lock) because crash recovery swaps the memory object.
-func (n *node) stats() NodeStats {
-	memStats := n.memStats()
-	return NodeStats{
+// ledger reads the node's ledger counters (NodeStats without the STM's).
+func (n *node) ledger() NodeStats {
+	s := NodeStats{
 		Dispatched:      n.cDispatched.Load(),
 		Executed:        n.cExecuted.Load(),
 		Committed:       n.cCommitted.Load(),
-		Cancelled:       n.cCancelled.Load(),
 		Reexecuted:      n.cReexec.Load(),
 		SpecSent:        n.cSpecSent.Load(),
 		FinalSent:       n.cFinalSent.Load(),
-		Aborts:          memStats.Aborts,
-		Conflicts:       memStats.Conflicts,
+		CascadeAborts:   n.cCascades.Load(),
+		Revoked:         n.cRevoked.Load(),
 		FinalViolations: n.finalViolations.Load(),
 	}
+	for c := range s.AbortsBy {
+		s.AbortsBy[c] = n.cAborts[c].Load()
+	}
+	s.Cancelled = s.AbortsBy[profiler.CauseRevoke] + s.AbortsBy[profiler.CauseError]
+	return s
+}
+
+// stats snapshots the node counters. The STM stats go through memStats
+// (node lock) because crash recovery swaps the memory object.
+func (n *node) stats() NodeStats {
+	s := n.ledger()
+	mem := n.memStats()
+	s.Aborts, s.Conflicts = mem.Aborts, mem.Conflicts
+	return s
 }
 
 // dispatcher serializes ordering decisions: event admission (assigning the

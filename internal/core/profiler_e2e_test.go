@@ -1,8 +1,6 @@
 package core
 
 import (
-	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -16,14 +14,15 @@ import (
 )
 
 // TestProfilerAttributesConflicts runs the paper's §3.1 classifier at
-// maximum contention (one class, many workers) with the speculation-waste
-// profiler on and asserts the attribution chain end to end: the ledger's
-// abort counts agree exactly with core_aborts_total, the conflict heatmap
-// names the contended operator and state bucket ("hot", "classes[0]"),
-// and the profiler_* metric series mirror the ledger.
+// maximum contention (one class, many workers) with Metrics, the
+// speculation-waste profiler and Health on and asserts the attribution
+// chain end to end: every view of a node's ledger — its series, Waste()
+// and NodeStats — reads the same numbers, the conflict heatmap names the
+// contended operator and state bucket ("hot", "classes[0]"), and every
+// profiler_* series is documented.
 func TestProfilerAttributesConflicts(t *testing.T) {
 	reg := metrics.NewRegistry()
-	prof := profiler.New(profiler.Config{})
+	prof := profiler.New()
 
 	g := graph.New()
 	src := g.AddNode(graph.Node{Name: "src"})
@@ -32,13 +31,10 @@ func TestProfilerAttributesConflicts(t *testing.T) {
 		Op:          &operator.Classifier{Classes: 1, Cost: 200 * time.Microsecond},
 		Traits:      operator.ClassifierTraits(1),
 		Speculative: true,
-		// Group commit must not disturb the ledger: per-event abort
-		// accounting and conflict witnesses survive it, so the exact
-		// equalities below hold.
-		Workers: 8,
+		Workers:     8,
 	})
 	g.Connect(src, 0, hot, 0)
-	eng := newTestEngine(t, g, Options{Seed: 91, Metrics: reg, Profiler: prof})
+	eng := newTestEngine(t, g, Options{Seed: 91, Metrics: reg, Profiler: prof, Health: true})
 	s, _ := eng.Source(src)
 	const events = 150
 	for i := 0; i < events; i++ {
@@ -55,18 +51,20 @@ func TestProfilerAttributesConflicts(t *testing.T) {
 	if sum == nil {
 		t.Fatal("Waste() = nil with profiler enabled")
 	}
-	i := slices.IndexFunc(sum.Nodes, func(n profiler.NodeWaste) bool { return n.Node == "hot" })
-	if i < 0 {
-		t.Fatalf("no ledger for node hot; nodes: %+v", sum.Nodes)
+	waste := func(node string) profiler.NodeWaste {
+		t.Helper()
+		i := slices.IndexFunc(sum.Nodes, func(n profiler.NodeWaste) bool { return n.Node == node })
+		if i < 0 {
+			t.Fatalf("no ledger for node %s; nodes: %+v", node, sum.Nodes)
+		}
+		return sum.Nodes[i]
 	}
-	nw := &sum.Nodes[i]
+	nw := waste("hot")
 	if nw.AbortedAttempts["conflict"] == 0 {
 		t.Skip("no conflicts materialized on this host")
 	}
 
-	// The ledger charges at exactly the metric increment sites, so the
-	// totals must agree without tolerance. Trace/metric cause
-	// "replacement" is ledger cause "replace".
+	// Every view reads the node's one ledger, so they agree exactly.
 	val := func(name string, labels metrics.Labels) float64 {
 		t.Helper()
 		v, ok := metricstest.Value(reg, name, labels)
@@ -75,18 +73,40 @@ func TestProfilerAttributesConflicts(t *testing.T) {
 		}
 		return v
 	}
-	for metCause, ledgerCause := range map[string]string{
-		"conflict": "conflict", "revoke": "revoke",
-		"replacement": "replace", "error": "error",
-	} {
-		metric := val("core_aborts_total", metrics.Labels{"cause": metCause})
-		if got := float64(nw.AbortedAttempts[ledgerCause]); got != metric {
-			t.Errorf("ledger aborts[%s] = %v, core_aborts_total{cause=%q} = %v",
-				ledgerCause, got, metCause, metric)
-		}
+	type view struct {
+		what        string
+		left, right float64
 	}
-	if got := val("profiler_aborted_attempts_total", metrics.Labels{"node": "hot", "cause": "conflict"}); got != float64(nw.AbortedAttempts["conflict"]) {
-		t.Errorf("profiler_aborted_attempts_total = %v, ledger = %d", got, nw.AbortedAttempts["conflict"])
+	for _, h := range eng.Health() {
+		id := map[string]graph.NodeID{"src": src, "hot": hot}[h.Node]
+		st, _ := eng.Stats(id)
+		nw := waste(h.Node)
+		node := metrics.Labels{"node": h.Node}
+		aborts := func(c profiler.Cause) float64 {
+			return val("core_aborts_total", metrics.Labels{"node": h.Node, "cause": c.String()})
+		}
+		views := []view{
+			{"core_revokes_total = RevokedOutputs", val("core_revokes_total", node), float64(nw.RevokedOutputs)},
+			{"core_revokes_total = NodeStats.Revoked", val("core_revokes_total", node), float64(st.Revoked)},
+			{"core_reexecutions_total = Reexecutions", val("core_reexecutions_total", node), float64(nw.Reexecutions)},
+			{"core_reexecutions_total = NodeStats.Reexecuted", val("core_reexecutions_total", node), float64(st.Reexecuted)},
+			{"core_cascade_aborts_total = NodeStats.CascadeAborts", val("core_cascade_aborts_total", node), float64(st.CascadeAborts)},
+			{"core_finalize_latency count = Health FinalizeCount", val("core_finalize_latency", node), float64(h.FinalizeCount)},
+			{"profiler_abort_spec_depth count = SpecDepthCount", val("profiler_abort_spec_depth", node), float64(nw.SpecDepthCount)},
+			{"SpecDepthCount = aborted attempts", float64(nw.SpecDepthCount), float64(nw.TotalAborted())},
+			{"aborts{revoke} + aborts{error} = NodeStats.Cancelled", aborts(profiler.CauseRevoke) + aborts(profiler.CauseError), float64(st.Cancelled)},
+		}
+		for c := range numCauses {
+			attempts := float64(nw.AbortedAttempts[c.String()])
+			views = append(views,
+				view{"core_aborts_total{" + c.String() + "} = AbortedAttempts", aborts(c), attempts},
+				view{"NodeStats.AbortsBy[" + c.String() + "] = AbortedAttempts", float64(st.AbortsBy[c]), attempts})
+		}
+		for _, v := range views {
+			if v.left != v.right {
+				t.Errorf("node %s: %s: %v != %v", h.Node, v.what, v.left, v.right)
+			}
+		}
 	}
 
 	// Wasted CPU must have been charged for the aborted attempts, and the
@@ -115,20 +135,5 @@ func TestProfilerAttributesConflicts(t *testing.T) {
 		t.Errorf("no conflict witnesses recorded: %+v", nw.Witnesses)
 	}
 
-	// Every profiler_* series registered at runtime must be documented in
-	// the docs/OBSERVABILITY.md inventory table.
-	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "OBSERVABILITY.md"))
-	if err != nil {
-		t.Fatalf("read metric inventory doc: %v", err)
-	}
-	seen := make(map[string]bool)
-	for _, p := range reg.Snapshot() {
-		if !strings.HasPrefix(p.Name, "profiler_") || seen[p.Name] {
-			continue
-		}
-		seen[p.Name] = true
-		if !strings.Contains(string(doc), p.Name) {
-			t.Errorf("series %s not documented in docs/OBSERVABILITY.md", p.Name)
-		}
-	}
+	metricstest.Documented(t, reg, "profiler_", "OBSERVABILITY.md", 4)
 }

@@ -25,9 +25,9 @@ func TestSpeculationEndpoint(t *testing.T) {
 	defer s.Close()
 	base := "http://" + addr
 
-	prof := profiler.New(profiler.Config{})
+	prof := profiler.New()
 	np := prof.Node("agg")
-	np.AbortedAttempt(profiler.CauseConflict, 3*time.Millisecond, 2)
+	np.AbortedAttempt(profiler.CauseConflict, 3*time.Millisecond)
 	np.AttemptCPU(10 * time.Millisecond)
 	s.Register(Section{Name: "speculation", Get: func() any { return prof.Summary() }})
 
@@ -47,8 +47,8 @@ func TestSpeculationEndpoint(t *testing.T) {
 		t.Fatalf("summary has no agg ledger: %s", body)
 	}
 	nw := &sum.Nodes[i]
-	if nw.AbortedAttempts["conflict"] != 1 || nw.WastedCPUNs["conflict"] != 3_000_000 {
-		t.Errorf("agg ledger = %+v, want 1 conflict abort, 3ms wasted", nw)
+	if nw.WastedCPUNs["conflict"] != 3_000_000 || nw.AttemptCPUNs != 10_000_000 {
+		t.Errorf("agg ledger = %+v, want 3ms of 10ms wasted on conflicts", nw)
 	}
 }
 

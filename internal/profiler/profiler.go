@@ -1,13 +1,15 @@
 // Package profiler implements the speculation-waste profiler: per-operator
-// ledgers of work discarded by aborts (CPU-ns by cause, re-executions,
-// revoked-output fan-out, speculative depth at abort), STM conflict
-// witnesses drained from per-node ring buffers and resolved to named state
-// buckets, and a space-bounded mergeable top-K conflict heatmap. Workers
-// ship Summary values in STATUS heartbeats; the coordinator merges them
-// (docs/OBSERVABILITY.md, "Speculation-waste profiler").
+// CPU burned in aborted attempts by cause, STM conflict witnesses drained
+// from per-node ring buffers and resolved to named state buckets, and a
+// space-bounded mergeable top-K conflict heatmap. The engine's own ledger
+// (internal/core) supplies the counts a Summary carries beside them —
+// aborts by cause, re-executions, revoked outputs and the speculation depth
+// at abort. Workers ship Summary values in STATUS heartbeats; the
+// coordinator merges them (docs/OBSERVABILITY.md, "Speculation-waste
+// profiler").
 //
 // Recording paths are allocation-free: witnesses land in a fixed ring
-// under a mutex, ledger updates are atomic adds. Resolution and heatmap
+// under a mutex, CPU charges are atomic adds. Resolution and heatmap
 // maintenance happen only at Summary() time.
 package profiler
 
@@ -19,8 +21,9 @@ import (
 	"streammine/internal/stm"
 )
 
-// Cause classifies why an attempt's work was wasted. The values mirror the
-// engine's abort causes (core_aborts_total labels).
+// Cause classifies why an attempt's work was wasted. Its String is the
+// cause label of core_aborts_total, of the abort trace record and of the
+// NodeWaste maps.
 type Cause int
 
 // Abort causes.
@@ -32,7 +35,7 @@ const (
 	numCauses
 )
 
-var causeNames = [numCauses]string{"conflict", "revoke", "replace", "error"}
+var causeNames = [numCauses]string{"conflict", "revoke", "replacement", "error"}
 
 // String returns the metric label for the cause.
 func (c Cause) String() string {
@@ -45,31 +48,16 @@ func (c Cause) String() string {
 // witness kinds tracked per node (indexes into the kinds array).
 const numKinds = 3
 
-// Config sizes a Profiler.
-type Config struct {
-	// RingSize is the per-node witness ring capacity (rounded up to a
-	// power of two). Default 1024.
-	RingSize int
-	// HeatK bounds the conflict heatmap (top-K space-saving sketch).
-	// Default 64.
-	HeatK int
-}
-
-func (c Config) withDefaults() Config {
-	if c.RingSize <= 0 {
-		c.RingSize = 1024
-	}
-	if c.HeatK <= 0 {
-		c.HeatK = 64
-	}
-	return c
-}
+const (
+	// ringSize is the per-node witness ring capacity (a power of two).
+	ringSize = 1024
+	// heatK bounds the conflict heatmap (top-K space-saving sketch).
+	heatK = 64
+)
 
 // Profiler aggregates per-node waste ledgers and the conflict heatmap for
 // one engine (one cluster partition).
 type Profiler struct {
-	cfg Config
-
 	mu       sync.Mutex
 	nodes    map[string]*NodeProfile
 	order    []string
@@ -79,12 +67,10 @@ type Profiler struct {
 }
 
 // New creates a profiler.
-func New(cfg Config) *Profiler {
-	cfg = cfg.withDefaults()
+func New() *Profiler {
 	return &Profiler{
-		cfg:      cfg,
 		nodes:    make(map[string]*NodeProfile),
-		heat:     newSpaceSaving(cfg.HeatK),
+		heat:     newSpaceSaving(heatK),
 		causedBy: make(map[string]uint64),
 	}
 }
@@ -96,11 +82,7 @@ func (p *Profiler) Node(name string) *NodeProfile {
 	if np, ok := p.nodes[name]; ok {
 		return np
 	}
-	size := 1
-	for size < p.cfg.RingSize {
-		size <<= 1
-	}
-	np := &NodeProfile{name: name, ring: witnessRing{slots: make([]stm.ConflictWitness, size), mask: uint64(size - 1)}}
+	np := &NodeProfile{name: name, ring: witnessRing{slots: make([]stm.ConflictWitness, ringSize), mask: ringSize - 1}}
 	p.nodes[name] = np
 	p.order = append(p.order, name)
 	return np
@@ -116,7 +98,7 @@ func (p *Profiler) CausedBy(source string, n uint64) {
 	p.mu.Unlock()
 }
 
-// NodeProfile is one operator's waste ledger plus its witness ring. It
+// NodeProfile is one operator's wasted CPU plus its witness ring. It
 // implements stm.ConflictSink.
 type NodeProfile struct {
 	name string
@@ -128,14 +110,8 @@ type NodeProfile struct {
 	resolver atomic.Value // func(stm.Addr) string
 
 	kinds          [numKinds]atomic.Uint64
-	attempts       [numCauses]atomic.Uint64
 	wastedNs       [numCauses]atomic.Int64
 	attemptNsTotal atomic.Int64
-	reexecs        atomic.Uint64
-	revokedOutputs atomic.Uint64
-	specDepthSum   atomic.Int64
-	specDepthMax   atomic.Int64
-	specDepthN     atomic.Uint64
 }
 
 var _ stm.ConflictSink = (*NodeProfile)(nil)
@@ -160,39 +136,16 @@ func (np *NodeProfile) AttemptCPU(d time.Duration) {
 	np.attemptNsTotal.Add(d.Nanoseconds())
 }
 
-// AbortedAttempt charges one aborted attempt: its cause, the CPU burned by
-// the attempt, and the node's speculative depth at abort time.
-func (np *NodeProfile) AbortedAttempt(cause Cause, cpu time.Duration, specDepth int64) {
+// AbortedAttempt charges the CPU burned by one aborted attempt to its
+// cause.
+func (np *NodeProfile) AbortedAttempt(cause Cause, cpu time.Duration) {
 	if cause < 0 || cause >= numCauses {
 		cause = CauseError
 	}
-	np.attempts[cause].Add(1)
 	np.wastedNs[cause].Add(cpu.Nanoseconds())
-	np.specDepthSum.Add(specDepth)
-	np.specDepthN.Add(1)
-	for {
-		cur := np.specDepthMax.Load()
-		if specDepth <= cur || np.specDepthMax.CompareAndSwap(cur, specDepth) {
-			return
-		}
-	}
 }
 
-// Reexec counts one re-execution dispatched after an abort.
-func (np *NodeProfile) Reexec() { np.reexecs.Add(1) }
-
-// RevokedOutputs counts outputs retracted because this node's task aborted
-// after speculative sends (the downstream fan-out of the waste).
-func (np *NodeProfile) RevokedOutputs(n int) {
-	if n > 0 {
-		np.revokedOutputs.Add(uint64(n))
-	}
-}
-
-// Ledger accessors (metrics CounterFuncs read these).
-
-// AbortedAttempts returns the aborted-attempt count for a cause.
-func (np *NodeProfile) AbortedAttempts(c Cause) uint64 { return np.attempts[c].Load() }
+// Accessors (metrics CounterFuncs read these).
 
 // WastedNs returns the wasted CPU nanoseconds for a cause.
 func (np *NodeProfile) WastedNs(c Cause) int64 { return np.wastedNs[c].Load() }
@@ -200,12 +153,6 @@ func (np *NodeProfile) WastedNs(c Cause) int64 { return np.wastedNs[c].Load() }
 // AttemptNs returns the total CPU nanoseconds across all attempts (the
 // waste-percentage denominator).
 func (np *NodeProfile) AttemptNs() int64 { return np.attemptNsTotal.Load() }
-
-// Reexecs returns the re-execution count.
-func (np *NodeProfile) Reexecs() uint64 { return np.reexecs.Load() }
-
-// RevokedOutputCount returns the revoked-output fan-out total.
-func (np *NodeProfile) RevokedOutputCount() uint64 { return np.revokedOutputs.Load() }
 
 // Witnesses returns the witness count for an stm.ConflictKind.
 func (np *NodeProfile) Witnesses(k stm.ConflictKind) uint64 {
@@ -229,24 +176,16 @@ func (np *NodeProfile) drainInto(heat *spaceSaving) uint64 {
 	})
 }
 
-// snapshot renders the ledger as a NodeWaste record.
+// snapshot renders the profile as a NodeWaste record; the engine fills in
+// the counts its ledger keeps.
 func (np *NodeProfile) snapshot() NodeWaste {
 	nw := NodeWaste{
-		Node:            np.name,
-		AbortedAttempts: make(map[string]uint64),
-		WastedCPUNs:     make(map[string]int64),
-		Witnesses:       make(map[string]uint64),
-		AttemptCPUNs:    np.attemptNsTotal.Load(),
-		Reexecutions:    np.reexecs.Load(),
-		RevokedOutputs:  np.revokedOutputs.Load(),
-		SpecDepthSum:    np.specDepthSum.Load(),
-		SpecDepthMax:    np.specDepthMax.Load(),
-		SpecDepthCount:  np.specDepthN.Load(),
+		Node:         np.name,
+		WastedCPUNs:  make(map[string]int64),
+		Witnesses:    make(map[string]uint64),
+		AttemptCPUNs: np.attemptNsTotal.Load(),
 	}
 	for c := Cause(0); c < numCauses; c++ {
-		if n := np.attempts[c].Load(); n != 0 {
-			nw.AbortedAttempts[c.String()] = n
-		}
 		if ns := np.wastedNs[c].Load(); ns != 0 {
 			nw.WastedCPUNs[c.String()] = ns
 		}

@@ -10,7 +10,7 @@ import (
 )
 
 func TestLedgerAndSummary(t *testing.T) {
-	p := New(Config{RingSize: 8, HeatK: 4})
+	p := New()
 	np := p.Node("sketch-op")
 	np.SetResolver(func(a stm.Addr) string {
 		if a == 3 {
@@ -23,10 +23,8 @@ func TestLedgerAndSummary(t *testing.T) {
 	}
 	np.RecordConflict(stm.ConflictWitness{Kind: stm.ConflictCascade, Addr: 9})
 	np.AttemptCPU(10 * time.Millisecond)
-	np.AbortedAttempt(CauseConflict, 4*time.Millisecond, 2)
-	np.AbortedAttempt(CauseRevoke, 1*time.Millisecond, 5)
-	np.Reexec()
-	np.RevokedOutputs(3)
+	np.AbortedAttempt(CauseConflict, 4*time.Millisecond)
+	np.AbortedAttempt(CauseRevoke, 1*time.Millisecond)
 	p.CausedBy("upstream", 2)
 
 	s := p.Summary()
@@ -35,20 +33,11 @@ func TestLedgerAndSummary(t *testing.T) {
 		t.Fatal("node missing from summary")
 	}
 	nw := &s.Nodes[i]
-	if nw.AbortedAttempts["conflict"] != 1 || nw.AbortedAttempts["revoke"] != 1 {
-		t.Fatalf("aborted attempts = %v", nw.AbortedAttempts)
-	}
-	if nw.WastedCPUNs["conflict"] != 4e6 {
-		t.Fatalf("wasted conflict ns = %d", nw.WastedCPUNs["conflict"])
+	if nw.WastedCPUNs["conflict"] != 4e6 || nw.WastedCPUNs["revoke"] != 1e6 {
+		t.Fatalf("wasted ns = %v", nw.WastedCPUNs)
 	}
 	if nw.AttemptCPUNs != 1e7 {
 		t.Fatalf("attempt ns = %d", nw.AttemptCPUNs)
-	}
-	if nw.Reexecutions != 1 || nw.RevokedOutputs != 3 {
-		t.Fatalf("reexec/revoked = %d/%d", nw.Reexecutions, nw.RevokedOutputs)
-	}
-	if nw.SpecDepthMax != 5 || nw.SpecDepthSum != 7 || nw.SpecDepthCount != 2 {
-		t.Fatalf("spec depth = %+v", nw)
 	}
 	if nw.Witnesses["write-write"] != 5 || nw.Witnesses["cascade"] != 1 {
 		t.Fatalf("witnesses = %v", nw.Witnesses)
@@ -68,25 +57,30 @@ func TestLedgerAndSummary(t *testing.T) {
 }
 
 func TestRingOverwriteCountsDropped(t *testing.T) {
-	p := New(Config{RingSize: 4, HeatK: 8})
+	p := New()
 	np := p.Node("n")
 	np.SetResolver(func(a stm.Addr) string { return "s" })
-	for i := 0; i < 10; i++ {
+	for i := 0; i < ringSize+6; i++ {
 		np.RecordConflict(stm.ConflictWitness{Kind: stm.ConflictValidation, Addr: stm.Addr(i)})
 	}
 	s := p.Summary()
 	if s.WitnessesDropped != 6 {
 		t.Fatalf("dropped = %d, want 6", s.WitnessesDropped)
 	}
-	if len(s.Heatmap) != 1 || s.Heatmap[0].Count != 4 {
-		t.Fatalf("heatmap = %+v", s.Heatmap)
+	if len(s.Heatmap) != 1 || s.Heatmap[0].Count != ringSize {
+		t.Fatalf("heatmap = %+v, want one cell of %d", s.Heatmap, ringSize)
+	}
+	// The next drain starts where this one stopped.
+	np.RecordConflict(stm.ConflictWitness{Kind: stm.ConflictValidation})
+	if s := p.Summary(); s.WitnessesDropped != 6 || s.Heatmap[0].Count != ringSize+1 {
+		t.Fatalf("after one more witness: dropped %d, heatmap %+v", s.WitnessesDropped, s.Heatmap)
 	}
 }
 
 // TestRecordConflictZeroAlloc: witness recording must not allocate even
 // with profiling on — it runs on STM abort paths.
 func TestRecordConflictZeroAlloc(t *testing.T) {
-	np := New(Config{RingSize: 64}).Node("n")
+	np := New().Node("n")
 	w := stm.ConflictWitness{Kind: stm.ConflictWriteWrite, Addr: 1, VictimID: 2, OwnerID: 3}
 	if allocs := testing.AllocsPerRun(200, func() { np.RecordConflict(w) }); allocs != 0 {
 		t.Fatalf("RecordConflict allocated %.1f per run, want 0", allocs)

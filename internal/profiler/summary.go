@@ -14,8 +14,10 @@ type Summary struct {
 }
 
 // NodeWaste is one operator's ledger snapshot. Maps are keyed by abort
-// cause ("conflict", "revoke", "replace", "error") or witness kind
-// ("write-write", "validation", "cascade").
+// cause ("conflict", "revoke", "replacement", "error") or witness kind
+// ("write-write", "validation", "cascade"). The aborted attempts,
+// re-executions, revoked outputs and speculation depths are the engine's
+// per-node ledger; the CPU figures and witnesses are the profiler's.
 type NodeWaste struct {
 	Node            string            `json:"node"`
 	AbortedAttempts map[string]uint64 `json:"aborted_attempts,omitempty"`
