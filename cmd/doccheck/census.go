@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -15,6 +16,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 )
@@ -25,10 +27,11 @@ import (
 // or a bare import path, which keeps everything the package declares. A
 // kept type keeps its methods and fields.
 var keep = map[string]string{
-	"streammine/internal/wal.SegmentStore.Prune": "ROADMAP items 4(iii) and 14",
-	"streammine/internal/storage.FaultyDisk":     "ROADMAP item 5(b)",
-	"streammine/internal/storage.NewFaultyDisk":  "ROADMAP item 5(b)",
-	"streammine/internal/metricstest":            "test support, ROADMAP item 12",
+	"streammine/internal/wal.SegmentStore.Prune":       "ROADMAP items 4(iii) and 14",
+	"streammine/internal/storage.FaultyDisk":           "ROADMAP item 5(b)",
+	"streammine/internal/storage.NewFaultyDisk":        "ROADMAP item 5(b)",
+	"streammine/internal/metricstest":                  "test support, ROADMAP item 12",
+	"streammine/internal/core.Options.ConflictBackoff": "ROADMAP item 15(d)",
 }
 
 // listedPackage is the part of `go list -json` the census reads.
@@ -51,11 +54,14 @@ type declared struct {
 // census type-checks the non-test files of every package of the module at
 // root and reports each exported function, method, type, variable,
 // constant and field declared under internal/ that no non-test file uses,
-// unless keep lists it. An instantiation counts for its generic origin; a
-// method counts when a used type has it, declared or promoted, and
-// implements an interface of the module or the standard library that has
-// the method. The test files of the directories BENCHMARK.json lists count
-// too: the benchmark's files do not change with the code they measure.
+// and each field of an exported *Options struct there that no non-test
+// file outside its package writes (markWrites), unless keep lists it. An
+// instantiation counts for its generic origin; a method counts when a used
+// type has it, declared or promoted, and implements an interface of the
+// module or the standard library that has the method. The test files of
+// the directories BENCHMARK.json lists count too: the benchmark's files do
+// not change with the code they measure. It also reports each constant
+// series name a non-test file registers that no docs/*.md names.
 func census(root string, keep map[string]string) ([]string, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
@@ -65,6 +71,7 @@ func census(root string, keep map[string]string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
+	docs := docWords(root)
 	cmd := exec.Command("go", "list", "-deps", "-json=ImportPath,Dir,GoFiles,TestGoFiles,Standard", "./...")
 	cmd.Dir, cmd.Stderr = root, os.Stderr
 	out, err := cmd.Output()
@@ -77,8 +84,16 @@ func census(root string, keep map[string]string) ([]string, error) {
 	fset := token.NewFileSet()
 	imp := moduleImporter{std: importer.ForCompiler(fset, "source", nil), mod: map[string]*types.Package{}}
 
-	used := map[types.Object]bool{}
+	used, written := map[types.Object]bool{}, map[types.Object]bool{}
 	var decls []declared
+	var problems []string
+	report := func(at token.Pos, format string, args ...any) {
+		pos := fset.Position(at)
+		if rel, err := filepath.Rel(root, pos.Filename); err == nil {
+			pos.Filename = rel
+		}
+		problems = append(problems, fmt.Sprintf("%s:%d: ", pos.Filename, pos.Line)+fmt.Sprintf(format, args...))
+	}
 	var pkgs []*types.Package
 	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
 		var lp listedPackage
@@ -102,7 +117,7 @@ func census(root string, keep map[string]string) ([]string, error) {
 			}
 			files = append(files, f)
 		}
-		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
 		pkg, err := (&types.Config{Importer: imp}).Check(lp.ImportPath, fset, files, info)
 		if err != nil {
 			return nil, fmt.Errorf("type-check %s: %w", lp.ImportPath, err)
@@ -110,12 +125,20 @@ func census(root string, keep map[string]string) ([]string, error) {
 		imp.mod[lp.ImportPath] = pkg
 		pkgs = append(pkgs, pkg)
 		internal := strings.Contains("/"+lp.ImportPath+"/", "/internal/")
-		for _, f := range files {
+		for i, f := range files {
 			for _, d := range f.Decls {
 				self := markUses(d, info, used)
 				if internal {
 					decls = append(decls, declsOf(d, info, lp.ImportPath, self)...)
 				}
+			}
+			markWrites(f, info, lp.ImportPath, written)
+			if !strings.HasSuffix(names[i], "_test.go") {
+				registeredSeries(f, info, func(name string, at token.Pos) {
+					if !docs[name] {
+						report(at, "series %s is registered but no docs/*.md names it", name)
+					}
+				})
 			}
 		}
 	}
@@ -141,21 +164,89 @@ func census(root string, keep map[string]string) ([]string, error) {
 		}
 	}
 	byMethod := interfacesByMethod(pkgs)
-	var problems []string
 	for _, d := range decls {
 		pkg := d.obj.Pkg()
-		if used[d.obj] || listed(d.key, d.owner, pkg.Path()) || satisfiesInterface(d.obj, usedTypes, byMethod) {
+		if listed(d.key, d.owner, pkg.Path()) {
 			continue
 		}
-		pos := fset.Position(d.obj.Pos())
-		if rel, err := filepath.Rel(root, pos.Filename); err == nil {
-			pos.Filename = rel
+		name := pkg.Name() + strings.TrimPrefix(d.key, pkg.Path())
+		if !used[d.obj] && !satisfiesInterface(d.obj, usedTypes, byMethod) {
+			report(d.obj.Pos(), "%s has no non-test user (delete it, or keep-list it in cmd/doccheck with the ROADMAP item that gives it one)", name)
+		} else if strings.HasSuffix(d.owner, "Options") && !written[d.obj] {
+			report(d.obj.Pos(), "option %s is set by no non-test file outside its package (make it a constant, or keep-list it in cmd/doccheck with the ROADMAP item that will set it)", name)
 		}
-		problems = append(problems, fmt.Sprintf("%s:%d: %s%s has no non-test user (delete it, or keep-list it in cmd/doccheck with the ROADMAP item that gives it one)",
-			pos.Filename, pos.Line, pkg.Name(), strings.TrimPrefix(d.key, pkg.Path())))
 	}
 	sort.Strings(problems)
 	return problems, nil
+}
+
+// markWrites records every struct field that f writes from outside the
+// field's own package: as a composite-literal key, an assignment target or
+// the operand of &x.F.
+func markWrites(f *ast.File, info *types.Info, path string, written map[types.Object]bool) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		var targets []ast.Expr
+		switch n := n.(type) {
+		case *ast.KeyValueExpr:
+			targets = []ast.Expr{n.Key}
+		case *ast.AssignStmt:
+			targets = n.Lhs
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				targets = []ast.Expr{n.X}
+			}
+		}
+		for _, e := range targets {
+			id, _ := ast.Unparen(e).(*ast.Ident)
+			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+				id = sel.Sel
+			}
+			if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() && v.Pkg().Path() != path {
+				written[origin(v)] = true
+			}
+		}
+		return true
+	})
+}
+
+// registeredSeries calls report for each constant series name f passes to
+// a registration method of a metrics package's Registry: a method whose
+// first parameter is name string.
+func registeredSeries(f *ast.File, info *types.Info, report func(name string, at token.Pos)) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		fn, ok := info.Uses[sel.Sel].(*types.Func)
+		if !ok {
+			return true
+		}
+		recv, v := receiverNamed(fn), info.Types[call.Args[0]].Value
+		if recv != nil && recv.Obj().Name() == "Registry" && recv.Obj().Pkg().Name() == "metrics" &&
+			fn.Type().(*types.Signature).Params().At(0).Name() == "name" && v != nil && v.Kind() == constant.String {
+			report(constant.StringVal(v), call.Args[0].Pos())
+		}
+		return true
+	})
+}
+
+// docWords returns the words (runs of letters, digits and underscores) of
+// the docs/*.md files under root; a file it cannot read names nothing.
+func docWords(root string) map[string]bool {
+	files, _ := filepath.Glob(filepath.Join(root, "docs", "*.md"))
+	words, word := map[string]bool{}, regexp.MustCompile(`\w+`)
+	for _, name := range files {
+		data, _ := os.ReadFile(name)
+		for _, w := range word.FindAllString(string(data), -1) {
+			words[w] = true
+		}
+	}
+	return words
 }
 
 // moduleImporter hands out the module's packages as the census checks them

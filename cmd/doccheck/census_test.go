@@ -7,38 +7,51 @@ import (
 )
 
 // TestCensus runs the census over a fixture module with one identifier per
-// rule and checks which of them it reports.
+// case of each rule and checks which of them it reports.
 func TestCensus(t *testing.T) {
 	root := filepath.Join("testdata", "census")
-	got, err := census(root, map[string]string{"fixture/internal/lib.Kept": "fixture"})
+	got, err := census(root, map[string]string{
+		"fixture/internal/lib.Kept":               "fixture",
+		"fixture/internal/lib.Options.KeptOption": "fixture",
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reported := func(name string) bool {
+	reported := func(report string) bool {
 		for _, p := range got {
-			if strings.Contains(p, " "+name+" has no non-test user") {
+			if strings.Contains(p, report) {
 				return true
 			}
 		}
 		return false
 	}
+	unused := func(name string) string { return " " + name + " has no non-test user" }
+	unset := func(name string) string { return " option " + name + " is set by no non-test file" }
+	undocumented := func(name string) string { return " series " + name + " is registered but" }
 	for _, c := range []struct {
-		why, name string
-		want      bool
+		why, report string
+		want        bool
 	}{
-		{"an orphan", "lib.Orphan", true},
-		{"a use from a test file", "lib.TestOnly", true},
-		{"a method that satisfies an interface", "lib.Base.String", false},
-		{"a keep-listed identifier", "lib.Kept", false},
-		{"a generic type used through an instantiation", "lib.Box", false},
-		{"a field of an instantiation", "lib.Box.V", false},
-		{"a method of an instantiation", "lib.Box.Get", false},
+		{"an orphan", unused("lib.Orphan"), true},
+		{"a use from a test file", unused("lib.TestOnly"), true},
+		{"a method that satisfies an interface", unused("lib.Base.String"), false},
+		{"a keep-listed identifier", unused("lib.Kept"), false},
+		{"a generic type used through an instantiation", unused("lib.Box"), false},
+		{"a field of an instantiation", unused("lib.Box.V"), false},
+		{"a method of an instantiation", unused("lib.Box.Get"), false},
+		{"an option set only by a test file", unset("lib.Options.TestSet"), true},
+		{"an option set only by its own package's defaulting", unset("lib.Options.Defaulted"), true},
+		{"an option set by another package's non-test file", unset("lib.Options.Set"), false},
+		{"an option set through &x.F", unset("lib.Options.Addressed"), false},
+		{"a keep-listed option", unset("lib.Options.KeptOption"), false},
+		{"a registered series no doc names", undocumented("fixture_undocumented_total"), true},
+		{"a registered series a doc names", undocumented("fixture_documented_total"), false},
 	} {
-		if reported(c.name) != c.want {
-			t.Errorf("%s: %s reported %v, want %v", c.why, c.name, !c.want, c.want)
+		if reported(c.report) != c.want {
+			t.Errorf("%s: %q reported %v, want %v", c.why, c.report, !c.want, c.want)
 		}
 	}
-	if len(got) != 2 {
-		t.Errorf("census reported %d identifiers, want 2:\n%s", len(got), strings.Join(got, "\n"))
+	if len(got) != 5 {
+		t.Errorf("census reported %d problems, want 5:\n%s", len(got), strings.Join(got, "\n"))
 	}
 }

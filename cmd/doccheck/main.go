@@ -6,10 +6,16 @@
 //     across PRs;
 //   - a command-line flag registered in cmd/ never appears in any
 //     markdown file — every knob must be documented somewhere (README.md,
-//     DESIGN.md or docs/); or
+//     DESIGN.md or docs/);
 //   - an exported identifier under internal/ has no user outside tests
 //     (census.go) — what nothing consumes goes, or is kept by name with
-//     the ROADMAP item that will consume it.
+//     the ROADMAP item that will consume it;
+//   - a field of an exported *Options struct under internal/ is set by
+//     no non-test file outside its own package (census.go) — a knob only
+//     tests and defaults set becomes a constant, or is kept by name with
+//     the ROADMAP item that will set it; or
+//   - a constant series name registered with a metrics Registry in a
+//     non-test file is named in no docs/*.md (census.go).
 //
 // make doccheck runs it as part of make check and CI.
 package main
@@ -47,7 +53,7 @@ func main() {
 	problems = append(problems, checkFlags(root)...)
 	orphans, err := census(root, keep)
 	if err != nil {
-		orphans = []string{"export census: " + err.Error()}
+		orphans = []string{"census: " + err.Error()}
 	}
 	problems = append(problems, orphans...)
 	if len(problems) > 0 {

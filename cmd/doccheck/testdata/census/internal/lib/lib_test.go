@@ -2,4 +2,7 @@ package lib
 
 import "testing"
 
-func TestUse(t *testing.T) { TestOnly() }
+func TestUse(t *testing.T) {
+	TestOnly()
+	New(Options{TestSet: 1})
+}

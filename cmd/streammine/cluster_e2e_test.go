@@ -70,12 +70,11 @@ func buildBinary(t *testing.T) string {
 func runClusterProcesses(t *testing.T, bin, topo string, chaos bool, traceDir string) map[string]bool {
 	t.Helper()
 	cl, err := procharness.Start(procharness.Options{
-		Bin:       bin,
-		Topology:  topo,
-		Dir:       t.TempDir(),
-		Workers:   2,
-		HBTimeout: 500 * time.Millisecond,
-		TraceDir:  traceDir,
+		Bin:      bin,
+		Topology: topo,
+		Dir:      t.TempDir(),
+		Workers:  2,
+		TraceDir: traceDir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +234,6 @@ func TestClusterRecoveryAnatomy(t *testing.T) {
 		Topology:  e2eTopo,
 		Dir:       t.TempDir(),
 		Workers:   2,
-		HBTimeout: 500 * time.Millisecond,
 		CoordArgs: []string{"-debug-addr", "127.0.0.1:0"},
 	})
 	if err != nil {

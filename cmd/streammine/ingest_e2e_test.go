@@ -123,7 +123,6 @@ func runIngestCluster(t *testing.T, bin string, chaos bool) (map[string]bool, in
 		Topology:   ingestE2ETopo,
 		Dir:        dir,
 		Workers:    2,
-		HBTimeout:  500 * time.Millisecond,
 		WorkerArgs: []string{"-ingest-addr", "127.0.0.1:0", "-ingest-tenants", tenantsPath},
 	})
 	if err != nil {

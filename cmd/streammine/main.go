@@ -256,7 +256,7 @@ func run() error {
 	disks := make([]storage.Disk, nDisks)
 	for i := range disks {
 		if diskLat > 0 {
-			disks[i] = storage.NewSimDisk(diskLat, 0)
+			disks[i] = storage.NewSimDisk(diskLat)
 		} else {
 			disks[i] = storage.NewMemDisk()
 		}

@@ -114,7 +114,7 @@ func run() error {
 	})
 	g.Connect(src, 0, an, 0)
 
-	pool := storage.NewPool([]storage.Disk{storage.NewSimDisk(diskLat, 0)})
+	pool := storage.NewPool([]storage.Disk{storage.NewSimDisk(diskLat)})
 	defer pool.Close()
 	wall := vclock.NewWall()
 	eng, err := core.New(g, core.Options{Pool: pool, Seed: 5, Clock: wall})

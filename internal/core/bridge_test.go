@@ -25,7 +25,7 @@ func TestBridgedEnginesOverTCP(t *testing.T) {
 		Speculative: true,
 	})
 	gA.Connect(srcA, 0, logA, 0)
-	poolA := storage.NewPool([]storage.Disk{storage.NewSimDisk(5*time.Millisecond, 0)})
+	poolA := storage.NewPool([]storage.Disk{storage.NewSimDisk(5 * time.Millisecond)})
 	defer poolA.Close()
 	engA, err := New(gA, Options{Pool: poolA, Seed: 1})
 	if err != nil {

@@ -110,8 +110,6 @@ func (n *node) commitBatch(max int) {
 	committed, err := n.mem.CommitGroup(txs)
 	if committed > 0 {
 		if m := n.eng.met; m != nil {
-			m.batchCommitGroups.Inc()
-			m.batchCommitEvents.Add(uint64(committed))
 			m.batchOccupancy.Observe(int64(committed))
 		}
 		n.retireGroup(run[:committed])

@@ -193,7 +193,7 @@ func TestSourceValidation(t *testing.T) {
 // operator's outputs observably travel speculative first and finalize
 // later — the paper's core mechanism.
 func TestSpeculativeOutputsThenFinalize(t *testing.T) {
-	pool := storage.NewPool([]storage.Disk{storage.NewSimDisk(20*time.Millisecond, 0)})
+	pool := storage.NewPool([]storage.Disk{storage.NewSimDisk(20 * time.Millisecond)})
 	defer pool.Close()
 	g := graph.New()
 	src := g.AddNode(graph.Node{Name: "src"})
@@ -244,7 +244,7 @@ func TestSpeculativeOutputsThenFinalize(t *testing.T) {
 // TestNonSpeculativeHoldsOutputs verifies the baseline: outputs appear only
 // after the log write completes, and never speculatively.
 func TestNonSpeculativeHoldsOutputs(t *testing.T) {
-	pool := storage.NewPool([]storage.Disk{storage.NewSimDisk(15*time.Millisecond, 0)})
+	pool := storage.NewPool([]storage.Disk{storage.NewSimDisk(15 * time.Millisecond)})
 	defer pool.Close()
 	g := graph.New()
 	src := g.AddNode(graph.Node{Name: "src"})
@@ -293,7 +293,7 @@ func TestSpeculationOverlapsLoggingChain(t *testing.T) {
 				Op:          &operator.Passthrough{LogDecision: true},
 				Speculative: speculative,
 			})
-			pool := storage.NewPool([]storage.Disk{storage.NewSimDisk(d, 0)})
+			pool := storage.NewPool([]storage.Disk{storage.NewSimDisk(d)})
 			defer pool.Close()
 			pools[n] = pool
 			g.Connect(prev, 0, n, 0)

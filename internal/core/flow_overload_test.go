@@ -144,7 +144,7 @@ func TestFlowOverloadBoundedOccupancy(t *testing.T) {
 func TestFlowOverloadThrottleEngages(t *testing.T) {
 	const total = 200
 	fl := &flow.Limits{MailboxCap: 8, MaxOpenSpec: 2}
-	pool := storage.NewPool([]storage.Disk{storage.NewSimDisk(time.Millisecond, 0)})
+	pool := storage.NewPool([]storage.Disk{storage.NewSimDisk(time.Millisecond)})
 	defer pool.Close()
 	_, pressure := runOverload(t, fl, total, 4, Options{Seed: 34, Pool: pool})
 	var classify *NodePressure

@@ -39,15 +39,11 @@ type engineMetrics struct {
 
 	// Run accounting (see docs/PERFORMANCE.md). Every node commits in
 	// groups of what is ready, and every source injects in runs — of one
-	// unless EmitBatch makes them longer — so these
-	// describe every node and batchCommitEvents equals the engine's
-	// committed count.
-	// batchCommitGroups counts committer turns that committed a ready run;
-	// batchCommitEvents counts the events in those runs; batchOccupancy
-	// observes the run length per group (how full groups actually get).
+	// unless EmitBatch makes them longer — so these describe every node.
+	// batchOccupancy observes the run length per commit group (how full
+	// groups actually get): its count is the committer turns that
+	// committed, its sum the engine's committed count.
 	// batchSourceBatches/batchSourceEvents account source injections.
-	batchCommitGroups  *metrics.Counter
-	batchCommitEvents  *metrics.Counter
 	batchOccupancy     *metrics.HDR
 	batchSourceBatches *metrics.Counter
 	batchSourceEvents  *metrics.Counter
@@ -75,10 +71,6 @@ func registerEngineMetrics(e *Engine, reg *metrics.Registry) *engineMetrics {
 			"Open speculative tasks observed at each speculative send (speculation depth)."),
 		cascadeSize: reg.HDRCounts("core_revoke_cascade_size",
 			"Live downstream outputs revoked per aborted task (cascade fan-out)."),
-		batchCommitGroups: reg.Counter("batch_commit_groups_total",
-			"Committer turns that committed a run of ready tasks (one commit-gate hold each; runs of one included)."),
-		batchCommitEvents: reg.Counter("batch_commit_events_total",
-			"Events committed in those groups: every commit of every node."),
 		batchOccupancy: reg.HDRCounts("batch_occupancy",
 			"Events per commit group (how full groups actually get)."),
 		batchSourceBatches: reg.Counter("batch_source_batches_total",

@@ -134,6 +134,4 @@ func TestProfilerAttributesConflicts(t *testing.T) {
 	if nw.Witnesses["write-write"]+nw.Witnesses["validation"]+nw.Witnesses["cascade"] == 0 {
 		t.Errorf("no conflict witnesses recorded: %+v", nw.Witnesses)
 	}
-
-	metricstest.Documented(t, reg, "profiler_", "OBSERVABILITY.md", 4)
 }

@@ -15,17 +15,17 @@ type Options struct {
 	// Workers is the worker count for the aggregate stage (optimistic
 	// parallelization); minimum 1.
 	Workers int
-	// CheckpointEvery configures the aggregate stage's checkpoints.
-	CheckpointEvery int
 	// NamePrefix prefixes generated node names (default "cq").
 	NamePrefix string
-	// DistinctPrecision sets the HyperLogLog precision for
-	// COUNT(DISTINCT KEY) (default 12).
-	DistinctPrecision uint
-	// DedupCapacity sets the key memory for SELECT DISTINCT KEY
-	// (default 1024).
-	DedupCapacity int
 }
+
+// The aggregate stage takes no checkpoints. COUNT(DISTINCT KEY) counts
+// with a HyperLogLog of distinctPrecision; SELECT DISTINCT KEY remembers
+// dedupCapacity keys.
+const (
+	distinctPrecision = 12
+	dedupCapacity     = 1024
+)
 
 // Attached reports the nodes a query compiled to.
 type Attached struct {
@@ -44,12 +44,6 @@ func Attach(g *graph.Graph, q *Query, sources map[string]graph.NodeID, opts Opti
 	}
 	if opts.Workers < 1 {
 		opts.Workers = 1
-	}
-	if opts.DistinctPrecision == 0 {
-		opts.DistinctPrecision = 12
-	}
-	if opts.DedupCapacity <= 0 {
-		opts.DedupCapacity = 1024
 	}
 	var upstream []graph.NodeID
 	for _, name := range q.Sources {
@@ -106,10 +100,9 @@ func Attach(g *graph.Graph, q *Query, sources map[string]graph.NodeID, opts Opti
 // aggregateNode builds the selection's operator node.
 func aggregateNode(q *Query, opts Options) (graph.Node, error) {
 	n := graph.Node{
-		Name:            opts.NamePrefix + "-agg",
-		Speculative:     opts.Speculative,
-		Workers:         opts.Workers,
-		CheckpointEvery: opts.CheckpointEvery,
+		Name:        opts.NamePrefix + "-agg",
+		Speculative: opts.Speculative,
+		Workers:     opts.Workers,
 	}
 	switch q.Agg {
 	case AggAvg:
@@ -122,11 +115,11 @@ func aggregateNode(q *Query, opts Options) (graph.Node, error) {
 		n.Op = &operator.Classifier{Classes: int(q.Size)}
 		n.Traits = operator.ClassifierTraits(int(q.Size))
 	case AggCountDistinct:
-		n.Op = &operator.DistinctCount{Precision: opts.DistinctPrecision, Seed: 0x5EED}
-		n.Traits = operator.DistinctCountTraits(opts.DistinctPrecision)
+		n.Op = &operator.DistinctCount{Precision: distinctPrecision, Seed: 0x5EED}
+		n.Traits = operator.DistinctCountTraits(distinctPrecision)
 	case AggDistinct:
-		n.Op = &operator.Dedup{Capacity: opts.DedupCapacity}
-		n.Traits = operator.DedupTraits(opts.DedupCapacity)
+		n.Op = &operator.Dedup{Capacity: dedupCapacity}
+		n.Traits = operator.DedupTraits(dedupCapacity)
 	case AggProject:
 		n.Op = &operator.Passthrough{}
 		n.Traits = operator.Traits{Deterministic: true}

@@ -67,7 +67,7 @@ func RunFig2(cfg Config) (*Table, []Fig2Result, error) {
 		run := func(spec bool) (time.Duration, error) {
 			disks := make([]storage.Disk, c.Disks)
 			for i := range disks {
-				disks[i] = storage.NewSimDisk(c.WriteLatency, 0)
+				disks[i] = storage.NewSimDisk(c.WriteLatency)
 			}
 			pool := storage.NewPoolDelayed(disks, window)
 			defer pool.Close()

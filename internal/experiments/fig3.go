@@ -42,7 +42,7 @@ func RunFig3(cfg Config) (*Table, []Fig3Result, error) {
 					ops:         n,
 					speculative: spec,
 					perNodePool: func() *storage.Pool {
-						return storage.NewPool([]storage.Disk{storage.NewSimDisk(d, 0)})
+						return storage.NewPool([]storage.Disk{storage.NewSimDisk(d)})
 					},
 				}, events)
 			}

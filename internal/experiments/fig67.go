@@ -149,7 +149,7 @@ func runFig67Point(mode Fig67Mode, bothLog bool, rate int, sc fig67Scale) (Fig67
 	g.Connect(p2, 0, union, 1)
 	g.Connect(union, 0, sk, 0)
 
-	pool := storage.NewPoolDelayed([]storage.Disk{storage.NewSimDisk(sc.diskLat, 0)}, sc.diskLat/10)
+	pool := storage.NewPoolDelayed([]storage.Disk{storage.NewSimDisk(sc.diskLat)}, sc.diskLat/10)
 	defer pool.Close()
 	eng, err := core.New(g, core.Options{Pool: pool, Seed: 5})
 	if err != nil {

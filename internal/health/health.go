@@ -29,7 +29,7 @@ type Options struct {
 	// SLO is the declared end-to-end p99 latency target (0 = none).
 	SLO time.Duration
 	// HeartbeatInterval is the STATUS cadence; staleness thresholds
-	// scale from it (default 100 ms).
+	// scale from it.
 	HeartbeatInterval time.Duration
 }
 
@@ -78,9 +78,6 @@ type workerState struct {
 // New builds a model over the deployed topology: the upstream adjacency
 // for backpressure walks comes from each node's declared inputs.
 func New(cfg *topology.Config, opts Options) *Model {
-	if opts.HeartbeatInterval <= 0 {
-		opts.HeartbeatInterval = 100 * time.Millisecond
-	}
 	if opts.SLO == 0 {
 		opts.SLO = cfg.SLO()
 	}

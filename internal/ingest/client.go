@@ -36,8 +36,6 @@ type ClientOptions struct {
 	// TLS, when set, dials through TLS (e.g. InsecureSkipVerify for
 	// self-signed test certificates).
 	TLS *tls.Config
-	// DialTimeout bounds one connection attempt (default 5s).
-	DialTimeout time.Duration
 	// Backoff is the initial retry delay, doubled per consecutive
 	// failure up to 2s (default 50ms).
 	Backoff time.Duration
@@ -48,9 +46,6 @@ type ClientOptions struct {
 
 // NewClient returns an unconnected client; the first Send dials.
 func NewClient(addr, stream string, opts ClientOptions) *Client {
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 5 * time.Second
-	}
 	if opts.Backoff <= 0 {
 		opts.Backoff = 50 * time.Millisecond
 	}
@@ -70,13 +65,16 @@ func (e *fatalError) Error() string {
 	return fmt.Sprintf("ingest: server error %d: %s", e.code, e.msg)
 }
 
+// dialTimeout bounds one connection attempt.
+const dialTimeout = 5 * time.Second
+
 func (c *Client) dial() error {
 	var conn net.Conn
 	var err error
 	if c.opts.TLS != nil {
-		conn, err = tls.DialWithDialer(&net.Dialer{Timeout: c.opts.DialTimeout}, "tcp", c.addr, c.opts.TLS)
+		conn, err = tls.DialWithDialer(&net.Dialer{Timeout: dialTimeout}, "tcp", c.addr, c.opts.TLS)
 	} else {
-		conn, err = net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
+		conn, err = net.DialTimeout("tcp", c.addr, dialTimeout)
 	}
 	if err != nil {
 		return err

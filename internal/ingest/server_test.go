@@ -504,19 +504,6 @@ func TestServerPoisonsStreamOnEmitFailure(t *testing.T) {
 	}
 }
 
-// TestIngestMetricInventoryDocumented mirrors the batch_*/profiler
-// inventory checks: every ingest_* series the gateway registers must be
-// documented in docs/INGEST.md.
-func TestIngestMetricInventoryDocumented(t *testing.T) {
-	reg := metrics.NewRegistry()
-	tenants := []TenantConfig{{Name: "acme", Token: "tok", Rate: 100}}
-	s, _ := startTestServer(t, Config{Tenants: tenants, Registry: reg})
-	c := NewClient(s.Addr(), "src", ClientOptions{Token: "tok"})
-	defer c.Close()
-	sendN(t, c, 0, 3)
-	metricstest.Documented(t, reg, "ingest_", "INGEST.md", 1)
-}
-
 // rawConn speaks the binary protocol directly, for observing single
 // verdicts the retrying Client hides.
 type rawConn struct {

@@ -37,6 +37,10 @@ func BuildBinary(dir, pkg string) (string, error) {
 	return bin, nil
 }
 
+// hbTimeout is every process's cluster heartbeat timeout: fast failure
+// detection keeps drills short.
+const hbTimeout = 500 * time.Millisecond
+
 // Options configures one cluster run.
 type Options struct {
 	// Bin is the streammine binary (required; see BuildBinary).
@@ -50,9 +54,6 @@ type Options struct {
 	Dir string
 	// Workers is the number of worker processes (default 2).
 	Workers int
-	// HBTimeout is the cluster heartbeat timeout (default 500ms — fast
-	// failure detection keeps drills short).
-	HBTimeout time.Duration
 	// CoordArgs are appended to the coordinator invocation (e.g.
 	// -debug-addr 127.0.0.1:0).
 	CoordArgs []string
@@ -62,10 +63,6 @@ type Options struct {
 	// TraceDir, when set, gives every process a -trace file
 	// <TraceDir>/<proc>.jsonl for post-run lineage analysis.
 	TraceDir string
-	// OnLine, when set, observes every stdout/stderr line of every
-	// process (after the harness's own scraping). It runs on the
-	// process's scan goroutine and must not block.
-	OnLine func(proc, line string)
 }
 
 // Cluster is a running coordinator+workers process group.
@@ -98,9 +95,6 @@ func Start(o Options) (*Cluster, error) {
 	if o.Workers <= 0 {
 		o.Workers = 2
 	}
-	if o.HBTimeout <= 0 {
-		o.HBTimeout = 500 * time.Millisecond
-	}
 	topoPath := filepath.Join(o.Dir, "topo.json")
 	if err := os.WriteFile(topoPath, []byte(o.Topology), 0o644); err != nil {
 		return nil, fmt.Errorf("procharness: write topology: %w", err)
@@ -121,11 +115,11 @@ func Start(o Options) (*Cluster, error) {
 	}
 
 	coordArgs := []string{"-coordinator", "127.0.0.1:0", "-topology", topoPath,
-		"-hb-timeout", o.HBTimeout.String()}
+		"-hb-timeout", hbTimeout.String()}
 	coordArgs = append(coordArgs, o.CoordArgs...)
 	coordArgs = append(coordArgs, traceArgs("coordinator")...)
 	c.coord = exec.Command(o.Bin, coordArgs...)
-	if err := c.scan(c.coord, "coordinator", o.OnLine); err != nil {
+	if err := c.scan(c.coord, "coordinator"); err != nil {
 		return nil, err
 	}
 	if err := c.coord.Start(); err != nil {
@@ -143,11 +137,11 @@ func Start(o Options) (*Cluster, error) {
 	for i := 0; i < o.Workers; i++ {
 		name := fmt.Sprintf("w%d", i+1)
 		args := []string{"-worker", "-join", c.CoordAddr, "-name", name,
-			"-state-dir", stateDir, "-hb-timeout", o.HBTimeout.String()}
+			"-state-dir", stateDir, "-hb-timeout", hbTimeout.String()}
 		args = append(args, o.WorkerArgs...)
 		args = append(args, traceArgs(name)...)
 		wk := exec.Command(o.Bin, args...)
-		if err := c.scan(wk, name, o.OnLine); err != nil {
+		if err := c.scan(wk, name); err != nil {
 			c.Close()
 			return nil, err
 		}

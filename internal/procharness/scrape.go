@@ -7,9 +7,8 @@ import (
 )
 
 // scan wires a process's combined stdout/stderr through sift (the
-// harness's stdout contracts) and then the caller's OnLine hook. It
-// must run before cmd.Start.
-func (c *Cluster) scan(cmd *exec.Cmd, proc string, onLine func(proc, line string)) error {
+// harness's stdout contracts). It must run before cmd.Start.
+func (c *Cluster) scan(cmd *exec.Cmd, proc string) error {
 	out, err := cmd.StdoutPipe()
 	if err != nil {
 		return err
@@ -19,11 +18,7 @@ func (c *Cluster) scan(cmd *exec.Cmd, proc string, onLine func(proc, line string
 		sc := bufio.NewScanner(out)
 		sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 		for sc.Scan() {
-			line := sc.Text()
-			c.sift(proc, line)
-			if onLine != nil {
-				onLine(proc, line)
-			}
+			c.sift(proc, sc.Text())
 		}
 	}()
 	return nil

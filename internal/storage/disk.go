@@ -30,22 +30,20 @@ type Disk interface {
 // ErrClosed is returned for operations on a closed disk or pool.
 var ErrClosed = errors.New("storage: closed")
 
-// SimDisk models a disk with a fixed per-write latency plus an optional
-// per-byte transfer cost. It is the package used for the paper's Sim-N
-// configurations and for modelling commodity hard drives in Figure 2.
+// SimDisk models a disk with a fixed per-write latency. It is the package
+// used for the paper's Sim-N configurations and for modelling commodity
+// hard drives in Figure 2.
 type SimDisk struct {
 	latency time.Duration
-	perByte time.Duration
 
 	closed atomic.Bool
 }
 
 var _ Disk = (*SimDisk)(nil)
 
-// NewSimDisk returns a disk whose writes take latency plus
-// perByte×len(payload).
-func NewSimDisk(latency, perByte time.Duration) *SimDisk {
-	return &SimDisk{latency: latency, perByte: perByte}
+// NewSimDisk returns a disk whose writes take latency each.
+func NewSimDisk(latency time.Duration) *SimDisk {
+	return &SimDisk{latency: latency}
 }
 
 // Write blocks for the modelled duration.
@@ -53,7 +51,7 @@ func (d *SimDisk) Write(p []byte) error {
 	if d.closed.Load() {
 		return ErrClosed
 	}
-	time.Sleep(d.latency + time.Duration(len(p))*d.perByte)
+	time.Sleep(d.latency)
 	return nil
 }
 

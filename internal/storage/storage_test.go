@@ -52,7 +52,7 @@ func TestMemDiskClosed(t *testing.T) {
 }
 
 func TestSimDiskLatency(t *testing.T) {
-	d := NewSimDisk(20*time.Millisecond, 0)
+	d := NewSimDisk(20 * time.Millisecond)
 	start := time.Now()
 	if err := d.Write([]byte("x")); err != nil {
 		t.Fatal(err)
@@ -63,7 +63,7 @@ func TestSimDiskLatency(t *testing.T) {
 }
 
 func TestSimDiskClosed(t *testing.T) {
-	d := NewSimDisk(0, 0)
+	d := NewSimDisk(0)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestPoolSingleWrite(t *testing.T) {
 }
 
 func TestPoolAllCallbacksRun(t *testing.T) {
-	p := NewPool([]Disk{NewSimDisk(time.Millisecond, 0), NewSimDisk(time.Millisecond, 0)})
+	p := NewPool([]Disk{NewSimDisk(time.Millisecond), NewSimDisk(time.Millisecond)})
 	defer p.Close()
 	const n = 200
 	var wg sync.WaitGroup
@@ -132,7 +132,7 @@ func TestPoolAllCallbacksRun(t *testing.T) {
 // faster than a single slow disk can absorb them, the collector batches
 // them so the disk sees far fewer writes than there were requests.
 func TestPoolGroupCommit(t *testing.T) {
-	disk := &countingDisk{Disk: NewSimDisk(10*time.Millisecond, 0)}
+	disk := &countingDisk{Disk: NewSimDisk(10 * time.Millisecond)}
 	p := NewPool([]Disk{disk})
 	defer p.Close()
 
@@ -192,7 +192,7 @@ func TestPoolParallelDisks(t *testing.T) {
 		disks := make([]Disk, nDisks)
 		for i := range disks {
 			disks[i] = &concurrencyDisk{
-				inner:   NewSimDisk(5*time.Millisecond, 0),
+				inner:   NewSimDisk(5 * time.Millisecond),
 				current: &current,
 				max:     &max,
 			}
@@ -221,7 +221,7 @@ func TestPoolParallelDisks(t *testing.T) {
 // TestPoolGroupCommitWindow verifies the NewPoolDelayed window: requests
 // issued within the window of the first one share its stable write.
 func TestPoolGroupCommitWindow(t *testing.T) {
-	disk := &countingDisk{Disk: NewSimDisk(5*time.Millisecond, 0)}
+	disk := &countingDisk{Disk: NewSimDisk(5 * time.Millisecond)}
 	p := NewPoolDelayed([]Disk{disk}, 2*time.Millisecond)
 	defer p.Close()
 	var wg sync.WaitGroup
@@ -239,7 +239,7 @@ func TestPoolGroupCommitWindow(t *testing.T) {
 }
 
 func TestPoolClosePendingFail(t *testing.T) {
-	p := NewPool([]Disk{NewSimDisk(50*time.Millisecond, 0)})
+	p := NewPool([]Disk{NewSimDisk(50 * time.Millisecond)})
 	var closedErr atomic.Int64
 	var wg sync.WaitGroup
 	// First request occupies the disk; the rest accumulate at the

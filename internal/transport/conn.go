@@ -27,9 +27,8 @@ type Handler func(Message)
 
 // tcpConn adapts a net.Conn to the Conn interface.
 type tcpConn struct {
-	nc           net.Conn
-	writeTimeout time.Duration // per-Send deadline; 0 = none
-	chaos        bool          // chaos-targeted: the shim applies here
+	nc    net.Conn
+	chaos bool // chaos-targeted: the shim applies here
 
 	sendMu sync.Mutex
 	closed sync.Once
@@ -39,9 +38,7 @@ type tcpConn struct {
 
 var _ Conn = (*tcpConn)(nil)
 
-// Send writes one frame. With a write timeout configured, a peer that has
-// stopped draining its socket fails the Send instead of blocking forever
-// (the caller treats any Send error as a dead link and redials).
+// Send writes one frame.
 func (c *tcpConn) Send(m Message) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
@@ -59,9 +56,6 @@ func (c *tcpConn) Send(m Message) error {
 				return ErrChaosDrop
 			}
 		}
-	}
-	if c.writeTimeout > 0 {
-		_ = c.nc.SetWriteDeadline(time.Now().Add(c.writeTimeout))
 	}
 	if err := WriteMessage(c.nc, m); err != nil {
 		return fmt.Errorf("tcp send: %w", err)
@@ -95,17 +89,8 @@ func (c *tcpConn) readLoop(h Handler) {
 	}
 }
 
-// DialOptions bound how long a connection may hang on an unresponsive
-// peer. The zero value of a field selects its default.
+// DialOptions configure a dialed connection.
 type DialOptions struct {
-	// ConnectTimeout bounds the TCP connect (default 10 s).
-	ConnectTimeout time.Duration
-	// KeepAlive is the TCP keepalive probe interval (default 15 s);
-	// negative disables keepalives.
-	KeepAlive time.Duration
-	// WriteTimeout, when positive, is applied as a deadline to every Send
-	// so a peer that stops reading fails the link instead of wedging it.
-	WriteTimeout time.Duration
 	// Chaos marks the connection as a target for the process-wide chaos
 	// shim (SetChaos): dial delay applies before connecting, and send
 	// delay / injected loss apply to every frame. The engine's data-plane
@@ -113,38 +98,32 @@ type DialOptions struct {
 	Chaos bool
 }
 
-// Default connection-hygiene bounds (see DialOptions).
+// How long a connect may hang on an unresponsive peer, and the TCP
+// keepalive probe interval of every dialed and accepted connection.
 const (
-	DefaultConnectTimeout = 10 * time.Second
-	DefaultKeepAlive      = 15 * time.Second
+	connectTimeout = 10 * time.Second
+	keepAlive      = 15 * time.Second
 )
 
 // Dial connects to a listening node and returns the connection; inbound
-// messages go to h. It uses the default DialOptions: bounded connect,
-// keepalive on, no write deadline.
+// messages go to h.
 func Dial(addr string, h Handler) (Conn, error) {
 	return DialWith(addr, DialOptions{}, h)
 }
 
-// DialWith is Dial with explicit connection-hygiene bounds.
+// DialWith is Dial with explicit options.
 func DialWith(addr string, o DialOptions, h Handler) (Conn, error) {
-	if o.ConnectTimeout <= 0 {
-		o.ConnectTimeout = DefaultConnectTimeout
-	}
-	if o.KeepAlive == 0 {
-		o.KeepAlive = DefaultKeepAlive
-	}
 	if o.Chaos {
 		if cfg, ok := ActiveChaos(); ok && cfg.DialDelay > 0 {
 			time.Sleep(cfg.DialDelay)
 		}
 	}
-	d := net.Dialer{Timeout: o.ConnectTimeout, KeepAlive: o.KeepAlive}
+	d := net.Dialer{Timeout: connectTimeout, KeepAlive: keepAlive}
 	nc, err := d.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("dial %s: %w", addr, err)
 	}
-	c := &tcpConn{nc: nc, writeTimeout: o.WriteTimeout, chaos: o.Chaos, done: make(chan struct{})}
+	c := &tcpConn{nc: nc, chaos: o.Chaos, done: make(chan struct{})}
 	c.wg.Add(1)
 	go c.readLoop(h)
 	return c, nil
@@ -191,7 +170,7 @@ func (s *Server) acceptLoop(h ConnHandler) {
 		}
 		if tc, ok := nc.(*net.TCPConn); ok {
 			_ = tc.SetKeepAlive(true)
-			_ = tc.SetKeepAlivePeriod(DefaultKeepAlive)
+			_ = tc.SetKeepAlivePeriod(keepAlive)
 		}
 		c := &tcpConn{nc: nc, done: make(chan struct{})}
 		var inner Handler

@@ -68,7 +68,6 @@ func (realClock) Now() time.Time { return time.Now() }
 type Detector struct {
 	timeout time.Duration
 	clock   Clock
-	onDown  func(peer string)
 
 	mu       sync.Mutex
 	lastSeen map[string]time.Time
@@ -76,12 +75,11 @@ type Detector struct {
 }
 
 // NewDetector creates a detector that declares a peer down after timeout
-// of silence, invoking onDown (may be nil) once per transition.
-func NewDetector(timeout time.Duration, onDown func(peer string)) *Detector {
+// of silence.
+func NewDetector(timeout time.Duration) *Detector {
 	return &Detector{
 		timeout:  timeout,
 		clock:    realClock{},
-		onDown:   onDown,
 		lastSeen: make(map[string]time.Time),
 		down:     make(map[string]bool),
 	}
@@ -98,7 +96,7 @@ func (d *Detector) Observe(peer string) {
 }
 
 // Check sweeps all peers and returns those that transitioned to down in
-// this sweep, invoking onDown for each.
+// this sweep.
 func (d *Detector) Check() []string {
 	now := d.clock.Now()
 	var newlyDown []string
@@ -110,14 +108,8 @@ func (d *Detector) Check() []string {
 		d.down[peer] = true
 		newlyDown = append(newlyDown, peer)
 	}
-	cb := d.onDown
 	d.mu.Unlock()
 	countHeartbeatMisses(len(newlyDown))
-	if cb != nil {
-		for _, p := range newlyDown {
-			cb(p)
-		}
-	}
 	return newlyDown
 }
 
