@@ -145,12 +145,16 @@ doccheck:
 # speculation on and off (8 cells including the auto-added baselines),
 # each a real multi-process cluster. The bench-schema rows are then gated
 # through benchjson so a vanished recovery_ms/completeness_pct column —
-# or a vanished detect_ms/replay_ms recovery-anatomy column from the
-# instrumented /debug/recovery timeline — (or a regression vs
-# CAMPAIGNPREV) fails the run. Artifacts land in campaign-out/ plus
-# CAMPAIGN_smoke.json at the repo root.
+# or a vanished detect_ms/replay_ms recovery-anatomy column folded from
+# the cell's crash trails — (or a regression vs CAMPAIGNPREV) fails the
+# run, and `tracetool recovery` renders each sigkill cell's anatomy from
+# its trails. Artifacts land in campaign-out/ plus CAMPAIGN_smoke.json at
+# the repo root.
 campaign-smoke:
 	go run ./cmd/campaign -spec campaigns/smoke.json -out campaign-out
 	go run ./cmd/benchjson -require recovery_ms,completeness_pct,detect_ms,replay_ms \
 		$(if $(CAMPAIGNPREV),-prev $(CAMPAIGNPREV)) \
 		-out CAMPAIGN_smoke.json < campaign-out/bench.json
+	for cell in campaign-out/cells/*_sigkill_*; do \
+		go run ./cmd/tracetool recovery $$cell/trace/*.jsonl || exit 1; \
+	done

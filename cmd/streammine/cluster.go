@@ -79,14 +79,12 @@ func runCoordinator(topoPath, addr string, workers int, hbTimeout, slo time.Dura
 
 // coordinatorSections are the telemetry planes only a coordinator has:
 // the membership / partition / pressure / waste rollup, the live health
-// model (SLO budget attribution, backpressure chains, stragglers), the
-// stitched recovery anatomy, and the cluster-wide speculation waste
-// merged from worker STATUS reports.
+// model (SLO budget attribution, backpressure chains, stragglers), and
+// the cluster-wide speculation waste merged from worker STATUS reports.
 func coordinatorSections(c *cluster.Coordinator) []debugserver.Section {
 	return []debugserver.Section{
 		{Name: "cluster", Get: func() any { return c.View() }},
 		{Name: "health", Get: func() any { return c.Health() }},
-		{Name: "recovery", Get: func() any { return c.RecoveryReport() }},
 		{Name: "speculation", Get: func() any { return c.Waste() }},
 	}
 }

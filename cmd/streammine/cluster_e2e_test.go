@@ -2,13 +2,10 @@ package main
 
 import (
 	"path/filepath"
-	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	"streammine/internal/debugserver"
 	"streammine/internal/metrics"
 	"streammine/internal/procharness"
 	"streammine/internal/recovery"
@@ -216,57 +213,33 @@ func TestClusterTracedFailover(t *testing.T) {
 	}
 }
 
-// TestClusterRecoveryAnatomy SIGKILLs a worker and asserts the
-// coordinator's /debug/recovery report stitches the complete phase
+// TestClusterRecoveryAnatomy SIGKILLs a worker and asserts the recovery
+// records of the processes' crash trails fold into the complete phase
 // chain for the incident: detect, decide, restore, refill, replay and
 // catch-up all present and closed, timestamps monotone within the
 // incident, no large uncovered windows on the timeline, and per-phase
-// durations that sum to roughly the end-to-end outage. The coordinator
-// exits when the closed-ended run completes, so the report is polled
-// during the run and the last capture is judged.
+// durations that sum to roughly the end-to-end outage.
 func TestClusterRecoveryAnatomy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process e2e: builds a binary and runs multi-second failure detection")
 	}
 	bin := buildBinary(t)
+	// The cheap trail: process-level records only, no event lineages.
+	traceDir := t.TempDir()
+	sampleNone := []string{"-trace-sample", "0"}
 	cl, err := procharness.Start(procharness.Options{
-		Bin:       bin,
-		Topology:  e2eTopo,
-		Dir:       t.TempDir(),
-		Workers:   2,
-		CoordArgs: []string{"-debug-addr", "127.0.0.1:0"},
+		Bin:        bin,
+		Topology:   e2eTopo,
+		Dir:        t.TempDir(),
+		Workers:    2,
+		CoordArgs:  sampleNone,
+		WorkerArgs: sampleNone,
+		TraceDir:   traceDir,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-
-	addr, err := cl.WaitDebugAddr("coordinator", 20*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var mu sync.Mutex
-	var last *recovery.Report
-	stop := make(chan struct{})
-	polled := make(chan struct{})
-	go func() {
-		defer close(polled)
-		tick := time.NewTicker(100 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				if rep, err := debugserver.Fetch[recovery.Report](addr, "recovery"); err == nil && len(rep.Incidents) > 0 {
-					mu.Lock()
-					last = rep
-					mu.Unlock()
-				}
-			}
-		}
-	}()
 
 	victim, err := cl.Sinks.WaitBusiest(30, 20*time.Second)
 	if err != nil {
@@ -279,14 +252,15 @@ func TestClusterRecoveryAnatomy(t *testing.T) {
 	if err := cl.WaitDone(90 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	close(stop)
-	<-polled
 
-	mu.Lock()
-	rep := last
-	mu.Unlock()
-	if rep == nil || len(rep.Incidents) == 0 {
-		t.Fatal("coordinator never served a recovery incident at /debug/recovery")
+	paths, _ := filepath.Glob(filepath.Join(traceDir, "*.jsonl"))
+	set, err := tracetool.Load(paths...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := recovery.Incidents(set.Spans)
+	if len(rep.Incidents) == 0 {
+		t.Fatal("the trails hold no recovery incident")
 	}
 	inc := rep.Incidents[len(rep.Incidents)-1]
 	if inc.Victim != victim {
@@ -332,7 +306,7 @@ func TestClusterRecoveryAnatomy(t *testing.T) {
 	// No gaps beyond scheduling slack: the union of all spans must cover
 	// nearly the whole incident window (STATUS folding can defer the
 	// coordinator-side catch-up start by a heartbeat or two).
-	covered := coveredNs(inc.Spans)
+	_, covered := recovery.Union(inc.Spans)
 	window := end - inc.StartNs
 	if window <= 0 {
 		t.Fatalf("degenerate incident window %d", window)
@@ -355,33 +329,4 @@ func TestClusterRecoveryAnatomy(t *testing.T) {
 	}
 	t.Logf("recovery anatomy: total %.1fms, phases %v, dominant %s, replay %.0f events/sec",
 		inc.TotalMs, inc.PhaseMs, inc.DominantPhase, inc.ReplayEventsPerSec)
-}
-
-// coveredNs is the interval-union length of the closed spans.
-func coveredNs(spans []recovery.Span) int64 {
-	type iv struct{ a, b int64 }
-	var ivs []iv
-	for _, s := range spans {
-		if s.EndNs > s.StartNs {
-			ivs = append(ivs, iv{s.StartNs, s.EndNs})
-		}
-	}
-	if len(ivs) == 0 {
-		return 0
-	}
-	sortSpans := func(i, j int) bool { return ivs[i].a < ivs[j].a }
-	sort.Slice(ivs, sortSpans)
-	var total int64
-	curA, curB := ivs[0].a, ivs[0].b
-	for _, v := range ivs[1:] {
-		if v.a > curB {
-			total += curB - curA
-			curA, curB = v.a, v.b
-			continue
-		}
-		if v.b > curB {
-			curB = v.b
-		}
-	}
-	return total + (curB - curA)
 }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -115,7 +116,8 @@ func TestSectionsDocumented(t *testing.T) {
 			t.Errorf("/debug/%s is mounted but docs/OBSERVABILITY.md does not mention it", name)
 		}
 	}
-	if len(mounted) < 5 {
-		t.Errorf("only %d sections mounted across all modes, want at least 5", len(mounted))
+	want := map[string]bool{"chaos": true, "cluster": true, "health": true, "speculation": true}
+	if !reflect.DeepEqual(mounted, want) {
+		t.Errorf("sections mounted across all modes = %v, want %v", mounted, want)
 	}
 }

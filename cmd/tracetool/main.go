@@ -14,8 +14,7 @@
 //	tracetool waste -summary waste.json w*.jsonl # joined with /debug/speculation
 //	tracetool top -addr 127.0.0.1:8090           # live /debug/health view
 //	tracetool trail w*.jsonl                     # process-level crash trail
-//	tracetool recovery -addr 127.0.0.1:8090      # recovery anatomy waterfall (live)
-//	tracetool recovery cells/x/recovery.json     # same, from a campaign artifact
+//	tracetool recovery w*.jsonl coord.jsonl      # recovery anatomy waterfall
 package main
 
 import (
@@ -43,11 +42,8 @@ func run() error {
 	if len(os.Args) > 1 && os.Args[1] == "top" {
 		return runTop(os.Args[2:])
 	}
-	if len(os.Args) > 1 && os.Args[1] == "trail" {
-		return runTrail(os.Args[2:])
-	}
-	if len(os.Args) > 1 && os.Args[1] == "recovery" {
-		return runRecovery(os.Args[2:])
+	if len(os.Args) > 1 && (os.Args[1] == "trail" || os.Args[1] == "recovery") {
+		return runTrail(os.Args[1], os.Args[2:])
 	}
 	chromePath := flag.String("chrome", "", "write Chrome trace-event JSON (Perfetto) to this file")
 	validate := flag.Bool("validate", false, "check trace invariants; non-zero exit on violations")
@@ -148,40 +144,28 @@ func runTop(args []string) error {
 	return tracetool.RunTop(os.Stdout, *addr, *interval, *once)
 }
 
-// runTrail implements the "trail" subcommand: the process-level records
-// of one or more trace files — epochs, lifecycle, recovery and chaos — on
-// one merged timeline, the last moments of a crashed process included.
-func runTrail(args []string) error {
-	fs := flag.NewFlagSet("trail", flag.ContinueOnError)
+// runTrail implements the two subcommands that read the process-level
+// records of one or more trace files on one merged timeline, the last
+// moments of a crashed process included: "trail" lists them — epochs,
+// lifecycle, recovery and chaos — and "recovery" folds the recovery
+// records into per-incident phase waterfalls with dominant-phase
+// attribution.
+func runTrail(cmd string, args []string) error {
+	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() == 0 {
-		return fmt.Errorf("usage: tracetool trail trace.jsonl...")
+		return fmt.Errorf("usage: tracetool %s trace.jsonl...", cmd)
 	}
 	set, err := load(fs.Args())
 	if err != nil {
 		return err
 	}
-	set.WriteTrail(os.Stdout)
+	if cmd == "recovery" {
+		set.WriteRecovery(os.Stdout)
+	} else {
+		set.WriteTrail(os.Stdout)
+	}
 	return nil
-}
-
-// runRecovery implements the "recovery" subcommand: the per-incident
-// phase waterfall with dominant-phase attribution, read from a live
-// coordinator (-addr) or a saved per-cell recovery.json artifact.
-func runRecovery(args []string) error {
-	fs := flag.NewFlagSet("recovery", flag.ContinueOnError)
-	addr := fs.String("addr", "", "coordinator debug address serving /debug/recovery")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	path := ""
-	if fs.NArg() > 0 {
-		path = fs.Arg(0)
-	}
-	if *addr == "" && path == "" {
-		return fmt.Errorf("usage: tracetool recovery [-addr host:port] [recovery.json]")
-	}
-	return tracetool.RunRecovery(os.Stdout, *addr, path)
 }

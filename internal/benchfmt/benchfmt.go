@@ -29,7 +29,7 @@ type Result struct {
 	RecoveryMs      float64 `json:"recovery_ms,omitempty"`
 	CompletenessPct float64 `json:"completeness_pct,omitempty"`
 	// Recovery anatomy columns: the black-box recovery window broken
-	// down by the instrumented /debug/recovery timeline (detection,
+	// down by the phase spans folded from the crash trails (detection,
 	// restore incl. decision-log scan, replay, catch-up), the replay
 	// throughput, and the detection-anchored recovery time
 	// ("detect-ms" … "recovery-detected-ms" units).

@@ -12,7 +12,6 @@ import (
 	"streammine/internal/metrics"
 	"streammine/internal/procharness"
 	"streammine/internal/profiler"
-	"streammine/internal/recovery"
 	"streammine/internal/tracetool"
 )
 
@@ -202,18 +201,6 @@ func coordSection[T any](cl *procharness.Cluster, name string) (*T, error) {
 func pollWaste(cl *procharness.Cluster) *debugserver.Poller[profiler.Summary] {
 	return debugserver.Poll(250*time.Millisecond, func() (*profiler.Summary, error) {
 		return coordSection[profiler.Summary](cl, "speculation")
-	})
-}
-
-// pollRecovery samples the coordinator's recovery anatomy the same way;
-// the last sample holding an incident is the cell's final report.
-func pollRecovery(cl *procharness.Cluster) *debugserver.Poller[recovery.Report] {
-	return debugserver.Poll(250*time.Millisecond, func() (*recovery.Report, error) {
-		rep, err := coordSection[recovery.Report](cl, "recovery")
-		if err != nil || len(rep.Incidents) == 0 {
-			return nil, err
-		}
-		return rep, nil
 	})
 }
 

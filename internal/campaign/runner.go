@@ -55,7 +55,7 @@ type Result struct {
 	// to the black-box recovered-delivery point. RecoveryMs conflates
 	// injection→detection lag with recovery proper; this one doesn't.
 	RecoveryDetectedMs float64 `json:"recovery_detected_ms,omitempty"`
-	// Per-phase recovery anatomy joined from /debug/recovery (cells
+	// Per-phase recovery anatomy folded from the crash trails (cells
 	// whose fault lost a worker): interval-union durations per phase,
 	// their sum (for the cross-check against RecoveryMs), the replay
 	// throughput, and the phase that dominated the incident.
@@ -236,8 +236,6 @@ func (r *Runner) runCell(s *Spec, cell Cell, baselines map[string]map[string]boo
 	defer waste.Stop()
 	var healthW *healthWatch
 	defer func() { healthW.Stop() }()
-	recW := pollRecovery(cl)
-	defer recW.Stop()
 
 	var driverErr chan error
 	if ingestFed {
@@ -337,9 +335,10 @@ func (r *Runner) runCell(s *Spec, cell Cell, baselines map[string]map[string]boo
 
 	// Every process's trace file is also its crash trail: process-level
 	// records are flushed as they are written, so a SIGKILL'd worker's
-	// file holds its epochs and lifecycle up to the kill.
+	// file holds its epochs, lifecycle and recovery spans up to the kill.
 	paths, _ := filepath.Glob(filepath.Join(traceDir, "*.jsonl"))
-	if set, err := tracetool.Load(paths...); err != nil {
+	set, err := tracetool.Load(paths...)
+	if err != nil {
 		fail("traces: %v", err)
 	} else {
 		if cell.Fault.Type == "sigkill" && res.Victim != "" && !hasEpoch(set, res.Victim) {
@@ -361,9 +360,13 @@ func (r *Runner) runCell(s *Spec, cell Cell, baselines map[string]map[string]boo
 	}
 
 	// Join the black-box recovery clock with the instrumented anatomy
-	// timeline from /debug/recovery (present when the fault lost a
-	// worker and the coordinator opened an incident).
-	if rep := recW.Stop(); rep != nil && in != nil {
+	// folded from the trails (present when the fault lost a worker and
+	// the coordinator opened an incident).
+	var rep recovery.Report
+	if set != nil && in != nil {
+		rep = recovery.Incidents(set.Spans)
+	}
+	if len(rep.Incidents) > 0 {
 		inc := rep.Incidents[len(rep.Incidents)-1]
 		res.DetectMs = inc.PhaseMs[recovery.PhaseDetect]
 		res.DecideMs = inc.PhaseMs[recovery.PhaseDecide]
@@ -409,11 +412,6 @@ func (r *Runner) runCell(s *Spec, cell Cell, baselines map[string]map[string]boo
 				r.logf("  warning: %s: instrumented phases cover %.0fms of the %.0fms black-box dip (%.0f%%; raw phase sum %.0fms)",
 					cell.Name(), clipped, res.RecoveryMs, 100*ratio, res.RecoveryPhaseSumMs)
 			}
-		}
-		// Persist the anatomy report for `tracetool recovery` and the
-		// CI failure-evidence upload.
-		if data, err := json.MarshalIndent(rep, "", "  "); err == nil {
-			_ = os.WriteFile(filepath.Join(cellDir, "recovery.json"), append(data, '\n'), 0o644)
 		}
 	}
 

@@ -59,7 +59,6 @@ type Coordinator struct {
 	det     *transport.Detector
 	met     *clusterMetrics
 	healthM *health.Model
-	recAgg  *recovery.Aggregator
 
 	mu       sync.Mutex
 	conns    map[transport.Conn]string // control conn → worker name
@@ -150,11 +149,9 @@ func NewCoordinator(topoJSON []byte, o CoordinatorOptions) (*Coordinator, error)
 		SLO:               o.SLO,
 		HeartbeatInterval: heartbeatInterval(o.HeartbeatTimeout),
 	})
-	c.recAgg = recovery.NewAggregator()
 	if o.Metrics != nil {
 		registerCoordWasteMetrics(c, o.Metrics)
 		health.RegisterMetrics(c.healthM, o.Metrics)
-		recovery.RegisterMetrics(c.recAgg, o.Metrics)
 	}
 	c.det = transport.NewDetector(o.HeartbeatTimeout)
 	srv, err := transport.ListenConn(o.Addr, c.handle)
@@ -481,7 +478,7 @@ func (c *Coordinator) status(st StatusMsg) {
 	for name, body := range st.Sections {
 		cp.latest[name] = body
 	}
-	var catchSpans []recovery.Span
+	var caughtUp *recovery.Span
 	if cp.catchPending && st.Phase == PhaseRunning {
 		// Catch-up runs from the first post-takeover commit until the
 		// commit rate is back to half the pre-fault rate (the same
@@ -495,12 +492,12 @@ func (c *Coordinator) status(st StatusMsg) {
 		} else if cp.catchStartNs != 0 &&
 			(st.Quiesced || (cp.r0 > 0 && cp.rate >= 0.5*cp.r0) || (cp.r0 <= 0 && cp.rate > 0)) {
 			cp.catchPending = false
-			catchSpans = append(catchSpans, recovery.Span{
+			caughtUp = &recovery.Span{
 				Phase: recovery.PhaseCatchup, Partition: st.Partition,
 				Epoch: cp.epoch, Worker: cp.worker,
 				StartNs: cp.catchStartNs, EndNs: now.UnixNano(),
 				Events: int64(st.Committed),
-			})
+			}
 		}
 	}
 	type send struct {
@@ -540,41 +537,22 @@ func (c *Coordinator) status(st StatusMsg) {
 	}
 	c.mu.Unlock()
 	// The report passed stale-epoch rejection above, so it reflects the
-	// partition's current incarnation: fold it into the health model
-	// and its recovery spans into the anatomy aggregator.
+	// partition's current incarnation: fold it into the health model.
 	hs, _ := section[[]core.NodeHealth](st.Sections, sectionHealth)
 	ps, _ := section[[]core.NodePressure](st.Sections, sectionPressure)
 	c.healthM.Fold(st.Name, st.Partition, hs, ps, time.Now())
-	if spans, ok := section[[]recovery.Span](st.Sections, sectionRecovery); ok {
-		c.recAgg.Fold(spans)
-	}
-	if len(catchSpans) > 0 {
-		c.recAgg.Fold(catchSpans)
-		for _, s := range catchSpans {
-			recovery.RecordTransition(metrics.InstalledTracer(), s)
-			c.logf("partition %d caught up (epoch %d): commit rate restored", s.Partition, s.Epoch)
-		}
+	if caughtUp != nil {
+		recovery.RecordTransition(metrics.InstalledTracer(), *caughtUp)
+		c.logf("partition %d caught up (epoch %d): commit rate restored", caughtUp.Partition, caughtUp.Epoch)
 	}
 	for _, s := range sends {
 		_ = s.conn.Send(s.msg)
 	}
 }
 
-// Health snapshots the coordinator's live health view (/debug/health),
-// with the most recent recovery incident's digest embedded so one poll
-// answers "what happened last".
+// Health snapshots the coordinator's live health view (/debug/health).
 func (c *Coordinator) Health() *health.View {
-	v := c.healthM.Snapshot()
-	if v != nil {
-		v.LastRecovery = c.recAgg.Last()
-	}
-	return v
-}
-
-// RecoveryReport returns the stitched per-incident recovery anatomy
-// (served at /debug/recovery).
-func (c *Coordinator) RecoveryReport() recovery.Report {
-	return c.recAgg.Report()
+	return c.healthM.Snapshot()
 }
 
 // sweep is the supervision loop: failure detection, reassignment, alive
@@ -779,19 +757,18 @@ func (c *Coordinator) workerDown(name string) {
 	for _, s := range sends {
 		_ = s.conn.Send(s.msg)
 	}
-	// Open the incident: the detect span covers last heartbeat →
-	// declared, the decide span covers declared → ASSIGN fan-out sent
-	// (epoch bump, plan diff, reassignment included).
-	detSpan := recovery.Span{
+	// Open the incident in the trail: the detect span covers last
+	// heartbeat → declared, the decide span covers declared → ASSIGN
+	// fan-out sent (epoch bump, plan diff, reassignment included).
+	decided := time.Now()
+	tr := metrics.InstalledTracer()
+	recovery.RecordTransition(tr, recovery.Span{
 		Phase: recovery.PhaseDetect, Partition: -1, Epoch: newEpoch,
 		Worker: name, StartNs: lastSeen.UnixNano(), EndNs: declared.UnixNano(),
-	}
-	decSpan := recovery.Span{
+	})
+	recovery.RecordTransition(tr, recovery.Span{
 		Phase: recovery.PhaseDecide, Partition: -1, Epoch: newEpoch,
-		Worker: name, StartNs: declared.UnixNano(), EndNs: time.Now().UnixNano(),
-		Records: int64(len(movedIDs)),
-	}
-	c.recAgg.Begin(newEpoch, name, movedIDs, detSpan, decSpan)
-	recovery.RecordTransition(metrics.InstalledTracer(), detSpan)
-	recovery.RecordTransition(metrics.InstalledTracer(), decSpan)
+		Worker: name, StartNs: declared.UnixNano(), EndNs: decided.UnixNano(),
+		Moved: movedIDs,
+	})
 }

@@ -112,7 +112,6 @@ const (
 	sectionPressure    = "pressure"    // []core.NodePressure, in node order
 	sectionSpeculation = "speculation" // *profiler.Summary, when the worker profiles speculation
 	sectionHealth      = "health"      // []core.NodeHealth
-	sectionRecovery    = "recovery"    // []recovery.Span, the full span set
 )
 
 // section decodes one section body; ok is false when sections carries no

@@ -73,8 +73,8 @@ func TestSectionDecode(t *testing.T) {
 	if _, ok := section[[]core.NodeHealth](secs, sectionHealth); ok {
 		t.Error("malformed health body decoded ok")
 	}
-	if _, ok := section[[]core.NodeHealth](secs, sectionRecovery); ok {
-		t.Error("absent recovery section decoded ok")
+	if _, ok := section[[]core.NodeHealth](secs, sectionSpeculation); ok {
+		t.Error("absent speculation section decoded ok")
 	}
 }
 

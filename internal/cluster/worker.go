@@ -114,16 +114,8 @@ type workerPart struct {
 	sourcesLeft int
 	ingestSrcs  int
 
-	// Recovery anatomy instrumentation. recBuild* is the partition
-	// rebuild window (ASSIGN → engine built); recRefill* is the bridge
-	// re-attach / credit-window refill window in handleStart.
-	// recReplayMarked makes the replay span's trail record one-shot (the
-	// spans themselves ride every STATUS).
-	recBuildStartNs  int64
-	recBuildEndNs    int64
-	recRefillStartNs int64
-	recRefillEndNs   int64
-	recReplayMarked  bool
+	// replayRecorded makes the replay span's trail record one-shot.
+	replayRecorded bool
 }
 
 // StartWorker connects to the coordinator and registers. Partitions
@@ -520,11 +512,9 @@ func (w *Worker) buildPartition(am AssignMsg) (*workerPart, error) {
 		pool:    pool,
 		cutOut:  am.CutOut,
 		bridges: make(map[string]*core.ReliableBridge),
-
-		recBuildStartNs: buildStart,
-		recBuildEndNs:   time.Now().UnixNano(),
 	}
-	recovery.RecordTransition(w.opts.Tracer, w.rebuildSpan(p))
+	// The partition rebuild window, ASSIGN → engine built.
+	recovery.RecordTransition(w.opts.Tracer, w.phaseSpan(p, recovery.PhaseRestore, buildStart, time.Now().UnixNano()))
 	if w.opts.OnSinkEvent != nil {
 		for _, sinkID := range built.Sinks {
 			name := nodeName(built, sinkID)
@@ -573,12 +563,11 @@ func (w *Worker) handleStart(sm StartMsg) {
 		p.bridges[e.Key()] = b
 		w.mu.Unlock()
 	}
-	w.mu.Lock()
-	p.recRefillStartNs = refillStart
-	p.recRefillEndNs = time.Now().UnixNano()
-	refillSpan := w.refillSpan(p)
+	w.mu.Lock() // an epoch refresh moves p.epoch under mu
+	refill := w.phaseSpan(p, recovery.PhaseRefill, refillStart, time.Now().UnixNano())
 	w.mu.Unlock()
-	recovery.RecordTransition(w.opts.Tracer, refillSpan)
+	refill.Records = int64(len(cutOut))
+	recovery.RecordTransition(w.opts.Tracer, refill)
 	ingestSrcs := 0
 	for _, src := range p.built.Sources {
 		if src.Ingest {
@@ -594,7 +583,10 @@ func (w *Worker) handleStart(sm StartMsg) {
 		return
 	}
 	if rs := p.eng.RecoveryStats(); rs.RestoreStartNs != 0 {
-		recovery.RecordTransition(w.opts.Tracer, w.restoreSpan(p, rs))
+		// The durable load: checkpoint and decision-log scan.
+		restore := w.phaseSpan(p, recovery.PhaseRestore, rs.RestoreStartNs, rs.RestoreEndNs)
+		restore.Bytes, restore.Records, restore.Drops = rs.CheckpointBytes, rs.LogRecords, rs.CoveredSet
+		recovery.RecordTransition(w.opts.Tracer, restore)
 	}
 	w.mu.Lock()
 	p.sourcesLeft = len(p.built.Sources) - ingestSrcs
@@ -709,13 +701,15 @@ func (w *Worker) runSource(p *workerPart, src topology.SourceSpec) {
 func (w *Worker) partStatusLocked(p *workerPart, phase string) StatusMsg {
 	st := StatusMsg{
 		Name: w.opts.Name, Partition: p.id, Epoch: p.epoch, Phase: phase,
-		// The one list of (name, snapshot) pairs a partition ships.
-		snaps: map[string]any{sectionRecovery: w.recoverySpansLocked(p)},
 	}
 	if p.running {
-		st.snaps[sectionPressure] = p.eng.Pressure()
-		st.snaps[sectionSpeculation] = p.eng.Waste()
-		st.snaps[sectionHealth] = p.eng.Health()
+		w.recordReplayLocked(p)
+		// The one list of (name, snapshot) pairs a partition ships.
+		st.snaps = map[string]any{
+			sectionPressure:    p.eng.Pressure(),
+			sectionSpeculation: p.eng.Waste(),
+			sectionHealth:      p.eng.Health(),
+		}
 		st.Committed = p.eng.TotalStats().Committed
 		// Ingest-fed partitions are open-ended: producers may reconnect
 		// at any time, so they never report quiesced and the run ends by
@@ -734,73 +728,29 @@ func (w *Worker) partStatusLocked(p *workerPart, phase string) StatusMsg {
 	return st
 }
 
-// recoverySpansLocked snapshots the partition's recovery phase spans for
-// the STATUS piggyback: the rebuild and durable-restore windows (both
-// PhaseRestore), the bridge refill window, and the replay window. The
-// worker re-sends the full set on every heartbeat; the coordinator's
-// aggregator replaces by span identity, so an open replay span's end
-// time fills in once the plan drains. Caller holds mu.
-func (w *Worker) recoverySpansLocked(p *workerPart) []recovery.Span {
-	if p.recBuildStartNs == 0 {
-		return nil
-	}
-	spans := make([]recovery.Span, 0, 4)
-	spans = append(spans, w.rebuildSpan(p))
-	if !p.running {
-		return spans
-	}
-	if p.recRefillStartNs != 0 {
-		spans = append(spans, w.refillSpan(p))
+// recordReplayLocked writes the replay span's trail record once the
+// partition's replay plan has drained; the status tick polls for it, as
+// the engine announces no end of replay. Caller holds mu.
+func (w *Worker) recordReplayLocked(p *workerPart) {
+	if p.replayRecorded || w.opts.Tracer == nil {
+		return
 	}
 	rs := p.eng.RecoveryStats()
-	if rs.RestoreStartNs != 0 {
-		spans = append(spans, w.restoreSpan(p, rs))
+	if rs.ReplayStartNs == 0 || rs.ReplayEndNs == 0 {
+		return
 	}
-	if rs.ReplayStartNs != 0 {
-		spans = append(spans, w.replaySpan(p, rs))
-		if rs.ReplayEndNs != 0 && !p.recReplayMarked {
-			p.recReplayMarked = true
-			recovery.RecordTransition(w.opts.Tracer, spans[len(spans)-1])
-		}
-	}
-	return spans
+	p.replayRecorded = true
+	replay := w.phaseSpan(p, recovery.PhaseReplay, rs.ReplayStartNs, rs.ReplayEndNs)
+	replay.Events, replay.Drops = rs.ReplayEvents, rs.ReplayDrops
+	recovery.RecordTransition(w.opts.Tracer, replay)
 }
 
-// The partition's recovery spans, one constructor each: the trail record
-// and the STATUS piggyback are built by the same call.
-
-// rebuildSpan is the partition rebuild window, ASSIGN → engine built.
-func (w *Worker) rebuildSpan(p *workerPart) recovery.Span {
+// phaseSpan is one of the partition's recovery spans, attributed to this
+// worker at the partition's current epoch.
+func (w *Worker) phaseSpan(p *workerPart, phase string, startNs, endNs int64) recovery.Span {
 	return recovery.Span{
-		Phase: recovery.PhaseRestore, Partition: p.id, Epoch: p.epoch,
-		Worker: w.opts.Name, StartNs: p.recBuildStartNs, EndNs: p.recBuildEndNs,
-	}
-}
-
-// refillSpan is the bridge re-attach window of handleStart.
-func (w *Worker) refillSpan(p *workerPart) recovery.Span {
-	return recovery.Span{
-		Phase: recovery.PhaseRefill, Partition: p.id, Epoch: p.epoch,
-		Worker: w.opts.Name, StartNs: p.recRefillStartNs, EndNs: p.recRefillEndNs,
-		Records: int64(len(p.cutOut)),
-	}
-}
-
-// restoreSpan is the durable load: checkpoint and decision-log scan.
-func (w *Worker) restoreSpan(p *workerPart, rs core.RecoveryStats) recovery.Span {
-	return recovery.Span{
-		Phase: recovery.PhaseRestore, Partition: p.id, Epoch: p.epoch,
-		Worker: w.opts.Name, StartNs: rs.RestoreStartNs, EndNs: rs.RestoreEndNs,
-		Bytes: rs.CheckpointBytes, Records: rs.LogRecords, Drops: rs.CoveredSet,
-	}
-}
-
-// replaySpan is the window that drains the admission-ordered replay plan.
-func (w *Worker) replaySpan(p *workerPart, rs core.RecoveryStats) recovery.Span {
-	return recovery.Span{
-		Phase: recovery.PhaseReplay, Partition: p.id, Epoch: p.epoch,
-		Worker: w.opts.Name, StartNs: rs.ReplayStartNs, EndNs: rs.ReplayEndNs,
-		Events: rs.ReplayEvents, Drops: rs.ReplayDrops,
+		Phase: phase, Partition: p.id, Epoch: p.epoch,
+		Worker: w.opts.Name, StartNs: startNs, EndNs: endNs,
 	}
 }
 

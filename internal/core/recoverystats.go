@@ -31,7 +31,6 @@ type RecoveryStats struct {
 	ReplayEvents    int64
 	ReplayDrops     int64
 	ReplayDone      bool
-	GateResets      int64
 }
 
 // RecoveryStats merges the per-node restore/replay instrumentation: the
@@ -63,9 +62,6 @@ func (e *Engine) RecoveryStats() RecoveryStats {
 			s.ReplayDone = false
 		} else if r.replayEndNs > s.ReplayEndNs {
 			s.ReplayEndNs = r.replayEndNs
-		}
-		for _, g := range n.inGates {
-			s.GateResets += int64(g.Resets())
 		}
 	}
 	if !s.ReplayDone {

@@ -19,7 +19,6 @@ type CreditGate struct {
 	window int
 	avail  int
 	closed bool
-	resets uint64
 }
 
 // NewCreditGate returns a gate with the given window. Window must be > 0.
@@ -89,17 +88,8 @@ func (g *CreditGate) Grant(n int) {
 func (g *CreditGate) Reset() {
 	g.mu.Lock()
 	g.avail = g.window
-	g.resets++
 	g.mu.Unlock()
 	g.cond.Broadcast()
-}
-
-// Resets reports how many times the window was refilled to full by
-// Reset — the recovery profiler's attribution for the refill phase.
-func (g *CreditGate) Resets() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.resets
 }
 
 // Close releases all waiters; subsequent Acquire calls fail fast.

@@ -198,7 +198,7 @@ func TestRateEWMAFromFolds(t *testing.T) {
 	}
 }
 
-func TestHealthMetricsRegisteredAndDocumented(t *testing.T) {
+func TestHealthMetricsRegistered(t *testing.T) {
 	m := testModel(t, 10*time.Millisecond)
 	reg := metrics.NewRegistry()
 	RegisterMetrics(m, reg)

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"time"
-
-	"streammine/internal/recovery"
 )
 
 // View is the /debug/health JSON body.
@@ -21,10 +19,6 @@ type View struct {
 	Stragglers []Straggler `json:"stragglers,omitempty"`
 	// Workers summarizes every reporting worker.
 	Workers []WorkerView `json:"workers,omitempty"`
-	// LastRecovery digests the most recent recovery incident (phase
-	// durations + dominant phase), filled in by the coordinator so
-	// `tracetool top` answers "what happened last" from a single poll.
-	LastRecovery *recovery.Summary `json:"lastRecovery,omitempty"`
 }
 
 // SLOView decomposes the declared end-to-end p99 target across hops.

@@ -1,19 +1,20 @@
-// Package recovery is the recovery anatomy profiler: it stitches the
-// per-phase spans emitted during a failure recovery — detection,
-// coordinator decision, per-partition restore, credit-window refill,
-// replay, and catch-up — into per-incident timelines with attribution
-// (checkpoint bytes, decision-log records, replay events/sec, dedup
-// drops). The coordinator owns an Aggregator; workers report their
-// local spans piggybacked on STATUS heartbeats; every phase transition
-// is written to the process's trace file so a crash mid-takeover still
-// leaves a parseable trail. Reports are served at /debug/recovery and
-// summarized into /debug/health.
+// Package recovery is the recovery anatomy: the per-phase spans of a
+// failure recovery — detection, coordinator decision, per-partition
+// restore, credit-window refill, replay, and catch-up — and the fold that
+// stitches them into per-incident timelines with attribution (checkpoint
+// bytes, decision-log records, replay events/sec, dedup drops). The
+// coordinator and the workers write each span, as its phase closes, to
+// their trace file as a process-level recovery record, so the crash trail
+// is the only record of a recovery and a crash mid-takeover still leaves
+// a parseable one. Incidents folds the merged trails after the run; the
+// campaign runner and `tracetool recovery` are its readers.
 package recovery
 
 import (
 	"fmt"
 	"sort"
-	"sync"
+	"strconv"
+	"strings"
 
 	"streammine/internal/metrics"
 )
@@ -38,38 +39,47 @@ const (
 // Phases lists every phase in canonical order.
 var Phases = []string{PhaseDetect, PhaseDecide, PhaseRestore, PhaseRefill, PhaseReplay, PhaseCatchup}
 
-// Span is one instrumented phase window, attributed to a partition and
-// the worker that executed it. Coordinator-side phases (detect, decide)
-// use Partition -1. A zero EndNs means the phase is still open.
+// Span is one closed phase window, attributed to a partition and the
+// worker that executed it. Coordinator-side phases (detect, decide) use
+// Partition -1 and name the victim as Worker.
 type Span struct {
-	Phase     string `json:"phase"`
-	Partition int    `json:"partition"`
-	Epoch     int    `json:"epoch"`
-	Worker    string `json:"worker,omitempty"`
-	StartNs   int64  `json:"startNs"`
-	EndNs     int64  `json:"endNs,omitempty"`
+	Phase     string
+	Partition int
+	Epoch     int
+	Worker    string
+	StartNs   int64
+	EndNs     int64
 	// Attribution. Bytes: checkpoint bytes loaded (restore). Records:
-	// decision-log records scanned (restore) or credit gates reset
-	// (refill). Events: events re-admitted (replay) or committed
-	// (catchup). Drops: snapshot-covered IDs (restore) or covered-set
-	// dedup drops (replay).
-	Bytes   int64 `json:"bytes,omitempty"`
-	Records int64 `json:"records,omitempty"`
-	Events  int64 `json:"events,omitempty"`
-	Drops   int64 `json:"drops,omitempty"`
+	// decision-log records scanned (restore) or outgoing cut edges
+	// re-attached (refill). Events: events re-admitted (replay) or
+	// committed (catchup). Drops: snapshot-covered IDs (restore) or
+	// covered-set dedup drops (replay).
+	Bytes   int64
+	Records int64
+	Events  int64
+	Drops   int64
+	// Moved lists the partitions a decide span reassigned.
+	Moved []int
 }
 
-// DurationMs is the span length in milliseconds (0 while open).
+// DurationMs is the span length in milliseconds.
 func (s Span) DurationMs() float64 {
-	if s.EndNs == 0 || s.EndNs < s.StartNs {
+	if s.EndNs < s.StartNs {
 		return 0
 	}
 	return float64(s.EndNs-s.StartNs) / 1e6
 }
 
-// RecordTransition writes a completed (or opened) phase span to tr as a
-// process-level recovery record, so the recovery trail survives a
-// process crash. Coordinator-side spans (Partition -1) carry no node.
+// recordFormat is the info of a recovery record: every span field but
+// the partition, which is the record's node ("p3"; none for
+// coordinator-side spans), and the moved partitions, which a decide
+// record appends as " moved=1,3".
+const recordFormat = "%s epoch=%d start_ns=%d end_ns=%d worker=%q bytes=%d records=%d events=%d drops=%d"
+
+// RecordTransition writes a closed phase span to tr as a process-level
+// recovery record (docs/OBSERVABILITY.md "Crash trail"). The record
+// carries the span exactly, so its own timestamp — the write time —
+// plays no part in the anatomy.
 func RecordTransition(tr *metrics.Tracer, s Span) {
 	if tr == nil {
 		return
@@ -78,274 +88,176 @@ func RecordTransition(tr *metrics.Tracer, s Span) {
 	if s.Partition >= 0 {
 		node = fmt.Sprintf("p%d", s.Partition)
 	}
-	info := fmt.Sprintf("%s epoch=%d start", s.Phase, s.Epoch)
-	if s.EndNs != 0 {
-		info = fmt.Sprintf("%s epoch=%d ms=%.1f bytes=%d records=%d events=%d drops=%d",
-			s.Phase, s.Epoch, s.DurationMs(), s.Bytes, s.Records, s.Events, s.Drops)
+	info := fmt.Sprintf(recordFormat, s.Phase, s.Epoch, s.StartNs, s.EndNs, s.Worker, s.Bytes, s.Records, s.Events, s.Drops)
+	if len(s.Moved) > 0 {
+		moved := make([]string, len(s.Moved))
+		for i, p := range s.Moved {
+			moved[i] = strconv.Itoa(p)
+		}
+		info += " moved=" + strings.Join(moved, ",")
 	}
 	tr.Record(node, "", metrics.PhaseRecovery, info)
 }
 
-// Incident is the stitched anatomy of one recovery: every span reported
+// parseRecord reads a RecordTransition record back into its span; ok is
+// false for any other record, a recovery record of another format
+// included.
+func parseRecord(r metrics.Span) (s Span, ok bool) {
+	if r.Phase != metrics.PhaseRecovery {
+		return Span{}, false
+	}
+	s.Partition = -1
+	if r.Node != "" {
+		if _, err := fmt.Sscanf(r.Node, "p%d", &s.Partition); err != nil {
+			return Span{}, false
+		}
+	}
+	info, moved, _ := strings.Cut(r.Info, " moved=")
+	if _, err := fmt.Sscanf(info, recordFormat, &s.Phase, &s.Epoch, &s.StartNs, &s.EndNs,
+		&s.Worker, &s.Bytes, &s.Records, &s.Events, &s.Drops); err != nil {
+		return Span{}, false
+	}
+	if moved != "" {
+		for _, p := range strings.Split(moved, ",") {
+			id, err := strconv.Atoi(p)
+			if err != nil {
+				return Span{}, false
+			}
+			s.Moved = append(s.Moved, id)
+		}
+	}
+	return s, true
+}
+
+// Incident is the stitched anatomy of one recovery: every span recorded
 // for the post-failure epoch plus derived per-phase durations and
 // attribution totals.
 type Incident struct {
-	Epoch      int    `json:"epoch"`
-	Victim     string `json:"victim"`
-	Partitions []int  `json:"partitions"`
-	StartNs    int64  `json:"startNs"`
+	Epoch      int
+	Victim     string
+	Partitions []int
+	StartNs    int64
 	// DetectedNs is the end of the detect phase: the moment the
 	// coordinator declared the worker dead (the detection anchor for
 	// recovery_detected_ms).
-	DetectedNs int64  `json:"detectedNs"`
-	EndNs      int64  `json:"endNs,omitempty"`
-	Complete   bool   `json:"complete"`
-	Spans      []Span `json:"spans"`
+	DetectedNs int64
+	// EndNs is the last span's end, set once the incident is complete.
+	EndNs    int64
+	Complete bool
+	Spans    []Span
 	// PhaseMs is the interval union of each phase's spans: overlapping
 	// spans of the same phase (parallel partition restores) count once.
-	PhaseMs            map[string]float64 `json:"phaseMs"`
-	DominantPhase      string             `json:"dominantPhase,omitempty"`
-	TotalMs            float64            `json:"totalMs"`
-	RestoreBytes       int64              `json:"restoreBytes"`
-	LogRecords         int64              `json:"logRecords"`
-	ReplayEvents       int64              `json:"replayEvents"`
-	ReplayDrops        int64              `json:"replayDrops"`
-	ReplayEventsPerSec float64            `json:"replayEventsPerSec,omitempty"`
+	PhaseMs            map[string]float64
+	DominantPhase      string
+	TotalMs            float64
+	RestoreBytes       int64
+	LogRecords         int64
+	ReplayEvents       int64
+	ReplayDrops        int64
+	ReplayEventsPerSec float64
 }
 
-// Summary is the compact last-incident digest embedded in /debug/health.
-type Summary struct {
-	Epoch         int                `json:"epoch"`
-	Victim        string             `json:"victim"`
-	Complete      bool               `json:"complete"`
-	TotalMs       float64            `json:"totalMs"`
-	PhaseMs       map[string]float64 `json:"phaseMs"`
-	DominantPhase string             `json:"dominantPhase,omitempty"`
-}
-
-// Report is the /debug/recovery payload: incidents oldest-first.
+// Report is the fold of a trail: its incidents, oldest epoch first.
 type Report struct {
-	Incidents []Incident `json:"incidents"`
+	Incidents []Incident
 }
 
-// spanKey identifies one span across repeated cumulative reports: a
-// worker re-sends its full span set on every heartbeat and the
-// aggregator replaces by key, so an open span's EndNs fills in later.
-type spanKey struct {
-	phase     string
-	partition int
-	worker    string
-	startNs   int64
-}
-
-type incident struct {
-	epoch       int
-	victim      string
-	partitions  []int
-	startNs     int64
-	detectedNs  int64
-	endNs       int64
-	complete    bool
-	spans       map[spanKey]Span
-	catchupDone map[int]bool
-}
-
-// maxIncidents bounds aggregator memory; older incidents are evicted
-// oldest-first (the trace files keep the long tail).
-const maxIncidents = 16
-
-// Aggregator folds phase spans into per-incident reports. It is safe
-// for concurrent use; the coordinator opens incidents from its failure
-// handler and folds worker spans from the STATUS path.
-type Aggregator struct {
-	mu       sync.Mutex
-	order    []*incident
-	byEpoch  map[int]*incident
-	total    uint64
-	complete uint64
-
-	// Cumulative attribution totals across completed incidents, read by
-	// the recovery_* counter funcs.
-	cumRestoreBytes uint64
-	cumLogRecords   uint64
-	cumReplayEvents uint64
-	cumReplayDrops  uint64
-
-	// phaseObs, when set by RegisterMetrics, observes each phase's
-	// union duration (ms) at incident completion.
-	phaseObs func(phase string, ms float64)
-}
-
-// NewAggregator returns an empty aggregator.
-func NewAggregator() *Aggregator {
-	return &Aggregator{byEpoch: make(map[int]*incident)}
-}
-
-// Begin opens an incident for the given post-failure epoch with the
-// coordinator-side detect and decide spans already resolved.
-func (a *Aggregator) Begin(epoch int, victim string, partitions []int, detect, decide Span) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if _, ok := a.byEpoch[epoch]; ok {
-		return
+// Incidents folds the recovery records of a merged trail into one
+// incident per worker failure. An incident opens at a detect record,
+// which names the victim and the post-failure epoch; the decide record
+// of that epoch names the moved partitions. The incident takes every
+// span of its epoch that starts at or after the detect span: epoch
+// refreshes retag surviving partitions without rebuilding them, so
+// anything that started earlier cannot be part of this recovery, and the
+// initial deploy's spans (no detect record) open nothing. An incident is
+// complete once every moved partition has closed its catch-up.
+func Incidents(records []metrics.Span) Report {
+	var spans []Span
+	byEpoch := make(map[int]*Incident)
+	for _, r := range records {
+		s, ok := parseRecord(r)
+		if !ok {
+			continue
+		}
+		if s.Phase == PhaseDetect && byEpoch[s.Epoch] == nil {
+			byEpoch[s.Epoch] = &Incident{
+				Epoch: s.Epoch, Victim: s.Worker,
+				StartNs: s.StartNs, DetectedNs: s.EndNs,
+			}
+		}
+		spans = append(spans, s)
 	}
-	inc := &incident{
-		epoch:       epoch,
-		victim:      victim,
-		partitions:  append([]int(nil), partitions...),
-		startNs:     detect.StartNs,
-		detectedNs:  detect.EndNs,
-		spans:       make(map[spanKey]Span),
-		catchupDone: make(map[int]bool),
-	}
-	if inc.startNs == 0 {
-		inc.startNs = decide.StartNs
-	}
-	inc.put(detect)
-	inc.put(decide)
-	a.byEpoch[epoch] = inc
-	a.order = append(a.order, inc)
-	a.total++
-	if len(a.order) > maxIncidents {
-		evict := a.order[0]
-		a.order = a.order[1:]
-		delete(a.byEpoch, evict.epoch)
-	}
-}
-
-func (inc *incident) put(s Span) {
-	if s.StartNs == 0 {
-		return
-	}
-	inc.spans[spanKey{s.Phase, s.Partition, s.Worker, s.StartNs}] = s
-}
-
-// Fold merges a batch of spans into their incidents (keyed by epoch).
-// Spans for epochs with no open incident — the initial deploy, or
-// incidents already evicted — are ignored. Repeated reports of the same
-// span replace the previous copy, so cumulative worker snapshots are
-// safe to fold on every heartbeat.
-func (a *Aggregator) Fold(spans []Span) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	touched := make(map[*incident]bool)
 	for _, s := range spans {
-		inc := a.byEpoch[s.Epoch]
-		if inc == nil || inc.complete {
-			continue
+		if inc := byEpoch[s.Epoch]; inc != nil && s.StartNs >= inc.StartNs {
+			inc.Spans = append(inc.Spans, s)
+			if s.Phase == PhaseDecide {
+				inc.Partitions = append(inc.Partitions, s.Moved...)
+			}
 		}
-		// Epoch refreshes retag surviving partitions without rebuilding
-		// them, so their reports can carry pre-failure spans at the new
-		// epoch; anything that started before the incident cannot be
-		// part of its recovery.
-		if s.StartNs < inc.startNs {
-			continue
-		}
-		inc.put(s)
-		if s.Phase == PhaseCatchup && s.EndNs != 0 {
-			inc.catchupDone[s.Partition] = true
-		}
-		touched[inc] = true
 	}
-	for inc := range touched {
-		a.maybeCompleteLocked(inc)
+	rep := Report{Incidents: make([]Incident, 0, len(byEpoch))}
+	for _, inc := range byEpoch {
+		inc.derive()
+		rep.Incidents = append(rep.Incidents, *inc)
 	}
+	sort.Slice(rep.Incidents, func(i, j int) bool { return rep.Incidents[i].Epoch < rep.Incidents[j].Epoch })
+	return rep
 }
 
-// maybeCompleteLocked marks the incident complete once every moved
-// partition has finished catch-up and every reported span is closed
-// (catch-up can end while a slow replay's closing report is still a
-// heartbeat away), stamps the end time, and feeds the
-// completed-incident metrics.
-func (a *Aggregator) maybeCompleteLocked(inc *incident) {
-	if inc.complete {
-		return
-	}
-	for _, p := range inc.partitions {
-		if !inc.catchupDone[p] {
-			return
+// derive sorts the incident's spans and fills in everything computed
+// from them: completeness, end, phase unions, dominant phase and
+// attribution totals.
+func (inc *Incident) derive() {
+	sort.Slice(inc.Spans, func(i, j int) bool {
+		if inc.Spans[i].StartNs != inc.Spans[j].StartNs {
+			return inc.Spans[i].StartNs < inc.Spans[j].StartNs
 		}
-	}
-	for _, s := range inc.spans {
-		if s.EndNs == 0 {
-			return
-		}
-	}
-	inc.complete = true
-	for _, s := range inc.spans {
-		if s.EndNs > inc.endNs {
-			inc.endNs = s.EndNs
-		}
-	}
-	a.complete++
-	view := inc.view()
-	a.cumRestoreBytes += uint64(view.RestoreBytes)
-	a.cumLogRecords += uint64(view.LogRecords)
-	a.cumReplayEvents += uint64(view.ReplayEvents)
-	a.cumReplayDrops += uint64(view.ReplayDrops)
-	if a.phaseObs != nil {
-		for ph, ms := range view.PhaseMs {
-			a.phaseObs(ph, ms)
-		}
-	}
-}
-
-// view derives the exported Incident from the raw span set.
-func (inc *incident) view() Incident {
-	out := Incident{
-		Epoch:      inc.epoch,
-		Victim:     inc.victim,
-		Partitions: append([]int(nil), inc.partitions...),
-		StartNs:    inc.startNs,
-		DetectedNs: inc.detectedNs,
-		EndNs:      inc.endNs,
-		Complete:   inc.complete,
-		PhaseMs:    make(map[string]float64, len(Phases)),
-	}
+		return inc.Spans[i].Partition < inc.Spans[j].Partition
+	})
+	caughtUp := make(map[int]bool)
 	byPhase := make(map[string][]Span, len(Phases))
-	var lastEnd int64
-	for _, s := range inc.spans {
-		out.Spans = append(out.Spans, s)
+	var end int64
+	for _, s := range inc.Spans {
 		byPhase[s.Phase] = append(byPhase[s.Phase], s)
-		if s.EndNs > lastEnd {
-			lastEnd = s.EndNs
-		}
+		end = max(end, s.EndNs)
 		switch s.Phase {
 		case PhaseRestore:
-			out.RestoreBytes += s.Bytes
-			out.LogRecords += s.Records
+			inc.RestoreBytes += s.Bytes
+			inc.LogRecords += s.Records
 		case PhaseReplay:
-			out.ReplayEvents += s.Events
-			out.ReplayDrops += s.Drops
+			inc.ReplayEvents += s.Events
+			inc.ReplayDrops += s.Drops
+		case PhaseCatchup:
+			caughtUp[s.Partition] = true
 		}
 	}
-	sort.Slice(out.Spans, func(i, j int) bool {
-		if out.Spans[i].StartNs != out.Spans[j].StartNs {
-			return out.Spans[i].StartNs < out.Spans[j].StartNs
-		}
-		return out.Spans[i].Partition < out.Spans[j].Partition
-	})
-	var dominant string
+	inc.Complete = len(inc.Partitions) > 0
+	for _, p := range inc.Partitions {
+		inc.Complete = inc.Complete && caughtUp[p]
+	}
+	if inc.Complete {
+		inc.EndNs = end
+	}
+	if end > inc.StartNs {
+		inc.TotalMs = float64(end-inc.StartNs) / 1e6
+	}
+	inc.PhaseMs = make(map[string]float64, len(byPhase))
 	var dominantMs float64
-	for ph, spans := range byPhase {
-		ms := unionMs(spans)
-		out.PhaseMs[ph] = ms
+	for _, ph := range Phases {
+		spans, ok := byPhase[ph]
+		if !ok {
+			continue
+		}
+		_, ns := Union(spans)
+		ms := float64(ns) / 1e6
+		inc.PhaseMs[ph] = ms
 		if ms > dominantMs {
-			dominant, dominantMs = ph, ms
+			inc.DominantPhase, dominantMs = ph, ms
 		}
 	}
-	out.DominantPhase = dominant
-	end := inc.endNs
-	if end == 0 {
-		end = lastEnd
+	if ms := inc.PhaseMs[PhaseReplay]; ms > 0 && inc.ReplayEvents > 0 {
+		inc.ReplayEventsPerSec = float64(inc.ReplayEvents) / (ms / 1e3)
 	}
-	if end > inc.startNs && inc.startNs != 0 {
-		out.TotalMs = float64(end-inc.startNs) / 1e6
-	}
-	if ms := out.PhaseMs[PhaseReplay]; ms > 0 && out.ReplayEvents > 0 {
-		out.ReplayEventsPerSec = float64(out.ReplayEvents) / (ms / 1e3)
-	}
-	return out
 }
 
 // PhaseMsWithin recomputes the per-phase interval-union durations with
@@ -353,7 +265,7 @@ func (inc *incident) view() Incident {
 // the instrumented timeline against an external clock (the campaign's
 // black-box dip) use this to align anchors first: the incident starts
 // at the victim's last heartbeat — before the fault was even injected —
-// and ends at the coordinator's fold-granular catch-up close, so raw
+// and ends at the coordinator's STATUS-granular catch-up close, so raw
 // sums legitimately overshoot a dip measured injection-to-recovery.
 func (inc Incident) PhaseMsWithin(startNs, endNs int64) map[string]float64 {
 	byPhase := make(map[string][]Span, len(Phases))
@@ -361,85 +273,40 @@ func (inc Incident) PhaseMsWithin(startNs, endNs int64) map[string]float64 {
 		if s.EndNs <= startNs || s.StartNs >= endNs {
 			continue
 		}
-		c := s
-		if c.StartNs < startNs {
-			c.StartNs = startNs
-		}
-		if c.EndNs > endNs {
-			c.EndNs = endNs
-		}
-		byPhase[c.Phase] = append(byPhase[c.Phase], c)
+		s.StartNs = max(s.StartNs, startNs)
+		s.EndNs = min(s.EndNs, endNs)
+		byPhase[s.Phase] = append(byPhase[s.Phase], s)
 	}
 	out := make(map[string]float64, len(byPhase))
 	for ph, spans := range byPhase {
-		out[ph] = unionMs(spans)
+		_, ns := Union(spans)
+		out[ph] = float64(ns) / 1e6
 	}
 	return out
 }
 
-// unionMs is the interval-union length of the closed spans, in
-// milliseconds: overlapping windows (parallel partition restores)
-// count once, so per-phase durations sum to wall coverage.
-func unionMs(spans []Span) float64 {
-	type iv struct{ a, b int64 }
-	ivs := make([]iv, 0, len(spans))
+// Union merges the spans' windows into disjoint [start, end] intervals
+// in start order and returns them with their total length in
+// nanoseconds: overlapping windows (parallel partition restores) count
+// once, so per-phase durations sum to wall coverage. Empty windows are
+// left out.
+func Union(spans []Span) (ivs [][2]int64, ns int64) {
 	for _, s := range spans {
 		if s.EndNs > s.StartNs {
-			ivs = append(ivs, iv{s.StartNs, s.EndNs})
+			ivs = append(ivs, [2]int64{s.StartNs, s.EndNs})
 		}
 	}
-	if len(ivs) == 0 {
-		return 0
-	}
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i].a < ivs[j].a })
-	var total, curA, curB int64
-	curA, curB = ivs[0].a, ivs[0].b
-	for _, v := range ivs[1:] {
-		if v.a > curB {
-			total += curB - curA
-			curA, curB = v.a, v.b
+	sort.Slice(ivs, func(i, j int) bool { return ivs[i][0] < ivs[j][0] })
+	merged := ivs[:0]
+	for _, v := range ivs {
+		if n := len(merged); n > 0 && v[0] <= merged[n-1][1] {
+			merged[n-1][1] = max(merged[n-1][1], v[1])
 			continue
 		}
-		if v.b > curB {
-			curB = v.b
-		}
+		merged = append(merged, v)
 	}
-	total += curB - curA
-	return float64(total) / 1e6
-}
-
-// Report returns every retained incident, oldest first.
-func (a *Aggregator) Report() Report {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	rep := Report{Incidents: make([]Incident, 0, len(a.order))}
-	for _, inc := range a.order {
-		rep.Incidents = append(rep.Incidents, inc.view())
+	for _, v := range merged {
+		ns += v[1] - v[0]
 	}
-	return rep
-}
-
-// Last returns the most recent incident's digest, or nil if none.
-func (a *Aggregator) Last() *Summary {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if len(a.order) == 0 {
-		return nil
-	}
-	v := a.order[len(a.order)-1].view()
-	return &Summary{
-		Epoch:         v.Epoch,
-		Victim:        v.Victim,
-		Complete:      v.Complete,
-		TotalMs:       v.TotalMs,
-		PhaseMs:       v.PhaseMs,
-		DominantPhase: v.DominantPhase,
-	}
-}
-
-// IncidentsTotal reports how many incidents have ever been opened.
-func (a *Aggregator) IncidentsTotal() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.total
+	return merged, ns
 }

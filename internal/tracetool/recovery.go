@@ -1,42 +1,25 @@
 package tracetool
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"sort"
 	"strings"
 	"text/tabwriter"
 
-	"streammine/internal/debugserver"
 	"streammine/internal/recovery"
 )
-
-// LoadRecovery reads a saved /debug/recovery report (the campaign
-// runner's per-cell recovery.json artifact).
-func LoadRecovery(path string) (*recovery.Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep recovery.Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("%s: decode: %w", path, err)
-	}
-	return &rep, nil
-}
 
 // barWidth is the waterfall's character budget per incident window.
 const barWidth = 40
 
-// WriteRecovery renders the anatomy report as per-incident phase
-// waterfalls: every span on its own row, offset and scaled within the
-// incident window, with attribution (bytes, records, events, drops), a
-// per-phase duration summary naming the dominant phase, and a timeline
-// gap check.
-func WriteRecovery(w io.Writer, rep *recovery.Report) {
-	if rep == nil || len(rep.Incidents) == 0 {
+// WriteRecovery folds the merged trail's recovery records into incidents
+// (recovery.Incidents) and renders each as a phase waterfall: every span
+// on its own row, offset and scaled within the incident window, with
+// attribution (bytes, records, events, drops), a per-phase duration
+// summary naming the dominant phase, and a timeline gap check.
+func (s *Set) WriteRecovery(w io.Writer) {
+	rep := recovery.Incidents(s.Spans)
+	if len(rep.Incidents) == 0 {
 		fmt.Fprintln(w, "no recovery incidents recorded")
 		return
 	}
@@ -74,13 +57,8 @@ func writeIncident(w io.Writer, inc recovery.Incident) {
 		if s.Partition >= 0 {
 			part = fmt.Sprintf("p%d", s.Partition)
 		}
-		dur := s.DurationMs()
-		durText := fmt.Sprintf("%.1f", dur)
-		if s.EndNs == 0 {
-			durText = "open"
-		}
-		fmt.Fprintf(tw, "%s\t%s\t+%.1f\t%s\t%s\t%s\n",
-			s.Phase, part, float64(s.StartNs-inc.StartNs)/1e6, durText,
+		fmt.Fprintf(tw, "%s\t%s\t+%.1f\t%.1f\t%s\t%s\n",
+			s.Phase, part, float64(s.StartNs-inc.StartNs)/1e6, s.DurationMs(),
 			bar(s.StartNs-inc.StartNs, s.EndNs-s.StartNs, window),
 			spanDetail(s))
 	}
@@ -144,13 +122,20 @@ func spanDetail(s recovery.Span) string {
 		parts = append(parts, fmt.Sprintf("%dB ckpt", s.Bytes))
 	}
 	if s.Records > 0 {
-		parts = append(parts, fmt.Sprintf("%d rec", s.Records))
+		unit := "rec"
+		if s.Phase == recovery.PhaseRefill {
+			unit = "edges"
+		}
+		parts = append(parts, fmt.Sprintf("%d %s", s.Records, unit))
 	}
 	if s.Events > 0 {
 		parts = append(parts, fmt.Sprintf("%d ev", s.Events))
 	}
 	if s.Drops > 0 {
 		parts = append(parts, fmt.Sprintf("%d drop", s.Drops))
+	}
+	if len(s.Moved) > 0 {
+		parts = append(parts, fmt.Sprintf("moved %v", s.Moved))
 	}
 	if s.Worker != "" {
 		parts = append(parts, s.Worker)
@@ -159,60 +144,18 @@ func spanDetail(s recovery.Span) string {
 }
 
 // timelineGaps measures how much of the incident window no phase span
-// covers: the total uncovered time and the single largest gap, in ms.
+// covers: the window minus the spans' union, and the single largest gap
+// between the union's intervals, in ms.
 func timelineGaps(inc recovery.Incident, end int64) (total, largest float64) {
-	type iv struct{ a, b int64 }
-	var ivs []iv
-	for _, s := range inc.Spans {
-		if s.EndNs > s.StartNs {
-			ivs = append(ivs, iv{s.StartNs, s.EndNs})
-		}
-	}
+	ivs, covered := recovery.Union(inc.Spans)
 	if len(ivs) == 0 || end <= inc.StartNs {
 		return 0, 0
 	}
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i].a < ivs[j].a })
 	cursor := inc.StartNs
-	var totalNs, largestNs int64
-	for _, v := range ivs {
-		if v.a > cursor {
-			gap := v.a - cursor
-			totalNs += gap
-			if gap > largestNs {
-				largestNs = gap
-			}
-		}
-		if v.b > cursor {
-			cursor = v.b
-		}
+	var largestNs int64
+	for _, v := range append(ivs, [2]int64{end, end}) {
+		largestNs = max(largestNs, v[0]-cursor)
+		cursor = v[1]
 	}
-	if end > cursor {
-		gap := end - cursor
-		totalNs += gap
-		if gap > largestNs {
-			largestNs = gap
-		}
-	}
-	return float64(totalNs) / 1e6, float64(largestNs) / 1e6
-}
-
-// RunRecovery is the `tracetool recovery` driver: it renders the
-// anatomy report from a live coordinator (-addr) or from a saved
-// recovery.json artifact.
-func RunRecovery(w io.Writer, addr, path string) error {
-	var rep *recovery.Report
-	var err error
-	switch {
-	case path != "":
-		rep, err = LoadRecovery(path)
-	case addr != "":
-		rep, err = debugserver.Fetch[recovery.Report](addr, "recovery")
-	default:
-		return fmt.Errorf("tracetool recovery: need -addr or a recovery.json path")
-	}
-	if err != nil {
-		return err
-	}
-	WriteRecovery(w, rep)
-	return nil
+	return float64(end-inc.StartNs-covered) / 1e6, float64(largestNs) / 1e6
 }

@@ -10,7 +10,6 @@ import (
 
 	"streammine/internal/debugserver"
 	"streammine/internal/health"
-	"streammine/internal/recovery"
 )
 
 // WriteHealth renders one health snapshot as the `tracetool top` frame:
@@ -71,20 +70,6 @@ func WriteHealth(w io.Writer, v *health.View) {
 		}
 		sort.Strings(parts)
 		fmt.Fprintf(w, "workers: %s\n", strings.Join(parts, ", "))
-	}
-	if lr := v.LastRecovery; lr != nil {
-		state := "in progress"
-		if lr.Complete {
-			state = "complete"
-		}
-		var phases []string
-		for _, ph := range recovery.Phases {
-			if ms, ok := lr.PhaseMs[ph]; ok {
-				phases = append(phases, fmt.Sprintf("%s %.1f", ph, ms))
-			}
-		}
-		fmt.Fprintf(w, "last recovery: epoch %d, victim %q — %.1fms (%s), dominant %s [%s]\n",
-			lr.Epoch, lr.Victim, lr.TotalMs, state, lr.DominantPhase, strings.Join(phases, " | "))
 	}
 }
 

@@ -199,7 +199,7 @@ func TestValidateExemptsProcessRecords(t *testing.T) {
 		mk(100, "w2", "p0", "", metrics.PhaseEpoch, "partition=0 epoch=2 worker=w2"),
 		mk(150, "w1", "p0", "", metrics.PhaseLifecycle, "failed epoch=1: bridge closed"),
 		mk(150, "w1", "", "", metrics.PhaseLifecycle, "stop: run complete"),
-		mk(150, "w1", "p0", "", metrics.PhaseRecovery, "replay epoch=1 ms=2.0"),
+		mk(150, "w1", "p0", "", metrics.PhaseRecovery, `replay epoch=1 start_ns=120 end_ns=140 worker="w1" bytes=0 records=0 events=3 drops=0`),
 		mk(150, "w1", "", "", metrics.PhaseChaos, "off"),
 	}
 	if errs := Merge(&File{Spans: spans}).Validate(); len(errs) != 0 {
