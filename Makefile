@@ -54,10 +54,12 @@ race-core-finality:
 # (DESIGN.md §9.9): Drain and Quiesced wait out work held at each hand-off,
 # ACKs wait for a stable checkpoint mark, and random pipelines drain to a
 # ledger of zero. It also runs the per-node counting ledger, which the
-# dispatcher, the workers and the committer write at the same time.
+# dispatcher, the workers and the committer write at the same time, and
+# its waste columns and witness ring, which eight workers of a contended
+# Classifier write at once, across a crash and recovery too.
 race-core-quiesce:
 	for p in 1 2 8; do \
-		GOMAXPROCS=$$p go test -race -count=20 -run 'TestDrainWaitsForEveryHandOff|TestDupOfUncheckpointedCommitNotAcked|TestCheckpointBatchesAcks|TestRandomPipelines|TestLedgerCountsWithTelemetryOff|TestReexecutionRevokesReachTheWasteLedger' ./internal/core || exit 1; \
+		GOMAXPROCS=$$p go test -race -count=20 -run 'TestDrainWaitsForEveryHandOff|TestDupOfUncheckpointedCommitNotAcked|TestCheckpointBatchesAcks|TestRandomPipelines|TestLedgerCountsWithTelemetryOff|TestReexecutionRevokesReachTheWasteLedger|TestProfilerAttributesConflicts|TestWasteSurvivesRecovery' ./internal/core || exit 1; \
 	done
 
 # alloc-guards runs the AllocsPerRun tests of the hot-path packages — the

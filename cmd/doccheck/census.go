@@ -61,7 +61,9 @@ type declared struct {
 // module or the standard library that has the method. The test files of
 // the directories BENCHMARK.json lists count too: the benchmark's files do
 // not change with the code they measure. It also reports each constant
-// series name a non-test file registers that no docs/*.md names.
+// series name a non-test file registers that no docs/*.md names, and each
+// docs/*.md series row whose series no non-test file registers
+// (staleSeriesRows).
 func census(root string, keep map[string]string) ([]string, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
@@ -84,7 +86,7 @@ func census(root string, keep map[string]string) ([]string, error) {
 	fset := token.NewFileSet()
 	imp := moduleImporter{std: importer.ForCompiler(fset, "source", nil), mod: map[string]*types.Package{}}
 
-	used, written := map[types.Object]bool{}, map[types.Object]bool{}
+	used, written, registered := map[types.Object]bool{}, map[types.Object]bool{}, map[string]bool{}
 	var decls []declared
 	var problems []string
 	report := func(at token.Pos, format string, args ...any) {
@@ -135,6 +137,7 @@ func census(root string, keep map[string]string) ([]string, error) {
 			markWrites(f, info, lp.ImportPath, written)
 			if !strings.HasSuffix(names[i], "_test.go") {
 				registeredSeries(f, info, func(name string, at token.Pos) {
+					registered[name] = true
 					if !docs[name] {
 						report(at, "series %s is registered but no docs/*.md names it", name)
 					}
@@ -176,8 +179,32 @@ func census(root string, keep map[string]string) ([]string, error) {
 			report(d.obj.Pos(), "option %s is set by no non-test file outside its package (make it a constant, or keep-list it in cmd/doccheck with the ROADMAP item that will set it)", name)
 		}
 	}
+	problems = append(problems, staleSeriesRows(root, registered)...)
 	sort.Strings(problems)
 	return problems, nil
+}
+
+// seriesRow matches a docs table row that documents a series: a backticked
+// series name, labels optional, in the first cell and its kind in the
+// second.
+var seriesRow = regexp.MustCompile("^\\|\\s*`([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\\{[^}`]*\\})?`\\s*\\|\\s*(?:counter|gauge|histogram)")
+
+// staleSeriesRows reports each series row of the docs/*.md files under
+// root whose series is not in registered — a row left behind by a series
+// that went.
+func staleSeriesRows(root string, registered map[string]bool) []string {
+	files, _ := filepath.Glob(filepath.Join(root, "docs", "*.md"))
+	var problems []string
+	for _, name := range files {
+		data, _ := os.ReadFile(name)
+		for i, line := range strings.Split(string(data), "\n") {
+			if m := seriesRow.FindStringSubmatch(line); m != nil && !registered[m[1]] {
+				rel, _ := filepath.Rel(root, name)
+				problems = append(problems, fmt.Sprintf("%s:%d: series %s has a row but no non-test file registers it", rel, i+1, m[1]))
+			}
+		}
+	}
+	return problems
 }
 
 // markWrites records every struct field that f writes from outside the

@@ -28,6 +28,7 @@ func TestCensus(t *testing.T) {
 	unused := func(name string) string { return " " + name + " has no non-test user" }
 	unset := func(name string) string { return " option " + name + " is set by no non-test file" }
 	undocumented := func(name string) string { return " series " + name + " is registered but" }
+	stale := func(name string) string { return " series " + name + " has a row but" }
 	for _, c := range []struct {
 		why, report string
 		want        bool
@@ -46,12 +47,14 @@ func TestCensus(t *testing.T) {
 		{"a keep-listed option", unset("lib.Options.KeptOption"), false},
 		{"a registered series no doc names", undocumented("fixture_undocumented_total"), true},
 		{"a registered series a doc names", undocumented("fixture_documented_total"), false},
+		{"a docs row of a series nothing registers", stale("fixture_stale_total"), true},
+		{"a docs row of a registered series", stale("fixture_documented_total"), false},
 	} {
 		if reported(c.report) != c.want {
 			t.Errorf("%s: %q reported %v, want %v", c.why, c.report, !c.want, c.want)
 		}
 	}
-	if len(got) != 5 {
-		t.Errorf("census reported %d problems, want 5:\n%s", len(got), strings.Join(got, "\n"))
+	if len(got) != 6 {
+		t.Errorf("census reported %d problems, want 6:\n%s", len(got), strings.Join(got, "\n"))
 	}
 }

@@ -13,9 +13,12 @@
 //   - a field of an exported *Options struct under internal/ is set by
 //     no non-test file outside its own package (census.go) — a knob only
 //     tests and defaults set becomes a constant, or is kept by name with
-//     the ROADMAP item that will set it; or
+//     the ROADMAP item that will set it;
 //   - a constant series name registered with a metrics Registry in a
-//     non-test file is named in no docs/*.md (census.go).
+//     non-test file is named in no docs/*.md (census.go); or
+//   - a docs/*.md table row documents a series (a backticked name, then
+//     a counter, gauge or histogram kind) that no non-test file
+//     registers (census.go).
 //
 // make doccheck runs it as part of make check and CI.
 package main

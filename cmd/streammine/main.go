@@ -265,14 +265,10 @@ func run() error {
 	defer pool.Close()
 
 	wall := vclock.NewWall()
-	var prof *profiler.Profiler
-	if *profileSpec {
-		prof = profiler.New()
-	}
 	eng, err := core.New(built.Graph, core.Options{
 		Pool: pool, Seed: cfg.Seed, Clock: wall,
 		Metrics: obs.registry, Tracer: obs.tracer,
-		Profiler: prof,
+		Profile: *profileSpec,
 	})
 	if err != nil {
 		return err
@@ -282,7 +278,7 @@ func run() error {
 	}
 	if obs.server != nil {
 		obs.server.SetPressure(pressureJSON(func() any { return eng.Pressure() }))
-		obs.server.Register(speculationSections(prof != nil, eng.Waste)...)
+		obs.server.Register(speculationSections(*profileSpec, eng.Waste)...)
 	}
 	if err := eng.Start(); err != nil {
 		return err

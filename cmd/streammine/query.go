@@ -12,7 +12,6 @@ import (
 	"streammine/internal/graph"
 	"streammine/internal/metrics"
 	"streammine/internal/operator"
-	"streammine/internal/profiler"
 	"streammine/internal/storage"
 )
 
@@ -38,14 +37,10 @@ func runQuery(text string, rate, count int, profileSpec bool, obs *observability
 
 	pool := storage.NewPool([]storage.Disk{storage.NewMemDisk()})
 	defer pool.Close()
-	var prof *profiler.Profiler
-	if profileSpec {
-		prof = profiler.New()
-	}
 	eng, err := core.New(g, core.Options{
 		Pool: pool, Seed: 1,
 		Metrics: obs.registry, Tracer: obs.tracer,
-		Profiler: prof,
+		Profile: profileSpec,
 	})
 	if err != nil {
 		return err
@@ -54,7 +49,7 @@ func runQuery(text string, rate, count int, profileSpec bool, obs *observability
 		return err
 	}
 	if obs.server != nil {
-		obs.server.Register(speculationSections(prof != nil, eng.Waste)...)
+		obs.server.Register(speculationSections(profileSpec, eng.Waste)...)
 	}
 	if err := eng.Start(); err != nil {
 		return err

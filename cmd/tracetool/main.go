@@ -98,10 +98,10 @@ func load(paths []string) (*tracetool.Set, error) {
 
 // runWaste implements the "waste" subcommand: per-operator waste
 // breakdowns and the top wasted lineages from the merged trace, joined
-// with a saved /debug/speculation (or /debug/cluster) summary when given.
+// with a saved /debug/speculation summary when given.
 func runWaste(args []string) error {
 	fs := flag.NewFlagSet("waste", flag.ContinueOnError)
-	summaryPath := fs.String("summary", "", "join a saved /debug/speculation or /debug/cluster JSON body")
+	summaryPath := fs.String("summary", "", "join a saved /debug/speculation JSON body")
 	top := fs.Int("top", 10, "how many wasted lineages to list")
 	asJSON := fs.Bool("json", false, "emit the report as JSON instead of tables")
 	if err := fs.Parse(args); err != nil {

@@ -150,7 +150,6 @@ func NewCoordinator(topoJSON []byte, o CoordinatorOptions) (*Coordinator, error)
 		HeartbeatInterval: heartbeatInterval(o.HeartbeatTimeout),
 	})
 	if o.Metrics != nil {
-		registerCoordWasteMetrics(c, o.Metrics)
 		health.RegisterMetrics(c.healthM, o.Metrics)
 	}
 	c.det = transport.NewDetector(o.HeartbeatTimeout)
@@ -215,7 +214,7 @@ func (c *Coordinator) Waste() *profiler.Summary {
 	if len(parts) == 0 {
 		return nil
 	}
-	return profiler.Merge(0, parts...)
+	return profiler.Merge(parts...)
 }
 
 // PartitionStatus is one partition's last-reported deployment state.
@@ -229,12 +228,12 @@ type PartitionStatus struct {
 }
 
 // ClusterView is the /debug/cluster JSON body: membership, per-partition
-// deployment state, flow pressure, and the merged waste rollup.
+// deployment state and flow pressure. The merged waste rollup is the
+// coordinator's /debug/speculation (Waste).
 type ClusterView struct {
 	Workers    []string            `json:"workers"`
 	Partitions []PartitionStatus   `json:"partitions"`
 	Pressure   []PartitionPressure `json:"pressure,omitempty"`
-	Waste      *profiler.Summary   `json:"waste,omitempty"`
 }
 
 // View snapshots the coordinator's cluster-wide state for /debug/cluster.
@@ -256,7 +255,6 @@ func (c *Coordinator) View() ClusterView {
 		return v.Partitions[i].Partition < v.Partitions[j].Partition
 	})
 	v.Pressure = c.Pressure()
-	v.Waste = c.Waste()
 	return v
 }
 

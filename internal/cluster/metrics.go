@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"streammine/internal/metrics"
-	"streammine/internal/profiler"
 	"streammine/internal/transport"
 )
 
@@ -96,48 +95,4 @@ func (m *clusterMetrics) bridgeRTTHist() *metrics.HDR {
 		return nil
 	}
 	return m.bridgeRTT
-}
-
-// registerCoordWasteMetrics exports the cluster-wide speculation-waste
-// rollup as func-backed series: each scrape merges the latest per-
-// partition summaries (replaced per STATUS report, so totals never
-// double-count). Registered only when the coordinator has a registry.
-func registerCoordWasteMetrics(c *Coordinator, reg *metrics.Registry) {
-	// total sums one ledger column over the merged summary's operators.
-	total := func(col func(profiler.NodeWaste) uint64) func() uint64 {
-		return func() uint64 {
-			var n uint64
-			if s := c.Waste(); s != nil {
-				for _, nw := range s.Nodes {
-					n += col(nw)
-				}
-			}
-			return n
-		}
-	}
-	for _, cause := range []string{"conflict", "revoke", "replacement", "error"} {
-		cause := cause
-		reg.CounterFunc("cluster_waste_aborted_attempts_total",
-			"Aborted attempts across the cluster, by cause (merged worker waste summaries).",
-			metrics.Labels{"cause": cause},
-			total(func(nw profiler.NodeWaste) uint64 { return nw.AbortedAttempts[cause] }))
-		reg.CounterFunc("cluster_waste_cpu_ns_total",
-			"CPU nanoseconds wasted in aborted attempts across the cluster, by cause.",
-			metrics.Labels{"cause": cause},
-			total(func(nw profiler.NodeWaste) uint64 { return uint64(nw.WastedCPUNs[cause]) }))
-	}
-	reg.CounterFunc("cluster_waste_reexecutions_total",
-		"Re-executions dispatched after aborts across the cluster.", nil,
-		total(func(nw profiler.NodeWaste) uint64 { return nw.Reexecutions }))
-	reg.CounterFunc("cluster_waste_revoked_outputs_total",
-		"Outputs revoked because their producing task aborted, across the cluster.", nil,
-		total(func(nw profiler.NodeWaste) uint64 { return nw.RevokedOutputs }))
-	reg.GaugeFunc("cluster_waste_cpu_pct",
-		"Wasted CPU as a percentage of all attempt CPU across the cluster.", nil,
-		func() float64 {
-			if s := c.Waste(); s != nil {
-				return s.WastePct()
-			}
-			return 0
-		})
 }

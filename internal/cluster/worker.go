@@ -475,12 +475,8 @@ func (w *Worker) buildPartition(am AssignMsg) (*workerPart, error) {
 	// fixed engine-series names; cluster-level series cover the runtime.
 	// The tracer is shared: spans are self-describing (proc + node + trace
 	// id), so every partition engine can write to the same stream. The
-	// profiler is per partition: its summaries carry node names, so the
-	// coordinator can merge them without collision.
-	var prof *profiler.Profiler
-	if w.opts.ProfileSpeculation {
-		prof = profiler.New()
-	}
+	// waste profile is per partition: its summaries carry node names, so
+	// the coordinator can merge them without collision.
 	eng, err := core.New(built.Graph, core.Options{
 		Pool:               pool,
 		Seed:               cfg.Seed,
@@ -488,7 +484,7 @@ func (w *Worker) buildPartition(am AssignMsg) (*workerPart, error) {
 		LogScanner:         scan,
 		RestoreFromStorage: true,
 		Tracer:             w.opts.Tracer,
-		Profiler:           prof,
+		Profile:            w.opts.ProfileSpeculation,
 		// Health sampling is per-node and registry-free, so it stays on
 		// even though the partition engine runs unmetered: the summaries
 		// ride STATUS to the coordinator's health model.
@@ -772,7 +768,7 @@ func (w *Worker) Waste() *profiler.Summary {
 	if len(parts) == 0 {
 		return nil
 	}
-	return profiler.Merge(0, parts...)
+	return profiler.Merge(parts...)
 }
 
 // statusLoop periodically reports every partition to the coordinator's

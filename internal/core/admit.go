@@ -248,7 +248,7 @@ func (n *node) applyReplacement(t *task, ev event.Event) {
 	}
 	n.mu.Unlock()
 	if revoked {
-		n.eng.causedBy(ev.ID.Source)
+		n.causedBy(t.input, ev.ID.Source)
 		n.cancelTask(t, profiler.CauseRevoke)
 		return
 	}
@@ -292,7 +292,7 @@ func (n *node) applyReplacement(t *task, ev event.Event) {
 	if st == taskExecuting || st == taskOpen {
 		if tx != nil {
 			n.abort(profiler.CauseReplace, hadSent, attemptNs, ev.ID, ev.Trace)
-			n.eng.causedBy(ev.ID.Source)
+			n.causedBy(t.input, ev.ID.Source)
 			tx.Abort()
 			n.mailbox.PushReexec(cmdReexec{t: t, tx: tx}) // OnAbort's is lost if tx aborted while the task executed
 		}
@@ -374,7 +374,7 @@ func (n *node) handleRevoke(m transport.Message) {
 	if ok {
 		// The revoker (the event's source operator) caused whatever work this
 		// cancellation wastes; charge it on the caused-by side of the ledger.
-		n.eng.causedBy(m.ID.Source)
+		n.causedBy(t.input, m.ID.Source)
 		n.cancelTask(t, profiler.CauseRevoke)
 	}
 }

@@ -104,14 +104,14 @@ type Options struct {
 	// Recording is lock-free and allocation-free (one HDR observe per
 	// committed event).
 	Health bool
-	// Profiler, when set, enables the speculation-waste profiler: STM
-	// conflict witnesses resolved to named state buckets, per-operator
-	// waste ledgers (CPU burned in aborted attempts, re-executions,
-	// revoked fan-out) and the top-K conflict heatmap. Recording paths
-	// are allocation-free; witnesses cost one nil check on STM failure
-	// paths only. Nil disables profiling entirely (the STM commit path
-	// is then byte-identical to the unprofiled build).
-	Profiler *profiler.Profiler
+	// Profile enables speculation-waste profiling (Engine.Waste): the
+	// nodes' ledgers also count CPU burned in aborted attempts, attempt
+	// CPU, STM conflict witnesses and the upstream operators that caused
+	// aborts, and the witnesses, resolved to named state buckets, feed a
+	// top-K conflict heatmap. Recording paths are allocation-free;
+	// witnesses cost one nil check on STM failure paths only. Off, no
+	// attempt is timed and the STM commit path is the unprofiled one.
+	Profile bool
 }
 
 // Engine hosts one process's share of the operator graph.
@@ -124,11 +124,14 @@ type Engine struct {
 	nodes    []*node
 	inflight inflight
 
-	// met, tracer and prof are the observability hooks; all nil when
-	// disabled so hot paths pay a single pointer check.
+	// met and tracer are the observability hooks; both nil when disabled
+	// so hot paths pay a single pointer check.
 	met    *engineMetrics
 	tracer *metrics.Tracer
-	prof   *profiler.Profiler
+	// heat is the conflict heatmap Waste drains the nodes' witness rings
+	// into, under heatMu; nil unless Options.Profile.
+	heatMu sync.Mutex
+	heat   *profiler.Heatmap
 
 	mu      sync.Mutex
 	started bool
@@ -221,11 +224,13 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 		n.admission.Store(flow.NewAdmission(n.spec.Flow, eng.pressureProbe(n)))
 	}
 	eng.tracer = opts.Tracer
-	if opts.Profiler != nil {
-		eng.prof = opts.Profiler
+	if opts.Profile {
+		eng.heat = profiler.NewHeatmap()
 		for _, n := range eng.nodes {
-			n.prof = opts.Profiler.Node(n.spec.Name)
-			n.installProfiler()
+			n.wit = new(witnessRing)
+			n.abortDepth = metrics.NewHDR()
+			n.cCausedBy = make([]inputCause, inputCount(g, n.spec))
+			n.watchMemory()
 		}
 	}
 	if opts.Metrics != nil {
@@ -234,18 +239,11 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 			n.log.SetMetrics(eng.met.walLog)
 			n.mailbox.SetQueueDelay(eng.met.mailboxWait)
 		}
-		if eng.prof != nil {
-			registerProfilerMetrics(eng, opts.Metrics)
-		}
 	}
-	// Unmetered, the views that are not series keep the ledger's
-	// histograms themselves.
+	// Unmetered, the health sample keeps the ledger's histogram itself.
 	for _, n := range eng.nodes {
 		if opts.Health && n.finLat == nil {
 			n.finLat = metrics.NewHDR()
-		}
-		if eng.prof != nil && n.abortDepth == nil {
-			n.abortDepth = metrics.NewHDR()
 		}
 	}
 	return eng, nil
@@ -522,52 +520,4 @@ func (e *Engine) Pressure() []NodePressure {
 		out = append(out, n.pressure())
 	}
 	return out
-}
-
-// Waste snapshots the speculation-waste profiler as a mergeable summary
-// (the /debug/speculation body), its counts read from the nodes' ledgers,
-// or nil when profiling is disabled.
-func (e *Engine) Waste() *profiler.Summary {
-	if e.prof == nil {
-		return nil
-	}
-	s := e.prof.Summary()
-	for i := range s.Nodes {
-		nw := &s.Nodes[i]
-		for _, n := range e.nodes {
-			if n.spec.Name != nw.Node {
-				continue
-			}
-			l := n.ledger()
-			nw.AbortedAttempts = make(map[string]uint64)
-			for c, v := range l.AbortsBy {
-				if v != 0 {
-					nw.AbortedAttempts[profiler.Cause(c).String()] = v
-				}
-			}
-			nw.Reexecutions, nw.RevokedOutputs = l.Reexecuted, l.Revoked
-			nw.SpecDepthSum, nw.SpecDepthMax, nw.SpecDepthCount = n.abortDepth.Sum(), n.abortDepth.Max(), n.abortDepth.Count()
-		}
-	}
-	return s
-}
-
-// causedBy charges one aborted attempt to the upstream operator whose
-// revoke or replacement caused it.
-func (e *Engine) causedBy(src event.SourceID) {
-	if e.prof == nil {
-		return
-	}
-	e.prof.CausedBy(e.opName(src), 1)
-}
-
-// opName resolves an event source to an operator name hosted by this
-// engine, or "op<id>" for remote operators the local topology cannot name.
-func (e *Engine) opName(src event.SourceID) string {
-	for _, n := range e.nodes {
-		if event.SourceID(n.opID) == src {
-			return n.spec.Name
-		}
-	}
-	return fmt.Sprintf("op%d", src)
 }

@@ -161,7 +161,7 @@ func (n *node) execute(t *task, ctx *procCtx) {
 	// bracket the operator call plus STM completion, the work a later
 	// abort would discard.
 	var attemptStart time.Time
-	if n.prof != nil {
+	if n.wit != nil {
 		attemptStart = time.Now()
 	}
 	var err error
@@ -171,12 +171,11 @@ func (n *node) execute(t *task, ctx *procCtx) {
 	if err == nil {
 		err = tx.Complete()
 	}
-	var attemptDur time.Duration
-	if np := n.prof; np != nil {
-		attemptDur = time.Since(attemptStart)
-		np.AttemptCPU(attemptDur)
+	if n.wit != nil {
+		ns := time.Since(attemptStart).Nanoseconds()
+		n.cAttemptNs.Add(ns)
 		t.mu.Lock()
-		t.attemptNs = attemptDur.Nanoseconds()
+		t.attemptNs = ns
 		t.mu.Unlock()
 	}
 	if err != nil {

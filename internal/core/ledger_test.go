@@ -50,7 +50,7 @@ func TestReexecutionRevokesReachTheWasteLedger(t *testing.T) {
 	pool := storage.NewPool([]storage.Disk{storage.NewMemDisk()})
 	t.Cleanup(func() { pool.Close() })
 	reg := metrics.NewRegistry()
-	eng, err := New(g, Options{Seed: 7, Pool: pool, Metrics: reg, Profiler: profiler.New()})
+	eng, err := New(g, Options{Seed: 7, Pool: pool, Metrics: reg, Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestReexecutionRevokesReachTheWasteLedger(t *testing.T) {
 	}
 }
 
-// TestLedgerCountsWithTelemetryOff: with Metrics, Profiler, Health and
+// TestLedgerCountsWithTelemetryOff: with Metrics, Profile, Health and
 // Tracer all off, the node's ledger still counts aborts by cause,
 // cascades and revocations, and NodeStats shows them. A revoked input
 // cancels a task at each of two hops, each of which had sent its output;
@@ -126,27 +126,10 @@ func TestLedgerCountsWithTelemetryOff(t *testing.T) {
 		}
 	}
 
-	g = graph.New()
-	src = g.AddNode(graph.Node{Name: "src"})
-	hot := g.AddNode(graph.Node{
-		Name:        "hot",
-		Op:          &operator.Classifier{Classes: 1, Cost: 200 * time.Microsecond},
-		Traits:      operator.ClassifierTraits(1),
-		Speculative: true,
-		Workers:     8,
-	})
-	g.Connect(src, 0, hot, 0)
+	g, src, hot := hotClassifier(0)
 	eng = newTestEngine(t, g, Options{Seed: 91})
 	s, _ := eng.Source(src)
-	for i := 0; i < 150; i++ {
-		if _, err := s.Emit(uint64(i), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	drainOrDump(t, eng, 10*time.Second)
-	if err := eng.Err(); err != nil {
-		t.Fatal(err)
-	}
+	emitAndDrain(t, eng, s, 0, 150)
 	st, _ := eng.Stats(hot)
 	if st.AbortsBy[profiler.CauseConflict] == 0 {
 		t.Skip("no conflicts materialized on this host")

@@ -245,41 +245,6 @@ func registerEngineMetrics(e *Engine, reg *metrics.Registry) *engineMetrics {
 	return m
 }
 
-// registerProfilerMetrics exports the profiler's waste figures as
-// func-backed series read at scrape time (recording stays
-// allocation-free) and registers each node's abort-depth histogram.
-// Called only when both Options.Metrics and Options.Profiler are set; the
-// profiler itself runs without a registry too (cluster partition engines
-// profile unmetered, and their summaries surface via STATUS heartbeats
-// instead).
-func registerProfilerMetrics(e *Engine, reg *metrics.Registry) {
-	kinds := []stm.ConflictKind{
-		stm.ConflictWriteWrite, stm.ConflictValidation, stm.ConflictCascade,
-	}
-	for _, n := range e.nodes {
-		np := n.prof
-		labels := metrics.Labels{"node": n.spec.Name}
-		for c := range numCauses {
-			reg.CounterFunc("profiler_wasted_cpu_ns_total",
-				"CPU nanoseconds burned in attempts that later aborted.",
-				metrics.Labels{"node": n.spec.Name, "cause": c.String()},
-				func() uint64 { return uint64(np.WastedNs(c)) })
-		}
-		for _, k := range kinds {
-			k := k
-			reg.CounterFunc("profiler_conflict_witnesses_total",
-				"STM conflict witnesses recorded, by operator and conflict kind.",
-				metrics.Labels{"node": n.spec.Name, "kind": k.String()},
-				func() uint64 { return np.Witnesses(k) })
-		}
-		reg.CounterFunc("profiler_attempt_cpu_ns_total",
-			"CPU nanoseconds across all execution attempts (waste denominator).",
-			labels, func() uint64 { return uint64(np.AttemptNs()) })
-		n.abortDepth = reg.HDRCountsWith("profiler_abort_spec_depth",
-			"Open speculative tasks observed at each aborted attempt.", labels)
-	}
-}
-
 // memStats reads the node's STM counters under the node lock (the
 // memory object is swapped during crash recovery).
 func (n *node) memStats() stm.Stats {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"streammine/internal/detrand"
 	"streammine/internal/event"
@@ -12,7 +11,6 @@ import (
 	"streammine/internal/graph"
 	"streammine/internal/metrics"
 	"streammine/internal/profiler"
-	"streammine/internal/state"
 	"streammine/internal/stm"
 	"streammine/internal/transport"
 	"streammine/internal/wal"
@@ -135,9 +133,9 @@ type node struct {
 	// concurrently snapshot the node's pressure.
 	admission atomic.Pointer[flow.Admission]
 
-	// prof is this node's speculation-waste ledger; nil when profiling is
-	// off, so every recording site pays one pointer check.
-	prof *profiler.NodeProfile
+	// wit is the node's conflict witness ring; nil when profiling is off,
+	// so every waste-recording site pays one pointer check.
+	wit *witnessRing
 
 	stopFlag atomic.Bool
 	wg       sync.WaitGroup
@@ -146,10 +144,12 @@ type node struct {
 	firstErr error
 
 	// The node's ledger: each fact is written once, here, and Metrics, the
-	// waste profiler and the health sample only read it (ledger, Waste,
+	// waste profile and the health sample only read it (ledger, Waste,
 	// Health). finLat is the admission→commit latency (nil unless
-	// Options.Metrics or Options.Health) and abortDepth the speculation
-	// depth at each abort (nil unless profiling); a nil HDR is inert.
+	// Options.Metrics or Options.Health); a nil HDR is inert. The waste
+	// columns — abortDepth, the speculation depth at each abort, and after
+	// it wasted CPU by cause, attempt CPU, witnesses by kind and the aborts
+	// each input's upstream caused — are written only when profiling.
 	cDispatched     atomic.Uint64
 	cExecuted       atomic.Uint64
 	cCommitted      atomic.Uint64
@@ -163,6 +163,10 @@ type node struct {
 	finalViolations atomic.Uint64
 	finLat          *metrics.HDR
 	abortDepth      *metrics.HDR
+	cWastedNs       [numCauses]atomic.Int64 // by profiler.Cause
+	cAttemptNs      atomic.Int64
+	cWitnesses      [numKinds]atomic.Uint64 // by stm.ConflictKind
+	cCausedBy       []inputCause            // by input; nil unless profiling
 }
 
 // numCauses sizes the ledger's aborts by cause.
@@ -296,30 +300,18 @@ func (n *node) bufferedLinks(port int) int {
 	return c
 }
 
-// installProfiler binds the node's profiler hooks to its current STM
-// memory: the conflict sink and the address→state-bucket resolver. Called
-// at wiring time and again after recovery replaces the memory (both
-// single-threaded with respect to the node's workers).
-func (n *node) installProfiler() {
-	if n.prof == nil {
-		return
-	}
-	n.prof.SetResolver(state.Names(n.mem).Describe)
-	n.mem.SetConflictSink(n.prof)
-}
-
 // abort writes one aborted attempt to the ledger — its cause, and a
-// cascade when the task had live downstream outputs — charges the
-// attempt's CPU and the speculation depth to the waste profiler when
-// profiling, and writes the abort trace record. attemptNs is zero when the
-// task never executed, or when profiling is off and nothing was timed.
+// cascade when the task had live downstream outputs, and when profiling
+// the attempt's CPU and the speculation depth — and writes the abort trace
+// record. attemptNs is zero when the task never executed, or when
+// profiling is off and nothing was timed.
 func (n *node) abort(c profiler.Cause, cascade bool, attemptNs int64, id event.ID, trace uint64) {
 	n.cAborts[c].Add(1)
 	if cascade {
 		n.cCascades.Add(1)
 	}
-	if n.prof != nil {
-		n.prof.AbortedAttempt(c, time.Duration(attemptNs))
+	if n.wit != nil {
+		n.cWastedNs[c].Add(attemptNs)
 		n.abortDepth.Observe(n.openTainted.Load())
 	}
 	if tr := n.eng.tracer; tr != nil {

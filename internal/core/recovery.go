@@ -82,11 +82,10 @@ func (n *node) crash() {
 	}
 	n.resetVolatile()
 	n.mem = stm.NewMemory(n.mem.Capacity())
+	// The fresh memory's witnesses land in the node's ring too; recover()
+	// re-runs Op.Init, repopulating the address map Waste names them by.
+	n.watchMemory()
 	n.mu.Unlock()
-	// Rebind profiling hooks to the fresh memory (workers are joined, so
-	// this is single-threaded); recover() re-runs Op.Init, repopulating
-	// the address map the resolver reads.
-	n.installProfiler()
 	// All open tasks died with the node; free their speculation slots.
 	n.throttle.Reset()
 }

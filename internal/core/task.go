@@ -54,7 +54,7 @@ type task struct {
 	decisions []decision
 	cursor    int
 
-	attemptNs   int64 // profiler: CPU-ns of the last completed attempt
+	attemptNs   int64 // when profiling: CPU-ns of the last completed attempt
 	pendingLogs int   // decision-log records not yet stable
 	maxLSN      wal.LSN
 	outs        []pendingOut // outputs of the current execution

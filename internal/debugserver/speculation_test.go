@@ -25,11 +25,13 @@ func TestSpeculationEndpoint(t *testing.T) {
 	defer s.Close()
 	base := "http://" + addr
 
-	prof := profiler.New()
-	np := prof.Node("agg")
-	np.AbortedAttempt(profiler.CauseConflict, 3*time.Millisecond)
-	np.AttemptCPU(10 * time.Millisecond)
-	s.Register(Section{Name: "speculation", Get: func() any { return prof.Summary() }})
+	waste := &profiler.Summary{Nodes: []profiler.NodeWaste{{
+		Node:            "agg",
+		AbortedAttempts: map[string]uint64{"conflict": 1},
+		WastedCPUNs:     map[string]int64{"conflict": 3_000_000},
+		AttemptCPUNs:    10_000_000,
+	}}}
+	s.Register(Section{Name: "speculation", Get: func() any { return waste }})
 
 	code, body, hdr := get(t, base+"/debug/speculation")
 	if code != http.StatusOK {

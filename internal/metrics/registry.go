@@ -240,12 +240,6 @@ func (r *Registry) HDRCounts(name, help string) *HDR {
 	return r.hdrWith(name, help, nil, true)
 }
 
-// HDRCountsWith registers (or resolves) a raw-unit HDR series with
-// labels.
-func (r *Registry) HDRCountsWith(name, help string, labels Labels) *HDR {
-	return r.hdrWith(name, help, labels, true)
-}
-
 func (r *Registry) hdrWith(name, help string, labels Labels, raw bool) *HDR {
 	return r.register(name, help, labels, kindHDR, func(s *series) {
 		if s.hdr == nil {

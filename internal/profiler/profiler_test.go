@@ -1,98 +1,16 @@
 package profiler
 
 import (
-	"encoding/json"
 	"slices"
 	"testing"
-	"time"
-
-	"streammine/internal/stm"
 )
 
-func TestLedgerAndSummary(t *testing.T) {
-	p := New()
-	np := p.Node("sketch-op")
-	np.SetResolver(func(a stm.Addr) string {
-		if a == 3 {
-			return "sketch[3]"
-		}
-		return "other"
-	})
-	for i := 0; i < 5; i++ {
-		np.RecordConflict(stm.ConflictWitness{Kind: stm.ConflictWriteWrite, Addr: 3, VictimID: uint64(i)})
-	}
-	np.RecordConflict(stm.ConflictWitness{Kind: stm.ConflictCascade, Addr: 9})
-	np.AttemptCPU(10 * time.Millisecond)
-	np.AbortedAttempt(CauseConflict, 4*time.Millisecond)
-	np.AbortedAttempt(CauseRevoke, 1*time.Millisecond)
-	p.CausedBy("upstream", 2)
-
-	s := p.Summary()
-	i := slices.IndexFunc(s.Nodes, func(n NodeWaste) bool { return n.Node == "sketch-op" })
-	if i < 0 {
-		t.Fatal("node missing from summary")
-	}
-	nw := &s.Nodes[i]
-	if nw.WastedCPUNs["conflict"] != 4e6 || nw.WastedCPUNs["revoke"] != 1e6 {
-		t.Fatalf("wasted ns = %v", nw.WastedCPUNs)
-	}
-	if nw.AttemptCPUNs != 1e7 {
-		t.Fatalf("attempt ns = %d", nw.AttemptCPUNs)
-	}
-	if nw.Witnesses["write-write"] != 5 || nw.Witnesses["cascade"] != 1 {
-		t.Fatalf("witnesses = %v", nw.Witnesses)
-	}
-	if len(s.Heatmap) == 0 || s.Heatmap[0].State != "sketch[3]" || s.Heatmap[0].Count != 5 {
-		t.Fatalf("heatmap = %+v", s.Heatmap)
-	}
-	if s.WastePct() != 50 {
-		t.Fatalf("waste pct = %f, want 50", s.WastePct())
-	}
-	if len(s.CausedBy) != 1 || s.CausedBy[0].Source != "upstream" {
-		t.Fatalf("caused by = %+v", s.CausedBy)
-	}
-	if _, err := json.Marshal(s); err != nil {
-		t.Fatalf("summary must be JSON-serializable: %v", err)
-	}
-}
-
-func TestRingOverwriteCountsDropped(t *testing.T) {
-	p := New()
-	np := p.Node("n")
-	np.SetResolver(func(a stm.Addr) string { return "s" })
-	for i := 0; i < ringSize+6; i++ {
-		np.RecordConflict(stm.ConflictWitness{Kind: stm.ConflictValidation, Addr: stm.Addr(i)})
-	}
-	s := p.Summary()
-	if s.WitnessesDropped != 6 {
-		t.Fatalf("dropped = %d, want 6", s.WitnessesDropped)
-	}
-	if len(s.Heatmap) != 1 || s.Heatmap[0].Count != ringSize {
-		t.Fatalf("heatmap = %+v, want one cell of %d", s.Heatmap, ringSize)
-	}
-	// The next drain starts where this one stopped.
-	np.RecordConflict(stm.ConflictWitness{Kind: stm.ConflictValidation})
-	if s := p.Summary(); s.WitnessesDropped != 6 || s.Heatmap[0].Count != ringSize+1 {
-		t.Fatalf("after one more witness: dropped %d, heatmap %+v", s.WitnessesDropped, s.Heatmap)
-	}
-}
-
-// TestRecordConflictZeroAlloc: witness recording must not allocate even
-// with profiling on — it runs on STM abort paths.
-func TestRecordConflictZeroAlloc(t *testing.T) {
-	np := New().Node("n")
-	w := stm.ConflictWitness{Kind: stm.ConflictWriteWrite, Addr: 1, VictimID: 2, OwnerID: 3}
-	if allocs := testing.AllocsPerRun(200, func() { np.RecordConflict(w) }); allocs != 0 {
-		t.Fatalf("RecordConflict allocated %.1f per run, want 0", allocs)
-	}
-}
-
 func TestSpaceSavingEvictsMin(t *testing.T) {
-	s := newSpaceSaving(2)
-	s.add(heatKey{"a", "x"}, 10, 0)
-	s.add(heatKey{"b", "y"}, 1, 0)
-	s.add(heatKey{"c", "z"}, 1, 0) // evicts b, inherits its count as err
-	es := s.entries()
+	s := newHeatmap(2)
+	s.Add("a", "x", 10, 0)
+	s.Add("b", "y", 1, 0)
+	s.Add("c", "z", 1, 0) // evicts b, inherits its count as err
+	es := s.Entries()
 	if len(es) != 2 {
 		t.Fatalf("entries = %+v", es)
 	}
@@ -128,7 +46,7 @@ func TestMerge(t *testing.T) {
 		CausedBy:         []CauseEntry{{Source: "src", Count: 4}},
 		WitnessesDropped: 7,
 	}
-	m := Merge(8, a, b, nil)
+	m := Merge(a, b, nil)
 	i := slices.IndexFunc(m.Nodes, func(n NodeWaste) bool { return n.Node == "op" })
 	if i < 0 {
 		t.Fatalf("merged nodes = %+v", m.Nodes)

@@ -5,7 +5,7 @@ import "sort"
 // Summary is the compact, mergeable waste record: per-node ledgers plus
 // the top-K conflict heatmap. It is the JSON body of /debug/speculation,
 // the payload workers attach to STATUS heartbeats, and the unit the
-// coordinator merges for /debug/cluster.
+// coordinator merges for its own /debug/speculation.
 type Summary struct {
 	Nodes            []NodeWaste  `json:"nodes"`
 	Heatmap          []HeatEntry  `json:"heatmap"`
@@ -15,9 +15,8 @@ type Summary struct {
 
 // NodeWaste is one operator's ledger snapshot. Maps are keyed by abort
 // cause ("conflict", "revoke", "replacement", "error") or witness kind
-// ("write-write", "validation", "cascade"). The aborted attempts,
-// re-executions, revoked outputs and speculation depths are the engine's
-// per-node ledger; the CPU figures and witnesses are the profiler's.
+// ("write-write", "validation", "cascade"). Every figure is a column of
+// the engine's node ledger.
 type NodeWaste struct {
 	Node            string            `json:"node"`
 	AbortedAttempts map[string]uint64 `json:"aborted_attempts,omitempty"`
@@ -103,14 +102,11 @@ func (s *Summary) WastePct() float64 {
 
 // Merge folds several summaries (typically one per cluster partition) into
 // one: node ledgers are summed by node name, heatmaps are re-sketched into
-// a top-k of the given size, caused-by charges are summed.
-func Merge(k int, parts ...*Summary) *Summary {
-	if k <= 0 {
-		k = 64
-	}
+// one Heatmap, caused-by charges are summed.
+func Merge(parts ...*Summary) *Summary {
 	out := &Summary{}
 	byNode := make(map[string]*NodeWaste)
-	heat := newSpaceSaving(k)
+	heat := NewHeatmap()
 	caused := make(map[string]uint64)
 	var order []string
 	for _, part := range parts {
@@ -150,7 +146,7 @@ func Merge(k int, parts ...*Summary) *Summary {
 			}
 		}
 		for _, he := range part.Heatmap {
-			heat.add(heatKey{node: he.Node, state: he.State}, he.Count, he.Err)
+			heat.Add(he.Node, he.State, he.Count, he.Err)
 		}
 		for _, ce := range part.CausedBy {
 			caused[ce.Source] += ce.Count
@@ -160,21 +156,25 @@ func Merge(k int, parts ...*Summary) *Summary {
 	for _, name := range order {
 		out.Nodes = append(out.Nodes, *byNode[name])
 	}
-	out.Heatmap = heat.entries()
-	for src, n := range caused {
-		out.CausedBy = append(out.CausedBy, CauseEntry{Source: src, Count: n})
-	}
-	sortCauseEntries(out.CausedBy)
+	out.Heatmap = heat.Entries()
+	out.CausedBy = CauseList(caused)
 	return out
 }
 
-func sortCauseEntries(es []CauseEntry) {
+// CauseList turns caused-by counts keyed by source into CausedBy's order:
+// most aborts first, ties by source name.
+func CauseList(counts map[string]uint64) []CauseEntry {
+	var es []CauseEntry
+	for src, n := range counts {
+		es = append(es, CauseEntry{Source: src, Count: n})
+	}
 	sort.Slice(es, func(i, j int) bool {
 		if es[i].Count != es[j].Count {
 			return es[i].Count > es[j].Count
 		}
 		return es[i].Source < es[j].Source
 	})
+	return es
 }
 
 // heatKey identifies a heatmap cell.
@@ -182,10 +182,15 @@ type heatKey struct {
 	node, state string
 }
 
-// spaceSaving is the Metwally et al. space-saving top-k sketch: exactly k
-// counters; an unseen key evicts the minimum and inherits its count as the
-// overestimation error. Counts are exact for keys that never evicted.
-type spaceSaving struct {
+// heatK bounds the conflict heatmap.
+const heatK = 64
+
+// Heatmap is the conflict heatmap: a Metwally et al. space-saving top-k
+// sketch of (operator, state bucket) cells with exactly k counters; an
+// unseen key evicts the minimum and inherits its count as the
+// overestimation error. Counts are exact for keys that never evicted. It
+// is not safe for concurrent use.
+type Heatmap struct {
 	k     int
 	items map[heatKey]*ssItem
 }
@@ -194,11 +199,17 @@ type ssItem struct {
 	count, err uint64
 }
 
-func newSpaceSaving(k int) *spaceSaving {
-	return &spaceSaving{k: k, items: make(map[heatKey]*ssItem, k)}
+// NewHeatmap returns an empty heatmap of the top 64 cells.
+func NewHeatmap() *Heatmap { return newHeatmap(heatK) }
+
+func newHeatmap(k int) *Heatmap {
+	return &Heatmap{k: k, items: make(map[heatKey]*ssItem, k)}
 }
 
-func (s *spaceSaving) add(key heatKey, n, err uint64) {
+// Add counts n conflicts on one state bucket of one operator; err is the
+// overestimation they already carry (nonzero when re-sketching a cell).
+func (s *Heatmap) Add(node, state string, n, err uint64) {
+	key := heatKey{node: node, state: state}
 	if it, ok := s.items[key]; ok {
 		it.count += n
 		it.err += err
@@ -219,8 +230,8 @@ func (s *spaceSaving) add(key heatKey, n, err uint64) {
 	s.items[key] = &ssItem{count: min.count + n, err: min.count + err}
 }
 
-// entries returns the sketch contents sorted by descending count.
-func (s *spaceSaving) entries() []HeatEntry {
+// Entries returns the sketch's cells sorted by descending count.
+func (s *Heatmap) Entries() []HeatEntry {
 	out := make([]HeatEntry, 0, len(s.items))
 	for key, it := range s.items {
 		out = append(out, HeatEntry{Node: key.node, State: key.state, Count: it.count, Err: it.err})

@@ -15,8 +15,9 @@ import (
 // Named methods replace the generated name with an operator-chosen one.
 //
 // One AddrMap belongs to one Memory, attached via Memory.SetLabelSpace.
-// Registration happens at Init time and resolution on profiler drains, so
-// neither touches the transactional hot path.
+// Registration happens at Init time and resolution when a profiled engine
+// drains its nodes' witness rings (core.Engine.Waste), so neither touches
+// the transactional hot path.
 type AddrMap struct {
 	mu      sync.RWMutex
 	regions []region
@@ -83,8 +84,8 @@ func (am *AddrMap) lookup(addr stm.Addr) (region, bool) {
 }
 
 // Describe renders an address as "name[bucket]" ("name" for single-bucket
-// containers, "word@N" when unregistered). It is the
-// resolver the profiler installs per node.
+// containers, "word@N" when unregistered). core.Engine.Waste names each
+// drained conflict witness with it.
 func (am *AddrMap) Describe(addr stm.Addr) string {
 	am.mu.RLock()
 	r, ok := am.lookup(addr)

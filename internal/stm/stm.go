@@ -107,22 +107,16 @@ func (k ConflictKind) String() string {
 	}
 }
 
-// ConflictWitness is one attribution record: which address conflicted and
-// which transactions were involved. Victim is the transaction that dies (or
-// is doomed); Owner is the surviving or causing party, zero when unknown
-// (e.g. a version change observed after the writer already unchained).
+// ConflictWitness is one attribution record: how a transaction lost and
+// which address it lost on.
 type ConflictWitness struct {
-	Kind     ConflictKind
-	Addr     Addr
-	VictimID uint64
-	OwnerID  uint64
-	VictimTS int64
-	OwnerTS  int64
+	Kind ConflictKind
+	Addr Addr
 }
 
 // ConflictSink receives conflict witnesses. Implementations must be safe
 // for concurrent use and must not block or allocate: they run on STM
-// conflict/abort paths (internal/profiler's ring buffer qualifies).
+// conflict/abort paths (a profiled engine node's witness ring qualifies).
 type ConflictSink interface {
 	RecordConflict(w ConflictWitness)
 }
@@ -211,13 +205,8 @@ func (m *Memory) LabelSpace() any { return m.labelSpace.Load() }
 
 // witness emits a conflict witness. Callers guard with m.sink != nil so
 // the profiling-off cost is one predictable branch on the conflict paths.
-func (m *Memory) witness(kind ConflictKind, addr Addr, victim, owner *Tx) {
-	w := ConflictWitness{Kind: kind, Addr: addr, VictimID: victim.id, VictimTS: victim.ts}
-	if owner != nil {
-		w.OwnerID = owner.id
-		w.OwnerTS = owner.ts
-	}
-	m.sink.RecordConflict(w)
+func (m *Memory) witness(kind ConflictKind, addr Addr) {
+	m.sink.RecordConflict(ConflictWitness{Kind: kind, Addr: addr})
 }
 
 // NewMemory creates a heap with room for capacity words. It panics if

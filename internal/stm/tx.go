@@ -238,14 +238,11 @@ func (tx *Tx) dependOn(o *Tx, addr Addr) error {
 // the other transaction was targeted (the caller retries its operation).
 func (tx *Tx) resolve(other *Tx, addr Addr) error {
 	tx.mem.conflicts.Add(1)
-	if tx.newerThan(other) {
-		if tx.mem.sink != nil {
-			tx.mem.witness(ConflictWriteWrite, addr, tx, other)
-		}
-		return ErrConflict
-	}
 	if tx.mem.sink != nil {
-		tx.mem.witness(ConflictWriteWrite, addr, other, tx)
+		tx.mem.witness(ConflictWriteWrite, addr)
+	}
+	if tx.newerThan(other) {
+		return ErrConflict
 	}
 	other.kill()
 	return nil
@@ -477,32 +474,31 @@ func (tx *Tx) validateReads() bool {
 		addr, re := tx.reads.items[i].key, tx.reads.items[i].val
 		// A slot nobody ever acquired is still at version 0, where we read it.
 		if c := tx.mem.chainOf(addr); c != nil {
-			if by, stale := tx.staleRead(c, addr, re); stale {
-				return tx.invalid(addr, by)
+			if tx.staleRead(c, addr, re) {
+				return tx.invalid(addr)
 			}
 		}
 	}
 	return true
 }
 
-// staleRead judges one read entry under its chain's lock and names the
-// transaction that outdated it, if one is known.
-func (tx *Tx) staleRead(c *chain, addr Addr, re readEntry) (by *Tx, stale bool) {
+// staleRead judges one read entry under its chain's lock.
+func (tx *Tx) staleRead(c *chain, addr Addr, re readEntry) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if re.from != nil {
 		switch Status(re.from.status.Load()) {
 		case StatusAborted:
-			return re.from, true
+			return true
 		case StatusCommitted:
 			if c.version != re.from.commitVersion {
-				return re.from, true
+				return true
 			}
 		default:
-			return nil, false // the source is still open: nothing to compare yet
+			return false // the source is still open: nothing to compare yet
 		}
 	} else if c.version != re.version {
-		return nil, true
+		return true
 	}
 	for _, o := range c.owners {
 		// Only a writer in its commit outdates what a committed source
@@ -518,17 +514,17 @@ func (tx *Tx) staleRead(c *chain, addr Addr, re readEntry) (by *Tx, stale bool) 
 		// memory stale.
 		st := o.status.Load() // after buffered: as late as can be
 		if st == statusCommitting || re.from == nil && !o.newerThan(tx) && st != int32(StatusAborted) {
-			return o, true
+			return true
 		}
 	}
-	return nil, false
+	return false
 }
 
 // invalid records the validation witness, if anyone listens, and returns
 // false for validateReads to pass on.
-func (tx *Tx) invalid(addr Addr, owner *Tx) bool {
+func (tx *Tx) invalid(addr Addr) bool {
 	if tx.mem.sink != nil {
-		tx.mem.witness(ConflictValidation, addr, tx, owner)
+		tx.mem.witness(ConflictValidation, addr)
 	}
 	return false
 }
@@ -779,7 +775,7 @@ func (tx *Tx) witnessCascade(culprit *Tx) {
 		addr = *p
 	}
 	tx.mu.Unlock()
-	tx.mem.witness(ConflictCascade, addr, tx, culprit)
+	tx.mem.witness(ConflictCascade, addr)
 }
 
 // ReadSetSize returns the number of distinct addresses read.

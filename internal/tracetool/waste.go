@@ -21,7 +21,7 @@ type OperatorWaste struct {
 	Aborts  map[string]uint64 `json:"aborts"`
 	Revokes uint64            `json:"revokes,omitempty"`
 	// Ledger is the matching per-operator profiler record when a waste
-	// summary (from /debug/speculation or /debug/cluster) was joined.
+	// summary (from /debug/speculation) was joined.
 	Ledger *profiler.NodeWaste `json:"ledger,omitempty"`
 }
 
@@ -146,20 +146,12 @@ func (s *Set) Waste(sum *profiler.Summary, top int) *WasteReport {
 	return r
 }
 
-// ReadSummary parses a profiler summary JSON file (saved from
-// /debug/speculation or /debug/cluster — the /debug/cluster body's
-// "waste" field is also accepted).
+// ReadSummary parses a waste summary JSON file saved from
+// /debug/speculation (a worker's, or the coordinator's cluster-wide merge).
 func ReadSummary(path string) (*profiler.Summary, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
-	}
-	// Accept either a bare Summary or a wrapper with a "waste" field.
-	var wrap struct {
-		Waste *profiler.Summary `json:"waste"`
-	}
-	if err := json.Unmarshal(data, &wrap); err == nil && wrap.Waste != nil {
-		return wrap.Waste, nil
 	}
 	var s profiler.Summary
 	if err := json.Unmarshal(data, &s); err != nil {

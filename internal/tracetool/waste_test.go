@@ -124,41 +124,27 @@ func TestWasteWithoutSummary(t *testing.T) {
 	}
 }
 
-// TestReadSummary accepts both a bare summary and a /debug/cluster body
-// wrapping it in a "waste" field.
+// TestReadSummary reads back a saved /debug/speculation body.
 func TestReadSummary(t *testing.T) {
 	sum := &profiler.Summary{Nodes: []profiler.NodeWaste{{
 		Node:            "agg",
 		AbortedAttempts: map[string]uint64{"conflict": 3},
 	}}}
-	dir := t.TempDir()
-
-	bare := filepath.Join(dir, "bare.json")
+	path := filepath.Join(t.TempDir(), "waste.json")
 	data, err := json.Marshal(sum)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(bare, data, 0o644); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	wrapped := filepath.Join(dir, "cluster.json")
-	data, err = json.Marshal(map[string]any{"workers": []string{"w1"}, "waste": sum})
+	got, err := ReadSummary(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(wrapped, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, path := range []string{bare, wrapped} {
-		got, err := ReadSummary(path)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		if got == nil || !slices.ContainsFunc(got.Nodes, func(n profiler.NodeWaste) bool {
-			return n.Node == "agg" && n.AbortedAttempts["conflict"] == 3
-		}) {
-			t.Fatalf("%s: round-trip mismatch: %+v", path, got)
-		}
+	if got == nil || !slices.ContainsFunc(got.Nodes, func(n profiler.NodeWaste) bool {
+		return n.Node == "agg" && n.AbortedAttempts["conflict"] == 3
+	}) {
+		t.Fatalf("round-trip mismatch: %+v", got)
 	}
 }
