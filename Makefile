@@ -2,7 +2,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: check fmt vet staticcheck test race race-stm race-core-finality race-core-quiesce race-core-equiv alloc-guards bench-pairs bench-profile build trace-e2e doccheck campaign-smoke
+.PHONY: check fmt vet staticcheck test race race-stm race-core-finality race-core-quiesce race-core-equiv race-core-recover alloc-guards bench-pairs bench-profile build trace-e2e doccheck campaign-smoke
 
 check: fmt vet staticcheck doccheck alloc-guards race
 
@@ -128,6 +128,18 @@ bench-profile:
 race-core-equiv:
 	for p in 1 2 8; do \
 		GOMAXPROCS=$$p go test -race -count=20 -run 'TestBatchSizeEquivalence|TestBatchCommitGrouping|TestAttemptScratchReuseSafety|TestReexecutionBuysItsOwnTx|TestLongRunSplitsTaskBlocks|TestPayloadBytesAreHandedOutOnce|TestReexecutionLeavesSentVersionAlone|TestQueuedFinalizeRunIsOwned|TestCreditedFramesFitTheWindow|TestRecoverNeedsLogScanner|TestRecoveryScanOrderTwoDisks|TestRecoveryReadsWhatTheDiskHolds|TestDupOfUncheckpointedCommitNotAcked|TestQueuedFramesAdmitAsOneRun|TestRestoredOutputsAreReleased|TestEarlyRevokeDropsItsIncarnation|TestFinalizeOfReemissionAfterCancel|TestReemissionBehindOpenHead|TestStaleSendNeverFollowsNextAttempt|TestCheckpointBatchesAcks|TestWorkerRunAppendsOnceFramesOnce|TestWorkerRunPublishesBeforeReexecution|TestConflictBackoffReducesWastedWork' ./internal/core || exit 1; \
+	done
+
+# race-core-recover is the same gate for precise recovery (paper §2.2,
+# DESIGN.md §9.8): a crash takes nothing more off its queues, the replay plan
+# replays logged decisions in logged order, replay and duplicate re-ACKs
+# leave in frames, oldest first, a checkpoint's covered events are not
+# replayed, a source's edge stays FIFO across a recovery, and the chaos
+# tests crash a node again and again, under backlog and across seeds —
+# twenty race-detected runs each with one, two and eight Ps.
+race-core-recover:
+	for p in 1 2 8; do \
+		GOMAXPROCS=$$p go test -race -count=20 -run 'TestCrashRecoverPreciseOutputs|TestRecoveryReplaysLoggedDecisions|TestReplayRequestResendsUnacked|TestReplayResendsOldestFirst|TestRecoveryFromCheckpointSkipsAckedEvents|TestSourceEdgeStaysFIFOAcrossRecovery|TestChaosRepeatedCrashes|TestChaosCrashDuringBacklog|TestChaosSeedSweep|TestCrashTakesNothingMoreOffItsQueues|TestReplayPlanFromRecords|TestDuplicateReAcksLeaveAsOneFrame' ./internal/core || exit 1; \
 	done
 
 # trace-e2e runs a traced two-worker cluster as real processes and pipes

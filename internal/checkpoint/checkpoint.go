@@ -72,13 +72,20 @@ var ErrCorrupt = errors.New("checkpoint: corrupt snapshot")
 // ErrNotFound reports that no snapshot exists for the requested operator.
 var ErrNotFound = errors.New("checkpoint: not found")
 
+// EncodedSize is the length of Encode(s), computed without encoding: a
+// fixed header, the memory words, the input positions and the outputs
+// with their payloads, and the trailing CRC.
+func EncodedSize(s *Snapshot) int {
+	size := 4 + 8 + 8 + 8 + 8 + 4 + len(s.Memory)*8 + 4 + len(s.InputPositions)*16 + 4 + 4
+	for _, o := range s.Outputs {
+		size += 48 + len(o.Payload)
+	}
+	return size
+}
+
 // Encode serializes the snapshot with a trailing CRC.
 func Encode(s *Snapshot) []byte {
-	size := 4 + 8 + 8 + 8 + 8 + 4 + len(s.Memory)*8 + 4 + len(s.InputPositions)*16 + 4
-	for _, o := range s.Outputs {
-		size += 52 + len(o.Payload)
-	}
-	buf := make([]byte, 0, size)
+	buf := make([]byte, 0, EncodedSize(s))
 	var w [8]byte
 	put32 := func(v uint32) {
 		binary.LittleEndian.PutUint32(w[:4], v)

@@ -211,3 +211,24 @@ func TestQuickRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEncodedSizeIsEncodeLength: the size restore reports is the encoded
+// length, with and without outputs, payloads and input positions.
+func TestEncodedSizeIsEncodeLength(t *testing.T) {
+	bare := sample()
+	bare.Outputs, bare.InputPositions = nil, nil
+	noPayloads := sample()
+	for i := range noPayloads.Outputs {
+		noPayloads.Outputs[i].Payload = nil
+	}
+	for name, s := range map[string]*Snapshot{
+		"full":        sample(),
+		"bare":        bare,
+		"no payloads": noPayloads,
+		"empty":       {},
+	} {
+		if got, want := EncodedSize(s), len(Encode(s)); got != want {
+			t.Errorf("%s: EncodedSize = %d, want len(Encode) = %d", name, got, want)
+		}
+	}
+}

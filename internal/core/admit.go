@@ -15,23 +15,26 @@ import (
 
 // admitScratch is admitRun's reusable working set (see node.admit), and the
 // slabs it cuts what a run's tasks keep from: each detached payload, and the
-// run's input-order records.
+// run's input-order records. acks gathers the run's duplicate re-ACKs by
+// input; a frame of more than one is cut from refs, because upstream keeps
+// it.
 type admitScratch struct {
 	planned  []plannedEvent
 	fresh    []*task
 	deferred []deferredAdmit
+	acks     [][]transport.FinalizeRef
 
 	payloads slab[byte]
 	recs     slab[wal.Record]
 	owners   slab[*task]
+	refs     slab[transport.FinalizeRef]
 }
 
-// deferredAdmit is an admission outcome that needs n.mu released: a
-// replacement for the live task t, or (t nil) a duplicate to re-ACK.
+// deferredAdmit is a replacement for the live task t, which needs n.mu
+// released.
 type deferredAdmit struct {
-	t     *task
-	input int
-	ev    event.Event
+	t  *task
+	ev event.Event
 }
 
 // admitRun admits a run of input events, in order. Each becomes a new task
@@ -45,8 +48,9 @@ type deferredAdmit struct {
 // had arrived one frame at a time. In recovery mode the run first passes
 // through the replay plan (planRun), which enforces the logged admission
 // order and attaches logged decisions; the loop below is the same either
-// way. Outcomes that need the lock released are deferred past the unlock
-// in arrival order.
+// way. Replacements, which need the lock released, are deferred past the
+// unlock in arrival order; the run's re-ACKs leave last, one frame per
+// input.
 func (n *node) admitRun(input int, evs []event.Event) {
 	a := &n.admit
 	stateful := n.spec.Traits.Stateful
@@ -69,7 +73,7 @@ func (n *node) admitRun(input int, evs []event.Event) {
 		pe := &planned[i]
 		ev := pe.ev
 		id := ev.ID
-		if pe.dup || n.recoverDrop.has(id) {
+		if pe.dup || n.replay.covers(id) {
 			// Precise recovery: a replayed duplicate of a committed event
 			// is byte-identical and silently dropped, and so is a
 			// redelivery of an event the restored snapshot already covers
@@ -82,7 +86,7 @@ func (n *node) admitRun(input int, evs []event.Event) {
 			} else if slices.ContainsFunc(n.sinceCkpt, func(a ackTarget) bool { return a.id == id }) {
 				continue
 			}
-			deferred = append(deferred, deferredAdmit{input: pe.input, ev: ev})
+			a.acks = addAt(a.acks, pe.input, transport.FinalizeRef{ID: id})
 			continue
 		}
 		if t, ok := n.tasks.get(id); ok {
@@ -161,12 +165,9 @@ func (n *node) admitRun(input int, evs []event.Event) {
 		n.throttle.Wake()
 	}
 	for i := range deferred {
-		if d := &deferred[i]; d.t != nil {
-			n.applyReplacement(d.t, d.ev)
-		} else {
-			n.sendUpstream(d.input, transport.Message{Type: transport.MsgAck, ID: d.ev.ID})
-		}
+		n.applyReplacement(deferred[i].t, deferred[i].ev)
 	}
+	drainRuns(a.acks, &a.refs, func(input int, run []transport.FinalizeRef) { n.sendUpstream(input, refFrame(run, true)) })
 	// Drop what the scratch references (payloads, decisions, tasks).
 	clear(planned)
 	clear(fresh)
@@ -458,19 +459,35 @@ func (n *node) handleReplay() {
 		m.replays.Inc()
 		m.replayed.Add(uint64(len(recs)))
 	}
-	for _, rec := range recs {
-		spec := !rec.finalSent.Load()
-		if tr := n.eng.tracer; tr != nil {
+	if tr := n.eng.tracer; tr != nil {
+		for _, rec := range recs {
 			phase := metrics.PhaseFinalOut
-			if spec {
+			if !rec.finalSent.Load() {
 				phase = metrics.PhaseSpecOut
 			}
 			tr.RecordTrace(n.spec.Name, rec.id.String(), rec.trace, phase, "replay")
 		}
-		n.deliverToPort(rec.port, transport.Message{
-			Type:  transport.MsgEvent,
-			Event: rec.toEvent(spec),
-		})
+	}
+	n.resend(recs, n.deliverToPort)
+}
+
+// resend hands deliver the records' events, oldest first and each with its
+// current speculation state, as frames of up to maxRun events per port.
+// The frames are made for the call: receivers keep them.
+func (n *node) resend(recs []*outRecord, deliver func(port int, m transport.Message)) {
+	evs := make([]event.Event, 0, len(recs))
+	for port := range n.links {
+		start := len(evs)
+		for _, rec := range recs {
+			if rec.port == port {
+				evs = append(evs, rec.toEvent(!rec.finalSent.Load()))
+			}
+		}
+		for run := evs[start:]; len(run) > 0; {
+			k := min(len(run), maxRun)
+			deliver(port, eventFrame(run[:k:k]))
+			run = run[k:]
+		}
 	}
 }
 

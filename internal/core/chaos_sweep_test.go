@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"streammine/internal/detrand"
+	"streammine/internal/event"
 	"streammine/internal/graph"
 	"streammine/internal/operator"
 )
@@ -59,13 +60,21 @@ func TestChaosSeedSweep(t *testing.T) {
 			n, _ := eng.node(proc)
 			n.mu.Lock()
 			plan := n.replay
-			planInfo := "nil"
-			if plan != nil {
-				planInfo = ""
-				for i := plan.pos; i < len(plan.order) && i < plan.pos+5; i++ {
-					planInfo += plan.order[i].String() + " "
+			planInfo := "done"
+			if plan.active() {
+				held, next := 0, "none"
+				for _, h := range plan.isHeld {
+					if h {
+						held++
+					}
 				}
-				planInfo = "pos=" + fmtInt(plan.pos) + "/" + fmtInt(len(plan.order)) + " head:" + planInfo + " buffered=" + fmtInt(len(plan.buffered)) + " tail=" + fmtInt(len(plan.tail))
+				plan.at.each(func(id event.ID, at int32) {
+					if int(at) == plan.pos {
+						next = id.String()
+					}
+				})
+				planInfo = "pos=" + fmtInt(plan.pos) + "/" + fmtInt(plan.end()) + " covered=" + fmtInt(plan.covered) +
+					" logged=" + fmtInt(plan.logged) + " next:" + next + " held=" + fmtInt(held) + " tail=" + fmtInt(len(plan.tail))
 			}
 			open := n.open.n
 			committed := n.committed.len()

@@ -105,6 +105,13 @@ func (t *idTable[V]) put(id event.ID, v V) {
 	t.slots[i] = idSlot[V]{val: v, seq: id.Seq, source: id.Source, used: true}
 }
 
+// reserve sizes the table to take k more bindings without growing.
+func (t *idTable[V]) reserve(k int) {
+	if need := 2 * (t.n + k); need > len(t.slots) {
+		t.resize(max(need, idTableMinSlots))
+	}
+}
+
 // resize moves the entries into a fresh slot array of the given size.
 func (t *idTable[V]) resize(slots int) {
 	old := t.slots

@@ -172,7 +172,7 @@ const maxRun = 64
 
 // Pop dequeues the oldest control item, or the oldest data item when the
 // control lane is empty, blocking while both lanes are empty. It returns
-// ok=false once the mailbox is closed and drained. An input frame leaves
+// ok=false once the mailbox is closed. An input frame leaves
 // with the EVENT frames queued right behind it for the same input, up to a
 // source injection or maxRun events: their events, in arrival order, are
 // appended to run[:0] as evs. Any other item leaves alone.
@@ -235,23 +235,32 @@ func (m *mailbox) Overflows() uint64 {
 	return m.overflow
 }
 
-// Close wakes all blocked Pops; queued items remain poppable.
-func (m *mailbox) Close() {
+// Close discards everything queued on both lanes, wakes all blocked Pops
+// and returns the in-flight weight of what it dropped, for the closer to
+// settle: a node stops at the instant, taking nothing more off its queue
+// (DESIGN.md §9.8). The events dropped are exactly the unacknowledged ones
+// upstream will replay.
+func (m *mailbox) Close() (dropped int) {
 	m.mu.Lock()
+	for _, r := range [...]*ring[mailItem]{&m.ctl, &m.data} {
+		for i := 0; i < r.n; i++ {
+			it := r.at(i)
+			dropped += max(it.dataWeight(), 1)
+		}
+		*r = ring[mailItem]{}
+	}
+	m.dataDepth = 0
 	m.closed = true
 	m.cond.Broadcast()
 	m.mu.Unlock()
+	return dropped
 }
 
-// Reopen clears a closed mailbox for reuse, discarding anything still
-// queued. Node recovery reopens the original mailbox instead of replacing
-// it so concurrent senders never observe a torn field write; the events
-// dropped here are exactly the unacknowledged ones upstream will replay.
+// Reopen makes a closed mailbox take pushes again. Node recovery reopens
+// the original mailbox instead of replacing it so concurrent senders never
+// observe a torn field write.
 func (m *mailbox) Reopen() {
 	m.mu.Lock()
-	m.ctl = ring[mailItem]{}
-	m.data = ring[mailItem]{}
-	m.dataDepth = 0
 	m.dataHigh = 0
 	m.closed = false
 	m.mu.Unlock()

@@ -110,24 +110,32 @@ func TestMailboxBlockingPop(t *testing.T) {
 	}
 }
 
-func TestMailboxCloseDrainsThenStops(t *testing.T) {
-	m := newMailbox(new(inflight))
+// TestMailboxCloseDiscardsThenStops: Close drops what both lanes hold and
+// returns its in-flight weight — a control item weighs 1, a data item its
+// events — so that a node stops at the instant and settles what it drops.
+func TestMailboxCloseDiscardsThenStops(t *testing.T) {
+	led := new(inflight)
+	m := newMailbox(led)
 	m.Push(ctlMsg(1))
 	m.Push(ctlMsg(2))
-	m.Close()
-	// Queued items remain poppable after Close.
-	for want := event.Seq(1); want <= 2; want++ {
-		if v, _, ok := m.Pop(nil); !ok || v.msg.ID.Seq != want {
-			t.Fatalf("Pop after close = %v, %v", v.msg.ID, ok)
-		}
+	m.Push(dataMsg(3))
+	m.Push(transport.Message{Type: transport.MsgEventBatch, Events: make([]event.Event, 4)})
+	if got := m.Close(); got != 2+1+4 || led.n.Load() != int64(got) {
+		t.Fatalf("Close dropped weight %d with %d in flight, want 7 of 7", got, led.n.Load())
 	}
 	if _, _, ok := m.Pop(nil); ok {
-		t.Fatal("Pop on closed empty mailbox returned ok")
+		t.Fatal("Pop after Close returned ok")
+	}
+	if d := m.DataDepth(); d != 0 {
+		t.Fatalf("DataDepth after Close = %d, want 0", d)
 	}
 	// Push after close is a silent no-op.
 	m.Push(ctlMsg(3))
 	if _, _, ok := m.Pop(nil); ok {
 		t.Fatal("Push after Close enqueued an item")
+	}
+	if got := m.Close(); got != 0 {
+		t.Fatalf("a second Close dropped weight %d, want 0", got)
 	}
 }
 
@@ -394,8 +402,8 @@ func TestMailboxDataAccounting(t *testing.T) {
 }
 
 // TestMailboxReopenDiscardsBothLanes: recovery reopens the crashed node's
-// mailbox in place; everything queued pre-crash is discarded (upstream
-// replays the unacknowledged events).
+// mailbox in place; nothing queued pre-crash survives the close and the
+// reopen (upstream replays the unacknowledged events).
 func TestMailboxReopenDiscardsBothLanes(t *testing.T) {
 	m := newMailbox(new(inflight))
 	m.Push(dataMsg(1))

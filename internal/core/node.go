@@ -90,18 +90,18 @@ type node struct {
 	finHits  []finHit
 	injected slab[outRecord] // handleInject's: a source run's output records
 
-	// replay, when non-nil, holds the recovery-mode admission plan;
-	// recoverDrop holds the IDs of logged events the restored snapshot
-	// already covers, whose redeliveries must be dropped (both guarded
-	// by mu).
-	replay      *replayPlan
-	recoverDrop idSet
+	// replay, when non-nil, holds the replay plan of the last durable
+	// restore (guarded by mu): recovery-mode admission while it is
+	// replaying, and for the incarnation's life the index of the logged
+	// events the restored snapshot already covers, whose redeliveries must
+	// be dropped.
+	replay *replayPlan
 
 	// rec* instrument the restore/replay path for the recovery anatomy
 	// profiler (Engine.RecoveryStats). All guarded by mu: restoreDurable
 	// writes the restore window before the node's goroutines start,
-	// planRun stamps replay progress, and the recoverDrop sites count
-	// dedup drops.
+	// planRun stamps replay progress, and admitRun counts the drops of
+	// covered redeliveries.
 	recStats nodeRecoveryStats
 
 	// pendFin and pendRevoke (guarded by mu) absorb control-lane
@@ -240,7 +240,7 @@ func (n *node) resetVolatile() {
 	n.admit, n.fin, n.injected = admitScratch{}, finFlush{}, slab[outRecord]{}
 	n.tasks = idTable[*task]{}
 	n.open = ring[*task]{}
-	n.committed, n.recoverDrop = idSet{}, idSet{}
+	n.committed = idSet{}
 	n.outBuf = idTable[*outRecord]{}
 	clear(n.lastCommitted)
 	n.pendFin = idTable[event.Version]{}
@@ -366,7 +366,7 @@ func (n *node) stop() {
 	}
 	n.admission.Load().Close()
 	n.throttle.Close()
-	n.mailbox.Close()
+	n.settle(n.mailbox.Close())
 	n.execQ.Close()
 	n.notifyCommitter()
 	n.wg.Wait()

@@ -55,14 +55,17 @@ func (e *Engine) Recover(id graph.NodeID) error {
 	return n.recover()
 }
 
-// crash tears down the node and wipes volatile state.
+// crash tears the node down at the instant and wipes volatile state.
 func (n *node) crash() {
 	n.stopFlag.Store(true)
 	// Close the throttle first: workers parked in WaitSince (deferred
 	// admissions) must unblock for wg.Wait to finish. recover() reopens
 	// it via Reset.
 	n.throttle.Close()
-	n.mailbox.Close()
+	// Both queues drop what they hold: the dispatcher admits and logs
+	// nothing more, and a worker ends its run at the task it is executing.
+	// A crash settles what it drops.
+	n.settle(n.mailbox.Close())
 	n.execQ.Close()
 	n.notifyCommitter()
 	n.wg.Wait()
@@ -70,7 +73,7 @@ func (n *node) crash() {
 	// Abort open transactions so no downstream STM chains dangle. (All
 	// state dies with the memory anyway; this is bookkeeping hygiene.)
 	n.mu.Lock()
-	n.settle(n.open.n) // the tasks die; what was queued, the dispatcher drained
+	n.settle(n.open.n) // the tasks die, queued or executed
 	for i := 0; i < n.open.n; i++ {
 		t := n.open.at(i)
 		t.mu.Lock()
@@ -92,19 +95,51 @@ func (n *node) crash() {
 
 // replayPlan drives recovery-mode dispatch: logged events are admitted in
 // logged order with their logged decisions; unlogged events (the tail that
-// was in flight at the crash) follow afterwards in arrival order.
+// was in flight at the crash) follow afterwards in arrival order. Once the
+// plan is done it still answers, for the incarnation's life, which events
+// the restored snapshot covers.
+//
+// The plan is one index over arrays. at maps an event to its position in
+// admission order: every logged input, then what a source upstream will
+// re-send (planSourceReplay). Positions below covered are the restored
+// snapshot's, those below logged have an input record, and pos is the next
+// to admit. What the plan keeps per position it keeps from covered on, at
+// the position minus covered.
 type replayPlan struct {
-	// order is the admission order of every logged input, then of what a
-	// source upstream will re-send (planSourceReplay), at the position of
-	// each in it; pos is the next to admit (what lies before it, the
-	// restored snapshot covers or replay has admitted).
-	order    []event.ID
-	at       map[event.ID]int
-	pos      int
-	decs     map[event.ID][]decision
-	lsns     map[event.ID]wal.LSN
-	buffered map[event.ID]plannedEvent
-	tail     []plannedEvent
+	at      idTable[int32]
+	covered int
+	logged  int
+	pos     int
+	lsns    []wal.LSN      // an event's highest logged LSN, below logged
+	decs    [][]decision   // its logged decisions, below logged
+	held    []plannedEvent // what arrived ahead of its position
+	isHeld  []bool
+	tail    []plannedEvent // unplanned arrivals, admitted once the plan completes
+	done    bool
+}
+
+// active reports whether admission still goes through the plan.
+func (p *replayPlan) active() bool { return p != nil && !p.done }
+
+// end is one past the last planned position.
+func (p *replayPlan) end() int { return p.covered + len(p.held) }
+
+// covers reports whether the restored snapshot covers id. Its redeliveries
+// must be dropped (and re-ACKed): the covering mark may never have become
+// stable, in which case upstream was never told to prune them (paper §2.2:
+// replay "starting at the last logged messages from each source").
+func (p *replayPlan) covers(id event.ID) bool {
+	if p == nil || p.covered == 0 {
+		return false
+	}
+	at, ok := p.at.get(id)
+	return ok && int(at) < p.covered
+}
+
+// finish leaves recovery mode; only the index stays.
+func (p *replayPlan) finish() {
+	p.done = true
+	p.lsns, p.decs, p.held, p.isHeld, p.tail = nil, nil, nil, nil, nil
 }
 
 // buildReplayPlan digests this node's stable decision records as
@@ -132,6 +167,7 @@ func (n *node) buildReplayPlan(d *durableState, lastByInput map[int]event.ID) er
 	// identifies covered redeliveries (a crash can race the post-mark
 	// ACKs, leaving upstream free to re-send covered events).
 	var recs []wal.Record
+	inputs := 0
 	for _, r := range stable {
 		// Highest LSN of the whole scan, all operators and marks included:
 		// a fresh Log over reopened storage must continue the sequence.
@@ -140,48 +176,59 @@ func (n *node) buildReplayPlan(d *durableState, lastByInput map[int]event.ID) er
 		}
 		if r.Operator == n.opID && r.Kind != wal.KindCheckpointMark {
 			recs = append(recs, r)
+			if r.Kind == wal.KindInput {
+				inputs++
+			}
 		}
 	}
 	slices.SortFunc(recs, func(a, b wal.Record) int { return cmp.Compare(a.LSN, b.LSN) })
 	d.stats.logRecords = int64(len(recs))
 
-	// Admission order of every logged input.
-	plan := &replayPlan{
-		at:       make(map[event.ID]int),
-		decs:     make(map[event.ID][]decision),
-		lsns:     make(map[event.ID]wal.LSN),
-		buffered: make(map[event.ID]plannedEvent),
-	}
+	// Admission order of every logged input: an event's first record
+	// places it.
+	plan := &replayPlan{}
+	plan.at.reserve(inputs)
 	for _, r := range recs {
 		if r.Kind != wal.KindInput {
 			continue
 		}
-		if _, ok := plan.at[r.Event]; !ok {
-			plan.at[r.Event] = len(plan.order)
-			plan.order = append(plan.order, r.Event)
+		if _, ok := plan.at.get(r.Event); !ok {
+			plan.at.put(r.Event, int32(plan.logged))
+			plan.logged++
 		}
 	}
 	for _, id := range lastByInput {
-		if p, ok := plan.at[id]; ok && p >= plan.pos {
-			plan.pos = p + 1
+		if p, ok := plan.at.get(id); ok && int(p) >= plan.covered {
+			plan.covered = int(p) + 1
 		}
 	}
-	for _, id := range plan.order[:plan.pos] {
-		d.covered.add(id)
-	}
+	plan.pos = plan.covered
+	k := plan.logged - plan.covered
+	plan.lsns, plan.decs = make([]wal.LSN, k), make([][]decision, k)
+	plan.held, plan.isHeld = make([]plannedEvent, k), make([]bool, k)
+	decided := false
 	for _, r := range recs {
-		if d.covered.has(r.Event) {
+		isDecision := r.Kind == wal.KindRandom || r.Kind == wal.KindTime
+		p, ok := plan.at.get(r.Event)
+		if !ok {
+			decided = decided || isDecision
 			continue
 		}
-		if r.Kind == wal.KindRandom || r.Kind == wal.KindTime {
-			plan.decs[r.Event] = append(plan.decs[r.Event], decision{kind: r.Kind, value: r.Value})
+		if int(p) < plan.covered {
+			continue
 		}
-		if r.LSN > plan.lsns[r.Event] {
-			plan.lsns[r.Event] = r.LSN
+		i := int(p) - plan.covered
+		if isDecision {
+			plan.decs[i] = append(plan.decs[i], decision{kind: r.Kind, value: r.Value})
 		}
+		plan.lsns[i] = max(plan.lsns[i], r.LSN)
 	}
-	if plan.pos < len(plan.order) || len(plan.decs) > 0 {
-		d.plan = plan // else nothing to replay: plain restart
+	// A decision record with no input record (a stateless operator's)
+	// attaches to no event, but keeps the plan active until the first
+	// arrival.
+	plan.done = k == 0 && !decided
+	if plan.logged > 0 || !plan.done {
+		d.plan = plan // else nothing logged: plain restart
 	}
 	return nil
 }
@@ -190,8 +237,7 @@ func (n *node) buildReplayPlan(d *durableState, lastByInput map[int]event.ID) er
 // from the node until all of it is there.
 type durableState struct {
 	snap    *checkpoint.Snapshot // nil: no checkpoint yet
-	plan    *replayPlan          // nil: nothing to replay
-	covered idSet
+	plan    *replayPlan          // nil: nothing logged
 	maxSeen wal.LSN
 	stats   nodeRecoveryStats // restore start, records scanned
 }
@@ -231,7 +277,7 @@ func (n *node) restoreDurable(d *durableState) error {
 	defer n.mu.Unlock()
 	stats := d.stats
 	if snap := d.snap; snap != nil {
-		stats.ckptBytes = int64(len(checkpoint.Encode(snap)))
+		stats.ckptBytes = int64(checkpoint.EncodedSize(snap))
 		if err := n.mem.Restore(snap.Memory); err != nil {
 			return fmt.Errorf("restore checkpoint: %w", err)
 		}
@@ -254,17 +300,15 @@ func (n *node) restoreDurable(d *durableState) error {
 		}
 	}
 	n.replay = d.plan
-	// Redeliveries of events the snapshot already covers must be dropped
-	// (and re-ACKed): the covering mark may never have become stable, in
-	// which case upstream was never told to prune them (paper §2.2: replay
-	// "starting at the last logged messages from each source").
-	n.recoverDrop = d.covered
 	// Close the restore window and open the replay window of the anatomy
 	// profiler; with nothing to replay the replay phase is a zero-length
 	// span closed on the spot.
 	now := time.Now().UnixNano()
-	stats.restoreEndNs, stats.replayStartNs, stats.coveredSet = now, now, int64(d.covered.len())
-	if d.plan == nil {
+	stats.restoreEndNs, stats.replayStartNs = now, now
+	if d.plan != nil {
+		stats.coveredSet = int64(d.plan.covered)
+	}
+	if !d.plan.active() {
 		stats.replayEndNs = now
 	}
 	n.recStats = stats
@@ -275,14 +319,13 @@ func (n *node) restoreDurable(d *durableState) error {
 // snapshot misses the ACKs that came after it, and only downstream dedup's
 // re-ACK prunes those outputs (a subscriber would see a second final).
 func (n *node) releaseRestored() {
-	for _, rec := range n.bufferedOutputs() {
-		m := transport.Message{Type: transport.MsgEvent, Event: rec.toEvent(false)}
-		for _, l := range n.links[rec.port] {
+	n.resend(n.bufferedOutputs(), func(port int, m transport.Message) {
+		for _, l := range n.links[port] {
 			if l.buffered() {
 				l.deliver(m)
 			}
 		}
-	}
+	})
 }
 
 // planSourceReplay appends to an active replay plan what an in-process
@@ -302,11 +345,15 @@ func (n *node) planSourceReplay() {
 		}
 		recs := u.n.bufferedOutputs()
 		n.mu.Lock()
-		if plan := n.replay; plan != nil {
+		if plan := n.replay; plan.active() {
+			plan.at.reserve(len(recs))
+			plan.held = slices.Grow(plan.held, len(recs))
+			plan.isHeld = slices.Grow(plan.isHeld, len(recs))
 			for _, rec := range recs {
-				if _, ok := plan.at[rec.id]; !ok && !n.recoverDrop.has(rec.id) {
-					plan.at[rec.id] = len(plan.order)
-					plan.order = append(plan.order, rec.id)
+				if _, ok := plan.at.get(rec.id); !ok {
+					plan.at.put(rec.id, int32(plan.end()))
+					plan.held = append(plan.held, plannedEvent{})
+					plan.isHeld = append(plan.isHeld, false)
 				}
 			}
 		}
@@ -378,32 +425,33 @@ func (n *node) planRun(ready []plannedEvent, input int, evs []event.Event) []pla
 	for _, ev := range evs {
 		pe := plannedEvent{input: input, ev: ev}
 		plan := n.replay
-		if plan == nil {
+		if !plan.active() {
 			ready = append(ready, pe)
 			continue
 		}
 		before := len(ready)
-		if at, ok := plan.at[ev.ID]; ok && at >= plan.pos {
-			plan.buffered[ev.ID] = pe
+		if at, ok := plan.at.get(ev.ID); ok && int(at) >= plan.pos {
+			i := int(at) - plan.covered
+			plan.held[i], plan.isHeld[i] = pe, true
 		} else {
 			plan.tail = append(plan.tail, pe)
 		}
-		for plan.pos < len(plan.order) {
-			next := plan.order[plan.pos]
-			held, ok := plan.buffered[next]
-			if !ok {
+		for ; plan.pos < plan.end(); plan.pos++ {
+			i := plan.pos - plan.covered
+			if !plan.isHeld[i] {
 				break
 			}
-			delete(plan.buffered, next)
-			held.maxLSN, held.logged = plan.lsns[next] // a planned source event has no record
-			held.decisions = plan.decs[next]
+			held := plan.held[i]
+			plan.held[i] = plannedEvent{}
+			if plan.pos < plan.logged { // a planned source event has no record
+				held.maxLSN, held.logged, held.decisions = plan.lsns[i], true, plan.decs[i]
+			}
 			ready = append(ready, held)
-			plan.pos++
 		}
-		if plan.pos >= len(plan.order) {
+		if plan.pos >= plan.end() {
 			// Plan complete: flush the unlogged tail and leave recovery mode.
 			ready = append(ready, plan.tail...)
-			n.replay = nil
+			plan.finish()
 			n.recStats.replayEndNs = time.Now().UnixNano()
 		}
 		n.recStats.replayEvents += int64(len(ready) - before)

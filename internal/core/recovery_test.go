@@ -147,7 +147,7 @@ func checkWiped(t *testing.T, n *node) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	slots := len(n.tasks.slots) + len(n.outBuf.slots) + len(n.pendFin.slots) + len(n.pendRevoke.slots) +
-		len(n.committed.dir) + len(n.recoverDrop.dir) + len(n.open.buf)
+		len(n.committed.dir) + len(n.open.buf)
 	if slots != 0 || n.replay != nil || n.sinceCkpt != nil {
 		t.Fatalf("crash left %d table slots, replay plan %v, %d unacked commits", slots, n.replay, len(n.sinceCkpt))
 	}
@@ -328,8 +328,9 @@ func TestReplayRequestResendsUnacked(t *testing.T) {
 // TestReplayResendsOldestFirst: a replay request re-sends the unacknowledged
 // buffer in emission order however many outputs it holds — a windowed
 // workload buffers thousands at a crash, and downstream admission order
-// follows the order they are re-sent in. The engine is never started, so
-// the test reads the re-sent frames straight off the downstream mailbox.
+// follows the order they are re-sent in — in frames of up to maxRun events.
+// The engine is never started, so the test reads the re-sent frames
+// straight off the downstream mailbox.
 func TestReplayResendsOldestFirst(t *testing.T) {
 	g := graph.New()
 	src := g.AddNode(graph.Node{Name: "src"})
@@ -352,13 +353,19 @@ func TestReplayResendsOldestFirst(t *testing.T) {
 		t.Fatalf("the injected run arrived downstream with %d events, want %d", len(run), total)
 	}
 	srcNode.handleReplay()
-	if got := procNode.mailbox.Len(); got != total {
-		t.Fatalf("replay re-sent %d frames, want %d", got, total)
+	if got, want := procNode.mailbox.Len(), (total+maxRun-1)/maxRun; got != want {
+		t.Fatalf("replay re-sent %d frames, want %d", got, want)
 	}
 	var resent []event.Event
 	for procNode.mailbox.Len() > 0 {
 		_, run, _ := procNode.mailbox.Pop(nil)
+		if len(run) > maxRun {
+			t.Fatalf("a re-sent frame carries %d events, more than %d", len(run), maxRun)
+		}
 		resent = append(resent, run...)
+	}
+	if len(resent) != total {
+		t.Fatalf("replay re-sent %d events, want %d", len(resent), total)
 	}
 	for i, ev := range resent {
 		if ev.ID.Seq != event.Seq(i+1) {
@@ -940,18 +947,19 @@ func TestSourceEdgeStaysFIFOAcrossRecovery(t *testing.T) {
 		evs[i] = event.Event{ID: event.ID{Source: event.SourceID(src), Seq: event.Seq(i + 1)}, Key: uint64(i)}
 	}
 	s.handleInject(evs) // buffered at the source until acknowledged
-	n.mailbox.Close()
+	n.settle(n.mailbox.Close())
 	n.mailbox.Reopen() // the crash dropped the deliveries
-	n.replay = &replayPlan{
-		order: []event.ID{evs[0].ID}, at: map[event.ID]int{evs[0].ID: 0},
-		decs: map[event.ID][]decision{}, lsns: map[event.ID]wal.LSN{evs[0].ID: 1},
-		buffered: map[event.ID]plannedEvent{},
+	plan := &replayPlan{
+		logged: 1, lsns: []wal.LSN{1}, decs: make([][]decision, 1),
+		held: make([]plannedEvent, 1), isHeld: make([]bool, 1),
 	}
+	plan.at.put(evs[0].ID, 0)
+	n.replay = plan
 	n.planSourceReplay()
 
 	n.admitRun(0, evs[4:]) // on the wire, ahead of the replay
 	n.admitRun(0, evs)     // the source's replay
-	if n.replay != nil {
+	if n.replay.active() {
 		t.Fatal("the replay did not complete the plan")
 	}
 	for i, ev := range evs {

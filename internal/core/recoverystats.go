@@ -42,7 +42,7 @@ func (e *Engine) RecoveryStats() RecoveryStats {
 	for _, n := range e.nodes {
 		n.mu.Lock()
 		r := n.recStats
-		pending := n.replay != nil
+		pending := n.replay.active()
 		n.mu.Unlock()
 		if r.restoreStartNs != 0 && (s.RestoreStartNs == 0 || r.restoreStartNs < s.RestoreStartNs) {
 			s.RestoreStartNs = r.restoreStartNs

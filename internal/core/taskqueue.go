@@ -59,7 +59,7 @@ func (q *taskQueue) PushAll(ts []*task) {
 }
 
 // Pop blocks for the lowest-sequence queued task. It returns ok=false
-// once the queue is closed and drained.
+// once the queue is closed.
 func (q *taskQueue) Pop() (*task, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -92,19 +92,20 @@ func (q *taskQueue) popMin() *task {
 	return t
 }
 
-// Close wakes all blocked Pops; queued tasks remain poppable.
+// Close discards every queued task and wakes all blocked Pops: no worker
+// starts another task, and a worker's run ends at the task it is executing.
+// The tasks stay open on their node; a crash settles them.
 func (q *taskQueue) Close() {
 	q.mu.Lock()
+	q.heap = nil
 	q.closed = true
 	q.cond.Broadcast()
 	q.mu.Unlock()
 }
 
-// Reopen clears a closed queue for reuse. Crash recovery discards the
-// queue wholesale: every queued task belonged to the dead incarnation.
+// Reopen makes a closed queue take pushes again.
 func (q *taskQueue) Reopen() {
 	q.mu.Lock()
-	q.heap = nil
 	q.closed = false
 	q.mu.Unlock()
 }

@@ -162,9 +162,10 @@ func decodeOne(src []byte) (Record, int, error) {
 }
 
 // Scan decodes all records in data (as produced by appends through a
-// MemDisk or a SegmentStore). It returns records in log order.
+// MemDisk or a SegmentStore). It returns records in log order. No record is
+// shorter than recordFixed, so the result is sized once.
 func Scan(data []byte) ([]Record, error) {
-	var out []Record
+	out := make([]Record, 0, len(data)/recordFixed)
 	for len(data) > 0 {
 		r, n, err := decodeOne(data)
 		if err != nil {
