@@ -135,11 +135,13 @@ race-core-equiv:
 # replays logged decisions in logged order, replay and duplicate re-ACKs
 # leave in frames, oldest first, a checkpoint's covered events are not
 # replayed, a source's edge stays FIFO across a recovery, and the chaos
-# tests crash a node again and again, under backlog and across seeds —
-# twenty race-detected runs each with one, two and eight Ps.
+# tests crash a node again and again, under backlog and across seeds; every
+# path that may repeat a final puts a REDELIVER ahead of it, and a node
+# indexes its commits only from then on (DESIGN.md §9.4) — twenty
+# race-detected runs each with one, two and eight Ps.
 race-core-recover:
 	for p in 1 2 8; do \
-		GOMAXPROCS=$$p go test -race -count=20 -run 'TestCrashRecoverPreciseOutputs|TestRecoveryReplaysLoggedDecisions|TestReplayRequestResendsUnacked|TestReplayResendsOldestFirst|TestRecoveryFromCheckpointSkipsAckedEvents|TestSourceEdgeStaysFIFOAcrossRecovery|TestChaosRepeatedCrashes|TestChaosCrashDuringBacklog|TestChaosSeedSweep|TestCrashTakesNothingMoreOffItsQueues|TestReplayPlanFromRecords|TestDuplicateReAcksLeaveAsOneFrame' ./internal/core || exit 1; \
+		GOMAXPROCS=$$p go test -race -count=20 -run 'TestCrashRecoverPreciseOutputs|TestRecoveryReplaysLoggedDecisions|TestReplayRequestResendsUnacked|TestReplayResendsOldestFirst|TestRecoveryFromCheckpointSkipsAckedEvents|TestSourceEdgeStaysFIFOAcrossRecovery|TestChaosRepeatedCrashes|TestChaosCrashDuringBacklog|TestChaosSeedSweep|TestCrashTakesNothingMoreOffItsQueues|TestReplayPlanFromRecords|TestDuplicateReAcksLeaveAsOneFrame|TestRedeliverPrecedesRepeats|TestUnarmedNodeKeepsNoIndex|TestChangedFinalFollowsRedeliver|TestDuplicateFinalEventDropped' ./internal/core || exit 1; \
 	done
 
 # trace-e2e runs a traced two-worker cluster as real processes and pipes

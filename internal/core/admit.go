@@ -61,9 +61,10 @@ func (n *node) admitRun(input int, evs []event.Event) {
 	block := make([]task, 0, min(len(evs), maxBlockTasks))
 	n.mu.Lock()
 	planned := n.planRun(a.planned[:0], input, evs)
-	// The committed set is far larger than any cache, so every lookup is a
-	// memory access: do the run's lookups back to back, where they overlap,
-	// rather than each behind the admission of the event before.
+	// Once armed, the committed set is far larger than any cache, so every
+	// lookup is a memory access: do the run's lookups back to back, where
+	// they overlap, rather than each behind the admission of the event
+	// before. Unarmed, nothing is looked up.
 	for i := range planned {
 		planned[i].dup = n.committed.has(planned[i].ev.ID)
 	}
@@ -451,10 +452,14 @@ func (n *node) ackRun(refs []transport.FinalizeRef) {
 }
 
 // handleReplay re-sends every unacknowledged buffered output, oldest
-// first, with its current speculation state. Nodes that already saw an
-// event drop it as a duplicate (and re-ACK).
+// first, with its current speculation state, behind a REDELIVER on every
+// link. Nodes that already saw an event drop it as a duplicate (and
+// re-ACK).
 func (n *node) handleReplay() {
 	recs := n.bufferedOutputs()
+	if len(recs) > 0 {
+		n.redeliver()
+	}
 	if m := n.eng.met; m != nil {
 		m.replays.Inc()
 		m.replayed.Add(uint64(len(recs)))

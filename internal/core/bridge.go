@@ -17,7 +17,11 @@ import (
 // the node's ACKs and recovery replay requests travel back over the most
 // recent live link — after an upstream redial (the sending side is a
 // ReliableBridge) or a failover to a different worker, control traffic
-// must not keep flowing into the dead connection.
+// must not keep flowing into the dead connection. A connection that
+// replaces an earlier one may come from a fresh upstream process that
+// re-emits what its predecessor sent (a failed-over source partition, an
+// ingest gateway replaying its admission log) with no REDELIVER ahead of
+// it: it arms the node's duplicate lookup (DESIGN.md §9.4).
 func (e *Engine) BridgeIn(id graph.NodeID, input int) (transport.ConnHandler, error) {
 	n, err := e.node(id)
 	if err != nil {
@@ -30,6 +34,9 @@ func (e *Engine) BridgeIn(id graph.NodeID, input int) (transport.ConnHandler, er
 		n.mu.Lock()
 		up := slot(&n.upstream, input)
 		if cur, ok := (*up).(remoteUpstream); !ok || cur.c != c {
+			if ok {
+				n.committed.arm()
+			}
 			*up = remoteUpstream{c: c}
 		}
 		n.mu.Unlock()

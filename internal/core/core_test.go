@@ -744,8 +744,10 @@ func TestDuplicateFinalEventDropped(t *testing.T) {
 	}
 	sink.waitFinals(t, 1)
 	drainOrDump(t, eng, 10*time.Second)
-	// Replay the same event straight into the node's mailbox.
+	// Replay the same event straight into the node's mailbox, behind the
+	// REDELIVER every redelivery carries.
 	n, _ := eng.node(f)
+	n.mailbox.Push(transport.Message{Type: transport.MsgRedeliver, Input: 0})
 	n.mailbox.Push(transport.Message{Type: transport.MsgEvent, Event: ev, Input: 0})
 	drainOrDump(t, eng, 10*time.Second)
 	time.Sleep(5 * time.Millisecond)

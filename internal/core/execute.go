@@ -260,6 +260,7 @@ func (n *node) publishOutputs(t *task) {
 	var sendBuf [2]sendOp // both lists stay on the stack up to two entries
 	var revokeBuf [2]*outRecord
 	sends, revokes := sendBuf[:0], revokeBuf[:0]
+	repeat := false // a send repeats an output whose final went out
 
 	t.mu.Lock()
 	if t.state != taskOpen {
@@ -283,9 +284,11 @@ func (n *node) publishOutputs(t *task) {
 			if rec.finalSent.Load() {
 				// A previously-final output changed: the finality rule
 				// (computeTainted) was wrong about this task. Count it and
-				// prefer correct content over the finality promise.
+				// prefer correct content over the finality promise; the
+				// re-send repeats an output whose final went out.
 				n.finalViolations.Add(1)
 				rec.finalSent.Store(false)
+				repeat = true
 			}
 			rec.version++
 			rec.port, rec.ts, rec.key, rec.payload = out.port, out.ts, out.key, out.payload
@@ -311,6 +314,9 @@ func (n *node) publishOutputs(t *task) {
 	}
 	t.mu.Unlock()
 
+	if repeat {
+		n.redeliver()
+	}
 	for _, s := range sends {
 		if s.spec {
 			n.cSpecSent.Add(1)
@@ -330,9 +336,15 @@ func (n *node) publishOutputs(t *task) {
 		// Read and delivered under the lock that a later attempt, the commit and
 		// a cancellation change it under: a late send repeats the current
 		// version, goes final once that is finalized, and never follows a REVOKE.
+		// A speculative send going final here was finalized meanwhile by a later
+		// attempt's commit, which downstream may have committed: it says so first.
 		t.mu.Lock()
 		if t.state != taskCancelled {
-			n.deliverToPort(s.rec.port, transport.Message{Type: transport.MsgEvent, Event: s.rec.toEvent(s.spec && !s.rec.finalSent.Load())})
+			final := s.rec.finalSent.Load()
+			if s.spec && final {
+				n.redeliver()
+			}
+			n.deliverToPort(s.rec.port, transport.Message{Type: transport.MsgEvent, Event: s.rec.toEvent(s.spec && !final)})
 		}
 		t.mu.Unlock()
 	}

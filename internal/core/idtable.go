@@ -177,12 +177,12 @@ const (
 	idSetMaxDepth = 16
 )
 
-// idSet is an insert-only set of event IDs for the sets that only grow —
-// every input a node ever committed, the inputs a restored snapshot covers.
-// It is the same table, segmented so that no insert does more than a
-// bounded amount of work (doubling one flat table of millions of slots
-// would stall its caller, who holds the node lock, for ~100 ms): the top
-// depth bits of the hash index a directory of segments; the first segment
+// idSet is an insert-only set of event IDs for a set that only grows —
+// every input an armed node committed (commitIndex). It is the same
+// table, segmented so that no insert does more than a bounded amount of
+// work (doubling one flat table of millions of slots would stall its
+// caller, who holds the node lock, for ~100 ms): the top depth bits of the
+// hash index a directory of segments; the first segment
 // doubles up to idSegSlots like any table, and a full segment from then on
 // splits in two by its next hash bit, doubling the directory of pointers
 // when it was the only entry for the segment (extendible hashing). One
@@ -231,6 +231,25 @@ func (s *idSet) add(id event.ID) {
 			return
 		}
 		s.split(t, at)
+	}
+}
+
+// reserve sizes an empty set for k IDs: a directory deep enough that the
+// k IDs fill no segment past half, each segment made to its entry's size
+// as a split would make it, so that later growth still splits them one at
+// a time. A set that one segment holds is left to grow as usual.
+func (s *idSet) reserve(k int) {
+	if s.dir != nil || k <= idSegSlots/2 {
+		return
+	}
+	var depth uint8
+	for depth < idSetMaxDepth && k>>depth > idSegSlots/4 {
+		depth++
+	}
+	s.dir, s.depth = make([]*idTable[struct{}], 1<<depth), depth
+	for at := range s.dir {
+		s.dir[at] = &idTable[struct{}]{skip: depth}
+		s.dir[at].resize(s.segSlots(at))
 	}
 }
 

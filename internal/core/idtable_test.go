@@ -252,31 +252,69 @@ func TestIDSetInsertTouchesOneSegment(t *testing.T) {
 // over its growth. With segments of one size they would come in a burst
 // each time the set doubles — every segment filling within the same few
 // percent of it — which shows as a tail in the latency of whoever inserts.
+// So are those of a set reserved for an armed node's log as it grows on.
 func TestIDSetSplitsSpread(t *testing.T) {
 	const window = 1 << 14
-	var set idSet
-	lo, hi, splits := window, 0, 0
-	for i := 0; i < 1<<20; i++ {
-		id := outputID(3, event.ID{Seq: event.Seq(i)}, 0)
-		h := hashID(id)
-		var was *idTable[struct{}]
-		if set.dir != nil {
-			was = set.dir[h>>(64-set.depth)]
-		}
-		set.add(id)
-		if set.dir[h>>(64-set.depth)] != was {
-			splits++
-		}
-		if (i+1)%window == 0 {
-			if i >= 1<<18 { // two doublings, well past the first segment's own
-				lo, hi = min(lo, splits), max(hi, splits)
+	for _, tc := range []struct {
+		name     string
+		reserved int // what the set is reserved for
+		from     int // the first insert whose window counts
+	}{
+		{"grown", 0, 1 << 18},          // two doublings, well past the first segment's own
+		{"reserved", 1 << 17, 1 << 17}, // an armed node's set, reserved for its log
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var set idSet
+			set.reserve(tc.reserved)
+			lo, hi, splits := window, 0, 0
+			for i := 0; i < 1<<20; i++ {
+				id := outputID(3, event.ID{Seq: event.Seq(i)}, 0)
+				h := hashID(id)
+				var was *idTable[struct{}]
+				if set.dir != nil {
+					was = set.dir[h>>(64-set.depth)]
+				}
+				set.add(id)
+				if set.dir[h>>(64-set.depth)] != was {
+					splits++
+				}
+				if (i+1)%window == 0 {
+					if i >= tc.from {
+						lo, hi = min(lo, splits), max(hi, splits)
+					}
+					splits = 0
+				}
 			}
-			splits = 0
-		}
+			// A segment splits about every 1,000 inserts: 16 a window on average.
+			if lo < 8 || hi > 32 {
+				t.Fatalf("between %d and %d splits per %d inserts, want 8 to 32", lo, hi, window)
+			}
+		})
 	}
-	// A segment splits about every 1,000 inserts: 16 a window on average.
-	if lo < 8 || hi > 32 {
-		t.Fatalf("between %d and %d splits per %d inserts, want 8 to 32", lo, hi, window)
+}
+
+// TestIDSetReserve: a set reserved for k IDs takes them without a split,
+// no segment past half full, and finds every one.
+func TestIDSetReserve(t *testing.T) {
+	const k = 1 << 17
+	var set idSet
+	set.reserve(k)
+	segments := len(set.dir)
+	for i := 0; i < k; i++ {
+		set.add(outputID(3, event.ID{Seq: event.Seq(i)}, 0))
+	}
+	set.segments(func(seg *idTable[struct{}]) {
+		if 2*seg.n > len(seg.slots) {
+			t.Fatalf("a reserved segment holds %d IDs in %d slots", seg.n, len(seg.slots))
+		}
+	})
+	if len(set.dir) != segments || set.len() != k {
+		t.Fatalf("%d IDs in %d segments, want %d in the %d reserved", set.len(), len(set.dir), k, segments)
+	}
+	for i := 0; i < k; i++ {
+		if !set.has(outputID(3, event.ID{Seq: event.Seq(i)}, 0)) {
+			t.Fatalf("ID %d lost", i)
+		}
 	}
 }
 
@@ -353,10 +391,11 @@ func (r *ackRecorder) send(m transport.Message) {
 }
 
 // TestCommittedDedupSurvivesGrowth: duplicate suppression holds across
-// every growth of the committed set. After 100,000 commits — the set has
-// doubled its first segment to full size and split it many times — a
-// redelivery of the first, a middle and the last input is re-ACKed
-// upstream and none becomes a task.
+// every growth of the committed set. The node is armed by a REDELIVER
+// before its first commit, so after 100,000 commits the set has doubled
+// its first segment to full size and split it many times; a redelivery of
+// the first, a middle and the last input is re-ACKed upstream and none
+// becomes a task.
 func TestCommittedDedupSurvivesGrowth(t *testing.T) {
 	const total, run = 100_000, 100
 	g := graph.New()
@@ -366,6 +405,7 @@ func TestCommittedDedupSurvivesGrowth(t *testing.T) {
 	eng := newTestEngine(t, g, Options{Seed: 26})
 	s, _ := eng.Source(src)
 	n, _ := eng.node(pass)
+	n.mailbox.Push(transport.Message{Type: transport.MsgRedeliver, Input: 0})
 	var dups []event.Event
 	items := make([]BatchItem, run)
 	for i := 0; i < total; i += run {
@@ -388,7 +428,7 @@ func TestCommittedDedupSurvivesGrowth(t *testing.T) {
 	drainOrDump(t, eng, 10*time.Second)
 	n.mu.Lock()
 	committed, segments := n.committed.len(), 0
-	n.committed.segments(func(*idTable[struct{}]) { segments++ })
+	n.committed.set.segments(func(*idTable[struct{}]) { segments++ })
 	n.mu.Unlock()
 	if committed != total || segments < 16 || n.cDispatched.Load() != total {
 		t.Fatalf("%d IDs committed in %d segments after %d tasks, want %d in at least 16 after %d",

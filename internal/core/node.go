@@ -57,7 +57,7 @@ type node struct {
 	// Sequences are dense, so slot i is the task with seq nextSeq-open.n+i.
 	open          ring[*task]
 	nextSeq       int64
-	committed     idSet // never pruned: DESIGN.md §9.4
+	committed     commitIndex // indexed once an edge may repeat: DESIGN.md §9.4
 	outBuf        idTable[*outRecord]
 	outEmitSeq    uint64
 	lastCommitted []inputPos  // by input
@@ -240,7 +240,7 @@ func (n *node) resetVolatile() {
 	n.admit, n.fin, n.injected = admitScratch{}, finFlush{}, slab[outRecord]{}
 	n.tasks = idTable[*task]{}
 	n.open = ring[*task]{}
-	n.committed = idSet{}
+	n.committed = commitIndex{}
 	n.outBuf = idTable[*outRecord]{}
 	clear(n.lastCommitted)
 	n.pendFin = idTable[event.Version]{}
@@ -341,6 +341,12 @@ func (n *node) start() error {
 		}
 		if err != nil {
 			return fmt.Errorf("restore %q: %w", n.spec.Name, err)
+		}
+		// Over an empty store this is a fresh start: nothing it sends can
+		// repeat an output, and nothing it receives a commit.
+		if d.snap != nil || d.plan != nil {
+			n.armDedup()
+			n.redeliver()
 		}
 		n.releaseRestored()
 	}
@@ -479,6 +485,8 @@ func (n *node) handleMessage(m transport.Message) {
 		n.handleRevoke(m)
 	case transport.MsgReplay:
 		n.handleReplay()
+	case transport.MsgRedeliver:
+		n.armDedup()
 	}
 }
 

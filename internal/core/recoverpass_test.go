@@ -230,6 +230,7 @@ func TestDuplicateReAcksLeaveAsOneFrame(t *testing.T) {
 	s, n := eng.nodes[src], eng.nodes[proc]
 	evs := make([]event.Event, k+1)
 	n.mu.Lock()
+	n.committed.arm() // the duplicates follow a REDELIVER
 	for i := range evs {
 		evs[i] = event.Event{ID: event.ID{Source: event.SourceID(src), Seq: event.Seq(i + 1)}}
 		n.committed.add(evs[i].ID)

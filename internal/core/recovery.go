@@ -317,7 +317,8 @@ func (n *node) restoreDurable(d *durableState) error {
 
 // releaseRestored re-sends the restored outputs on the links that ACK: a
 // snapshot misses the ACKs that came after it, and only downstream dedup's
-// re-ACK prunes those outputs (a subscriber would see a second final).
+// re-ACK prunes those outputs (a subscriber would see a second final). The
+// caller has put a REDELIVER ahead of them.
 func (n *node) releaseRestored() {
 	n.resend(n.bufferedOutputs(), func(port int, m transport.Message) {
 		for _, l := range n.links[port] {
@@ -399,6 +400,11 @@ func (n *node) recover() error {
 	n.mailbox.Reopen()
 	n.planSourceReplay() // after the reopen: what arrives from here on, it orders
 	n.execQ.Reopen()
+	// The re-executions repeat outputs whose finals may have gone out, and
+	// so may the restored ones: downstream hears it first. Redeliveries to
+	// the node are looked up from here on.
+	n.armDedup()
+	n.redeliver()
 	n.releaseRestored() // once the mailbox takes the ACKs it draws
 	n.stopFlag.Store(false)
 	n.launch()

@@ -147,9 +147,10 @@ func checkWiped(t *testing.T, n *node) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	slots := len(n.tasks.slots) + len(n.outBuf.slots) + len(n.pendFin.slots) + len(n.pendRevoke.slots) +
-		len(n.committed.dir) + len(n.open.buf)
-	if slots != 0 || n.replay != nil || n.sinceCkpt != nil {
-		t.Fatalf("crash left %d table slots, replay plan %v, %d unacked commits", slots, n.replay, len(n.sinceCkpt))
+		len(n.committed.set.dir) + len(n.committed.log) + len(n.open.buf)
+	if slots != 0 || n.replay != nil || n.sinceCkpt != nil || n.committed.armed {
+		t.Fatalf("crash left %d table slots, replay plan %v, %d unacked commits, armed dedup %t",
+			slots, n.replay, len(n.sinceCkpt), n.committed.armed)
 	}
 	for i, p := range n.lastCommitted {
 		if p != (inputPos{}) {
@@ -353,8 +354,11 @@ func TestReplayResendsOldestFirst(t *testing.T) {
 		t.Fatalf("the injected run arrived downstream with %d events, want %d", len(run), total)
 	}
 	srcNode.handleReplay()
-	if got, want := procNode.mailbox.Len(), (total+maxRun-1)/maxRun; got != want {
-		t.Fatalf("replay re-sent %d frames, want %d", got, want)
+	if got, want := procNode.mailbox.Len(), 1+(total+maxRun-1)/maxRun; got != want {
+		t.Fatalf("replay sent %d frames, want a REDELIVER and %d", got, want-1)
+	}
+	if it, _, _ := procNode.mailbox.Pop(nil); it.msg.Type != transport.MsgRedeliver {
+		t.Fatalf("replay led with %v, want REDELIVER", it.msg.Type)
 	}
 	var resent []event.Event
 	for procNode.mailbox.Len() > 0 {

@@ -128,7 +128,7 @@ func decode(src []byte, detach bool) (Message, int, error) {
 			m.Payload = make([]byte, len(body)) // detach from the read buffer
 			copy(m.Payload, body)
 		}
-	case MsgFinalize, MsgRevoke, MsgAck, MsgReplay, MsgHeartbeat, MsgCredit:
+	case MsgFinalize, MsgRevoke, MsgAck, MsgReplay, MsgHeartbeat, MsgCredit, MsgRedeliver:
 		if len(body) < controlBody {
 			return Message{}, 0, event.ErrShortBuffer
 		}

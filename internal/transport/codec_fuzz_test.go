@@ -14,7 +14,7 @@ func quickMessage(kind uint8, src uint32, seq uint64, ver uint32, ts int64, key 
 	types := []MsgType{
 		MsgEvent, MsgFinalize, MsgRevoke, MsgAck, MsgReplay, MsgHeartbeat,
 		MsgHello, MsgRegister, MsgAssign, MsgStart, MsgStatus, MsgStop, MsgCredit,
-		MsgEventBatch, MsgFinalizeBatch, MsgAckBatch,
+		MsgEventBatch, MsgFinalizeBatch, MsgAckBatch, MsgRedeliver,
 	}
 	typ := types[int(kind)%len(types)]
 	if len(body) > event.MaxPayload {
@@ -213,7 +213,7 @@ func TestBatchFrameTornAndInterleaved(t *testing.T) {
 func FuzzDecodeMessage(f *testing.F) {
 	// Seed corpus: one valid frame of every message type plus structural
 	// edge cases.
-	for kind := uint8(0); kind < 16; kind++ {
+	for kind := uint8(0); kind < uint8(maxMsgType); kind++ {
 		m := quickMessage(kind, 3, 9, 2, 77, 5, []byte("seed"))
 		f.Add(EncodeMessage(nil, m))
 	}
@@ -221,6 +221,7 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1})
 	f.Add(EncodeMessage(nil, Message{Type: MsgCredit, ID: event.ID{Source: 1, Seq: 64}}))
+	f.Add(EncodeMessage(nil, Message{Type: MsgRedeliver}))
 	// Batch edge cases: a torn batch frame (truncated mid-events), a batch
 	// whose declared count exceeds its body, and a legacy frame interleaved
 	// after a batch frame in one buffer.

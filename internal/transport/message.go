@@ -2,7 +2,7 @@
 // between engines: TCP with a framed binary codec. (Nodes of one engine
 // hand frames to each other in process, without a Conn.)
 //
-// Besides data events, the speculation protocol needs three control
+// Besides data events, the speculation protocol needs these control
 // messages (paper §2.2, §3):
 //
 //	FINALIZE — an upstream speculative event became final (log stable);
@@ -11,7 +11,10 @@
 //	ACK      — a downstream node confirms an event will never be
 //	           requested again, so the upstream output buffer can prune;
 //	REPLAY   — a recovering node asks its upstream to re-send everything
-//	           after a given event.
+//	           after a given event;
+//	REDELIVER — what follows on this edge may repeat an output whose
+//	           final already went out, so the receiver must look its
+//	           arrivals up among what it committed.
 package transport
 
 import (
@@ -58,6 +61,11 @@ type MsgType uint8
 // their type byte, like the CREDIT kind before them: old encoders never
 // emit the new types, so unbatched frames stay byte-identical to the
 // legacy wire format.
+//
+// MsgRedeliver is a control tuple with no subject: a sender puts it on an
+// edge ahead of a replay, of the outputs of a restored incarnation, or of a
+// re-sent output whose final already left. Between two of them an edge
+// carries each output's final at most once.
 const (
 	MsgEvent MsgType = iota + 1
 	MsgFinalize
@@ -75,10 +83,11 @@ const (
 	MsgEventBatch
 	MsgFinalizeBatch
 	MsgAckBatch
+	MsgRedeliver
 )
 
 // maxMsgType is the highest defined message kind (metrics sizing).
-const maxMsgType = MsgAckBatch
+const maxMsgType = MsgRedeliver
 
 // String names the message type.
 func (t MsgType) String() string {
@@ -115,6 +124,8 @@ func (t MsgType) String() string {
 		return "FINALIZE_BATCH"
 	case MsgAckBatch:
 		return "ACK_BATCH"
+	case MsgRedeliver:
+		return "REDELIVER"
 	default:
 		return fmt.Sprintf("msg(%d)", uint8(t))
 	}

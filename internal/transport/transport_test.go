@@ -25,6 +25,7 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 		{Type: MsgRevoke, ID: event.ID{Source: 4, Seq: 5}, Version: 6},
 		{Type: MsgAck, ID: event.ID{Source: 7, Seq: 8}},
 		{Type: MsgReplay, ID: event.ID{Source: 9, Seq: 10}},
+		{Type: MsgRedeliver},
 	}
 	for _, m := range msgs {
 		buf := EncodeMessage(nil, m)
@@ -313,7 +314,7 @@ func TestDialUnreachable(t *testing.T) {
 // TestQuickControlCodec property-tests the control-message codec.
 func TestQuickControlCodec(t *testing.T) {
 	f := func(kind uint8, src uint32, seq uint64, ver uint32) bool {
-		types := []MsgType{MsgFinalize, MsgRevoke, MsgAck, MsgReplay}
+		types := []MsgType{MsgFinalize, MsgRevoke, MsgAck, MsgReplay, MsgRedeliver}
 		m := Message{
 			Type:    types[int(kind)%len(types)],
 			ID:      event.ID{Source: event.SourceID(src), Seq: event.Seq(seq)},
@@ -329,7 +330,7 @@ func TestQuickControlCodec(t *testing.T) {
 }
 
 func TestMsgTypeString(t *testing.T) {
-	if MsgEvent.String() != "EVENT" || MsgType(77).String() != "msg(77)" {
+	if MsgEvent.String() != "EVENT" || MsgRedeliver.String() != "REDELIVER" || MsgType(77).String() != "msg(77)" {
 		t.Fatal("MsgType.String broken")
 	}
 }
