@@ -56,10 +56,14 @@ race-core-finality:
 # ledger of zero. It also runs the per-node counting ledger, which the
 # dispatcher, the workers and the committer write at the same time, and
 # its waste columns and witness ring, which eight workers of a contended
-# Classifier write at once, across a crash and recovery too.
+# Classifier write at once, across a crash and recovery too. The
+# speculation throttle's groups (TestThrottle*, TestFlowOverload*) run
+# here by prefix: every node's throttle counts its slots on atomics that
+# the workers and the committer update at once, and parks workers under
+# contention.
 race-core-quiesce:
 	for p in 1 2 8; do \
-		GOMAXPROCS=$$p go test -race -count=20 -run 'TestDrainWaitsForEveryHandOff|TestDupOfUncheckpointedCommitNotAcked|TestCheckpointBatchesAcks|TestRandomPipelines|TestLedgerCountsWithTelemetryOff|TestReexecutionRevokesReachTheWasteLedger|TestProfilerAttributesConflicts|TestWasteSurvivesRecovery' ./internal/core || exit 1; \
+		GOMAXPROCS=$$p go test -race -count=20 -run 'TestDrainWaitsForEveryHandOff|TestDupOfUncheckpointedCommitNotAcked|TestCheckpointBatchesAcks|TestRandomPipelines|TestLedgerCountsWithTelemetryOff|TestReexecutionRevokesReachTheWasteLedger|TestProfilerAttributesConflicts|TestWasteSurvivesRecovery|TestThrottle|TestFlowOverload' ./internal/core || exit 1; \
 	done
 
 # alloc-guards runs the AllocsPerRun tests of the hot-path packages — the
@@ -119,7 +123,7 @@ bench-profile:
 # which is admitted even while the cancelled task waits behind the head),
 # the one of a stale attempt's send (it never follows the next attempt's
 # version onto the link), the one of a commit group's checkpoint (one
-# snapshot, one ACK run per input) and the three of a worker's execution
+# snapshot, one ACK run per input) and the two of a worker's execution
 # run (one log append and one frame for what was queued; the run ends
 # before a re-execution, so contended retries never hold the commit head
 # unpublished), twenty race-detected runs each with
@@ -127,7 +131,7 @@ bench-profile:
 # green, 4 to 5 minutes each on a 2-core box.
 race-core-equiv:
 	for p in 1 2 8; do \
-		GOMAXPROCS=$$p go test -race -count=20 -run 'TestBatchSizeEquivalence|TestBatchCommitGrouping|TestAttemptScratchReuseSafety|TestReexecutionBuysItsOwnTx|TestLongRunSplitsTaskBlocks|TestPayloadBytesAreHandedOutOnce|TestReexecutionLeavesSentVersionAlone|TestQueuedFinalizeRunIsOwned|TestCreditedFramesFitTheWindow|TestRecoverNeedsLogScanner|TestRecoveryScanOrderTwoDisks|TestRecoveryReadsWhatTheDiskHolds|TestDupOfUncheckpointedCommitNotAcked|TestQueuedFramesAdmitAsOneRun|TestRestoredOutputsAreReleased|TestEarlyRevokeDropsItsIncarnation|TestFinalizeOfReemissionAfterCancel|TestReemissionBehindOpenHead|TestStaleSendNeverFollowsNextAttempt|TestCheckpointBatchesAcks|TestWorkerRunAppendsOnceFramesOnce|TestWorkerRunPublishesBeforeReexecution|TestConflictBackoffReducesWastedWork' ./internal/core || exit 1; \
+		GOMAXPROCS=$$p go test -race -count=20 -run 'TestBatchSizeEquivalence|TestBatchCommitGrouping|TestAttemptScratchReuseSafety|TestReexecutionBuysItsOwnTx|TestLongRunSplitsTaskBlocks|TestPayloadBytesAreHandedOutOnce|TestReexecutionLeavesSentVersionAlone|TestQueuedFinalizeRunIsOwned|TestCreditedFramesFitTheWindow|TestRecoverNeedsLogScanner|TestRecoveryScanOrderTwoDisks|TestRecoveryReadsWhatTheDiskHolds|TestDupOfUncheckpointedCommitNotAcked|TestQueuedFramesAdmitAsOneRun|TestRestoredOutputsAreReleased|TestEarlyRevokeDropsItsIncarnation|TestFinalizeOfReemissionAfterCancel|TestReemissionBehindOpenHead|TestStaleSendNeverFollowsNextAttempt|TestCheckpointBatchesAcks|TestWorkerRunAppendsOnceFramesOnce|TestWorkerRunPublishesBeforeReexecution' ./internal/core || exit 1; \
 	done
 
 # race-core-recover is the same gate for precise recovery (paper §2.2,

@@ -36,7 +36,7 @@ const e2eTopo = `{
 const e2eFlowTopo = `{
   "speculative": true,
   "seed": 7,
-  "flow": {"mailboxCap": 8, "maxOpenSpec": 4},
+  "flow": {"mailboxCap": 8},
   "nodes": [
     {"name": "src",      "type": "source", "rate": 1500, "count": 1000},
     {"name": "classify", "type": "classifier", "classes": 4, "inputs": ["src"], "checkpointEvery": 32},

@@ -90,8 +90,6 @@ type Config struct {
 	// MailboxCap, when > 0, bounds every mailbox and credit-gates cut
 	// edges with the same window (the topology flow section).
 	MailboxCap int `json:"mailboxCap"`
-	// MaxOpenSpec, when > 0, bounds speculation depth per node.
-	MaxOpenSpec int `json:"maxOpenSpec"`
 }
 
 // Spec reports whether speculation is on under this config.

@@ -162,7 +162,7 @@ func TestWorkloadTopologies(t *testing.T) {
 		t.Fatal("unknown workload accepted")
 	}
 	off := false
-	topo, err := Topology("paper", s, Config{Name: "nospec", Speculative: &off, MailboxCap: 64, MaxOpenSpec: 4})
+	topo, err := Topology("paper", s, Config{Name: "nospec", Speculative: &off, MailboxCap: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

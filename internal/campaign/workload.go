@@ -115,12 +115,8 @@ func baseTopo(s *Spec, cfg Config, nodes []topology.NodeConfig, assign map[strin
 		Nodes:       nodes,
 		Placement:   &topology.Placement{Workers: s.Workers, Assign: assign},
 	}
-	if cfg.MailboxCap > 0 || cfg.MaxOpenSpec > 0 {
-		t.Flow = &flow.Limits{
-			MailboxCap:   cfg.MailboxCap,
-			CreditWindow: cfg.MailboxCap,
-			MaxOpenSpec:  cfg.MaxOpenSpec,
-		}
+	if cfg.MailboxCap > 0 {
+		t.Flow = &flow.Limits{MailboxCap: cfg.MailboxCap, CreditWindow: cfg.MailboxCap}
 	}
 	return t
 }

@@ -35,15 +35,15 @@ const clusterTopo = `{
 }`
 
 // clusterFlowTopo is clusterTopo with engine-wide flow control: bounded
-// mailboxes (credit window 8 on every edge, including the bridged cut)
-// and speculation throttling. At rate 5000 against an 8-event window the
+// mailboxes (credit window 8 on every edge, including the bridged cut).
+// At rate 5000 against an 8-event window the
 // upstream bridge runs credit-exhausted for most of the run, so a worker
 // kill during it exercises the reconnect path that must re-grant credits
 // before replay (a stranded window would wedge recovery forever).
 const clusterFlowTopo = `{
   "speculative": true,
   "seed": 11,
-  "flow": {"mailboxCap": 8, "maxOpenSpec": 4},
+  "flow": {"mailboxCap": 8},
   "nodes": [
     {"name": "src",      "type": "source", "rate": 5000, "count": 900},
     {"name": "classify", "type": "classifier", "classes": 4, "inputs": ["src"], "checkpointEvery": 32},

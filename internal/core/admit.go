@@ -288,16 +288,21 @@ func (n *node) applyReplacement(t *task, ev event.Event) {
 		// publishOutputs publish it, before the abort below re-queues it.
 		t.state = taskQueued
 	}
+	stale := (st == taskExecuting || st == taskOpen) && tx != nil
+	if stale {
+		// Aborted under the same hold: an attempt still executing, whose
+		// transaction may have completed already, sees the abort when it
+		// checks in (execute) and retries instead of making itself open
+		// with what it computed for the old content.
+		tx.Abort()
+	}
 	hadSent := len(t.sent) > 0
 	attemptNs := t.attemptNs
 	t.mu.Unlock()
-	if st == taskExecuting || st == taskOpen {
-		if tx != nil {
-			n.abort(profiler.CauseReplace, hadSent, attemptNs, ev.ID, ev.Trace)
-			n.causedBy(t.input, ev.ID.Source)
-			tx.Abort()
-			n.mailbox.PushReexec(cmdReexec{t: t, tx: tx}) // OnAbort's is lost if tx aborted while the task executed
-		}
+	if stale {
+		n.abort(profiler.CauseReplace, hadSent, attemptNs, ev.ID, ev.Trace)
+		n.causedBy(t.input, ev.ID.Source)
+		n.mailbox.PushReexec(cmdReexec{t: t, tx: tx}) // OnAbort's is lost if tx aborted while the task executed
 	}
 }
 
@@ -408,7 +413,7 @@ func (n *node) cancelTask(t *task, cause profiler.Cause) {
 	n.forgetTask(t)
 	n.mu.Unlock()
 	if throttled {
-		n.throttle.Release(true)
+		n.throttle.Release(1, true)
 	}
 	n.abort(cause, len(sent) > 0, attemptNs, inputID, inTrace)
 	if m := n.eng.met; m != nil {
@@ -526,6 +531,9 @@ func (n *node) handleReexec(c cmdReexec) {
 	t.published = false
 	t.mu.Unlock()
 	n.cReexec.Add(1)
+	// The task keeps its throttle slot across the retry, but the wasted
+	// attempt feeds the abort window, whatever aborted it.
+	n.throttle.Observe(1, true)
 	n.execQ.Push(t)
 	// Deferred workers must re-pop: the re-queued task may be the commit
 	// head (a re-execution always precedes every younger queued task).

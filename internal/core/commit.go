@@ -143,7 +143,7 @@ func (n *node) cleanupHead(t *task) {
 	t.throttleHeld = false
 	t.mu.Unlock()
 	if throttled {
-		n.throttle.Release(true)
+		n.throttle.Release(1, true)
 	}
 	n.nextCommit.Add(1)
 	// The head moved: re-evaluate parked tasks' head-bypass even when no
@@ -212,12 +212,11 @@ func (fb *finFlush) flush(n *node) {
 // retirePost carries one task's retirement state between the phases of
 // retireGroup.
 type retirePost struct {
-	t         *task
-	inputID   event.ID
-	inTrace   uint64
-	input     int
-	maxLSN    wal.LSN
-	throttled bool
+	t       *task
+	inputID event.ID
+	inTrace uint64
+	input   int
+	maxLSN  wal.LSN
 }
 
 // retireGroup runs the post-commit protocol for a run of committed tasks:
@@ -236,6 +235,7 @@ func (n *node) retireGroup(run []*task) {
 		clear(posts[:cap(posts)]) // drop task pointers held in dead slots
 		n.retirePosts = posts[:0]
 	}()
+	slots := 0 // throttle slots the group holds
 	for _, t := range run {
 		t.mu.Lock()
 		t.state = taskCommitted
@@ -244,14 +244,16 @@ func (n *node) retireGroup(run []*task) {
 			n.openTainted.Add(-1)
 		}
 		p := retirePost{
-			t:         t,
-			inputID:   t.ev.ID,
-			inTrace:   t.ev.Trace,
-			input:     t.input,
-			maxLSN:    t.maxLSN,
-			throttled: t.throttleHeld,
+			t:       t,
+			inputID: t.ev.ID,
+			inTrace: t.ev.Trace,
+			input:   t.input,
+			maxLSN:  t.maxLSN,
 		}
-		t.throttleHeld = false
+		if t.throttleHeld {
+			t.throttleHeld = false
+			slots++
+		}
 		if n.spec.Speculative {
 			for _, rec := range t.sent {
 				if !rec.finalSent.CompareAndSwap(false, true) {
@@ -310,9 +312,9 @@ func (n *node) retireGroup(run []*task) {
 		if !ckpt {
 			fb.acks = addAt(fb.acks, p.input, transport.FinalizeRef{ID: p.inputID})
 		}
-		if p.throttled {
-			n.throttle.Release(false)
-		}
+	}
+	if slots > 0 {
+		n.throttle.Release(slots, false)
 	}
 	if ckptDue {
 		n.takeCheckpoint() // covers the whole group

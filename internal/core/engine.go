@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"streammine/internal/checkpoint"
 	"streammine/internal/detrand"
@@ -79,12 +78,6 @@ type Options struct {
 	// without one), and it and CheckpointStore must point at storage that
 	// survives the previous process.
 	RestoreFromStorage bool
-	// ConflictBackoff trades promptness for wasted work under contention
-	// (paper §4): a task that has already aborted waits attempts×backoff
-	// before re-executing, so it stops burning re-executions while the
-	// conflicting older transaction is still open. Zero retries
-	// immediately (maximum promptness).
-	ConflictBackoff time.Duration
 	// Metrics, when set, receives the engine's observability series
 	// (docs/OBSERVABILITY.md lists them all). Instrumentation is
 	// allocation-free on the hot path: existing atomic counters are read
@@ -190,6 +183,9 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 		n, err := newNode(eng, spec, inputCount(g, spec), master.Fork(), wal.New(pool))
 		if err != nil {
 			return nil, fmt.Errorf("node %q: %w", spec.Name, err)
+		}
+		if spec.Op == nil && len(g.InputsOf(spec.ID)) == 0 {
+			n.source = &SourceHandle{n: n, tick: eng.tick}
 		}
 		eng.nodes = append(eng.nodes, n)
 	}
@@ -375,17 +371,19 @@ func (e *Engine) Subscribe(id graph.NodeID, port int, fn func(ev event.Event, fi
 	return nil
 }
 
-// Source returns an injector handle for a source node (one with Op == nil
-// and no inputs). Events created through it are final.
+// Source returns the injector handle of a source node (one with Op == nil
+// and no inputs). Events created through it are final. Every call returns
+// the node's one handle, so every caller draws from one sequence and no two
+// events share an ID.
 func (e *Engine) Source(id graph.NodeID) (*SourceHandle, error) {
 	n, err := e.node(id)
 	if err != nil {
 		return nil, err
 	}
-	if n.spec.Op != nil || len(e.g.InputsOf(id)) != 0 {
+	if n.source == nil {
 		return nil, fmt.Errorf("core: node %q is not a source", n.spec.Name)
 	}
-	return &SourceHandle{n: n, tick: e.tick}, nil
+	return n.source, nil
 }
 
 // DetachSourceAdmission removes a source node's admission controller and

@@ -244,3 +244,29 @@ func TestSubscribeUnknownNode(t *testing.T) {
 		t.Fatal("Subscribe to unknown node succeeded")
 	}
 }
+
+// TestTotalStatsAggregates sanity-checks the engine-wide counter sum.
+func TestTotalStatsAggregates(t *testing.T) {
+	g := graph.New()
+	src := g.AddNode(graph.Node{Name: "src"})
+	a := g.AddNode(graph.Node{Name: "a", Op: &operator.Passthrough{}, Speculative: true})
+	b := g.AddNode(graph.Node{Name: "b", Op: &operator.Passthrough{}, Speculative: true})
+	g.Connect(src, 0, a, 0)
+	g.Connect(a, 0, b, 0)
+	eng := newTestEngine(t, g, Options{Seed: 42})
+	s, _ := eng.Source(src)
+	const events = 25
+	for i := 0; i < events; i++ {
+		if _, err := s.Emit(uint64(i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drainOrDump(t, eng, 10*time.Second)
+	total := eng.TotalStats()
+	if total.Committed != 2*events {
+		t.Fatalf("total committed = %d, want %d", total.Committed, 2*events)
+	}
+	if total.FinalViolations != 0 {
+		t.Fatalf("final violations = %d, want 0", total.FinalViolations)
+	}
+}

@@ -87,17 +87,12 @@ func (n *node) execute(t *task, ctx *procCtx) {
 		return
 	}
 	attempts := t.attempts
+	need := !t.throttleHeld
 	t.mu.Unlock()
 	if attempts > 0 {
 		// A re-execution starts a run of its own: what the run executed is
 		// made effective first, so that it can commit while the retry runs.
 		n.endRun(ctx)
-		// Promptness/waste trade-off (paper §4): back off retries so doomed
-		// speculative executions stop burning resources while the
-		// conflicting older transaction is still open.
-		if backoff := n.eng.opts.ConflictBackoff; backoff > 0 {
-			time.Sleep(time.Duration(attempts) * backoff)
-		}
 	}
 	// Speculation throttle: a task takes one slot for its whole open
 	// lifetime (kept across re-executions, released at commit or cancel).
@@ -107,39 +102,26 @@ func (n *node) execute(t *task, ctx *procCtx) {
 	// task: with every worker parked on young tasks, the commit head would
 	// sit in the run queue with nobody to execute it. Instead the task is
 	// handed back (the seq-ordered queue resurfaces the oldest work first),
-	// the run ends, and the worker parks until the throttle changes, then
-	// re-pops.
-	if n.throttle != nil {
-		t.mu.Lock()
-		need := !t.throttleHeld && t.state == taskQueued && t.tx == nil
-		t.mu.Unlock()
-		if need {
-			gen := n.throttle.Gen()
-			admitted, closed := n.throttle.TryAdmit(func() bool { return t.seq <= n.nextCommit.Load() })
-			if closed {
-				return // shutting down
-			}
-			if !admitted {
-				n.execQ.Push(t)
-				n.endRun(ctx)
-				n.throttle.WaitSince(gen)
-				return
-			}
-			t.mu.Lock()
-			if t.throttleHeld {
-				t.mu.Unlock()
-				n.throttle.Release(false) // lost an acquire race: give back
-			} else {
-				t.throttleHeld = true
-				t.mu.Unlock()
-			}
+	// the run ends, and the worker parks until the throttle changes or the
+	// commit head is queued, then re-pops.
+	if need {
+		if gen, ok := n.throttle.TryAdmit(func() bool { return t.seq <= n.nextCommit.Load() }); !ok {
+			n.execQ.Push(t)
+			n.endRun(ctx)
+			n.throttle.WaitSince(gen, func() bool { return n.execQ.Holds(n.nextCommit.Load()) })
+			return
 		}
 	}
 	t.mu.Lock()
-	if t.state != taskQueued || t.tx != nil {
+	if t.state != taskQueued || t.tx != nil || need && t.throttleHeld {
+		// Cancelled, or begun by another worker, since the first look.
 		t.mu.Unlock()
+		if need {
+			n.throttle.Release(1, false)
+		}
 		return
 	}
+	t.throttleHeld = true
 	tx := &t.tx0 // the first attempt's, and no other's
 	if t.attempts == 0 {
 		n.mem.BeginAt(tx, t.seq)
@@ -185,10 +167,6 @@ func (n *node) execute(t *task, ctx *procCtx) {
 				t.state = taskQueued
 			}
 			t.mu.Unlock()
-			// The task keeps its throttle slot across the retry, but the
-			// wasted attempt feeds the abort window so the cap tightens
-			// under heavy conflict churn.
-			n.throttle.Observe(true)
 			tx.Abort()
 			n.conflictRetry(t, tx)
 			return
@@ -203,6 +181,15 @@ func (n *node) execute(t *task, ctx *procCtx) {
 	if t.state != taskExecuting || t.tx != tx {
 		t.mu.Unlock()
 		tx.Abort()
+		return
+	}
+	if tx.Status() == stm.StatusAborted {
+		// Aborted after it completed — by a replacement, the attempt ran on
+		// the old content (applyReplacement): hand the task back for its
+		// re-execution instead of making it open.
+		t.state = taskQueued
+		t.mu.Unlock()
+		n.mailbox.PushReexec(cmdReexec{t: t, tx: tx})
 		return
 	}
 	t.state = taskOpen

@@ -227,7 +227,7 @@ func registerEngineMetrics(e *Engine, reg *metrics.Registry) *engineMetrics {
 			"Open speculative tasks holding throttle slots.", labels,
 			func() float64 { open, _, _ := n.throttle.Snapshot(); return float64(open) })
 		reg.GaugeFunc("flow_throttle_cap",
-			"Current adaptive cap on open speculative tasks.", labels,
+			"Current adaptive cap on open speculative tasks; 0 while the throttle is off.", labels,
 			func() float64 { _, cap, _ := n.throttle.Snapshot(); return float64(cap) })
 		reg.CounterFunc("flow_throttled_total",
 			"Executions that had to wait for a speculation slot.", labels,

@@ -35,7 +35,9 @@ type cmdReexec struct {
 // locks each task, but only after the node's goroutines are joined). Every
 // other mutex here — commitMu, errMu, rngMu, and the ones inside the
 // mailbox, the executor queue, the links and the throttle — is a leaf: no
-// other lock is acquired while it is held. publishOutputs delivers each
+// other lock is acquired while it is held, except that a worker parked in
+// the throttle looks for the queued commit head under the throttle's
+// mutex, so the executor queue's comes after it. publishOutputs delivers each
 // output under its task's mu, so a link's lock, and a subscriber's callback,
 // come after t.mu. The committer holds no lock across a commit group.
 type node struct {
@@ -50,6 +52,7 @@ type node struct {
 
 	mailbox *mailbox
 	execQ   *taskQueue
+	source  *SourceHandle // a source node's one handle; nil on any other
 
 	mu    sync.Mutex
 	tasks idTable[*task]
@@ -116,13 +119,13 @@ type node struct {
 	links    [][]link
 	upstream []upstreamSender // by input; nil where nothing feeds it yet
 
-	// Flow control (all nil/empty when unconfigured — see internal/flow).
-	// granters return credits per input as events leave the mailbox;
-	// inGates are the gates feeding this node (reset on recovery);
-	// credLinks are credit-gated output links (pressure accounting);
-	// throttle caps open speculative tasks; admission rate-limits a
-	// source node. granters and inGates are wired before start and
-	// immutable afterwards; credLinks appends are wiring-time only.
+	// Flow control (see internal/flow). granters return credits per input
+	// as events leave the mailbox; inGates are the gates feeding this node
+	// (reset on recovery); credLinks are credit-gated output links
+	// (pressure accounting) — all nil/empty when unconfigured. throttle
+	// caps open speculative tasks while aborts are frequent; every node
+	// has one. granters and inGates are wired before start and immutable
+	// afterwards; credLinks appends are wiring-time only.
 	granters  []creditGranter // by input; nil where the edge has no window
 	inGates   []*flow.CreditGate
 	credLinks []*creditedLink
@@ -215,16 +218,14 @@ func newNode(eng *Engine, spec graph.Node, inputs int, rng *detrand.Source, log 
 		rng:      rng,
 		mailbox:  newMailbox(&eng.inflight),
 		execQ:    newTaskQueue(),
+		throttle: flow.NewSpecThrottle(),
 		links:    make([][]link, spec.OutputPorts),
 		upstream: make([]upstreamSender, inputs),
 		granters: make([]creditGranter, inputs),
 	}
 	n.lastCommitted = make([]inputPos, inputs)
-	if f := spec.Flow; f != nil {
-		if f.MailboxCap > 0 {
-			n.mailbox.SetDataCap(f.MailboxCap)
-		}
-		n.throttle = flow.NewSpecThrottle(f)
+	if f := spec.Flow; f != nil && f.MailboxCap > 0 {
+		n.mailbox.SetDataCap(f.MailboxCap)
 	}
 	n.resetVolatile()
 	n.commitCond = sync.NewCond(&n.commitMu)

@@ -82,6 +82,13 @@ func (q *taskQueue) TryPop() *task {
 	return q.popMin()
 }
 
+// Holds reports whether a task of sequence seq or lower is queued.
+func (q *taskQueue) Holds(seq int64) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.heap) > 0 && q.heap[0].seq <= seq
+}
+
 func (q *taskQueue) popMin() *task {
 	t := q.heap[0]
 	last := len(q.heap) - 1

@@ -62,7 +62,7 @@ func RunFig4(cfg Config) (*Table, []Fig4Result, error) {
 	}{
 		{"sequential (1 thread)", 1, nil},
 		{"speculative 2 threads", 2, nil},
-		{"speculative 2 threads, bounded", 2, &flow.Limits{MailboxCap: 32, MaxOpenSpec: 8}},
+		{"speculative 2 threads, bounded", 2, &flow.Limits{MailboxCap: 32}},
 	}
 
 	table := &Table{

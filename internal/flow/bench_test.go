@@ -27,14 +27,13 @@ func BenchmarkTokenBucketTake(b *testing.B) {
 	}
 }
 
-// BenchmarkSpecThrottleTryAdmit measures the uncontended slot take/return
-// cycle every speculative task pays.
+// BenchmarkSpecThrottleTryAdmit measures the slot take/return cycle every
+// speculative task pays while its node's throttle is off.
 func BenchmarkSpecThrottleTryAdmit(b *testing.B) {
-	s := NewSpecThrottle(&Limits{MaxOpenSpec: 64})
-	head := func() bool { return false }
+	s := NewSpecThrottle()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s.TryAdmit(head)
-		s.Release(false)
+		s.TryAdmit(notHead)
+		s.Release(1, false)
 	}
 }

@@ -18,12 +18,14 @@
 //     decision log, and are therefore invisible to recovery by
 //     construction.
 //   - SpecThrottle caps the number of open (uncommitted) speculative tasks
-//     per node and tightens the cap as the observed abort rate rises — the
-//     paper's promptness-vs-waste knob turned automatically.
+//     per node while the observed abort rate is high, and tightens the cap
+//     as it rises — the paper's promptness-vs-waste knob turned
+//     automatically. Every node has one; it is off until aborts engage it.
 package flow
 
 // Limits configures flow control for one node. The zero value disables
-// every mechanism, preserving the unbounded pre-flow behavior.
+// every configured mechanism; the speculation throttle is not configured —
+// every node has one, off until its abort rate engages it.
 type Limits struct {
 	// MailboxCap bounds the node's data-lane mailbox. Zero means
 	// unbounded. The bound is enforced upstream via credits; the mailbox
@@ -54,11 +56,6 @@ type Limits struct {
 	// dropped before admission: they are never logged, so precise
 	// recovery is unaffected.
 	Shed bool `json:"shed,omitempty"`
-
-	// MaxOpenSpec caps the number of open speculative tasks on the node;
-	// a high abort rate lowers the cap as far as one. Zero disables
-	// speculation throttling.
-	MaxOpenSpec int `json:"maxOpenSpec,omitempty"`
 
 	// BatchSize is not read: a run is what is ready — an edge frame is what
 	// is queued behind it, up to 64 and a quarter of its credit window. The

@@ -196,21 +196,63 @@ func TestAdmissionAIMDBacksOff(t *testing.T) {
 // until the throttle's state changes.
 func admit(s *SpecThrottle, head func() bool) bool {
 	for {
-		gen := s.Gen()
-		if ok, closed := s.TryAdmit(head); ok || closed {
-			return ok
+		gen, ok := s.TryAdmit(head)
+		if ok {
+			return true
 		}
-		if !s.WaitSince(gen) {
+		if !s.WaitSince(gen, notHead) {
 			return false
 		}
 	}
 }
 
+func notHead() bool { return false }
+
+// engage opens n slots on an off throttle and feeds it a window of aborts.
+func engage(t *testing.T, s *SpecThrottle, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if _, ok := s.TryAdmit(notHead); !ok {
+			t.Fatal("an off throttle refused an admission")
+		}
+	}
+	for i := 0; i < window; i++ {
+		s.Observe(1, true)
+	}
+}
+
+func TestThrottleStartsUncapped(t *testing.T) {
+	s := NewSpecThrottle()
+	for i := 0; i < 1000; i++ {
+		if _, ok := s.TryAdmit(notHead); !ok {
+			t.Fatalf("admission %d refused by a new throttle", i)
+		}
+	}
+	// Aborts below the high-water mark leave it off.
+	for i := 0; i < 8*window; i++ {
+		s.Release(1, i%window < window*3/10)
+	}
+	if open, cap, throttled := s.Snapshot(); open != 1000-8*window || cap != 0 || throttled != 0 {
+		t.Fatalf("open %d cap %d throttled %d, want %d/0/0", open, cap, throttled, 1000-8*window)
+	}
+}
+
+func TestThrottleEngagesAtHalfTheOpen(t *testing.T) {
+	for _, c := range []struct{ open, cap int }{{0, 1}, {1, 1}, {3, 1}, {10, 5}, {1000, 500}} {
+		s := NewSpecThrottle()
+		engage(t, s, c.open)
+		if _, cap, _ := s.Snapshot(); cap != c.cap {
+			t.Errorf("%d open: cap %d after an abort window, want %d", c.open, cap, c.cap)
+		}
+	}
+}
+
 func TestSpecThrottleCapAndHeadBypass(t *testing.T) {
-	s := NewSpecThrottle(&Limits{MaxOpenSpec: 2})
-	notHead := func() bool { return false }
-	if !admit(s, notHead) || !admit(s, notHead) {
-		t.Fatal("admits inside cap failed")
+	s := NewSpecThrottle()
+	engage(t, s, 4)
+	s.Release(2, false)
+	if open, cap, _ := s.Snapshot(); open != 2 || cap != 2 {
+		t.Fatalf("open %d cap %d, want 2/2", open, cap)
 	}
 	// A third non-head task parks...
 	done := make(chan bool, 1)
@@ -221,14 +263,13 @@ func TestSpecThrottleCapAndHeadBypass(t *testing.T) {
 	case <-time.After(20 * time.Millisecond):
 	}
 	// ...but the commit head walks straight through.
-	if ok, _ := s.TryAdmit(func() bool { return true }); !ok {
+	if _, ok := s.TryAdmit(func() bool { return true }); !ok {
 		t.Fatal("head task was throttled")
 	}
 	if open, _, _ := s.Snapshot(); open != 3 {
 		t.Fatalf("open = %d, want 3", open)
 	}
-	s.Release(false)
-	s.Release(false)
+	s.Release(2, false)
 	select {
 	case ok := <-done:
 		if !ok {
@@ -243,43 +284,104 @@ func TestSpecThrottleCapAndHeadBypass(t *testing.T) {
 }
 
 func TestSpecThrottleAdaptsToAborts(t *testing.T) {
-	s := NewSpecThrottle(&Limits{MaxOpenSpec: 8})
-	head := func() bool { return true }
-	// One full window of aborts halves the cap.
-	for i := 0; i < s.window; i++ {
-		s.TryAdmit(head)
-		s.Release(true)
+	s := NewSpecThrottle()
+	engage(t, s, 16)
+	if _, cap, _ := s.Snapshot(); cap != 8 {
+		t.Fatalf("cap after abort window = %d, want 8", cap)
 	}
-	if _, cap, _ := s.Snapshot(); cap != 4 {
-		t.Fatalf("cap after abort window = %d, want 4", cap)
-	}
-	// Keep aborting: cap floors at one.
-	for i := 0; i < 4*s.window; i++ {
-		s.TryAdmit(head)
-		s.Release(true)
+	// Keep aborting: the cap halves per window and floors at one.
+	for i := 0; i < 5*window; i++ {
+		s.Observe(1, true)
 	}
 	if _, cap, _ := s.Snapshot(); cap != 1 {
 		t.Fatalf("cap not floored: %d, want 1", cap)
 	}
-	// Clean windows recover the cap one step at a time.
-	for i := 0; i < 16*s.window; i++ {
-		s.TryAdmit(head)
-		s.Release(false)
+	// Clean windows recover the cap one step at a time, back to the open
+	// count it engaged at...
+	for want := 2; want <= 16; want++ {
+		for i := 0; i < window; i++ {
+			s.Observe(1, false)
+		}
+		if _, cap, _ := s.Snapshot(); cap != want {
+			t.Fatalf("cap after a clean window = %d, want %d", cap, want)
+		}
 	}
-	if _, cap, _ := s.Snapshot(); cap != 8 {
-		t.Fatalf("cap did not recover: %d, want 8", cap)
+	// ...and the next turns the throttle off.
+	for i := 0; i < window; i++ {
+		s.Observe(1, false)
+	}
+	if _, cap, _ := s.Snapshot(); cap != 0 {
+		t.Fatalf("cap past the engaging open count = %d, want 0 (off)", cap)
+	}
+}
+
+func TestThrottleCleanWindowsTurnItOffAndReleaseParked(t *testing.T) {
+	s := NewSpecThrottle()
+	engage(t, s, 2)
+	done := make(chan bool, 1)
+	go func() { done <- admit(s, notHead) }()
+	// The first clean window raises the cap to the two open tasks, which
+	// still refuses a third...
+	for i := 0; i < window; i++ {
+		s.Observe(1, false)
+	}
+	select {
+	case <-done:
+		t.Fatal("admit past the cap did not block")
+	case <-time.After(20 * time.Millisecond):
+	}
+	// ...and the second turns the throttle off, which lets it through.
+	for i := 0; i < window; i++ {
+		s.Observe(1, false)
+	}
+	select {
+	case ok := <-done:
+		if !ok {
+			t.Fatal("parked admit failed")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("turning the throttle off did not wake a parked admit")
+	}
+	if open, cap, _ := s.Snapshot(); open != 3 || cap != 0 {
+		t.Fatalf("open %d cap %d, want 3/0", open, cap)
+	}
+}
+
+func TestThrottleResetClearsOccupancy(t *testing.T) {
+	s := NewSpecThrottle()
+	engage(t, s, 6)
+	s.Close()
+	if admit(s, notHead) {
+		t.Fatal("a closed, engaged throttle admitted a task")
+	}
+	s.Reset()
+	if open, cap, _ := s.Snapshot(); open != 0 || cap != 3 {
+		t.Fatalf("open %d cap %d after Reset, want 0/3", open, cap)
+	}
+	for i := 0; i < 3; i++ {
+		if _, ok := s.TryAdmit(notHead); !ok {
+			t.Fatalf("admission %d refused inside the kept cap", i)
+		}
+	}
+	if gen, ok := s.TryAdmit(notHead); ok {
+		t.Fatal("admission past the kept cap")
+	} else {
+		s.Close()
+		s.WaitSince(gen, notHead)
 	}
 }
 
 func TestSpecThrottleConcurrent(t *testing.T) {
-	s := NewSpecThrottle(&Limits{MaxOpenSpec: 4})
+	s := NewSpecThrottle()
+	engage(t, s, 8)
+	s.Release(8, false)
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if admit(s, func() bool { return false }) {
-				s.Release(false)
+			if admit(s, notHead) {
+				s.Release(1, false)
 			}
 		}()
 	}

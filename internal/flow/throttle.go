@@ -1,12 +1,22 @@
 package flow
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
-// SpecThrottle caps the number of open speculative tasks on one node and
-// adapts the cap to the observed abort rate: a window with many aborts
-// halves the cap (speculation is being wasted), a clean window raises it
-// by one (speculation is paying off). This operationalizes the paper's §4
-// promptness-vs-waste trade-off.
+// SpecThrottle caps the number of open speculative tasks on one node when,
+// and only while, speculation is being wasted. It starts off (uncapped). A
+// window of outcomes whose abort fraction passes abortHighWater engages it
+// with a cap of half the tasks open at that moment, and further such
+// windows halve the cap; a clean window raises it by one, and once clean
+// windows have raised it back to the open count it engaged at, the next
+// turns it off. This operationalizes the paper's §4 promptness-vs-waste
+// trade-off from the abort rate alone.
+//
+// While off, admission, release and outcome samples are atomic counter
+// updates: the mutex and cond are taken only while engaged, at a window
+// boundary, or to wake a worker parked on a refusal.
 //
 // Deadlock safety: strict in-order commit means the task at the commit
 // head must always be able to execute, even when younger tasks hold every
@@ -14,126 +24,99 @@ import "sync"
 // true, and a worker parked in WaitSince wakes whenever the commit cursor
 // advances, so a task that becomes the head while parked gets through.
 type SpecThrottle struct {
-	mu   sync.Mutex
-	cond *sync.Cond
+	open atomic.Int64
+	cap  atomic.Int64 // 0: off
+	// outcomes counts the outcomes observed (low 32 bits) and the aborts
+	// among them (high 32); a carry out of the low half adds one abort per
+	// 2³² outcomes, which no window notices.
+	outcomes  atomic.Uint64
+	parked    atomic.Int64  // callers between a refusal and the end of their WaitSince
+	throttled atomic.Uint64 // admissions refused
 
-	max  int // configured ceiling
-	cap  int // current adaptive cap, at least 1
-	open int
-
-	// abort-rate window
-	window  int
-	commits int
-	aborts  int
-
-	gen       uint64 // state generation, bumped on every change (see WaitSince)
-	throttled uint64 // number of admissions that had to wait or defer
-	closed    bool
+	mu       sync.Mutex
+	cond     *sync.Cond
+	gen      uint64 // bumped on every change a parked caller waits for
+	windowAt uint64 // outcomes at the last window boundary
+	engaged  int64  // tasks open when the throttle last engaged
+	closed   bool
 }
 
-// abortHighWater is the abort fraction per window above which the cap is
-// halved.
-const abortHighWater = 0.3
+const (
+	// window is the number of outcomes the abort fraction is judged over.
+	window = 16
+	// abortHighWater is the abort fraction per window above which the
+	// throttle engages, or halves its cap.
+	abortHighWater = 0.3
+)
 
-// NewSpecThrottle builds a throttle from Limits. Returns nil when
-// speculation throttling is not configured.
-func NewSpecThrottle(l *Limits) *SpecThrottle {
-	if l == nil || l.MaxOpenSpec <= 0 {
-		return nil
-	}
-	s := &SpecThrottle{max: l.MaxOpenSpec, cap: l.MaxOpenSpec, window: 16}
+// NewSpecThrottle returns a throttle that is off.
+func NewSpecThrottle() *SpecThrottle {
+	s := &SpecThrottle{}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
 
-// TryAdmit takes a slot if one is free (open < cap), or bypasses the cap
-// when head reports the task is the commit head, or refuses. It never
-// blocks: a worker pool where parking every worker would strand the commit
-// head in the run queue with nobody to execute it defers a refused task
-// instead and parks via WaitSince.
-func (s *SpecThrottle) TryAdmit(head func() bool) (admitted, closed bool) {
-	if s == nil {
-		return true, false
+// TryAdmit takes a slot if the throttle is off, a slot is free (open <
+// cap) or head reports that the task is the commit head; otherwise it
+// refuses and returns the generation to pass to WaitSince, which a refused
+// caller must call. It never blocks: a worker pool where parking every
+// worker would strand the commit head in the run queue with nobody to
+// execute it defers a refused task instead and parks via WaitSince. A
+// closed throttle refuses every caller it would have capped.
+func (s *SpecThrottle) TryAdmit(head func() bool) (gen uint64, ok bool) {
+	if s.cap.Load() == 0 {
+		s.open.Add(1)
+		return 0, true
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return false, true
+	// Counted as parked before the checks: a Release or Wake that misses
+	// this count changed what the checks read before they read it, and
+	// one that sees it moves gen under s.mu.
+	s.parked.Add(1)
+	if c := s.cap.Load(); !s.closed && (c == 0 || s.open.Load() < c || head()) {
+		s.parked.Add(-1)
+		s.open.Add(1)
+		return 0, true
 	}
-	if s.open >= s.cap && !head() {
-		s.throttled++
-		return false, false
-	}
-	s.open++
-	return true, false
+	s.throttled.Add(1)
+	return s.gen, false
 }
 
-// Gen returns the current state generation. Capture it before a TryAdmit
-// attempt; if the attempt fails, WaitSince(gen) blocks only if nothing has
-// changed since, so a slot release or commit-cursor advance between the
-// two calls is never lost.
-func (s *SpecThrottle) Gen() uint64 {
-	if s == nil {
-		return 0
-	}
+// WaitSince blocks, after a refused TryAdmit, until the throttle's state
+// has changed relative to gen (slot released, cap adapted, commit cursor
+// advanced, task queued), ready reports true or the throttle closes. ready
+// is the caller's own view of what a Wake would announce — a worker's is
+// "the commit head is queued" — and closes the gap between a change made
+// before the refusal was counted and the park. It reports whether the
+// throttle is still open.
+func (s *SpecThrottle) WaitSince(gen uint64, ready func() bool) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.gen
-}
-
-// WaitSince blocks until the throttle's state has changed relative to gen
-// (slot released, cap adapted, commit cursor advanced, task queued) or the
-// throttle closes. It reports whether the throttle is still open.
-func (s *SpecThrottle) WaitSince(gen uint64) bool {
-	if s == nil {
-		return true
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for !s.closed && s.gen == gen {
+	for !s.closed && s.gen == gen && !ready() {
 		s.cond.Wait()
 	}
+	s.parked.Add(-1)
 	return !s.closed
 }
 
-// Release returns one slot, recording whether the task committed or
-// aborted, and retunes the cap at window boundaries.
-func (s *SpecThrottle) Release(aborted bool) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if s.open > 0 {
-		s.open--
-	}
-	s.observeLocked(aborted)
-	s.gen++
-	s.mu.Unlock()
-	s.cond.Broadcast()
+// Release returns n slots whose tasks committed, or aborted, and counts
+// them as outcomes of the abort window.
+func (s *SpecThrottle) Release(n int, aborted bool) {
+	s.open.Add(-int64(n))
+	s.Observe(n, aborted)
+	s.Wake()
 }
 
-// Observe feeds one outcome sample without releasing a slot — used for
-// re-executions, where the task keeps its slot but the aborted attempt
-// still counts as speculation waste.
-func (s *SpecThrottle) Observe(aborted bool) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.observeLocked(aborted)
-	s.gen++
-	s.mu.Unlock()
-	s.cond.Broadcast()
-}
-
-// Wake re-evaluates all parked admissions. The committer calls it every
-// time the commit cursor advances so a parked task that just became the
-// commit head gets through its head-bypass even when no slot was
-// released (e.g. the previous head was cancelled before ever executing);
-// the dispatcher calls it after queuing new work so deferred workers
-// re-pop — the fresh task may be the commit head they are starving.
+// Wake re-evaluates parked admissions, if there are any. The committer
+// calls it every time the commit cursor advances so a parked task that
+// just became the commit head gets through its head-bypass even when no
+// slot was released (e.g. the previous head was cancelled before ever
+// executing); the dispatcher calls it after queuing new work so deferred
+// workers re-pop — the fresh task may be the commit head they are
+// starving.
 func (s *SpecThrottle) Wake() {
-	if s == nil {
+	if s.parked.Load() == 0 {
 		return
 	}
 	s.mu.Lock()
@@ -142,44 +125,72 @@ func (s *SpecThrottle) Wake() {
 	s.cond.Broadcast()
 }
 
-// observeLocked updates the abort window and adapts the cap. Caller
-// holds s.mu.
-func (s *SpecThrottle) observeLocked(aborted bool) {
+// Observe counts n outcomes without releasing a slot — re-executions keep
+// theirs, but each aborted attempt counts as speculation waste — and
+// retunes the cap when they complete a window.
+func (s *SpecThrottle) Observe(n int, aborted bool) {
+	d := uint64(n)
 	if aborted {
-		s.aborts++
-	} else {
-		s.commits++
+		d |= d << 32
 	}
-	if s.commits+s.aborts >= s.window {
-		if float64(s.aborts) > abortHighWater*float64(s.commits+s.aborts) {
-			s.cap = max(s.cap/2, 1)
-		} else if s.cap < s.max {
-			s.cap++
+	w := uint32(s.outcomes.Add(d))
+	if w/window != (w-uint32(n))/window {
+		s.retune()
+	}
+}
+
+// retune judges the outcomes since the last window boundary, if a whole
+// window has passed: too many aborts engage the throttle at half the open
+// tasks or halve its cap; clean outcomes raise the cap by one per window's
+// worth (a commit group may complete several at once), or turn the
+// throttle off once the cap is back at the open count it engaged at.
+func (s *SpecThrottle) retune() {
+	s.mu.Lock()
+	w := s.outcomes.Load()
+	total := uint32(w) - uint32(s.windowAt)
+	aborts := uint32(w>>32) - uint32(s.windowAt>>32)
+	if total < window { // a concurrent crosser judged this window already
+		s.mu.Unlock()
+		return
+	}
+	s.windowAt = w - uint64(total%window) // the part-window left over counts next time
+	c := s.cap.Load()
+	switch {
+	case float64(aborts) > abortHighWater*float64(total):
+		if c == 0 {
+			s.engaged = s.open.Load()
+			c = s.engaged
 		}
-		s.commits, s.aborts = 0, 0
+		c = max(c/2, 1)
+	case c == 0:
+		s.mu.Unlock()
+		return
+	case c >= s.engaged:
+		c = 0
+	default:
+		c = min(c+int64(total/window), s.engaged)
 	}
+	s.cap.Store(c)
+	s.gen++
+	s.mu.Unlock()
+	s.cond.Broadcast()
 }
 
 // Reset clears occupancy and the abort window (crash recovery: all open
-// tasks are gone) while keeping the adapted cap.
+// tasks are gone) while keeping the adapted cap, and reopens the throttle.
 func (s *SpecThrottle) Reset() {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
-	s.open = 0
-	s.commits, s.aborts = 0, 0
+	s.open.Store(0)
+	s.windowAt = s.outcomes.Load()
 	s.closed = false
 	s.gen++
 	s.mu.Unlock()
 	s.cond.Broadcast()
 }
 
-// Close releases all waiters; subsequent TryAdmit calls report closed.
+// Close releases all waiters; TryAdmit then refuses whom it would have
+// capped, and WaitSince returns false.
 func (s *SpecThrottle) Close() {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
 	s.closed = true
 	s.gen++
@@ -187,12 +198,7 @@ func (s *SpecThrottle) Close() {
 	s.cond.Broadcast()
 }
 
-// Snapshot returns (open, cap, throttled-wait count).
+// Snapshot returns (open, cap, throttled-wait count); cap 0 means off.
 func (s *SpecThrottle) Snapshot() (open, cap int, throttled uint64) {
-	if s == nil {
-		return 0, 0, 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.open, s.cap, s.throttled
+	return int(s.open.Load()), int(s.cap.Load()), s.throttled.Load()
 }
