@@ -54,12 +54,12 @@ race-core-finality:
 # (DESIGN.md §9.9): Drain and Quiesced wait out work held at each hand-off,
 # ACKs wait for a stable checkpoint mark, and random pipelines drain to a
 # ledger of zero. It also runs the per-node counting ledger, which the
-# dispatcher, the workers and the committer write at the same time, and
+# dispatcher and the workers write at the same time, and
 # its waste columns and witness ring, which eight workers of a contended
 # Classifier write at once, across a crash and recovery too. The
 # speculation throttle's groups (TestThrottle*, TestFlowOverload*) run
 # here by prefix: every node's throttle counts its slots on atomics that
-# the workers and the committer update at once, and parks workers under
+# the workers and the dispatcher update at once, and parks workers under
 # contention.
 race-core-quiesce:
 	for p in 1 2 8; do \
@@ -126,12 +126,14 @@ bench-profile:
 # snapshot, one ACK run per input) and the two of a worker's execution
 # run (one log append and one frame for what was queued; the run ends
 # before a re-execution, so contended retries never hold the commit head
-# unpublished), twenty race-detected runs each with
+# unpublished) and the one of a head blocked on an open STM dependency
+# (the dispatcher waits on its mailbox, and the dependency's abort brings
+# the head's re-execution and commit), twenty race-detected runs each with
 # one, two and eight Ps. It is a CI job: three runs in a row were 60/60
 # green, 4 to 5 minutes each on a 2-core box.
 race-core-equiv:
 	for p in 1 2 8; do \
-		GOMAXPROCS=$$p go test -race -count=20 -run 'TestBatchSizeEquivalence|TestBatchCommitGrouping|TestAttemptScratchReuseSafety|TestReexecutionBuysItsOwnTx|TestLongRunSplitsTaskBlocks|TestPayloadBytesAreHandedOutOnce|TestReexecutionLeavesSentVersionAlone|TestQueuedFinalizeRunIsOwned|TestCreditedFramesFitTheWindow|TestRecoverNeedsLogScanner|TestRecoveryScanOrderTwoDisks|TestRecoveryReadsWhatTheDiskHolds|TestDupOfUncheckpointedCommitNotAcked|TestQueuedFramesAdmitAsOneRun|TestRestoredOutputsAreReleased|TestEarlyRevokeDropsItsIncarnation|TestFinalizeOfReemissionAfterCancel|TestReemissionBehindOpenHead|TestStaleSendNeverFollowsNextAttempt|TestCheckpointBatchesAcks|TestWorkerRunAppendsOnceFramesOnce|TestWorkerRunPublishesBeforeReexecution' ./internal/core || exit 1; \
+		GOMAXPROCS=$$p go test -race -count=20 -run 'TestBatchSizeEquivalence|TestBatchCommitGrouping|TestAttemptScratchReuseSafety|TestReexecutionBuysItsOwnTx|TestLongRunSplitsTaskBlocks|TestPayloadBytesAreHandedOutOnce|TestReexecutionLeavesSentVersionAlone|TestQueuedFinalizeRunIsOwned|TestCreditedFramesFitTheWindow|TestRecoverNeedsLogScanner|TestRecoveryScanOrderTwoDisks|TestRecoveryReadsWhatTheDiskHolds|TestDupOfUncheckpointedCommitNotAcked|TestQueuedFramesAdmitAsOneRun|TestRestoredOutputsAreReleased|TestEarlyRevokeDropsItsIncarnation|TestFinalizeOfReemissionAfterCancel|TestReemissionBehindOpenHead|TestStaleSendNeverFollowsNextAttempt|TestCheckpointBatchesAcks|TestWorkerRunAppendsOnceFramesOnce|TestWorkerRunPublishesBeforeReexecution|TestHeadWaitsOutOpenDependency' ./internal/core || exit 1; \
 	done
 
 # race-core-recover is the same gate for precise recovery (paper §2.2,
@@ -155,8 +157,9 @@ trace-e2e:
 	scripts/trace_e2e.sh trace-e2e-out
 
 # doccheck fails on dead intra-repo markdown links, on cmd/ flags that no
-# documentation mentions (docs/PERFORMANCE.md documents the policy) and on
-# exported identifiers under internal/ that no non-test file uses.
+# documentation mentions (docs/PERFORMANCE.md documents the policy), on
+# exported identifiers under internal/ that no non-test file uses and on a
+# time.Sleep in a non-test file of internal/core (DESIGN.md §9.10).
 doccheck:
 	go run ./cmd/doccheck
 

@@ -33,6 +33,11 @@ var keep = map[string]string{
 	"streammine/internal/metricstest":            "test support, ROADMAP item 12",
 }
 
+// sleepless is the import-path suffix of the packages whose non-test files
+// must not use time.Sleep: the engine waits on the events it is told of,
+// never on a timer.
+const sleepless = "/internal/core"
+
 // listedPackage is the part of `go list -json` the census reads.
 type listedPackage struct {
 	ImportPath  string
@@ -62,7 +67,8 @@ type declared struct {
 // not change with the code they measure. It also reports each constant
 // series name a non-test file registers that no docs/*.md names, and each
 // docs/*.md series row whose series no non-test file registers
-// (staleSeriesRows).
+// (staleSeriesRows), and each use of time.Sleep in a non-test file of the
+// engine (sleepless).
 func census(root string, keep map[string]string) ([]string, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
@@ -134,6 +140,11 @@ func census(root string, keep map[string]string) ([]string, error) {
 				}
 			}
 			markWrites(f, info, lp.ImportPath, written)
+			if !strings.HasSuffix(names[i], "_test.go") && strings.HasSuffix(lp.ImportPath, sleepless) {
+				sleeps(f, info, func(at token.Pos) {
+					report(at, "time.Sleep in the engine: wait on the event that ends the wait, not on a timer")
+				})
+			}
 			if !strings.HasSuffix(names[i], "_test.go") {
 				registeredSeries(f, info, func(name string, at token.Pos) {
 					registered[name] = true
@@ -181,6 +192,18 @@ func census(root string, keep map[string]string) ([]string, error) {
 	problems = append(problems, staleSeriesRows(root, registered)...)
 	sort.Strings(problems)
 	return problems, nil
+}
+
+// sleeps reports each use of time.Sleep in f, called or not.
+func sleeps(f *ast.File, info *types.Info, report func(at token.Pos)) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok {
+			if fn, ok := info.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "time" && fn.Name() == "Sleep" {
+				report(sel.Pos())
+			}
+		}
+		return true
+	})
 }
 
 // seriesRow matches a docs table row that documents a series: a backticked

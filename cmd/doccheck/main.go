@@ -15,10 +15,12 @@
 //     tests and defaults set becomes a constant, or is kept by name with
 //     the ROADMAP item that will set it;
 //   - a constant series name registered with a metrics Registry in a
-//     non-test file is named in no docs/*.md (census.go); or
+//     non-test file is named in no docs/*.md (census.go);
 //   - a docs/*.md table row documents a series (a backticked name, then
 //     a counter, gauge or histogram kind) that no non-test file
-//     registers (census.go).
+//     registers (census.go); or
+//   - a non-test file of the engine (internal/core) uses time.Sleep
+//     (census.go) — nothing there waits on a timer for its correctness.
 //
 // make doccheck runs it as part of make check and CI.
 package main

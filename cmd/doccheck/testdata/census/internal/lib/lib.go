@@ -1,6 +1,8 @@
 // Package lib declares one identifier per case of the export census.
 package lib
 
+import "time"
+
 // Orphan has no user.
 func Orphan() {}
 
@@ -16,8 +18,12 @@ type Named struct{ Base }
 // Base gives Named its String method.
 type Base struct{}
 
-// String satisfies fmt.Stringer, promoted into Named.
-func (Base) String() string { return "named" }
+// String satisfies fmt.Stringer, promoted into Named. It sleeps, which
+// only the engine may not.
+func (Base) String() string {
+	time.Sleep(time.Microsecond)
+	return "named"
+}
 
 // Box is used only through an instantiation.
 type Box[T any] struct{ V T }

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 
+	"fixture/internal/core"
 	"fixture/internal/lib"
 	"fixture/internal/metrics"
 )
@@ -14,5 +15,6 @@ func main() {
 	var reg metrics.Registry
 	reg.Counter("fixture_documented_total", "")
 	reg.Counter("fixture_undocumented_total", "")
+	core.Wait(func() bool { return true })
 	fmt.Println(lib.Named{}, lib.Box[int]{V: 1}.Get(), lib.New(o))
 }

@@ -57,7 +57,7 @@ func (n *node) admitRun(input int, evs []event.Event) {
 	stamp := n.finLat != nil
 	fresh, deferred := a.fresh[:0], a.deferred[:0]
 	// The run's tasks share one allocation, the largest a run makes: it is
-	// made before taking the lock that the workers and the committer wait for.
+	// made before taking the lock that the workers wait for.
 	block := make([]task, 0, min(len(evs), maxBlockTasks))
 	n.mu.Lock()
 	planned := n.planRun(a.planned[:0], input, evs)
@@ -205,21 +205,24 @@ func (n *node) takePendFin(ev *event.Event) {
 // at admission, or the records an execution run took — as ONE append: one
 // group-commit pool round trip however long the run, with the LSNs in the
 // order per-record appends would have produced. Once the records are stable
-// each is credited to its task, owners[j] being recs[j]'s, and the
-// committer is woken.
+// each is credited to its task (logged).
 func (n *node) logRun(owners []*task, recs []wal.Record) {
-	_, err := n.log.Append(recs, func(err error) {
-		if err != nil {
-			n.fail(fmt.Errorf("decision log: %w", err))
-			return
-		}
-		credit(owners, recs)
-		n.notifyCommitter()
-	})
+	_, err := n.log.Append(recs, func(err error) { n.logged(owners, recs, err) })
 	if err != nil {
 		n.fail(fmt.Errorf("submit decision log: %w", err))
 		credit(owners, nil)
 	}
+}
+
+// logged is a logRun append's stability callback: it credits record j to
+// owners[j] and gives the dispatcher a commit notice.
+func (n *node) logged(owners []*task, recs []wal.Record, err error) {
+	if err != nil {
+		n.fail(fmt.Errorf("decision log: %w", err))
+		return
+	}
+	credit(owners, recs)
+	n.mailbox.PushCommit()
 }
 
 // credit settles one pending log record per owner: record j's LSN goes to
@@ -260,19 +263,14 @@ func (n *node) applyReplacement(t *task, ev event.Event) {
 		return
 	}
 	if t.ev.SameContent(ev) {
-		changed := false
 		if !ev.Speculative && !t.evFinal {
 			t.evFinal = true
 			t.ev.Speculative = false
-			changed = true
 		}
 		if ev.Version > t.ev.Version {
 			t.ev.Version = ev.Version
 		}
 		t.mu.Unlock()
-		if changed {
-			n.notifyCommitter()
-		}
 		return
 	}
 	// Content changed: adopt the new version and roll back if the old one
@@ -284,7 +282,7 @@ func (n *node) applyReplacement(t *task, ev event.Event) {
 	if st == taskOpen {
 		// What the task executed and published is of the old content. It
 		// leaves the open state here, under the lock hold that may make its
-		// input final, so that the committer cannot commit it, nor a late
+		// input final, so that no commit turn can commit it, nor a late
 		// publishOutputs publish it, before the abort below re-queues it.
 		t.state = taskQueued
 	}
@@ -314,8 +312,7 @@ type finHit struct {
 }
 
 // finalizeRun applies a run of FINALIZE notices with one n.mu acquisition
-// for all the task lookups and one committer wakeup for the whole run. A
-// notice whose task is not admitted yet overtook its event on the control
+// for all the task lookups. A notice whose task is not admitted yet overtook its event on the control
 // lane (the event is still in the data lane, or in flight behind a credit
 // gate); one for a newer version, or for a cancelled task, is ahead of the
 // replacement or re-emission queued behind it. All are stashed in pendFin,
@@ -335,7 +332,6 @@ func (n *node) finalizeRun(refs []transport.FinalizeRef) {
 		}
 	}
 	n.mu.Unlock()
-	finalized := false
 	for _, h := range hits {
 		t := h.t
 		t.mu.Lock()
@@ -343,7 +339,6 @@ func (n *node) finalizeRun(refs []transport.FinalizeRef) {
 		case t.state != taskCancelled && t.ev.Version == h.ver && !t.evFinal:
 			t.evFinal = true
 			t.ev.Speculative = false
-			finalized = true
 		case t.state == taskCancelled || h.ver > t.ev.Version:
 			n.mu.Lock()
 			if !n.committed.has(t.ev.ID) {
@@ -352,9 +347,6 @@ func (n *node) finalizeRun(refs []transport.FinalizeRef) {
 			n.mu.Unlock()
 		}
 		t.mu.Unlock()
-	}
-	if finalized {
-		n.notifyCommitter()
 	}
 }
 
@@ -388,7 +380,7 @@ func (n *node) handleRevoke(m transport.Message) {
 
 // cancelTask aborts a task for cause (CauseRevoke or CauseError), revokes
 // its outputs and frees its input ID, so that a re-emission arriving
-// before the committer retires the task is admitted as a task of its own.
+// before a commit turn retires the task is admitted as a task of its own.
 func (n *node) cancelTask(t *task, cause profiler.Cause) {
 	t.mu.Lock()
 	if t.state == taskCommitted || t.state == taskCancelled {
@@ -425,7 +417,6 @@ func (n *node) cancelTask(t *task, cause profiler.Cause) {
 	for _, rec := range sent {
 		n.revokeRecord(rec)
 	}
-	n.notifyCommitter()
 }
 
 func (n *node) revokeRecord(rec *outRecord) {

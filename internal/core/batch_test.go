@@ -90,16 +90,29 @@ func TestFinalizeBatchZeroAlloc(t *testing.T) {
 	}
 }
 
-// popDispatch is one dispatcher turn: it pops the next item into run, the
-// caller's scratch, and dispatches it. It reports how many input events the
-// turn admitted, and returns the scratch for the next turn.
+// popDispatch is one dispatcher turn without its commit turns: it pops the
+// next item into run, the caller's scratch (popWork), and dispatches it. It
+// reports how many input events the turn admitted, and returns the scratch
+// for the next turn.
 func popDispatch(t testing.TB, n *node, run []event.Event) ([]event.Event, int) {
-	it, evs, ok := n.mailbox.Pop(run)
+	it, evs, ok := popWork(n.mailbox, run)
 	if !ok {
 		t.Fatal("mailbox closed")
 	}
 	n.dispatch(it, evs)
 	return evs, len(evs)
+}
+
+// popWork pops m's next item, passing over commit notices while anything
+// else is queued: a hand-driven test takes the commit turns itself
+// (commitBatch), and the notices that a run's end and the decision log
+// queue meanwhile would stand in front of the item it waits for.
+func popWork(m *mailbox, run []event.Event) (mailItem, []event.Event, bool) {
+	it, evs, ok := m.Pop(run)
+	for ok && it.commit && m.Len() > 0 {
+		it, evs, ok = m.Pop(evs)
+	}
+	return it, evs, ok
 }
 
 // runTask is a worker's run of one: it executes t and makes the attempt

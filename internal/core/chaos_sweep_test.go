@@ -1,93 +1,196 @@
 package core
 
 import (
+	"bytes"
+	"flag"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"streammine/internal/detrand"
 	"streammine/internal/event"
 	"streammine/internal/graph"
+	"streammine/internal/metrics"
 	"streammine/internal/operator"
 )
+
+var chaosSeed = flag.Uint64("chaos.seed", 0, "run only the TestChaosSeedSweep round of this seed (1000 to 1019)")
 
 // TestChaosSeedSweep runs the crash/recover scenario across many seeds;
 // the stall diagnostics in the failure path pinpoint which recovery stage
 // wedged (these caught the checkpoint-coverage bugs fixed in recovery.go).
+// Each round is traced into a buffer, and a round that finalizes an output
+// twice with different content, or stalls, logs the trail of the outputs at
+// fault and of their inputs. A round depends on its seed alone:
+// -chaos.seed=N runs that one.
 func TestChaosSeedSweep(t *testing.T) {
 	for round := 0; round < 20; round++ {
-		seed := uint64(1000 + round)
-		rng := detrand.New(seed)
-		g := graph.New()
-		src := g.AddNode(graph.Node{Name: "src"})
-		proc := g.AddNode(graph.Node{
-			Name:            "proc",
-			Op:              &operator.Classifier{Classes: 3},
-			Traits:          operator.ClassifierTraits(3),
-			Speculative:     true,
-			CheckpointEvery: 7,
-		})
-		g.Connect(src, 0, proc, 0)
-		eng := newTestEngine(t, g, Options{Seed: seed})
-		sink := newDedupSink(t)
-		if err := eng.Subscribe(proc, 0, sink.fn); err != nil {
+		if seed := uint64(1000 + round); *chaosSeed == 0 || *chaosSeed == seed {
+			chaosSweepRound(t, seed)
+		}
+	}
+}
+
+func chaosSweepRound(t *testing.T, seed uint64) {
+	rng := detrand.New(seed)
+	g := graph.New()
+	src := g.AddNode(graph.Node{Name: "src"})
+	proc := g.AddNode(graph.Node{
+		Name:            "proc",
+		Op:              &operator.Classifier{Classes: 3},
+		Traits:          operator.ClassifierTraits(3),
+		Speculative:     true,
+		CheckpointEvery: 7,
+	})
+	g.Connect(src, 0, proc, 0)
+	trail := new(syncBuffer)
+	tracer := metrics.NewTracerProc(trail, "")
+	eng := newTestEngine(t, g, Options{Seed: seed, Tracer: tracer})
+	defer eng.Stop()
+	sink := newDedupSink(t)
+	if err := eng.Subscribe(proc, 0, sink.fn); err != nil {
+		t.Fatal(err)
+	}
+	s, _ := eng.Source(src)
+	const totalEvents = 200
+	crashAt := map[int]bool{}
+	for len(crashAt) < 4 {
+		crashAt[20+rng.Intn(totalEvents-40)] = true
+	}
+	inputs := make([]event.ID, 0, totalEvents)
+	for i := 0; i < totalEvents; i++ {
+		ev, err := s.Emit(uint64(rng.Intn(1000)), nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		s, _ := eng.Source(src)
-		const totalEvents = 200
-		crashAt := map[int]bool{}
-		for len(crashAt) < 4 {
-			crashAt[20+rng.Intn(totalEvents-40)] = true
-		}
-		for i := 0; i < totalEvents; i++ {
-			if _, err := s.Emit(uint64(rng.Intn(1000)), nil); err != nil {
+		inputs = append(inputs, ev.ID)
+		if crashAt[i] {
+			time.Sleep(time.Duration(rng.Intn(3)) * time.Millisecond)
+			if err := eng.Crash(proc); err != nil {
 				t.Fatal(err)
 			}
-			if crashAt[i] {
-				time.Sleep(time.Duration(rng.Intn(3)) * time.Millisecond)
-				if err := eng.Crash(proc); err != nil {
-					t.Fatal(err)
-				}
-				if err := eng.Recover(proc); err != nil {
-					t.Fatal(err)
-				}
+			if err := eng.Recover(proc); err != nil {
+				t.Fatal(err)
 			}
 		}
-		deadline := time.Now().Add(5 * time.Second)
-		for sink.count() < totalEvents && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if sink.count() < totalEvents {
-			n, _ := eng.node(proc)
-			n.mu.Lock()
-			plan := n.replay
-			planInfo := "done"
-			if plan.active() {
-				held, next := 0, "none"
-				for _, h := range plan.isHeld {
-					if h {
-						held++
-					}
-				}
-				plan.at.each(func(id event.ID, at int32) {
-					if int(at) == plan.pos {
-						next = id.String()
-					}
-				})
-				planInfo = "pos=" + fmtInt(plan.pos) + "/" + fmtInt(plan.end()) + " covered=" + fmtInt(plan.covered) +
-					" logged=" + fmtInt(plan.logged) + " next:" + next + " held=" + fmtInt(held) + " tail=" + fmtInt(len(plan.tail))
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for sink.count() < totalEvents && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	n, _ := eng.node(proc)
+	sink.mu.Lock()
+	var faults []trailOf
+	for _, id := range sink.bad {
+		faults = append(faults, trailOf{out: id})
+	}
+	stalled := len(sink.byID) < totalEvents
+	if stalled {
+		for _, in := range inputs {
+			if out := outputID(n.opID, in, 0); sink.byID[out] == nil && len(faults) < 5 {
+				faults = append(faults, trailOf{out: out, in: in})
 			}
-			open := n.open.n
-			committed := n.committed.len()
-			tasks := n.tasks.len()
-			n.mu.Unlock()
-			srcN, _ := eng.node(src)
-			srcN.mu.Lock()
-			buffered := srcN.outBuf.len()
-			srcN.mu.Unlock()
-			t.Fatalf("seed %d stalled at %d/200: plan=%s open=%d committed=%d tasks=%d mailbox=%d execQ=%d srcBuf=%d",
-				seed, sink.count(), planInfo, open, committed, tasks, n.mailbox.Len(), n.execQ.Len(), buffered)
 		}
-		eng.Stop()
+	}
+	sink.mu.Unlock()
+	if len(faults) > 0 {
+		if err := tracer.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		// The engine may still be writing: a torn last record ends the trail.
+		spans, err := readSpans(bytes.NewReader(trail.contents()))
+		if err != nil {
+			t.Logf("trail read up to: %v", err)
+		}
+		t.Logf("seed %d: the trail of %d outputs at fault (run alone with -chaos.seed=%d)", seed, len(faults), seed)
+		logTrails(t, spans, faults)
+	}
+	if stalled {
+		n.mu.Lock()
+		plan := n.replay
+		planInfo := "done"
+		if plan.active() {
+			held, next := 0, "none"
+			for _, h := range plan.isHeld {
+				if h {
+					held++
+				}
+			}
+			plan.at.each(func(id event.ID, at int32) {
+				if int(at) == plan.pos {
+					next = id.String()
+				}
+			})
+			planInfo = "pos=" + fmtInt(plan.pos) + "/" + fmtInt(plan.end()) + " covered=" + fmtInt(plan.covered) +
+				" logged=" + fmtInt(plan.logged) + " next:" + next + " held=" + fmtInt(held) + " tail=" + fmtInt(len(plan.tail))
+		}
+		open := n.open.n
+		committed := n.committed.len()
+		tasks := n.tasks.len()
+		n.mu.Unlock()
+		srcN, _ := eng.node(src)
+		srcN.mu.Lock()
+		buffered := srcN.outBuf.len()
+		srcN.mu.Unlock()
+		t.Fatalf("seed %d stalled at %d/200: plan=%s open=%d committed=%d tasks=%d mailbox=%d execQ=%d srcBuf=%d",
+			seed, sink.count(), planInfo, open, committed, tasks, n.mailbox.Len(), n.execQ.Len(), buffered)
+	}
+}
+
+// syncBuffer is a bytes.Buffer that a tracer writes while a test reads it.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (w *syncBuffer) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.b.Write(p)
+}
+
+// contents copies what has been written so far.
+func (w *syncBuffer) contents() []byte {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return bytes.Clone(w.b.Bytes())
+}
+
+// trailOf names an output at fault and, when known, the input it is for.
+type trailOf struct {
+	out, in event.ID
+}
+
+// logTrails logs, for each output at fault, its trace records and those of
+// its inputs: the one it is known to be for, and every one its records name
+// ("from=<input>").
+func logTrails(t *testing.T, spans []metrics.Span, faults []trailOf) {
+	byEvent := map[string][]metrics.Span{}
+	for _, s := range spans {
+		byEvent[s.Event] = append(byEvent[s.Event], s)
+	}
+	logSpans := func(what, id string) {
+		t.Logf("%s %s: %d records", what, id, len(byEvent[id]))
+		for _, s := range byEvent[id] {
+			t.Logf("  %12d %-5s %-9s %s", s.TS, s.Node, s.Phase, s.Info)
+		}
+	}
+	for _, f := range faults {
+		var ins []string
+		if f.in != (event.ID{}) {
+			ins = append(ins, f.in.String())
+		}
+		for _, s := range byEvent[f.out.String()] {
+			if from, ok := strings.CutPrefix(s.Info, "from="); ok && !slices.Contains(ins, from) {
+				ins = append(ins, from)
+			}
+		}
+		logSpans("output", f.out.String())
+		for _, in := range ins {
+			logSpans("  input", in)
+		}
 	}
 }
 

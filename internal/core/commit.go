@@ -13,43 +13,6 @@ import (
 	"streammine/internal/wal"
 )
 
-// notifyCommitter wakes the commit loop to re-evaluate the head task.
-// It must never block for long: it is called from storage-pool callbacks.
-func (n *node) notifyCommitter() {
-	n.commitMu.Lock()
-	n.commitGen++
-	n.commitCond.Broadcast()
-	n.commitMu.Unlock()
-}
-
-// commitSignalGen reads the current notification generation.
-func (n *node) commitSignalGen() uint64 {
-	n.commitMu.Lock()
-	defer n.commitMu.Unlock()
-	return n.commitGen
-}
-
-// waitCommitSignal blocks until the generation moves past seen (or stop).
-func (n *node) waitCommitSignal(seen uint64) {
-	n.commitMu.Lock()
-	for n.commitGen == seen && !n.stopFlag.Load() {
-		n.commitCond.Wait()
-	}
-	n.commitMu.Unlock()
-}
-
-// committer commits tasks strictly in arrival order once authorized:
-// executed, input final, decisions stable, STM dependencies committed
-// (paper §3: "gets the authorization to commit"). Each turn gathers the
-// run of consecutive already-ready head tasks, up to maxRun, and commits it
-// as one group, without ever waiting for a run to fill.
-func (n *node) committer() {
-	defer n.wg.Done()
-	for !n.stopFlag.Load() {
-		n.commitBatch(maxRun)
-	}
-}
-
 // conflictRetry records the abort accounting for a task that lost a
 // conflict — while executing, at commit-time validation, or by a cascade
 // abort — and makes sure a re-execution is queued.
@@ -63,14 +26,14 @@ func (n *node) conflictRetry(t *task, tx *stm.Tx) {
 	n.mailbox.PushReexec(cmdReexec{t: t, tx: tx})
 }
 
-// commitBatch is one turn of the committer: gather the run of consecutive
-// ready head tasks (up to max), group-commit their transactions under one
-// commit-gate hold, and run the post-commit protocol with the FINALIZE,
-// late-final and ACK deliveries coalesced into one frame per port or
-// input. A lone ready task commits immediately (a longer run adds no
-// latency, it only amortizes tasks that are already ready).
-func (n *node) commitBatch(max int) {
-	gen := n.commitSignalGen()
+// commitBatch is one commit turn: gather the run of consecutive ready head
+// tasks (up to max), group-commit their transactions under one commit-gate
+// hold, and run the post-commit protocol with the FINALIZE, late-final and
+// ACK deliveries coalesced into one frame per port or input. A lone ready
+// task commits immediately (a longer run adds no latency, it only amortizes
+// tasks that are already ready). It reports whether the head moved; if not,
+// the next mailbox item brings the next turn (DESIGN.md §9.10).
+func (n *node) commitBatch(max int) bool {
 	run := n.commitRun[:0]
 	txs := n.commitTxs[:0]
 	defer func() {
@@ -90,12 +53,15 @@ func (n *node) commitBatch(max int) {
 	for _, t := range run {
 		t.mu.Lock()
 		state := t.state
-		ready := state == taskOpen && t.published && t.evFinal && t.pendingLogs == 0
 		tx := t.tx
+		// An attempt aborted while open (a cascade, or this turn's failed
+		// validation) waits for the re-execution its abort queued: judged
+		// again before that, it would be charged a second time.
+		ready := state == taskOpen && t.published && t.evFinal && t.pendingLogs == 0 && tx.Status() != stm.StatusAborted
 		t.mu.Unlock()
 		if state == taskCancelled && len(txs) == 0 {
 			n.cleanupHead(t)
-			return
+			return true
 		}
 		if !ready {
 			break // a cancelled task waits until the ready prefix has committed
@@ -104,8 +70,7 @@ func (n *node) commitBatch(max int) {
 	}
 	run = run[:len(txs)]
 	if len(run) == 0 {
-		n.waitCommitSignal(gen)
-		return
+		return false
 	}
 	committed, err := n.mem.CommitGroup(txs)
 	if committed > 0 {
@@ -116,18 +81,16 @@ func (n *node) commitBatch(max int) {
 	}
 	switch {
 	case err == nil:
+		return true
 	case errors.Is(err, stm.ErrDepsOpen):
-		// Dependencies are earlier tasks, which commit first in seq order;
-		// transient — yield and retry.
-		time.Sleep(10 * time.Microsecond)
+		return false // an older attempt: its abort cascades into the head
 	case errors.Is(err, stm.ErrConflict):
 		n.conflictRetry(run[committed], txs[committed])
-		if committed == 0 {
-			n.waitCommitSignal(gen)
-		}
+		return false
 	default:
 		n.fail(fmt.Errorf("commit seq %d: %w", run[committed].seq, err))
 		n.cleanupHead(run[committed])
+		return true
 	}
 }
 
@@ -165,9 +128,9 @@ func (n *node) forgetTask(t *task) {
 // each delivered as one frame once the group has retired — the plain frame
 // for a run of one. Order within a port is commit order. Ports and inputs
 // are small dense ints, so the accumulators are slices indexed by them;
-// they are committer-owned scratch reused across groups (node.fin), and a
-// frame carrying more than one item is cut from the committer's slabs,
-// because receivers keep it.
+// they are the dispatcher's scratch reused across groups (node.fin), and a
+// frame carrying more than one item is cut from its slabs, because
+// receivers keep it.
 type finFlush struct {
 	finals [][]transport.FinalizeRef // by output port
 	lates  [][]event.Event           // by output port
@@ -223,8 +186,8 @@ type retirePost struct {
 // finalize speculative outputs (or publish held outputs for non-speculative
 // nodes), ACK the consumed events upstream, advance the commit cursor, and
 // checkpoint if the group crossed a multiple of CheckpointEvery — once,
-// after the whole group. Runs on the committer goroutine, holding no lock
-// on entry. The FINALIZE, late-final and ACK deliveries collect in n.fin
+// after the whole group. Runs on the dispatcher, holding no lock on
+// entry. The FINALIZE, late-final and ACK deliveries collect in n.fin
 // and ship last, one frame per port or input for the whole group. The table
 // bookkeeping for the run happens under ONE n.mu hold, and the commit
 // cursor advances once by the run length.

@@ -56,7 +56,7 @@ func TestDrainWaitsForEveryHandOff(t *testing.T) {
 			s, _ := eng.Source(src)
 			emitRange(t, s, 0, 1)
 			n := eng.nodes[src]
-			it, evs, _ := n.mailbox.Pop(nil)
+			it, evs, _ := popWork(n.mailbox, nil)
 			dispatch := sync.OnceFunc(func() { n.dispatch(it, evs) })
 			t.Cleanup(dispatch)
 			return eng, dispatch

@@ -205,7 +205,7 @@ func TestWorkerRunPublishesBeforeReexecution(t *testing.T) {
 	// queued, and the head is queued ahead of it.
 	n.runTask(young, ctx)
 	young.tx.Abort()
-	re, _, _ := n.mailbox.Pop(nil)
+	re, _, _ := popWork(n.mailbox, nil)
 	n.handleReexec(re.reexec)
 	n.execQ.Push(head)
 

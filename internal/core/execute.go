@@ -32,7 +32,7 @@ func (n *node) worker() {
 // run executes t and then what is queued behind it, popping the
 // lowest-sequence task one at a time as every worker does, and makes the
 // run's executions effective together (endRun): one decision-log append, the
-// tasks' publication in execution order and one committer wake. The run ends
+// tasks' publication in execution order and one commit notice. The run ends
 // when the queue is empty or after maxRun pops, and execute ends it early
 // before a re-execution or a wait, so that no executed task — the commit
 // head among them — is held unpublished behind a retry that conflicts with
@@ -53,7 +53,7 @@ func (n *node) run(t *task, ctx *procCtx) {
 // endRun makes what the worker's run executed effective: the run's decision
 // records are ONE append, which credits each record to its task once stable,
 // a speculative node's tasks are published in execution order, and the
-// committer is woken once.
+// dispatcher gets one commit notice.
 func (n *node) endRun(ctx *procCtx) {
 	r := &ctx.run
 	if len(r.tasks) == 0 {
@@ -76,7 +76,7 @@ func (n *node) endRun(ctx *procCtx) {
 	}
 	clear(r.tasks)
 	r.tasks = r.tasks[:0]
-	n.notifyCommitter()
+	n.mailbox.PushCommit()
 }
 
 // execute runs one attempt of t and adds its effects to the worker's run.
@@ -174,6 +174,7 @@ func (n *node) execute(t *task, ctx *procCtx) {
 		n.fail(fmt.Errorf("node %q event %s: %w", n.spec.Name, ev.ID, err))
 		tx.Abort()
 		n.cancelTask(t, profiler.CauseError)
+		n.mailbox.PushCommit() // a commit turn retires it once it is the head
 		return
 	}
 
@@ -291,7 +292,7 @@ func (n *node) publishOutputs(t *task) {
 		t.sent = t.sent[:len(t.outs)]
 	}
 	if n.eng.met != nil {
-		// Stamped under t.mu, which the committer reads specAt under
+		// Stamped under t.mu, which a commit turn reads specAt under
 		// (retireGroup).
 		for _, s := range sends {
 			if s.spec && s.rec.specAt.IsZero() {
@@ -338,7 +339,7 @@ func (n *node) publishOutputs(t *task) {
 	for _, rec := range revokes {
 		n.revokeRecord(rec)
 	}
-	// Published only once delivered: the committer must not finalize an
+	// Published only once delivered: a commit turn must not finalize an
 	// output ahead of the event that carries it.
 	t.mu.Lock()
 	if t.tx == tx && t.state == taskOpen {

@@ -347,7 +347,7 @@ func TestHeadAfterBeginIsSpeculative(t *testing.T) {
 		t.Error("the stale attempt's output left final")
 	}
 	younger.tx.Abort() // as its validation at commit would
-	re, _, _ := n.mailbox.Pop(nil)
+	re, _, _ := popWork(n.mailbox, nil)
 	n.handleReexec(re.reexec)
 	tk, _ := n.execQ.Pop()
 	n.runTask(tk, run)

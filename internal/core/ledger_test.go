@@ -66,7 +66,7 @@ func TestReexecutionRevokesReachTheWasteLedger(t *testing.T) {
 	tx := tk.tx
 	tx.Abort()
 	n.conflictRetry(tk, tx)
-	re, _, _ := n.mailbox.Pop(nil)
+	re, _, _ := popWork(n.mailbox, nil)
 	n.handleReexec(re.reexec)
 	n.runTask(tk, ctx)
 	if len(tk.sent) != 1 {

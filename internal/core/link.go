@@ -369,9 +369,9 @@ type outRecord struct {
 	trace   uint64 // lineage trace id inherited from the input event
 
 	version event.Version
-	// finalSent is atomic: the committer finalizes records under the
-	// owning task's lock while handleReplay and the checkpoint snapshot
-	// read them from the output buffer without it.
+	// finalSent is atomic: a commit turn and a worker's publishOutputs
+	// change it under the owning task's lock while handleReplay and the
+	// checkpoint snapshot read it from the output buffer without it.
 	finalSent   atomic.Bool
 	pendingAcks int
 	seq         uint64 // emission order within the node, for ordered replay

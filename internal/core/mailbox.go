@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"streammine/internal/event"
@@ -12,7 +13,8 @@ import (
 // mailbox is a FIFO queue with blocking Pop, split into two lanes:
 //
 //   - The control lane carries FINALIZE, REVOKE, ACK, REPLAY, re-execution
-//     commands and everything else that flows against the data direction.
+//     commands, commit notices and everything else that flows against the
+//     data direction.
 //     It is always unbounded and popped first, so control traffic retains
 //     guaranteed progress no matter how congested the data lane is (the
 //     deadlock a naive bounded mailbox would reintroduce — DESIGN §9).
@@ -48,17 +50,20 @@ type mailbox struct {
 	// qdelay, when set, observes data-lane queueing delay (push→pop) from
 	// the items' push stamps. nil qdelay keeps the unmetered path free of
 	// clock reads.
-	qdelay *metrics.HDR
+	qdelay  *metrics.HDR
+	noticed atomic.Bool // a commit notice is queued (PushCommit)
 }
 
 // mailItem is the one element type of both lanes: a frame, a re-execution
-// command (reexec.t set) or a source injection (inject non-empty: a run of
-// a SourceHandle's events in emission order — one push, one dispatcher turn,
-// one delivery). A concrete type, so that queueing a frame does not box it.
+// command (reexec.t set), a commit notice (commit set) or a source injection
+// (inject non-empty: a run of a SourceHandle's events in emission order —
+// one push, one dispatcher turn, one delivery). A concrete type, so that
+// queueing a frame does not box it.
 type mailItem struct {
 	msg      transport.Message
 	reexec   cmdReexec
 	inject   []event.Event
+	commit   bool
 	pushedNs int64 // data-lane push stamp; zero unless qdelay is set
 }
 
@@ -131,6 +136,15 @@ func (it *mailItem) dataWeight() int {
 	return 0
 }
 
+// weight is what the item counts in flight until its dispatch settles it:
+// its events, or 1, or nothing for a commit notice (its tasks are counted).
+func (it *mailItem) weight() int {
+	if it.commit {
+		return 0
+	}
+	return max(it.dataWeight(), 1)
+}
+
 // Push enqueues a frame on its lane; it never blocks. Pushing to a closed
 // mailbox is a silent no-op (shutdown races are benign).
 func (m *mailbox) Push(msg transport.Message) { m.push(mailItem{msg: msg}) }
@@ -141,10 +155,19 @@ func (m *mailbox) PushReexec(c cmdReexec) { m.push(mailItem{reexec: c}) }
 // PushInject enqueues a source injection on the data lane.
 func (m *mailbox) PushInject(run []event.Event) { m.push(mailItem{inject: run}) }
 
+// PushCommit queues a commit notice on the control lane — a task may have
+// become ready — unless one is queued already: a burst of wakes between two
+// pops queues one.
+func (m *mailbox) PushCommit() {
+	if m.noticed.CompareAndSwap(false, true) {
+		m.push(mailItem{commit: true})
+	}
+}
+
 func (m *mailbox) push(it mailItem) {
 	m.mu.Lock()
 	if !m.closed {
-		m.led.add(max(it.dataWeight(), 1)) // a control item weighs 1
+		m.led.add(it.weight())
 		if w := it.dataWeight(); w > 0 {
 			if m.qdelay != nil {
 				it.pushedNs = time.Now().UnixNano()
@@ -184,7 +207,11 @@ func (m *mailbox) Pop(run []event.Event) (it mailItem, evs []event.Event, ok boo
 	}
 	evs = run[:0]
 	if m.ctl.n > 0 {
-		return m.ctl.pop(), evs, true
+		it = m.ctl.pop()
+		if it.commit {
+			m.noticed.Store(false) // before the commit turn: a later wake queues one
+		}
+		return it, evs, true
 	}
 	var one [1]event.Event
 	for m.data.n > 0 { // ok: the run has its first item, it
@@ -245,7 +272,7 @@ func (m *mailbox) Close() (dropped int) {
 	for _, r := range [...]*ring[mailItem]{&m.ctl, &m.data} {
 		for i := 0; i < r.n; i++ {
 			it := r.at(i)
-			dropped += max(it.dataWeight(), 1)
+			dropped += it.weight()
 		}
 		*r = ring[mailItem]{}
 	}
@@ -258,10 +285,11 @@ func (m *mailbox) Close() (dropped int) {
 
 // Reopen makes a closed mailbox take pushes again. Node recovery reopens
 // the original mailbox instead of replacing it so concurrent senders never
-// observe a torn field write.
+// observe a torn field write. A notice Close dropped is queued no more.
 func (m *mailbox) Reopen() {
 	m.mu.Lock()
 	m.dataHigh = 0
 	m.closed = false
+	m.noticed.Store(false)
 	m.mu.Unlock()
 }

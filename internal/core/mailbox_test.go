@@ -349,7 +349,9 @@ func TestQueuedRunGrantsItsCredits(t *testing.T) {
 	for n.mailbox.Len() > 0 {
 		var k int
 		run, k = popDispatch(t, n, run)
-		pops, popped = pops+1, popped+k
+		if k > 0 { // not a commit notice the log's callback queued meanwhile
+			pops, popped = pops+1, popped+k
+		}
 	}
 	if popped != events || g.credits != events || g.grants != pops {
 		t.Fatalf("%d events popped in %d runs; %d credits granted in %d grants; want %d events, one grant a run",

@@ -41,8 +41,8 @@ type engineMetrics struct {
 	// groups of what is ready, and every source injects in runs — of one
 	// unless EmitBatch makes them longer — so these describe every node.
 	// batchOccupancy observes the run length per commit group (how full
-	// groups actually get): its count is the committer turns that
-	// committed, its sum the engine's committed count.
+	// groups actually get): its count is the commit turns that committed,
+	// its sum the engine's committed count.
 	// batchSourceBatches/batchSourceEvents account source injections.
 	batchOccupancy     *metrics.HDR
 	batchSourceBatches *metrics.Counter

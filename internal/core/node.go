@@ -24,22 +24,22 @@ type cmdReexec struct {
 }
 
 // node is the runtime for one graph node: a dispatcher goroutine that owns
-// ordering decisions, a worker pool that executes tasks under speculative
-// transactions, and a committer that commits tasks in arrival order once
-// they are authorized (log stable + inputs final + dependencies committed).
+// ordering decisions and commits tasks in arrival order once they are
+// authorized (log stable + inputs final + dependencies committed), and a
+// worker pool that executes tasks under speculative transactions.
 //
 // Lock order: a task's mu comes before its node's mu. publishOutputs and
 // retireGroup buffer output records, and finalizeRun stashes an early
 // FINALIZE, under n.mu while holding t.mu; nothing takes the two the other
 // way round while the node runs (crash walks the task table under n.mu and
 // locks each task, but only after the node's goroutines are joined). Every
-// other mutex here — commitMu, errMu, rngMu, and the ones inside the
-// mailbox, the executor queue, the links and the throttle — is a leaf: no
-// other lock is acquired while it is held, except that a worker parked in
-// the throttle looks for the queued commit head under the throttle's
-// mutex, so the executor queue's comes after it. publishOutputs delivers each
-// output under its task's mu, so a link's lock, and a subscriber's callback,
-// come after t.mu. The committer holds no lock across a commit group.
+// other mutex here — errMu, rngMu, and the ones inside the mailbox, the
+// executor queue, the links and the throttle — is a leaf: no other lock is
+// acquired while it is held, except that a worker parked in the throttle
+// looks for the queued commit head under the throttle's mutex, so the
+// executor queue's comes after it. publishOutputs delivers each output
+// under its task's mu, so a link's lock, and a subscriber's callback, come
+// after t.mu. A commit turn holds no lock across a commit group.
 type node struct {
 	eng  *Engine
 	spec graph.Node
@@ -70,16 +70,12 @@ type node struct {
 	coveredLSN    wal.LSN
 	commitCount   uint64
 
-	commitMu   sync.Mutex
-	commitCond *sync.Cond
-	commitGen  uint64
 	nextCommit atomic.Int64
 
-	// commitRun/commitTxs are the committer's gather scratch, touched only
-	// by the committer goroutine and reused across groups (the committer
-	// wakes once per notification, far more often than it commits — fresh
-	// slices per wakeup would churn the allocator). retirePosts and fin are
-	// retireGroup's phase and emission scratch, committer-only likewise.
+	// commitRun/commitTxs are a commit turn's gather scratch, dispatcher-
+	// only and reused across turns (a turn follows every item, far more
+	// often than one commits). retirePosts and fin are retireGroup's phase
+	// and emission scratch, dispatcher-only likewise.
 	commitRun   []*task
 	commitTxs   []*stm.Tx
 	retirePosts []retirePost
@@ -228,14 +224,12 @@ func newNode(eng *Engine, spec graph.Node, inputs int, rng *detrand.Source, log 
 		n.mailbox.SetDataCap(f.MailboxCap)
 	}
 	n.resetVolatile()
-	n.commitCond = sync.NewCond(&n.commitMu)
 	return n, nil
 }
 
 // resetVolatile (re)creates everything a crash loses except the operator
 // memory: in-flight tasks, duplicate-suppression tables, output buffer,
-// stashes, replay plan, the dispatcher's and the committer's slabs and
-// scratch (a worker's go with its goroutine) and the sequence and commit
+// stashes, replay plan, the dispatcher's slabs and scratch (a worker's go with its goroutine) and the sequence and commit
 // cursors. Caller holds n.mu with the goroutines joined, or owns the node.
 func (n *node) resetVolatile() {
 	n.admit, n.fin, n.injected = admitScratch{}, finFlush{}, slab[outRecord]{}
@@ -355,15 +349,14 @@ func (n *node) start() error {
 	return nil
 }
 
-// launch starts the node's goroutines: the dispatcher, the workers and the
-// committer. stop and crash join them through wg.
+// launch starts the node's goroutines: the dispatcher and the workers. stop
+// and crash join them through wg.
 func (n *node) launch() {
-	n.wg.Add(2 + n.spec.Workers)
+	n.wg.Add(1 + n.spec.Workers)
 	go n.dispatcher()
 	for i := 0; i < n.spec.Workers; i++ {
 		go n.worker()
 	}
-	go n.committer()
 }
 
 // stop shuts the node down and waits for its goroutines.
@@ -375,7 +368,6 @@ func (n *node) stop() {
 	n.throttle.Close()
 	n.settle(n.mailbox.Close())
 	n.execQ.Close()
-	n.notifyCommitter()
 	n.wg.Wait()
 	for _, cl := range n.credLinks {
 		cl.close()
@@ -430,10 +422,13 @@ func (n *node) stats() NodeStats {
 	return s
 }
 
-// dispatcher serializes ordering decisions: event admission (assigning the
-// per-node sequence = STM timestamp, the logged input-order decision),
+// dispatcher serializes ordering decisions — event admission (assigning
+// the per-node sequence = STM timestamp, the logged input-order decision),
 // replacements, finalization, revocation, ACK bookkeeping and re-execution
-// requests.
+// requests — and commits: after every item it takes commit turns until one
+// commits nothing. Tasks commit strictly in arrival order once authorized:
+// executed, input final, decisions stable, STM dependencies committed
+// (paper §3: "gets the authorization to commit"; DESIGN.md §9.10).
 func (n *node) dispatcher() {
 	defer n.wg.Done()
 	var run []event.Event // what the data lane's runs are popped into
@@ -445,14 +440,18 @@ func (n *node) dispatcher() {
 		n.dispatch(it, evs)
 		clear(evs) // keeps no payload reachable until the next run
 		run = evs
+		for !n.stopFlag.Load() && n.commitBatch(maxRun) {
+		}
 	}
 }
 
 // dispatch hands one popped item to its handler, a run of queued input
-// events (evs) to admission, anything else by kind, and settles them.
+// events (evs) to admission, anything else by kind, and settles them. A
+// commit notice has no handler: commit turns follow every item.
 func (n *node) dispatch(it mailItem, evs []event.Event) {
-	defer n.settle(max(len(evs), it.dataWeight(), 1))
+	defer n.settle(max(len(evs), it.weight()))
 	switch {
+	case it.commit:
 	case len(evs) > 0:
 		// The events left the data lane: return their credits so the
 		// upstream sender may transmit the next ones.

@@ -67,7 +67,6 @@ func (n *node) crash() {
 	// A crash settles what it drops.
 	n.settle(n.mailbox.Close())
 	n.execQ.Close()
-	n.notifyCommitter()
 	n.wg.Wait()
 
 	// Abort open transactions so no downstream STM chains dangle. (All
@@ -383,6 +382,9 @@ func (n *node) recover() error {
 	if !n.stopFlag.Load() {
 		return fmt.Errorf("core: node %q is not crashed", n.spec.Name)
 	}
+	// What the dead incarnation submitted to the log is on the disk, or
+	// failed, before the disk is read: none of its writes lands after.
+	n.log.Settle()
 	d, err := n.readDurable()
 	if err != nil {
 		return err

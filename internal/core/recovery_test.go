@@ -28,6 +28,7 @@ type dedupSink struct {
 
 	byID map[event.ID][]byte
 	dups int
+	bad  []event.ID // IDs finalized twice with different content
 }
 
 func newDedupSink(t *testing.T) *dedupSink {
@@ -44,6 +45,7 @@ func (s *dedupSink) fn(ev event.Event, final bool) {
 		s.dups++
 		if !bytes.Equal(prev, ev.Payload) {
 			s.t.Errorf("PRECISE RECOVERY VIOLATION: id %s finalized with %v then %v", ev.ID, prev, ev.Payload)
+			s.bad = append(s.bad, ev.ID)
 		}
 		return
 	}
@@ -350,19 +352,19 @@ func TestReplayResendsOldestFirst(t *testing.T) {
 		evs[i] = event.Event{ID: event.ID{Source: 0, Seq: event.Seq(i + 1)}}
 	}
 	srcNode.handleInject(evs)
-	if _, run, _ := procNode.mailbox.Pop(nil); len(run) != total {
+	if _, run, _ := popWork(procNode.mailbox, nil); len(run) != total {
 		t.Fatalf("the injected run arrived downstream with %d events, want %d", len(run), total)
 	}
 	srcNode.handleReplay()
 	if got, want := procNode.mailbox.Len(), 1+(total+maxRun-1)/maxRun; got != want {
 		t.Fatalf("replay sent %d frames, want a REDELIVER and %d", got, want-1)
 	}
-	if it, _, _ := procNode.mailbox.Pop(nil); it.msg.Type != transport.MsgRedeliver {
+	if it, _, _ := popWork(procNode.mailbox, nil); it.msg.Type != transport.MsgRedeliver {
 		t.Fatalf("replay led with %v, want REDELIVER", it.msg.Type)
 	}
 	var resent []event.Event
 	for procNode.mailbox.Len() > 0 {
-		_, run, _ := procNode.mailbox.Pop(nil)
+		_, run, _ := popWork(procNode.mailbox, nil)
 		if len(run) > maxRun {
 			t.Fatalf("a re-sent frame carries %d events, more than %d", len(run), maxRun)
 		}

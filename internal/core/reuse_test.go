@@ -460,7 +460,7 @@ func TestReexecLeavesExecutingTaskAlone(t *testing.T) {
 	tk := &task{n: n, seq: 1, state: taskExecuting, tx: tx, attempts: 1}
 	tx.OnAbort(tk)
 	tx.Abort()
-	it, _, ok := n.mailbox.Pop(nil)
+	it, _, ok := popWork(n.mailbox, nil)
 	if !ok || it.reexec.t != tk || it.reexec.tx != tx {
 		t.Fatalf("abort hook queued %+v, want the task's re-execution", it.reexec)
 	}
@@ -497,7 +497,7 @@ func TestReplacementClosesOpenTask(t *testing.T) {
 		t.Fatalf("after the replacement: evFinal %t, state %v; want final and no longer open", tk.evFinal, tk.state)
 	}
 	// The abort's re-execution request then re-queues it as usual.
-	it, _, ok := n.mailbox.Pop(nil)
+	it, _, ok := popWork(n.mailbox, nil)
 	if !ok || it.reexec.t != tk {
 		t.Fatalf("the replacement queued %+v, want the task's re-execution", it.reexec)
 	}
@@ -542,7 +542,7 @@ func TestPayloadBytesAreHandedOutOnce(t *testing.T) {
 		}
 		seen[blo] = true
 		b.tx.Abort() // queues the re-execution
-		re, _, _ := n.mailbox.Pop(nil)
+		re, _, _ := popWork(n.mailbox, nil)
 		n.handleReexec(re.reexec)
 		if tk, _ := n.execQ.Pop(); tk != b {
 			t.Fatalf("attempt %d's abort did not re-queue task B", attempt)
@@ -569,7 +569,7 @@ func TestReexecutionLeavesSentVersionAlone(t *testing.T) {
 	run()
 	// A replacement with another key: another class, another output.
 	n.admitRun(0, []event.Event{{ID: id, Version: 1, Key: 2, Speculative: true}})
-	re, _, _ := n.mailbox.Pop(nil)
+	re, _, _ := popWork(n.mailbox, nil)
 	n.handleReexec(re.reexec)
 	run()
 

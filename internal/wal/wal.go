@@ -203,8 +203,9 @@ type Log struct {
 
 	met atomic.Pointer[LogMetrics]
 
-	mu     sync.Mutex
-	closed bool
+	mu      sync.Mutex
+	closed  bool
+	pending sync.WaitGroup // batches submitted and not yet stable or failed (Settle)
 }
 
 // New creates a log writing through pool. The caller retains ownership of
@@ -254,9 +255,11 @@ func (l *Log) Append(recs []Record, done func(error)) (LSN, error) {
 			met.Records.Add(uint64(len(recs)))
 		}
 	}
+	l.pending.Add(1)
 	err := l.pool.Submit(storage.Request{
 		Payload: buf,
 		Done: func(err error) {
+			defer l.pending.Done()
 			if err == nil {
 				advance(&l.stableLSN, uint64(last))
 			}
@@ -275,10 +278,17 @@ func (l *Log) Append(recs []Record, done func(error)) (LSN, error) {
 	})
 	l.mu.Unlock()
 	if err != nil {
+		l.pending.Done()
 		return 0, fmt.Errorf("submit log batch: %w", err)
 	}
 	return last, nil
 }
+
+// Settle blocks until every batch submitted so far is stable or has
+// failed and its done callback has returned. The caller makes sure that
+// nothing appends meanwhile: a crashed node settles its log so that no
+// write of the dead incarnation lands after its recovery reads the disk.
+func (l *Log) Settle() { l.pending.Wait() }
 
 // AppendSync appends and blocks until the records are stable.
 func (l *Log) AppendSync(recs []Record) (LSN, error) {

@@ -3,8 +3,10 @@ package wal
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"streammine/internal/event"
 	"streammine/internal/storage"
@@ -255,4 +257,37 @@ func TestAppendAllocs(t *testing.T) {
 			t.Errorf("AppendSync of %d records allocated %.1f, want at most %d", n, allocs, want)
 		}
 	}
+}
+
+// gateDisk is a disk whose writes wait for release.
+type gateDisk struct{ release chan struct{} }
+
+func (d gateDisk) Write([]byte) error { <-d.release; return nil }
+func (d gateDisk) Close() error       { return nil }
+
+// TestSettleWaitsForSubmittedBatches: Settle returns only once every batch
+// submitted before it is on the disk and its callback has returned — what a
+// crashed node's recovery waits for before it reads the disk.
+func TestSettleWaitsForSubmittedBatches(t *testing.T) {
+	release := make(chan struct{})
+	pool := storage.NewPool([]storage.Disk{gateDisk{release}})
+	defer pool.Close()
+	l := New(pool)
+	var called atomic.Bool
+	if _, err := l.Append([]Record{{Kind: KindInput}}, func(error) { called.Store(true) }); err != nil {
+		t.Fatal(err)
+	}
+	settled := make(chan struct{})
+	go func() { l.Settle(); close(settled) }()
+	select {
+	case <-settled:
+		t.Fatal("Settle returned while a batch was on its way to the disk")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	<-settled
+	if !called.Load() {
+		t.Fatal("Settle returned before the batch's callback")
+	}
+	l.Settle() // nothing in flight: returns at once
 }
