@@ -58,22 +58,23 @@ race-core-finality:
 # its waste columns and witness ring, which eight workers of a contended
 # Classifier write at once, across a crash and recovery too. The
 # speculation throttle's groups (TestThrottle*, TestFlowOverload*) run
-# here by prefix: every node's throttle counts its slots on atomics that
-# the workers and the dispatcher update at once, and parks workers under
-# contention.
+# here by prefix: the dispatcher owns every node's throttle and holds
+# capped tasks back while the workers execute, and the pressure snapshot
+# reads the throttle's position from other goroutines.
 race-core-quiesce:
 	for p in 1 2 8; do \
 		GOMAXPROCS=$$p go test -race -count=20 -run 'TestDrainWaitsForEveryHandOff|TestDupOfUncheckpointedCommitNotAcked|TestCheckpointBatchesAcks|TestRandomPipelines|TestLedgerCountsWithTelemetryOff|TestReexecutionRevokesReachTheWasteLedger|TestProfilerAttributesConflicts|TestWasteSurvivesRecovery|TestThrottle|TestFlowOverload' ./internal/core || exit 1; \
 	done
 
 # alloc-guards runs the AllocsPerRun tests of the hot-path packages — the
-# per-hop allocation budget of docs/PERFORMANCE.md ("Layer budget") — three
+# per-hop allocation budget of docs/PERFORMANCE.md ("Layer budget"), with
+# the untraced tracer, the HDR record and the sketch estimate — three
 # times each at one and two Ps, without the race detector (which allocates
 # on its own). An allocation creeping back into a hop fails here by name,
 # in seconds, instead of as a drift in a benchmark.
 alloc-guards:
 	for p in 1 2; do \
-		GOMAXPROCS=$$p go test -count=3 -run 'Alloc' ./internal/core ./internal/stm ./internal/wal ./internal/storage ./internal/operator ./internal/event ./internal/transport || exit 1; \
+		GOMAXPROCS=$$p go test -count=3 -run 'Alloc' ./internal/core ./internal/stm ./internal/wal ./internal/storage ./internal/operator ./internal/event ./internal/transport ./internal/metrics ./internal/sketch || exit 1; \
 	done
 
 # bench-pairs is how every before/after row of docs/PERFORMANCE.md is

@@ -159,11 +159,7 @@ func (n *node) admitRun(input int, evs []event.Event) {
 				}
 			}
 		}
-		n.execQ.PushAll(fresh)
-		// Deferred workers must re-pop: a new task may be the commit head.
-		// One wake covers the whole run (Wake broadcasts to every parked
-		// worker).
-		n.throttle.Wake()
+		n.queueFresh(fresh)
 	}
 	for i := range deferred {
 		n.applyReplacement(deferred[i].t, deferred[i].ev)
@@ -174,6 +170,59 @@ func (n *node) admitRun(input int, evs []event.Event) {
 	clear(fresh)
 	clear(deferred)
 	a.planned, a.fresh, a.deferred = planned[:0], fresh[:0], deferred[:0]
+}
+
+// queueFresh hands a run of fresh tasks to the workers, each with a
+// throttle slot. While the throttle is engaged and full, the rest wait in
+// n.held in sequence order — behind whatever waits there already, which is
+// older — until admitHeld queues them; each is counted held back once.
+func (n *node) queueFresh(fresh []*task) {
+	k := 0
+	if n.held.n == 0 {
+		for k < len(fresh) && n.throttle.Admit(fresh[k].seq <= n.nextCommit.Load()) {
+			fresh[k].throttleHeld = true
+			k++
+		}
+	}
+	n.execQ.PushAll(fresh[:k])
+	if k < len(fresh) {
+		for _, t := range fresh[k:] {
+			n.held.push(t)
+		}
+		n.throttle.HoldBack(len(fresh) - k)
+	}
+}
+
+// admitHeld queues held-back tasks, oldest first, while the throttle has a
+// slot for them. The oldest always gets one once it is the commit head
+// (Admit's head bypass), and only the dispatcher moves the head, so
+// calling this after every item and every head move is all the waking
+// there is. A task cancelled while held back leaves without a slot.
+func (n *node) admitHeld() {
+	for n.held.n > 0 {
+		t := n.held.at(0)
+		t.mu.Lock()
+		cancelled := t.state == taskCancelled
+		t.mu.Unlock()
+		if !cancelled {
+			if !n.throttle.Admit(t.seq <= n.nextCommit.Load()) {
+				return
+			}
+			t.throttleHeld = true
+			n.execQ.Push(t)
+		}
+		n.held.pop()
+	}
+}
+
+// returnSlot gives the throttle back the slot t holds, if it holds one, as
+// one outcome. Slots come back only on the dispatcher: here, for a task
+// cancelled or retired as the head, and in retireGroup.
+func (n *node) returnSlot(t *task, aborted bool) {
+	if t.throttleHeld {
+		t.throttleHeld = false
+		n.throttle.Release(1, aborted)
+	}
 }
 
 // takePendRevoke reports whether an early REVOKE stashed for ev's ID drops
@@ -255,6 +304,7 @@ func (n *node) applyReplacement(t *task, ev event.Event) {
 	if revoked {
 		n.causedBy(t.input, ev.ID.Source)
 		n.cancelTask(t, profiler.CauseRevoke)
+		n.returnSlot(t, true)
 		return
 	}
 	t.mu.Lock()
@@ -375,12 +425,15 @@ func (n *node) handleRevoke(m transport.Message) {
 		// cancellation wastes; charge it on the caused-by side of the ledger.
 		n.causedBy(t.input, m.ID.Source)
 		n.cancelTask(t, profiler.CauseRevoke)
+		n.returnSlot(t, true)
 	}
 }
 
 // cancelTask aborts a task for cause (CauseRevoke or CauseError), revokes
 // its outputs and frees its input ID, so that a re-emission arriving
 // before a commit turn retires the task is admitted as a task of its own.
+// A worker calls it too (an operator error), so it leaves the task's
+// throttle slot alone: the dispatcher returns it.
 func (n *node) cancelTask(t *task, cause profiler.Cause) {
 	t.mu.Lock()
 	if t.state == taskCommitted || t.state == taskCancelled {
@@ -398,15 +451,10 @@ func (n *node) cancelTask(t *task, cause profiler.Cause) {
 		t.tainted = false
 		n.openTainted.Add(-1)
 	}
-	throttled := t.throttleHeld
-	t.throttleHeld = false
 	t.mu.Unlock()
 	n.mu.Lock()
 	n.forgetTask(t)
 	n.mu.Unlock()
-	if throttled {
-		n.throttle.Release(1, true)
-	}
 	n.abort(cause, len(sent) > 0, attemptNs, inputID, inTrace)
 	if m := n.eng.met; m != nil {
 		m.cascadeSize.Observe(int64(len(sent)))
@@ -526,9 +574,6 @@ func (n *node) handleReexec(c cmdReexec) {
 	// attempt feeds the abort window, whatever aborted it.
 	n.throttle.Observe(1, true)
 	n.execQ.Push(t)
-	// Deferred workers must re-pop: the re-queued task may be the commit
-	// head (a re-execution always precedes every younger queued task).
-	n.throttle.Wake()
 }
 
 // handleInject publishes a run of source events under one lock acquisition

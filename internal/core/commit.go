@@ -101,17 +101,9 @@ func (n *node) cleanupHead(t *task) {
 	n.open.pop()
 	n.forgetTask(t)
 	n.mu.Unlock()
-	t.mu.Lock()
-	throttled := t.throttleHeld
-	t.throttleHeld = false
-	t.mu.Unlock()
-	if throttled {
-		n.throttle.Release(1, true)
-	}
+	n.returnSlot(t, true)
 	n.nextCommit.Add(1)
-	// The head moved: re-evaluate parked tasks' head-bypass even when no
-	// slot was released.
-	n.throttle.Wake()
+	n.admitHeld() // the head moved
 	n.settle(1)
 }
 
@@ -283,7 +275,7 @@ func (n *node) retireGroup(run []*task) {
 		n.takeCheckpoint() // covers the whole group
 	}
 	n.nextCommit.Add(int64(len(posts)))
-	n.throttle.Wake() // head moved: re-evaluate parked head-bypass waiters
+	n.admitHeld() // the head moved, and slots came back
 	n.cCommitted.Add(uint64(len(posts)))
 	if lat := n.finLat; lat != nil {
 		for i := range posts {

@@ -34,9 +34,8 @@ func (n *node) worker() {
 // run's executions effective together (endRun): one decision-log append, the
 // tasks' publication in execution order and one commit notice. The run ends
 // when the queue is empty or after maxRun pops, and execute ends it early
-// before a re-execution or a wait, so that no executed task — the commit
-// head among them — is held unpublished behind a retry that conflicts with
-// it, or behind a parked worker.
+// before a re-execution, so that no executed task — the commit head among
+// them — is held unpublished behind a retry that conflicts with it.
 func (n *node) run(t *task, ctx *procCtx) {
 	for pops := 1; ; pops++ {
 		n.execute(t, ctx)
@@ -80,53 +79,21 @@ func (n *node) endRun(ctx *procCtx) {
 }
 
 // execute runs one attempt of t and adds its effects to the worker's run.
+// The task came with its throttle slot (queueFresh), which it keeps across
+// re-executions.
 func (n *node) execute(t *task, ctx *procCtx) {
 	t.mu.Lock()
 	if t.state != taskQueued || t.tx != nil {
+		// Cancelled, or begun by another worker.
 		t.mu.Unlock()
 		return
 	}
-	attempts := t.attempts
-	need := !t.throttleHeld
-	t.mu.Unlock()
-	if attempts > 0 {
-		// A re-execution starts a run of its own: what the run executed is
-		// made effective first, so that it can commit while the retry runs.
-		n.endRun(ctx)
-	}
-	// Speculation throttle: a task takes one slot for its whole open
-	// lifetime (kept across re-executions, released at commit or cancel).
-	// The commit-head task bypasses the cap — strict in-order commit means
-	// it must always be able to run, or younger slot-holders would
-	// deadlock the pipeline. A worker must never sleep holding a refused
-	// task: with every worker parked on young tasks, the commit head would
-	// sit in the run queue with nobody to execute it. Instead the task is
-	// handed back (the seq-ordered queue resurfaces the oldest work first),
-	// the run ends, and the worker parks until the throttle changes or the
-	// commit head is queued, then re-pops.
-	if need {
-		if gen, ok := n.throttle.TryAdmit(func() bool { return t.seq <= n.nextCommit.Load() }); !ok {
-			n.execQ.Push(t)
-			n.endRun(ctx)
-			n.throttle.WaitSince(gen, func() bool { return n.execQ.Holds(n.nextCommit.Load()) })
-			return
-		}
-	}
-	t.mu.Lock()
-	if t.state != taskQueued || t.tx != nil || need && t.throttleHeld {
-		// Cancelled, or begun by another worker, since the first look.
-		t.mu.Unlock()
-		if need {
-			n.throttle.Release(1, false)
-		}
-		return
-	}
-	t.throttleHeld = true
+	retry := t.attempts > 0
 	tx := &t.tx0 // the first attempt's, and no other's
-	if t.attempts == 0 {
-		n.mem.BeginAt(tx, t.seq)
-	} else {
+	if retry {
 		tx = n.mem.Begin(t.seq)
+	} else {
+		n.mem.BeginAt(tx, t.seq)
 	}
 	tx.OnAbort(t)
 	t.tx = tx
@@ -138,6 +105,11 @@ func (n *node) execute(t *task, ctx *procCtx) {
 	ev := t.ev
 	ctx.begin(t, tx)
 	t.mu.Unlock()
+	if retry {
+		// A re-execution starts a run of its own: what the run executed is
+		// made effective first, so that it can commit while the retry runs.
+		n.endRun(ctx)
+	}
 
 	// Attempt CPU is only measured when profiling is on; the clock reads
 	// bracket the operator call plus STM completion, the work a later

@@ -139,7 +139,7 @@ func TestFlowOverloadBoundedOccupancy(t *testing.T) {
 
 // TestFlowOverloadThrottleEngages: the 4-worker classify stage, with one
 // class so that its concurrent executions conflict, must engage its
-// speculation throttle and actually park workers — the throttled counter
+// speculation throttle and actually hold tasks back — the throttled counter
 // proves the overload test exercises contention rather than an idle
 // pipeline. A delayed disk keeps commits (which need stable WAL records)
 // lagging execution, so open tasks pile against the cap; the burst is long
@@ -164,7 +164,7 @@ func TestFlowOverloadThrottleEngages(t *testing.T) {
 		t.Fatalf("throttle cap %d outside [0,%d]", classify.ThrottleCap, total)
 	}
 	if classify.Throttled == 0 {
-		t.Fatalf("throttle never parked a worker: overload not exercised (%+v)", *classify)
+		t.Fatalf("throttle never held a task back: overload not exercised (%+v)", *classify)
 	}
 	if classify.ThrottleOpen != 0 {
 		t.Fatalf("%d speculation slots still held after drain", classify.ThrottleOpen)

@@ -230,7 +230,7 @@ func registerEngineMetrics(e *Engine, reg *metrics.Registry) *engineMetrics {
 			"Current adaptive cap on open speculative tasks; 0 while the throttle is off.", labels,
 			func() float64 { _, cap, _ := n.throttle.Snapshot(); return float64(cap) })
 		reg.CounterFunc("flow_throttled_total",
-			"Executions that had to wait for a speculation slot.", labels,
+			"Tasks held back on admission until a speculation slot was free, each counted once.", labels,
 			func() uint64 { _, _, th := n.throttle.Snapshot(); return th })
 		reg.CounterFunc("flow_overflow_total",
 			"Data-lane pushes beyond the configured capacity (soft-bound overshoots).", labels,

@@ -34,10 +34,8 @@ type cmdReexec struct {
 // way round while the node runs (crash walks the task table under n.mu and
 // locks each task, but only after the node's goroutines are joined). Every
 // other mutex here — errMu, rngMu, and the ones inside the mailbox, the
-// executor queue, the links and the throttle — is a leaf: no other lock is
-// acquired while it is held, except that a worker parked in the throttle
-// looks for the queued commit head under the throttle's mutex, so the
-// executor queue's comes after it. publishOutputs delivers each output
+// executor queue and the links — is a leaf: no other lock is acquired while
+// it is held. publishOutputs delivers each output
 // under its task's mu, so a link's lock, and a subscriber's callback, come
 // after t.mu. A commit turn holds no lock across a commit group.
 type node struct {
@@ -118,14 +116,20 @@ type node struct {
 	// Flow control (see internal/flow). granters return credits per input
 	// as events leave the mailbox; inGates are the gates feeding this node
 	// (reset on recovery); credLinks are credit-gated output links
-	// (pressure accounting) — all nil/empty when unconfigured. throttle
-	// caps open speculative tasks while aborts are frequent; every node
-	// has one. granters and inGates are wired before start and immutable
-	// afterwards; credLinks appends are wiring-time only.
+	// (pressure accounting) — all nil/empty when unconfigured. granters
+	// and inGates are wired before start and immutable afterwards;
+	// credLinks appends are wiring-time only.
 	granters  []creditGranter // by input; nil where the edge has no window
 	inGates   []*flow.CreditGate
 	credLinks []*creditedLink
-	throttle  *flow.SpecThrottle
+	// throttle caps open speculative tasks while aborts are frequent;
+	// every node has one, and the dispatcher owns it: it takes a task's
+	// slot as it queues the task for execution (queueFresh) and returns
+	// every slot. held is what the throttle holds back, oldest first, until
+	// a slot is free or the oldest is the commit head (admitHeld);
+	// dispatcher-only.
+	throttle flow.SpecThrottle
+	held     ring[*task]
 	// admission rate-limits a source node. It is held behind an atomic
 	// pointer because an ingest gateway may take ownership of the
 	// controller (Engine.DetachSourceAdmission) while status loops
@@ -214,7 +218,6 @@ func newNode(eng *Engine, spec graph.Node, inputs int, rng *detrand.Source, log 
 		rng:      rng,
 		mailbox:  newMailbox(&eng.inflight),
 		execQ:    newTaskQueue(),
-		throttle: flow.NewSpecThrottle(),
 		links:    make([][]link, spec.OutputPorts),
 		upstream: make([]upstreamSender, inputs),
 		granters: make([]creditGranter, inputs),
@@ -229,10 +232,14 @@ func newNode(eng *Engine, spec graph.Node, inputs int, rng *detrand.Source, log 
 
 // resetVolatile (re)creates everything a crash loses except the operator
 // memory: in-flight tasks, duplicate-suppression tables, output buffer,
-// stashes, replay plan, the dispatcher's slabs and scratch (a worker's go with its goroutine) and the sequence and commit
-// cursors. Caller holds n.mu with the goroutines joined, or owns the node.
+// stashes, replay plan, the dispatcher's slabs and scratch (a worker's go
+// with its goroutine), the tasks the throttle holds back and its
+// occupancy, and the sequence and commit cursors. Caller holds n.mu with
+// the goroutines joined, or owns the node.
 func (n *node) resetVolatile() {
 	n.admit, n.fin, n.injected = admitScratch{}, finFlush{}, slab[outRecord]{}
+	n.held = ring[*task]{}
+	n.throttle.Reset()
 	n.tasks = idTable[*task]{}
 	n.open = ring[*task]{}
 	n.committed = commitIndex{}
@@ -365,7 +372,6 @@ func (n *node) stop() {
 		return
 	}
 	n.admission.Load().Close()
-	n.throttle.Close()
 	n.settle(n.mailbox.Close())
 	n.execQ.Close()
 	n.wg.Wait()
@@ -447,7 +453,9 @@ func (n *node) dispatcher() {
 
 // dispatch hands one popped item to its handler, a run of queued input
 // events (evs) to admission, anything else by kind, and settles them. A
-// commit notice has no handler: commit turns follow every item.
+// commit notice has no handler: commit turns follow every item. Whatever
+// the item changed — a slot returned, the cap retuned — held-back tasks
+// get their chance after it.
 func (n *node) dispatch(it mailItem, evs []event.Event) {
 	defer n.settle(max(len(evs), it.weight()))
 	switch {
@@ -466,6 +474,7 @@ func (n *node) dispatch(it mailItem, evs []event.Event) {
 	default:
 		n.handleMessage(it.msg)
 	}
+	n.admitHeld()
 }
 
 // handleMessage normalises a control frame to its run at the edge (refsOf)

@@ -58,10 +58,6 @@ func (e *Engine) Recover(id graph.NodeID) error {
 // crash tears the node down at the instant and wipes volatile state.
 func (n *node) crash() {
 	n.stopFlag.Store(true)
-	// Close the throttle first: workers parked in WaitSince (deferred
-	// admissions) must unblock for wg.Wait to finish. recover() reopens
-	// it via Reset.
-	n.throttle.Close()
 	// Both queues drop what they hold: the dispatcher admits and logs
 	// nothing more, and a worker ends its run at the task it is executing.
 	// A crash settles what it drops.
@@ -88,8 +84,6 @@ func (n *node) crash() {
 	// re-runs Op.Init, repopulating the address map Waste names them by.
 	n.watchMemory()
 	n.mu.Unlock()
-	// All open tasks died with the node; free their speculation slots.
-	n.throttle.Reset()
 }
 
 // replayPlan drives recovery-mode dispatch: logged events are admitted in

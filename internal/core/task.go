@@ -64,7 +64,7 @@ type task struct {
 	evFinal      bool
 	published    bool // outputs of the current execution handed downstream
 	tainted      bool // last published speculative state
-	throttleHeld bool // holds a speculation-throttle slot
+	throttleHeld bool // holds a speculation-throttle slot (dispatcher-only)
 	beganHead    bool // the current attempt began as the commit head
 
 	// The task owns what it published: the first output, its record and

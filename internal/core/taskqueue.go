@@ -4,14 +4,14 @@ import "sync"
 
 // taskQueue is the per-node executor queue: a blocking min-heap handing
 // workers the lowest-sequence task first. Arrival order is not good
-// enough — conflict re-executions and speculation-throttle deferrals
-// re-enter the queue behind younger tasks, and strict in-order commit
-// makes the oldest task exactly the one the node cannot progress without.
-// Seq-ordered scheduling guarantees that whenever the commit-head task is
-// queued, the next free worker receives it (and its head-bypass admits it
-// past a saturated throttle), so parked workers can never starve the
-// head. It also happens to be the promptness-optimal policy: executing
-// oldest-first minimizes the speculation depth of everything else.
+// enough — conflict re-executions, and tasks the speculation throttle held
+// back on the dispatcher, enter the queue behind younger tasks, and strict
+// in-order commit makes the oldest task exactly the one the node cannot
+// progress without. Seq-ordered scheduling guarantees that whenever the
+// commit-head task is queued, the next free worker receives it. It also
+// happens to be the promptness-optimal policy: executing oldest-first
+// minimizes the speculation depth of everything else. Every task in it
+// already holds its throttle slot: a worker blocks nowhere but in Pop.
 type taskQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -80,13 +80,6 @@ func (q *taskQueue) TryPop() *task {
 		return nil
 	}
 	return q.popMin()
-}
-
-// Holds reports whether a task of sequence seq or lower is queued.
-func (q *taskQueue) Holds(seq int64) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.heap) > 0 && q.heap[0].seq <= seq
 }
 
 func (q *taskQueue) popMin() *task {

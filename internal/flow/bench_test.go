@@ -27,13 +27,13 @@ func BenchmarkTokenBucketTake(b *testing.B) {
 	}
 }
 
-// BenchmarkSpecThrottleTryAdmit measures the slot take/return cycle every
+// BenchmarkSpecThrottleAdmit measures the slot take/return cycle every
 // speculative task pays while its node's throttle is off.
-func BenchmarkSpecThrottleTryAdmit(b *testing.B) {
-	s := NewSpecThrottle()
+func BenchmarkSpecThrottleAdmit(b *testing.B) {
+	var s SpecThrottle
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s.TryAdmit(notHead)
+		s.Admit(false)
 		s.Release(1, false)
 	}
 }

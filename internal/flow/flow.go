@@ -20,7 +20,9 @@
 //   - SpecThrottle caps the number of open (uncommitted) speculative tasks
 //     per node while the observed abort rate is high, and tightens the cap
 //     as it rises — the paper's promptness-vs-waste knob turned
-//     automatically. Every node has one; it is off until aborts engage it.
+//     automatically. Every node has one, off until aborts engage it. It is
+//     the policy only, with no lock: the node's dispatcher owns it, and
+//     holds back the tasks it has no slot for itself.
 package flow
 
 // Limits configures flow control for one node. The zero value disables

@@ -192,27 +192,11 @@ func TestAdmissionAIMDBacksOff(t *testing.T) {
 	}
 }
 
-// admit is a worker's admission loop: try for a slot, and on refusal park
-// until the throttle's state changes.
-func admit(s *SpecThrottle, head func() bool) bool {
-	for {
-		gen, ok := s.TryAdmit(head)
-		if ok {
-			return true
-		}
-		if !s.WaitSince(gen, notHead) {
-			return false
-		}
-	}
-}
-
-func notHead() bool { return false }
-
 // engage opens n slots on an off throttle and feeds it a window of aborts.
 func engage(t *testing.T, s *SpecThrottle, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if _, ok := s.TryAdmit(notHead); !ok {
+		if !s.Admit(false) {
 			t.Fatal("an off throttle refused an admission")
 		}
 	}
@@ -222,9 +206,9 @@ func engage(t *testing.T, s *SpecThrottle, n int) {
 }
 
 func TestThrottleStartsUncapped(t *testing.T) {
-	s := NewSpecThrottle()
+	var s SpecThrottle
 	for i := 0; i < 1000; i++ {
-		if _, ok := s.TryAdmit(notHead); !ok {
+		if !s.Admit(false) {
 			t.Fatalf("admission %d refused by a new throttle", i)
 		}
 	}
@@ -239,8 +223,8 @@ func TestThrottleStartsUncapped(t *testing.T) {
 
 func TestThrottleEngagesAtHalfTheOpen(t *testing.T) {
 	for _, c := range []struct{ open, cap int }{{0, 1}, {1, 1}, {3, 1}, {10, 5}, {1000, 500}} {
-		s := NewSpecThrottle()
-		engage(t, s, c.open)
+		var s SpecThrottle
+		engage(t, &s, c.open)
 		if _, cap, _ := s.Snapshot(); cap != c.cap {
 			t.Errorf("%d open: cap %d after an abort window, want %d", c.open, cap, c.cap)
 		}
@@ -248,44 +232,36 @@ func TestThrottleEngagesAtHalfTheOpen(t *testing.T) {
 }
 
 func TestSpecThrottleCapAndHeadBypass(t *testing.T) {
-	s := NewSpecThrottle()
-	engage(t, s, 4)
+	var s SpecThrottle
+	engage(t, &s, 4)
 	s.Release(2, false)
 	if open, cap, _ := s.Snapshot(); open != 2 || cap != 2 {
 		t.Fatalf("open %d cap %d, want 2/2", open, cap)
 	}
-	// A third non-head task parks...
-	done := make(chan bool, 1)
-	go func() { done <- admit(s, notHead) }()
-	select {
-	case <-done:
-		t.Fatal("admit past cap did not block")
-	case <-time.After(20 * time.Millisecond):
+	// A third task that is not the commit head is refused...
+	if s.Admit(false) {
+		t.Fatal("admitted past the cap")
 	}
+	s.HoldBack(1)
 	// ...but the commit head walks straight through.
-	if _, ok := s.TryAdmit(func() bool { return true }); !ok {
+	if !s.Admit(true) {
 		t.Fatal("head task was throttled")
 	}
 	if open, _, _ := s.Snapshot(); open != 3 {
 		t.Fatalf("open = %d, want 3", open)
 	}
 	s.Release(2, false)
-	select {
-	case ok := <-done:
-		if !ok {
-			t.Fatal("parked admit failed after release")
-		}
-	case <-time.After(time.Second):
-		t.Fatal("release did not wake parked admit")
+	if !s.Admit(false) {
+		t.Fatal("refused with a slot free after a release")
 	}
-	if _, _, throttled := s.Snapshot(); throttled == 0 {
-		t.Fatal("throttled count = 0 after a refused admission")
+	if open, _, throttled := s.Snapshot(); open != 2 || throttled != 1 {
+		t.Fatalf("open %d throttled %d, want 2/1", open, throttled)
 	}
 }
 
 func TestSpecThrottleAdaptsToAborts(t *testing.T) {
-	s := NewSpecThrottle()
-	engage(t, s, 16)
+	var s SpecThrottle
+	engage(t, &s, 16)
 	if _, cap, _ := s.Snapshot(); cap != 8 {
 		t.Fatalf("cap after abort window = %d, want 8", cap)
 	}
@@ -315,32 +291,25 @@ func TestSpecThrottleAdaptsToAborts(t *testing.T) {
 	}
 }
 
+// TestThrottleCleanWindowsTurnItOffAndReleaseParked: a task held back at
+// the cap is admitted once clean windows have turned the throttle off.
 func TestThrottleCleanWindowsTurnItOffAndReleaseParked(t *testing.T) {
-	s := NewSpecThrottle()
-	engage(t, s, 2)
-	done := make(chan bool, 1)
-	go func() { done <- admit(s, notHead) }()
+	var s SpecThrottle
+	engage(t, &s, 2)
 	// The first clean window raises the cap to the two open tasks, which
 	// still refuses a third...
 	for i := 0; i < window; i++ {
 		s.Observe(1, false)
 	}
-	select {
-	case <-done:
-		t.Fatal("admit past the cap did not block")
-	case <-time.After(20 * time.Millisecond):
+	if s.Admit(false) {
+		t.Fatal("admitted past the cap")
 	}
 	// ...and the second turns the throttle off, which lets it through.
 	for i := 0; i < window; i++ {
 		s.Observe(1, false)
 	}
-	select {
-	case ok := <-done:
-		if !ok {
-			t.Fatal("parked admit failed")
-		}
-	case <-time.After(time.Second):
-		t.Fatal("turning the throttle off did not wake a parked admit")
+	if !s.Admit(false) {
+		t.Fatal("refused with the throttle off")
 	}
 	if open, cap, _ := s.Snapshot(); open != 3 || cap != 0 {
 		t.Fatalf("open %d cap %d, want 3/0", open, cap)
@@ -348,50 +317,65 @@ func TestThrottleCleanWindowsTurnItOffAndReleaseParked(t *testing.T) {
 }
 
 func TestThrottleResetClearsOccupancy(t *testing.T) {
-	s := NewSpecThrottle()
-	engage(t, s, 6)
-	s.Close()
-	if admit(s, notHead) {
-		t.Fatal("a closed, engaged throttle admitted a task")
+	var s SpecThrottle
+	engage(t, &s, 6)
+	for i := 0; i < window-6; i++ { // most of a window of aborts...
+		s.Observe(1, true)
 	}
 	s.Reset()
 	if open, cap, _ := s.Snapshot(); open != 0 || cap != 3 {
 		t.Fatalf("open %d cap %d after Reset, want 0/3", open, cap)
 	}
 	for i := 0; i < 3; i++ {
-		if _, ok := s.TryAdmit(notHead); !ok {
+		if !s.Admit(false) {
 			t.Fatalf("admission %d refused inside the kept cap", i)
 		}
 	}
-	if gen, ok := s.TryAdmit(notHead); ok {
+	if s.Admit(false) {
 		t.Fatal("admission past the kept cap")
-	} else {
-		s.Close()
-		s.WaitSince(gen, notHead)
+	}
+	// ...died with the crash: six clean outcomes complete no window.
+	for i := 0; i < 6; i++ {
+		s.Observe(1, false)
+	}
+	if _, cap, _ := s.Snapshot(); cap != 3 {
+		t.Fatalf("cap %d after six outcomes past a Reset, want 3", cap)
 	}
 }
 
+// TestSpecThrottleConcurrent: the owner takes and returns slots while other
+// goroutines read the position, as the flow_throttle* series and Pressure
+// do; under -race this checks that Snapshot reads only what is atomic.
 func TestSpecThrottleConcurrent(t *testing.T) {
-	s := NewSpecThrottle()
-	engage(t, s, 8)
-	s.Release(8, false)
+	var s SpecThrottle
+	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for i := 0; i < 32; i++ {
+	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if admit(s, notHead) {
-				s.Release(1, false)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if open, cap, _ := s.Snapshot(); open < 0 || cap < 0 {
+					t.Errorf("open %d cap %d", open, cap)
+					return
+				}
 			}
 		}()
 	}
-	doneCh := make(chan struct{})
-	go func() { wg.Wait(); close(doneCh) }()
-	select {
-	case <-doneCh:
-	case <-time.After(5 * time.Second):
-		t.Fatal("concurrent admit/release deadlocked")
+	for i := 0; i < 20*window; i++ {
+		if s.Admit(i%8 == 0) {
+			s.Release(1, i%3 == 0)
+		} else {
+			s.HoldBack(1)
+		}
 	}
+	close(stop)
+	wg.Wait()
 	if open, _, _ := s.Snapshot(); open != 0 {
 		t.Fatalf("open = %d after all releases, want 0", open)
 	}
