@@ -105,36 +105,17 @@ KIND ?= alloc
 bench-profile:
 	scripts/bench_profile.sh $(WORKLOAD) $(SEED) $(KIND)
 
-# race-core-equiv is the internal/core slice of the same gate: the
-# batch-size equivalence test (one admit / commit / retire path judged
-# across run lengths, credit-gated edges and a crash), the commit-group
-# accounting test, the credited-edge frame rule (a frame is what is
-# queued, up to 64 and a quarter of the window), the attempt-scratch reuse-safety test, the two tests of
-# what a run's block holds (a re-execution never runs in the first attempt's
-# transaction; a long run's tasks are spread over blocks and nothing can
-# tell), the three tests of what is cut from a slab (a payload, a sent
-# version and a queued FINALIZE run keep their bytes whatever their maker
-# does next), the tests of recovery's one read path (scanner required, scan
-# order, what the disk holds, no early ACK for a duplicate of an
-# uncheckpointed commit), the two tests of what a queued run and a
-# restore hand on (one run and one log append a stretch of one input's
-# frames; restored outputs re-sent until ACKed) and the two of control
-# frames that overtake the events they name (a REVOKE drops its whole
-# incarnation; a FINALIZE for a cancelled task waits for the re-emission,
-# which is admitted even while the cancelled task waits behind the head),
-# the one of a stale attempt's send (it never follows the next attempt's
-# version onto the link), the one of a commit group's checkpoint (one
-# snapshot, one ACK run per input) and the two of a worker's execution
-# run (one log append and one frame for what was queued; the run ends
-# before a re-execution, so contended retries never hold the commit head
-# unpublished) and the one of a head blocked on an open STM dependency
-# (the dispatcher waits on its mailbox, and the dependency's abort brings
-# the head's re-execution and commit), twenty race-detected runs each with
-# one, two and eight Ps. It is a CI job: three runs in a row were 60/60
-# green, 4 to 5 minutes each on a 2-core box.
+# race-core-equiv is the internal/core slice of the same gate, for the one
+# path every run length takes and for who owns what on it: admission,
+# commit and retirement judged across run lengths, credited edges and a
+# crash; what a run's block, a slab and a queued frame own; recovery's one
+# read path; control frames that overtake the events they name; and the
+# hand-back — a task a worker has changes only once its run is back, and no
+# output of a stale attempt leaves — twenty race-detected runs each with
+# one, two and eight Ps. It is a CI job.
 race-core-equiv:
 	for p in 1 2 8; do \
-		GOMAXPROCS=$$p go test -race -count=20 -run 'TestBatchSizeEquivalence|TestBatchCommitGrouping|TestAttemptScratchReuseSafety|TestReexecutionBuysItsOwnTx|TestLongRunSplitsTaskBlocks|TestPayloadBytesAreHandedOutOnce|TestReexecutionLeavesSentVersionAlone|TestQueuedFinalizeRunIsOwned|TestCreditedFramesFitTheWindow|TestRecoverNeedsLogScanner|TestRecoveryScanOrderTwoDisks|TestRecoveryReadsWhatTheDiskHolds|TestDupOfUncheckpointedCommitNotAcked|TestQueuedFramesAdmitAsOneRun|TestRestoredOutputsAreReleased|TestEarlyRevokeDropsItsIncarnation|TestFinalizeOfReemissionAfterCancel|TestReemissionBehindOpenHead|TestStaleSendNeverFollowsNextAttempt|TestCheckpointBatchesAcks|TestWorkerRunAppendsOnceFramesOnce|TestWorkerRunPublishesBeforeReexecution|TestHeadWaitsOutOpenDependency' ./internal/core || exit 1; \
+		GOMAXPROCS=$$p go test -race -count=20 -run 'TestBatchSizeEquivalence|TestBatchCommitGrouping|TestAttemptScratchReuseSafety|TestReexecutionBuysItsOwnTx|TestLongRunSplitsTaskBlocks|TestPayloadBytesAreHandedOutOnce|TestReexecutionLeavesSentVersionAlone|TestQueuedFinalizeRunIsOwned|TestCreditedFramesFitTheWindow|TestRecoverNeedsLogScanner|TestRecoveryScanOrderTwoDisks|TestRecoveryReadsWhatTheDiskHolds|TestDupOfUncheckpointedCommitNotAcked|TestQueuedFramesAdmitAsOneRun|TestRestoredOutputsAreReleased|TestEarlyRevokeDropsItsIncarnation|TestFinalizeOfReemissionAfterCancel|TestReemissionBehindOpenHead|TestStaleSendNeverFollowsNextAttempt|TestCheckpointBatchesAcks|TestWorkerRunAppendsOnceFramesOnce|TestWorkerRunPublishesBeforeReexecution|TestHeadWaitsOutOpenDependency|TestReexecLeavesExecutingTaskAlone|TestArrivalsWaitForTheHandBack' ./internal/core || exit 1; \
 	done
 
 # race-core-recover is the same gate for precise recovery (paper §2.2,

@@ -63,3 +63,14 @@ func TestCensus(t *testing.T) {
 		t.Errorf("census reported %d problems, want 7:\n%s", len(got), strings.Join(got, "\n"))
 	}
 }
+
+// TestRunLanes checks the lanes of a fixture Makefile and CI workflow:
+// of the -run alternatives there only the one that names no test of its
+// packages is reported — a live name, a prefix, a word inside names, a lane
+// over a tree and a pattern from a variable are not.
+func TestRunLanes(t *testing.T) {
+	got := checkRunLanes(filepath.Join("testdata", "runlanes"))
+	if len(got) != 1 || !strings.Contains(got[0], `Makefile:4: -run alternative "TestGone" names no test`) {
+		t.Errorf("reported %q, want TestGone's lane alone", got)
+	}
+}

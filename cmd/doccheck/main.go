@@ -20,7 +20,10 @@
 //     a counter, gauge or histogram kind) that no non-test file
 //     registers (census.go); or
 //   - a non-test file of the engine (internal/core) uses time.Sleep
-//     (census.go) — nothing there waits on a timer for its correctness.
+//     (census.go) — nothing there waits on a timer for its correctness; or
+//   - an alternative of a `go test -run` pattern in the Makefile or the CI
+//     workflow names no test of the packages its command runs
+//     (runlanes.go) — a lane that lost a test still passes.
 //
 // make doccheck runs it as part of make check and CI.
 package main
@@ -56,6 +59,7 @@ func main() {
 	var problems []string
 	problems = append(problems, checkLinks(root)...)
 	problems = append(problems, checkFlags(root)...)
+	problems = append(problems, checkRunLanes(root)...)
 	orphans, err := census(root, keep)
 	if err != nil {
 		orphans = []string{"census: " + err.Error()}

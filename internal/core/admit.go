@@ -57,7 +57,7 @@ func (n *node) admitRun(input int, evs []event.Event) {
 	stamp := n.finLat != nil
 	fresh, deferred := a.fresh[:0], a.deferred[:0]
 	// The run's tasks share one allocation, the largest a run makes: it is
-	// made before taking the lock that the workers wait for.
+	// made before n.mu is taken.
 	block := make([]task, 0, min(len(evs), maxBlockTasks))
 	n.mu.Lock()
 	planned := n.planRun(a.planned[:0], input, evs)
@@ -113,9 +113,10 @@ func (n *node) admitRun(input int, evs []event.Event) {
 		}
 		block = block[:len(block)+1]
 		t := &block[len(block)-1]
-		t.n, t.seq, t.input, t.state = n, n.nextSeq, pe.input, taskQueued
-		t.ev, t.evFinal = ev, !ev.Speculative
-		t.decisions, t.maxLSN = pe.decisions, pe.maxLSN
+		t.n, t.seq, t.input, t.state = n, n.nextSeq, pe.input, taskHeld
+		t.ev, t.ver, t.evFinal = ev, ev.Version, !ev.Speculative
+		t.decisions = pe.decisions
+		t.maxLSN.Store(uint64(pe.maxLSN))
 		if stamp {
 			t.admitted = time.Now()
 		}
@@ -126,13 +127,12 @@ func (n *node) admitRun(input int, evs []event.Event) {
 			// The interleaving order across inputs is a non-deterministic
 			// decision for stateful operators: log it before execution can
 			// externalize anything that depends on it (replayed events are
-			// already logged). The task is unpublished until n.mu is
-			// released, so its pendingLogs needs no t.mu.
+			// already logged).
 			if recs == nil {
 				recs, owners = a.recs.take(len(planned) - i)[:0], a.owners.take(len(planned) - i)[:0]
 			}
 			owners = append(owners, t)
-			t.pendingLogs++
+			t.pendingLogs.Add(1)
 			recs = append(recs, wal.Record{
 				Kind:     wal.KindInput,
 				Operator: n.opID,
@@ -180,7 +180,7 @@ func (n *node) queueFresh(fresh []*task) {
 	k := 0
 	if n.held.n == 0 {
 		for k < len(fresh) && n.throttle.Admit(fresh[k].seq <= n.nextCommit.Load()) {
-			fresh[k].throttleHeld = true
+			fresh[k].throttleHeld, fresh[k].state = true, taskQueued
 			k++
 		}
 	}
@@ -194,25 +194,27 @@ func (n *node) queueFresh(fresh []*task) {
 }
 
 // admitHeld queues held-back tasks, oldest first, while the throttle has a
-// slot for them. The oldest always gets one once it is the commit head
-// (Admit's head bypass), and only the dispatcher moves the head, so
-// calling this after every item and every head move is all the waking
-// there is. A task cancelled while held back leaves without a slot.
+// slot for them, with one push for all it releases. The oldest always gets
+// one once it is the commit head (Admit's head bypass), and only the
+// dispatcher moves the head, so calling this after every item and every
+// head move is all the waking there is. A task cancelled while held back
+// leaves without a slot.
 func (n *node) admitHeld() {
+	released := n.released[:0]
 	for n.held.n > 0 {
 		t := n.held.at(0)
-		t.mu.Lock()
-		cancelled := t.state == taskCancelled
-		t.mu.Unlock()
-		if !cancelled {
+		if t.state != taskCancelled {
 			if !n.throttle.Admit(t.seq <= n.nextCommit.Load()) {
-				return
+				break
 			}
-			t.throttleHeld = true
-			n.execQ.Push(t)
+			t.throttleHeld, t.state = true, taskQueued
+			released = append(released, t)
 		}
 		n.held.pop()
 	}
+	n.execQ.PushAll(released)
+	clear(released)
+	n.released = released[:0]
 }
 
 // returnSlot gives the throttle back the slot t holds, if it holds one, as
@@ -226,7 +228,7 @@ func (n *node) returnSlot(t *task, aborted bool) {
 }
 
 // takePendRevoke reports whether an early REVOKE stashed for ev's ID drops
-// it, consuming the stash at the version it names. Caller holds n.mu.
+// it, consuming the stash at the version it names.
 func (n *node) takePendRevoke(ev *event.Event) bool {
 	vs, ok := n.pendRevoke.get(ev.ID)
 	if ok && ev.Version >= vs[0] {
@@ -240,7 +242,6 @@ func (n *node) takePendRevoke(ev *event.Event) bool {
 
 // takePendFin consumes an early FINALIZE stashed for ev's ID unless it is
 // for a later version, marking ev final when it is for exactly this one.
-// Caller holds n.mu.
 func (n *node) takePendFin(ev *event.Event) {
 	if v, ok := n.pendFin.get(ev.ID); ok && v <= ev.Version {
 		n.pendFin.delete(ev.ID)
@@ -290,67 +291,47 @@ func credit(owners []*task, recs []wal.Record) {
 }
 
 // applyReplacement updates a task's input event in place. Identical
-// content only upgrades finality; changed content rolls the task back.
+// content only upgrades finality; changed content rolls the task back. A
+// task with a worker keeps the content its attempt runs on: the new one
+// waits in n.replaced, and the attempt, stale, is aborted and re-queued
+// once its run is back (install).
 func (n *node) applyReplacement(t *task, ev event.Event) {
 	// Consume control-lane stashes targeting this incarnation before the
 	// normal replacement logic, so an early FINALIZE/REVOKE lands exactly
 	// as if it had arrived in order.
-	n.mu.Lock()
-	revoked := n.takePendRevoke(&ev)
-	if !revoked {
-		n.takePendFin(&ev)
-	}
-	n.mu.Unlock()
-	if revoked {
+	if n.takePendRevoke(&ev) {
 		n.causedBy(t.input, ev.ID.Source)
 		n.cancelTask(t, profiler.CauseRevoke)
 		n.returnSlot(t, true)
 		return
 	}
-	t.mu.Lock()
+	n.takePendFin(&ev)
 	if t.state == taskCommitted || t.state == taskCancelled {
-		t.mu.Unlock()
 		return
 	}
-	if t.ev.SameContent(ev) {
-		if !ev.Speculative && !t.evFinal {
+	if _, pending := n.replaced[t]; !pending && t.ev.SameContent(ev) {
+		t.ver = max(t.ver, ev.Version)
+		if !ev.Speculative {
 			t.evFinal = true
-			t.ev.Speculative = false
 		}
-		if ev.Version > t.ev.Version {
-			t.ev.Version = ev.Version
-		}
-		t.mu.Unlock()
 		return
 	}
 	// Content changed: adopt the new version and roll back if the old one
-	// was already (being) processed.
+	// was already processed.
+	t.ver, t.evFinal = ev.Version, !ev.Speculative
+	if t.state == taskQueued {
+		if n.replaced == nil {
+			n.replaced = make(map[*task]event.Event)
+		}
+		n.replaced[t] = ev.Clone()
+		return
+	}
 	t.ev = ev.Clone()
-	t.evFinal = !ev.Speculative
-	tx := t.tx
-	st := t.state
-	if st == taskOpen {
-		// What the task executed and published is of the old content. It
-		// leaves the open state here, under the lock hold that may make its
-		// input final, so that no commit turn can commit it, nor a late
-		// publishOutputs publish it, before the abort below re-queues it.
-		t.state = taskQueued
-	}
-	stale := (st == taskExecuting || st == taskOpen) && tx != nil
-	if stale {
-		// Aborted under the same hold: an attempt still executing, whose
-		// transaction may have completed already, sees the abort when it
-		// checks in (execute) and retries instead of making itself open
-		// with what it computed for the old content.
-		tx.Abort()
-	}
-	hadSent := len(t.sent) > 0
-	attemptNs := t.attemptNs
-	t.mu.Unlock()
-	if stale {
-		n.abort(profiler.CauseReplace, hadSent, attemptNs, ev.ID, ev.Trace)
+	if t.state == taskOpen { // what it executed and published is of the old content
+		t.tx.Abort()
+		n.abort(profiler.CauseReplace, len(t.sent) > 0, t.attemptNs, ev.ID, ev.Trace)
 		n.causedBy(t.input, ev.ID.Source)
-		n.mailbox.PushReexec(cmdReexec{t: t, tx: tx}) // OnAbort's is lost if tx aborted while the task executed
+		n.requeue(t)
 	}
 }
 
@@ -384,35 +365,25 @@ func (n *node) finalizeRun(refs []transport.FinalizeRef) {
 	n.mu.Unlock()
 	for _, h := range hits {
 		t := h.t
-		t.mu.Lock()
 		switch {
-		case t.state != taskCancelled && t.ev.Version == h.ver && !t.evFinal:
+		case t.state != taskCancelled && t.ver == h.ver:
 			t.evFinal = true
-			t.ev.Speculative = false
-		case t.state == taskCancelled || h.ver > t.ev.Version:
+		case t.state == taskCancelled || h.ver > t.ver:
 			n.mu.Lock()
 			if !n.committed.has(t.ev.ID) {
 				n.pendFin.put(t.ev.ID, h.ver)
 			}
 			n.mu.Unlock()
 		}
-		t.mu.Unlock()
 	}
 }
 
 // handleRevoke cancels the task consuming a revoked event and revokes its
 // own outputs (cascading the revocation downstream).
 func (n *node) handleRevoke(m transport.Message) {
-	n.mu.Lock()
 	t, ok := n.tasks.get(m.ID)
-	n.mu.Unlock()
-	early := !ok
-	if ok {
-		t.mu.Lock()
-		early = t.state == taskCancelled || t.ev.Version < m.Version
-		t.mu.Unlock()
-	}
-	if early { // it overtook events of the incarnation it names: stash it
+	// An early REVOKE overtook events of the incarnation it names: stash it.
+	if !ok || t.state == taskCancelled || t.ver < m.Version {
 		n.mu.Lock()
 		if !n.committed.has(m.ID) {
 			vs, _ := n.pendRevoke.get(m.ID)
@@ -432,35 +403,38 @@ func (n *node) handleRevoke(m transport.Message) {
 // cancelTask aborts a task for cause (CauseRevoke or CauseError), revokes
 // its outputs and frees its input ID, so that a re-emission arriving
 // before a commit turn retires the task is admitted as a task of its own.
-// A worker calls it too (an operator error), so it leaves the task's
-// throttle slot alone: the dispatcher returns it.
+// A task still on the executor queue is taken off it. The attempt of one a
+// worker has is aborted once its run is back (install), and until then the
+// task stays the head it may be: no attempt may begin as the head while an
+// older one is live. The throttle slot is the caller's to return, or the
+// commit turn's that retires the task.
 func (n *node) cancelTask(t *task, cause profiler.Cause) {
-	t.mu.Lock()
 	if t.state == taskCommitted || t.state == taskCancelled {
-		t.mu.Unlock()
 		return
 	}
+	out := t.state == taskQueued && !n.execQ.Remove(t)
 	t.state = taskCancelled
-	tx := t.tx
 	sent := t.sent
 	t.sent = nil
-	inputID := t.ev.ID
-	inTrace := t.ev.Trace
-	attemptNs := t.attemptNs
 	if t.tainted {
 		t.tainted = false
 		n.openTainted.Add(-1)
 	}
-	t.mu.Unlock()
 	n.mu.Lock()
 	n.forgetTask(t)
 	n.mu.Unlock()
-	n.abort(cause, len(sent) > 0, attemptNs, inputID, inTrace)
+	var attemptNs int64
+	if out {
+		t.cancelledOut = true
+	} else {
+		attemptNs = t.attemptNs
+		if t.tx != nil {
+			t.tx.Abort()
+		}
+	}
+	n.abort(cause, len(sent) > 0, attemptNs, t.ev.ID, t.ev.Trace)
 	if m := n.eng.met; m != nil {
 		m.cascadeSize.Observe(int64(len(sent)))
-	}
-	if tx != nil {
-		tx.Abort()
 	}
 	for _, rec := range sent {
 		n.revokeRecord(rec)
@@ -511,7 +485,7 @@ func (n *node) handleReplay() {
 	if tr := n.eng.tracer; tr != nil {
 		for _, rec := range recs {
 			phase := metrics.PhaseFinalOut
-			if !rec.finalSent.Load() {
+			if !rec.finalSent {
 				phase = metrics.PhaseSpecOut
 			}
 			tr.RecordTrace(n.spec.Name, rec.id.String(), rec.trace, phase, "replay")
@@ -529,7 +503,7 @@ func (n *node) resend(recs []*outRecord, deliver func(port int, m transport.Mess
 		start := len(evs)
 		for _, rec := range recs {
 			if rec.port == port {
-				evs = append(evs, rec.toEvent(!rec.finalSent.Load()))
+				evs = append(evs, rec.toEvent(!rec.finalSent))
 			}
 		}
 		for run := evs[start:]; len(run) > 0; {
@@ -551,29 +525,14 @@ func (n *node) bufferedOutputs() []*outRecord {
 	return recs
 }
 
-// handleReexec re-dispatches a task whose transaction was aborted.
+// handleReexec re-queues an open task whose transaction a cascade aborted.
+// Any other request is stale: the task is with a worker, whose run comes
+// back with the abort (install), or it was re-queued, cancelled or
+// committed since.
 func (n *node) handleReexec(c cmdReexec) {
-	t := c.t
-	t.mu.Lock()
-	if t.tx != c.tx || t.state == taskCancelled || t.state == taskCommitted {
-		t.mu.Unlock()
-		return
+	if t := c.t; t.state == taskOpen && t.tx == c.tx {
+		n.requeue(t)
 	}
-	if t.state == taskExecuting {
-		// The worker will observe the conflict and requeue itself.
-		t.mu.Unlock()
-		return
-	}
-	t.state = taskQueued
-	t.tx = nil
-	t.cursor = 0
-	t.published = false
-	t.mu.Unlock()
-	n.cReexec.Add(1)
-	// The task keeps its throttle slot across the retry, but the wasted
-	// attempt feeds the abort window, whatever aborted it.
-	n.throttle.Observe(1, true)
-	n.execQ.Push(t)
 }
 
 // handleInject publishes a run of source events under one lock acquisition
@@ -614,8 +573,8 @@ func (n *node) bufferOutput(rec *outRecord, id event.ID, out pendingOut, trace u
 		trace:       trace,
 		pendingAcks: n.bufferedLinks(out.port),
 		seq:         n.outEmitSeq,
+		finalSent:   final,
 	}
-	rec.finalSent.Store(final)
 	if rec.pendingAcks > 0 {
 		n.outBuf.put(id, rec)
 	}

@@ -61,7 +61,7 @@ func TestFinalizeBatchZeroAlloc(t *testing.T) {
 	tasks := make([]*task, batch)
 	for i := range finals {
 		id := event.ID{Source: 1, Seq: event.Seq(i)}
-		tk := &task{n: n, ev: event.Event{ID: id, Version: 3, Speculative: true}}
+		tk := &task{n: n, ver: 3, ev: event.Event{ID: id, Version: 3, Speculative: true}}
 		n.tasks.put(id, tk)
 		tasks[i] = tk
 		finals[i] = transport.FinalizeRef{ID: id, Version: 3}
@@ -105,22 +105,32 @@ func popDispatch(t testing.TB, n *node, run []event.Event) ([]event.Event, int) 
 
 // popWork pops m's next item, passing over commit notices while anything
 // else is queued: a hand-driven test takes the commit turns itself
-// (commitBatch), and the notices that a run's end and the decision log
-// queue meanwhile would stand in front of the item it waits for.
+// (commitBatch), and the notices that the decision log queues meanwhile
+// would stand in front of the item it waits for. A notice that brings runs
+// handed back is never passed over.
 func popWork(m *mailbox, run []event.Event) (mailItem, []event.Event, bool) {
 	it, evs, ok := m.Pop(run)
-	for ok && it.commit && m.Len() > 0 {
+	for ok && it.commit && m.Len() > 0 && !m.holdsRuns() {
 		it, evs, ok = m.Pop(evs)
 	}
 	return it, evs, ok
 }
 
-// runTask is a worker's run of one: it executes t and makes the attempt
-// effective — its decision records appended, its outputs published — as a
-// run with nothing queued behind t does.
+// holdsRuns reports whether runs handed back wait to be taken.
+func (m *mailbox) holdsRuns() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.ran) > 0
+}
+
+// runTask is a worker's run of one, taken straight back: it executes t,
+// hands the run back and makes the attempt effective — its decision records
+// appended, its outputs published — as the dispatcher does with the commit
+// notice that the hand-back queues (installRuns). The notice stays queued.
 func (n *node) runTask(t *task, ctx *procCtx) {
 	n.execute(t, ctx)
 	n.endRun(ctx)
+	n.installRuns()
 }
 
 // TestAdmitRunOfOneAllocs pins what admitting a run of one costs on a
@@ -299,12 +309,12 @@ func TestRunOfEightFirstAttemptsAllocs(t *testing.T) {
 
 // TestAllocsTaskBlockSizeClass is stm.TestAllocsTxSizeClass for the block a
 // run's tasks share: with the allocator's 8-byte header a run of eight fits
-// the 9,728-byte size class (the next is 10,240), and the longest block is
+// the 9,472-byte size class (the next is 9,728), and the longest block is
 // still a small object.
 func TestAllocsTaskBlockSizeClass(t *testing.T) {
 	size := int(unsafe.Sizeof(task{}))
-	if 8*size+8 > 9728 {
-		t.Errorf("sizeof(task) = %d: a block of 8 is %d bytes with its header, want <= 9728", size, 8*size+8)
+	if 8*size+8 > 9472 {
+		t.Errorf("sizeof(task) = %d: a block of 8 is %d bytes with its header, want <= 9472", size, 8*size+8)
 	}
 	if maxBlockTasks < 8 || maxBlockTasks*size+8 > 32<<10 {
 		t.Errorf("a block of maxBlockTasks = %d tasks is %d bytes with its header, want at least 8 tasks in at most 32 KiB",
@@ -367,11 +377,7 @@ func TestLongRunSplitsTaskBlocks(t *testing.T) {
 	}
 
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
-		tk := tasks[run-1] // credited last
-		tk.mu.Lock()
-		pending := tk.pendingLogs
-		tk.mu.Unlock()
-		if pending == 0 {
+		if tasks[run-1].pendingLogs.Load() == 0 { // credited last
 			break
 		}
 		if time.Now().After(deadline) {
@@ -379,12 +385,10 @@ func TestLongRunSplitsTaskBlocks(t *testing.T) {
 		}
 	}
 	for i, tk := range tasks {
-		tk.mu.Lock()
-		if tk.pendingLogs != 0 || tk.maxLSN != tasks[0].maxLSN+wal.LSN(i) {
+		if pending, lsn := tk.pendingLogs.Load(), tk.maxLSN.Load(); pending != 0 || lsn != tasks[0].maxLSN.Load()+uint64(i) {
 			t.Errorf("task %d: %d records pending, LSN %d; want settled with LSN %d",
-				i, tk.pendingLogs, tk.maxLSN, tasks[0].maxLSN+wal.LSN(i))
+				i, pending, lsn, tasks[0].maxLSN.Load()+uint64(i))
 		}
-		tk.mu.Unlock()
 	}
 
 	ctx := new(procCtx)
@@ -418,10 +422,7 @@ type committedOut struct {
 func waitLogged(t *testing.T, tk *task) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
-		tk.mu.Lock()
-		pending := tk.pendingLogs
-		tk.mu.Unlock()
-		if pending == 0 {
+		if tk.pendingLogs.Load() == 0 {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -487,7 +488,9 @@ func admitFrames(t *testing.T, frames []transport.Message, queued bool) admitted
 			t.Fatalf("task %d is seq %d for %s, want seq %d for %s", i, tk.seq, tk.ev.ID, i+1, f.Event.ID)
 		}
 	}
-	waitLogged(t, n.open.at(len(frames)-1))
+	for i := range frames { // appends may become stable out of order
+		waitLogged(t, n.open.at(i))
+	}
 	recs, err := memScanner(disk)()
 	if err != nil {
 		t.Fatal(err)
@@ -519,7 +522,7 @@ func admitFrames(t *testing.T, frames []transport.Message, queued bool) admitted
 	var out admitted
 	out.appends = int(appends.Value())
 	for _, rec := range n.bufferedOutputs() {
-		out.outputs = append(out.outputs, committedOut{rec.id, rec.version, string(rec.payload), rec.finalSent.Load()})
+		out.outputs = append(out.outputs, committedOut{rec.id, rec.version, string(rec.payload), rec.finalSent})
 	}
 	return out
 }
@@ -760,7 +763,7 @@ func openReadyTasks(t *testing.T, n *node, first, count int) {
 		}
 		rec := &outRecord{id: outputID(n.opID, id, 0), pendingAcks: 1}
 		tk := &task{
-			n: n, seq: int64(i), state: taskOpen, published: true, evFinal: true,
+			n: n, seq: int64(i), state: taskOpen, evFinal: true,
 			ev: event.Event{ID: id}, tx: tx, sent: []*outRecord{rec},
 		}
 		n.tasks.put(id, tk)

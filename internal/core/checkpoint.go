@@ -39,7 +39,7 @@ func (n *node) takeCheckpoint() {
 	// belong to uncommitted tasks, which log replay re-executes.
 	pending := make([]*outRecord, 0, n.outBuf.len())
 	n.outBuf.each(func(_ event.ID, rec *outRecord) {
-		if rec.finalSent.Load() {
+		if rec.finalSent {
 			pending = append(pending, rec)
 		}
 	})

@@ -13,17 +13,11 @@ import (
 	"streammine/internal/wal"
 )
 
-// conflictRetry records the abort accounting for a task that lost a
-// conflict — while executing, at commit-time validation, or by a cascade
-// abort — and makes sure a re-execution is queued.
-func (n *node) conflictRetry(t *task, tx *stm.Tx) {
-	t.mu.Lock()
-	evID := t.ev.ID
-	evTrace := t.ev.Trace
-	attemptNs := t.attemptNs
-	t.mu.Unlock()
-	n.abort(profiler.CauseConflict, false, attemptNs, evID, evTrace)
-	n.mailbox.PushReexec(cmdReexec{t: t, tx: tx})
+// conflictRetry records the abort of an attempt that lost a conflict —
+// while executing, or at commit-time validation — and re-queues its task.
+func (n *node) conflictRetry(t *task) {
+	n.abort(profiler.CauseConflict, false, t.attemptNs, t.ev.ID, t.ev.Trace)
+	n.requeue(t)
 }
 
 // commitBatch is one commit turn: gather the run of consecutive ready head
@@ -43,32 +37,24 @@ func (n *node) commitBatch(max int) bool {
 		clear(txs[:cap(txs)])
 		n.commitRun, n.commitTxs = run[:0], txs[:0]
 	}()
-	// One n.mu hold gathers the candidates; each is then judged under its
-	// own lock (t.mu comes before n.mu).
-	n.mu.Lock()
 	for i := 0; i < min(max, n.open.n); i++ {
-		run = append(run, n.open.at(i))
-	}
-	n.mu.Unlock()
-	for _, t := range run {
-		t.mu.Lock()
-		state := t.state
-		tx := t.tx
-		// An attempt aborted while open (a cascade, or this turn's failed
-		// validation) waits for the re-execution its abort queued: judged
-		// again before that, it would be charged a second time.
-		ready := state == taskOpen && t.published && t.evFinal && t.pendingLogs == 0 && tx.Status() != stm.StatusAborted
-		t.mu.Unlock()
-		if state == taskCancelled && len(txs) == 0 {
-			n.cleanupHead(t)
-			return true
+		t := n.open.at(i)
+		if t.state == taskCancelled {
+			if len(run) == 0 && !t.cancelledOut {
+				n.cleanupHead(t)
+				return true
+			}
+			break // a cancelled task waits until the ready prefix has committed and its attempt is aborted
 		}
-		if !ready {
-			break // a cancelled task waits until the ready prefix has committed
+		// An attempt aborted while open (a cascade) waits for the
+		// re-execution its abort queued: judged again before that, it would
+		// be charged a second time.
+		if t.state != taskOpen || !t.evFinal || t.pendingLogs.Load() > 0 || t.tx.Status() == stm.StatusAborted {
+			break
 		}
-		txs = append(txs, tx)
+		run = append(run, t)
+		txs = append(txs, t.tx)
 	}
-	run = run[:len(txs)]
 	if len(run) == 0 {
 		return false
 	}
@@ -85,7 +71,7 @@ func (n *node) commitBatch(max int) bool {
 	case errors.Is(err, stm.ErrDepsOpen):
 		return false // an older attempt: its abort cascades into the head
 	case errors.Is(err, stm.ErrConflict):
-		n.conflictRetry(run[committed], txs[committed])
+		n.conflictRetry(run[committed])
 		return false
 	default:
 		n.fail(fmt.Errorf("commit seq %d: %w", run[committed].seq, err))
@@ -192,7 +178,6 @@ func (n *node) retireGroup(run []*task) {
 	}()
 	slots := 0 // throttle slots the group holds
 	for _, t := range run {
-		t.mu.Lock()
 		t.state = taskCommitted
 		if t.tainted {
 			t.tainted = false
@@ -203,7 +188,7 @@ func (n *node) retireGroup(run []*task) {
 			inputID: t.ev.ID,
 			inTrace: t.ev.Trace,
 			input:   t.input,
-			maxLSN:  t.maxLSN,
+			maxLSN:  wal.LSN(t.maxLSN.Load()),
 		}
 		if t.throttleHeld {
 			t.throttleHeld = false
@@ -211,9 +196,10 @@ func (n *node) retireGroup(run []*task) {
 		}
 		if n.spec.Speculative {
 			for _, rec := range t.sent {
-				if !rec.finalSent.CompareAndSwap(false, true) {
+				if rec.finalSent {
 					continue
 				}
+				rec.finalSent = true
 				if m := n.eng.met; m != nil && !rec.specAt.IsZero() {
 					m.specWindow.Record(time.Since(rec.specAt))
 				}
@@ -233,7 +219,6 @@ func (n *node) retireGroup(run []*task) {
 				fb.lates = addAt(fb.lates, rec.port, rec.toEvent(false))
 			}
 		}
-		t.mu.Unlock()
 		posts = append(posts, p)
 	}
 	ckpt := n.spec.Traits.Stateful && n.spec.CheckpointEvery > 0

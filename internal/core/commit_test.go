@@ -25,26 +25,26 @@ func commitNotices(m *mailbox) int {
 }
 
 // TestCommitNoticeAllocs pins the two wakes that reach the dispatcher from
-// off it — a worker's run end and the decision log's stability callback —
-// at no allocation each, the notice included, and pins their coalescing:
-// a thousand wakes from four goroutines with no pop in between queue one
-// notice.
+// off it — a worker's run hand-back and the decision log's stability
+// callback — at no allocation each, the notice included, and pins their
+// coalescing: a thousand hand-backs from four goroutines with no pop in
+// between queue one notice, which brings all thousand runs.
 func TestCommitNoticeAllocs(t *testing.T) {
 	n, _ := classifierHop(t, 4)
-	// Never executed: the run's end publishes nothing of it.
 	tk := &task{n: n, seq: 1, state: taskQueued}
 	ctx := new(procCtx)
+	var spare []ranAttempt
 	owners, recs := []*task{tk}, []wal.Record{{LSN: 1}}
 	for _, wake := range []struct {
 		name string
 		fn   func()
 	}{
-		{"a worker's run end", func() {
-			ctx.run.tasks = append(ctx.run.tasks, tk)
+		{"a worker's run hand-back", func() {
+			ctx.run = append(ctx.run, ranAttempt{t: tk})
 			n.endRun(ctx)
 		}},
 		{"the log's stability callback", func() {
-			tk.pendingLogs = 1
+			tk.pendingLogs.Store(1)
 			owners[0] = tk // credit clears it
 			n.logged(owners, recs, nil)
 		}},
@@ -54,6 +54,7 @@ func TestCommitNoticeAllocs(t *testing.T) {
 			if it, _, ok := n.mailbox.Pop(nil); !ok || !it.commit {
 				t.Fatalf("%s queued %+v, want a commit notice", wake.name, it)
 			}
+			spare = n.mailbox.takeRuns(spare) // as the dispatcher's next turn does
 		})
 		if allocs != 0 {
 			t.Errorf("%s allocated %.1f per wake, want 0", wake.name, allocs)
@@ -65,17 +66,21 @@ func TestCommitNoticeAllocs(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			run := []ranAttempt{{t: tk}}
 			for i := 0; i < 250; i++ {
-				n.mailbox.PushCommit()
+				n.mailbox.handBack(run)
 			}
 		}()
 	}
 	wg.Wait()
 	if k := commitNotices(n.mailbox); k != 1 {
-		t.Fatalf("1000 wakes queued %d commit notices, want 1", k)
+		t.Fatalf("1000 hand-backs queued %d commit notices, want 1", k)
 	}
 	if it, _, _ := n.mailbox.Pop(nil); !it.commit || n.mailbox.Len() != 0 {
 		t.Fatalf("popped %+v with %d items behind it, want the one notice", it, n.mailbox.Len())
+	}
+	if ran := n.mailbox.takeRuns(nil); len(ran) != 1000 {
+		t.Fatalf("the notice brought %d runs, want the 1000 handed back", len(ran))
 	}
 	n.mailbox.PushCommit() // the pop cleared the flag: the next wake queues one
 	if k := commitNotices(n.mailbox); k != 1 {
@@ -113,9 +118,7 @@ func TestHeadWaitsOutOpenDependency(t *testing.T) {
 	if st := head.tx.Status(); st != stm.StatusCompleted || dep.Status() != stm.StatusCompleted {
 		t.Fatalf("attempts are %v and %v, want both open", dep.Status(), st)
 	}
-	older.mu.Lock()
 	older.state = taskCancelled
-	older.mu.Unlock()
 
 	// The turns the log's and the runs' notices bring: the cancelled task is
 	// retired, and the head stops at its open dependency.
@@ -135,9 +138,7 @@ func TestHeadWaitsOutOpenDependency(t *testing.T) {
 		t.Fatalf("committed %d, %d open, cursor %d; want the head open behind its dependency",
 			n.cCommitted.Load(), n.open.n, n.nextCommit.Load())
 	}
-	head.mu.Lock()
-	ready := head.state == taskOpen && head.published && head.evFinal && head.pendingLogs == 0
-	head.mu.Unlock()
+	ready := head.state == taskOpen && len(head.sent) == 1 && head.evFinal && head.pendingLogs.Load() == 0
 	if _, err := n.mem.CommitGroup([]*stm.Tx{head.tx}); !ready || !errors.Is(err, stm.ErrDepsOpen) {
 		t.Fatalf("the head is ready %t, its commit says %v; want ready but for its open dependency", ready, err)
 	}

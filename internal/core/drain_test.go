@@ -188,29 +188,32 @@ func drainOrDump(t testing.TB, eng *Engine, deadline time.Duration) {
 		return
 	case <-time.After(deadline):
 	}
+	// The queues first; then the engine stops, and with its goroutines
+	// joined the oldest open tasks can be read.
+	type stuck struct {
+		queued, execQ, parked int
+	}
+	inflight := eng.inflight.n.Load()
+	queues := make([]stuck, len(eng.nodes))
+	for i, n := range eng.nodes {
+		queues[i] = stuck{n.mailbox.Len(), n.execQ.Len(), n.creditQueued()}
+	}
+	eng.Stop()
 	var b strings.Builder
-	for _, n := range eng.nodes {
-		n.mu.Lock()
-		open := n.open.n
-		var head *task
-		if open > 0 {
-			head = n.open.at(0)
-		}
-		n.mu.Unlock()
-		queued, parked := n.mailbox.Len(), n.creditQueued()
-		if queued+open+parked == 0 {
+	for i, n := range eng.nodes {
+		q, open := queues[i], n.open.n
+		if q.queued+open+q.parked == 0 {
 			continue
 		}
 		fmt.Fprintf(&b, "\n  node %q: mailbox %d, execQ %d, creditQueued %d, open %d",
-			n.spec.Name, queued, n.execQ.Len(), parked, open)
-		if head != nil {
-			head.mu.Lock()
-			state := [...]string{"?", "queued", "executing", "open", "committed", "cancelled"}[head.state]
-			fmt.Fprintf(&b, "; head task seq %d state %s published %v evFinal %v pendingLogs %d input %s v%d",
-				head.seq, state, head.published, head.evFinal, head.pendingLogs, head.ev.ID, head.ev.Version)
-			head.mu.Unlock()
+			n.spec.Name, q.queued, q.execQ, q.parked, open)
+		if open > 0 {
+			head := n.open.at(0)
+			state := [...]string{"?", "held", "queued", "open", "committed", "cancelled"}[head.state]
+			fmt.Fprintf(&b, "; head task seq %d state %s evFinal %v pendingLogs %d input %s v%d",
+				head.seq, state, head.evFinal, head.pendingLogs.Load(), head.ev.ID, head.ver)
 		}
 	}
 	t.Fatalf("engine (seed %d) not drained after %v, %d units in flight; stuck nodes:%s",
-		eng.opts.Seed, deadline, eng.inflight.n.Load(), b.String())
+		eng.opts.Seed, deadline, inflight, b.String())
 }

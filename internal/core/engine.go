@@ -359,8 +359,7 @@ func (e *Engine) Err() error {
 // Subscribe attaches fn to a node's output port. fn is called once per
 // output event arrival (final=false while speculative) and once more with
 // final=true when the event is finalized; events arriving already final
-// get a single final=true call. fn runs on engine goroutines, a
-// speculative node's under the lock of the task whose output it is handed,
+// get a single final=true call. fn runs on the node's dispatcher goroutine
 // and must be fast and non-blocking.
 func (e *Engine) Subscribe(id graph.NodeID, port int, fn func(ev event.Event, final bool)) error {
 	n, err := e.node(id)

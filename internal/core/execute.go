@@ -13,10 +13,10 @@ import (
 )
 
 // worker executes queued tasks under speculative transactions, a run at a
-// time (run). The attempt scratch and the run's bookkeeping are the
-// worker's: a task has at most one attempt in flight (handleReexec never
-// re-queues an executing task), so an attempt can never observe another
-// one's context.
+// time (run), and hands each run back to the dispatcher (endRun). The
+// attempt scratch is the worker's: a task is pushed on the executor queue
+// only by the dispatcher, which has it back by then, so it has at most one
+// attempt in flight and an attempt never observes another one's context.
 func (n *node) worker() {
 	defer n.wg.Done()
 	ctx := new(procCtx)
@@ -30,16 +30,15 @@ func (n *node) worker() {
 }
 
 // run executes t and then what is queued behind it, popping the
-// lowest-sequence task one at a time as every worker does, and makes the
-// run's executions effective together (endRun): one decision-log append, the
-// tasks' publication in execution order and one commit notice. The run ends
-// when the queue is empty or after maxRun pops, and execute ends it early
-// before a re-execution, so that no executed task — the commit head among
-// them — is held unpublished behind a retry that conflicts with it.
+// lowest-sequence task one at a time as every worker does, and hands the
+// run back whole (endRun). It ends when the queue is empty, after maxRun
+// pops, after an attempt that failed, so that a lost conflict is re-queued
+// before younger tasks read around it, and before a re-execution (execute),
+// so that no executed task — the commit head among them — is held
+// unpublished behind a retry that conflicts with it.
 func (n *node) run(t *task, ctx *procCtx) {
 	for pops := 1; ; pops++ {
-		n.execute(t, ctx)
-		if pops == maxRun {
+		if !n.execute(t, ctx) || pops == maxRun {
 			break
 		}
 		if t = n.execQ.TryPop(); t == nil {
@@ -49,45 +48,21 @@ func (n *node) run(t *task, ctx *procCtx) {
 	n.endRun(ctx)
 }
 
-// endRun makes what the worker's run executed effective: the run's decision
-// records are ONE append, which credits each record to its task once stable,
-// a speculative node's tasks are published in execution order, and the
-// dispatcher gets one commit notice.
+// endRun hands what the worker's run executed back to the dispatcher, with
+// one commit notice (mailbox.handBack).
 func (n *node) endRun(ctx *procCtx) {
-	r := &ctx.run
-	if len(r.tasks) == 0 {
+	if len(ctx.run) == 0 {
 		return
 	}
-	if len(r.recs) > 0 {
-		// The log's callback outlives the run: it gets copies cut from the
-		// worker's slabs, and the scratch keeps no task reachable.
-		recs, owners := r.recSlab.take(len(r.recs)), r.ownerSlab.take(len(r.owners))
-		copy(recs, r.recs)
-		copy(owners, r.owners)
-		clear(r.owners)
-		r.recs, r.owners = r.recs[:0], r.owners[:0]
-		n.logRun(owners, recs)
-	}
-	if n.spec.Speculative {
-		for _, t := range r.tasks {
-			n.publishOutputs(t)
-		}
-	}
-	clear(r.tasks)
-	r.tasks = r.tasks[:0]
-	n.mailbox.PushCommit()
+	n.mailbox.handBack(ctx.run)
+	clear(ctx.run) // the scratch keeps no task reachable
+	ctx.run = ctx.run[:0]
 }
 
-// execute runs one attempt of t and adds its effects to the worker's run.
-// The task came with its throttle slot (queueFresh), which it keeps across
-// re-executions.
-func (n *node) execute(t *task, ctx *procCtx) {
-	t.mu.Lock()
-	if t.state != taskQueued || t.tx != nil {
-		// Cancelled, or begun by another worker.
-		t.mu.Unlock()
-		return
-	}
+// execute runs one attempt of t, adds it to the worker's run and reports
+// whether it completed; the dispatcher decides what that means (install).
+// The task came with its throttle slot, kept across re-executions.
+func (n *node) execute(t *task, ctx *procCtx) bool {
 	retry := t.attempts > 0
 	tx := &t.tx0 // the first attempt's, and no other's
 	if retry {
@@ -97,17 +72,14 @@ func (n *node) execute(t *task, ctx *procCtx) {
 	}
 	tx.OnAbort(t)
 	t.tx = tx
-	t.state = taskExecuting
-	t.attempts++
 	t.beganHead = t.seq <= n.nextCommit.Load()
 	// The operator gets the event as it is: the payload is the dispatcher's
-	// copy, and nothing writes it (a replacement swaps t.ev whole).
+	// copy, and nothing writes it while a worker has the task.
 	ev := t.ev
 	ctx.begin(t, tx)
-	t.mu.Unlock()
 	if retry {
 		// A re-execution starts a run of its own: what the run executed is
-		// made effective first, so that it can commit while the retry runs.
+		// handed back first, so that it can commit while the retry runs.
 		n.endRun(ctx)
 	}
 
@@ -126,70 +98,119 @@ func (n *node) execute(t *task, ctx *procCtx) {
 		err = tx.Complete()
 	}
 	if n.wit != nil {
-		ns := time.Since(attemptStart).Nanoseconds()
-		n.cAttemptNs.Add(ns)
-		t.mu.Lock()
-		t.attemptNs = ns
-		t.mu.Unlock()
+		t.attemptNs = time.Since(attemptStart).Nanoseconds()
+		n.cAttemptNs.Add(t.attemptNs)
 	}
+	a := ranAttempt{t: t, decisions: t.decisions, err: err}
 	if err != nil {
-		if errors.Is(err, stm.ErrConflict) {
-			t.mu.Lock()
-			if t.state == taskExecuting {
-				t.state = taskQueued
-			}
-			t.mu.Unlock()
-			tx.Abort()
-			n.conflictRetry(t, tx)
-			return
-		}
-		n.fail(fmt.Errorf("node %q event %s: %w", n.spec.Name, ev.ID, err))
 		tx.Abort()
-		n.cancelTask(t, profiler.CauseError)
-		n.mailbox.PushCommit() // a commit turn retires it once it is the head
-		return
+		ctx.run = append(ctx.run, a)
+		return false
 	}
-
-	t.mu.Lock()
-	if t.state != taskExecuting || t.tx != tx {
-		t.mu.Unlock()
-		tx.Abort()
-		return
+	if ctx.truncateAt >= 0 && ctx.truncateAt < len(a.decisions) {
+		a.decisions = a.decisions[:ctx.truncateAt]
 	}
-	if tx.Status() == stm.StatusAborted {
-		// Aborted after it completed — by a replacement, the attempt ran on
-		// the old content (applyReplacement): hand the task back for its
-		// re-execution instead of making it open.
-		t.state = taskQueued
-		t.mu.Unlock()
-		n.mailbox.PushReexec(cmdReexec{t: t, tx: tx})
-		return
-	}
-	t.state = taskOpen
-	t.published = !n.spec.Speculative // speculative nodes publish at the run's end
-	if ctx.truncateAt >= 0 && ctx.truncateAt < len(t.decisions) {
-		t.decisions = t.decisions[:ctx.truncateAt]
-	}
-	if len(ctx.taken) > 0 { // the task's sticky list, cut from the worker's slab
-		decs := ctx.decided.take(len(t.decisions) + len(ctx.taken))
-		copy(decs[copy(decs, t.decisions):], ctx.taken)
-		t.decisions = decs
+	if len(ctx.taken) > 0 { // the task's next sticky list, cut from the worker's slab
+		decs := ctx.decided.take(len(a.decisions) + len(ctx.taken))
+		copy(decs[copy(decs, a.decisions):], ctx.taken)
+		a.decisions, a.taken = decs, len(ctx.taken)
 	}
 	t.setOuts(ctx.outs)
-	t.pendingLogs += len(ctx.taken) // one per record, each credited on its own
-	t.mu.Unlock()
-
-	r := &ctx.run
-	for _, d := range ctx.taken {
-		r.recs = append(r.recs, wal.Record{Kind: d.kind, Operator: n.opID, Event: ev.ID, Value: d.value})
-		r.owners = append(r.owners, t)
-	}
 	n.cExecuted.Add(1)
 	if tr := n.eng.tracer; tr != nil && tr.Keeps(ev.Trace) {
 		tr.RecordTrace(n.spec.Name, ev.ID.String(), ev.Trace, metrics.PhaseExec,
 			fmt.Sprintf("outs=%d", len(ctx.outs)))
 	}
-	r.tasks = append(r.tasks, t)
+	ctx.run = append(ctx.run, a)
+	return true
+}
+
+// installRuns takes back the runs the workers handed back and makes them
+// effective in execution order: each attempt installed (install), the fresh
+// decisions of those that opened ONE log append, which credits each record
+// to its task once stable, and on a speculative node what opened published.
+func (n *node) installRuns() {
+	ran := n.mailbox.takeRuns(n.ran)
+	taken := 0
+	for i := range ran {
+		taken += ran[i].taken
+	}
+	var recs []wal.Record
+	var owners []*task // owners[j] is the task recs[j] is for
+	if taken > 0 {
+		recs, owners = n.admit.recs.take(taken)[:0], n.admit.owners.take(taken)[:0]
+	}
+	for i := range ran {
+		a := &ran[i]
+		if !n.install(a) {
+			continue
+		}
+		for _, d := range a.decisions[len(a.decisions)-a.taken:] {
+			recs = append(recs, wal.Record{Kind: d.kind, Operator: n.opID, Event: a.t.ev.ID, Value: d.value})
+			owners = append(owners, a.t)
+		}
+	}
+	if len(recs) > 0 {
+		n.logRun(owners, recs)
+	}
+	if n.spec.Speculative {
+		for i := range ran {
+			n.publishOutputs(ran[i].t)
+		}
+	}
+	clear(ran) // drop the tasks and their decision lists
+	n.ran = ran[:0]
+}
+
+// install takes an attempt back and reports whether its task opened with
+// it. Otherwise a task revoked while it ran drops it, an operator error
+// fails the node and cancels the task, and an attempt that ran on content a
+// replacement changed meanwhile, lost a conflict or was aborted by a
+// cascade is aborted and re-queued, its outputs unpublished.
+func (n *node) install(a *ranAttempt) bool {
+	t := a.t
+	t.attempts++
+	ev, replaced := n.replaced[t]
+	delete(n.replaced, t)
+	if t.state == taskCancelled { // revoked while it ran
+		t.tx.Abort()
+		t.cancelledOut = false
+		return false
+	}
+	t.state = taskOpen
+	switch {
+	case a.err != nil && !errors.Is(a.err, stm.ErrConflict):
+		n.fail(fmt.Errorf("node %q event %s: %w", n.spec.Name, t.ev.ID, a.err))
+		n.cancelTask(t, profiler.CauseError)
+		return false
+	case replaced:
+		t.tx.Abort()
+		n.abort(profiler.CauseReplace, len(t.sent) > 0, t.attemptNs, ev.ID, ev.Trace)
+		n.causedBy(t.input, ev.ID.Source)
+		t.ev = ev
+		n.requeue(t)
+		return false
+	case a.err != nil:
+		n.conflictRetry(t)
+		return false
+	case t.tx.Status() == stm.StatusAborted:
+		n.requeue(t)
+		return false
+	}
+	t.decisions = a.decisions
+	t.pendingLogs.Add(int32(a.taken)) // one per record, each credited on its own
+	return true
+}
+
+// requeue hands t back to the workers for another attempt. The task keeps
+// its throttle slot across the retry, but the wasted attempt feeds the
+// abort window, whatever aborted it.
+func (n *node) requeue(t *task) {
+	t.state = taskQueued
+	t.tx = nil
+	n.cReexec.Add(1)
+	n.throttle.Observe(1, true)
+	n.execQ.Push(t)
 }
 
 // computeTainted is the finality rule (DESIGN.md §6.1): the task's outputs
@@ -199,20 +220,23 @@ func (n *node) execute(t *task, ctx *procCtx) {
 // has not even executed yet can still write state a younger one already
 // read, failing that one's validation at commit time, so a state-reading
 // attempt that began behind the commit head is speculative whatever its
-// dependencies look like right now, even once it is the head. Caller holds
-// t.mu.
+// dependencies look like right now, even once it is the head.
 func (n *node) computeTainted(t *task) bool {
-	if !t.evFinal || t.pendingLogs > 0 {
+	if !t.evFinal || t.pendingLogs.Load() > 0 {
 		return true
 	}
 	return !t.beganHead && t.tx.ReadSetSize() > 0
 }
 
-// publishOutputs sends the current execution's outputs downstream,
-// diffing against what was already sent: unchanged outputs are left
-// alone, changed ones are re-sent as a higher version, vanished ones are
-// revoked (paper §3.1).
+// publishOutputs sends the current execution's outputs of an open task
+// downstream, diffing against what was already sent: unchanged outputs are
+// left alone, changed ones are re-sent as a higher version, vanished ones
+// are revoked (paper §3.1). Only the dispatcher sends a task's outputs, so a
+// send always carries the current version, and nothing follows its REVOKE.
 func (n *node) publishOutputs(t *task) {
+	if t.state != taskOpen {
+		return
+	}
 	type sendOp struct {
 		rec  *outRecord
 		spec bool
@@ -222,13 +246,7 @@ func (n *node) publishOutputs(t *task) {
 	sends, revokes := sendBuf[:0], revokeBuf[:0]
 	repeat := false // a send repeats an output whose final went out
 
-	t.mu.Lock()
-	if t.state != taskOpen {
-		t.mu.Unlock()
-		return
-	}
 	spec := n.computeTainted(t)
-	tx := t.tx
 	inputID := t.ev.ID
 	inTrace := t.ev.Trace
 	if spec && !t.tainted {
@@ -241,13 +259,13 @@ func (n *node) publishOutputs(t *task) {
 			if rec.matches(out.port, out.ts, out.key, out.payload) {
 				continue
 			}
-			if rec.finalSent.Load() {
+			if rec.finalSent {
 				// A previously-final output changed: the finality rule
 				// (computeTainted) was wrong about this task. Count it and
 				// prefer correct content over the finality promise; the
 				// re-send repeats an output whose final went out.
 				n.finalViolations.Add(1)
-				rec.finalSent.Store(false)
+				rec.finalSent = false
 				repeat = true
 			}
 			rec.version++
@@ -263,16 +281,6 @@ func (n *node) publishOutputs(t *task) {
 		clear(t.sent[len(t.outs):])
 		t.sent = t.sent[:len(t.outs)]
 	}
-	if n.eng.met != nil {
-		// Stamped under t.mu, which a commit turn reads specAt under
-		// (retireGroup).
-		for _, s := range sends {
-			if s.spec && s.rec.specAt.IsZero() {
-				s.rec.specAt = time.Now()
-			}
-		}
-	}
-	t.mu.Unlock()
 
 	if repeat {
 		n.redeliver()
@@ -281,6 +289,9 @@ func (n *node) publishOutputs(t *task) {
 		if s.spec {
 			n.cSpecSent.Add(1)
 			if m := n.eng.met; m != nil {
+				if s.rec.specAt.IsZero() {
+					s.rec.specAt = time.Now()
+				}
 				m.specDepth.Observe(n.openTainted.Load())
 			}
 		} else {
@@ -293,29 +304,9 @@ func (n *node) publishOutputs(t *task) {
 			}
 			tr.RecordTrace(n.spec.Name, s.rec.id.String(), inTrace, phase, "from="+inputID.String())
 		}
-		// Read and delivered under the lock that a later attempt, the commit and
-		// a cancellation change it under: a late send repeats the current
-		// version, goes final once that is finalized, and never follows a REVOKE.
-		// A speculative send going final here was finalized meanwhile by a later
-		// attempt's commit, which downstream may have committed: it says so first.
-		t.mu.Lock()
-		if t.state != taskCancelled {
-			final := s.rec.finalSent.Load()
-			if s.spec && final {
-				n.redeliver()
-			}
-			n.deliverToPort(s.rec.port, transport.Message{Type: transport.MsgEvent, Event: s.rec.toEvent(s.spec && !final)})
-		}
-		t.mu.Unlock()
+		n.deliverToPort(s.rec.port, transport.Message{Type: transport.MsgEvent, Event: s.rec.toEvent(s.spec)})
 	}
 	for _, rec := range revokes {
 		n.revokeRecord(rec)
 	}
-	// Published only once delivered: a commit turn must not finalize an
-	// output ahead of the event that carries it.
-	t.mu.Lock()
-	if t.tx == tx && t.state == taskOpen {
-		t.published = true
-	}
-	t.mu.Unlock()
 }

@@ -222,13 +222,14 @@ func (l *holdFirstEvent) deliver(m transport.Message) {
 func (l *holdFirstEvent) buffered() bool { return l.inner.buffered() }
 
 // TestStaleSendNeverFollowsNextAttempt: a task's first attempt is held in
-// the send of its output while a replacement of its input, with other
-// content and final, rolls the task back; the second attempt sends its
-// output at version 1 and commits, which finalizes it. Whenever the first
-// attempt's version 0 is let go, it must not reach downstream after version
-// 1 — there it would read as a content change and leave the output
-// speculative at version 0 for good. The test drives the node: dispatcher,
-// workers and committer.
+// the send of its output — the dispatcher sends it, once the worker's run is
+// back — while a replacement of its input, with other content and final,
+// waits to roll the task back; the second attempt sends its output at
+// version 1 and commits, which finalizes it. Whenever the first attempt's
+// version 0 is let go, it must not reach downstream after version 1 — there
+// it would read as a content change and leave the output speculative at
+// version 0 for good. The test drives the node: dispatcher, workers and
+// committer.
 func TestStaleSendNeverFollowsNextAttempt(t *testing.T) {
 	n, down := classifierHop(t, 4)
 	gate := &holdFirstEvent{inner: n.links[0][0], n: n, held: make(chan struct{})}
@@ -244,16 +245,19 @@ func TestStaleSendNeverFollowsNextAttempt(t *testing.T) {
 	run, _ = popDispatch(t, n, run)
 	waitLogged(t, n.open.at(0))
 	first := make(chan struct{})
-	go func() {
+	go func() { // a worker: the run is handed back
 		defer close(first)
 		qt, _ := n.execQ.Pop()
-		n.runTask(qt, new(procCtx))
+		ctx := new(procCtx)
+		n.execute(qt, ctx)
+		n.endRun(ctx)
 	}()
+	<-first
+	run, _ = popDispatch(t, n, run) // the hand-back: version 0 is held in its send
 	<-gate.held
-
-	n.mailbox.Push(evAt(2, false)) // other content, final: the task rolls back
-	run, _ = popDispatch(t, n, run)
-	run, _ = popDispatch(t, n, run) // the re-execution request
+	n.mailbox.Push(evAt(2, false))  // other content, final: the task rolls back
+	run, _ = popDispatch(t, n, run) // the replacement re-queues the task
+	run, _ = popDispatch(t, n, run) // its abort's re-execution request, stale
 	qt, _ := n.execQ.Pop()
 	n.runTask(qt, new(procCtx))
 	for turns := 0; n.cCommitted.Load() == 0; turns++ {
@@ -262,7 +266,6 @@ func TestStaleSendNeverFollowsNextAttempt(t *testing.T) {
 		}
 		n.commitBatch(maxRun)
 	}
-	<-first
 
 	for down.mailbox.Len() > 0 {
 		run, _ = popDispatch(t, down, run)
@@ -271,8 +274,8 @@ func TestStaleSendNeverFollowsNextAttempt(t *testing.T) {
 	if !ok {
 		t.Fatal("downstream holds no task for the output")
 	}
-	if !out.evFinal || out.ev.Version != 1 {
-		t.Fatalf("downstream holds the output at version %d, final %t; want final at version 1", out.ev.Version, out.evFinal)
+	if !out.evFinal || out.ver != 1 {
+		t.Fatalf("downstream holds the output at version %d, final %t; want final at version 1", out.ver, out.evFinal)
 	}
 }
 
@@ -339,6 +342,7 @@ func TestHeadAfterBeginIsSpeculative(t *testing.T) {
 		n.commitBatch(maxRun)
 	}
 	n.endRun(run) // the younger task is the head now
+	n.installRuns()
 	_, evs, _ := down.mailbox.Pop(nil)
 	if len(evs) != 2 || evs[1].ID != outputID(n.opID, younger.ev.ID, 0) {
 		t.Fatalf("downstream holds %d events, want the older task's output and the younger's", len(evs))

@@ -62,13 +62,12 @@ func TestReexecutionRevokesReachTheWasteLedger(t *testing.T) {
 	if len(tk.sent) != 2 {
 		t.Fatalf("the first attempt published %d outputs, want 2", len(tk.sent))
 	}
-	// The attempt loses a conflict at commit-time validation.
-	tx := tk.tx
-	tx.Abort()
-	n.conflictRetry(tk, tx)
-	re, _, _ := popWork(n.mailbox, nil)
-	n.handleReexec(re.reexec)
-	n.runTask(tk, ctx)
+	// The attempt loses a conflict at commit-time validation, which aborts
+	// it; the commit turn re-queues the task.
+	tk.tx.Abort()
+	n.conflictRetry(tk)
+	again, _ := n.execQ.Pop()
+	n.runTask(again, ctx)
 	if len(tk.sent) != 1 {
 		t.Fatalf("the retry left %d outputs, want 1", len(tk.sent))
 	}

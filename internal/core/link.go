@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"streammine/internal/event"
@@ -369,10 +368,9 @@ type outRecord struct {
 	trace   uint64 // lineage trace id inherited from the input event
 
 	version event.Version
-	// finalSent is atomic: a commit turn and a worker's publishOutputs
-	// change it under the owning task's lock while handleReplay and the
-	// checkpoint snapshot read it from the output buffer without it.
-	finalSent   atomic.Bool
+	// finalSent, like version, is written and read only by the owning
+	// node's dispatcher, or while its goroutines are not running (restore).
+	finalSent   bool
 	pendingAcks int
 	seq         uint64 // emission order within the node, for ordered replay
 	// specAt stamps the first speculative send (zero when the record went

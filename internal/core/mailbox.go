@@ -13,8 +13,9 @@ import (
 // mailbox is a FIFO queue with blocking Pop, split into two lanes:
 //
 //   - The control lane carries FINALIZE, REVOKE, ACK, REPLAY, re-execution
-//     commands, commit notices and everything else that flows against the
-//     data direction.
+//     commands, commit notices — which bring the runs the workers hand back
+//     (handBack) — and everything else that flows against the data
+//     direction.
 //     It is always unbounded and popped first, so control traffic retains
 //     guaranteed progress no matter how congested the data lane is (the
 //     deadlock a naive bounded mailbox would reintroduce — DESIGN §9).
@@ -51,7 +52,8 @@ type mailbox struct {
 	// the items' push stamps. nil qdelay keeps the unmetered path free of
 	// clock reads.
 	qdelay  *metrics.HDR
-	noticed atomic.Bool // a commit notice is queued (PushCommit)
+	noticed atomic.Bool  // a commit notice is queued (PushCommit, handBack)
+	ran     []ranAttempt // runs handed back, taken with the next notice (takeRuns)
 }
 
 // mailItem is the one element type of both lanes: a frame, a re-execution
@@ -164,6 +166,31 @@ func (m *mailbox) PushCommit() {
 	}
 }
 
+// handBack appends a worker's run to the list the dispatcher takes whole
+// with the next commit notice, queued unless one is. A closed mailbox drops
+// the run: its tasks are the crash's to settle.
+func (m *mailbox) handBack(run []ranAttempt) {
+	m.mu.Lock()
+	if !m.closed {
+		m.ran = append(m.ran, run...)
+		if m.noticed.CompareAndSwap(false, true) {
+			m.ctl.push(mailItem{commit: true})
+			m.cond.Signal()
+		}
+	}
+	m.mu.Unlock()
+}
+
+// takeRuns returns the runs handed back so far, in order, keeping spare,
+// emptied, for the next ones.
+func (m *mailbox) takeRuns(spare []ranAttempt) []ranAttempt {
+	m.mu.Lock()
+	ran := m.ran
+	m.ran = spare[:0]
+	m.mu.Unlock()
+	return ran
+}
+
 func (m *mailbox) push(it mailItem) {
 	m.mu.Lock()
 	if !m.closed {
@@ -262,11 +289,11 @@ func (m *mailbox) Overflows() uint64 {
 	return m.overflow
 }
 
-// Close discards everything queued on both lanes, wakes all blocked Pops
-// and returns the in-flight weight of what it dropped, for the closer to
-// settle: a node stops at the instant, taking nothing more off its queue
-// (DESIGN.md §9.8). The events dropped are exactly the unacknowledged ones
-// upstream will replay.
+// Close discards everything queued on both lanes and every run handed back,
+// wakes all blocked Pops and returns the in-flight weight of what it
+// dropped, for the closer to settle: a node stops at the instant, taking
+// nothing more off its queue (DESIGN.md §9.8). The events dropped are
+// exactly the unacknowledged ones upstream will replay.
 func (m *mailbox) Close() (dropped int) {
 	m.mu.Lock()
 	for _, r := range [...]*ring[mailItem]{&m.ctl, &m.data} {
@@ -276,6 +303,8 @@ func (m *mailbox) Close() (dropped int) {
 		}
 		*r = ring[mailItem]{}
 	}
+	clear(m.ran)
+	m.ran = m.ran[:0]
 	m.dataDepth = 0
 	m.closed = true
 	m.cond.Broadcast()

@@ -17,27 +17,27 @@ import (
 )
 
 // cmdReexec asks the dispatcher to re-execute a task whose transaction tx
-// was aborted (rollback, cascade, or conflict retry).
+// was aborted: the abort hook's request (task.TxAborted).
 type cmdReexec struct {
 	t  *task
 	tx *stm.Tx
 }
 
 // node is the runtime for one graph node: a dispatcher goroutine that owns
-// ordering decisions and commits tasks in arrival order once they are
-// authorized (log stable + inputs final + dependencies committed), and a
-// worker pool that executes tasks under speculative transactions.
+// ordering decisions, takes the workers' runs back, publishes their outputs
+// and commits tasks in arrival order once they are authorized (log stable +
+// inputs final + dependencies committed), and a worker pool that only
+// executes tasks under speculative transactions (task says who owns what).
 //
-// Lock order: a task's mu comes before its node's mu. publishOutputs and
-// retireGroup buffer output records, and finalizeRun stashes an early
-// FINALIZE, under n.mu while holding t.mu; nothing takes the two the other
-// way round while the node runs (crash walks the task table under n.mu and
-// locks each task, but only after the node's goroutines are joined). Every
-// other mutex here — errMu, rngMu, and the ones inside the mailbox, the
-// executor queue and the links — is a leaf: no other lock is acquired while
-// it is held. publishOutputs delivers each output
-// under its task's mu, so a link's lock, and a subscriber's callback, come
-// after t.mu. A commit turn holds no lock across a commit group.
+// mu guards what other goroutines read or write of the node: the open
+// ring's length, the task table, the output buffer and the commit index
+// (metrics, tests, a recovering neighbour, a bridge that arms the index),
+// the checkpoint bookkeeping the log's callbacks read, the upstream table,
+// the memory crash swaps and the recovery statistics. The dispatcher writes
+// those under it and reads without it what only it writes; no worker takes
+// it. errMu, rngMu and the mutexes of the mailbox, the executor queue and
+// the links are leaves, and the dispatcher delivers to links and
+// subscribers holding no lock.
 type node struct {
 	eng  *Engine
 	spec graph.Node
@@ -87,6 +87,12 @@ type node struct {
 	finHits  []finHit
 	injected slab[outRecord] // handleInject's: a source run's output records
 
+	// ran is the spare list installRuns trades for the runs handed back;
+	// replaced keeps what a replacement brought a task a worker has until
+	// its run is back (applyReplacement). Both dispatcher-only.
+	ran      []ranAttempt
+	replaced map[*task]event.Event
+
 	// replay, when non-nil, holds the replay plan of the last durable
 	// restore (guarded by mu): recovery-mode admission while it is
 	// replaying, and for the incarnation's life the index of the logged
@@ -101,7 +107,7 @@ type node struct {
 	// covered redeliveries.
 	recStats nodeRecoveryStats
 
-	// pendFin and pendRevoke (guarded by mu) absorb control-lane
+	// pendFin and pendRevoke (dispatcher-only) absorb control-lane
 	// reordering: with lane-separated mailboxes a FINALIZE or REVOKE can
 	// be processed before its EVENT clears the data lane. Early
 	// finalizations are stashed by version; early revocations by the
@@ -126,10 +132,11 @@ type node struct {
 	// every node has one, and the dispatcher owns it: it takes a task's
 	// slot as it queues the task for execution (queueFresh) and returns
 	// every slot. held is what the throttle holds back, oldest first, until
-	// a slot is free or the oldest is the commit head (admitHeld);
-	// dispatcher-only.
+	// a slot is free or the oldest is the commit head (admitHeld), and
+	// released admitHeld's scratch; dispatcher-only.
 	throttle flow.SpecThrottle
 	held     ring[*task]
+	released []*task
 	// admission rate-limits a source node. It is held behind an atomic
 	// pointer because an ingest gateway may take ownership of the
 	// controller (Engine.DetachSourceAdmission) while status loops
@@ -238,6 +245,7 @@ func newNode(eng *Engine, spec graph.Node, inputs int, rng *detrand.Source, log 
 // the goroutines joined, or owns the node.
 func (n *node) resetVolatile() {
 	n.admit, n.fin, n.injected = admitScratch{}, finFlush{}, slab[outRecord]{}
+	n.replaced = nil
 	n.held = ring[*task]{}
 	n.throttle.Reset()
 	n.tasks = idTable[*task]{}
@@ -453,13 +461,14 @@ func (n *node) dispatcher() {
 
 // dispatch hands one popped item to its handler, a run of queued input
 // events (evs) to admission, anything else by kind, and settles them. A
-// commit notice has no handler: commit turns follow every item. Whatever
-// the item changed — a slot returned, the cap retuned — held-back tasks
-// get their chance after it.
+// commit notice brings the runs the workers handed back (installRuns);
+// commit turns follow every item. Whatever the item changed — a slot
+// returned, the cap retuned — held-back tasks get their chance after it.
 func (n *node) dispatch(it mailItem, evs []event.Event) {
 	defer n.settle(max(len(evs), it.weight()))
 	switch {
 	case it.commit:
+		n.installRuns()
 	case len(evs) > 0:
 		// The events left the data lane: return their credits so the
 		// upstream sender may transmit the next ones.

@@ -59,8 +59,9 @@ func (e *Engine) Recover(id graph.NodeID) error {
 func (n *node) crash() {
 	n.stopFlag.Store(true)
 	// Both queues drop what they hold: the dispatcher admits and logs
-	// nothing more, and a worker ends its run at the task it is executing.
-	// A crash settles what it drops.
+	// nothing more, and a worker ends its run at the task it is executing,
+	// whose hand-back the closed mailbox drops. A crash settles what it
+	// drops.
 	n.settle(n.mailbox.Close())
 	n.execQ.Close()
 	n.wg.Wait()
@@ -70,11 +71,7 @@ func (n *node) crash() {
 	n.mu.Lock()
 	n.settle(n.open.n) // the tasks die, queued or executed
 	for i := 0; i < n.open.n; i++ {
-		t := n.open.at(i)
-		t.mu.Lock()
-		tx := t.tx
-		t.mu.Unlock()
-		if tx != nil {
+		if tx := n.open.at(i).tx; tx != nil {
 			tx.Abort()
 		}
 	}

@@ -976,10 +976,10 @@ func TestSourceEdgeStaysFIFOAcrossRecovery(t *testing.T) {
 	for i := range evs {
 		tk := n.open.at(i)
 		waitLogged(t, tk)
-		switch {
-		case i == 0 && tk.maxLSN != 1:
-			t.Errorf("the logged event was admitted at LSN %d, want its logged LSN 1", tk.maxLSN)
-		case i > 0 && tk.maxLSN == 0:
+		switch lsn := tk.maxLSN.Load(); {
+		case i == 0 && lsn != 1:
+			t.Errorf("the logged event was admitted at LSN %d, want its logged LSN 1", lsn)
+		case i > 0 && lsn == 0:
 			t.Errorf("planned source event %d was admitted without an input record", i)
 		}
 	}

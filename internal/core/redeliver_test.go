@@ -330,9 +330,7 @@ func TestChangedFinalFollowsRedeliver(t *testing.T) {
 		t.Fatalf("the head sent %d events, want one final", len(evs))
 	}
 
-	tk.mu.Lock()
 	tk.setOuts([]pendingOut{{payload: operator.EncodeValue(99)}})
-	tk.mu.Unlock()
 	n.publishOutputs(tk)
 	if it, _, _ := down.mailbox.Pop(nil); it.msg.Type != transport.MsgRedeliver {
 		t.Fatalf("the changed output's first frame is %v, want REDELIVER", it.msg.Type)

@@ -127,8 +127,9 @@ type reuseRig struct {
 	sinks [2]*node
 
 	mu        sync.Mutex
-	finals    map[event.ID]uint64   // output ID -> the final's value
-	published map[event.ID][]uint64 // output ID -> serial of each version published
+	finals    map[event.ID]uint64        // output ID -> the final's value
+	published map[event.ID][]uint64      // output ID -> serial of each version published
+	versions  map[event.ID]event.Version // output ID -> the version last published
 }
 
 func newReuseRig(t *testing.T, workers int) *reuseRig {
@@ -137,6 +138,7 @@ func newReuseRig(t *testing.T, workers int) *reuseRig {
 		op:        &reuseOp{t: t, gates: make(map[gatePoint]*gate), busy: make(map[event.Seq]bool)},
 		finals:    make(map[event.ID]uint64),
 		published: make(map[event.ID][]uint64),
+		versions:  make(map[event.ID]event.Version),
 	}
 	g := graph.New()
 	src := g.AddNode(graph.Node{Name: "src"})
@@ -177,6 +179,7 @@ func (r *reuseRig) onPublish(ev event.Event, final bool) {
 	_, serial := operator.DecodePair(ev.Payload)
 	r.mu.Lock()
 	r.published[ev.ID] = append(r.published[ev.ID], serial)
+	r.versions[ev.ID] = ev.Version
 	r.mu.Unlock()
 }
 
@@ -225,12 +228,13 @@ func (r *reuseRig) awaitFinals(want int) {
 	})
 }
 
-// sentState is what op's task for one input has sent, read under its lock.
+// sentState is what op has sent for one input, as the output buffer (read
+// under the node's lock) and the subscribers on op's ports see it: only the
+// dispatcher reads the task itself.
 type sentState struct {
-	sent     int           // len(t.sent)
-	buffered int           // how many of the task's output IDs the output buffer holds
-	inline   bool          // the first sent record is the task's own
-	version  event.Version // of the first sent record
+	sent    int           // how many of the input's output IDs the output buffer holds
+	inline  bool          // the first output's record is the task's own
+	version event.Version // of the first output, as last published
 }
 
 // taskOf returns op's live task for one input.
@@ -246,23 +250,26 @@ func (r *reuseRig) sentState(seq event.Seq) (st sentState) {
 	if tk == nil {
 		return st
 	}
-	tk.mu.Lock()
-	defer tk.mu.Unlock()
-	if !tk.published {
-		return st
-	}
-	st.sent = len(tk.sent)
-	if st.sent > 0 {
-		st.inline, st.version = tk.sent[0] == &tk.rec0, tk.sent[0].version
-	}
+	id := event.ID{Source: 0, Seq: seq}
 	r.n.mu.Lock()
 	for k := 0; k < 3; k++ {
-		if _, ok := r.n.outBuf.get(outputID(r.n.opID, tk.ev.ID, k)); ok {
-			st.buffered++
+		if rec, ok := r.n.outBuf.get(outputID(r.n.opID, id, k)); ok {
+			st.sent++
+			st.inline = st.inline || k == 0 && rec == &tk.rec0
 		}
 	}
 	r.n.mu.Unlock()
+	r.mu.Lock()
+	st.version = r.versions[outputID(r.n.opID, id, 0)]
+	r.mu.Unlock()
 	return st
+}
+
+// awaitInFlight waits until the engine counts k units of work in flight.
+// It is how the test knows the dispatcher is done with what it sent for a
+// task a worker holds: that leaves no other trace until the run is back.
+func (r *reuseRig) awaitInFlight(what string, k int64) {
+	r.await(what, func() bool { return r.eng.inflight.n.Load() == k })
 }
 
 // TestAttemptScratchReuseSafety drives a two-worker node through attempts
@@ -272,8 +279,8 @@ func (r *reuseRig) sentState(seq event.Seq) (st sentState) {
 // again. The workers reuse their attempt context and the task holds its
 // first output inline, so the test checks what that could break: every
 // final equals the single-threaded reference, no output of an attempt
-// aborted mid-execution is ever published, and sent list and output buffer
-// agree at every step.
+// aborted mid-execution is ever published, and the output buffer holds what
+// was sent at every step.
 func TestAttemptScratchReuseSafety(t *testing.T) {
 	// The final version of each input, in arrival order: the reference.
 	values := []uint64{2, 6, 5, 1, 2}
@@ -290,31 +297,33 @@ func TestAttemptScratchReuseSafety(t *testing.T) {
 	r.awaitFinals(1)
 
 	// Replaced while executing: the attempt has emitted one of its three
-	// outputs when its input changes under it.
+	// outputs when its input changes under it. The dispatcher keeps the new
+	// content until the run is back, then aborts the stale attempt.
 	g := r.op.arm(gatePoint{seq: 2, mid: true})
 	r.send(2, 0, 3, true)
 	held := <-g.entered
 	r.send(2, 1, 6, false)
-	r.await("the replaced attempt's abort", func() bool { return held.tx.Status() == stm.StatusAborted })
+	r.awaitInFlight("the replacement's dispatch", 1) // the held task alone
 	doomed[held.serial] = true
 	close(g.release)
+	r.await("the replaced attempt's abort", func() bool { return held.tx.Status() == stm.StatusAborted })
 	r.awaitFinals(2)
 
 	// Spilled, revoked, grown again: three outputs on two ports, then one,
 	// then two.
 	r.send(3, 0, 7, true)
 	r.await("three outputs sent", func() bool {
-		return r.sentState(3) == sentState{sent: 3, buffered: 3, inline: true}
+		return r.sentState(3) == sentState{sent: 3, inline: true}
 	})
 	// The sinks must have all three before the replacement exists: the
-	// worker delivers after it has released the task, and a REVOKE from the
-	// next attempt must not meet an EVENT still on its way.
+	// dispatcher buffers the outputs before it delivers them, and a REVOKE
+	// from the next attempt must not meet an EVENT still on its way.
 	r.await("three outputs delivered", func() bool {
 		return r.sinks[0].cDispatched.Load() == 4 && r.sinks[1].cDispatched.Load() == 1
 	})
 	r.send(3, 1, 4, true)
 	r.await("two outputs revoked", func() bool {
-		return r.sentState(3) == sentState{sent: 1, buffered: 1, inline: true, version: 1}
+		return r.sentState(3) == sentState{sent: 1, inline: true, version: 1}
 	})
 	// Likewise the port-1 sink must be done with the revoked output before
 	// the same output ID comes back.
@@ -411,14 +420,15 @@ func TestReexecutionBuysItsOwnTx(t *testing.T) {
 	reader2 := visit(gr2)
 
 	g3 := r.op.arm(gatePoint{seq: 1})
-	r.send(1, 2, 8, false) // aborts attempt 2 under the worker executing it
+	r.send(1, 2, 8, false) // makes attempt 2, still executing, stale
+	// In flight: the two inputs' tasks and sink 0's for attempt 1's output.
+	r.awaitInFlight("the replacement's dispatch", 3)
+	close(g.release) // attempt 2's run comes back, and the dispatcher aborts it
 	r.await("attempt 2's abort", func() bool { return second.Status() == stm.StatusAborted })
-	close(g.release)
 	third := visit(g3)
-	tk1.mu.Lock()
+	// Two attempts taken back; the third's transaction is the task's.
 	attempts, current := tk1.attempts, tk1.tx
-	tk1.mu.Unlock()
-	if third == first || third == second || current != third || attempts != 3 {
+	if third == first || third == second || current != third || attempts != 2 {
 		t.Fatalf("attempt %d runs in %p (the task says %p) after %p and %p", attempts, third, current, first, second)
 	}
 	if reader2 == reader || reader.Status() != stm.StatusAborted || first.Status() != stm.StatusAborted {
@@ -450,14 +460,14 @@ func TestReexecutionBuysItsOwnTx(t *testing.T) {
 
 // TestReexecLeavesExecutingTaskAlone pins what makes worker-owned scratch
 // safe: a task has at most one attempt in flight. A re-execution request
-// for a task that is still executing is dropped — the executing worker
-// sees the abort itself and re-queues the task when it is done with it.
+// for a task a worker is still executing is dropped — the dispatcher sees
+// the abort when the worker hands the run back, and re-queues the task then.
 func TestReexecLeavesExecutingTaskAlone(t *testing.T) {
 	eng, _, pool, _ := buildBatchPipeline(t, nil, nil)
 	defer pool.Close()
 	n := eng.nodes[1]
 	tx := n.mem.Begin(1)
-	tk := &task{n: n, seq: 1, state: taskExecuting, tx: tx, attempts: 1}
+	tk := &task{n: n, seq: 1, state: taskQueued, tx: tx, attempts: 1} // a worker's, executing
 	tx.OnAbort(tk)
 	tx.Abort()
 	it, _, ok := popWork(n.mailbox, nil)
@@ -465,12 +475,14 @@ func TestReexecLeavesExecutingTaskAlone(t *testing.T) {
 		t.Fatalf("abort hook queued %+v, want the task's re-execution", it.reexec)
 	}
 	n.handleReexec(it.reexec)
-	if tk.state != taskExecuting || tk.tx != tx || n.execQ.Len() != 0 {
+	if tk.state != taskQueued || tk.tx != tx || n.execQ.Len() != 0 {
 		t.Fatalf("executing task was re-queued: state %v, %d queued", tk.state, n.execQ.Len())
 	}
-	// Once the worker has let go of it, the same request re-queues it.
-	tk.state = taskQueued
-	n.handleReexec(it.reexec)
+	// Once the worker has handed the attempt back, it is re-queued.
+	ctx := new(procCtx)
+	ctx.run = append(ctx.run, ranAttempt{t: tk})
+	n.endRun(ctx)
+	n.installRuns()
 	if tk.tx != nil || n.execQ.Len() != 1 {
 		t.Fatalf("released task not re-queued: tx %v, %d queued", tk.tx, n.execQ.Len())
 	}
@@ -478,8 +490,8 @@ func TestReexecLeavesExecutingTaskAlone(t *testing.T) {
 
 // TestReplacementClosesOpenTask: a replacement that changes an open task's
 // input and makes it final must not leave the task committable with what it
-// executed for the old content, not even until the abort it triggers has
-// re-queued the task.
+// executed for the old content: it aborts the attempt and re-queues the
+// task at once.
 func TestReplacementClosesOpenTask(t *testing.T) {
 	eng, _, pool, _ := buildBatchPipeline(t, nil, nil)
 	defer pool.Close()
@@ -489,21 +501,21 @@ func TestReplacementClosesOpenTask(t *testing.T) {
 	if err := tx.Complete(); err != nil {
 		t.Fatal(err)
 	}
-	tk := &task{n: n, seq: 1, state: taskOpen, published: true, tx: tx,
+	tk := &task{n: n, seq: 1, state: taskOpen, tx: tx,
 		ev: event.Event{ID: id, Speculative: true, Payload: operator.EncodeValue(1)}}
 	tx.OnAbort(tk)
 	n.applyReplacement(tk, event.Event{ID: id, Version: 1, Payload: operator.EncodeValue(2)})
 	if !tk.evFinal || tk.state == taskOpen {
 		t.Fatalf("after the replacement: evFinal %t, state %v; want final and no longer open", tk.evFinal, tk.state)
 	}
-	// The abort's re-execution request then re-queues it as usual.
+	// The abort's re-execution request finds it re-queued already.
 	it, _, ok := popWork(n.mailbox, nil)
 	if !ok || it.reexec.t != tk {
-		t.Fatalf("the replacement queued %+v, want the task's re-execution", it.reexec)
+		t.Fatalf("the replacement queued %+v, want the abort's re-execution request", it.reexec)
 	}
 	n.handleReexec(it.reexec)
-	if tk.tx != nil || tk.published || n.execQ.Len() != 1 {
-		t.Fatalf("task not re-queued: tx %v, published %t, %d queued", tk.tx, tk.published, n.execQ.Len())
+	if tk.tx != nil || n.execQ.Len() != 1 {
+		t.Fatalf("task not re-queued once: tx %v, %d queued", tk.tx, n.execQ.Len())
 	}
 }
 
@@ -531,7 +543,7 @@ func TestPayloadBytesAreHandedOutOnce(t *testing.T) {
 
 	b := &task{n: n, seq: 2, state: taskQueued, ev: event.Event{ID: event.ID{Seq: 2}, Key: 1, Speculative: true}}
 	seen := make(map[uintptr]bool)
-	for attempt := 1; attempt <= 1000; attempt++ {
+	for attempt := int32(1); attempt <= 1000; attempt++ {
 		n.runTask(b, ctx)
 		if b.state != taskOpen || b.attempts != attempt || len(b.outs) != 1 {
 			t.Fatalf("attempt %d of task B: state %v after %d attempts, %d outputs", attempt, b.state, b.attempts, len(b.outs))

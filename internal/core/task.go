@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 	"unsafe"
 
@@ -22,20 +22,25 @@ type decision struct {
 	value uint64
 }
 
-// taskState tracks a task through its lifecycle.
+// taskState tracks a task through its lifecycle. Only the dispatcher
+// writes it.
 type taskState int32
 
 const (
-	taskQueued taskState = iota + 1
-	taskExecuting
-	taskOpen // executed, transaction open, awaiting commit authorization
+	taskHeld   taskState = iota + 1 // admitted, held back by the throttle (n.held)
+	taskQueued                      // with the workers: queued, executing, or run and not yet taken back
+	taskOpen                        // executed, transaction open, awaiting commit authorization
 	taskCommitted
 	taskCancelled
 )
 
 // task is the processing of one input event by one node: the unit of
-// speculation. Fields below mu are protected by it; the ones above are
-// immutable after creation.
+// speculation. It belongs to a worker from its push on the executor queue
+// until the dispatcher takes the worker's run back (installRuns), and to
+// the dispatcher otherwise. A worker reads ev, decisions and attempts, which
+// the dispatcher leaves alone meanwhile, and writes only the attempt's
+// fields: tx, outs, attemptNs and beganHead. pendingLogs and maxLSN are
+// atomic: the log's stability callback credits them.
 type task struct {
 	n     *node
 	seq   int64 // per-node arrival order; also the STM timestamp
@@ -44,28 +49,26 @@ type task struct {
 	// otherwise); retireGroup derives the finalize latency from it.
 	admitted time.Time
 
-	mu       sync.Mutex
-	state    taskState
-	ev       event.Event // current version of the input event
-	tx       *stm.Tx
-	attempts int
+	state taskState
+	ver   event.Version // the input's version, the latest replacement's
+	ev    event.Event   // the input the next attempt executes
+	tx    *stm.Tx
 
-	// decisions and cursor implement sticky decision replay.
-	decisions []decision
-	cursor    int
+	decisions []decision // sticky decision replay
 
 	attemptNs   int64 // when profiling: CPU-ns of the last completed attempt
-	pendingLogs int   // decision-log records not yet stable
-	maxLSN      wal.LSN
+	maxLSN      atomic.Uint64
+	attempts    int32        // attempts the dispatcher has taken back
+	pendingLogs atomic.Int32 // decision-log records not yet stable
 	outs        []pendingOut // outputs of the current execution
 	sent        []*outRecord // outputs already sent downstream, by position
 
 	// The flags share a word: eight tasks just fit a size class (maxBlockTasks).
 	evFinal      bool
-	published    bool // outputs of the current execution handed downstream
 	tainted      bool // last published speculative state
-	throttleHeld bool // holds a speculation-throttle slot (dispatcher-only)
+	throttleHeld bool // holds a speculation-throttle slot
 	beganHead    bool // the current attempt began as the commit head
+	cancelledOut bool // cancelled while a worker had it, whose run is not back yet
 
 	// The task owns what it published: the first output, its record and
 	// its sent slot live here, and outs and sent spill to the heap only
@@ -85,7 +88,7 @@ type task struct {
 // maxBlockTasks is how many tasks admitRun puts in one block: as many as
 // keep the block, with the allocator's 8-byte header, a small object
 // (32 KiB) — a larger one is allocated and swept span by span. A run of
-// eight is 9,600 bytes, in the 9,728-byte size class.
+// eight is 9,408 bytes, in the 9,472-byte size class.
 const maxBlockTasks = (32<<10 - 8) / int(unsafe.Sizeof(task{}))
 
 // TxAborted implements stm.AbortHook: the dispatcher re-executes the task.
@@ -93,8 +96,7 @@ func (t *task) TxAborted(tx *stm.Tx) {
 	t.n.mailbox.PushReexec(cmdReexec{t: t, tx: tx})
 }
 
-// setOuts copies an attempt's outputs out of the worker's scratch. Caller
-// holds t.mu.
+// setOuts copies an attempt's outputs out of the worker's scratch.
 func (t *task) setOuts(outs []pendingOut) {
 	if t.outs == nil {
 		t.outs = t.out0[:0]
@@ -103,7 +105,7 @@ func (t *task) setOuts(outs []pendingOut) {
 }
 
 // addSent creates, buffers (n.bufferOutput) and appends the record of the
-// task's next unsent output. Caller holds t.mu.
+// task's next unsent output.
 func (t *task) addSent(id event.ID, out pendingOut, trace uint64, final bool) *outRecord {
 	rec := &t.rec0
 	if rec.seq != 0 { // emission sequences start at 1: rec0 has been used
@@ -120,14 +122,16 @@ func (t *task) addSent(id event.ID, out pendingOut, trace uint64, final bool) *o
 }
 
 // logDone settles one pending log record: lsn is its LSN, or zero when its
-// append could not be submitted.
+// append could not be submitted. The LSN lands first, so that whoever sees
+// nothing pending sees it.
 func (t *task) logDone(lsn wal.LSN) {
-	t.mu.Lock()
-	t.pendingLogs--
-	if lsn > t.maxLSN {
-		t.maxLSN = lsn
+	for {
+		cur := t.maxLSN.Load()
+		if uint64(lsn) <= cur || t.maxLSN.CompareAndSwap(cur, uint64(lsn)) {
+			break
+		}
 	}
-	t.mu.Unlock()
+	t.pendingLogs.Add(-1)
 }
 
 // pendingOut is one Emit call captured during execution.
@@ -160,27 +164,25 @@ type procCtx struct {
 	payloads     slab[byte]
 	decided      slab[decision] // what the tasks' decision lists are cut from
 
-	run execRun
+	run []ranAttempt // what the worker's run has executed and not yet handed back (endRun)
 }
 
-// execRun is what a worker's run has executed and not yet made effective
-// (node.endRun): the tasks, in execution order, and the run's decision
-// records, owners[j] the task that took recs[j]. The slabs are what the
-// log append's copies of both are cut from.
-type execRun struct {
-	tasks     []*task
-	recs      []wal.Record
-	owners    []*task
-	recSlab   slab[wal.Record]
-	ownerSlab slab[*task]
+// ranAttempt is one attempt a worker hands back: its task, the sticky
+// decision list it leaves, whose last taken entries are fresh and unlogged,
+// and its error — nil, stm.ErrConflict or the operator's.
+type ranAttempt struct {
+	t         *task
+	decisions []decision
+	taken     int
+	err       error
 }
 
-// begin resets the scratch for an attempt of t under tx. Caller holds t.mu.
+// begin resets the scratch for an attempt of t under tx.
 func (c *procCtx) begin(t *task, tx *stm.Tx) {
 	clear(c.outs) // drop the previous attempt's payloads
 	*c = procCtx{
 		t: t, tx: tx, ts: t.ev.Timestamp,
-		decisions:  t.decisions, // immutable during execution
+		decisions:  t.decisions,
 		truncateAt: -1, taken: c.taken[:0], outs: c.outs[:0], payloads: c.payloads,
 		decided: c.decided, run: c.run,
 	}

@@ -1,6 +1,9 @@
 package core
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // taskQueue is the per-node executor queue: a blocking min-heap handing
 // workers the lowest-sequence task first. Arrival order is not good
@@ -80,6 +83,26 @@ func (q *taskQueue) TryPop() *task {
 		return nil
 	}
 	return q.popMin()
+}
+
+// Remove takes t off the queue and reports whether it was there: then no
+// worker has popped it, nor will.
+func (q *taskQueue) Remove(t *task) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	i := slices.Index(q.heap, t)
+	if i < 0 {
+		return false
+	}
+	last := len(q.heap) - 1
+	q.heap[i] = q.heap[last]
+	q.heap[last] = nil
+	q.heap = q.heap[:last]
+	if i < last {
+		q.down(i)
+		q.up(i)
+	}
+	return true
 }
 
 func (q *taskQueue) popMin() *task {

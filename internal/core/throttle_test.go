@@ -341,3 +341,30 @@ func TestSourceTwiceEmitsDistinctIDs(t *testing.T) {
 		t.Fatalf("down committed %d tasks with %d distinct IDs, want %d of each", st.Committed, got, 2*n)
 	}
 }
+
+// TestTaskQueueRemove: a task taken off the executor queue — first, last,
+// in the middle, or not on it — leaves the rest in sequence order.
+func TestTaskQueueRemove(t *testing.T) {
+	q := newTaskQueue()
+	block := make([]task, 12)
+	for i, seq := range []int64{7, 3, 11, 1, 9, 5, 12, 2, 8, 4, 10, 6} {
+		block[i].seq = seq
+		q.Push(&block[i])
+	}
+	for _, i := range []int{3, 6, 0, 9} { // seqs 1 (the min), 12 (a leaf), 7, 4
+		if !q.Remove(&block[i]) {
+			t.Fatalf("seq %d was not found on the queue", block[i].seq)
+		}
+	}
+	if q.Remove(&block[3]) {
+		t.Fatal("a task removed twice was found again")
+	}
+	var got []int64
+	for tk := q.TryPop(); tk != nil; tk = q.TryPop() {
+		got = append(got, tk.seq)
+	}
+	want := []int64{2, 3, 5, 6, 8, 9, 10, 11}
+	if !slices.Equal(got, want) {
+		t.Fatalf("popped %v after the removals, want %v", got, want)
+	}
+}
