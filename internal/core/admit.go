@@ -292,9 +292,10 @@ func credit(owners []*task, recs []wal.Record) {
 
 // applyReplacement updates a task's input event in place. Identical
 // content only upgrades finality; changed content rolls the task back. A
-// task with a worker keeps the content its attempt runs on: the new one
-// waits in n.replaced, and the attempt, stale, is aborted and re-queued
-// once its run is back (install).
+// task still on the executor queue is taken off it, given the new content
+// and put back: nothing ran on the old. One a worker has keeps the content
+// its attempt runs on: the new one waits in n.replaced, and the attempt,
+// stale, is aborted and re-queued once its run is back (install).
 func (n *node) applyReplacement(t *task, ev event.Event) {
 	// Consume control-lane stashes targeting this incarnation before the
 	// normal replacement logic, so an early FINALIZE/REVOKE lands exactly
@@ -319,7 +320,7 @@ func (n *node) applyReplacement(t *task, ev event.Event) {
 	// Content changed: adopt the new version and roll back if the old one
 	// was already processed.
 	t.ver, t.evFinal = ev.Version, !ev.Speculative
-	if t.state == taskQueued {
+	if t.state == taskQueued && !n.execQ.Remove(t) { // a worker has it
 		if n.replaced == nil {
 			n.replaced = make(map[*task]event.Event)
 		}
@@ -327,7 +328,10 @@ func (n *node) applyReplacement(t *task, ev event.Event) {
 		return
 	}
 	t.ev = ev.Clone()
-	if t.state == taskOpen { // what it executed and published is of the old content
+	switch t.state {
+	case taskQueued:
+		n.execQ.Push(t)
+	case taskOpen: // what it executed and published is of the old content
 		t.tx.Abort()
 		n.abort(profiler.CauseReplace, len(t.sent) > 0, t.attemptNs, ev.ID, ev.Trace)
 		n.causedBy(t.input, ev.ID.Source)
@@ -414,6 +418,7 @@ func (n *node) cancelTask(t *task, cause profiler.Cause) {
 	}
 	out := t.state == taskQueued && !n.execQ.Remove(t)
 	t.state = taskCancelled
+	delete(n.replaced, t) // install drops the attempt: the content goes unused
 	sent := t.sent
 	t.sent = nil
 	if t.tainted {

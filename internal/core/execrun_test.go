@@ -10,6 +10,7 @@ import (
 	"streammine/internal/graph"
 	"streammine/internal/metrics"
 	"streammine/internal/operator"
+	"streammine/internal/profiler"
 	"streammine/internal/stm"
 	"streammine/internal/storage"
 	"streammine/internal/transport"
@@ -362,5 +363,54 @@ func TestArrivalsWaitForTheHandBack(t *testing.T) {
 	}
 	if !n.eng.Quiesced() {
 		t.Fatalf("%d units in flight after the drain", n.eng.inflight.n.Load())
+	}
+}
+
+// TestReplacementOfQueuedTask: a task still on the executor queue has run
+// nothing, so a content-changing replacement gives it the new content where
+// it stands — no abort, no re-execution — and a replacement followed by a
+// REVOKE leaves no content waiting for a hand-back that never comes.
+func TestReplacementOfQueuedTask(t *testing.T) {
+	n, down := classifierHop(t, 4)
+	idA, idB := event.ID{Source: 1, Seq: 1}, event.ID{Source: 1, Seq: 2}
+	var run []event.Event
+	n.mailbox.Push(eventFrame([]event.Event{
+		{ID: idA, Key: 1, Payload: operator.EncodeValue(1), Speculative: true},
+		{ID: idB, Key: 2, Payload: operator.EncodeValue(2), Speculative: true},
+	}))
+	run, _ = popDispatch(t, n, run)
+	a, b := n.open.at(0), n.open.at(1)
+	waitLogged(t, a)
+	waitLogged(t, b)
+
+	for _, m := range []transport.Message{
+		{Type: transport.MsgEvent, Event: event.Event{ID: idA, Version: 1, Key: 3, Payload: operator.EncodeValue(3)}},
+		{Type: transport.MsgEvent, Event: event.Event{ID: idB, Version: 1, Key: 1, Payload: operator.EncodeValue(1)}},
+		{Type: transport.MsgRevoke, ID: idB, Version: 1},
+	} {
+		n.mailbox.Push(m)
+		run, _ = popDispatch(t, n, run)
+	}
+	if len(n.replaced) != 0 || a.ev.Key != 3 || a.state != taskQueued || b.state != taskCancelled {
+		t.Fatalf("%d replacements waiting, task A of key %d %v, task B %v; want none, key 3 queued, B cancelled",
+			len(n.replaced), a.ev.Key, a.state, b.state)
+	}
+	if tk := n.execQ.TryPop(); tk != a || n.execQ.Len() != 0 {
+		t.Fatal("the replaced task is not the one queued")
+	}
+	n.runTask(a, new(procCtx))
+	for n.commitBatch(maxRun) {
+	}
+	if a.state != taskCommitted || a.attempts != 1 || n.cExecuted.Load() != 1 || n.cReexec.Load() != 0 ||
+		n.cAborts[profiler.CauseReplace].Load() != 0 {
+		t.Fatalf("task A %v after %d attempts; %d executions, %d re-executions, %d replacement aborts; want committed after 1, 1, 0, 0",
+			a.state, a.attempts, n.cExecuted.Load(), n.cReexec.Load(), n.cAborts[profiler.CauseReplace].Load())
+	}
+	if open, _, _ := n.throttle.Snapshot(); open != 0 {
+		t.Fatalf("%d throttle slots still taken", open)
+	}
+	evs, k := popDispatch(t, down, nil)
+	if k != 1 || evs[0].ID != outputID(n.opID, idA, 0) || evs[0].Key != 3 || evs[0].Speculative {
+		t.Fatalf("downstream got %v, want only task A's final output of class 3", evs)
 	}
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -199,41 +201,38 @@ func TestStatelessFinalBehindOpenLogger(t *testing.T) {
 	r.settle(2)
 }
 
-// holdFirstEvent is a link that keeps the first EVENT frame it is handed
-// back until its node has committed a task, or for 100 ms at most, telling
-// held when it starts to wait.
-type holdFirstEvent struct {
+// sentLog is a link that hands each message on and notes what it was: the
+// frame's kind and the version it carries.
+type sentLog struct {
 	inner link
-	n     *node
-	held  chan struct{}
-	done  atomic.Bool // the first EVENT came
+	got   []string
 }
 
-func (l *holdFirstEvent) deliver(m transport.Message) {
-	if m.Type == transport.MsgEvent && !l.done.Swap(true) {
-		close(l.held)
-		for deadline := time.Now().Add(100 * time.Millisecond); l.n.cCommitted.Load() == 0 && time.Now().Before(deadline); {
-			time.Sleep(100 * time.Microsecond)
-		}
+func (l *sentLog) deliver(m transport.Message) {
+	ver := m.Version
+	if m.Type == transport.MsgEvent {
+		ver = m.Event.Version
 	}
+	l.got = append(l.got, fmt.Sprintf("%v %d", m.Type, ver))
 	l.inner.deliver(m)
 }
 
-func (l *holdFirstEvent) buffered() bool { return l.inner.buffered() }
+func (l *sentLog) buffered() bool { return l.inner.buffered() }
 
-// TestStaleSendNeverFollowsNextAttempt: a task's first attempt is held in
-// the send of its output — the dispatcher sends it, once the worker's run is
-// back — while a replacement of its input, with other content and final,
-// waits to roll the task back; the second attempt sends its output at
-// version 1 and commits, which finalizes it. Whenever the first attempt's
-// version 0 is let go, it must not reach downstream after version 1 — there
-// it would read as a content change and leave the output speculative at
-// version 0 for good. The test drives the node: dispatcher, workers and
-// committer.
+// TestStaleSendNeverFollowsNextAttempt: a task's first attempt sends its
+// output at version 0; a replacement of its input, with other content and
+// final, rolls the task back; the second attempt sends its output at
+// version 1 and commits, which finalizes it. Version 0 must not reach
+// downstream after version 1 — there it would read as a content change and
+// leave the output speculative at version 0 for good. A worker used to send
+// its own outputs, so a send of the first attempt could be overtaken by the
+// second's; only the dispatcher sends now, when it takes the run back, so
+// the order is the dispatcher's and the test checks it frame by frame. The
+// test drives the node: dispatcher, worker and committer.
 func TestStaleSendNeverFollowsNextAttempt(t *testing.T) {
 	n, down := classifierHop(t, 4)
-	gate := &holdFirstEvent{inner: n.links[0][0], n: n, held: make(chan struct{})}
-	n.links[0][0] = gate
+	sent := &sentLog{inner: n.links[0][0]}
+	n.links[0][0] = sent
 	in := event.ID{Source: 1, Seq: 1}
 	evAt := func(key uint64, spec bool) transport.Message {
 		return transport.Message{Type: transport.MsgEvent, Event: event.Event{
@@ -244,27 +243,31 @@ func TestStaleSendNeverFollowsNextAttempt(t *testing.T) {
 	n.mailbox.Push(evAt(1, true))
 	run, _ = popDispatch(t, n, run)
 	waitLogged(t, n.open.at(0))
-	first := make(chan struct{})
-	go func() { // a worker: the run is handed back
-		defer close(first)
-		qt, _ := n.execQ.Pop()
-		ctx := new(procCtx)
-		n.execute(qt, ctx)
-		n.endRun(ctx)
-	}()
-	<-first
-	run, _ = popDispatch(t, n, run) // the hand-back: version 0 is held in its send
-	<-gate.held
+	qt, _ := n.execQ.Pop()
+	ctx := new(procCtx)
+	n.execute(qt, ctx)
+	n.endRun(ctx)
+	if len(sent.got) != 0 {
+		t.Fatalf("the worker sent %v before its run was taken back", sent.got)
+	}
+	run, _ = popDispatch(t, n, run) // the hand-back sends version 0
+	if want := []string{"EVENT 0"}; !slices.Equal(sent.got, want) {
+		t.Fatalf("the hand-back sent %v, want %v", sent.got, want)
+	}
+
 	n.mailbox.Push(evAt(2, false))  // other content, final: the task rolls back
 	run, _ = popDispatch(t, n, run) // the replacement re-queues the task
 	run, _ = popDispatch(t, n, run) // its abort's re-execution request, stale
-	qt, _ := n.execQ.Pop()
+	qt, _ = n.execQ.Pop()
 	n.runTask(qt, new(procCtx))
 	for turns := 0; n.cCommitted.Load() == 0; turns++ {
 		if turns == 100 {
 			t.Fatal("the second attempt never committed")
 		}
 		n.commitBatch(maxRun)
+	}
+	if want := []string{"EVENT 0", "EVENT 1", "FINALIZE 1"}; !slices.Equal(sent.got, want) {
+		t.Fatalf("sent %v, want %v", sent.got, want)
 	}
 
 	for down.mailbox.Len() > 0 {

@@ -127,9 +127,8 @@ type reuseRig struct {
 	sinks [2]*node
 
 	mu        sync.Mutex
-	finals    map[event.ID]uint64        // output ID -> the final's value
-	published map[event.ID][]uint64      // output ID -> serial of each version published
-	versions  map[event.ID]event.Version // output ID -> the version last published
+	finals    map[event.ID]uint64   // output ID -> the final's value
+	published map[event.ID][]uint64 // output ID -> serial of each version published
 }
 
 func newReuseRig(t *testing.T, workers int) *reuseRig {
@@ -138,7 +137,6 @@ func newReuseRig(t *testing.T, workers int) *reuseRig {
 		op:        &reuseOp{t: t, gates: make(map[gatePoint]*gate), busy: make(map[event.Seq]bool)},
 		finals:    make(map[event.ID]uint64),
 		published: make(map[event.ID][]uint64),
-		versions:  make(map[event.ID]event.Version),
 	}
 	g := graph.New()
 	src := g.AddNode(graph.Node{Name: "src"})
@@ -179,7 +177,6 @@ func (r *reuseRig) onPublish(ev event.Event, final bool) {
 	_, serial := operator.DecodePair(ev.Payload)
 	r.mu.Lock()
 	r.published[ev.ID] = append(r.published[ev.ID], serial)
-	r.versions[ev.ID] = ev.Version
 	r.mu.Unlock()
 }
 
@@ -228,13 +225,14 @@ func (r *reuseRig) awaitFinals(want int) {
 	})
 }
 
-// sentState is what op has sent for one input, as the output buffer (read
-// under the node's lock) and the subscribers on op's ports see it: only the
-// dispatcher reads the task itself.
+// sentState is what op's task for one input has sent. The task is the
+// dispatcher's: read it only while the dispatcher is done with the task and
+// something it did since is seen (a sink has the frames).
 type sentState struct {
-	sent    int           // how many of the input's output IDs the output buffer holds
-	inline  bool          // the first output's record is the task's own
-	version event.Version // of the first output, as last published
+	sent     int           // len(t.sent)
+	buffered int           // how many of the task's output IDs the output buffer holds
+	inline   bool          // the first sent record is the task's own
+	version  event.Version // of the first sent record
 }
 
 // taskOf returns op's live task for one input.
@@ -245,23 +243,29 @@ func (r *reuseRig) taskOf(seq event.Seq) *task {
 	return tk
 }
 
+// buffered is how many of one input's output IDs the output buffer holds:
+// what can be polled while the dispatcher works.
+func (r *reuseRig) buffered(seq event.Seq) (k int) {
+	r.n.mu.Lock()
+	defer r.n.mu.Unlock()
+	for j := 0; j < 3; j++ {
+		if _, ok := r.n.outBuf.get(outputID(r.n.opID, event.ID{Source: 0, Seq: seq}, j)); ok {
+			k++
+		}
+	}
+	return k
+}
+
 func (r *reuseRig) sentState(seq event.Seq) (st sentState) {
 	tk := r.taskOf(seq)
 	if tk == nil {
 		return st
 	}
-	id := event.ID{Source: 0, Seq: seq}
-	r.n.mu.Lock()
-	for k := 0; k < 3; k++ {
-		if rec, ok := r.n.outBuf.get(outputID(r.n.opID, id, k)); ok {
-			st.sent++
-			st.inline = st.inline || k == 0 && rec == &tk.rec0
-		}
+	st.sent = len(tk.sent)
+	if st.sent > 0 {
+		st.inline, st.version = tk.sent[0] == &tk.rec0, tk.sent[0].version
 	}
-	r.n.mu.Unlock()
-	r.mu.Lock()
-	st.version = r.versions[outputID(r.n.opID, id, 0)]
-	r.mu.Unlock()
+	st.buffered = r.buffered(seq)
 	return st
 }
 
@@ -279,8 +283,8 @@ func (r *reuseRig) awaitInFlight(what string, k int64) {
 // again. The workers reuse their attempt context and the task holds its
 // first output inline, so the test checks what that could break: every
 // final equals the single-threaded reference, no output of an attempt
-// aborted mid-execution is ever published, and the output buffer holds what
-// was sent at every step.
+// aborted mid-execution is ever published, and sent list and output buffer
+// agree at every step.
 func TestAttemptScratchReuseSafety(t *testing.T) {
 	// The final version of each input, in arrival order: the reference.
 	values := []uint64{2, 6, 5, 1, 2}
@@ -312,22 +316,24 @@ func TestAttemptScratchReuseSafety(t *testing.T) {
 	// Spilled, revoked, grown again: three outputs on two ports, then one,
 	// then two.
 	r.send(3, 0, 7, true)
-	r.await("three outputs sent", func() bool {
-		return r.sentState(3) == sentState{sent: 3, inline: true}
-	})
+	r.await("three outputs sent", func() bool { return r.buffered(3) == 3 })
 	// The sinks must have all three before the replacement exists: the
 	// dispatcher buffers the outputs before it delivers them, and a REVOKE
 	// from the next attempt must not meet an EVENT still on its way.
 	r.await("three outputs delivered", func() bool {
 		return r.sinks[0].cDispatched.Load() == 4 && r.sinks[1].cDispatched.Load() == 1
 	})
+	if st := r.sentState(3); st != (sentState{sent: 3, buffered: 3, inline: true}) {
+		t.Fatalf("after three outputs: %+v", st)
+	}
 	r.send(3, 1, 4, true)
-	r.await("two outputs revoked", func() bool {
-		return r.sentState(3) == sentState{sent: 1, inline: true, version: 1}
-	})
+	r.await("two outputs revoked", func() bool { return r.buffered(3) == 1 })
 	// Likewise the port-1 sink must be done with the revoked output before
 	// the same output ID comes back.
 	r.await("the revoke downstream", func() bool { return r.sinks[1].openCount() == 0 })
+	if st := r.sentState(3); st != (sentState{sent: 1, buffered: 1, inline: true, version: 1}) {
+		t.Fatalf("after two revoked: %+v", st)
+	}
 	r.send(3, 2, 5, false)
 	r.awaitFinals(4)
 
@@ -394,7 +400,7 @@ func TestReexecutionBuysItsOwnTx(t *testing.T) {
 	first := visit(g)
 	tk1 := r.taskOf(1)
 	close(g.release)
-	r.await("attempt 1 published", func() bool { return r.sentState(1).sent == 1 })
+	r.await("attempt 1 published", func() bool { return r.buffered(1) == 1 })
 
 	// Input 2 reads attempt 1's buffered sum and is held with that read in
 	// its read set.
