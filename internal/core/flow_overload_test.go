@@ -60,8 +60,9 @@ func overloadChain(fl *flow.Limits, workers, classes int) (*graph.Graph, graph.N
 
 // runOverload bursts total events through the chain at full speed (far
 // beyond the classify stage's sustained rate) and returns the finalized
-// sink outputs plus the end-of-run pressure snapshot.
-func runOverload(t *testing.T, fl *flow.Limits, total, workers, classes int, opts Options) (map[event.ID][]byte, []NodePressure) {
+// sink outputs plus the end-of-run pressure snapshot. A non-nil midway runs
+// between the two halves of the burst.
+func runOverload(t *testing.T, fl *flow.Limits, total, workers, classes int, opts Options, midway func(*Engine, *dedupSink)) (map[event.ID][]byte, []NodePressure) {
 	t.Helper()
 	g, src, sinkID := overloadChain(fl, workers, classes)
 	eng := newTestEngine(t, g, opts)
@@ -74,6 +75,9 @@ func runOverload(t *testing.T, fl *flow.Limits, total, workers, classes int, opt
 		t.Fatal(err)
 	}
 	for i := 0; i < total; i++ {
+		if i == total/2 && midway != nil {
+			midway(eng, sink)
+		}
 		if _, err := s.Emit(uint64(i), operator.EncodeValue(uint64(i))); err != nil {
 			t.Fatal(err)
 		}
@@ -97,8 +101,8 @@ func TestFlowOverloadBoundedOccupancy(t *testing.T) {
 	const total = 400
 	fl := &flow.Limits{MailboxCap: 8}
 
-	baseline, _ := runOverload(t, nil, total, 1, 4, Options{Seed: 31})
-	bounded, pressure := runOverload(t, fl, total, 1, 4, Options{Seed: 31})
+	baseline, _ := runOverload(t, nil, total, 1, 4, Options{Seed: 31}, nil)
+	bounded, pressure := runOverload(t, fl, total, 1, 4, Options{Seed: 31}, nil)
 
 	if len(bounded) != len(baseline) {
 		t.Fatalf("flow-controlled run externalized %d outputs, baseline %d", len(bounded), len(baseline))
@@ -142,15 +146,30 @@ func TestFlowOverloadBoundedOccupancy(t *testing.T) {
 // speculation throttle and actually hold tasks back — the throttled counter
 // proves the overload test exercises contention rather than an idle
 // pipeline. A delayed disk keeps commits (which need stable WAL records)
-// lagging execution, so open tasks pile against the cap; the burst is long
-// enough that fresh tasks still arrive once the first abort-heavy window
-// has engaged the throttle.
+// lagging execution, so open tasks pile against the cap. Only fresh tasks
+// can be held back, and on a 2-core box the chain admits a whole
+// 1,000-event burst within some 6-14 ms while the first abort-heavy window
+// closes anywhere from 2 to 23 ms in: a throttle that engages after the
+// last admission holds nothing back. So the second half of the burst waits
+// until classify's throttle has engaged (or the first half is final, which
+// leaves nothing to engage it), and meets the cap.
 func TestFlowOverloadThrottleEngages(t *testing.T) {
 	const total = 1000
 	fl := &flow.Limits{MailboxCap: 8}
 	pool := storage.NewPool([]storage.Disk{storage.NewSimDisk(time.Millisecond)})
 	defer pool.Close()
-	_, pressure := runOverload(t, fl, total, 4, 1, Options{Seed: 34, Pool: pool})
+	engaged := func(eng *Engine, sink *dedupSink) {
+		deadline := time.Now().Add(15 * time.Second)
+		for sink.count() < total/2 && time.Now().Before(deadline) {
+			for _, p := range eng.Pressure() {
+				if p.Node == "classify" && p.ThrottleCap > 0 {
+					return
+				}
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	_, pressure := runOverload(t, fl, total, 4, 1, Options{Seed: 34, Pool: pool}, engaged)
 	var classify *NodePressure
 	for i := range pressure {
 		if pressure[i].Node == "classify" {

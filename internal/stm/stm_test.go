@@ -121,6 +121,62 @@ func TestAbortDiscardsWrites(t *testing.T) {
 	}
 }
 
+// TestAbortFromAnotherGoroutineKeepsOwnerSets: the executing goroutine reads
+// its write buffer and its owned slots without Tx.mu, so an abort from
+// another goroutine leaves the chains but must leave both sets as they
+// were; the owner's next call then reports the conflict.
+func TestAbortFromAnotherGoroutineKeepsOwnerSets(t *testing.T) {
+	m := NewMemory(8)
+	mustRun(t, m, 1, func(tx *Tx) error {
+		if err := tx.Write(0, 10); err != nil {
+			return err
+		}
+		return tx.Write(1, 20)
+	})
+	tx := m.Begin(2)
+	mustDo(t, tx.Write(0, 11))
+	mustDo(t, tx.Write(1, 21))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		tx.Abort()
+	}()
+	<-done
+	for _, addr := range []Addr{0, 1} {
+		c := m.chainOf(addr)
+		c.mu.Lock()
+		for _, o := range c.owners {
+			if o == tx {
+				t.Errorf("chain of %d still lists the aborted transaction", addr)
+			}
+		}
+		c.mu.Unlock()
+		if p := tx.writes.find(addr); p == nil || *p != uint64(10*(addr+1)+1) {
+			t.Errorf("buffered write to %d gone after the abort", addr)
+		}
+		if tx.owned.find(m.slotOf(addr)) == nil {
+			t.Errorf("slot of %d gone from the owned set after the abort", addr)
+		}
+	}
+	if _, err := tx.Read(0); err != ErrConflict {
+		t.Errorf("Read after abort = %v, want ErrConflict", err)
+	}
+	if err := tx.Write(2, 5); err != ErrConflict {
+		t.Errorf("Write after abort = %v, want ErrConflict", err)
+	}
+	if err := tx.Complete(); err != ErrConflict {
+		t.Errorf("Complete after abort = %v, want ErrConflict", err)
+	}
+	fresh := m.Begin(3)
+	for addr, want := range map[Addr]uint64{0: 10, 1: 20} {
+		if v, err := fresh.Read(addr); err != nil || v != want {
+			t.Errorf("fresh Read(%d) = %d, %v, want %d", addr, v, err, want)
+		}
+	}
+	mustDo(t, fresh.Complete())
+	mustDo(t, fresh.Commit())
+}
+
 func TestOperationsAfterComplete(t *testing.T) {
 	m := NewMemory(4)
 	tx := m.Begin(1)

@@ -100,7 +100,7 @@ func (s *set[K, V]) drop() { s.items, s.index = nil, nil }
 // commitVersion through it, so a header is begun once and never recycled —
 // storage handed to BeginAt stays that transaction's until nobody can reach
 // it; what a finished transaction drops instead is every reference to
-// another one (see drop; an abort keeps its read set, see finishAbort).
+// another one (see drop; an abort keeps its sets, see finishAbort).
 type Tx struct {
 	mem      *Memory
 	id       uint64
@@ -108,12 +108,17 @@ type Tx struct {
 	snapshot uint64
 	status   atomic.Int32
 
-	// mu guards writes, owned, deps, dependents and onAbort. reads is only
-	// mutated by the executing goroutine while Active (validation happens
-	// after the Completed transition, which synchronizes), and dropped by
-	// the commit.
+	// mu is taken only where another goroutine looks: it guards every
+	// change to writes (a chain's readers look into its owners' buffers)
+	// and to owned (an abort leaves those chains), and deps, dependents and
+	// onAbort. While Active the executing goroutine is the only one that
+	// changes writes and owned, and an abort leaves both in place (see
+	// finishAbort), so it reads them without mu. reads is its own: nobody
+	// else looks before the Completed transition, which synchronizes, and
+	// only the commit drops it.
 	// owned is the set of lock-array slots whose chain the transaction is
-	// in; a slot enters it under that chain's lock.
+	// in; a slot enters it under that chain's lock, in the hold of mu that
+	// buffers the slot's first write.
 	// deps maps each dependency to the address that created it (first
 	// speculative read-from or WAW overwrite), so a cascading abort can be
 	// attributed to a concrete state word. Edges that commit order and
@@ -188,7 +193,8 @@ func (tx *Tx) checkRunnable() error {
 }
 
 // buffered reports whether the transaction has a buffered write for addr,
-// and its value.
+// and its value. It is how another transaction looks into the buffer, so
+// it takes mu; the owner uses writes.find.
 func (tx *Tx) buffered(addr Addr) (uint64, bool) {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
@@ -283,8 +289,8 @@ func (tx *Tx) Read(addr Addr) (uint64, error) {
 	if int(addr) >= len(tx.mem.data) {
 		return 0, fmt.Errorf("%w: %d", ErrBadAddr, addr)
 	}
-	if v, ok := tx.buffered(addr); ok {
-		return v, nil
+	if p := tx.writes.find(addr); p != nil {
+		return *p, nil
 	}
 	for {
 		if err := tx.checkRunnable(); err != nil {
@@ -303,13 +309,11 @@ func (tx *Tx) Read(addr Addr) (uint64, error) {
 			tx.mem.conflicts.Add(1)
 			return 0, ErrConflict
 		}
-		tx.mu.Lock()
 		if re.from != nil {
 			tx.reads.put(addr, re)
 		} else if tx.reads.find(addr) == nil {
 			tx.reads.add(addr, re)
 		}
-		tx.mu.Unlock()
 		return val, nil
 	}
 }
@@ -362,19 +366,17 @@ func (tx *Tx) Write(addr Addr, v uint64) error {
 		return fmt.Errorf("%w: %d", ErrBadAddr, addr)
 	}
 	slot := tx.mem.slotOf(addr)
-	tx.mu.Lock()
-	owned := tx.owned.find(slot) != nil
-	tx.mu.Unlock()
-	if !owned {
-		if err := tx.join(slot, addr); err != nil {
-			return err
-		}
+	if tx.owned.find(slot) == nil {
+		return tx.join(slot, addr, v)
 	}
-	tx.bufferWrite(addr, v)
+	tx.mu.Lock()
+	tx.writes.put(addr, v)
+	tx.mu.Unlock()
 	return nil
 }
 
-// join appends tx to the slot's chain once every owner in it is open.
+// join appends tx to the slot's chain once every owner in it is open, and
+// buffers v, its first write there.
 //
 // Overwriting the buffer of an older open transaction orders our commit
 // after it and aborts us if it aborts (WAW dependency); a *newer* open
@@ -385,7 +387,7 @@ func (tx *Tx) Write(addr Addr, v uint64) error {
 // the older owners that joined after it (re-executions that chained behind
 // newer owners, which therefore hold no edge to them). In a chain built in
 // timestamp order that is one edge, to the last owner.
-func (tx *Tx) join(slot uint32, addr Addr) error {
+func (tx *Tx) join(slot uint32, addr Addr, v uint64) error {
 	c := tx.mem.acquire(slot)
 	for {
 		if err := tx.checkRunnable(); err != nil {
@@ -414,12 +416,14 @@ func (tx *Tx) join(slot uint32, addr Addr) error {
 		c.owners = append(c.owners, tx)
 		tx.mu.Lock()
 		tx.owned.add(slot, struct{}{})
+		tx.writes.add(addr, v) // a slot not yet owned holds no write of ours
 		tx.mu.Unlock()
 		var err error
 		if Status(tx.status.Load()) == StatusAborted {
-			// Aborted from outside since the check above (the engine does
-			// that to an executing task it replaces); finishAbort may have
-			// missed this slot, so leave it ourselves.
+			// Another goroutine's Abort since the check above, which the
+			// STM allows (the engine aborts only tasks its dispatcher
+			// holds); finishAbort may have missed this slot, so leave it
+			// ourselves.
 			c.remove(tx, 0)
 			err = ErrConflict
 		}
@@ -431,12 +435,6 @@ func (tx *Tx) join(slot uint32, addr Addr) error {
 		c.mu.Unlock()
 		return err
 	}
-}
-
-func (tx *Tx) bufferWrite(addr Addr, v uint64) {
-	tx.mu.Lock()
-	tx.writes.put(addr, v)
-	tx.mu.Unlock()
 }
 
 // extendSnapshot revalidates all committed-memory reads and, if they are
@@ -610,14 +608,13 @@ func (tx *Tx) commitPrepare() error {
 // successfully run commitPrepare.
 func (tx *Tx) commitApplyLocked(version uint64) {
 	tx.commitVersion = version
-	tx.mu.Lock()
+	// Nobody changes the buffer or the owned slots while we commit: both
+	// are complete since the Completed transition.
 	for i := range tx.writes.items {
 		tx.mem.data[tx.writes.items[i].key].Store(tx.writes.items[i].val)
 	}
-	owned := tx.owned.items // complete since the Completed transition
-	tx.mu.Unlock()
-	for i := range owned {
-		tx.leave(owned[i].key, version)
+	for i := range tx.owned.items {
+		tx.leave(tx.owned.items[i].key, version)
 	}
 	tx.status.Store(int32(StatusCommitted))
 	tx.mem.commits.Add(1)
@@ -632,16 +629,16 @@ func (tx *Tx) drop() {
 	tx.mu.Lock()
 	clear(tx.reads.buf[:]) // the sources of speculative reads
 	tx.reads.drop()
+	tx.writes.drop()
+	tx.owned.drop()
 	tx.dropGuarded()
 	tx.mu.Unlock()
 }
 
-// dropGuarded is the part of drop that mu makes safe at any time, which is
-// all an abort may do: the executing goroutine can still be running. The
-// caller holds mu.
+// dropGuarded is the part of drop that an abort may do as well: the
+// executing goroutine can still be running, and it reads none of this
+// without mu. The caller holds mu.
 func (tx *Tx) dropGuarded() {
-	tx.writes.drop()
-	tx.owned.drop()
 	clear(tx.deps.buf[:])
 	tx.deps.drop()
 	clear(tx.depBuf[:])
@@ -705,11 +702,13 @@ func (tx *Tx) doAbort() {
 }
 
 // finishAbort runs the post-status abort work; only the goroutine that won
-// the transition to Aborted gets here. The read set is left alone: it is
-// not guarded by mu, and the executing goroutine may still be validating it
-// when a cascade or the engine's Abort lands here. It pins at most the
-// transactions this one read from, each of which drops its own edges when
-// it ends, for as long as someone still holds the aborted Tx.
+// the transition to Aborted gets here. The read set, the write buffer and
+// the owned slots are left alone: the executing goroutine reads them
+// without mu and may still be running when a cascade or another
+// goroutine's Abort lands here. Only the read set holds pointers, and it
+// pins at most the transactions this one read from, each of which drops
+// its own edges when it ends, for as long as someone still holds the
+// aborted Tx.
 func (tx *Tx) finishAbort() {
 	tx.mem.aborts.Add(1)
 	tx.mu.Lock()
@@ -724,8 +723,6 @@ func (tx *Tx) finishAbort() {
 	for _, d := range tx.dependents {
 		d.cascadeAbort(tx)
 	}
-	// Only now, with the slots released, may the write buffer go: a reader
-	// scans a chain under its lock and no longer finds us there.
 	tx.mu.Lock()
 	onAbort := tx.onAbort
 	tx.dropGuarded()
@@ -779,8 +776,6 @@ func (tx *Tx) witnessCascade(culprit *Tx) {
 }
 
 // ReadSetSize returns the number of distinct addresses read.
-func (tx *Tx) ReadSetSize() int {
-	tx.mu.Lock()
-	defer tx.mu.Unlock()
-	return len(tx.reads.items)
-}
+// Like Read, it belongs to the executing goroutine, or to whoever holds the
+// transaction after its Completed transition.
+func (tx *Tx) ReadSetSize() int { return len(tx.reads.items) }

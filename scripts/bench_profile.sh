@@ -21,10 +21,16 @@
 # than a plain one: its events_per_s is not a measurement, its
 # allocs_per_event is (it is a count).
 #
+# pprof flags after the kind pass through; -peek or -list, each an output
+# format of its own, replaces -top (the callers and callees of a matching
+# frame, or its annotated source), and the columns are appended to the rows
+# that carry both percentages. pprof's errors are printed, and fail the run.
+#
 # Usage: scripts/bench_profile.sh <workload> <seed> alloc|cpu|mutex|block [pprof flags]
 #        e.g. scripts/bench_profile.sh pipe2-sat 12 alloc -nodecount=40
 #             scripts/bench_profile.sh pipe2-sat 11 cpu -focus='idTable|idSet'
 #             scripts/bench_profile.sh sketch-par2 11 mutex
+#             scripts/bench_profile.sh sketch-par2 11 cpu -peek='sync\.\(\*Mutex\)\.Lock$'
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,6 +43,10 @@ alloc | cpu | mutex | block) ;;
 esac
 workload=$1 seed=$2 kind=$3
 shift 3
+format=-top
+for flag in "$@"; do
+	case $flag in -peek* | --peek* | -list* | --list*) format= ;; esac
+done
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
@@ -107,7 +117,7 @@ if [ "$kind" = mutex ] || [ "$kind" = block ]; then
 	[ -n "$events" ] && [ "$events" -gt 0 ] || { echo "bench_profile: no attempted events in the run's report" >&2; exit 1; }
 	echo
 	echo "== $kind profile of $workload, seed $seed: delay in ns / $events finalized events"
-	go tool pprof -top -sample_index=delay -unit=ns "$@" "$work/bench" "$work/profile" 2>/dev/null |
+	go tool pprof ${format:+"$format"} -sample_index=delay -unit=ns "$@" "$work/bench" "$work/profile" |
 		awk -v events="$events" '
 			$1 == "flat" && $2 == "flat%" { printf "%s  flat ns/event  cum ns/event\n", $0; next }
 			$2 ~ /%$/ && $5 ~ /%$/ { f = $1; c = $4; sub(/ns$/, "", f); sub(/ns$/, "", c)
@@ -126,7 +136,7 @@ scale=$(awk -v m="$metric" '$1 == m { print $2; exit }' <<<"$out")
 
 echo
 echo "== $kind profile of $workload, seed $seed: shares x $metric = $scale"
-go tool pprof -top "$index" "$@" "$work/bench" "$work/profile" 2>/dev/null |
+go tool pprof ${format:+"$format"} "$index" "$@" "$work/bench" "$work/profile" |
 	awk -v scale="$scale" -v unit="$unit" '
 		$1 == "flat" && $2 == "flat%" { printf "%s  flat %s  cum %s\n", $0, unit, unit; next }
 		$2 ~ /%$/ && $5 ~ /%$/ { printf "%s  [%.3f  %.3f]\n", $0, $2 * scale / 100, $5 * scale / 100; next }
